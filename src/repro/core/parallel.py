@@ -55,6 +55,15 @@ verified task attempts contribute to ``ops_applied`` (rejected attempts
 are reported as ``wasted_ops``).  The ``faults`` hook accepts a
 deterministic chaos plan (:class:`repro.testing.ChaosPlan`) for testing.
 
+All of this recovery logic is one state machine (:func:`_drive_pool`)
+over two transports that only move work and report what happened: forked
+processes sharing a task queue (:class:`_ForkTransport`) and virtual
+workers run one attempt at a time in this process
+(:class:`_InlineTransport`, used without ``fork`` or with
+``inline=True``).  Both run an attempt through the same
+:meth:`_TaskBlock.attempt`, so a fault schedule takes the same recovery
+path in either.
+
 MSV accounting
 --------------
 A parallel run keeps more statevectors alive than the serial schedule: the
@@ -69,6 +78,9 @@ where finish payloads are borrowed or copied out).
 from __future__ import annotations
 
 import contextlib
+import functools
+import heapq
+import itertools
 import multiprocessing
 import os
 import queue as queue_module
@@ -79,6 +91,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -656,187 +669,192 @@ def _run_prefix(
 # -- task execution + integrity primitives --------------------------------------
 
 
-def _flip_row_byte(array: np.ndarray, row: int) -> None:
-    """Deterministically corrupt one byte of a shared-memory row (chaos)."""
-    array[row].view(np.uint8)[0] ^= 0xFF
+class _TaskBlock:
+    """The shared-memory rows of one run and the task primitives over them.
 
-
-def _verify_entry(
-    task_id: int, entries: np.ndarray, entry_checksums: Sequence[int]
-) -> None:
-    """Raise :class:`CorruptionError` unless the entry row checks out."""
-    actual = payload_checksum(entries[task_id])
-    if actual != entry_checksums[task_id]:
-        raise CorruptionError(
-            f"task {task_id} entry state failed its checksum "
-            f"(expected {entry_checksums[task_id]:#010x}, got {actual:#010x})"
-        )
-
-
-def _verify_payloads(
-    task: SubPlan,
-    results: np.ndarray,
-    result_offsets: Sequence[int],
-    checksums: Sequence[int],
-) -> bool:
-    """Re-sum a task's finish rows against the worker's reported CRCs."""
-    if len(checksums) != task.num_finishes:
-        return False
-    base = result_offsets[task.task_id]
-    return all(
-        payload_checksum(results[base + position]) == checksum
-        for position, checksum in enumerate(checksums)
-    )
-
-
-def _run_one_task(
-    task: SubPlan,
-    layered: LayeredCircuit,
-    trials: Sequence[Trial],
-    backend,
-    entries: np.ndarray,
-    results: np.ndarray,
-    result_offsets: Sequence[int],
-    recorder,
-    cache_budget: Optional[CacheBudget],
-    batch_size: int = 0,
-) -> Dict[str, Any]:
-    """Run one sub-plan; write its finish payloads and their checksums."""
-    num_qubits = layered.num_qubits
-    # Each execution copies the entry snapshot into its own buffer; the
-    # shared region stays pristine (retries re-read the same bytes).
-    entry = Statevector(num_qubits, tensor=entries[task.task_id])
-    local_trials = [trials[g] for g in task.trial_indices]
-    cursor = [result_offsets[task.task_id]]
-    checksums: List[int] = []
-
-    def write_finish(payload, _local_indices, _cursor=cursor, _sums=checksums):
-        row = results[_cursor[0]]
-        np.copyto(row, payload.vector)
-        _sums.append(payload_checksum(row))
-        _cursor[0] += 1
-
-    if batch_size:
-        from .wavefront import run_wavefront
-
-        outcome = run_wavefront(
-            layered,
-            local_trials,
-            backend,
-            write_finish,
-            plan=task.plan,
-            batch_size=batch_size,
-            recorder=recorder,
-            entry_state=entry,
-            entry_layer=task.entry_layer,
-            entry_events=task.entry_events,
-            cache_budget=cache_budget,
-        )
-    else:
-        outcome = run_optimized(
-            layered,
-            local_trials,
-            backend,
-            write_finish,
-            plan=task.plan,
-            recorder=recorder,
-            entry_state=entry,
-            entry_layer=task.entry_layer,
-            entry_events=task.entry_events,
-            cache_budget=cache_budget,
-        )
-    return {
-        "ops": outcome.ops_applied,
-        "finish_calls": outcome.finish_calls,
-        "snapshots_taken": outcome.cache_stats.snapshots_taken,
-        "peak": outcome.peak_msv,
-        "stored": outcome.peak_stored,
-        "checksums": checksums,
-    }
-
-
-def _worker_main(
-    worker_id: int,
-    partition: PlanPartition,
-    layered: LayeredCircuit,
-    trials: Sequence[Trial],
-    backend_factory: Callable[[], Any],
-    entries: np.ndarray,
-    results: np.ndarray,
-    result_offsets: Sequence[int],
-    entry_checksums: Sequence[int],
-    recorder,
-    cache_budget: Optional[CacheBudget],
-    batch_size: int,
-    faults,
-    task_queue,
-    report_queue,
-) -> None:
-    """Forked child main: pull tasks until the ``None`` sentinel.
-
-    Every claimed task produces exactly one ``task`` or ``task_error``
-    report (bracketed by a ``start`` report so the parent can track
-    in-flight deadlines); a clean exit ends with a ``done`` report
-    carrying the worker's trace recorder.
+    ``entries`` holds one entry state per task, ``results`` one row per
+    finish payload.  The same object serves the parent, every forked
+    worker (inherited through ``fork``, never pickled) and the in-process
+    pool, so both transports run a task attempt through one code path.
     """
-    backend = backend_factory()
-    worker_recorder = recorder.child() if recorder else None
-    tasks_done = 0
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        task_id, attempt = item
-        report_queue.put(
-            {"type": "start", "worker": worker_id, "task": task_id,
-             "attempt": attempt}
-        )
-        try:
-            if faults is not None:
-                faults.before_task(
-                    worker_id, task_id, attempt, tasks_done, inline=False
-                )
-            _verify_entry(task_id, entries, entry_checksums)
-            report = _run_one_task(
-                partition.tasks[task_id], layered, trials, backend,
-                entries, results, result_offsets, worker_recorder,
-                cache_budget, batch_size,
-            )
-            if faults is not None and faults.corrupt_payload(task_id, attempt):
-                _flip_row_byte(results, result_offsets[task_id])
-            report.update(
-                type="task", worker=worker_id, task=task_id, attempt=attempt
-            )
-            report_queue.put(report)
-        except WorkerCrash:  # pragma: no cover - exercised via fork tests
-            # Flush buffered reports before dying: exiting while our
-            # feeder thread holds the queue's shared write lock would
-            # block every *other* worker's reports (a real crash there is
-            # only recoverable via the task_timeout deadline).
-            report_queue.close()
-            report_queue.join_thread()
-            os._exit(_CRASH_EXIT)
-        except BaseException as exc:
-            report_queue.put(
-                {"type": "task_error", "worker": worker_id, "task": task_id,
-                 "attempt": attempt, "error": repr(exc)}
-            )
-        tasks_done += 1
-    if worker_recorder:
-        from .hostinfo import peak_rss_kb
 
-        rss = peak_rss_kb()
-        worker_recorder.instant(
-            "worker.host", cat="parallel", worker_id=worker_id,
-            tasks_done=tasks_done, peak_rss_self_kb=rss["self"],
+    def __init__(
+        self,
+        partition: PlanPartition,
+        layered: LayeredCircuit,
+        trials: Sequence[Trial],
+        entries: np.ndarray,
+        results: np.ndarray,
+        cache_budget: Optional[CacheBudget],
+        batch_size: int,
+        faults,
+    ) -> None:
+        self.partition = partition
+        self.layered = layered
+        self.trials = trials
+        self.entries = entries
+        self.results = results
+        self.cache_budget = cache_budget
+        self.batch_size = batch_size
+        self.faults = faults
+        #: First ``results`` row of each task's finish payloads.
+        self.offsets = list(
+            itertools.accumulate(
+                (task.num_finishes for task in partition.tasks[:-1]),
+                initial=0,
+            )
         )
-    report_queue.put(
-        {"type": "done", "worker": worker_id, "recorder": worker_recorder}
-    )
+        self.entry_checksums: List[int] = []
+
+    def seal_entries(self) -> None:
+        """Checksum every entry row before it crosses the process boundary
+        (workers re-verify before use), then apply entry-corruption chaos."""
+        self.entry_checksums = [payload_checksum(row) for row in self.entries]
+        if self.faults is not None:
+            for task_id in range(self.partition.num_tasks):
+                if self.faults.corrupt_entry(task_id):
+                    self._flip_byte(self.entries, task_id)
+
+    @staticmethod
+    def _flip_byte(array: np.ndarray, row: int) -> None:
+        """Deterministically corrupt one byte of a shared-memory row."""
+        array[row].view(np.uint8)[0] ^= 0xFF
+
+    def verify_entry(self, task_id: int) -> None:
+        """Raise :class:`CorruptionError` unless the entry row checks out."""
+        actual = payload_checksum(self.entries[task_id])
+        expected = self.entry_checksums[task_id]
+        if actual != expected:
+            raise CorruptionError(
+                f"task {task_id} entry state failed its checksum "
+                f"(expected {expected:#010x}, got {actual:#010x})"
+            )
+
+    def payloads_ok(self, task_id: int, checksums: Sequence[int]) -> bool:
+        """Re-sum a task's finish rows against the attempt's reported CRCs."""
+        if len(checksums) != self.partition.tasks[task_id].num_finishes:
+            return False
+        base = self.offsets[task_id]
+        return all(
+            payload_checksum(self.results[base + position]) == checksum
+            for position, checksum in enumerate(checksums)
+        )
+
+    def run(self, task_id: int, backend, recorder) -> Dict[str, Any]:
+        """Run one sub-plan; write its finish payloads and their checksums."""
+        task = self.partition.tasks[task_id]
+        # Each execution copies the entry snapshot into its own buffer; the
+        # shared region stays pristine (retries re-read the same bytes).
+        entry = Statevector(
+            self.layered.num_qubits, tensor=self.entries[task_id]
+        )
+        local_trials = [self.trials[g] for g in task.trial_indices]
+        rows = iter(self.results[self.offsets[task_id]:])
+        checksums: List[int] = []
+
+        def write_finish(payload, _local_indices):
+            row = next(rows)
+            np.copyto(row, payload.vector)
+            checksums.append(payload_checksum(row))
+
+        if self.batch_size:
+            from .wavefront import run_wavefront
+
+            execute: Callable[..., ExecutionOutcome] = functools.partial(
+                run_wavefront, batch_size=self.batch_size
+            )
+        else:
+            execute = run_optimized
+        outcome = execute(
+            self.layered,
+            local_trials,
+            backend,
+            write_finish,
+            plan=task.plan,
+            recorder=recorder,
+            entry_state=entry,
+            entry_layer=task.entry_layer,
+            entry_events=task.entry_events,
+            cache_budget=self.cache_budget,
+        )
+        return {
+            "ops": outcome.ops_applied,
+            "finish_calls": outcome.finish_calls,
+            "snapshots_taken": outcome.cache_stats.snapshots_taken,
+            "peak": outcome.peak_msv,
+            "stored": outcome.peak_stored,
+            "checksums": checksums,
+        }
+
+    def attempt(
+        self,
+        worker_id: int,
+        task_id: int,
+        attempt: int,
+        tasks_done: int,
+        backend,
+        recorder,
+        inline: bool,
+    ) -> Dict[str, Any]:
+        """One worker's attempt at a task: chaos hooks around a verified run.
+
+        Raises :class:`WorkerCrash` for a scripted kill (the transport
+        decides what dying means) and anything else for a failed attempt.
+        """
+        faults = self.faults
+        if faults is not None:
+            faults.before_task(
+                worker_id, task_id, attempt, tasks_done, inline=inline
+            )
+        self.verify_entry(task_id)
+        report = self.run(task_id, backend, recorder)
+        if faults is not None and faults.corrupt_payload(task_id, attempt):
+            self._flip_byte(self.results, self.offsets[task_id])
+        return report
+
+    def replay(
+        self, on_finish: Optional[FinishCallback], task_ids: Iterable[int]
+    ) -> int:
+        """Feed the finishes of ``task_ids`` to ``on_finish`` in order;
+        returns the number of trials delivered."""
+        num_qubits = self.layered.num_qubits
+        delivered = 0
+        for task_id in task_ids:
+            task = self.partition.tasks[task_id]
+            base = self.offsets[task_id]
+            for position, global_indices in enumerate(task.finishes):
+                if on_finish is not None:
+                    payload = Statevector.from_buffer(
+                        self.results[base + position], num_qubits
+                    )
+                    on_finish(payload, global_indices)
+                    del payload
+                delivered += len(global_indices)
+        return delivered
+
+
+# -- the pool: one recovery state machine over two transports -------------------
+
+
+class _Event(NamedTuple):
+    """One report from a transport to the recovery state machine.
+
+    ``kind`` is ``"task"`` (``data`` = the attempt's report), ``"error"``
+    (``data`` = the failure's repr), ``"crash"`` or ``"timeout"`` (the
+    worker is gone; ``task`` = its in-flight task or ``None``, ``data`` =
+    the exit code when known) or ``"done"`` (``data`` = the worker's child
+    recorder).  Forked workers also send ``"start"``, which only the fork
+    transport consumes, to arm the per-task deadline.
+    """
+
+    kind: str
+    worker: int
+    task: Optional[int] = None
+    data: Any = None
 
 
 class _PoolResult(NamedTuple):
-    """What a driver hands back to the merge phase."""
+    """What the state machine hands back to the merge phase."""
 
     completed: Dict[int, Dict[str, Any]]
     needs_parent: Set[int]
@@ -849,375 +867,368 @@ class _PoolResult(NamedTuple):
     interrupted: bool = False
 
 
-def _drive_fork_pool(
-    partition: PlanPartition,
-    layered: LayeredCircuit,
-    trials: Sequence[Trial],
-    backend_factory: Callable[[], Any],
-    entries: np.ndarray,
-    results: np.ndarray,
-    result_offsets: Sequence[int],
-    entry_checksums: Sequence[int],
+def _drive_pool(
+    transport,
+    block: _TaskBlock,
     order: Sequence[int],
-    workers: int,
-    recorder,
-    cache_budget: Optional[CacheBudget],
-    batch_size: int,
-    faults,
     retries: int,
-    task_timeout: Optional[float],
+    recorder,
     stop=None,
 ) -> _PoolResult:
-    """Dispatch tasks to forked workers with crash/hang recovery."""
-    ctx = multiprocessing.get_context("fork")
-    task_queue = ctx.Queue()
-    report_queue = ctx.Queue()
-    num_tasks = partition.num_tasks
-    for task_id in order:
-        task_queue.put((task_id, 0))
-    processes: Dict[int, Any] = {}
-    for worker_id in range(min(workers, num_tasks)):
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id, partition, layered, trials, backend_factory,
-                entries, results, result_offsets, entry_checksums,
-                recorder, cache_budget, batch_size, faults, task_queue,
-                report_queue,
-            ),
-        )
-        process.start()
-        processes[worker_id] = process
+    """Dispatch every task through ``transport`` and recover from failures.
 
-    pending: Set[int] = set(range(num_tasks))
+    The transport moves ``(task, attempt)`` pairs to workers and turns
+    what comes back into :class:`_Event` s; everything else lives here and
+    is identical for both transports:
+
+    * a reported task is accepted only if its payload checksums verify,
+      otherwise its ops are wasted and the task is retried;
+    * a failed attempt, a crash and a blown deadline each cost the task
+      one attempt; past ``retries``, or once no worker survives, the task
+      falls to the parent;
+    * a stop request drops queued work and keeps what drains cleanly;
+    * at shutdown the transport's last events (late successes, worker
+      recorders) are settled without further retries.
+
+    A transport implements ``submit(task, attempt)``, ``poll() -> events``,
+    ``alive() -> bool``, ``cancel()`` (drop queued work), ``drain() ->
+    events`` (stop the workers, yield their last events) and ``close()``.
+    """
+    pending: Set[int] = set(range(block.partition.num_tasks))
     needs_parent: Set[int] = set()
-    attempts = {task_id: 0 for task_id in range(num_tasks)}
-    inflight: Dict[int, Tuple[int, float]] = {}
+    attempts = dict.fromkeys(pending, 0)
     completed: Dict[int, Dict[str, Any]] = {}
-    done_workers: Set[int] = set()
-    dead_workers: Set[int] = set()
-    recorders: List[Tuple[int, Any]] = []
-    wasted_ops = 0
-    tasks_retried = 0
+    recorders: Dict[int, Any] = {}
+    counters = {"wasted_ops": 0, "tasks_retried": 0, "workers_lost": 0}
+    draining = False
 
-    def alive() -> List[int]:
-        return [
-            w for w in processes
-            if w not in dead_workers and w not in done_workers
-        ]
+    def note(name: str, **args) -> None:
+        if recorder:
+            recorder.instant(name, cat="parallel", **args)
 
     def requeue(task_id: int, reason: str) -> None:
-        nonlocal tasks_retried
+        if task_id not in pending or task_id in needs_parent:
+            return  # settled, or already the parent's
         attempts[task_id] += 1
-        if attempts[task_id] > retries or not alive():
+        if draining or attempts[task_id] > retries or not transport.alive():
             needs_parent.add(task_id)
-            if recorder:
-                recorder.instant(
-                    "task.fallback", cat="parallel", task=task_id,
-                    reason=reason,
-                )
+            note("task.fallback", task=task_id, reason=reason)
         else:
-            tasks_retried += 1
-            task_queue.put((task_id, attempts[task_id]))
-            if recorder:
-                recorder.instant(
-                    "task.retry", cat="parallel", task=task_id,
-                    attempt=attempts[task_id], reason=reason,
-                )
+            counters["tasks_retried"] += 1
+            transport.submit(task_id, attempts[task_id])
+            note(
+                "task.retry", task=task_id, attempt=attempts[task_id],
+                reason=reason,
+            )
 
-    def kill_worker(worker_id: int) -> None:
-        process = processes[worker_id]
-        if process.is_alive():
-            process.terminate()
-            process.join(1.0)
-            if process.is_alive():  # pragma: no cover - terminate refused
-                process.kill()
-                process.join(1.0)
-        dead_workers.add(worker_id)
+    def settle(event: _Event) -> None:
+        kind, worker_id, task_id = event.kind, event.worker, event.task
+        if kind == "done":
+            if event.data is not None:
+                recorders[worker_id] = event.data
+        elif kind in ("crash", "timeout"):
+            counters["workers_lost"] += 1
+            note(
+                f"worker.{kind}", worker=worker_id, task=task_id,
+                exitcode=event.data,
+            )
+            if task_id is not None:
+                requeue(task_id, kind)
+        elif task_id not in pending:
+            return  # stale duplicate of an already-settled task
+        elif kind == "error":
+            requeue(task_id, event.data)
+        elif block.payloads_ok(task_id, event.data["checksums"]):
+            completed[task_id] = dict(event.data, worker=worker_id)
+            pending.discard(task_id)
+            needs_parent.discard(task_id)
+        else:
+            counters["wasted_ops"] += event.data["ops"]
+            note("payload.corrupt", task=task_id, worker=worker_id)
+            requeue(task_id, "checksum")
 
-    poll = 0.05 if task_timeout is None else min(0.05, task_timeout / 4)
     interrupted = False
     try:
+        for task_id in order:
+            transport.submit(task_id, 0)
         while pending - needs_parent:
             if stop is not None and stop.is_set():
-                # Graceful shutdown: drop every unstarted task from the
-                # queue so workers stop at the sentinel after finishing
-                # their current task; the shutdown drain below still
-                # collects those in-flight completions.
+                # Graceful shutdown: unstarted tasks are dropped; the
+                # drain below still collects in-flight completions.
                 interrupted = True
-                try:
-                    while True:
-                        task_queue.get_nowait()
-                except queue_module.Empty:
-                    pass
-                if recorder:
-                    recorder.instant(
-                        "pool.interrupted", cat="parallel",
-                        pending=len(pending),
-                    )
+                transport.cancel()
+                note("pool.interrupted", pending=len(pending))
                 break
-            try:
-                message = report_queue.get(timeout=poll)
-            except queue_module.Empty:
-                message = None
-            if message is None:
-                now = time.monotonic()
-                if task_timeout is not None:
-                    for worker_id in list(inflight):
-                        task_id, started = inflight[worker_id]
-                        if now - started > task_timeout:
-                            kill_worker(worker_id)
-                            inflight.pop(worker_id, None)
-                            if recorder:
-                                recorder.instant(
-                                    "worker.timeout", cat="parallel",
-                                    worker=worker_id, task=task_id,
-                                )
-                            if task_id in pending:
-                                requeue(task_id, "timeout")
-                for worker_id, process in processes.items():
-                    if (
-                        worker_id in dead_workers
-                        or worker_id in done_workers
-                        or process.is_alive()
-                    ):
-                        continue
-                    dead_workers.add(worker_id)
-                    hung = inflight.pop(worker_id, None)
-                    if recorder:
-                        recorder.instant(
-                            "worker.crash", cat="parallel", worker=worker_id,
-                            exitcode=process.exitcode,
-                        )
-                    if hung is not None and hung[0] in pending:
-                        requeue(hung[0], "crash")
-                if not alive():
-                    needs_parent.update(pending)
-                continue
-            kind = message["type"]
-            worker_id = message["worker"]
-            if kind == "start":
-                inflight[worker_id] = (message["task"], time.monotonic())
-            elif kind == "task":
-                inflight.pop(worker_id, None)
-                task_id = message["task"]
-                if task_id not in pending:
-                    continue  # stale duplicate of an already-settled task
-                task = partition.tasks[task_id]
-                if _verify_payloads(
-                    task, results, result_offsets, message["checksums"]
-                ):
-                    completed[task_id] = message
-                    pending.discard(task_id)
-                    needs_parent.discard(task_id)
-                else:
-                    wasted_ops += message["ops"]
-                    if recorder:
-                        recorder.instant(
-                            "payload.corrupt", cat="parallel", task=task_id,
-                            worker=worker_id,
-                        )
-                    requeue(task_id, "checksum")
-            elif kind == "task_error":
-                inflight.pop(worker_id, None)
-                task_id = message["task"]
-                if task_id in pending:
-                    requeue(task_id, message["error"])
-            elif kind == "done":
-                done_workers.add(worker_id)
-                inflight.pop(worker_id, None)
-                if message.get("recorder") is not None:
-                    recorders.append((worker_id, message["recorder"]))
-
-        # Shutdown: one sentinel per surviving worker, then drain their
-        # remaining reports (late successes for given-up tasks included).
-        for _ in alive():
-            task_queue.put(None)
-        deadline = time.monotonic() + 10.0
-        while alive() and time.monotonic() < deadline:
-            try:
-                message = report_queue.get(timeout=0.1)
-            except queue_module.Empty:
-                for worker_id, process in processes.items():
-                    if (
-                        worker_id not in dead_workers
-                        and worker_id not in done_workers
-                        and not process.is_alive()
-                    ):
-                        dead_workers.add(worker_id)
-                continue
-            if message["type"] == "done":
-                done_workers.add(message["worker"])
-                if message.get("recorder") is not None:
-                    recorders.append((message["worker"], message["recorder"]))
-            elif message["type"] == "task" and message["task"] in pending:
-                task = partition.tasks[message["task"]]
-                if _verify_payloads(
-                    task, results, result_offsets, message["checksums"]
-                ):
-                    completed[message["task"]] = message
-                    pending.discard(message["task"])
-                    needs_parent.discard(message["task"])
-        for worker_id, process in processes.items():
-            process.join(0.1 if worker_id in dead_workers else 5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.kill()
-                process.join(1.0)
-                dead_workers.add(worker_id)
+            for event in transport.poll():
+                settle(event)
+            if not transport.alive():
+                needs_parent.update(pending)
+        draining = True
+        for event in transport.drain():
+            settle(event)
     finally:
+        transport.close()
+    return _PoolResult(
+        completed=completed,
+        needs_parent=needs_parent,
+        recorders=sorted(recorders.items()),
+        interrupted=interrupted,
+        **counters,
+    )
+
+
+def _worker_main(
+    worker_id: int,
+    block: _TaskBlock,
+    backend_factory: Callable[[], Any],
+    recorder,
+    task_queue,
+    report_queue,
+) -> None:
+    """Forked child main: pull ``(task, attempt)`` pairs until ``None``.
+
+    Every claimed task produces a ``start`` event and then exactly one
+    ``task`` or ``error`` event; a clean exit ends with ``done`` carrying
+    the worker's trace recorder.  A scripted crash really exits.
+    """
+    backend = backend_factory()
+    worker_recorder = recorder.child() if recorder else None
+    tasks_done = 0
+    for task_id, attempt in iter(task_queue.get, None):
+        report_queue.put(_Event("start", worker_id, task_id))
+        try:
+            report = block.attempt(
+                worker_id, task_id, attempt, tasks_done, backend,
+                worker_recorder, inline=False,
+            )
+            event = _Event("task", worker_id, task_id, report)
+        except WorkerCrash:  # pragma: no cover - exercised via fork tests
+            # Flush buffered reports before dying: exiting while our
+            # feeder thread holds the queue's shared write lock would
+            # block every *other* worker's reports (a real crash there is
+            # only recoverable via the task_timeout deadline).
+            report_queue.close()
+            report_queue.join_thread()
+            os._exit(_CRASH_EXIT)
+        except Exception as exc:
+            event = _Event("error", worker_id, task_id, repr(exc))
+        report_queue.put(event)
+        tasks_done += 1
+    if worker_recorder:
+        from .hostinfo import peak_rss_kb
+
+        worker_recorder.instant(
+            "worker.host", cat="parallel", worker_id=worker_id,
+            tasks_done=tasks_done, peak_rss_self_kb=peak_rss_kb()["self"],
+        )
+    report_queue.put(_Event("done", worker_id, data=worker_recorder))
+
+
+class _ForkTransport:
+    """Forked worker processes sharing one task queue.
+
+    Workers pull pairs in submission (LPT) order, so the fastest worker
+    takes the next task.  A dead process, or one whose in-flight task
+    outlives ``task_timeout`` (it is killed), becomes a ``crash`` or
+    ``timeout`` event carrying that task.
+    """
+
+    def __init__(
+        self,
+        block: _TaskBlock,
+        backend_factory: Callable[[], Any],
+        workers: int,
+        recorder,
+        task_timeout: Optional[float],
+    ) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.tasks = ctx.Queue()
+        self.reports = ctx.Queue()
+        self.task_timeout = task_timeout
+        self.poll_s = 0.05 if task_timeout is None else min(
+            0.05, task_timeout / 4
+        )
+        #: worker -> (task, monotonic start) of its in-flight attempt.
+        self.inflight: Dict[int, Tuple[int, float]] = {}
+        #: Workers that said ``done`` or were lost.
+        self.finished: Set[int] = set()
+        self.processes: Dict[int, Any] = {}
+        for worker_id in range(workers):
+            process = ctx.Process(
+                target=_worker_main,
+                args=(
+                    worker_id, block, backend_factory, recorder,
+                    self.tasks, self.reports,
+                ),
+            )
+            process.start()
+            self.processes[worker_id] = process
+
+    def submit(self, task_id: int, attempt: int) -> None:
+        self.tasks.put((task_id, attempt))
+
+    def alive(self) -> bool:
+        return len(self.finished) < len(self.processes)
+
+    def poll(self) -> List[_Event]:
+        try:
+            event = self.reports.get(timeout=self.poll_s)
+        except queue_module.Empty:
+            return self._reap()
+        if event.kind == "start":
+            self.inflight[event.worker] = (event.task, time.monotonic())
+            return []
+        self.inflight.pop(event.worker, None)
+        if event.kind == "done":
+            self.finished.add(event.worker)
+        return [event]
+
+    def _reap(self) -> List[_Event]:
+        """Turn dead and over-deadline workers into lost-worker events."""
+        lost = []
+        now = time.monotonic()
+        for worker_id, process in self.processes.items():
+            if worker_id in self.finished:
+                continue
+            task, started = self.inflight.get(worker_id, (None, now))
+            if (
+                self.task_timeout is not None
+                and now - started > self.task_timeout
+            ):
+                _kill(process)
+                kind, exitcode = "timeout", None
+            elif not process.is_alive():
+                kind, exitcode = "crash", process.exitcode
+            else:
+                continue
+            self.finished.add(worker_id)
+            self.inflight.pop(worker_id, None)
+            lost.append(_Event(kind, worker_id, task, exitcode))
+        return lost
+
+    def cancel(self) -> None:
+        with contextlib.suppress(queue_module.Empty):
+            while True:
+                self.tasks.get_nowait()
+
+    def drain(self):
+        """Send one sentinel per surviving worker, then collect their
+        remaining events (late successes for given-up tasks included)."""
+        for _ in range(len(self.processes) - len(self.finished)):
+            self.tasks.put(None)
+        deadline = time.monotonic() + 10.0
+        while self.alive() and time.monotonic() < deadline:
+            yield from self.poll()
+        for worker_id, process in self.processes.items():
+            process.join(5.0)
+            if process.is_alive():  # pragma: no cover - stuck worker
+                _kill(process)
+                if worker_id not in self.finished:
+                    self.finished.add(worker_id)
+                    yield _Event("timeout", worker_id)
+
+    def close(self) -> None:
+        for process in self.processes.values():
+            if process.is_alive():
+                _kill(process)
         # Leftover queue items must not block interpreter shutdown.
-        for q in (task_queue, report_queue):
+        for q in (self.tasks, self.reports):
             q.close()
             q.cancel_join_thread()
-    return _PoolResult(
-        completed=completed,
-        needs_parent=needs_parent,
-        recorders=recorders,
-        wasted_ops=wasted_ops,
-        tasks_retried=tasks_retried,
-        workers_lost=len(dead_workers),
-        interrupted=interrupted,
-    )
 
 
-def _drive_inline(
-    partition: PlanPartition,
-    layered: LayeredCircuit,
-    trials: Sequence[Trial],
-    backend_factory: Callable[[], Any],
-    entries: np.ndarray,
-    results: np.ndarray,
-    result_offsets: Sequence[int],
-    entry_checksums: Sequence[int],
-    assignment: Sequence[Sequence[int]],
-    recorder,
-    cache_budget: Optional[CacheBudget],
-    batch_size: int,
-    faults,
-    retries: int,
-    stop=None,
-) -> _PoolResult:
-    """In-process pool: virtual workers, same recovery state machine.
+def _kill(process) -> None:
+    process.terminate()
+    process.join(1.0)
+    if process.is_alive():  # pragma: no cover - terminate refused
+        process.kill()
+        process.join(1.0)
 
-    Each task runs on its planned LPT worker (own backend + recorder, as a
-    real pool would).  A :class:`WorkerCrash` fault marks the virtual
-    worker dead; its remaining tasks migrate to the lowest-id survivor.  A
-    simulated hang is treated as a crash — there is no process to kill.
+
+class _InlineTransport:
+    """Virtual workers in this process; each ``poll`` runs one attempt.
+
+    Every submitted task goes to the least-loaded live worker, which is
+    the LPT rule: a fault-free run executes exactly
+    :meth:`PlanPartition.assign`'s buckets, each in task-id order, each
+    on its own backend and child recorder as a real pool would.  A
+    :class:`WorkerCrash` kills the virtual worker: its in-flight task
+    comes back as a ``crash`` event and its queued tasks move to the
+    survivors.  A scripted hang is a crash — there is no process to time
+    out.
     """
-    from collections import deque
 
-    owner = {
-        task_id: worker_id
-        for worker_id, bucket in enumerate(assignment)
-        for task_id in bucket
-    }
-    work = deque(
-        (task_id, 0) for bucket in assignment for task_id in bucket
-    )
-    backends: Dict[int, Any] = {}
-    recorders: Dict[int, Any] = {}
-    tasks_done: Dict[int, int] = {}
-    dead: Set[int] = set()
-    completed: Dict[int, Dict[str, Any]] = {}
-    needs_parent: Set[int] = set()
-    attempts = {task_id: 0 for task_id in owner}
-    wasted_ops = 0
-    tasks_retried = 0
+    def __init__(
+        self,
+        block: _TaskBlock,
+        backend_factory: Callable[[], Any],
+        workers: int,
+        recorder,
+        weights: Sequence[int],
+    ) -> None:
+        self.block = block
+        self.backend_factory = backend_factory
+        self.recorder = recorder
+        self.weights = weights
+        #: Live workers only: load so far and a heap of (attempt, task).
+        self.loads = {worker_id: 0 for worker_id in range(workers)}
+        self.queues: Dict[int, List[Tuple[int, int]]] = {
+            worker_id: [] for worker_id in range(workers)
+        }
+        #: Per started worker: its backend, child recorder, tasks done.
+        self.backends: Dict[int, Any] = {}
+        self.recorders: Dict[int, Any] = {}
+        self.tasks_done: Dict[int, int] = {}
 
-    interrupted = False
-    while work:
-        if stop is not None and stop.is_set():
-            interrupted = True
-            if recorder:
-                recorder.instant(
-                    "pool.interrupted", cat="parallel", pending=len(work)
-                )
-            break
-        task_id, attempt = work.popleft()
-        if task_id in completed:
-            continue
-        worker_id = owner[task_id]
-        if worker_id in dead:
-            survivors = [
-                w for w, bucket in enumerate(assignment)
-                if bucket and w not in dead
-            ]
-            if not survivors:
-                needs_parent.add(task_id)
-                continue
-            worker_id = survivors[0]
-        if worker_id not in backends:
-            backends[worker_id] = backend_factory()
-            recorders[worker_id] = recorder.child() if recorder else None
-            tasks_done[worker_id] = 0
-        try:
-            if faults is not None:
-                faults.before_task(
-                    worker_id, task_id, attempt, tasks_done[worker_id],
-                    inline=True,
-                )
-            _verify_entry(task_id, entries, entry_checksums)
-            report = _run_one_task(
-                partition.tasks[task_id], layered, trials,
-                backends[worker_id], entries, results, result_offsets,
-                recorders[worker_id], cache_budget, batch_size,
+    def submit(self, task_id: int, attempt: int) -> None:
+        worker_id = min(self.loads, key=lambda w: (self.loads[w], w))
+        self.loads[worker_id] += max(1, self.weights[task_id])
+        heapq.heappush(self.queues[worker_id], (attempt, task_id))
+
+    def alive(self) -> bool:
+        return bool(self.loads)
+
+    def poll(self) -> List[_Event]:
+        busy = [w for w in sorted(self.loads) if self.queues[w]]
+        if not busy:
+            return []
+        worker_id = busy[0]
+        attempt, task_id = heapq.heappop(self.queues[worker_id])
+        if worker_id not in self.backends:
+            self.backends[worker_id] = self.backend_factory()
+            self.recorders[worker_id] = (
+                self.recorder.child() if self.recorder else None
             )
-            if faults is not None and faults.corrupt_payload(task_id, attempt):
-                _flip_row_byte(results, result_offsets[task_id])
-            tasks_done[worker_id] += 1
-            if not _verify_payloads(
-                partition.tasks[task_id], results, result_offsets,
-                report["checksums"],
-            ):
-                wasted_ops += report["ops"]
-                if recorder:
-                    recorder.instant(
-                        "payload.corrupt", cat="parallel", task=task_id,
-                        worker=worker_id,
-                    )
-                raise CorruptionError(
-                    f"task {task_id} finish payloads failed their checksums"
-                )
-            report.update(worker=worker_id, task=task_id)
-            completed[task_id] = report
+            self.tasks_done[worker_id] = 0
+        try:
+            report = self.block.attempt(
+                worker_id, task_id, attempt, self.tasks_done[worker_id],
+                self.backends[worker_id], self.recorders[worker_id],
+                inline=True,
+            )
+            event = _Event("task", worker_id, task_id, report)
         except WorkerCrash:
-            dead.add(worker_id)
-            if recorder:
-                recorder.instant(
-                    "worker.crash", cat="parallel", worker=worker_id
-                )
-            work.appendleft((task_id, attempt))
-        except BaseException as exc:
-            tasks_done[worker_id] = tasks_done.get(worker_id, 0) + 1
-            attempts[task_id] += 1
-            if attempts[task_id] > retries:
-                needs_parent.add(task_id)
-                if recorder:
-                    recorder.instant(
-                        "task.fallback", cat="parallel", task=task_id,
-                        reason=repr(exc),
-                    )
-            else:
-                tasks_retried += 1
-                work.append((task_id, attempts[task_id]))
-                if recorder:
-                    recorder.instant(
-                        "task.retry", cat="parallel", task=task_id,
-                        attempt=attempts[task_id], reason=repr(exc),
-                    )
+            del self.loads[worker_id]
+            orphans = sorted(self.queues.pop(worker_id))
+            if self.loads:
+                for queued_attempt, queued_task in orphans:
+                    self.submit(queued_task, queued_attempt)
+            return [_Event("crash", worker_id, task_id)]
+        except Exception as exc:
+            event = _Event("error", worker_id, task_id, repr(exc))
+        self.tasks_done[worker_id] += 1
+        return [event]
 
-    return _PoolResult(
-        completed=completed,
-        needs_parent=needs_parent,
-        recorders=sorted(
-            ((w, r) for w, r in recorders.items() if r is not None),
-            key=lambda pair: pair[0],
-        ),
-        wasted_ops=wasted_ops,
-        tasks_retried=tasks_retried,
-        workers_lost=len(dead),
-        interrupted=interrupted,
-    )
+    def cancel(self) -> None:
+        for heap in self.queues.values():
+            heap.clear()
+
+    def drain(self):
+        for worker_id, worker_recorder in self.recorders.items():
+            yield _Event("done", worker_id, data=worker_recorder)
+
+    def close(self) -> None:
+        pass
 
 
 def run_parallel(
@@ -1336,24 +1347,28 @@ def run_parallel(
             f"got {len(task_weights)} task weight(s) for "
             f"{partition.num_tasks} task(s) at depth {depth}"
         )
-    assignment = partition.assign(workers, weights=task_weights)
+    weights = (
+        list(task_weights)
+        if task_weights is not None
+        else [task.est_ops for task in partition.tasks]
+    )
+    assignment = partition.assign(workers, weights=weights)
     use_fork = fork_available() if inline is None else not inline
     if inline is False and not fork_available():
         raise RuntimeError(
             "fork start method unavailable on this platform; "
             "use inline=None/True"
         )
+    if hybrid:
+        from .hybrid import run_hybrid_prefix as run_prefix
+    else:
+        run_prefix = _run_prefix
 
     num_qubits = layered.num_qubits
     amplitudes = 2**num_qubits
     state_bytes = amplitudes * 16  # complex128
     num_tasks = partition.num_tasks
     total_finishes = partition.total_finishes
-    result_offsets: List[int] = []
-    offset = 0
-    for task in partition.tasks:
-        result_offsets.append(offset)
-        offset += task.num_finishes
     shm_bytes = (num_tasks + total_finishes) * state_bytes
 
     from multiprocessing import shared_memory
@@ -1365,13 +1380,21 @@ def run_parallel(
         create=True, size=total_finishes * state_bytes
     )
     try:
-        entries = np.ndarray(
-            (num_tasks, amplitudes), dtype=np.complex128,
-            buffer=entries_shm.buf,
-        )
-        results = np.ndarray(
-            (total_finishes, amplitudes), dtype=np.complex128,
-            buffer=results_shm.buf,
+        block = _TaskBlock(
+            partition,
+            layered,
+            trials,
+            np.ndarray(
+                (num_tasks, amplitudes), dtype=np.complex128,
+                buffer=entries_shm.buf,
+            ),
+            np.ndarray(
+                (total_finishes, amplitudes), dtype=np.complex128,
+                buffer=results_shm.buf,
+            ),
+            cache_budget,
+            batch_size,
+            faults,
         )
 
         if recorder:
@@ -1382,76 +1405,29 @@ def run_parallel(
                 batch=batch_size,
             )
 
-        backend = backend_factory()
-        if hybrid:
-            from .hybrid import run_hybrid_prefix
-
-            phase1 = run_hybrid_prefix(
-                partition, layered, backend, entries, recorder
-            )
-        else:
-            phase1 = _run_prefix(
-                partition, layered, backend, entries, recorder
-            )
-        wasted_ops = 0
-
-        # Checksum every entry state before it crosses the process
-        # boundary; workers re-verify before use.
-        entry_checksums = [
-            payload_checksum(entries[task_id]) for task_id in range(num_tasks)
-        ]
-        if faults is not None:
-            for task_id in range(num_tasks):
-                if faults.corrupt_entry(task_id):
-                    _flip_row_byte(entries, task_id)
-
-        def regenerate_entries() -> None:
-            """Re-run the prefix to rebuild corrupted entry states."""
-            nonlocal wasted_ops
-            if hybrid:
-                from .hybrid import run_hybrid_prefix
-
-                regen = run_hybrid_prefix(
-                    partition, layered, backend_factory(), entries, None
-                )
-            else:
-                regen = _run_prefix(
-                    partition, layered, backend_factory(), entries, None
-                )
-            wasted_ops += regen["ops"]
-            if recorder:
-                recorder.instant(
-                    "prefix.regenerated", cat="parallel", ops=regen["ops"]
-                )
+        phase1 = run_prefix(
+            partition, layered, backend_factory(), block.entries, recorder
+        )
+        block.seal_entries()
 
         # LPT dispatch order: heaviest first keeps the dynamic queue's
         # makespan near the static assignment's.
-        dispatch_weights = (
-            task_weights
-            if task_weights is not None
-            else [task.est_ops for task in partition.tasks]
-        )
-        order = sorted(
-            range(num_tasks),
-            key=lambda t: (-dispatch_weights[t], t),
-        )
-        if use_fork and num_tasks:
-            pool = _drive_fork_pool(
-                partition, layered, trials, backend_factory, entries,
-                results, result_offsets, entry_checksums, order, workers,
-                recorder, cache_budget, batch_size, faults, retries,
-                task_timeout, stop=stop,
+        order = sorted(range(num_tasks), key=lambda t: (-weights[t], t))
+        pool_size = min(workers, num_tasks)
+        if use_fork:
+            transport: Any = _ForkTransport(
+                block, backend_factory, pool_size, recorder, task_timeout
             )
         else:
-            pool = _drive_inline(
-                partition, layered, trials, backend_factory, entries,
-                results, result_offsets, entry_checksums, assignment,
-                recorder, cache_budget, batch_size, faults, retries,
-                stop=stop,
+            transport = _InlineTransport(
+                block, backend_factory, pool_size, recorder, weights
             )
-        completed = dict(pool.completed)
-        needs_parent = set(pool.needs_parent)
-        wasted_ops += pool.wasted_ops
+        pool = _drive_pool(transport, block, order, retries, recorder, stop)
+        completed, needs_parent = pool.completed, pool.needs_parent
+        wasted_ops = pool.wasted_ops
+        if recorder:
+            for worker_id, worker_recorder in pool.recorders:
+                recorder.merge(worker_recorder, worker=worker_id)
 
         if pool.interrupted:
             # Graceful shutdown: deliver the finishes of the maximal
@@ -1460,25 +1436,14 @@ def run_parallel(
             # journal tee behind on_finish) is an exact prefix of the
             # uninterrupted run — then surface the interrupt.  The
             # enclosing ``finally`` releases both shared-memory segments.
-            if recorder:
-                for worker_id, worker_recorder in pool.recorders:
-                    recorder.merge(worker_recorder, worker=worker_id)
-            trials_delivered = 0
-            for task in partition.tasks:
-                report = completed.get(task.task_id)
-                if report is None or not _verify_payloads(
-                    task, results, result_offsets, report["checksums"]
-                ):
-                    break
-                base = result_offsets[task.task_id]
-                for position, global_indices in enumerate(task.finishes):
-                    if on_finish is not None:
-                        payload = Statevector.from_buffer(
-                            results[base + position], num_qubits
-                        )
-                        on_finish(payload, global_indices)
-                        del payload
-                    trials_delivered += len(global_indices)
+            prefix_tasks = list(
+                itertools.takewhile(
+                    lambda t: t in completed
+                    and block.payloads_ok(t, completed[t]["checksums"]),
+                    range(num_tasks),
+                )
+            )
+            trials_delivered = block.replay(on_finish, prefix_tasks)
             raise RunInterrupted(
                 "parallel run interrupted by stop request "
                 f"({trials_delivered}/{len(trials)} trials committed)",
@@ -1488,99 +1453,66 @@ def run_parallel(
         # Final integrity sweep: accepted payloads must still verify (a
         # stale duplicate attempt could have scribbled after acceptance).
         for task_id, report in list(completed.items()):
-            task = partition.tasks[task_id]
-            if not _verify_payloads(
-                task, results, result_offsets, report["checksums"]
-            ):
+            if not block.payloads_ok(task_id, report["checksums"]):
                 wasted_ops += report["ops"]
                 del completed[task_id]
                 needs_parent.add(task_id)
 
         # Last resort: the parent executes leftover tasks inline, serially,
-        # regenerating entry states if the shared block was corrupted.
-        parent_reports: Dict[int, Dict[str, Any]] = {}
+        # regenerating entry states if the shared block was corrupted.  Its
+        # reports join the workers' under worker ``None``.
         if needs_parent:
             parent_backend = backend_factory()
             for task_id in sorted(needs_parent):
                 try:
-                    _verify_entry(task_id, entries, entry_checksums)
+                    block.verify_entry(task_id)
                 except CorruptionError:
-                    regenerate_entries()
-                    _verify_entry(task_id, entries, entry_checksums)
-                report = _run_one_task(
-                    partition.tasks[task_id], layered, trials,
-                    parent_backend, entries, results, result_offsets,
-                    None, cache_budget, batch_size,
+                    regen = run_prefix(
+                        partition, layered, backend_factory(), block.entries,
+                        None,
+                    )
+                    wasted_ops += regen["ops"]
+                    if recorder:
+                        recorder.instant(
+                            "prefix.regenerated", cat="parallel",
+                            ops=regen["ops"],
+                        )
+                    block.verify_entry(task_id)
+                completed[task_id] = dict(
+                    block.run(task_id, parent_backend, None), worker=None
                 )
-                report.update(worker=None, task=task_id)
-                parent_reports[task_id] = report
                 if recorder:
                     recorder.instant(
                         "task.inline", cat="parallel", task=task_id
                     )
-
-        missing = [
-            t for t in range(num_tasks)
-            if t not in completed and t not in parent_reports
-        ]
-        if missing:  # pragma: no cover - the fallback covers every task
-            raise RuntimeError(
-                f"parallel tasks never completed: {sorted(missing)}"
-            )
-
-        if recorder:
-            for worker_id, worker_recorder in pool.recorders:
-                recorder.merge(worker_recorder, worker=worker_id)
 
         # Replay finishes in task-id order == serial finish order, so a
         # stateful on_finish (measurement RNG!) sees the serial stream.
         if on_finish is not None:
             if recorder:
                 recorder.begin("merge", cat="parallel")
-            for task in partition.tasks:
-                base = result_offsets[task.task_id]
-                for position, global_indices in enumerate(task.finishes):
-                    payload = Statevector.from_buffer(
-                        results[base + position], num_qubits
-                    )
-                    on_finish(payload, global_indices)
-                    del payload
+            block.replay(on_finish, range(num_tasks))
             if recorder:
                 recorder.end(
                     "merge", cat="parallel", finish_calls=total_finishes
                 )
 
-        per_worker_ops: Dict[int, int] = {}
-        worker_peaks: Dict[int, int] = {}
-        worker_stored: Dict[int, int] = {}
-        snapshots_taken = phase1["snapshots_taken"]
-        finish_calls = 0
-        for report in completed.values():
+        reports = list(completed.values())
+        ops: Dict[Optional[int], int] = {}
+        peaks: Dict[Optional[int], int] = {}
+        stored: Dict[Optional[int], int] = {}
+        for report in reports:
             worker_id = report["worker"]
-            per_worker_ops[worker_id] = (
-                per_worker_ops.get(worker_id, 0) + report["ops"]
+            ops[worker_id] = ops.get(worker_id, 0) + report["ops"]
+            peaks[worker_id] = max(peaks.get(worker_id, 0), report["peak"])
+            stored[worker_id] = max(
+                stored.get(worker_id, 0), report["stored"]
             )
-            worker_peaks[worker_id] = max(
-                worker_peaks.get(worker_id, 0), report["peak"]
-            )
-            worker_stored[worker_id] = max(
-                worker_stored.get(worker_id, 0), report["stored"]
-            )
-            snapshots_taken += report["snapshots_taken"]
-            finish_calls += report["finish_calls"]
-        parent_ops = 0
-        parent_peak = 0
-        parent_stored = 0
-        for report in parent_reports.values():
-            parent_ops += report["ops"]
-            parent_peak = max(parent_peak, report["peak"])
-            parent_stored = max(parent_stored, report["stored"])
-            snapshots_taken += report["snapshots_taken"]
-            finish_calls += report["finish_calls"]
-
-        worker_ops = tuple(
-            per_worker_ops[w] for w in sorted(per_worker_ops)
+        snapshots_taken = phase1["snapshots_taken"] + sum(
+            report["snapshots_taken"] for report in reports
         )
+        parent_ops = ops.pop(None, 0)
+        worker_ops = tuple(ops[w] for w in sorted(ops))
         ops_applied = phase1["ops"] + sum(worker_ops) + parent_ops
         if check:
             planned = partition.planned_operations(layered)
@@ -1591,17 +1523,13 @@ def run_parallel(
                 raise ScheduleError(
                     f"merged ops {ops_applied} != planned {planned}"
                 )
-        peak_msv = max(
-            phase1["peak_live"],
-            num_tasks + sum(worker_peaks.values()) + parent_peak,
-        )
-        peak_stored = max(
-            phase1["peak_stored"],
-            num_tasks + sum(worker_stored.values()) + parent_stored,
-        )
         cache_stats = CacheStats(
-            peak_msv=peak_msv,
-            peak_stored=peak_stored,
+            peak_msv=max(
+                phase1["peak_live"], num_tasks + sum(peaks.values())
+            ),
+            peak_stored=max(
+                phase1["peak_stored"], num_tasks + sum(stored.values())
+            ),
             snapshots_taken=snapshots_taken,
             snapshots_released=snapshots_taken,
         )
@@ -1609,7 +1537,7 @@ def run_parallel(
             ops_applied=ops_applied,
             num_trials=len(trials),
             cache_stats=cache_stats,
-            finish_calls=finish_calls,
+            finish_calls=sum(report["finish_calls"] for report in reports),
             num_workers=workers,
             partition_depth=depth,
             num_tasks=num_tasks,
@@ -1617,19 +1545,18 @@ def run_parallel(
             prefix_ops=phase1["ops"],
             worker_ops=worker_ops,
             shm_bytes=shm_bytes,
-            used_fork=use_fork and num_tasks > 0,
+            used_fork=use_fork,
             parent_ops=parent_ops,
             wasted_ops=wasted_ops,
             tasks_retried=pool.tasks_retried,
             workers_lost=pool.workers_lost,
-            parent_tasks=tuple(sorted(parent_reports)),
+            parent_tasks=tuple(
+                sorted(t for t, r in completed.items() if r["worker"] is None)
+            ),
         )
     finally:
         # Views must be gone before close() — numpy keeps buffer exports.
-        try:
-            del entries, results
-        except NameError:  # pragma: no cover - allocation failed mid-way
-            pass
+        block = transport = None
         entries_shm.close()
         entries_shm.unlink()
         results_shm.close()

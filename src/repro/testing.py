@@ -105,10 +105,11 @@ class ChaosPlan:
 
     All triggers are scripted up front — no randomness, no wall-clock
     dependence — so a failing chaos test replays exactly.  The same plan
-    object drives both pool flavours: in fork mode a kill really calls
-    ``os._exit`` inside the child and a hang really sleeps past the
-    deadline; in inline mode both surface as :class:`WorkerCrash` (there
-    is no process to kill or to time out).
+    object drives both pool transports through one recovery state
+    machine: in fork mode a kill really calls ``os._exit`` inside the
+    child and a hang really sleeps past the deadline; in inline mode both
+    surface as :class:`WorkerCrash` (there is no process to kill or to
+    time out).  Either way the lost attempt costs the task one retry.
 
     Parameters
     ----------
