@@ -4,7 +4,9 @@
 The script drives a real ``python -m repro serve`` daemon through the
 full crash-safety story the serve tier promises:
 
-1. start the daemon and discover it through ``endpoint.json``;
+1. start the daemon and discover it through ``endpoint.json``, and check
+   that a spec the execution-options table rejects is refused at
+   admission (``bad_request`` with the table's message, no job directory);
 2. submit two same-family jobs and prove nonzero cross-job prefix
    sharing (the second job's ``ops_shared`` and the store's ``hits``
    counter in the /metrics scrape);
@@ -29,8 +31,9 @@ import time
 
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
+from repro.core.options import OptionError, validate
 from repro.obs.metrics import validate_openmetrics
-from repro.serve import ServeClient
+from repro.serve import ServeClient, ServeError
 
 BENCH = "qft4"
 SEED = 11
@@ -95,6 +98,24 @@ def main():
 
     log(f"state dir {state_dir}")
     daemon, client = start_daemon(state_dir)
+
+    # Stage 0: an illegal spec is refused at admission and never stored.
+    illegal = {"hybrid": True, "max_cache_bytes": 1_000_000}
+    try:
+        validate(**illegal)
+        raise SystemExit("the options table accepts the illegal spec")
+    except OptionError as exc:
+        expected = str(exc)
+    jobs_dir = os.path.join(state_dir, "jobs")
+    before = set(os.listdir(jobs_dir))
+    try:
+        client.submit(dict(spec("illegal", SHORT_TRIALS), **illegal))
+        raise SystemExit("the daemon admitted an illegal spec")
+    except ServeError as exc:
+        assert exc.code == "bad_request", exc.code
+        assert str(exc) == expected, str(exc)
+    assert set(os.listdir(jobs_dir)) == before, "illegal spec left a job dir"
+    log(f"illegal spec refused at admission: {expected}")
 
     # Stage 1: two same-family jobs must share prefix work.
     first = client.wait(client.submit(spec("share-a", SHORT_TRIALS))["job_id"])

@@ -265,7 +265,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Wall-clock perf harness: compiled kernels vs interpreted statevector."""
-    from .perf import bench_rows, run_bench, write_bench_json
+    from .core.options import OptionError
+    from .perf import SECTION_KEYS, bench_rows, run_bench, section_label, write_bench_json
 
     try:
         payload = run_bench(
@@ -286,6 +287,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except OptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         rows_to_table(
             bench_rows(payload),
@@ -304,51 +308,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.no_check:
         status = "ok" if summary["all_equivalent"] else "FAILED"
         print(f"equivalence (ops, peak MSV, final states): {status}")
-    if args.workers:
-        status = "ok" if summary["all_parallel_exact"] else "FAILED"
-        print(
-            f"parallel exactness (bit-identical states, equal ops) at "
-            f"workers {args.workers}: {status}"
-        )
-    if args.batch:
-        status = "ok" if summary["all_batch_exact"] else "FAILED"
-        print(
-            f"batch exactness (bit-identical payload stream, equal ops) "
-            f"at widths {args.batch}: {status}"
-        )
+    for key, flag in (("parallel", args.workers), ("batch", args.batch), ("hybrid", args.hybrid)):
+        if not flag:
+            continue
+        status = "ok" if summary[f"all_{key}_exact"] else "FAILED"
+        print(f"{key} exactness (every trial's payload bit-identical, equal ops): {status}")
         for record in payload["results"]:
             sections = ", ".join(
-                f"b{s['batch']} {s['speedup_vs_serial']:.2f}x"
-                for s in record.get("batch", ())
+                f"{section_label(key, s)} {s['speedup_vs_serial']:.2f}x"
+                + (" (inactive)" if s.get("active") is False else "")
+                for s in record[key]
             )
-            print(f"batch {record['benchmark']}: {sections}")
-        print(
-            f"geomean best-batch speedup vs serial compiled: "
-            f"{summary['geomean_batch_speedup']:.2f}x"
-        )
+            print(f"{key} {record['benchmark']}: {sections}")
+        if key != "parallel":
+            print(
+                f"geomean best-{key} speedup vs serial compiled: "
+                f"{summary[f'geomean_{key}_speedup']:.2f}x"
+            )
+    if args.batch:
         micro = payload["microbench"]
         print(
             f"dense microbench ({micro['num_qubits']}q x{micro['width']}): "
             f"batched/serial throughput ratio {micro['ratio']:.2f}"
         )
     if args.hybrid:
-        status = "ok" if summary["all_hybrid_exact"] else "FAILED"
-        print(
-            "hybrid exactness (bit-identical payloads, equal nominal "
-            f"ops) at fragment widths 0/64: {status}"
-        )
-        for record in payload["results"]:
-            sections = ", ".join(
-                f"{'b' + str(s['batch']) if s['batch'] else 'dfs'} "
-                f"{s['speedup_vs_serial']:.2f}x"
-                f"{'' if s['active'] else ' (inactive)'}"
-                for s in record.get("hybrid", ())
-            )
-            print(f"hybrid {record['benchmark']}: {sections}")
-        print(
-            f"geomean best-hybrid speedup vs serial compiled: "
-            f"{summary['geomean_hybrid_speedup']:.2f}x"
-        )
         micro = payload["hybrid_microbench"]
         print(
             f"hybrid microbench ({micro['num_qubits']}q "
@@ -451,13 +434,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
     if not args.no_check and not summary["all_equivalent"]:
         return 1
-    if args.workers and not summary["all_parallel_exact"]:
-        return 1
-    if args.batch and not summary["all_batch_exact"]:
-        return 1
-    if args.hybrid and not summary["all_hybrid_exact"]:
-        return 1
-    if args.auto and summary["all_advised_exact"] is False:
+    if any(summary[f"all_{key}_exact"] is False for key in SECTION_KEYS):
         return 1
     if trace_failures:
         return 1
@@ -466,72 +443,45 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_options(**options) -> bool:
+    """Print the options table's message if it rejects ``options``."""
+    from .core.options import OptionError, validate
+
+    try:
+        validate(**options)
+    except OptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .bench.suite import resolve_benchmark
     from .obs import format_run_metrics
 
+    options = {
+        "mode": args.mode,
+        "workers": args.workers,
+        "partition_depth": args.partition_depth,
+        "journal": args.journal,
+        "max_cache_bytes": args.max_cache_bytes,
+        "cache_degrade": args.cache_degrade,
+        "task_timeout": args.task_timeout,
+        "retries": args.retries,
+        "batch_size": args.batch,
+        "hybrid": args.hybrid,
+    }
+    if _reject_options(**options):
+        return 2
     circuit, model = resolve_benchmark(args.benchmark)
     simulator = NoisySimulator(circuit, model, seed=args.seed)
 
     certificate = None
     recorder = None
     auto_trials = None
-    settings = {
-        "workers": args.workers,
-        "partition_depth": args.partition_depth,
-        "max_cache_bytes": args.max_cache_bytes,
-        "cache_degrade": args.cache_degrade,
-        "task_weights": None,
-        "hybrid": args.hybrid,
-    }
-    if args.hybrid:
-        if args.mode != "optimized":
-            print(
-                "error: --hybrid requires --mode optimized (the fast "
-                "path rewrites the optimized plan's trie spans)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.journal is not None:
-            print(
-                "error: --hybrid and --journal are mutually exclusive "
-                "(symbolic spans produce no journalable finish stream)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.max_cache_bytes is not None:
-            print(
-                "error: --hybrid and --max-cache-bytes are mutually "
-                "exclusive (symbolic snapshots are O(n) Pauli frames, "
-                "not budgetable statevectors)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.batch:
-        if args.mode != "optimized":
-            print(
-                "error: --batch requires --mode optimized (the baseline "
-                "has no plan to batch over)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.journal is not None:
-            print(
-                "error: --batch and --journal are mutually exclusive "
-                "(journaled resume replays the serial schedule)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.auto:
-            print(
-                "error: --batch and --auto are mutually exclusive (the "
-                "certificate's memory timeline describes the serial "
-                "schedule; see `repro advise` for the certified batch "
-                "advisory)",
-                file=sys.stderr,
-            )
-            return 2
     if args.auto:
+        # The certificate describes the serial schedule of one fresh
+        # optimized run, so --auto can only drive such a run.
         if args.mode != "optimized":
             print(
                 "error: --auto requires --mode optimized (the certificate "
@@ -543,6 +493,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(
                 "error: --auto and --journal are mutually exclusive (a "
                 "resumed run no longer matches the certificate)",
+                file=sys.stderr,
+            )
+            return 2
+        if args.batch:
+            print(
+                "error: --batch and --auto are mutually exclusive (the "
+                "certificate's memory timeline describes the serial "
+                "schedule; see `repro advise` for the certified batch "
+                "advisory)",
                 file=sys.stderr,
             )
             return 2
@@ -565,25 +524,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             budget=budget,
             compiled=simulator.compiled_circuit(),
         )
-        settings = _advised_settings(certificate)
+        options.update(_advised_settings(certificate))
+        if _reject_options(**options):
+            return 2
         recorder = InMemoryRecorder()
 
     start = time.perf_counter()
     result = simulator.run(
-        num_trials=args.trials,
-        trials=auto_trials,
-        mode=args.mode,
-        workers=settings["workers"],
-        partition_depth=settings["partition_depth"],
-        journal=args.journal,
-        max_cache_bytes=settings["max_cache_bytes"],
-        cache_degrade=settings["cache_degrade"],
-        task_timeout=args.task_timeout,
-        retries=args.retries,
-        task_weights=settings["task_weights"],
-        recorder=recorder,
-        batch_size=args.batch,
-        hybrid=settings["hybrid"],
+        num_trials=args.trials, trials=auto_trials, recorder=recorder, **options
     )
     elapsed = time.perf_counter() - start
     metrics = result.metrics
@@ -592,9 +540,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "benchmark": args.benchmark,
             "mode": args.mode,
             "seed": args.seed,
-            "workers": settings["workers"],
+            "workers": options["workers"],
             "batch": args.batch,
-            "hybrid": settings["hybrid"],
+            "hybrid": options["hybrid"],
             "metrics": metrics.as_dict(),
             "counts": result.counts,
             "wall_s": elapsed,
@@ -626,17 +574,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{advice['makespan_flops'] / 1e6:.2f} Mflop, "
             f"memory {advice['memory_states']} states)"
         )
-    if settings["workers"]:
+    if options["workers"]:
         print(
-            f"workers           : {settings['workers']} "
-            f"(partition depth {settings['partition_depth']})"
+            f"workers           : {options['workers']} "
+            f"(partition depth {options['partition_depth']})"
         )
     if args.batch:
         print(
             f"batch             : wavefront execution, up to {args.batch} "
             "trial column(s) per kernel call (bit-identical to serial)"
         )
-    if settings["hybrid"]:
+    if options["hybrid"]:
         print(
             "hybrid            : Clifford spans run as Pauli-frame "
             "deltas over shared anchors (bit-identical to serial dense)"
@@ -657,10 +605,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(
                 "journal           : torn tail discarded (crash mid-record)"
             )
-    if settings["max_cache_bytes"] is not None:
+    if options["max_cache_bytes"] is not None:
         print(
-            f"cache budget      : {settings['max_cache_bytes']} bytes "
-            f"({settings['cache_degrade']} on overflow; nominal peak MSV "
+            f"cache budget      : {options['max_cache_bytes']} bytes "
+            f"({options['cache_degrade']} on overflow; nominal peak MSV "
             "reported below is unchanged by design)"
         )
     print(format_run_metrics(metrics, wall_s=elapsed))
@@ -676,8 +624,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .lint import lint_certificate_trace, lint_memory_timeline
 
         exact = (
-            settings["workers"] == 0
-            and settings["max_cache_bytes"] is None
+            options["workers"] == 0
+            and options["max_cache_bytes"] is None
         )
         r20 = lint_certificate_trace(certificate, recorder)
         r21 = lint_memory_timeline(certificate, recorder, exact=exact)
@@ -707,34 +655,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    if args.batch:
-        if args.workers:
-            print(
-                "error: --batch and --workers are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        if args.mode != "optimized" or args.backend != "statevector":
-            print(
-                "error: --batch requires --mode optimized and "
-                "--backend statevector",
-                file=sys.stderr,
-            )
-            return 2
+    if args.batch and args.workers:
+        print(
+            "error: --batch and --workers are mutually exclusive (no "
+            "cross-check exists for a merged wavefront trace)",
+            file=sys.stderr,
+        )
+        return 2
+    options = {
+        "mode": args.mode,
+        "backend": args.backend,
+        "workers": args.workers,
+        "partition_depth": args.partition_depth,
+        "batch_size": args.batch,
+    }
+    if _reject_options(**options):
+        return 2
 
     circuit, model = resolve_benchmark(args.benchmark)
     simulator = NoisySimulator(circuit, model, seed=args.seed)
     trials = simulator.sample(args.trials)
     recorder = InMemoryRecorder()
-    result = simulator.run(
-        trials=trials,
-        mode=args.mode,
-        backend=args.backend,
-        recorder=recorder,
-        workers=args.workers,
-        partition_depth=args.partition_depth,
-        batch_size=args.batch,
-    )
+    result = simulator.run(trials=trials, recorder=recorder, **options)
 
     out = args.out or f"{args.benchmark}.trace.json"
     write_chrome_trace(
@@ -850,6 +792,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_openmetrics,
     )
 
+    if _reject_options(batch_size=args.batch):
+        return 2
     circuit, model = resolve_benchmark(args.benchmark)
     simulator = NoisySimulator(circuit, model, seed=args.seed)
     trials = simulator.sample(args.trials)

@@ -120,6 +120,9 @@ class ExecutionOutcome:
         #: state; ``ops_applied + ops_shared`` equals the plan's
         #: ``planned_operations``.
         self.ops_shared = ops_shared
+        #: :class:`~repro.core.resilience.JournalSummary` of a journaled
+        #: run (set by :func:`~repro.core.options.execute`), else ``None``.
+        self.journal: Optional[Any] = None
 
     @property
     def peak_msv(self) -> int:

@@ -56,6 +56,7 @@ from .events import ErrorEvent, Trial
 from .executor import (
     ExecutionOutcome,
     FinishCallback,
+    RunInterrupted,
     _record_run_meta,
     run_optimized,
 )
@@ -602,6 +603,7 @@ def run_hybrid(
     recorder=None,
     batch_size: int = 0,
     schedule: Optional[HybridSchedule] = None,
+    stop=None,
 ) -> HybridOutcome:
     """Execute ``trials`` with the Clifford/Pauli-frame fast path.
 
@@ -617,6 +619,11 @@ def run_hybrid(
     (``schedule.active`` is false) the run is delegated wholesale to the
     serial or wavefront executor — zero overhead, trivially bit-exact —
     and the outcome reports ``active=False``.
+
+    ``stop`` (a ``threading.Event``) is polled before every plan action
+    and inside delegated fragments; once set, the run raises
+    :class:`~repro.core.executor.RunInterrupted` counting the trials
+    delivered so far.
     """
     if plan is None:
         plan = build_plan(layered, trials)
@@ -647,11 +654,12 @@ def run_hybrid(
             base = run_wavefront(
                 layered, trials, backend, on_finish=on_finish, plan=plan,
                 batch_size=batch_size, check=False, recorder=recorder,
+                stop=stop,
             )
         else:
             base = run_optimized(
                 layered, trials, backend, on_finish=on_finish, plan=plan,
-                check=False, recorder=recorder,
+                check=False, recorder=recorder, stop=stop,
             )
         hybrid_stats = dict(schedule.stats)
         hybrid_stats.update(
@@ -694,6 +702,7 @@ def run_hybrid(
     materialize_count = 0
     borrow_count = 0
     fragments = 0
+    trials_done = 0
     peak_candidates: List[int] = []
 
     def materialize_payload(
@@ -713,6 +722,13 @@ def run_hybrid(
     index = 0
     total = len(instructions)
     while index < total:
+        if stop is not None and stop.is_set():
+            if isinstance(working, Statevector):
+                backend.release_state(working)
+            raise RunInterrupted(
+                "hybrid run interrupted by stop request",
+                trials_completed=trials_done,
+            )
         instr = instructions[index]
         action = actions[index]
         kind = action[0]
@@ -758,11 +774,13 @@ def run_hybrid(
                     sub_trials = [trials[g] for g in ordered_globals]
 
                     def sub_finish(payload, local_indices, _map=ordered_globals):
+                        nonlocal trials_done
                         if on_finish is not None:
                             on_finish(
                                 payload,
                                 tuple(_map[li] for li in local_indices),
                             )
+                        trials_done += len(local_indices)
 
                     if recorder:
                         recorder.end(span, cat="segment")
@@ -771,19 +789,24 @@ def run_hybrid(
                     from .wavefront import run_wavefront
 
                     saved_recorder = backend.recorder
-                    sub = run_wavefront(
-                        layered,
-                        sub_trials,
-                        backend,
-                        on_finish=sub_finish,
-                        plan=sub_plan,
-                        batch_size=batch_size,
-                        check=False,
-                        recorder=None,
-                        entry_state=dense,
-                        entry_layer=instr.start_layer,
-                        entry_events=events,
-                    )
+                    try:
+                        sub = run_wavefront(
+                            layered,
+                            sub_trials,
+                            backend,
+                            on_finish=sub_finish,
+                            plan=sub_plan,
+                            batch_size=batch_size,
+                            check=False,
+                            recorder=None,
+                            entry_state=dense,
+                            entry_layer=instr.start_layer,
+                            entry_events=events,
+                            stop=stop,
+                        )
+                    except RunInterrupted as exc:
+                        exc.trials_completed = trials_done
+                        raise
                     backend.set_recorder(saved_recorder)
                     fragments += 1
                     finish_calls += sub_finishes
@@ -936,6 +959,7 @@ def run_hybrid(
                 recorder.counter("trials.finished", len(instr.trial_indices))
                 if borrowed:
                     recorder.counter("finish.moved", 1)
+            trials_done += len(instr.trial_indices)
         else:
             raise ScheduleError(f"unknown plan instruction {instr!r}")
         index += 1

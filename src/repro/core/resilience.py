@@ -45,7 +45,8 @@ from ..circuits.layers import LayeredCircuit
 from ..sim.statevector import Statevector
 from .cache import CacheStats, CorruptionError, payload_checksum
 from .events import Trial
-from .executor import ExecutionOutcome, FinishCallback, run_optimized
+from .executor import ExecutionOutcome, FinishCallback
+from .options import execute, validate
 from .packed import pack_trial
 
 __all__ = [
@@ -364,34 +365,29 @@ def run_journaled(
     backend_factory: Callable[[], Any],
     on_finish: Optional[FinishCallback],
     journal_path: str,
-    workers: int = 0,
-    depth: int = 1,
-    check: bool = False,
-    recorder=None,
-    cache_budget=None,
-    retries: int = 2,
-    task_timeout: Optional[float] = None,
     fsync: bool = True,
-    shared=None,
-    stop=None,
+    **options: Any,
 ) -> Tuple[ExecutionOutcome, JournalSummary]:
     """Execute ``trials`` with a crash-safe journal, resuming if one exists.
 
-    With no journal at ``journal_path`` this is :func:`run_optimized` (or
-    :func:`~repro.core.parallel.run_parallel` when ``workers >= 1``) plus
-    a journal tee: every finish is committed to disk before the user's
-    ``on_finish`` sees it.  With an existing journal, its committed
-    finishes are first validated (lint rule ``P019``), replayed through
-    ``on_finish`` in their original order, and only the remaining trials
-    are executed — the returned outcome's ``ops_applied`` covers exactly
-    the remaining work, which is how tests assert zero recompute.
+    With no journal at ``journal_path`` this is
+    :func:`~repro.core.options.execute` plus a journal tee: every finish
+    is committed to disk before the user's ``on_finish`` sees it.  With an
+    existing journal, its committed finishes are first validated (lint
+    rule ``P019``), replayed through ``on_finish`` in their original
+    order, and only the remaining trials are executed — the returned
+    outcome's ``ops_applied`` covers exactly the remaining work, which is
+    how tests assert zero recompute.
 
-    ``shared`` (a :class:`~repro.core.shared.SharedPrefixStore`, serial
-    executor only) and ``stop`` (a ``threading.Event``, serial and
-    parallel) are forwarded to the engine.  A stop raises
+    ``options`` are the execution options of that remaining-trials run
+    (``workers``, ``partition_depth``, ``check``, ``recorder``,
+    ``max_cache_bytes``, ``cache_degrade``, ``retries``,
+    ``task_timeout``, ``shared``, ``stop``, ...), checked against the
+    table in :mod:`repro.core.options`.  A stop raises
     :class:`~repro.core.executor.RunInterrupted` *after* the journal tail
     is committed and closed — the journal stays a valid resume point.
     """
+    validate(journal=journal_path, **options)
     replay: Optional[JournalReplay] = None
     if os.path.exists(journal_path) and os.path.getsize(journal_path) > 0:
         replay = load_journal(journal_path)
@@ -408,6 +404,7 @@ def run_journaled(
     replayed_finishes = 0
     replayed_trials = 0
     if replay is not None:
+        recorder = options.get("recorder")
         if recorder:
             recorder.instant(
                 "journal.replay",
@@ -445,35 +442,7 @@ def run_journaled(
                 if on_finish is not None:
                     on_finish(payload, global_indices)
 
-            if workers:
-                from .parallel import run_parallel
-
-                outcome = run_parallel(
-                    layered,
-                    subset,
-                    backend_factory,
-                    tee,
-                    workers=workers,
-                    depth=depth,
-                    check=check,
-                    recorder=recorder,
-                    cache_budget=cache_budget,
-                    retries=retries,
-                    task_timeout=task_timeout,
-                    stop=stop,
-                )
-            else:
-                outcome = run_optimized(
-                    layered,
-                    subset,
-                    backend_factory(),
-                    tee,
-                    check=check,
-                    recorder=recorder,
-                    cache_budget=cache_budget,
-                    shared=shared,
-                    stop=stop,
-                )
+            outcome = execute(layered, subset, backend_factory, tee, **options)
     finally:
         recorded = journal.next_seq - replayed_finishes
         journal.close()

@@ -36,22 +36,12 @@ from ..sim.counting import CountingBackend
 from ..sim.measurement import apply_readout_flips
 from ..sim.statevector import Statevector
 from .events import Trial
-from .executor import (
-    run_baseline,
-    run_optimized,
-)
+from .executor import run_optimized
 from .metrics import RunMetrics, compute_metrics
+from .options import BACKENDS, READOUT, execute, validate
 from .schedule import ExecutionPlan, build_plan
 
 __all__ = ["SimulationResult", "NoisySimulator"]
-
-_MODES = ("optimized", "baseline")
-_BACKENDS = (
-    "statevector",
-    "statevector-interpreted",
-    "counting",
-    "stabilizer",
-)
 
 
 class SimulationResult:
@@ -166,7 +156,7 @@ class NoisySimulator:
             from ..sim.stabilizer import StabilizerBackend
 
             return StabilizerBackend(self.layered)
-        raise ValueError(f"unknown backend {backend!r}; choose from {_BACKENDS}")
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
 
     # -- main entry points -----------------------------------------------------
 
@@ -195,6 +185,13 @@ class NoisySimulator:
     ) -> SimulationResult:
         """Sample (or reuse) trials and execute them.
 
+        Which executor runs, which options it honours and which
+        combinations are rejected is declared once, in
+        :mod:`repro.core.options` (tabulated in ``docs/architecture.md``,
+        "Execution options").  Every option is validated before the
+        simulator draws from its RNG; a rejected value or combination
+        raises :class:`~repro.core.options.OptionError`.
+
         Parameters
         ----------
         mode:
@@ -210,8 +207,7 @@ class NoisySimulator:
             Keep every trial's final statevector on the result — memory
             heavy; meant for equivalence tests and small analyses.
         check:
-            Statically sanitize the optimized plan before execution
-            (ignored in baseline mode, which has no plan).
+            Statically sanitize the optimized plan before execution.
         recorder:
             Optional :class:`~repro.obs.recorder.TraceRecorder` capturing
             execution spans, cache events and the live-MSV timeline; see
@@ -220,26 +216,24 @@ class NoisySimulator:
         workers:
             ``0`` (default) runs serially.  Any value >= 1 partitions the
             plan trie and executes the subtrees through
-            :func:`~repro.core.parallel.run_parallel` — optimized mode,
-            statevector-family backends only.  Counts are bit-identical
-            to the serial run for the same seed, regardless of the worker
-            count.
+            :func:`~repro.core.parallel.run_parallel`.  Counts are
+            bit-identical to the serial run for the same seed, regardless
+            of the worker count.
         partition_depth:
-            Trie cut depth for the parallel partition (ignored serially).
+            Trie cut depth for the parallel partition.
         journal:
             Path to a crash-safe run journal.  A fresh run records every
             finish payload (fsync-on-commit) as it streams; re-running
             with the same path after a crash replays the committed
             finishes and recomputes only the unfinished trials — counts
-            are bit-identical to an uninterrupted run.  Requires the
-            optimized mode on a statevector-family backend.  The result's
+            are bit-identical to an uninterrupted run.  The result's
             ``journal`` attribute carries the
             :class:`~repro.core.resilience.JournalSummary`.
         max_cache_bytes:
             Byte budget for the snapshot cache.  When the resident
             snapshots would exceed it, the coldest are degraded per
             ``cache_degrade`` — results stay bit-identical; only
-            time/memory trade off.  Statevector-family backends only.
+            time/memory trade off.
         cache_degrade:
             ``"spill"`` (default) writes evicted snapshots to disk and
             reloads them on restore; ``"drop"`` discards them and
@@ -255,8 +249,7 @@ class NoisySimulator:
             typically a resource certificate's flop weights
             (``certificate["schedules"][...]["task_flops"]``), replacing
             the operation-count heuristic.  Scheduling only; results are
-            bit-identical for any weighting.  Requires ``workers`` and is
-            ignored by journaled runs (their task queue is resume-driven).
+            bit-identical for any weighting.
         batch_size:
             ``0`` (default) keeps the per-trial DFS executor.  Any value
             >= 1 switches to breadth-wise wavefront execution
@@ -265,33 +258,22 @@ class NoisySimulator:
             one ``(2,)*n + (batch,)`` ndarray, capped at ``batch_size``
             columns.  Results, operation counts and cache accounting are
             bit-identical to the serial executor at every width.
-            Requires the optimized mode on the compiled ``"statevector"``
-            backend; incompatible with ``journal`` (the wavefront
-            interleaves trials, so a trial-ordered resume log cannot be
-            replayed against it).
         hybrid:
             Route execution through the Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
             spans run symbolically as Pauli-frame deltas over shared
             dense anchors, amplitudes materialize only at the first
             non-Clifford gate or at Finish.  Bit-identical payloads and
-            nominal accounting at every configuration.  Requires the
-            optimized mode on the compiled ``"statevector"`` backend;
-            incompatible with ``journal`` and ``max_cache_bytes`` (the
-            symbolic snapshot cache holds O(n) frames, not spillable
-            statevectors).  Composes with ``workers`` (hybrid prefix)
-            and ``batch_size`` (materialized fragments run through the
-            wavefront executor).
+            nominal accounting at every configuration.  Composes with
+            ``workers`` (hybrid prefix) and ``batch_size`` (materialized
+            fragments run through the wavefront executor).
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
             cross-job prefix deduplication — the service tier passes one
             store to every job on the same circuit family, so prefix
             states computed by one job are adopted (bit-identically) by
             the next instead of recomputed; skipped gates are reported as
-            ``result.ops_shared``.  Requires the optimized mode on a
-            statevector-family backend, serially (``workers == 0``, no
-            ``batch_size``, no ``hybrid`` — those executors do not walk
-            the per-trial provenance the store is keyed by).
+            ``result.ops_shared``.
         stop:
             Optional ``threading.Event``; when set mid-run the executor
             raises :class:`~repro.core.executor.RunInterrupted` after the
@@ -302,115 +284,20 @@ class NoisySimulator:
             trial as its measurement is sampled — the service tier's
             incremental result stream.  For a resumed journal run the
             replayed trials are delivered through it too, in their
-            original order.  Requires a backend with readout (not
-            ``"counting"``).
+            original order.
         """
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
-        statevector_family = backend in ("statevector", "statevector-interpreted")
-        if workers:
-            if mode != "optimized":
-                raise ValueError(
-                    "workers requires mode='optimized' (the baseline has "
-                    "no plan to partition)"
-                )
-            if not statevector_family:
-                raise ValueError(
-                    f"workers requires a statevector-family backend, "
-                    f"got {backend!r}"
-                )
-        if journal is not None:
-            if mode != "optimized":
-                raise ValueError(
-                    "journal requires mode='optimized' (the baseline "
-                    "streams no resumable finish payloads)"
-                )
-            if not statevector_family:
-                raise ValueError(
-                    f"journal requires a statevector-family backend "
-                    f"(payload amplitudes are recorded), got {backend!r}"
-                )
-        if max_cache_bytes is not None and not statevector_family:
-            raise ValueError(
-                f"max_cache_bytes requires a statevector-family backend, "
-                f"got {backend!r}"
-            )
-        if batch_size:
-            if batch_size < 1:
-                raise ValueError(
-                    f"batch_size must be >= 1, got {batch_size}"
-                )
-            if mode != "optimized":
-                raise ValueError(
-                    "batch_size requires mode='optimized' (the baseline "
-                    "has no plan to batch over)"
-                )
-            if backend != "statevector":
-                raise ValueError(
-                    "batch_size requires the compiled 'statevector' "
-                    f"backend (batched kernel surface), got {backend!r}"
-                )
-            if journal is not None:
-                raise ValueError(
-                    "batch_size is incompatible with journal: the "
-                    "wavefront interleaves trials, so the trial-ordered "
-                    "resume log cannot be replayed against it"
-                )
-        if hybrid:
-            if mode != "optimized":
-                raise ValueError(
-                    "hybrid requires mode='optimized' (the fast path "
-                    "rewrites the optimized plan's trie spans)"
-                )
-            if backend != "statevector":
-                raise ValueError(
-                    "hybrid requires the compiled 'statevector' backend "
-                    f"(anchor derivation and dense handoff), got {backend!r}"
-                )
-            if journal is not None:
-                raise ValueError(
-                    "hybrid is incompatible with journal: symbolic spans "
-                    "produce no trial-ordered finish stream to journal"
-                )
-            if max_cache_bytes is not None:
-                raise ValueError(
-                    "hybrid is incompatible with max_cache_bytes: "
-                    "symbolic snapshots are O(n) Pauli frames, not "
-                    "budgetable statevectors"
-                )
-        if shared is not None:
-            if mode != "optimized":
-                raise ValueError(
-                    "shared requires mode='optimized' (the baseline walks "
-                    "no prefix states to share)"
-                )
-            if not statevector_family:
-                raise ValueError(
-                    f"shared requires a statevector-family backend "
-                    f"(amplitudes are published), got {backend!r}"
-                )
-            if workers or batch_size or hybrid:
-                raise ValueError(
-                    "shared requires the serial per-trial executor "
-                    "(workers=0, batch_size=0, hybrid=False); the batched "
-                    "and partitioned executors do not walk the provenance "
-                    "keys the store is shared under"
-                )
-        if on_trial is not None and backend == "counting":
-            raise ValueError(
-                "on_trial requires a backend with readout, got 'counting'"
-            )
-        cache_budget = None
-        if max_cache_bytes is not None:
-            from .cache import CacheBudget
-
-            cache_budget = CacheBudget(
-                max_bytes=max_cache_bytes, mode=cache_degrade
-            )
+        options = dict(
+            mode=mode, backend=backend, check=check, recorder=recorder,
+            workers=workers, partition_depth=partition_depth, journal=journal,
+            max_cache_bytes=max_cache_bytes, cache_degrade=cache_degrade,
+            task_timeout=task_timeout, retries=retries, task_weights=task_weights,
+            batch_size=batch_size, hybrid=hybrid, shared=shared, stop=stop,
+        )
+        validate(collect_final_states=collect_final_states, on_trial=on_trial, **options)
         trial_list = list(trials) if trials is not None else self.sample(num_trials)
 
         engine = self.make_backend(backend)
-        has_readout = backend != "counting"
+        has_readout = backend in READOUT
         measurements = self.layered.measurements
         counts: Dict[str, int] = {}
         trial_clbits: List[Optional[Dict[int, int]]] = [None] * len(trial_list)
@@ -433,92 +320,14 @@ class NoisySimulator:
                 if on_trial is not None:
                     on_trial(index, bits)
 
-        journal_summary = None
-        if journal is not None:
-            from .resilience import run_journaled
-
-            outcome, journal_summary = run_journaled(
-                self.layered,
-                trial_list,
-                lambda: self.make_backend(backend),
-                on_finish,
-                journal,
-                workers=workers,
-                depth=partition_depth,
-                check=check,
-                recorder=recorder,
-                cache_budget=cache_budget,
-                retries=retries,
-                task_timeout=task_timeout,
-                shared=shared,
-                stop=stop,
-            )
-        elif workers:
-            from .parallel import run_parallel
-
-            outcome = run_parallel(
-                self.layered,
-                trial_list,
-                lambda: self.make_backend(backend),
-                on_finish,
-                workers=workers,
-                depth=partition_depth,
-                check=check,
-                recorder=recorder,
-                cache_budget=cache_budget,
-                retries=retries,
-                task_timeout=task_timeout,
-                task_weights=task_weights,
-                batch_size=batch_size,
-                hybrid=hybrid,
-                stop=stop,
-            )
-        elif mode == "optimized" and hybrid:
-            from .hybrid import run_hybrid
-
-            outcome = run_hybrid(
-                self.layered,
-                trial_list,
-                engine,
-                on_finish,
-                check=check,
-                recorder=recorder,
-                batch_size=batch_size,
-            )
-        elif mode == "optimized" and batch_size:
-            from .wavefront import run_wavefront
-
-            outcome = run_wavefront(
-                self.layered,
-                trial_list,
-                engine,
-                on_finish,
-                batch_size=batch_size,
-                check=check,
-                recorder=recorder,
-                cache_budget=cache_budget,
-            )
-        elif mode == "optimized":
-            outcome = run_optimized(
-                self.layered,
-                trial_list,
-                engine,
-                on_finish,
-                check=check,
-                recorder=recorder,
-                cache_budget=cache_budget,
-                shared=shared,
-                stop=stop,
-            )
-        else:
-            outcome = run_baseline(
-                self.layered,
-                trial_list,
-                engine,
-                on_finish,
-                recorder=recorder,
-                stop=stop,
-            )
+        outcome = execute(
+            self.layered,
+            trial_list,
+            lambda: self.make_backend(backend),
+            on_finish,
+            engine=engine,
+            **options,
+        )
 
         if recorder:
             from .hostinfo import cpu_count, peak_rss_kb
@@ -540,8 +349,8 @@ class NoisySimulator:
             backend=backend,
             trial_clbits=trial_clbits if has_readout else None,
             final_states=final_states if collect_final_states else None,
-            journal=journal_summary,
-            ops_shared=getattr(outcome, "ops_shared", 0),
+            journal=outcome.journal,
+            ops_shared=outcome.ops_shared,
         )
 
     def expectation(

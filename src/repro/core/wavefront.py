@@ -63,7 +63,7 @@ from ..circuits.layers import LayeredCircuit
 from ..sim.statevector import Statevector
 from .cache import CacheBudget, CacheStats, CorruptionError, payload_checksum
 from .events import ErrorEvent, Trial
-from .executor import ExecutionOutcome, FinishCallback, _SpillArea, _record_run_meta
+from .executor import ExecutionOutcome, FinishCallback, RunInterrupted, _SpillArea, _record_run_meta
 from .schedule import (
     Advance,
     ExecutionPlan,
@@ -549,6 +549,7 @@ def run_wavefront(
     entry_events: Tuple[ErrorEvent, ...] = (),
     cache_budget: Optional[CacheBudget] = None,
     wavefront: Optional[WavefrontPlan] = None,
+    stop=None,
 ) -> ExecutionOutcome:
     """Execute ``trials`` with prefix reuse *and* trial-axis batching.
 
@@ -564,6 +565,11 @@ def run_wavefront(
     rank order; payload copies are included in the live/stored row
     accounting (the memory cost of batching is not hidden) and are
     subject to ``cache_budget`` spill/drop like any parked row.
+
+    ``stop`` (a ``threading.Event``) is polled before every step and
+    every delivered finish; once set, the run raises
+    :class:`~repro.core.executor.RunInterrupted` counting the trials
+    delivered so far (none before the last step: finishes are buffered).
     """
     if batch_size < 1:
         raise ScheduleError(f"batch size must be >= 1, got {batch_size}")
@@ -653,6 +659,14 @@ def run_wavefront(
     spills = spill_loads = drops = recomputes = 0
     snapshots_taken = 0
     finish_calls = 0
+    trials_done = 0
+
+    def check_stop() -> None:
+        if stop is not None and stop.is_set():
+            raise RunInterrupted(
+                "wavefront run interrupted by stop request",
+                trials_completed=trials_done,
+            )
 
     def sample(width: int = 0) -> None:
         nonlocal peak_live, peak_stored, peak_resident_live, peak_resident_stored
@@ -847,6 +861,7 @@ def run_wavefront(
 
     try:
         for step_index, step in enumerate(steps):
+            check_stop()
             width = len(step.rows)
             shape = (2,) * num_qubits + (width,)
 
@@ -924,24 +939,24 @@ def run_wavefront(
                     start = 0
                     count = len(dst_cols)
                     while start < count:
-                        stop = start + 1
+                        run_end = start + 1
                         while (
-                            stop < count
-                            and dst_cols[stop] == dst_cols[stop - 1] + 1
+                            run_end < count
+                            and dst_cols[run_end] == dst_cols[run_end - 1] + 1
                         ):
-                            stop += 1
-                        if stop - start == 1:
+                            run_end += 1
+                        if run_end - start == 1:
                             flat[:, dst_cols[start]] = (
                                 src_flat[:, src_cols[start]]
                             )
                         else:
                             np.take(
-                                src_flat, src_cols[start:stop], axis=1,
+                                src_flat, src_cols[start:run_end], axis=1,
                                 out=flat[
-                                    :, dst_cols[start]:dst_cols[stop - 1] + 1
+                                    :, dst_cols[start]:dst_cols[run_end - 1] + 1
                                 ],
                             )
-                        start = stop
+                        start = run_end
             sample(width)
 
             # --- inject newborn columns (contiguous equal-event ranges) ---
@@ -1049,6 +1064,7 @@ def run_wavefront(
 
         # --- deliver finishes in serial rank order -----------------------
         for rank, lane_id, trial_indices in wavefront.finishes:
+            check_stop()
             row = payload_entries.pop(rank)
             if row.resident:
                 payload_flat = row.buffer.reshape(-1)
@@ -1065,6 +1081,7 @@ def run_wavefront(
                     trials=len(trial_indices), moved=False,
                 )
                 recorder.counter("trials.finished", len(trial_indices))
+            trials_done += len(trial_indices)
             release_row(row)
             sample()
     finally:

@@ -10,8 +10,9 @@ Methodology
 -----------
 For each benchmark the harness builds the Yorktown-compiled circuit,
 samples a seeded trial set, builds the execution plan **once**, then times
-:func:`~repro.core.executor.run_optimized` with each backend against that
-same plan (plan construction and trial sampling are deliberately excluded
+the serial executor (:func:`~repro.core.options.execute` with default
+options) with each backend against that same plan (plan construction and
+trial sampling are deliberately excluded
 — the paper's reordering is shared by both paths; this harness isolates
 the per-gate kernel cost).  Reported time is the best of ``repeats``
 timed runs after ``warmup`` untimed ones; ops/sec divides the paper's
@@ -27,6 +28,12 @@ With ``trace=True`` (the ``repro bench --trace`` flag) one additional
 so timings stay honest — and its :class:`~repro.obs.summary.TraceSummary`
 is attached to the record as ``profile`` after being cross-checked
 against the timed run's outcome.
+
+Every further section (``workers``, ``batches``, ``hybrid``, ``auto``)
+is one option set from :mod:`repro.core.options`, timed through the same
+``execute()`` against the same plan and proven exact the same way: each
+trial's payload ``array_equal`` to the serial compiled run's, with equal
+``ops_applied``.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ import numpy as np
 
 from .bench.suite import all_benchmark_names, benchmark_names, resolve_benchmark
 from .circuits.layers import layerize
-from .core.executor import run_optimized
 from .core.hostinfo import machine_info, peak_rss_kb
-from .core.parallel import run_parallel
+from .core.hybrid import HybridOutcome
+from .core.options import execute, expect
+from .core.parallel import ParallelOutcome
 from .core.schedule import build_plan
 from .noise.sampling import sample_trials
 from .sim.backend import StatevectorBackend
@@ -55,215 +63,34 @@ __all__ = [
     "hybrid_microbench",
     "peak_rss_kb",
     "run_bench",
+    "section_label",
     "write_bench_json",
 ]
 
 BENCH_SCHEMA = "repro-bench/1"
 
 
-def _time_run(layered, trials, plan, make_backend, warmup: int, repeats: int):
-    """Best-of-``repeats`` wall time of one optimized run; returns outcome."""
-    backend = make_backend()
+def _time_run(layered, trials, plan, make_backend, warmup: int, repeats: int, **options):
+    """Best and mean wall time of ``repeats`` ``execute()`` runs under
+    ``options`` after ``warmup`` untimed ones, all on one backend
+    instance; returns ``(outcome, best, mean)``."""
+    engine = make_backend()
     for _ in range(warmup):
-        run_optimized(layered, trials, backend, plan=plan)
+        execute(layered, trials, make_backend, plan=plan, engine=engine, **options)
     best = float("inf")
     total = 0.0
     outcome = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        outcome = run_optimized(layered, trials, backend, plan=plan)
+        outcome = execute(layered, trials, make_backend, plan=plan, engine=engine, **options)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         total += elapsed
     return outcome, best, total / max(1, repeats)
 
 
-def _collect_final_states(layered, trials, plan, backend):
-    states: List[np.ndarray] = []
-    indices: List[tuple] = []
-
-    def on_finish(payload, trial_indices):
-        indices.append(tuple(trial_indices))
-        states.append(payload.vector.copy())
-
-    outcome = run_optimized(layered, trials, backend, on_finish, plan=plan)
-    return outcome, indices, states
-
-
-# peak_rss_kb / machine_info moved to repro.core.hostinfo so the runner
-# and profiler share them; re-exported here for compatibility.
-
-
-def _bench_parallel(
-    layered,
-    trials,
-    make_backend,
-    serial_best: float,
-    serial_states: List[np.ndarray],
-    serial_ops: int,
-    workers: int,
-    partition_depth: int,
-    repeats: int,
-    task_weights: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Time ``run_parallel`` at one worker count and prove it exact.
-
-    The exactness run is separate from the timed runs (collecting every
-    final state would distort the timing): the parallel payload stream
-    must be bit-identical (``array_equal``, not ``allclose``) to the
-    serial compiled run's, with the identical total operation count.
-    ``task_weights`` switches the scheduler to certificate-provided
-    weights (``repro bench --auto``) — results must stay bit-identical.
-    """
-    best = float("inf")
-    total = 0.0
-    outcome = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        outcome = run_parallel(
-            layered, trials, make_backend,
-            workers=workers, depth=partition_depth,
-            task_weights=task_weights,
-        )
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-
-    par_states: List[np.ndarray] = []
-    check_outcome = run_parallel(
-        layered,
-        trials,
-        make_backend,
-        lambda payload, _indices: par_states.append(payload.vector.copy()),
-        workers=workers,
-        depth=partition_depth,
-        task_weights=task_weights,
-    )
-    bit_identical = len(par_states) == len(serial_states) and all(
-        np.array_equal(a, b) for a, b in zip(serial_states, par_states)
-    )
-    return {
-        "workers": workers,
-        "partition_depth": partition_depth,
-        "best_s": best,
-        "mean_s": total / max(1, repeats),
-        "speedup_vs_serial": serial_best / best,
-        "num_tasks": outcome.num_tasks,
-        "used_fork": outcome.used_fork,
-        "shm_bytes": outcome.shm_bytes,
-        "exact": {
-            "ops_equal": check_outcome.ops_applied == serial_ops,
-            "states_bit_identical": bool(bit_identical),
-            "ok": bool(
-                check_outcome.ops_applied == serial_ops and bit_identical
-            ),
-        },
-        "peak_rss_kb": peak_rss_kb(),
-    }
-
-
-def _bench_batch(
-    layered,
-    trials,
-    plan,
-    make_backend,
-    serial_best: float,
-    serial_indices: List[tuple],
-    serial_states: List[np.ndarray],
-    serial_ops: int,
-    batch: int,
-    repeats: int,
-) -> Dict[str, object]:
-    """Time the trial-batched wavefront executor at one width.
-
-    Exactness is the tentpole contract, proven at full strength: the
-    batched payload stream must be **bit-identical** (``array_equal``,
-    not ``allclose``) to the serial compiled run's, delivered for the
-    same trial groups in the same serial order, with the identical
-    operation count (batching is a pure regrouping of the plan).
-    """
-    from .core.wavefront import run_wavefront
-
-    best = float("inf")
-    total = 0.0
-    for _ in range(max(1, repeats)):
-        backend = make_backend()
-        start = time.perf_counter()
-        run_wavefront(
-            layered, trials, backend, plan=plan, batch_size=batch
-        )
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-
-    batch_indices: List[tuple] = []
-    batch_states: List[np.ndarray] = []
-
-    def on_finish(payload, trial_indices):
-        batch_indices.append(tuple(trial_indices))
-        batch_states.append(payload.vector.copy())
-
-    check_outcome = run_wavefront(
-        layered, trials, make_backend(), on_finish,
-        plan=plan, batch_size=batch,
-    )
-    bit_identical = (
-        batch_indices == serial_indices
-        and len(batch_states) == len(serial_states)
-        and all(
-            np.array_equal(a, b)
-            for a, b in zip(serial_states, batch_states)
-        )
-    )
-    ops_equal = check_outcome.ops_applied == serial_ops
-    return {
-        "batch": batch,
-        "best_s": best,
-        "mean_s": total / max(1, repeats),
-        "speedup_vs_serial": serial_best / best,
-        "ops_applied": check_outcome.ops_applied,
-        "exact": {
-            "ops_equal": bool(ops_equal),
-            "states_bit_identical": bool(bit_identical),
-            "ok": bool(ops_equal and bit_identical),
-        },
-        "peak_rss_kb": peak_rss_kb(),
-    }
-
-
-def _bench_hybrid(
-    layered,
-    trials,
-    plan,
-    make_backend,
-    serial_best: float,
-    serial_indices: List[tuple],
-    serial_states: List[np.ndarray],
-    serial_ops: int,
-    batch: int,
-    repeats: int,
-) -> Dict[str, object]:
-    """Time the Clifford/Pauli-frame fast path at one fragment width.
-
-    ``batch=0`` runs materialized fragments through the per-trial DFS
-    executor; ``batch>=1`` hands them to the wavefront executor at that
-    width.  Exactness is the tentpole contract at full strength: every
-    trial's payload must be **bit-identical** (``array_equal``, not
-    ``allclose``) to the serial compiled run's, with the identical
-    nominal operation count (the hybrid mirrors the plan's accounting).
-    """
-    from .core.hybrid import run_hybrid
-
-    best = float("inf")
-    total = 0.0
-    for _ in range(max(1, repeats)):
-        backend = make_backend()
-        start = time.perf_counter()
-        run_hybrid(layered, trials, backend, plan=plan, batch_size=batch)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-
+def _payloads(layered, trials, plan, make_backend, **options):
+    """Every trial's final amplitudes from one untimed ``execute()`` run."""
     by_trial: List[Optional[np.ndarray]] = [None] * len(trials)
 
     def on_finish(payload, trial_indices):
@@ -271,29 +98,81 @@ def _bench_hybrid(
         for index in trial_indices:
             by_trial[index] = vector
 
-    check_outcome = run_hybrid(
-        layered, trials, make_backend(), on_finish,
-        plan=plan, batch_size=batch,
+    outcome = execute(
+        layered, trials, make_backend, on_finish, plan=plan, **options
     )
-    serial_by_trial: List[Optional[np.ndarray]] = [None] * len(trials)
-    for state, group in zip(serial_states, serial_indices):
-        for index in group:
-            serial_by_trial[index] = state
-    bit_identical = all(
-        a is not None
-        and b is not None
-        and np.array_equal(a, b)
-        for a, b in zip(serial_by_trial, by_trial)
+    return by_trial, outcome
+
+
+def _all_trials(reference, candidate, same) -> bool:
+    return len(reference) == len(candidate) and all(
+        a is not None and b is not None and same(a, b)
+        for a, b in zip(reference, candidate)
     )
-    ops_equal = check_outcome.ops_applied == serial_ops
-    return {
-        "batch": batch,
+
+
+# peak_rss_kb / machine_info moved to repro.core.hostinfo so the runner
+# and profiler share them; re-exported here for compatibility.
+
+
+def _section(key: str, executor: str, **options) -> tuple:
+    """One timed bench section: the record key it fills and its options.
+
+    The options must pick ``executor`` (:func:`repro.core.options.expect`),
+    so a flag value the table rejects fails before anything is timed.
+    """
+    expect(executor, **options)
+    return key, options
+
+
+def _bench_sections(
+    workers: Sequence[int],
+    partition_depth: int,
+    batches: Sequence[int],
+    hybrid: bool,
+) -> List[tuple]:
+    sections = [
+        _section("parallel", "parallel", workers=w, partition_depth=partition_depth)
+        for w in workers
+    ]
+    sections += [_section("batch", "wavefront", batch_size=b) for b in batches]
+    if hybrid:
+        # Materialized fragments per trial (0) and as width-64 wavefronts.
+        sections += [
+            _section("hybrid", "hybrid", hybrid=True, batch_size=b)
+            for b in (0, 64)
+        ]
+    return sections
+
+
+def _bench_section(
+    layered,
+    trials,
+    plan,
+    make_backend,
+    options: Dict[str, object],
+    serial_best: float,
+    serial_by_trial: List[Optional[np.ndarray]],
+    serial_ops: int,
+    repeats: int,
+) -> Dict[str, object]:
+    """Time ``execute()`` under ``options`` and prove it exact.
+
+    The exactness run is separate from the timed runs (collecting every
+    final state would distort the timing): every trial's payload must be
+    **bit-identical** (``array_equal``, not ``allclose``) to the serial
+    compiled run's, with the identical operation count — every executor
+    is a pure regrouping of the serial plan.
+    """
+    _, best, mean = _time_run(layered, trials, plan, make_backend, 0, repeats, **options)
+    by_trial, outcome = _payloads(layered, trials, plan, make_backend, **options)
+    bit_identical = _all_trials(serial_by_trial, by_trial, np.array_equal)
+    ops_equal = outcome.ops_applied == serial_ops
+    section: Dict[str, object] = {
         "best_s": best,
-        "mean_s": total / max(1, repeats),
+        "mean_s": mean,
         "speedup_vs_serial": serial_best / best,
-        "ops_applied": check_outcome.ops_applied,
-        "active": check_outcome.active,
-        "stats": dict(check_outcome.hybrid),
+        "ops_applied": outcome.ops_applied,
         "exact": {
             "ops_equal": bool(ops_equal),
             "states_bit_identical": bool(bit_identical),
@@ -301,6 +180,19 @@ def _bench_hybrid(
         },
         "peak_rss_kb": peak_rss_kb(),
     }
+    if isinstance(outcome, ParallelOutcome):
+        section.update(
+            workers=outcome.num_workers,
+            partition_depth=outcome.partition_depth,
+            num_tasks=outcome.num_tasks,
+            used_fork=outcome.used_fork,
+            shm_bytes=outcome.shm_bytes,
+        )
+    else:
+        section["batch"] = options.get("batch_size", 0)
+    if isinstance(outcome, HybridOutcome):
+        section.update(active=outcome.active, stats=dict(outcome.hybrid))
+    return section
 
 
 def dense_microbench(
@@ -480,8 +372,9 @@ def bench_one(
     ``name`` may be a Table I benchmark (Yorktown-compiled, device model)
     or a large-suite benchmark (logical circuit, artificial model — see
     :data:`repro.bench.suite.LARGE_BENCHMARKS`).  Each entry in
-    ``workers`` adds a timed :func:`~repro.core.parallel.run_parallel`
-    section plus a bit-exactness proof against the serial compiled run.
+    ``workers`` and ``batches``, and ``hybrid``, adds timed sections
+    (parallel, wavefront, hybrid executor) plus a bit-exactness proof
+    against the serial compiled run.
 
     With ``auto=True`` a :func:`~repro.lint.costmodel.build_certificate`
     pass ranks (depth, workers) candidates statically; the winning
@@ -489,6 +382,7 @@ def bench_one(
     schedule, one extra timed section runs with the certificate's
     ``task_flops`` as scheduler weights (``advised`` in the record).
     """
+    sections = _bench_sections(workers, partition_depth, batches, hybrid)
     circuit, model = resolve_benchmark(name)
     layered = layerize(circuit)
     trials = sample_trials(
@@ -497,14 +391,17 @@ def bench_one(
     plan = build_plan(layered, trials)
     compiled = CompiledCircuit(layered)
 
+    def make_compiled():
+        return CompiledStatevectorBackend(layered, compiled=compiled)
+
+    def make_interpreted():
+        return StatevectorBackend(layered)
+
     interp_outcome, interp_best, interp_mean = _time_run(
-        layered, trials, plan, lambda: StatevectorBackend(layered),
-        warmup, repeats,
+        layered, trials, plan, make_interpreted, warmup, repeats
     )
     comp_outcome, comp_best, comp_mean = _time_run(
-        layered, trials, plan,
-        lambda: CompiledStatevectorBackend(layered, compiled=compiled),
-        warmup, repeats,
+        layered, trials, plan, make_compiled, warmup, repeats
     )
 
     record: Dict[str, object] = {
@@ -531,7 +428,6 @@ def bench_one(
         "kernel_stats": compiled.stats(),
     }
 
-    advice: Optional[Dict[str, object]] = None
     if auto:
         from .lint.costmodel import build_certificate
 
@@ -548,111 +444,57 @@ def bench_one(
             "advice": advice,
             "candidates": certificate["candidates"][:5],
         }
-        advised_weights = None
         if advice["workers"]:
-            advised_weights = next(
-                list(s["task_flops"])
-                for s in certificate["schedules"]
-                if s["depth"] == advice["depth"]
+            sections.append(
+                _section(
+                    "advised",
+                    "parallel",
+                    workers=int(advice["workers"]),
+                    partition_depth=int(advice["depth"] or 1),
+                    task_weights=next(
+                        list(s["task_flops"])
+                        for s in certificate["schedules"]
+                        if s["depth"] == advice["depth"]
+                    ),
+                )
             )
 
-    advised_workers = int(advice["workers"]) if advice else 0
-    if workers or advised_workers or batches or hybrid:
-        c_check, c_serial_indices, c_serial_states = _collect_final_states(
-            layered, trials, plan,
-            CompiledStatevectorBackend(layered, compiled=compiled),
+    if sections:
+        serial_by_trial, serial_outcome = _payloads(
+            layered, trials, plan, make_compiled
         )
-        if workers:
-            record["parallel"] = [
-                _bench_parallel(
-                    layered,
-                    trials,
-                    lambda: CompiledStatevectorBackend(
-                        layered, compiled=compiled
-                    ),
-                    comp_best,
-                    c_serial_states,
-                    c_check.ops_applied,
-                    w,
-                    partition_depth,
-                    repeats,
-                )
-                for w in workers
-            ]
-        if advised_workers:
-            record["advised"] = _bench_parallel(
+        for key, options in sections:
+            section = _bench_section(
                 layered,
                 trials,
-                lambda: CompiledStatevectorBackend(layered, compiled=compiled),
+                plan,
+                make_compiled,
+                options,
                 comp_best,
-                c_serial_states,
-                c_check.ops_applied,
-                advised_workers,
-                int(advice["depth"] or 1),
+                serial_by_trial,
+                serial_outcome.ops_applied,
                 repeats,
-                task_weights=advised_weights,
             )
-        if batches:
-            record["batch"] = [
-                _bench_batch(
-                    layered,
-                    trials,
-                    plan,
-                    lambda: CompiledStatevectorBackend(
-                        layered, compiled=compiled
-                    ),
-                    comp_best,
-                    c_serial_indices,
-                    c_serial_states,
-                    c_check.ops_applied,
-                    b,
-                    repeats,
+            if key == "advised":
+                record[key] = section
+            else:
+                record.setdefault(key, []).append(section)
+        for key in ("batch", "hybrid"):
+            if key in record:
+                best_section = max(
+                    record[key], key=lambda s: s["speedup_vs_serial"]
                 )
-                for b in batches
-            ]
-            best_section = max(
-                record["batch"], key=lambda s: s["speedup_vs_serial"]
-            )
-            record["batch_best"] = {
-                "batch": best_section["batch"],
-                "speedup_vs_serial": best_section["speedup_vs_serial"],
-            }
-        if hybrid:
-            record["hybrid"] = [
-                _bench_hybrid(
-                    layered,
-                    trials,
-                    plan,
-                    lambda: CompiledStatevectorBackend(
-                        layered, compiled=compiled
-                    ),
-                    comp_best,
-                    c_serial_indices,
-                    c_serial_states,
-                    c_check.ops_applied,
-                    b,
-                    repeats,
-                )
-                for b in (0, 64)
-            ]
-            best_section = max(
-                record["hybrid"], key=lambda s: s["speedup_vs_serial"]
-            )
-            record["hybrid_best"] = {
-                "batch": best_section["batch"],
-                "speedup_vs_serial": best_section["speedup_vs_serial"],
-            }
+                record[f"{key}_best"] = {
+                    "batch": best_section["batch"],
+                    "speedup_vs_serial": best_section["speedup_vs_serial"],
+                }
 
     if trace:
         from .obs import InMemoryRecorder, summarize, verify_trace
 
         recorder = InMemoryRecorder()
-        traced_outcome = run_optimized(
-            layered,
-            trials,
-            CompiledStatevectorBackend(layered, compiled=compiled),
-            plan=plan,
-            recorder=recorder,
+        traced_outcome = execute(
+            layered, trials, make_compiled, plan=plan, recorder=recorder
         )
         profile = summarize(recorder).as_dict()
         profile["crosscheck_ok"] = not verify_trace(
@@ -661,15 +503,10 @@ def bench_one(
         record["profile"] = profile
 
     if check:
-        i_out, i_idx, i_states = _collect_final_states(
-            layered, trials, plan, StatevectorBackend(layered)
-        )
-        c_out, c_idx, c_states = _collect_final_states(
-            layered, trials, plan,
-            CompiledStatevectorBackend(layered, compiled=compiled),
-        )
-        states_close = i_idx == c_idx and all(
-            np.allclose(a, b, atol=1e-8) for a, b in zip(i_states, c_states)
+        i_states, i_out = _payloads(layered, trials, plan, make_interpreted)
+        c_states, c_out = _payloads(layered, trials, plan, make_compiled)
+        states_close = _all_trials(
+            i_states, c_states, lambda a, b: np.allclose(a, b, atol=1e-8)
         )
         record["equivalence"] = {
             "ops_equal": i_out.ops_applied == c_out.ops_applied,
@@ -705,8 +542,11 @@ def run_bench(
     Each entry in ``batches`` adds a timed trial-batched wavefront
     section per benchmark (plus a bit-exactness proof against the serial
     compiled payload stream) and a dense-kernel microbench to the
-    payload — the per-column throughput ratio CI gates on.
+    payload — the per-column throughput ratio CI gates on.  Section
+    options the table rejects raise
+    :class:`~repro.core.options.OptionError` before anything is timed.
     """
+    _bench_sections(workers, partition_depth, batches, hybrid)
     names = list(benchmarks) if benchmarks else benchmark_names()
     unknown = sorted(set(names) - set(all_benchmark_names()))
     if unknown:
@@ -734,16 +574,37 @@ def run_bench(
             )
         )
     speedups = [record["speedup"] for record in results]
-    batch_speedups = [
-        record["batch_best"]["speedup_vs_serial"]
-        for record in results
-        if "batch_best" in record
-    ]
-    hybrid_speedups = [
-        record["hybrid_best"]["speedup_vs_serial"]
-        for record in results
-        if "hybrid_best" in record
-    ]
+    summary: Dict[str, object] = {
+        "benchmarks": len(results),
+        "min_speedup": min(speedups) if speedups else None,
+        "max_speedup": max(speedups) if speedups else None,
+        "geomean_speedup": _geomean(speedups),
+        "all_equivalent": (
+            all(record.get("equivalence", {}).get("ok", True) for record in results)
+            if check
+            else None
+        ),
+    }
+    for key, enabled in (
+        ("parallel", workers), ("advised", auto), ("batch", batches), ("hybrid", hybrid)
+    ):
+        summary[f"all_{key}_exact"] = (
+            all(
+                section["exact"]["ok"]
+                for record in results
+                for section in _record_sections(record, key)
+            )
+            if enabled
+            else None
+        )
+    for key in ("batch", "hybrid"):
+        summary[f"geomean_{key}_speedup"] = _geomean(
+            [
+                record[f"{key}_best"]["speedup_vs_serial"]
+                for record in results
+                if f"{key}_best" in record
+            ]
+        )
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -762,68 +623,7 @@ def run_bench(
             "hybrid": hybrid,
         },
         "results": results,
-        "summary": {
-            "benchmarks": len(results),
-            "min_speedup": min(speedups) if speedups else None,
-            "max_speedup": max(speedups) if speedups else None,
-            "geomean_speedup": (
-                float(np.exp(np.mean(np.log(speedups)))) if speedups else None
-            ),
-            "all_equivalent": (
-                all(
-                    record.get("equivalence", {}).get("ok", True)
-                    for record in results
-                )
-                if check
-                else None
-            ),
-            "all_parallel_exact": (
-                all(
-                    section["exact"]["ok"]
-                    for record in results
-                    for section in record.get("parallel", ())
-                )
-                if workers
-                else None
-            ),
-            "all_advised_exact": (
-                all(
-                    record["advised"]["exact"]["ok"]
-                    for record in results
-                    if "advised" in record
-                )
-                if auto
-                else None
-            ),
-            "all_batch_exact": (
-                all(
-                    section["exact"]["ok"]
-                    for record in results
-                    for section in record.get("batch", ())
-                )
-                if batches
-                else None
-            ),
-            "geomean_batch_speedup": (
-                float(np.exp(np.mean(np.log(batch_speedups))))
-                if batch_speedups
-                else None
-            ),
-            "all_hybrid_exact": (
-                all(
-                    section["exact"]["ok"]
-                    for record in results
-                    for section in record.get("hybrid", ())
-                )
-                if hybrid
-                else None
-            ),
-            "geomean_hybrid_speedup": (
-                float(np.exp(np.mean(np.log(hybrid_speedups))))
-                if hybrid_speedups
-                else None
-            ),
-        },
+        "summary": summary,
     }
     if batches:
         payload["microbench"] = dense_microbench()
@@ -871,6 +671,30 @@ def bench_rows(payload: Dict[str, object]) -> List[Dict[str, object]]:
     return rows
 
 
+def _geomean(values: Sequence[float]) -> Optional[float]:
+    return float(np.exp(np.mean(np.log(values)))) if values else None
+
+
+def _record_sections(record: Dict[str, object], key: str) -> List[Dict[str, object]]:
+    """A record's timed sections under ``key`` (``advised`` holds one)."""
+    sections = record.get(key, ())
+    return [sections] if isinstance(sections, dict) else list(sections)  # type: ignore
+
+
+#: Record keys of the timed sections beside the serial run.
+SECTION_KEYS = ("parallel", "advised", "batch", "hybrid")
+
+
+def section_label(key: str, section: Dict[str, object]) -> str:
+    """A timed section's name, e.g. ``parallel[w2]`` or ``hybrid+batch[64]``."""
+    if key == "parallel":
+        return f"parallel[w{section['workers']}]"
+    if key == "advised":
+        return key
+    batch = f"batch[{section['batch']}]"
+    return batch if key == "batch" else f"hybrid+{batch}" if section["batch"] else "hybrid"
+
+
 def _comparable_sections(
     record: Dict[str, object]
 ) -> Dict[str, Dict[str, float]]:
@@ -888,32 +712,12 @@ def _comparable_sections(
             "best_s": float(record["compiled"]["best_s"]),  # type: ignore[index]
         }
     }
-    for section in record.get("parallel", ()):  # type: ignore[attr-defined]
-        sections[f"parallel[w{section['workers']}]"] = {
-            "speedup": float(section["speedup_vs_serial"]),
-            "best_s": float(section["best_s"]),
-        }
-    if "advised" in record:
-        advised = record["advised"]  # type: ignore[index]
-        sections["advised"] = {
-            "speedup": float(advised["speedup_vs_serial"]),  # type: ignore[index]
-            "best_s": float(advised["best_s"]),  # type: ignore[index]
-        }
-    for section in record.get("batch", ()):  # type: ignore[attr-defined]
-        sections[f"batch[{section['batch']}]"] = {
-            "speedup": float(section["speedup_vs_serial"]),
-            "best_s": float(section["best_s"]),
-        }
-    for section in record.get("hybrid", ()):  # type: ignore[attr-defined]
-        label = (
-            f"hybrid+batch[{section['batch']}]"
-            if section["batch"]
-            else "hybrid"
-        )
-        sections[label] = {
-            "speedup": float(section["speedup_vs_serial"]),
-            "best_s": float(section["best_s"]),
-        }
+    for key in SECTION_KEYS:
+        for section in _record_sections(record, key):
+            sections[section_label(key, section)] = {
+                "speedup": float(section["speedup_vs_serial"]),  # type: ignore[arg-type]
+                "best_s": float(section["best_s"]),  # type: ignore[arg-type]
+            }
     return sections
 
 

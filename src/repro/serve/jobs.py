@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..circuits.qasm import parse_qasm
 from ..core.atomicio import atomic_write_json
 from ..core.executor import RunInterrupted
+from ..core.options import accepts, validate
 from ..core.runner import NoisySimulator, SimulationResult
 from ..noise.devices import artificial_model, ibm_yorktown
 from ..noise.model import NoiseModel
@@ -69,8 +70,6 @@ JOB_STATES: Tuple[str, ...] = (
     "failed",
     "interrupted",
 )
-
-_STATEVECTOR_FAMILY = ("statevector", "statevector-interpreted")
 
 
 def resolve_circuit(payload: Dict[str, Any]):
@@ -186,7 +185,9 @@ class JobSpec:
             if field not in payload:
                 raise ValueError(f"job spec is missing required {field!r}")
         spec = cls(**payload)
-        # Fail malformed circuits/noise at admission, not mid-execution.
+        # Fail malformed circuits/noise and option combinations the
+        # engine rejects at admission, not mid-execution.
+        validate(**spec.engine_options())
         resolve_circuit(spec.circuit)
         resolve_noise(spec.noise)
         return spec
@@ -220,32 +221,26 @@ class JobSpec:
 
     # -- engine eligibility ------------------------------------------------
 
-    @property
-    def statevector_family(self) -> bool:
-        return self.backend in _STATEVECTOR_FAMILY
+    def engine_options(self) -> Dict[str, Any]:
+        """The ``NoisySimulator.run`` options this spec fixes."""
+        return {
+            "mode": self.mode,
+            "backend": self.backend,
+            "workers": self.workers,
+            "batch_size": self.batch_size,
+            "hybrid": self.hybrid,
+            "max_cache_bytes": self.max_cache_bytes,
+        }
 
     @property
     def journal_eligible(self) -> bool:
-        """Journaling needs the optimized trial-ordered statevector path."""
-        return (
-            self.journal
-            and self.mode == "optimized"
-            and self.statevector_family
-            and not self.batch_size
-            and not self.hybrid
-        )
+        """Journaling was asked for and the options table accepts it."""
+        return self.journal and accepts(journal=True, **self.engine_options())
 
     @property
     def share_eligible(self) -> bool:
-        """Cross-job sharing needs the serial per-trial provenance walk."""
-        return (
-            self.share
-            and self.mode == "optimized"
-            and self.statevector_family
-            and not self.workers
-            and not self.batch_size
-            and not self.hybrid
-        )
+        """Cross-job sharing was asked for and the options table accepts it."""
+        return self.share and accepts(shared=True, **self.engine_options())
 
     def build_simulator(self) -> NoisySimulator:
         circuit = resolve_circuit(self.circuit)
@@ -484,6 +479,13 @@ def execute_job(
         if on_trial is not None:
             on_trial(index, bits)
 
+    # A counting-backend job has no readout to stream; it still runs.
+    stream = (
+        tracked_on_trial
+        if accepts(on_trial=tracked_on_trial, **spec.engine_options())
+        else None
+    )
+
     attempts_allowed = spec.retries + 1
     last_error: Optional[BaseException] = None
     for attempt in range(attempts_allowed + 1):
@@ -507,7 +509,7 @@ def execute_job(
                 journal=journal,
                 shared=use_shared,
                 stop=stop,
-                on_trial=tracked_on_trial,
+                on_trial=stream,
             )
         except RunInterrupted:
             raise

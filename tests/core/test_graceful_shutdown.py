@@ -80,6 +80,52 @@ class TestSerialStop:
             _sim().run(num_trials=16, mode="baseline", stop=stop)
 
 
+_BATCHED_AND_HYBRID = pytest.mark.parametrize(
+    "options",
+    [{"batch_size": 8}, {"hybrid": True}, {"hybrid": True, "batch_size": 8}],
+    ids=["batch", "hybrid", "hybrid-batch"],
+)
+
+
+class TestBatchedAndHybridStop:
+    @_BATCHED_AND_HYBRID
+    def test_preset_stop_interrupts_before_any_work(self, options, monkeypatch):
+        from repro.sim.compiled import CompiledStatevectorBackend
+
+        kernel_calls = []
+        for name in ("apply_layers", "apply_layers_batch"):
+            real = getattr(CompiledStatevectorBackend, name)
+
+            def spy(self, *args, _real=real, **kwargs):
+                kernel_calls.append(1)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(CompiledStatevectorBackend, name, spy)
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunInterrupted) as info:
+            _sim(name="qft5").run(num_trials=256, stop=stop, **options)
+        assert info.value.trials_completed == 0
+        assert kernel_calls == []
+
+    @_BATCHED_AND_HYBRID
+    def test_midrun_stop_reports_the_delivered_trials(self, options):
+        stop = threading.Event()
+        delivered = []
+
+        def trip(index, bits):
+            delivered.append(index)
+            if len(delivered) >= 50:
+                stop.set()
+
+        with pytest.raises(RunInterrupted) as info:
+            _sim(name="qft5").run(
+                num_trials=256, stop=stop, on_trial=trip, **options
+            )
+        assert info.value.trials_completed == len(delivered)
+        assert 50 <= len(delivered) < 256
+
+
 class TestParallelStop:
     def test_interrupted_parallel_run_is_resumable(self, tmp_path):
         journal = str(tmp_path / "run.journal")

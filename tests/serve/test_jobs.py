@@ -55,6 +55,23 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec.from_dict(_payload(trials=0))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"mode": "bogus"}, "unknown mode 'bogus'"),
+            (
+                {"hybrid": True, "max_cache_bytes": 1000000},
+                "hybrid is incompatible with max_cache_bytes",
+            ),
+            ({"workers": -2}, "workers must be >= 1"),
+        ],
+    )
+    def test_engine_options_the_table_rejects_fail_at_admission(
+        self, overrides, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            JobSpec.from_dict(_payload(**overrides))
+
     def test_eligibility_flags(self):
         serial = JobSpec.from_dict(_payload())
         assert serial.journal_eligible and serial.share_eligible
@@ -164,6 +181,17 @@ class TestExecuteJob:
         assert record.attempts == 3
         assert delays == [0.05, 0.1]  # capped exponential backoff
         assert payload["counts"]
+
+    def test_counting_job_runs_without_a_stream(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        record = store.admit(JobSpec.from_dict(_payload(backend="counting")))
+        streamed = []
+        payload = execute_job(
+            record, store, on_trial=lambda index, bits: streamed.append(index)
+        )
+        assert record.state == "done" and record.attempts == 1
+        assert payload["counts"] == {} and payload["ops_applied"] > 0
+        assert streamed == []
 
     def test_permanent_failure_commits_error(self, tmp_path, monkeypatch):
         store = JobStore(str(tmp_path))

@@ -139,6 +139,70 @@ class TestApi:
         assert info.value.code == "bad_request"
 
 
+class TestAdmissionValidation:
+    def test_illegal_spec_is_bad_request_and_never_stored(
+        self, harness, tmp_path
+    ):
+        client = harness()
+        with pytest.raises(ServeError) as info:
+            client.submit(_spec(hybrid=True, max_cache_bytes=1000000))
+        assert info.value.code == "bad_request"
+        assert "hybrid is incompatible with max_cache_bytes" in str(info.value)
+        assert os.listdir(tmp_path / "state" / "jobs") == []
+        assert client.list_jobs() == []
+
+
+class TestDeadlines:
+    def test_deadline_interrupts_the_run_and_leaves_it_resumable(
+        self, harness, tmp_path
+    ):
+        from repro.core.resilience import load_journal
+
+        spec = _spec(circuit={"benchmark": "qft4"}, trials=4000, timeout=0.05)
+        client = harness()
+        job_id = client.submit(spec)["job_id"]
+        outcome = client.wait(job_id)
+        assert outcome["state"] == "interrupted"
+        assert "deadline of 0.05s exceeded" in outcome["message"]
+        journal = tmp_path / "state" / "jobs" / job_id / "run.journal"
+        committed = load_journal(str(journal)).completed_trials
+        assert len(committed) < 4000
+
+        def simulator():
+            return NoisySimulator(
+                build_compiled_benchmark("qft4"), ibm_yorktown(), seed=5
+            )
+
+        resumed = simulator().run(num_trials=4000, journal=str(journal))
+        assert resumed.journal.replayed_trials == len(committed)
+        assert resumed.counts == simulator().run(num_trials=4000).counts
+
+    def test_run_returning_after_its_deadline_is_done(
+        self, harness, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        real_execute_job = server_module.execute_job
+
+        def slow_execute_job(record, store, **kwargs):
+            time.sleep(0.3)  # past the deadline, without polling the stop
+            kwargs["stop"] = None
+            return real_execute_job(record, store, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_job", slow_execute_job)
+        client = harness()
+        result = client.submit_streaming(_spec(timeout=0.05))
+        assert sum(result["counts"].values()) == 48
+        (job,) = client.list_jobs()
+        assert job["state"] == "done"
+        scrape = client.metrics_http()
+        assert 'state="completed"' in scrape
+        assert not any(
+            line.startswith("repro_serve_jobs_total") and 'state="done"' in line
+            for line in scrape.splitlines()
+        )
+
+
 class TestMetricsEndpoint:
     def test_http_scrape_is_valid_openmetrics(self, harness):
         client = harness()

@@ -89,6 +89,42 @@ class TestCLI:
         ) == 0
         assert "mode              : baseline" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["run", "qft5", "--trials", "16", "--workers", "2",
+                 "--mode", "baseline"],
+                "workers requires mode='optimized' (the baseline has no "
+                "plan to partition)",
+            ),
+            (
+                ["run", "bv4", "--trials", "16", "--hybrid",
+                 "--max-cache-bytes", "4096"],
+                "hybrid is incompatible with max_cache_bytes: symbolic "
+                "snapshots are O(n) Pauli frames, not budgetable "
+                "statevectors",
+            ),
+            (
+                ["trace", "bv4", "--trials", "16", "--workers", "2",
+                 "--mode", "baseline"],
+                "workers requires mode='optimized' (the baseline has no "
+                "plan to partition)",
+            ),
+            (
+                ["trace", "bv4", "--trials", "16", "--batch", "4",
+                 "--backend", "counting"],
+                "batch_size requires the compiled 'statevector' backend "
+                "(batched kernel surface), got 'counting'",
+            ),
+        ],
+    )
+    def test_rejected_options_exit_2_with_the_table_message(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "not-a-benchmark"])

@@ -75,6 +75,63 @@ class TestHarness:
         assert "profile" not in record
 
 
+class TestSectionLoop:
+    def test_every_section_is_exact_and_keeps_the_ci_keys(self):
+        record = bench_one(
+            "bv4", num_trials=24, repeats=1, warmup=0, seed=7, check=False,
+            workers=[1], batches=[2], hybrid=True,
+        )
+        sections = record["parallel"] + record["batch"] + record["hybrid"]
+        assert len(sections) == 4
+        for section in sections:
+            assert section["exact"] == {
+                "ops_equal": True, "states_bit_identical": True, "ok": True,
+            }
+            assert section["best_s"] > 0 and section["speedup_vs_serial"] > 0
+            assert section["peak_rss_kb"]["self"]
+        (parallel,) = record["parallel"]
+        assert parallel["workers"] == 1 and parallel["partition_depth"] == 1
+        assert {"num_tasks", "used_fork", "shm_bytes"} <= set(parallel)
+        assert [s["batch"] for s in record["batch"]] == [2]
+        assert [s["batch"] for s in record["hybrid"]] == [0, 64]
+        assert all({"active", "stats"} <= set(s) for s in record["hybrid"])
+        assert record["batch_best"]["batch"] == 2
+        assert record["hybrid_best"]["batch"] in (0, 64)
+
+    def test_one_perturbed_payload_fails_exactness(self, monkeypatch):
+        import repro.core.wavefront as wavefront
+        from repro.sim.statevector import Statevector
+
+        real_run_wavefront = wavefront.run_wavefront
+
+        def perturbed(layered, trials, backend, on_finish=None, **kwargs):
+            if on_finish is None:
+                return real_run_wavefront(layered, trials, backend, **kwargs)
+            seen = []
+
+            def tamper(payload, indices):
+                if not seen:
+                    vector = payload.vector.copy()
+                    vector[0] += 1e-12
+                    payload = Statevector.from_buffer(
+                        vector, layered.num_qubits
+                    )
+                seen.append(indices)
+                on_finish(payload, indices)
+
+            return real_run_wavefront(layered, trials, backend, tamper, **kwargs)
+
+        monkeypatch.setattr(wavefront, "run_wavefront", perturbed)
+        record = bench_one(
+            "bv4", num_trials=24, repeats=1, warmup=0, seed=7, check=False,
+            batches=[2],
+        )
+        (section,) = record["batch"]
+        assert section["exact"] == {
+            "ops_equal": True, "states_bit_identical": False, "ok": False,
+        }
+
+
 class TestBenchCli:
     def test_bench_subcommand_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -97,6 +154,21 @@ class TestBenchCli:
 
     def test_bench_unknown_benchmark_exit_code(self, capsys):
         assert main(["bench", "--benchmarks", "nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch", "0"], "batch_size must be >= 1, got 0"),
+            (["--workers", "0"], "workers must be >= 1 (0 runs serially), got 0"),
+        ],
+    )
+    def test_rejected_section_exits_2_before_timing(
+        self, flags, message, capsys
+    ):
+        assert main(["bench", "--benchmarks", "bv4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_bench_trace_flag(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
