@@ -709,7 +709,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # A merged trace interleaves one prefix replay and N worker
         # tracks, so the serial replay checks don't apply.  Instead
         # prove the partition itself sound (P018), then re-derive it
-        # and hold every track to its own plan (per-worker P017).
+        # and hold the prefix track and every task attempt to its own
+        # plan (P017).
         from .core.parallel import partition_plan
         from .lint import lint_partition, lint_partition_trace
 
@@ -720,9 +721,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             partition, trials=trials, layered=simulator.layered
         )
         problems.extend(str(diagnostic) for diagnostic in audit.errors)
-        trace_audit = lint_partition_trace(
-            partition, partition.assign(args.workers), recorder
-        )
+        trace_audit = lint_partition_trace(partition, recorder)
         problems.extend(str(diagnostic) for diagnostic in trace_audit.errors)
         recorded_ops = recorder.counters.get("ops.applied", 0)
         if recorded_ops != result.metrics.optimized_ops:
@@ -733,7 +732,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if not problems:
             print(
                 "trace cross-check : ok (partition exactly covers the "
-                "trials; every worker track matches its sub-plans; "
+                "trials; every task attempt matches its sub-plan; "
                 "merged counters equal RunMetrics)"
             )
     elif args.batch:

@@ -68,6 +68,7 @@ from .schedule import (
     ScheduleError,
     Snapshot,
     build_plan,
+    rebuild_program,
 )
 from .shared import SharedPrefixStore, advance_step, circuit_fingerprint, inject_step
 
@@ -242,29 +243,23 @@ def _enforce_budget(
             )
 
 
-def _recompute_snapshot(
-    backend: SimulationBackend,
-    layered: LayeredCircuit,
-    events: Sequence[Any],
-    layer: int,
-):
-    """Rebuild a dropped snapshot from its event provenance.
-
-    Replays the exact advance/inject boundary sequence the original prefix
-    walk used (advance to each event's layer, inject, final advance to the
-    snapshot layer), so segment memoization and kernel fusion see the same
-    segment boundaries and the rebuilt amplitudes are bit-identical.
-    """
-    state = backend.make_initial()
-    cursor = 0
-    for event in events:
-        target = event.layer + 1
-        if target > cursor:
-            backend.apply_layers(state, cursor, target)
-            cursor = target
+def _run_program(backend: SimulationBackend, state, program, recorder=None):
+    """Apply an ``Advance``/``Inject`` program (see :func:`rebuild_program`)
+    to ``state``; with a recorder, each injection is an ``inject`` instant."""
+    for instr in program:
+        if isinstance(instr, Advance):
+            backend.apply_layers(state, instr.start_layer, instr.end_layer)
+            continue
+        event = instr.event
         backend.apply_operator(state, event.gate, (event.qubit,))
-    if layer > cursor:
-        backend.apply_layers(state, cursor, layer)
+        if recorder:
+            recorder.instant(
+                "inject",
+                cat="exec",
+                layer=event.layer,
+                qubit=event.qubit,
+                pauli=event.pauli,
+            )
     return state
 
 
@@ -294,7 +289,11 @@ def _restore_degradable(
             recorder.counter("cache.spill.load", 1)
     elif isinstance(entry, DroppedSnapshot):
         ops_before = backend.ops_applied
-        state = _recompute_snapshot(backend, layered, entry.provenance, layer)
+        state = _run_program(
+            backend,
+            backend.make_initial(),
+            rebuild_program(entry.provenance, layer),
+        )
         cache.note_recompute()
         if recorder:
             ops_delta = backend.ops_applied - ops_before
@@ -705,24 +704,13 @@ def run_baseline(
             recorder.begin(f"trial[{index}]", cat="trial", errors=trial.num_errors)
         state = backend.make_initial()
         cache.working_created()
-        cursor = 0
         ops_before = backend.ops_applied
-        for event in trial.events:
-            target = event.layer + 1
-            if target > cursor:
-                backend.apply_layers(state, cursor, target)
-                cursor = target
-            backend.apply_operator(state, event.gate, (event.qubit,))
-            if recorder:
-                recorder.instant(
-                    "inject",
-                    cat="exec",
-                    layer=event.layer,
-                    qubit=event.qubit,
-                    pauli=event.pauli,
-                )
-        if layered.num_layers > cursor:
-            backend.apply_layers(state, cursor, layered.num_layers)
+        _run_program(
+            backend,
+            state,
+            rebuild_program(trial.events, layered.num_layers),
+            recorder,
+        )
         if on_finish is not None:
             payload = backend.finish(state)
             on_finish(payload, (index,))

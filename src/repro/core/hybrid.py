@@ -44,7 +44,7 @@ cost model can price the hybrid run without touching a backend.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,13 +62,16 @@ from .executor import (
 )
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
+    PlanWalk,
     Restore,
     ScheduleError,
     Snapshot,
     build_plan,
+    localize_plan,
 )
 
 __all__ = [
@@ -212,14 +215,15 @@ def classify_instructions(
 ) -> HybridSchedule:
     """Statically split an instruction stream into symbolic/dense actions.
 
-    Accepts plan instructions plus the parallel partitioner's ``EmitTask``
-    (duck-typed via its ``task_id`` field).  The walk is deterministic and
-    backend-free: frames are conjugated through the shadow segment
-    matrices (`_shadow_segment`), dense regions mirror the serial slot
-    discipline, and every residency statistic is derived from the same
-    use-counting the runtime applies.
+    A fold over :class:`~repro.core.schedule.PlanWalk`, so it accepts plan
+    instructions plus the parallel partitioner's ``EmitTask``.  The walk
+    pairs every ``Restore`` with its ``Snapshot`` and carries the event
+    history; the fold keeps only each state's own fact — ``(anchor path,
+    frame)`` for a symbolic state, ``_DENSE`` for a dense one — keyed by
+    the slot the walk reports.  Frames are conjugated through the shadow
+    segment matrices (`_shadow_segment`), and every residency statistic
+    is derived from the same use-counting the runtime applies.
     """
-    identity = PauliFrame(layered.num_qubits)
     shadow_cache: Dict[Tuple[int, int], Tuple] = {}
 
     def shadow(a: int, b: int) -> Tuple:
@@ -232,20 +236,20 @@ def classify_instructions(
 
     actions: List[Tuple] = []
     slots: Dict[int, Any] = {}
-    working: Any = _Sym(ROOT_PATH, identity.copy(), ())
+    working: Any = (ROOT_PATH, PauliFrame(layered.num_qubits))
     derive_gates: Dict[Tuple[int, ...], int] = {ROOT_PATH: 0}
     # Chronological use events: ("use", path) | ("create", path) |
     # ("dense", +-1) | ("transient",) — replayed afterwards for peaks.
     timeline: List[Tuple] = [("create", ROOT_PATH)]
     path_uses: Dict[Tuple[int, ...], int] = {ROOT_PATH: 0}
-
-    symbolic_gates = 0
-    dense_gates = 0
-    symbolic_injects = 0
-    dense_injects = 0
-    materializations = 0
-    borrows = 0
-    planned_ops = 0
+    count = dict.fromkeys(
+        (
+            "planned_ops", "symbolic_gates", "dense_gates",
+            "symbolic_injects", "dense_injects", "materializations",
+            "borrows",
+        ),
+        0,
+    )
     sym_stored = 0
     dense_stored = 0
     peak_sym_stored = 0
@@ -255,20 +259,35 @@ def classify_instructions(
         path_uses[path] += 1
         timeline.append(("use", path))
 
-    for instr in instructions:
+    def deliver(kind: str) -> None:
+        """A Finish or EmitTask payload: borrow or materialize the anchor."""
+        if working is _DENSE:
+            actions.append((kind + "-dense",))
+            return
+        path, frame = working
+        use(path)
+        if frame.is_identity:
+            count["borrows"] += 1
+        else:
+            count["materializations"] += 1
+            timeline.append(("transient",))
+        actions.append((kind + "-sym", path, frame.copy()))
+
+    for step in PlanWalk(instructions, layered.num_layers):
+        if step.fault:
+            raise step.error()
+        instr = step.instr
         if isinstance(instr, Advance):
             gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            planned_ops += gates
+            count["planned_ops"] += gates
             if working is _DENSE:
-                dense_gates += gates
+                count["dense_gates"] += gates
                 actions.append(("advance-dense",))
                 continue
-            crossed: Optional[PauliFrame]
-            if working.frame.is_identity:
-                crossed = working.frame
-            else:
-                trial_frame = working.frame.copy()
-                crossed = trial_frame
+            path, frame = working
+            crossed: Optional[PauliFrame] = frame
+            if not frame.is_identity:
+                trial_frame = crossed = frame.copy()
                 for matrix, qubits in shadow(
                     instr.start_layer, instr.end_layer
                 ):
@@ -278,105 +297,69 @@ def classify_instructions(
             if crossed is None:
                 # Materialize here; the subtree under this advance (until
                 # the next Restore of an outer slot) runs dense.
-                use(working.path)
+                use(path)
                 timeline.append(("transient",))
                 timeline.append(("dense", 1))
-                materializations += 1
-                dense_gates += gates
-                actions.append(
-                    ("advance-mat", working.path, working.frame, working.events)
-                )
+                count["materializations"] += 1
+                count["dense_gates"] += gates
+                actions.append(("advance-mat", path, frame, step.history))
                 working = _DENSE
                 continue
-            new_path = working.path + (instr.end_layer,)
-            parent = working.path
+            new_path = path + (instr.end_layer,)
             derive = new_path not in derive_gates
             if derive:
                 derive_gates[new_path] = gates
                 path_uses.setdefault(new_path, 0)
-                use(parent)
+                use(path)
                 timeline.append(("create", new_path))
-            symbolic_gates += gates
-            actions.append(("advance-sym", parent, new_path, derive))
-            working = _Sym(new_path, crossed, working.events)
+            count["symbolic_gates"] += gates
+            actions.append(("advance-sym", path, new_path, derive))
+            working = (new_path, crossed)
         elif isinstance(instr, Snapshot):
+            slots[instr.slot] = working
             if working is _DENSE:
-                slots[instr.slot] = _DENSE
                 timeline.append(("dense", 1))
                 actions.append(("snapshot-dense",))
                 dense_stored += 1
                 peak_dense_stored = max(peak_dense_stored, dense_stored)
             else:
-                slots[instr.slot] = working.copy()
                 actions.append(("snapshot-sym",))
                 sym_stored += 1
                 peak_sym_stored = max(peak_sym_stored, sym_stored)
         elif isinstance(instr, Inject):
-            planned_ops += 1
+            count["planned_ops"] += 1
             if working is _DENSE:
-                dense_injects += 1
+                count["dense_injects"] += 1
                 actions.append(("inject-dense",))
             else:
-                event = instr.event
-                frame = working.frame.copy()
-                frame.inject(event.pauli, event.qubit)
-                working = _Sym(
-                    working.path, frame, working.events + (event,)
-                )
-                symbolic_injects += 1
+                path, frame = working
+                frame = frame.copy()
+                frame.inject(instr.event.pauli, instr.event.qubit)
+                working = (path, frame)
+                count["symbolic_injects"] += 1
                 actions.append(("inject-sym",))
         elif isinstance(instr, Restore):
-            if working is _DENSE or working is None:
+            if working is _DENSE:
                 timeline.append(("dense", -1))
-            restored = slots.pop(instr.slot)
-            if restored is _DENSE:
+            working = slots.pop(instr.slot)
+            if working is _DENSE:
                 actions.append(("restore-dense",))
-                working = _DENSE
                 dense_stored -= 1
             else:
                 actions.append(("restore-sym",))
-                working = restored
                 sym_stored -= 1
         elif isinstance(instr, Finish):
-            if working is _DENSE:
-                actions.append(("finish-dense",))
-            else:
-                use(working.path)
-                if working.frame.is_identity:
-                    borrows += 1
-                else:
-                    materializations += 1
-                    timeline.append(("transient",))
-                actions.append(
-                    ("finish-sym", working.path, working.frame.copy())
-                )
-        elif hasattr(instr, "task_id"):  # parallel EmitTask
-            if working is _DENSE:
-                actions.append(("emit-dense",))
-            else:
-                use(working.path)
-                if working.frame.is_identity:
-                    borrows += 1
-                else:
-                    materializations += 1
-                    timeline.append(("transient",))
-                actions.append(
-                    ("emit-sym", working.path, working.frame.copy())
-                )
+            deliver("finish")
         else:
-            raise ScheduleError(f"unknown plan instruction {instr!r}")
+            deliver("emit")
 
     # ---- residency replay: anchors live from creation to last use -------
-    last_use: Dict[Tuple[int, ...], int] = {}
-    for index, event in enumerate(timeline):
-        if event[0] == "use":
-            last_use[event[1]] = index
     live_anchors = 0
     dense_live = 0
     peak_anchors = 0
     peak_real = 0
     remaining = dict(path_uses)
-    for index, event in enumerate(timeline):
+    for event in timeline:
         kind = event[0]
         transient = 0
         if kind == "create":
@@ -394,22 +377,16 @@ def classify_instructions(
         peak_real = max(peak_real, live_anchors + dense_live + transient)
 
     anchor_ops = sum(derive_gates.values())
-    stats = {
-        "planned_ops": planned_ops,
-        "symbolic_gates": symbolic_gates,
-        "dense_gates": dense_gates,
-        "symbolic_injects": symbolic_injects,
-        "dense_injects": dense_injects,
-        "materializations": materializations,
-        "borrows": borrows,
-        "anchors": len(derive_gates),
-        "anchor_ops": anchor_ops,
-        "savings": symbolic_gates - anchor_ops,
-        "peak_anchors": peak_anchors,
-        "peak_real_states": peak_real,
-        "peak_sym_stored": peak_sym_stored,
-        "peak_dense_stored": peak_dense_stored,
-    }
+    stats = dict(
+        count,
+        anchors=len(derive_gates),
+        anchor_ops=anchor_ops,
+        savings=count["symbolic_gates"] - anchor_ops,
+        peak_anchors=peak_anchors,
+        peak_real_states=peak_real,
+        peak_sym_stored=peak_sym_stored,
+        peak_dense_stored=peak_dense_stored,
+    )
     return HybridSchedule(
         layered, actions, path_uses, derive_gates, stats
     )
@@ -543,54 +520,6 @@ class _AnchorStore:
         anchor = self.get(path)
         self.release(path)
         return anchor
-
-
-def _fragment_end(instructions: Sequence[Any], start: int) -> int:
-    """First index past a dense subtree beginning at ``start``.
-
-    The fragment covers everything up to (excluding) the first ``Restore``
-    of a slot that was stored *outside* the fragment — DFS nesting makes
-    that the unique exit — or the end of the plan.
-    """
-    inner: set = set()
-    for index in range(start, len(instructions)):
-        instr = instructions[index]
-        if isinstance(instr, Snapshot):
-            inner.add(instr.slot)
-        elif isinstance(instr, Restore):
-            if instr.slot in inner:
-                inner.remove(instr.slot)
-            else:
-                return index
-    return len(instructions)
-
-
-def _localize_fragment(
-    instructions: Sequence[Any],
-    num_layers: int,
-) -> Tuple[ExecutionPlan, Tuple[int, ...], int]:
-    """Renumber a fragment's Finish indices into a local sub-plan.
-
-    Same idiom as the parallel partitioner's task localization: global
-    trial indices are collected in finish order and each ``Finish`` gets
-    the corresponding local range, so a worker executor can run the
-    fragment against the trial subset.
-    """
-    ordered_globals: List[int] = []
-    local: List[Any] = []
-    finishes = 0
-    for instr in instructions:
-        if isinstance(instr, Finish):
-            start = len(ordered_globals)
-            ordered_globals.extend(instr.trial_indices)
-            local.append(Finish(tuple(range(start, len(ordered_globals)))))
-            finishes += 1
-        else:
-            local.append(instr)
-    plan = ExecutionPlan(
-        local, num_trials=len(ordered_globals), num_layers=num_layers
-    )
-    return plan, tuple(ordered_globals), finishes
 
 
 def run_hybrid(
@@ -766,11 +695,19 @@ def run_hybrid(
                     dense = dense.copy()
                 if batch_size >= 1:
                     # Delegate the whole dense subtree as one batched
-                    # fragment; the loop resumes at the outer Restore.
-                    end = _fragment_end(instructions, index)
-                    sub_plan, ordered_globals, sub_finishes = (
-                        _localize_fragment(instructions[index:end], num_layers)
+                    # fragment; the loop resumes at the outer Restore,
+                    # the first one the classifier tagged symbolic.
+                    end = next(
+                        (
+                            j for j in range(index + 1, total)
+                            if actions[j][0] == "restore-sym"
+                        ),
+                        total,
                     )
+                    sub_plan, ordered_globals, groups = localize_plan(
+                        instructions[index:end], num_layers
+                    )
+                    sub_finishes = len(groups)
                     sub_trials = [trials[g] for g in ordered_globals]
 
                     def sub_finish(payload, local_indices, _map=ordered_globals):
@@ -1134,7 +1071,7 @@ def run_hybrid_prefix(
                     "cache.hit", cat="cache", slot=instr.slot,
                     layer=working_layer, evict=True,
                 )
-        elif hasattr(instr, "task_id"):
+        elif isinstance(instr, EmitTask):
             task = partition.tasks[instr.task_id]
             if working_layer != task.entry_layer:
                 raise ScheduleError(

@@ -117,11 +117,13 @@ from .executor import (
     ExecutionOutcome,
     FinishCallback,
     RunInterrupted,
+    _record_run_meta,
     run_optimized,
 )
 from .resilience import WorkerCrash
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -130,6 +132,7 @@ from .schedule import (
     ScheduleError,
     Snapshot,
     emit_subtree,
+    localize_plan,
 )
 from .trie import TrialTrie, TrieNode
 
@@ -146,15 +149,6 @@ __all__ = [
 
 #: Exit code a worker uses for an injected (simulated) crash.
 _CRASH_EXIT = 73
-
-
-class EmitTask(NamedTuple):
-    """Prefix pseudo-instruction: serialize the working state as the entry
-    snapshot of task ``task_id`` (the working state is consumed, exactly
-    like a serial ``Finish``: the next instruction is a ``Restore`` or the
-    prefix ends)."""
-
-    task_id: int
 
 
 PrefixInstruction = Union[Advance, Snapshot, Inject, Restore, EmitTask]
@@ -331,31 +325,16 @@ class _Partitioner:
         instructions: Sequence[PlanInstruction],
     ) -> int:
         """Localize a global-index instruction list into a SubPlan."""
-        ordered_globals: List[int] = []
-        finishes: List[Tuple[int, ...]] = []
-        local_instructions: List[PlanInstruction] = []
-        for instr in instructions:
-            if isinstance(instr, Finish):
-                start = len(ordered_globals)
-                ordered_globals.extend(instr.trial_indices)
-                finishes.append(instr.trial_indices)
-                local_instructions.append(
-                    Finish(tuple(range(start, len(ordered_globals))))
-                )
-            else:
-                local_instructions.append(instr)
-        plan = ExecutionPlan(
-            local_instructions,
-            num_trials=len(ordered_globals),
-            num_layers=self.layered.num_layers,
+        plan, trial_indices, finishes = localize_plan(
+            instructions, self.layered.num_layers
         )
         task = SubPlan(
             task_id=len(self.tasks),
             entry_layer=entry_layer,
             entry_events=path,
             plan=plan,
-            trial_indices=tuple(ordered_globals),
-            finishes=tuple(finishes),
+            trial_indices=trial_indices,
+            finishes=finishes,
             est_ops=plan.planned_operations(self.layered),
         )
         self.tasks.append(task)
@@ -807,6 +786,12 @@ class _TaskBlock:
                 worker_id, task_id, attempt, tasks_done, inline=inline
             )
         self.verify_entry(task_id)
+        if recorder:
+            # Opens this attempt on the worker's track: its cache events
+            # belong to this task's sub-plan (P017 holds them to it).
+            recorder.instant(
+                "task.attempt", cat="parallel", task=task_id, attempt=attempt
+            )
         report = self.run(task_id, backend, recorder)
         if faults is not None and faults.corrupt_payload(task_id, attempt):
             self._flip_byte(self.results, self.offsets[task_id])
@@ -942,6 +927,7 @@ def _drive_pool(
             completed[task_id] = dict(event.data, worker=worker_id)
             pending.discard(task_id)
             needs_parent.discard(task_id)
+            note("task.accepted", task=task_id, from_worker=worker_id)
         else:
             counters["wasted_ops"] += event.data["ops"]
             note("payload.corrupt", task=task_id, worker=worker_id)
@@ -1398,6 +1384,9 @@ def run_parallel(
         )
 
         if recorder:
+            # The whole run's description, ahead of every sub-run's own
+            # run.meta merged in from the workers.
+            _record_run_meta(recorder, "parallel", layered, trials)
             recorder.instant(
                 "parallel.meta", cat="parallel", workers=workers,
                 depth=depth, tasks=num_tasks, shm_bytes=shm_bytes,

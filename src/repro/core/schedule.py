@@ -18,6 +18,14 @@ five instruction kinds interpreted by the executor against any backend.
     The working state has reached the final layer; it is the final state of
     every listed trial (several indices = deduplicated identical trials).
 
+A parallel *prefix program* (:mod:`repro.core.parallel`) adds a sixth kind,
+``EmitTask(task_id)``, which hands the working state to a sub-plan task.
+
+:class:`PlanWalk` is the one backend-free interpretation of these
+instructions: every static analysis (the sanitizer, the cost model, the
+partition, trace, journal, wavefront and hybrid rules, the wavefront and
+hybrid planners) is a fold over its steps.
+
 Plan shape
 ----------
 The plan is a depth-first traversal of the trie.  At each node the working
@@ -33,7 +41,17 @@ the last consumer steals the state instead of copying it.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..circuits.layers import LayeredCircuit
 from .events import ErrorEvent, Trial
@@ -45,11 +63,17 @@ __all__ = [
     "Inject",
     "Restore",
     "Finish",
+    "EmitTask",
     "PlanInstruction",
     "ExecutionPlan",
+    "PlanWalk",
+    "SlotEntry",
+    "Step",
     "build_plan",
     "build_plan_from_trie",
     "emit_subtree",
+    "localize_plan",
+    "rebuild_program",
     "ScheduleError",
 ]
 
@@ -79,7 +103,155 @@ class Finish(NamedTuple):
     trial_indices: Tuple[int, ...]
 
 
+class EmitTask(NamedTuple):
+    """Prefix pseudo-instruction: serialize the working state as the entry
+    snapshot of task ``task_id`` (the working state is consumed, exactly
+    like a serial ``Finish``: the next instruction is a ``Restore`` or the
+    prefix ends)."""
+
+    task_id: int
+
+
 PlanInstruction = Union[Advance, Snapshot, Inject, Restore, Finish]
+
+
+class SlotEntry(NamedTuple):
+    """A stored snapshot: the working layer and event history it holds,
+    and the index of the ``Snapshot`` that wrote it."""
+
+    layer: int
+    history: Tuple[ErrorEvent, ...]
+    index: int
+
+
+class Step(NamedTuple):
+    """One instruction as the symbolic walk sees it.
+
+    ``layer`` and ``history`` describe the working state *before* the
+    instruction.  ``entry`` is the slot's :class:`SlotEntry` on a
+    ``Restore`` (the snapshot it resumes) and on a ``Snapshot`` of an
+    occupied slot (the occupant), else ``None``.  ``live`` and ``stored``
+    count states *after* the instruction, as
+    :class:`~repro.core.cache.StateCache` does at runtime: the working
+    state (until an ``EmitTask`` not followed by a ``Restore`` consumes
+    it), stored snapshots and emitted task entries.  ``fault`` is ``""``
+    for a sound instruction, else one of ``advance-range`` (inverted or
+    beyond the circuit), ``advance-gap`` (not starting at the working
+    layer), ``slot-occupied``, ``inject-layer`` (not at its event's layer
+    boundary), ``slot-empty``, ``finish-early`` (before the last layer)
+    or ``unknown`` (not an instruction).
+    """
+
+    index: int
+    instr: Any
+    layer: int
+    history: Tuple[ErrorEvent, ...]
+    fault: str
+    entry: Optional[SlotEntry]
+    live: int
+    stored: int
+
+    def error(self) -> ScheduleError:
+        """The fault as an exception, for consumers that cannot go on."""
+        return ScheduleError(
+            f"plan[{self.index}] {self.instr!r}: {self.fault}"
+        )
+
+
+class PlanWalk:
+    """The backend-free symbolic walk over an instruction stream.
+
+    Iterating yields one :class:`Step` per instruction, starting from a
+    working state at ``entry_layer`` with ``entry_events`` injected (a
+    sub-plan resumed from a shared-prefix entry state).  The walk owns
+    the plan's symbolic semantics: the working layer, the injected-event
+    history, slot occupancy with each snapshot's layer and history, and
+    the live/stored counts.  It never raises on a bad stream: a
+    structural fault is reported on its step and the walk recovers the
+    way the sanitizer always has — an ``Advance`` still moves the layer
+    to its end, an ``Inject`` still joins the history, and a ``Snapshot``
+    of an occupied slot or a ``Restore`` of an empty one changes nothing.
+
+    After iteration, ``slots`` holds the snapshots never restored and
+    ``peak_live`` / ``peak_stored`` the static peaks, which equal the
+    runtime ``CacheStats`` of an optimized run of the same plan.
+    """
+
+    def __init__(
+        self,
+        instructions: Sequence[Any],
+        num_layers: int,
+        entry_layer: int = 0,
+        entry_events: Sequence[ErrorEvent] = (),
+    ) -> None:
+        self.instructions = instructions
+        self.num_layers = num_layers
+        self.entry_layer = int(entry_layer)
+        self.entry_events = tuple(entry_events)
+        self.slots: Dict[int, SlotEntry] = {}
+        self.peak_live = 1
+        self.peak_stored = 0
+
+    def __iter__(self) -> Iterator[Step]:
+        instructions = self.instructions
+        num_layers = self.num_layers
+        layer = self.entry_layer
+        history = self.entry_events
+        slots: Dict[int, SlotEntry] = {}
+        self.slots = slots
+        self.peak_live = 1
+        self.peak_stored = 0
+        working = 1
+        stored = 0  # snapshots plus emitted task entries
+        for index, instr in enumerate(instructions):
+            layer_before, history_before = layer, history
+            fault = ""
+            entry: Optional[SlotEntry] = None
+            if isinstance(instr, Advance):
+                if not 0 <= instr.start_layer <= instr.end_layer <= num_layers:
+                    fault = "advance-range"
+                elif instr.start_layer != layer:
+                    fault = "advance-gap"
+                layer = instr.end_layer
+            elif isinstance(instr, Snapshot):
+                entry = slots.get(instr.slot)
+                if entry is None:
+                    slots[instr.slot] = SlotEntry(layer, history, index)
+                    stored += 1
+                else:
+                    fault = "slot-occupied"
+            elif isinstance(instr, Inject):
+                if instr.event.layer + 1 != layer:
+                    fault = "inject-layer"
+                history = history + (instr.event,)
+            elif isinstance(instr, Restore):
+                entry = slots.pop(instr.slot, None)
+                if entry is None:
+                    fault = "slot-empty"
+                else:
+                    layer, history = entry.layer, entry.history
+                    stored -= 1
+                    working = 1
+            elif isinstance(instr, Finish):
+                if layer != num_layers:
+                    fault = "finish-early"
+            elif isinstance(instr, EmitTask):
+                # The entry stays held for its task; the working state is
+                # released unless a Restore replaces it right away.
+                stored += 1
+                if index + 1 == len(instructions) or not isinstance(
+                    instructions[index + 1], Restore
+                ):
+                    working = 0
+            else:
+                fault = "unknown"
+            live = stored + working
+            self.peak_live = max(self.peak_live, live)
+            self.peak_stored = max(self.peak_stored, stored)
+            yield Step(
+                index, instr, layer_before, history_before, fault, entry,
+                live, stored,
+            )
 
 
 class ExecutionPlan:
@@ -275,6 +447,57 @@ def emit_subtree(
     builder.next_slot = start_slot
     builder._emit_node(node, entry_layer)
     return builder.instructions, builder.next_slot
+
+
+def rebuild_program(
+    events: Sequence[ErrorEvent], layer: int
+) -> List[PlanInstruction]:
+    """``Advance``/``Inject`` instructions rebuilding a state from |0...0>.
+
+    Advance to each event's layer, inject it, then advance to ``layer``.
+    Dropped-snapshot recompute, the baseline executor's per-trial run,
+    wavefront entry regeneration and the cost model's recompute price
+    all run this one program, so they agree on its segment boundaries
+    (and therefore on compiled segments and their rounding).
+    """
+    program: List[PlanInstruction] = []
+    cursor = 0
+    for event in events:
+        target = event.layer + 1
+        if target > cursor:
+            program.append(Advance(cursor, target))
+            cursor = target
+        program.append(Inject(event))
+    if layer > cursor:
+        program.append(Advance(cursor, layer))
+    return program
+
+
+def localize_plan(
+    instructions: Sequence[PlanInstruction], num_layers: int
+) -> Tuple[ExecutionPlan, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Renumber a plan slice's ``Finish`` indices into a local plan.
+
+    Global trial indices are numbered in finish order, so the local plan
+    runs standalone against the trial subset.  Returns the local plan,
+    the global index of each local one, and each ``Finish``'s global
+    index tuple in order.
+    """
+    trial_indices: List[int] = []
+    finishes: List[Tuple[int, ...]] = []
+    local: List[PlanInstruction] = []
+    for instr in instructions:
+        if isinstance(instr, Finish):
+            start = len(trial_indices)
+            trial_indices.extend(instr.trial_indices)
+            finishes.append(tuple(instr.trial_indices))
+            local.append(Finish(tuple(range(start, len(trial_indices)))))
+        else:
+            local.append(instr)
+    plan = ExecutionPlan(
+        local, num_trials=len(trial_indices), num_layers=num_layers
+    )
+    return plan, tuple(trial_indices), tuple(finishes)
 
 
 def build_plan_from_trie(

@@ -12,12 +12,13 @@ them at once.
 Everything is derived from the serial :class:`ExecutionPlan` — the
 wavefront planner is a *plan transformation*, not a new scheduler:
 
-* The instruction stream is parsed with a stack machine into **lanes** —
-  one lane per trie-node trajectory.  ``Advance`` appends a layer hop to
-  the current lane, ``Snapshot``+``Inject`` forks a child lane (the parent
-  row survives and is copied on divergence), a bare ``Inject`` is a steal
-  (the parent row *moves* into the child), ``Restore`` resumes the parent
-  lane, ``Finish`` ends a lane with its serial finish rank.
+* The plan's walk (:class:`~repro.core.schedule.PlanWalk`) is folded
+  into **lanes** — one lane per trie-node trajectory.  ``Advance``
+  appends a layer hop to the current lane, ``Snapshot``+``Inject`` forks
+  a child lane (the parent row survives and is copied on divergence), a
+  bare ``Inject`` is a steal (the parent row *moves* into the child),
+  ``Restore`` resumes the parent lane, ``Finish`` ends a lane with its
+  serial finish rank.
 * Lane hops reproduce the serial plan's exact ``[start, end)`` segment
   boundaries, so the memoized compiled segments — and therefore fusion
   boundaries and float rounding — are identical to the serial path.
@@ -69,10 +70,13 @@ from .schedule import (
     ExecutionPlan,
     Finish,
     Inject,
+    PlanInstruction,
+    PlanWalk,
     Restore,
     ScheduleError,
     Snapshot,
     build_plan,
+    rebuild_program,
 )
 
 __all__ = [
@@ -289,8 +293,12 @@ class WavefrontPlan:
 def _parse_lanes(
     plan: ExecutionPlan, entry_layer: int
 ) -> List[WavefrontLane]:
-    """Parse the serial instruction stream into lane trajectories."""
-    num_layers = plan.num_layers
+    """Fold the serial plan's walk into lane trajectories.
+
+    The walk pairs each ``Restore`` with its ``Snapshot``; the fold keeps
+    only each state's lane id, keyed by the slot the walk reports, and
+    raises on the first structural fault.
+    """
     lanes: List[WavefrontLane] = []
     hops: List[List[Tuple[int, int]]] = []
     spawn_bounds: List[List[Tuple[int, int, bool]]] = []
@@ -304,77 +312,52 @@ def _parse_lanes(
         spawn_bounds.append([])
         return lane_id
 
-    root = new_lane(None, None, False, None, entry_layer)
-    current: Optional[int] = root
-    cursor: Optional[int] = entry_layer
-    stack: List[Tuple[int, int, int]] = []  # (lane, cursor, slot)
+    # The working state's lane; None once a Finish retired it.
+    current: Optional[int] = new_lane(None, None, False, None, entry_layer)
+    slot_lanes: Dict[int, int] = {}
     pending_slot: Optional[int] = None
     rank = 0
-    for instr in plan.instructions:
+    walk = PlanWalk(plan.instructions, plan.num_layers, entry_layer)
+    for step in walk:
+        instr = step.instr
+        if step.fault:
+            raise step.error()
+        if isinstance(instr, Restore):
+            current = slot_lanes.pop(instr.slot)
+            pending_slot = None
+            continue
+        if current is None:
+            raise ScheduleError(
+                f"plan[{step.index}] {instr!r} with no working lane"
+            )
         if isinstance(instr, Advance):
-            if current is None or cursor is None:
-                raise ScheduleError("advance with no working lane")
-            if instr.start_layer != cursor:
-                raise ScheduleError(
-                    f"advance from layer {instr.start_layer} but lane "
-                    f"{current} is at layer {cursor}"
-                )
             if instr.end_layer > instr.start_layer:
                 hops[current].append((instr.start_layer, instr.end_layer))
-                cursor = instr.end_layer
-            elif instr.end_layer < instr.start_layer:
-                raise ScheduleError(f"backwards advance {instr}")
             pending_slot = None
         elif isinstance(instr, Snapshot):
-            if current is None or cursor is None:
-                raise ScheduleError("snapshot with no working lane")
-            stack.append((current, cursor, instr.slot))
+            slot_lanes[instr.slot] = current
             pending_slot = instr.slot
         elif isinstance(instr, Inject):
-            if current is None or cursor is None:
-                raise ScheduleError("inject with no working lane")
-            event = instr.event
-            if event.layer + 1 != cursor:
-                raise ScheduleError(
-                    f"inject {event} at working layer {cursor}"
-                )
             snapshot = pending_slot is not None
-            child = new_lane(current, event, snapshot, pending_slot, cursor)
+            child = new_lane(
+                current, instr.event, snapshot, pending_slot, step.layer
+            )
             spawn_bounds[current].append(
                 (len(hops[current]), child, not snapshot)
             )
             current = child
             pending_slot = None
-        elif isinstance(instr, Restore):
-            matched = None
-            for position in range(len(stack) - 1, -1, -1):
-                if stack[position][2] == instr.slot:
-                    matched = stack.pop(position)
-                    break
-            if matched is None:
-                raise ScheduleError(
-                    f"restore of slot {instr.slot} with no stored snapshot"
-                )
-            current, cursor = matched[0], matched[1]
-            pending_slot = None
         elif isinstance(instr, Finish):
-            if current is None or cursor is None:
-                raise ScheduleError("finish with no working lane")
-            if cursor != num_layers:
-                raise ScheduleError(
-                    f"finish at layer {cursor}, circuit has "
-                    f"{num_layers} layer(s)"
-                )
             lanes[current].finish = (rank, tuple(instr.trial_indices))
             rank += 1
             current = None
-            cursor = None
             pending_slot = None
-        else:  # pragma: no cover - exhaustive over instruction kinds
+        else:
             raise ScheduleError(f"unknown plan instruction {instr!r}")
-    if stack:
+    if walk.slots:
         raise ScheduleError(
-            f"{len(stack)} snapshot(s) never restored — plan is unbalanced"
+            f"{len(walk.slots)} snapshot(s) never restored — plan is "
+            "unbalanced"
         )
 
     # Convert hops + spawn boundaries into stations.  Boundary ``b`` is
@@ -489,26 +472,6 @@ def plan_wavefronts(
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-_ProgramOp = Tuple  # ("adv", start, end) | ("inj", ErrorEvent)
-
-
-def _entry_program(
-    entry_events: Sequence[ErrorEvent], entry_layer: int
-) -> Tuple[_ProgramOp, ...]:
-    """Replay ops rebuilding an entry state from |0...0> (serial boundaries)."""
-    program: List[_ProgramOp] = []
-    cursor = 0
-    for event in entry_events:
-        target = event.layer + 1
-        if target > cursor:
-            program.append(("adv", cursor, target))
-            cursor = target
-        program.append(("inj", event))
-    if entry_layer > cursor:
-        program.append(("adv", cursor, entry_layer))
-    return tuple(program)
-
 
 class _Row:
     """A parked wavefront row: one lane's state awaiting its consumers."""
@@ -689,10 +652,10 @@ def run_wavefront(
             scratch = np.empty(shape, dtype=np.complex128)
         return scratch
 
-    program_cache: Dict[int, Tuple[_ProgramOp, ...]] = {}
-    entry_prog = _entry_program(entry_events, entry_layer)
+    program_cache: Dict[int, Tuple[PlanInstruction, ...]] = {}
+    entry_prog = tuple(rebuild_program(entry_events, entry_layer))
 
-    def birth_program(lane_id: int) -> Tuple[_ProgramOp, ...]:
+    def birth_program(lane_id: int) -> Tuple[PlanInstruction, ...]:
         """Ops rebuilding a lane's post-inject birth state from |0...0>."""
         cached = program_cache.get(lane_id)
         if cached is not None:
@@ -703,23 +666,24 @@ def run_wavefront(
         else:
             parent_id, station = lane.src
             parent = lanes[parent_id]
+            assert lane.event is not None  # a child lane is born by its inject
             program = birth_program(parent_id) + tuple(
-                ("adv", s, e)
+                Advance(s, e)
                 for s, e in parent.stations[: station + 1]
                 if e > s
-            ) + (("inj", lane.event),)
+            ) + (Inject(lane.event),)
         program_cache[lane_id] = program
         return program
 
-    def row_program(lane_id: int, station: int) -> Tuple[_ProgramOp, ...]:
+    def row_program(lane_id: int, station: int) -> Tuple[PlanInstruction, ...]:
         lane = lanes[lane_id]
         return birth_program(lane_id) + tuple(
-            ("adv", s, e)
+            Advance(s, e)
             for s, e in lane.stations[: station + 1]
             if e > s
         )
 
-    def recompute_row(program: Sequence[_ProgramOp]) -> np.ndarray:
+    def recompute_row(program: Sequence[PlanInstruction]) -> np.ndarray:
         """Replay a dropped row through the width-1 batched path."""
         nonlocal recomputes
         recomputes += 1
@@ -729,12 +693,14 @@ def run_wavefront(
         tensor[(0,) * num_qubits + (0,)] = 1.0
         scratch = take_scratch(shape)
         for op in program:
-            if op[0] == "adv":
-                out = backend.apply_layers_batch(tensor, scratch, op[1], op[2])
+            if isinstance(op, Advance):
+                out = backend.apply_layers_batch(
+                    tensor, scratch, op.start_layer, op.end_layer
+                )
                 scratch = tensor if out is scratch else scratch
                 tensor = out
-            else:
-                event = op[1]
+            elif isinstance(op, Inject):
+                event = op.event
                 backend.apply_operator_columns(
                     tensor, scratch, event.gate, (event.qubit,), 0, 1
                 )

@@ -9,9 +9,10 @@ parallel makespan are all decidable from the :class:`ExecutionPlan` alone,
 before a single amplitude is touched.  This module computes them:
 
 :func:`analyze_plan`
-    A symbolic abstract interpreter over plan programs (the same
-    discipline as :func:`repro.lint.plan_sanitizer.sanitize_plan`, which
-    proves *validity*; this pass computes *cost*).  Per-instruction
+    A fold over the symbolic plan walk
+    (:class:`~repro.core.schedule.PlanWalk`, the walk
+    :func:`repro.lint.plan_sanitizer.sanitize_plan` folds to prove
+    *validity*; this fold computes *cost*).  Per-instruction
     flop/byte costs come from the kernel taxonomy
     (:func:`repro.sim.kernels.kernel_cost` folded over each compiled
     segment, fused single-qubit runs included); the memory timeline
@@ -54,10 +55,11 @@ from ..core.schedule import (
     ExecutionPlan,
     Finish,
     Inject,
+    PlanWalk,
     Restore,
     ScheduleError,
     Snapshot,
-    build_plan,
+    rebuild_program,
 )
 
 __all__ = [
@@ -203,33 +205,24 @@ def _inject_cost(compiled, event: ErrorEvent) -> Tuple[int, int]:
     return cost.flops, cost.bytes_moved
 
 
-def _recompute_cost(
-    compiled,
-    layered: LayeredCircuit,
-    provenance: Sequence[ErrorEvent],
-    layer: int,
-) -> Tuple[int, int]:
-    """Closed-form (ops, flops) of rebuilding one dropped snapshot.
+def _charge(compiled, layered: LayeredCircuit, instr) -> Tuple[int, int, int]:
+    """(ops, flops, bytes) one instruction costs; zero for non-kernel ones.
 
-    Mirrors :func:`repro.core.executor._recompute_snapshot` exactly —
-    same advance/inject boundary sequence, so the same segment costs.
+    The single per-instruction price every fold in this module uses —
+    plan steps, prefix steps and the rebuild program of a dropped
+    snapshot alike.
     """
-    ops = 0
-    flops = 0
-    cursor = 0
-    for event in provenance:
-        target = event.layer + 1
-        if target > cursor:
-            ops += layered.gates_between(cursor, target)
-            flops += int(compiled.segment_cost(cursor, target)["flops"])
-            cursor = target
-        event_flops, _ = _inject_cost(compiled, event)
-        ops += 1
-        flops += event_flops
-    if layer > cursor:
-        ops += layered.gates_between(cursor, layer)
-        flops += int(compiled.segment_cost(cursor, layer)["flops"])
-    return ops, flops
+    if isinstance(instr, Advance):
+        cost = compiled.segment_cost(instr.start_layer, instr.end_layer)
+        return (
+            layered.gates_between(instr.start_layer, instr.end_layer),
+            int(cost["flops"]),
+            int(cost["bytes_moved"]),
+        )
+    if isinstance(instr, Inject):
+        flops, bytes_moved = _inject_cost(compiled, instr.event)
+        return 1, flops, bytes_moved
+    return 0, 0, 0
 
 
 def analyze_plan(
@@ -240,7 +233,7 @@ def analyze_plan(
     entry_layer: int = 0,
     entry_events: Sequence[ErrorEvent] = (),
 ) -> PlanCostAnalysis:
-    """Symbolically interpret ``plan`` and compute its static costs.
+    """Fold over the symbolic walk of ``plan`` and compute its static costs.
 
     The plan must be structurally valid (run the sanitizer first;
     :func:`build_certificate` does).  ``compiled`` is a
@@ -250,7 +243,8 @@ def analyze_plan(
     executor's spill/drop degradation under the same
     :class:`~repro.core.cache.CacheBudget`, mirroring its
     enforce-after-store, coldest-slot-first policy (statevector states
-    assumed: ``state_bytes = 16 * 2**n``).
+    assumed: ``state_bytes = 16 * 2**n``).  The fold keeps only each
+    stored snapshot's residency, keyed by the slot the walk reports.
     """
     if compiled is None:
         from ..sim.compiled import CompiledCircuit
@@ -261,11 +255,8 @@ def analyze_plan(
     analysis.num_instructions = len(plan.instructions)
     state_bytes = 16 * (1 << layered.num_qubits)
 
-    cursor = int(entry_layer)
-    history: Tuple[ErrorEvent, ...] = tuple(entry_events)
-    # slot -> {"layer", "history", "state": "resident"|"spilled"|"dropped"}
-    open_slots: Dict[int, Dict[str, Any]] = {}
-    stored = 0  # all stored snapshots (resident or degraded)
+    # slot -> "resident" | "spilled" | "dropped"
+    residency: Dict[int, str] = {}
     resident_stored = 0  # non-degraded snapshots only
 
     def resident_peaks() -> None:
@@ -276,54 +267,46 @@ def analyze_plan(
             analysis.peak_resident_stored, resident_stored
         )
 
-    def sample(index: int) -> None:
-        point = (index, stored + 1, stored, resident_stored + 1)
+    def sample(index: int, live: int, stored: int) -> None:
+        point = (index, live, stored, resident_stored + 1)
         if not analysis.timeline or analysis.timeline[-1][1:] != point[1:]:
             analysis.timeline.append(point)
 
-    sample(-1)  # the initial working state
+    sample(-1, 1, 0)  # the initial working state
 
-    for index, instr in enumerate(plan.instructions):
+    walk = PlanWalk(plan.instructions, plan.num_layers, entry_layer, entry_events)
+    for step in walk:
+        index, instr = step.index, step.instr
+        ops, flops, bytes_moved = _charge(compiled, layered, instr)
+        analysis.ops += ops
+        analysis.flops += flops
+        analysis.bytes_moved += bytes_moved
         if isinstance(instr, Advance):
-            gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            cost = compiled.segment_cost(instr.start_layer, instr.end_layer)
-            name = _segment_name(instr.start_layer, instr.end_layer)
             entry = analysis.segments.setdefault(
-                name,
+                _segment_name(instr.start_layer, instr.end_layer),
                 {
                     "count": 0,
-                    "gates": gates,
+                    "gates": ops,
                     "ops": 0,
                     "flops": 0,
                     "bytes_moved": 0,
                 },
             )
             entry["count"] += 1
-            entry["ops"] += gates
-            entry["flops"] += int(cost["flops"])
-            entry["bytes_moved"] += int(cost["bytes_moved"])
-            analysis.ops += gates
-            analysis.flops += int(cost["flops"])
-            analysis.bytes_moved += int(cost["bytes_moved"])
-            cursor = instr.end_layer
+            entry["ops"] += ops
+            entry["flops"] += flops
+            entry["bytes_moved"] += bytes_moved
         elif isinstance(instr, Snapshot):
-            if instr.slot in open_slots:
+            if step.fault:
                 raise ScheduleError(
                     f"cost analysis of an invalid plan: slot {instr.slot} "
                     "snapshotted while occupied (run sanitize_plan first)"
                 )
-            open_slots[instr.slot] = {
-                "layer": cursor,
-                "history": history,
-                "state": "resident",
-            }
-            stored += 1
+            residency[instr.slot] = "resident"
             resident_stored += 1
             analysis.snapshots_taken += 1
-            analysis.peak_msv = max(analysis.peak_msv, stored + 1)
-            analysis.peak_stored = max(analysis.peak_stored, stored)
             resident_peaks()
-            sample(index)
+            sample(index, step.live, step.stored)
             if budget is not None:
                 # Mirror _enforce_budget: degrade the coldest (lowest id)
                 # resident slot while the resident footprint exceeds the
@@ -334,60 +317,57 @@ def analyze_plan(
                 ):
                     coldest = min(
                         slot
-                        for slot, info in open_slots.items()
-                        if info["state"] == "resident"
+                        for slot, state in residency.items()
+                        if state == "resident"
                     )
-                    info = open_slots[coldest]
                     if budget.mode == "drop":
-                        info["state"] = "dropped"
+                        residency[coldest] = "dropped"
                         analysis.predicted_drops += 1
                     elif budget.mode == "spill":
-                        info["state"] = "spilled"
+                        residency[coldest] = "spilled"
                         analysis.predicted_spills += 1
                     else:
                         raise ScheduleError(
                             f"unknown cache degradation mode {budget.mode!r}"
                         )
                     resident_stored -= 1
-                    sample(index)
+                    sample(index, step.live, step.stored)
         elif isinstance(instr, Inject):
-            flops, bytes_moved = _inject_cost(compiled, instr.event)
             analysis.injects += 1
             analysis.inject_flops += flops
             analysis.inject_bytes += bytes_moved
-            analysis.ops += 1
-            analysis.flops += flops
-            analysis.bytes_moved += bytes_moved
-            history = history + (instr.event,)
         elif isinstance(instr, Restore):
-            info = open_slots.pop(instr.slot, None)
-            if info is None:
+            restored = step.entry
+            if restored is None:
                 raise ScheduleError(
                     f"cost analysis of an invalid plan: restore of empty "
                     f"slot {instr.slot} (run sanitize_plan first)"
                 )
-            stored -= 1
-            if info["state"] == "resident":
+            state = residency.pop(instr.slot)
+            if state == "resident":
                 resident_stored -= 1
-            elif info["state"] == "spilled":
+            elif state == "spilled":
                 analysis.predicted_spill_loads += 1
-            elif info["state"] == "dropped":
-                ops, flops = _recompute_cost(
-                    compiled, layered, info["history"], info["layer"]
-                )
+            else:  # dropped: priced as the executor rebuilds it
+                for rebuild in rebuild_program(
+                    restored.history, restored.layer
+                ):
+                    rebuild_ops, rebuild_flops, _ = _charge(
+                        compiled, layered, rebuild
+                    )
+                    analysis.predicted_recompute_ops += rebuild_ops
+                    analysis.predicted_recompute_flops += rebuild_flops
                 analysis.predicted_recomputes += 1
-                analysis.predicted_recompute_ops += ops
-                analysis.predicted_recompute_flops += flops
-            cursor = info["layer"]
-            history = info["history"]
             resident_peaks()
-            sample(index)
+            sample(index, step.live, step.stored)
         elif isinstance(instr, Finish):
             analysis.finishes += 1
             analysis.finished_trials += len(instr.trial_indices)
         else:
             raise ScheduleError(f"unknown plan instruction {instr!r}")
 
+    analysis.peak_msv = walk.peak_live
+    analysis.peak_stored = walk.peak_stored
     return analysis
 
 
@@ -424,41 +404,6 @@ def lpt_makespan(weights: Sequence[int], num_workers: int) -> int:
     """Max worker load of the deterministic LPT assignment."""
     _, loads = lpt_assign(weights, num_workers)
     return max(loads) if loads else 0
-
-
-def _prefix_static_peaks(partition, layered: LayeredCircuit) -> Dict[str, int]:
-    """Static mirror of ``_run_prefix`` peak accounting.
-
-    After every prefix instruction the parent's live count is
-    ``cached + working + emitted entry snapshots`` — the same formula
-    ``_run_prefix`` maximizes at runtime.
-    """
-    from ..core.parallel import EmitTask
-
-    stored = 0
-    working = 1
-    emitted = 0
-    peak_live = 1
-    peak_stored = 0
-    instructions = partition.prefix
-    for index, instr in enumerate(instructions):
-        if isinstance(instr, Snapshot):
-            stored += 1
-        elif isinstance(instr, Restore):
-            stored -= 1
-            working = 1
-        elif isinstance(instr, EmitTask):
-            emitted += 1
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if not isinstance(next_instr, Restore):
-                working = 0
-        peak_live = max(peak_live, stored + working + emitted)
-        peak_stored = max(peak_stored, stored + emitted)
-    return {"peak_live": peak_live, "peak_stored": peak_stored}
 
 
 def analyze_partition(
@@ -499,18 +444,13 @@ def analyze_partition(
         task_peaks.append(sub.peak_msv)
 
     prefix_ops = partition.prefix_operations(layered)
-    prefix_flops = 0
-    for instr in partition.prefix:
-        if isinstance(instr, Advance):
-            prefix_flops += int(
-                compiled.segment_cost(instr.start_layer, instr.end_layer)[
-                    "flops"
-                ]
-            )
-        elif isinstance(instr, Inject):
-            flops, _ = _inject_cost(compiled, instr.event)
-            prefix_flops += flops
-    prefix_peaks = _prefix_static_peaks(partition, layered)
+    # The parent's prefix: its flops, and its live count after every
+    # instruction (working + cached + emitted entries, the formula
+    # ``_run_prefix`` maximizes at runtime).
+    prefix = PlanWalk(partition.prefix, partition.num_layers)
+    prefix_flops = sum(
+        _charge(compiled, layered, step.instr)[1] for step in prefix
+    )
 
     num_tasks = partition.num_tasks
     peaks_desc = sorted(task_peaks, reverse=True)
@@ -522,7 +462,7 @@ def analyze_partition(
         # workers can idle), which raw greedy LPT does not guarantee.
         best = raw if best is None else min(best, raw)
         memory_states = max(
-            prefix_peaks["peak_live"],
+            prefix.peak_live,
             num_tasks + sum(peaks_desc[: min(k, num_tasks)]),
         )
         by_workers[str(k)] = {
@@ -535,8 +475,8 @@ def analyze_partition(
         "num_tasks": num_tasks,
         "prefix_ops": prefix_ops,
         "prefix_flops": prefix_flops,
-        "prefix_peak_live": prefix_peaks["peak_live"],
-        "prefix_peak_stored": prefix_peaks["peak_stored"],
+        "prefix_peak_live": prefix.peak_live,
+        "prefix_peak_stored": prefix.peak_stored,
         "task_ops": task_ops,
         "task_flops": task_flops,
         "task_peaks": task_peaks,
@@ -597,23 +537,13 @@ def analyze_hybrid(
 
     dense_flops = 0
     frame_flops = 0
-    for instr, action in zip(plan.instructions, schedule.actions):
-        kind = action[0]
-        if kind in ("advance-dense", "advance-mat"):
-            dense_flops += int(
-                compiled.segment_cost(instr.start_layer, instr.end_layer)[
-                    "flops"
-                ]
-            )
-        elif kind == "advance-sym":
-            frame_flops += FRAME_OP_FLOPS * layered.gates_between(
-                instr.start_layer, instr.end_layer
-            )
-        elif kind == "inject-dense":
-            event_flops, _ = _inject_cost(compiled, instr.event)
-            dense_flops += event_flops
-        elif kind == "inject-sym":
-            frame_flops += FRAME_OP_FLOPS
+    for step in PlanWalk(plan.instructions, plan.num_layers):
+        kind = schedule.actions[step.index][0]
+        ops, flops, _ = _charge(compiled, layered, step.instr)
+        if kind in ("advance-dense", "advance-mat", "inject-dense"):
+            dense_flops += flops
+        elif kind in ("advance-sym", "inject-sym"):
+            frame_flops += FRAME_OP_FLOPS * ops
     materialize_flops = (
         stats["materializations"] * MATERIALIZE_FLOPS_PER_AMP * (1 << num_qubits)
     )

@@ -9,8 +9,9 @@ re-interpretation of the serial instruction stream.  P026 proves that
 with an *independent* symbolic replay — same static-proof idiom as the
 plan sanitizer (P001-P012) and the wavefront rule (P024):
 
-* **action agreement** — re-walking the instructions with an independent
-  frame/slot interpreter must reproduce the schedule's action tags
+* **action agreement** — an independent fold over the plan's walk
+  (:class:`~repro.core.schedule.PlanWalk`), with its own frame
+  interpreter, must reproduce the schedule's action tags
   instruction-for-instruction: symbolic exactly where the frame provably
   crosses the segment's compiled matrices, a materialization point
   exactly at the first failure, dense everywhere below it;
@@ -93,15 +94,31 @@ def _frames_equal(a, b) -> bool:
     )
 
 
+class _Mismatch(Exception):
+    """The first disagreement: ``(message, location, hint)``."""
+
+
 def _replay(
     layered,
     instructions: Sequence[Any],
     schedule,
     problems: List[Tuple[str, str, str]],
 ) -> None:
-    """Independent interpreter; appends ``(message, location, hint)``."""
+    """Independent fold over the plan walk; appends ``(message, location,
+    hint)``.  Re-derives every frame itself; the walk supplies only slot
+    pairing and the event history.  The first disagreeing action ends the
+    replay (later actions are misaligned); the conservation checks run
+    once every action agreed."""
     from ..core.hybrid import ROOT_PATH, _shadow_segment
-    from ..core.schedule import Advance, Finish, Inject, Restore, Snapshot
+    from ..core.schedule import (
+        Advance,
+        EmitTask,
+        Finish,
+        Inject,
+        PlanWalk,
+        Restore,
+        Snapshot,
+    )
     from ..sim.stabilizer import PauliFrame
 
     actions = schedule.actions
@@ -124,270 +141,167 @@ def _replay(
             shadow_cache[key] = _shadow_segment(layered, a, b)
         return shadow_cache[key]
 
-    class Sym:
-        __slots__ = ("path", "frame", "events")
-
-        def __init__(self, path, frame, events):
-            self.path = path
-            self.frame = frame
-            self.events = events
-
-        def copy(self):
-            return Sym(self.path, self.frame.copy(), self.events)
-
     DENSE = "dense"
-    working: Any = Sym(ROOT_PATH, PauliFrame(layered.num_qubits), ())
+    # Per-state fact: (anchor path, frame), or DENSE below a
+    # materialization point; slots keyed as the walk reports them.
+    working: Any = (ROOT_PATH, PauliFrame(layered.num_qubits))
     slots: Dict[int, Any] = {}
     seen_paths = {ROOT_PATH}
     replay_uses: Dict[Tuple[int, ...], int] = {ROOT_PATH: 0}
     nominal_ops = 0
+    where = "schedule"
 
     def use(path):
         replay_uses[path] = replay_uses.get(path, 0) + 1
 
-    for index, (instr, action) in enumerate(zip(instructions, actions)):
-        kind = action[0]
-        where = f"instruction {index}"
-        if isinstance(instr, Advance):
-            gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            nominal_ops += gates
-            if working is DENSE:
-                if kind != "advance-dense":
-                    problems.append(
-                        (
-                            f"dense working state but action is {kind}",
-                            where,
-                            "everything below a materialization point "
-                            "must stay dense until the enclosing Restore",
-                        )
-                    )
-                    return
-                continue
-            if working.frame.is_identity:
-                crossed: Optional[PauliFrame] = working.frame.copy()
-            else:
-                trial = working.frame.copy()
-                crossed = trial
-                for matrix, qubits in shadow(
+    def expect(ok: bool, message: str, hint: str = "") -> None:
+        if not ok:
+            raise _Mismatch(message, where, hint)
+
+    def expect_kind(kind: str, wanted: str) -> None:
+        expect(kind == wanted, f"expected {wanted}, schedule has {kind}")
+
+    try:
+        for step in PlanWalk(instructions, layered.num_layers):
+            instr = step.instr
+            action = actions[step.index]
+            kind = action[0]
+            where = f"instruction {step.index}"
+            if isinstance(instr, Advance):
+                nominal_ops += layered.gates_between(
                     instr.start_layer, instr.end_layer
-                ):
-                    if not trial.try_conjugate_matrix(matrix, qubits):
-                        crossed = None
-                        break
-            if crossed is None:
-                if kind != "advance-mat":
-                    problems.append(
-                        (
-                            f"frame cannot cross segment "
-                            f"[{instr.start_layer},{instr.end_layer}) but "
-                            f"action is {kind}",
-                            where,
-                            "a frame that fails the exact commutation "
-                            "check must force a materialization point",
-                        )
-                    )
-                    return
-                _, path, frame, events = action
-                if path != working.path:
-                    problems.append(
-                        (
-                            f"materialization anchored at {path}, replay "
-                            f"is at {working.path}",
-                            where,
-                            "",
-                        )
-                    )
-                    return
-                if not _frames_equal(frame, working.frame):
-                    problems.append(
-                        (
-                            "materialization frame differs from the "
-                            "re-derived frame",
-                            where,
-                            "the payload frame decides the amplitudes — "
-                            "a mismatch is a wrong result, not a style "
-                            "issue",
-                        )
-                    )
-                    return
-                if tuple(events) != tuple(working.events):
-                    problems.append(
-                        (
-                            f"materialization event history {events} != "
-                            f"replayed {working.events}",
-                            where,
-                            "",
-                        )
-                    )
-                    return
-                use(working.path)
-                working = DENSE
-                continue
-            if kind != "advance-sym":
-                problems.append(
-                    (
-                        f"frame crosses segment "
-                        f"[{instr.start_layer},{instr.end_layer}) but "
-                        f"action is {kind}",
-                        where,
-                        "a provably-crossable span must stay symbolic or "
-                        "the schedule's cost claims are wrong",
-                    )
                 )
-                return
-            _, parent, new_path, derive = action
-            expected = working.path + (instr.end_layer,)
-            if parent != working.path or new_path != expected:
-                problems.append(
-                    (
-                        f"advance maps path {parent} -> {new_path}, replay "
-                        f"expects {working.path} -> {expected}",
-                        where,
-                        "",
+                if working is DENSE:
+                    expect(
+                        kind == "advance-dense",
+                        f"dense working state but action is {kind}",
+                        "everything below a materialization point must "
+                        "stay dense until the enclosing Restore",
                     )
+                    continue
+                path, frame = working
+                trial = frame.copy()
+                crossed: Optional[PauliFrame] = trial
+                if not frame.is_identity:
+                    for matrix, qubits in shadow(
+                        instr.start_layer, instr.end_layer
+                    ):
+                        if not trial.try_conjugate_matrix(matrix, qubits):
+                            crossed = None
+                            break
+                segment = f"[{instr.start_layer},{instr.end_layer})"
+                if crossed is None:
+                    expect(
+                        kind == "advance-mat",
+                        f"frame cannot cross segment {segment} but action "
+                        f"is {kind}",
+                        "a frame that fails the exact commutation check "
+                        "must force a materialization point",
+                    )
+                    _, mat_path, mat_frame, events = action
+                    expect(
+                        mat_path == path,
+                        f"materialization anchored at {mat_path}, replay "
+                        f"is at {path}",
+                    )
+                    expect(
+                        _frames_equal(mat_frame, frame),
+                        "materialization frame differs from the "
+                        "re-derived frame",
+                        "the payload frame decides the amplitudes — a "
+                        "mismatch is a wrong result, not a style issue",
+                    )
+                    expect(
+                        tuple(events) == step.history,
+                        f"materialization event history {events} != "
+                        f"replayed {step.history}",
+                    )
+                    use(path)
+                    working = DENSE
+                    continue
+                expect(
+                    kind == "advance-sym",
+                    f"frame crosses segment {segment} but action is {kind}",
+                    "a provably-crossable span must stay symbolic or the "
+                    "schedule's cost claims are wrong",
                 )
-                return
-            if derive != (new_path not in seen_paths):
-                problems.append(
-                    (
-                        f"derive flag {derive} but path {new_path} "
-                        f"{'already' if new_path in seen_paths else 'never'} "
-                        "seen",
-                        where,
-                        "a wrong derive flag double-derives or skips an "
-                        "anchor",
-                    )
+                _, parent, new_path, derive = action
+                expected = path + (instr.end_layer,)
+                expect(
+                    parent == path and new_path == expected,
+                    f"advance maps path {parent} -> {new_path}, replay "
+                    f"expects {path} -> {expected}",
                 )
-                return
-            if derive:
-                if working.path not in replay_uses:
-                    problems.append(
-                        (
-                            f"deriving {new_path} from unknown parent "
-                            f"{working.path}",
-                            where,
-                            "",
-                        )
-                    )
-                    return
-                use(working.path)
-                seen_paths.add(new_path)
-                replay_uses.setdefault(new_path, 0)
-            working = Sym(new_path, crossed, working.events)
-        elif isinstance(instr, Snapshot):
-            expected_kind = (
-                "snapshot-dense" if working is DENSE else "snapshot-sym"
-            )
-            if kind != expected_kind:
-                problems.append(
-                    (f"expected {expected_kind}, schedule has {kind}", where, "")
+                seen = new_path in seen_paths
+                expect(
+                    derive != seen,
+                    f"derive flag {derive} but path {new_path} "
+                    f"{'already' if seen else 'never'} seen",
+                    "a wrong derive flag double-derives or skips an anchor",
                 )
-                return
-            slots[instr.slot] = (
-                DENSE if working is DENSE else working.copy()
-            )
-        elif isinstance(instr, Inject):
-            nominal_ops += 1
-            if working is DENSE:
-                if kind != "inject-dense":
-                    problems.append(
-                        (f"expected inject-dense, schedule has {kind}", where, "")
+                if derive:
+                    expect(
+                        path in replay_uses,
+                        f"deriving {new_path} from unknown parent {path}",
                     )
-                    return
+                    use(path)
+                    seen_paths.add(new_path)
+                    replay_uses.setdefault(new_path, 0)
+                working = (new_path, crossed)
+            elif isinstance(instr, Snapshot):
+                expect_kind(
+                    kind,
+                    "snapshot-dense" if working is DENSE else "snapshot-sym",
+                )
+                slots[instr.slot] = working
+            elif isinstance(instr, Inject):
+                nominal_ops += 1
+                if working is DENSE:
+                    expect_kind(kind, "inject-dense")
+                    continue
+                expect_kind(kind, "inject-sym")
+                path, frame = working
+                frame = frame.copy()
+                frame.inject(instr.event.pauli, instr.event.qubit)
+                working = (path, frame)
+            elif isinstance(instr, Restore):
+                expect(not step.fault, f"restore of unknown slot {instr.slot}")
+                working = slots.pop(instr.slot)
+                expect_kind(
+                    kind,
+                    "restore-dense" if working is DENSE else "restore-sym",
+                )
+            elif isinstance(instr, (Finish, EmitTask)):
+                label = "finish" if isinstance(instr, Finish) else "emit"
+                if working is DENSE:
+                    expect_kind(kind, f"{label}-dense")
+                    continue
+                expect_kind(kind, f"{label}-sym")
+                _, payload_path, payload_frame = action
+                path, frame = working
+                if label == "emit":
+                    expect(
+                        payload_path == path
+                        and _frames_equal(payload_frame, frame),
+                        "emitted entry state disagrees with the "
+                        "re-derived path/frame",
+                    )
+                expect(
+                    payload_path == path,
+                    f"finish anchored at {payload_path}, replay is at {path}",
+                )
+                expect(
+                    _frames_equal(payload_frame, frame),
+                    "finish frame differs from the re-derived frame",
+                    "the payload frame decides the amplitudes",
+                )
+                use(path)
             else:
-                if kind != "inject-sym":
-                    problems.append(
-                        (f"expected inject-sym, schedule has {kind}", where, "")
-                    )
-                    return
-                event = instr.event
-                frame = working.frame.copy()
-                frame.inject(event.pauli, event.qubit)
-                working = Sym(
-                    working.path, frame, working.events + (event,)
-                )
-        elif isinstance(instr, Restore):
-            if instr.slot not in slots:
-                problems.append(
-                    (f"restore of unknown slot {instr.slot}", where, "")
-                )
-                return
-            restored = slots.pop(instr.slot)
-            expected_kind = (
-                "restore-dense" if restored is DENSE else "restore-sym"
-            )
-            if kind != expected_kind:
-                problems.append(
-                    (f"expected {expected_kind}, schedule has {kind}", where, "")
-                )
-                return
-            working = restored
-        elif isinstance(instr, Finish):
-            if working is DENSE:
-                if kind != "finish-dense":
-                    problems.append(
-                        (f"expected finish-dense, schedule has {kind}", where, "")
-                    )
-                    return
-            else:
-                if kind != "finish-sym":
-                    problems.append(
-                        (f"expected finish-sym, schedule has {kind}", where, "")
-                    )
-                    return
-                _, path, frame = action
-                if path != working.path:
-                    problems.append(
-                        (
-                            f"finish anchored at {path}, replay is at "
-                            f"{working.path}",
-                            where,
-                            "",
-                        )
-                    )
-                    return
-                if not _frames_equal(frame, working.frame):
-                    problems.append(
-                        (
-                            "finish frame differs from the re-derived frame",
-                            where,
-                            "the payload frame decides the amplitudes",
-                        )
-                    )
-                    return
-                use(working.path)
-        elif hasattr(instr, "task_id"):
-            if working is DENSE:
-                if kind != "emit-dense":
-                    problems.append(
-                        (f"expected emit-dense, schedule has {kind}", where, "")
-                    )
-                    return
-            else:
-                if kind != "emit-sym":
-                    problems.append(
-                        (f"expected emit-sym, schedule has {kind}", where, "")
-                    )
-                    return
-                _, path, frame = action
-                if path != working.path or not _frames_equal(
-                    frame, working.frame
-                ):
-                    problems.append(
-                        (
-                            "emitted entry state disagrees with the "
-                            "re-derived path/frame",
-                            where,
-                            "",
-                        )
-                    )
-                    return
-                use(working.path)
-        else:
-            problems.append(
-                (f"unknown instruction {instr!r}", where, "")
-            )
-            return
+                expect(False, f"unknown instruction {instr!r}")
+    except _Mismatch as mismatch:
+        message, location, hint = mismatch.args
+        problems.append((message, location, hint))
+        return
 
     # ---- conservation checks over the whole stream ----------------------
     if nominal_ops != schedule.stats["planned_ops"]:

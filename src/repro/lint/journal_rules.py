@@ -63,7 +63,7 @@ def lint_journal(
     self-contained structural checks run.
     """
     from ..core.resilience import JournalReplay, journal_fingerprint, load_journal
-    from ..core.schedule import Finish, build_plan
+    from ..core.schedule import Finish, PlanWalk, build_plan
 
     if not isinstance(journal, JournalReplay):
         journal = load_journal(journal)
@@ -135,9 +135,9 @@ def lint_journal(
             # -- exact-prefix property against the serial finish order -------
             plan = build_plan(layered, trials)
             serial = [
-                instr.trial_indices
-                for instr in plan.instructions
-                if isinstance(instr, Finish)
+                step.instr.trial_indices
+                for step in PlanWalk(plan.instructions, plan.num_layers)
+                if isinstance(step.instr, Finish)
             ]
             recorded = [indices for _, indices in journal.finishes]
             if len(recorded) > len(serial):

@@ -8,8 +8,9 @@ statically:
 
 * **exact cover** — every trial index appears in exactly one task
   (none lost, none duplicated);
-* **entry consistency** — replaying the prefix program symbolically (the
-  same interpreter discipline as :func:`repro.lint.sanitize_plan`), each
+* **entry consistency** — folding over the prefix program's walk
+  (:class:`~repro.core.schedule.PlanWalk`, the walk
+  :func:`repro.lint.sanitize_plan` folds too), each
   ``EmitTask`` fires with the working state at exactly the task's declared
   ``entry_layer`` with exactly its ``entry_events`` injected, each task is
   emitted exactly once, in task-id order (the serial finish order), and
@@ -23,16 +24,24 @@ statically:
   the serial plan's (the determinism pin).
 
 :func:`lint_partition_trace` is the runtime-evidence companion: it splits
-a merged multi-worker trace back into per-worker event streams and runs
-the ``P017`` plan-vs-trace cross-check on every one of them, plus the
-parent's prefix track.
+a merged multi-worker trace back into the parent's prefix track and one
+stream per task attempt, and runs the ``P017`` plan-vs-trace cross-check
+on every one of them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.schedule import ExecutionPlan, Restore, Snapshot
+from ..core.schedule import (
+    Advance,
+    EmitTask,
+    ExecutionPlan,
+    Inject,
+    PlanWalk,
+    Restore,
+    Snapshot,
+)
 from .diagnostics import Diagnostic, LintConfig, LintResult, Severity
 from .plan_sanitizer import sanitize_plan
 from .registry import make_diagnostic, register
@@ -71,9 +80,6 @@ def lint_partition(
     config: Optional[LintConfig] = None,
 ) -> LintResult:
     """Statically audit a :class:`~repro.core.parallel.PlanPartition`."""
-    from ..core.parallel import EmitTask
-    from ..core.schedule import Advance, Inject
-
     diagnostics: List[Diagnostic] = []
 
     def emit(message: str, location: str = "partition", hint: str = "") -> None:
@@ -110,30 +116,17 @@ def lint_partition(
             shown += f", ... ({len(missing)} total)"
         emit(f"trial(s) covered by no task: {shown}")
 
-    # -- symbolic prefix replay ----------------------------------------------
-    cursor = 0
-    history = ()
-    open_slots = {}
+    # -- fold over the prefix walk: entry checks at each EmitTask ----------
     emitted: List[int] = []
-    consumed = True  # becomes False while a working state is live
     instructions = partition.prefix
-    for index, instr in enumerate(instructions):
-        consumed = False
-        if isinstance(instr, Advance):
-            cursor = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            open_slots[instr.slot] = (cursor, history)
-        elif isinstance(instr, Inject):
-            history = history + (instr.event,)
-        elif isinstance(instr, Restore):
-            entry = open_slots.pop(instr.slot, None)
-            if entry is None:
-                emit(
-                    f"prefix restores slot {instr.slot}, which is empty",
-                    location=f"prefix[{index}]",
-                )
-            else:
-                cursor, history = entry
+    prefix = PlanWalk(instructions, partition.num_layers)
+    for step in prefix:
+        index, instr = step.index, step.instr
+        if isinstance(instr, Restore) and step.fault:
+            emit(
+                f"prefix restores slot {instr.slot}, which is empty",
+                location=f"prefix[{index}]",
+            )
         elif isinstance(instr, EmitTask):
             if not 0 <= instr.task_id < partition.num_tasks:
                 emit(
@@ -148,44 +141,43 @@ def lint_partition(
                     location=f"prefix[{index}]",
                 )
             emitted.append(instr.task_id)
-            if cursor != task.entry_layer:
+            if step.layer != task.entry_layer:
                 emit(
                     f"task {task.task_id} declares entry layer "
-                    f"{task.entry_layer} but is emitted at layer {cursor}",
+                    f"{task.entry_layer} but is emitted at layer "
+                    f"{step.layer}",
                     location=f"prefix[{index}]",
                 )
-            if history != tuple(task.entry_events):
+            if step.history != tuple(task.entry_events):
                 emit(
                     f"task {task.task_id} declares entry events "
                     f"({', '.join(map(str, task.entry_events))}) but is "
-                    f"emitted with ({', '.join(map(str, history))})",
+                    f"emitted with ({', '.join(map(str, step.history))})",
                     location=f"prefix[{index}]",
                 )
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if next_instr is not None and not isinstance(next_instr, Restore):
+            following = instructions[index + 1 : index + 2]
+            if following and not isinstance(following[0], Restore):
                 emit(
                     f"task {task.task_id} emission is followed by "
-                    f"{type(next_instr).__name__}; the consumed working "
+                    f"{type(following[0]).__name__}; the consumed working "
                     "state demands a Restore or the end of the prefix",
                     location=f"prefix[{index}]",
                 )
-            consumed = True
-        else:
+        elif not isinstance(instr, (Advance, Snapshot, Inject, Restore)):
             emit(
                 f"unknown prefix instruction {instr!r}",
                 location=f"prefix[{index}]",
             )
-    if instructions and not consumed:
+    if instructions and not (
+        isinstance(instructions[-1], EmitTask)
+        and 0 <= instructions[-1].task_id < partition.num_tasks
+    ):
         emit(
             "prefix program leaves the working state alive (it must end "
             "with an EmitTask)",
             location=f"prefix[{len(instructions) - 1}]",
         )
-    for slot in sorted(open_slots):
+    for slot in sorted(prefix.slots):
         emit(f"prefix slot {slot} is never restored")
     never_emitted = [
         task.task_id for task in partition.tasks if task.task_id not in emitted
@@ -260,20 +252,29 @@ def lint_partition(
 
 def lint_partition_trace(
     partition,
-    assignment: Sequence[Sequence[int]],
     recorder,
     config: Optional[LintConfig] = None,
 ) -> LintResult:
     """Cross-check a merged multi-worker trace, track by track (``P017``).
 
     The parent track (events without a ``worker`` tag) must follow the
-    prefix program's Snapshot/Restore schedule; each worker's track must
-    follow the concatenation of its assigned sub-plans' schedules in
-    task-id order (the order :func:`~repro.core.parallel.run_parallel`
-    executes them).
+    prefix program's Snapshot/Restore schedule.  Pool workers pull tasks
+    from one shared queue and recovery moves tasks between them, so a
+    worker track is held to what it actually ran: each ``task.attempt``
+    mark opens one attempt, whose cache events must follow that task's
+    sub-plan schedule; and every task the parent accepted
+    (``task.accepted``) must have an attempt on the worker it was
+    accepted from.
     """
     diagnostics: List[Diagnostic] = []
-    info = {}
+    info: Dict[str, Any] = {}
+
+    def emit(message: str, location: str, hint: Optional[str] = None) -> None:
+        diagnostic = make_diagnostic(
+            "P017", message, location=location, hint=hint, config=config
+        )
+        if diagnostic is not None:
+            diagnostics.append(diagnostic)
 
     parent_events = [
         event
@@ -291,26 +292,50 @@ def lint_partition_trace(
     diagnostics.extend(parent_result.diagnostics)
     info["parent"] = parent_result.info
 
-    for worker_id, task_ids in enumerate(assignment):
-        if not task_ids:
+    # worker -> [(task id or None before the first mark, events), ...]
+    attempts: Dict[int, List[Tuple[Optional[int], List[Any]]]] = {}
+    for event in recorder.events:
+        args = event.args or {}
+        if "worker" not in args:
             continue
-        worker_events = [
-            event
-            for event in recorder.events
-            if event.args and event.args.get("worker") == worker_id
-        ]
-        combined = []
-        for task_id in sorted(task_ids):
-            combined.extend(partition.tasks[task_id].plan.instructions)
-        worker_plan = ExecutionPlan(
-            combined,
-            num_trials=partition.num_trials,
-            num_layers=partition.num_layers,
-        )
-        worker_result = lint_trace(
-            worker_plan, _EventsView(worker_events), config=config
-        )
-        diagnostics.extend(worker_result.diagnostics)
-        info[f"worker{worker_id}"] = worker_result.info
+        runs = attempts.setdefault(args["worker"], [(None, [])])
+        if event.ph == "i" and event.name == "task.attempt":
+            runs.append((args.get("task"), []))
+        else:
+            runs[-1][1].append(event)
+
+    empty = ExecutionPlan([], partition.num_trials, partition.num_layers)
+    for worker, runs in sorted(attempts.items()):
+        info[f"worker{worker}"] = {"attempts": len(runs) - 1}
+        for task_id, events in runs:
+            where = f"worker{worker}.task{task_id}"
+            if task_id is None:
+                plan = empty
+            elif 0 <= task_id < partition.num_tasks:
+                plan = partition.tasks[task_id].plan
+            else:
+                emit(f"attempt of unknown task {task_id}", where)
+                continue
+            result = lint_trace(plan, _EventsView(events))
+            for sub in result.diagnostics:
+                emit(sub.message, f"{where}.{sub.location}", sub.hint)
+
+    ran = {
+        (worker, task_id)
+        for worker, runs in attempts.items()
+        for task_id, _ in runs
+    }
+    for event in parent_events:
+        if event.ph == "i" and event.name == "task.accepted":
+            args = event.args or {}
+            task_id, worker = args.get("task"), args.get("from_worker")
+            if (worker, task_id) not in ran:
+                emit(
+                    f"task {task_id} was accepted from worker {worker}, "
+                    "whose track records no attempt of it",
+                    f"worker{worker}",
+                    "each accepted task needs its attempt on the worker "
+                    "that reported it",
+                )
 
     return LintResult(diagnostics, info=info)

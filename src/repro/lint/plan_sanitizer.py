@@ -1,9 +1,10 @@
-"""Static plan sanitizer: a symbolic interpreter over execution plans.
+"""Static plan sanitizer: a fold over the symbolic plan walk.
 
-:func:`sanitize_plan` replays an :class:`~repro.core.schedule.ExecutionPlan`
-with *symbolic* state — no backend, no amplitudes — and proves, before a
-single statevector is allocated, every invariant the executor would
-otherwise discover mid-run:
+:func:`sanitize_plan` folds over the symbolic walk of an
+:class:`~repro.core.schedule.ExecutionPlan`
+(:class:`~repro.core.schedule.PlanWalk` — no backend, no amplitudes) and
+proves, before a single statevector is allocated, every invariant the
+executor would otherwise discover mid-run:
 
 * **slot discipline** — each snapshot slot is written once and consumed
   exactly once; restores of empty slots (use-after-free / double restore)
@@ -18,7 +19,7 @@ otherwise discover mid-run:
   the paper's claim that reordering is *exact* — same errors, same final
   state per trial — checked without simulating;
 * **coverage** — every trial index is finished exactly once;
-* **memory bound** — the interpreter mirrors
+* **memory bound** — the walk mirrors
   :class:`~repro.core.cache.StateCache` accounting, so the returned static
   ``peak_msv`` / ``peak_stored`` equal the runtime ``CacheStats`` values of
   an optimized run of the same plan (cross-checked in the test suite).
@@ -26,7 +27,7 @@ otherwise discover mid-run:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..circuits.layers import LayeredCircuit
 from ..core.events import PAULI_LABELS, ErrorEvent, Trial
@@ -35,6 +36,7 @@ from ..core.schedule import (
     ExecutionPlan,
     Finish,
     Inject,
+    PlanWalk,
     Restore,
     Snapshot,
 )
@@ -271,7 +273,7 @@ def sanitize_plan(
     entry_layer: int = 0,
     entry_events: Sequence[ErrorEvent] = (),
 ) -> PlanAudit:
-    """Symbolically interpret ``plan`` and collect every violation.
+    """Fold over the symbolic walk of ``plan`` and collect every violation.
 
     Parameters
     ----------
@@ -293,9 +295,9 @@ def sanitize_plan(
         Trial exactness is still checked against each trial's *full*
         sampled event sequence.
 
-    The interpreter never raises on a bad plan — it records diagnostics and
-    keeps going with a best-effort recovery, so one structural bug does not
-    mask the rest.
+    The walk never raises on a bad plan — each structural fault becomes a
+    diagnostic and the walk recovers, so one structural bug does not mask
+    the rest.
     """
     diagnostics: List[Diagnostic] = []
 
@@ -331,55 +333,39 @@ def sanitize_plan(
             hint="rebuild the plan from the trial set actually executed",
         )
 
-    # Symbolic working state: current layer + injected-event history.
-    cursor = int(entry_layer)
-    history: Tuple[ErrorEvent, ...] = tuple(entry_events)
-    # slot -> (layer at snapshot, history at snapshot, instruction index)
-    open_slots: Dict[int, Tuple[int, Tuple[ErrorEvent, ...], int]] = {}
     finished_at: Dict[int, int] = {}
-
-    # Mirror of StateCache accounting: one working state is live from the
-    # start; snapshots add stored states; a restore consumes one.
-    stored = 0
-    peak_msv = 1
-    peak_stored = 0
     snapshots_taken = 0
-
-    for index, instr in enumerate(plan.instructions):
+    walk = PlanWalk(plan.instructions, num_layers, entry_layer, entry_events)
+    for step in walk:
+        index, instr, layer = step.index, step.instr, step.layer
         if isinstance(instr, Advance):
-            if not 0 <= instr.start_layer <= instr.end_layer <= num_layers:
+            if step.fault == "advance-range":
                 emit(
                     "P001",
                     f"advance range [{instr.start_layer}, {instr.end_layer}) "
                     f"is invalid for {num_layers} layer(s)",
                     index,
                 )
-            elif instr.start_layer != cursor:
+            elif step.fault == "advance-gap":
                 emit(
                     "P002",
                     f"advance starts at layer {instr.start_layer} but the "
-                    f"working state is at layer {cursor}",
+                    f"working state is at layer {layer}",
                     index,
                     hint="a Restore above may have resumed at a different "
                     "layer than this instruction assumes",
                 )
-            cursor = instr.end_layer
         elif isinstance(instr, Snapshot):
-            if instr.slot in open_slots:
-                taken_at = open_slots[instr.slot][2]
+            if step.entry is not None:  # the occupant of a reused slot
                 emit(
                     "P003",
                     f"slot {instr.slot} snapshotted again while still "
-                    f"occupied (first written at plan[{taken_at}])",
+                    f"occupied (first written at plan[{step.entry.index}])",
                     index,
                     hint="the previous snapshot was never restored",
                 )
             else:
-                open_slots[instr.slot] = (cursor, history, index)
-                stored += 1
                 snapshots_taken += 1
-                peak_msv = max(peak_msv, stored + 1)
-                peak_stored = max(peak_stored, stored)
         elif isinstance(instr, Inject):
             event = instr.event
             depth_bound = num_layers
@@ -395,10 +381,10 @@ def sanitize_plan(
                     f"event {event} beyond qubit count {num_qubits}",
                     index,
                 )
-            elif event.layer + 1 != cursor:
+            elif step.fault:
                 emit(
                     "P006",
-                    f"inject of {event} at working layer {cursor}; errors "
+                    f"inject of {event} at working layer {layer}; errors "
                     f"fire right after their layer (expected layer "
                     f"{event.layer + 1})",
                     index,
@@ -410,10 +396,8 @@ def sanitize_plan(
                     f"expected one of {PAULI_LABELS}",
                     index,
                 )
-            history = history + (event,)
         elif isinstance(instr, Restore):
-            entry = open_slots.pop(instr.slot, None)
-            if entry is None:
+            if step.fault:
                 emit(
                     "P004",
                     f"restore of slot {instr.slot}, which is empty or "
@@ -421,17 +405,15 @@ def sanitize_plan(
                     index,
                     hint="each Snapshot slot may be restored exactly once",
                 )
-            else:
-                cursor, history, _ = entry
-                stored -= 1
         elif isinstance(instr, Finish):
-            if cursor != num_layers:
+            if step.fault:
                 emit(
                     "P007",
-                    f"finish at layer {cursor}; the circuit has "
+                    f"finish at layer {layer}; the circuit has "
                     f"{num_layers} layer(s)",
                     index,
                 )
+            history = step.history
             for trial_index in instr.trial_indices:
                 if not 0 <= trial_index < plan.num_trials:
                     emit(
@@ -463,13 +445,13 @@ def sanitize_plan(
                             hint="the reordering must be exact: every trial "
                             "receives precisely its own sampled errors",
                         )
-        else:
+        else:  # EmitTask included: a prefix program is not a plan
             emit("P015", f"unknown plan instruction {instr!r}", index)
 
-    for slot, (_, _, taken_at) in sorted(open_slots.items()):
+    for slot, entry in sorted(walk.slots.items()):
         emit(
             "P005",
-            f"slot {slot} (snapshotted at plan[{taken_at}]) is never "
+            f"slot {slot} (snapshotted at plan[{entry.index}]) is never "
             "restored",
             hint="leaked snapshots keep a full statevector alive to the "
             "end of the run",
@@ -490,8 +472,8 @@ def sanitize_plan(
 
     return PlanAudit(
         diagnostics,
-        peak_msv=peak_msv,
-        peak_stored=peak_stored,
+        peak_msv=walk.peak_live,
+        peak_stored=walk.peak_stored,
         snapshots_taken=snapshots_taken,
         num_instructions=len(plan.instructions),
     )

@@ -16,9 +16,9 @@ This is a runtime-evidence rule: it cannot run in the purely static
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.schedule import ExecutionPlan, Restore, Snapshot
+from ..core.schedule import ExecutionPlan, PlanWalk, Restore, Snapshot
 from .diagnostics import Diagnostic, LintConfig, LintResult, Severity
 from .registry import make_diagnostic, register
 
@@ -45,14 +45,15 @@ _CacheEvent = Tuple[str, int]
 
 
 def plan_cache_schedule(plan: ExecutionPlan) -> List[_CacheEvent]:
-    """The cache-event sequence a faithful execution of ``plan`` emits."""
-    schedule: List[_CacheEvent] = []
-    for instr in plan:
-        if isinstance(instr, Snapshot):
-            schedule.append(("store", instr.slot))
-        elif isinstance(instr, Restore):
-            schedule.append(("hit", instr.slot))
-    return schedule
+    """The cache-event sequence a faithful execution of ``plan`` emits:
+    a fold over its walk, one store per ``Snapshot`` and one hit per
+    ``Restore``."""
+    kinds = {Snapshot: "store", Restore: "hit"}
+    return [
+        (kinds[type(step.instr)], step.instr.slot)
+        for step in PlanWalk(plan.instructions, plan.num_layers)
+        if type(step.instr) in kinds
+    ]
 
 
 def trace_cache_events(recorder) -> List[_CacheEvent]:

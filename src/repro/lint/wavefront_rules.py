@@ -88,7 +88,7 @@ def lint_wavefront(
     O(steps + lanes) with no backend; ``run_wavefront(check=True)``
     calls it before touching a statevector.
     """
-    from ..core.schedule import Finish, Inject, Snapshot
+    from ..core.schedule import Finish, Inject, PlanWalk, Snapshot
 
     diagnostics: List[Diagnostic] = []
     lanes = wavefront.lanes
@@ -246,12 +246,19 @@ def lint_wavefront(
                 config=config,
             )
 
+    # --- the serial side: one fold over the plan's walk ---------------
+    serial_finishes: List[Tuple[int, ...]] = []
+    serial_injects = 0
+    serial_snapshots = 0
+    for step in PlanWalk(plan.instructions, plan.num_layers):
+        if isinstance(step.instr, Finish):
+            serial_finishes.append(tuple(step.instr.trial_indices))
+        elif isinstance(step.instr, Inject):
+            serial_injects += 1
+        elif isinstance(step.instr, Snapshot):
+            serial_snapshots += 1
+
     # --- finish sequence: serial rank order == Finish instructions ----
-    serial_finishes = [
-        tuple(instr.trial_indices)
-        for instr in plan.instructions
-        if isinstance(instr, Finish)
-    ]
     if len(wavefront.finishes) != len(serial_finishes):
         _emit(
             diagnostics,
@@ -292,7 +299,6 @@ def lint_wavefront(
             )
 
     # --- structural counts vs the serial instruction stream -----------
-    serial_injects = plan.count(Inject)
     if wavefront.num_injects != serial_injects:
         _emit(
             diagnostics,
@@ -301,7 +307,6 @@ def lint_wavefront(
             "injects",
             config=config,
         )
-    serial_snapshots = plan.count(Snapshot)
     if wavefront.num_snapshots != serial_snapshots:
         _emit(
             diagnostics,

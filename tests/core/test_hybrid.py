@@ -436,7 +436,104 @@ class TestFallbacksAndValidation:
         assert base.metrics.peak_msv == fast.metrics.peak_msv
 
 
+def _retag(schedule, find, change):
+    """Replace the first action ``find`` accepts with ``change(action)``."""
+    actions = list(schedule.actions)
+    index = next(i for i, action in enumerate(actions) if find(action))
+    actions[index] = change(actions[index])
+    return actions
+
+
+def _swap_sym_to_mat(schedule):
+    return _retag(
+        schedule,
+        lambda a: a[0] == "advance-sym",
+        lambda a: ("advance-mat", a[1], PauliFrame(5), ()),
+    )
+
+
+def _swap_mat_to_sym(schedule):
+    return _retag(
+        schedule,
+        lambda a: a[0] == "advance-mat",
+        lambda a: ("advance-sym", a[1], a[1] + (99,), True),
+    )
+
+
+def _flip_derive(schedule):
+    return _retag(
+        schedule,
+        lambda a: a[0] == "advance-sym",
+        lambda a: a[:3] + (not a[3],),
+    )
+
+
+def _extra_mat_event(schedule):
+    return _retag(
+        schedule,
+        lambda a: a[0] == "advance-mat",
+        lambda a: a[:3] + (tuple(a[3]) + (ErrorEvent(0, 0, "x"),),),
+    )
+
+
+#: P026 schedule tampers: (actions, path_uses, stats) edits, each with the
+#: message fragment the replay must report.
+HYBRID_TAMPERS = {
+    "action-count": (
+        lambda s: (list(s.actions)[:-1], s.path_uses, s.stats),
+        "actions for",
+    ),
+    "derive-flag": (
+        lambda s: (_flip_derive(s), s.path_uses, s.stats),
+        "derive flag",
+    ),
+    "path-uses": (
+        lambda s: (
+            s.actions,
+            {p: n + (p == (0,)) for p, n in s.path_uses.items()},
+            s.stats,
+        ),
+        "static use count",
+    ),
+    "sym-to-mat": (
+        lambda s: (_swap_sym_to_mat(s), s.path_uses, s.stats),
+        "but action is advance-mat",
+    ),
+    "mat-to-sym": (
+        lambda s: (_swap_mat_to_sym(s), s.path_uses, s.stats),
+        "but action is advance-sym",
+    ),
+    "mat-event-history": (
+        lambda s: (_extra_mat_event(s), s.path_uses, s.stats),
+        "materialization event history",
+    ),
+    "planned-ops": (
+        lambda s: (
+            s.actions,
+            s.path_uses,
+            dict(s.stats, planned_ops=s.stats["planned_ops"] + 1),
+        ),
+        "planned ops",
+    ),
+}
+
+
 class TestLintP026:
+    @pytest.mark.parametrize("tamper", sorted(HYBRID_TAMPERS))
+    def test_detects_tampered_schedule(self, suite_cases, tamper):
+        layered, trials, plan, _, _ = suite_cases["qft5"]
+        schedule = classify_plan(layered, plan)
+        make, fragment = HYBRID_TAMPERS[tamper]
+        actions, path_uses, stats = make(schedule)
+        corrupt = HybridSchedule(
+            schedule.layered, tuple(actions), path_uses,
+            schedule.derive_gates, stats,
+        )
+        problems = verify_schedule(layered, plan.instructions, corrupt)
+        assert any(fragment in problem for problem in problems), problems
+        result = lint_hybrid(layered, plan, schedule=corrupt)
+        assert {d.code for d in result.diagnostics} == {"P026"}
+
     def test_clean_on_suite_benchmark(self, suite_cases):
         layered, trials, plan, _, _ = suite_cases["qft5"]
         result = lint_hybrid(layered, plan)

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.sim import CountingBackend
 from repro.core.executor import run_optimized
+from repro.core.schedule import EmitTask, PlanWalk, SlotEntry
 from tests.core.test_reorder import trials_strategy
 
 
@@ -158,6 +159,58 @@ class TestPlanValidation:
         plan = ExecutionPlan([Advance(2, 1)], num_trials=0, num_layers=3)
         with pytest.raises(ScheduleError):
             plan.validate()
+
+
+class TestPlanWalk:
+    def test_steps_carry_layer_history_and_counts(self):
+        event = ErrorEvent(0, 0, "x")
+        walk = PlanWalk(
+            [
+                Advance(0, 1), Snapshot(0), Inject(event), Advance(1, 3),
+                Finish((0,)), Restore(0), Advance(1, 3), Finish((1,)),
+            ],
+            num_layers=3,
+        )
+        steps = list(walk)
+        assert [s.layer for s in steps] == [0, 1, 1, 1, 3, 3, 1, 3]
+        assert steps[4].history == (event,)
+        assert steps[5].entry == SlotEntry(1, (), 1)
+        assert steps[7].history == ()
+        assert [s.live for s in steps] == [1, 2, 2, 2, 2, 1, 1, 1]
+        assert not any(s.fault for s in steps)
+        assert (walk.peak_live, walk.peak_stored, walk.slots) == (2, 1, {})
+
+    def test_faults_are_reported_and_recovered(self):
+        walk = PlanWalk(
+            [
+                Advance(0, 2), Advance(1, 3), Snapshot(0), Snapshot(0),
+                Restore(5), Inject(ErrorEvent(0, 0, "x")), Finish((0,)),
+                Advance(3, 5), Finish((1,)), "junk",
+            ],
+            num_layers=3,
+        )
+        steps = list(walk)
+        assert [s.fault for s in steps] == [
+            "", "advance-gap", "", "slot-occupied", "slot-empty",
+            "inject-layer", "", "advance-range", "finish-early", "unknown",
+        ]
+        # Recovery: the gap still moves the layer, the bad inject still
+        # joins the history, the reused and the empty slot change nothing.
+        assert steps[2].layer == 3
+        assert steps[3].entry == SlotEntry(3, (), 2)
+        assert steps[6].history == (ErrorEvent(0, 0, "x"),)
+        assert walk.slots == {0: SlotEntry(3, (), 2)}
+        with pytest.raises(ScheduleError, match="advance-gap"):
+            raise steps[1].error()
+
+    def test_emit_task_holds_its_entry_and_consumes_the_working_state(self):
+        walk = PlanWalk(
+            [Snapshot(0), EmitTask(0), Restore(0), EmitTask(1)], num_layers=1
+        )
+        assert [(s.live, s.stored) for s in walk] == [
+            (2, 1), (3, 2), (2, 1), (2, 2),
+        ]
+        assert (walk.peak_live, walk.peak_stored) == (3, 2)
 
 
 class TestPlanProperties:

@@ -189,6 +189,27 @@ class TestScheduleAnalysis:
         certified = [min(spans[: i + 1]) for i in range(len(spans))]
         assert certified == sorted(certified, reverse=True)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_prefix_peaks_match_runtime_prefix(self, depth):
+        """The walk's static prefix peaks equal what ``_run_prefix``
+        measures: cached + working + emitted entries, with the working
+        state released at an EmitTask no Restore follows."""
+        from repro.core.parallel import _run_prefix
+
+        layered, trials = _setup("qft5", trials=64)
+        partition = partition_plan(layered, trials, depth=depth)
+        schedule = analyze_partition(partition, layered)
+        entries = np.zeros(
+            (partition.num_tasks, 1 << layered.num_qubits),
+            dtype=np.complex128,
+        )
+        runtime = _run_prefix(
+            partition, layered, CompiledStatevectorBackend(layered),
+            entries, None,
+        )
+        assert schedule["prefix_peak_live"] == runtime["peak_live"]
+        assert schedule["prefix_peak_stored"] == runtime["peak_stored"]
+
     def test_partition_ops_conservation(self, partitioned):
         layered, trials, partition = partitioned
         schedule = analyze_partition(partition, layered)
