@@ -1169,7 +1169,10 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             f"--max-cache-bytes {advice['max_cache_bytes']}",
             f"--cache-degrade {advice['cache_degrade']}",
         ]
-    if advice.get("batch_size") and not advice["workers"]:
+    # The batch width is the separate serial-wavefront advisory: print
+    # it only when the ranked run is serial DFS, the run it was modeled
+    # for (the in-process hybrid executor takes no width).
+    if advice.get("batch_size") and not (advice["workers"] or advice.get("hybrid")):
         suggestion.append(f"--batch {advice['batch_size']}")
     if advice.get("hybrid"):
         suggestion.append("--hybrid")
@@ -1494,10 +1497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     pbench.add_argument(
         "--hybrid", action="store_true",
-        help="also time the Clifford/Pauli-frame fast path (per-trial "
-        "and with width-64 wavefront fragments) and prove every payload "
-        "bit-identical to the serial compiled run (plus a frame-vs-"
-        "dense microbench in the payload)",
+        help="also time the Clifford/Pauli-frame fast path and prove "
+        "every payload bit-identical to the serial compiled run (plus a "
+        "frame-vs-dense microbench in the payload)",
     )
     pbench.add_argument(
         "--compare", default=None, metavar="BASELINE.json",
@@ -1544,7 +1546,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "spans symbolically over shared dense anchors and materialize "
         "amplitudes only at non-Clifford gates or Finish (optimized "
         "mode, compiled backend; bit-identical to serial dense; "
-        "composes with --workers and --batch)",
+        "composes with --workers, where it runs the shared prefix — "
+        "--batch then batches the workers' sub-plans — but not with "
+        "--batch alone)",
     )
     prun.add_argument(
         "--json", default=None, metavar="PATH",

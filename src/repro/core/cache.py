@@ -184,6 +184,7 @@ class StateCache:
         self._peak_resident_stored = 0
         self._snapshots_taken = 0
         self._snapshots_released = 0
+        self._entries = 0
         self._spills = 0
         self._spill_loads = 0
         self._drops = 0
@@ -217,6 +218,16 @@ class StateCache:
             raise RuntimeError("working_destroyed without a live working state")
         self._working_live -= 1
         self._sample()
+
+    def entry_emitted(self) -> None:
+        """A parallel task's entry state was written out for its task.
+
+        The entry stays held until the run ends, so it counts toward both
+        nominal peaks — as in :class:`~repro.core.schedule.PlanWalk` — but
+        it is no cache state: it is never taken, sampled or drained.
+        """
+        self._entries += 1
+        self._update_peaks()
 
     # -- snapshot slots -----------------------------------------------------------
 
@@ -357,8 +368,10 @@ class StateCache:
         return self._resident_stored + self._working_live
 
     def _update_peaks(self) -> None:
-        self._peak_msv = max(self._peak_msv, self.num_live)
-        self._peak_stored = max(self._peak_stored, len(self._slots))
+        self._peak_msv = max(self._peak_msv, self.num_live + self._entries)
+        self._peak_stored = max(
+            self._peak_stored, len(self._slots) + self._entries
+        )
         self._peak_resident_msv = max(self._peak_resident_msv, self.num_resident)
         self._peak_resident_stored = max(
             self._peak_resident_stored, self._resident_stored

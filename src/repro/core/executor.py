@@ -12,6 +12,12 @@ states are delivered through a streaming callback — one call per distinct
 final state, carrying all (deduplicated) trial indices that share it — so
 no executor ever holds more than the cache-accounted number of states.
 
+:func:`run_optimized`'s instruction loop (:func:`_interpret`) is the one
+place plan instructions execute against real states:
+:func:`~repro.core.hybrid.run_hybrid` and the parallel prefix phase run
+through it too, each over its own *state model* — :class:`_DenseStates`
+here, the hybrid model in :mod:`repro.core.hybrid`.
+
 Both executors accept an optional ``recorder``
 (:class:`~repro.obs.recorder.TraceRecorder`): when attached, every
 ``Advance`` becomes a span, every injection/finish an instant, every cache
@@ -42,7 +48,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +67,7 @@ from .cache import (
 from .events import Trial
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -202,47 +209,6 @@ class _SpillArea:
             shutil.rmtree(self._dir, ignore_errors=True)
 
 
-def _enforce_budget(
-    cache: StateCache,
-    backend: SimulationBackend,
-    budget: CacheBudget,
-    spill_area: _SpillArea,
-    recorder,
-) -> None:
-    """Degrade coldest resident snapshots until the budget is met."""
-    while cache.over_budget:
-        slot = cache.coldest_resident_slot()
-        if slot is None:  # pragma: no cover - over_budget implies resident
-            break
-        state, layer = cache.peek(slot)
-        vector = getattr(state, "vector", None)
-        if vector is None:
-            raise ScheduleError(
-                "cache budgets require a statevector-family backend "
-                "(snapshot states must expose .vector)"
-            )
-        if budget.mode == "drop":
-            cache.mark_dropped(slot)
-            backend.release_state(state)
-            if recorder:
-                recorder.instant("cache.drop", cat="cache", slot=slot, layer=layer)
-                recorder.counter("cache.drop", 1)
-        elif budget.mode == "spill":
-            path = spill_area.allocate(slot, layer)
-            flat = np.ascontiguousarray(vector)
-            flat.tofile(path)
-            cache.mark_spilled(slot, path, payload_checksum(flat))
-            backend.release_state(state)
-            if recorder:
-                recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
-                recorder.counter("cache.spill", 1)
-        else:
-            raise ScheduleError(
-                f"unknown cache degradation mode {budget.mode!r} "
-                "(expected 'spill' or 'drop')"
-            )
-
-
 def _run_program(backend: SimulationBackend, state, program, recorder=None):
     """Apply an ``Advance``/``Inject`` program (see :func:`rebuild_program`)
     to ``state``; with a recorder, each injection is an ``inject`` instant."""
@@ -263,49 +229,431 @@ def _run_program(backend: SimulationBackend, state, program, recorder=None):
     return state
 
 
-def _restore_degradable(
-    cache: StateCache,
-    backend: SimulationBackend,
+class _DenseStates:
+    """The dense state model: every state is a backend state.
+
+    It also owns what the serial executor keeps beside the walk:
+    cross-job prefix adoption and publication through a
+    :class:`~repro.core.shared.SharedPrefixStore`, and cache-budget
+    degradation (spill or drop after a store, rehydration on restore)
+    with the event provenance a dropped snapshot is recomputed from.
+    The hybrid model (:mod:`repro.core.hybrid`) extends it with a
+    symbolic side.
+    """
+
+    def __init__(
+        self,
+        layered: LayeredCircuit,
+        backend: SimulationBackend,
+        cache: StateCache,
+        recorder,
+        working,
+        entry_events: Tuple = (),
+        budget: Optional[CacheBudget] = None,
+        shared: Optional[SharedPrefixStore] = None,
+    ) -> None:
+        self.layered = layered
+        self.backend = backend
+        self.cache = cache
+        self.recorder = recorder
+        self.working = working
+        self.budget = budget
+        self.shared = shared
+        self.ops_shared = 0
+        #: The working state's injected events, tracked only under a budget.
+        self.events = list(entry_events) if budget is not None else None
+        self.spill_area = _SpillArea(budget) if budget is not None else None
+        #: Called before each ``Advance``; true when the store supplied it.
+        self.probe: Optional[Callable[[Advance], bool]] = None
+        if shared is not None:
+            if getattr(working, "vector", None) is None:
+                raise ScheduleError(
+                    "shared prefix store requires a statevector-family backend "
+                    "(states must expose .vector)"
+                )
+            self.fingerprint = circuit_fingerprint(layered)
+            self.steps: Tuple[Any, ...] = ()
+            self.slot_steps: Dict[int, Tuple[Any, ...]] = {}
+            self.probe = self._fetch_shared
+
+    @property
+    def ops_applied(self) -> int:
+        return self.backend.ops_applied
+
+    def _fetch_shared(self, instr: Advance) -> bool:
+        self.steps = self.steps + (
+            advance_step(instr.start_layer, instr.end_layer),
+        )
+        fetched = self.shared.fetch(self.fingerprint, self.steps)
+        if fetched is None:
+            return False
+        # Another job already computed this exact segment sequence; adopt
+        # its amplitudes instead of re-executing.  The skipped gates go
+        # into ops_shared, never ops_applied.
+        gates = self.layered.gates_between(instr.start_layer, instr.end_layer)
+        self.backend.release_state(self.working)
+        self.working = self.backend.adopt_state(
+            Statevector.from_buffer(fetched, self.layered.num_qubits)
+        )
+        self.ops_shared += gates
+        self.shared.note_saved(gates)
+        if self.recorder:
+            self.recorder.instant(
+                "shared.hit",
+                cat="shared",
+                start=instr.start_layer,
+                end=instr.end_layer,
+                gates=gates,
+            )
+            self.recorder.counter("ops.shared", gates)
+        return True
+
+    def _publish(self, state, layer: int) -> None:
+        if self.shared.publish(
+            self.fingerprint, self.steps, state.vector, layer
+        ) and self.recorder:
+            self.recorder.counter("shared.publish", 1)
+
+    def advance(self, index: int, instr: Advance) -> None:
+        self.backend.apply_layers(self.working, instr.start_layer, instr.end_layer)
+
+    def inject(self, index: int, event) -> None:
+        self.backend.apply_operator(self.working, event.gate, (event.qubit,))
+        if self.events is not None:
+            self.events.append(event)
+        if self.shared is not None:
+            self.steps = self.steps + (inject_step(event),)
+
+    def snapshot(self, index: int, moved: bool) -> Tuple[Any, Any]:
+        """The state to store — the working state itself when ``moved`` —
+        and its provenance."""
+        state = self.working if moved else self.backend.copy_state(self.working)
+        return state, (tuple(self.events) if self.events is not None else None)
+
+    def stored(self, slot: int, state, layer: int) -> None:
+        if self.shared is not None:
+            # Publish before budget enforcement can spill this very
+            # snapshot out from under us.
+            self.slot_steps[slot] = self.steps
+            self._publish(state, layer)
+        if self.budget is not None:
+            self._enforce_budget()
+
+    def restore(self, slot: int, entry, layer: int, provenance) -> None:
+        if self.budget is not None:
+            entry = self._rehydrate(slot, entry, layer)
+            self.events = list(provenance or ())
+        if self.shared is not None:
+            self.steps = self.slot_steps.pop(slot)
+        self.working = entry
+
+    def finish(self, index: int, borrowed: bool, deliver: bool):
+        if self.shared is not None:
+            # Publish the leaf state too: an identical concurrent job then
+            # skips even its final segments.
+            self._publish(self.working, self.layered.num_layers)
+        if not deliver:
+            return None
+        if borrowed:
+            return self.backend.finish_view(self.working)
+        return self.backend.finish(self.working)
+
+    def emit(self, index: int, row: np.ndarray) -> None:
+        # Serialize straight out of the working state — no intermediate
+        # snapshot copy is ever taken for a task entry.
+        np.copyto(row, self.working.vector)
+
+    def release(self) -> None:
+        self.backend.release_state(self.working)
+
+    def close(self) -> None:
+        if self.spill_area is not None:
+            self.spill_area.cleanup()
+
+    def _enforce_budget(self) -> None:
+        """Degrade coldest resident snapshots until the budget is met."""
+        cache, backend, recorder = self.cache, self.backend, self.recorder
+        while cache.over_budget:
+            slot = cache.coldest_resident_slot()
+            if slot is None:  # pragma: no cover - over_budget implies resident
+                break
+            state, layer = cache.peek(slot)
+            vector = getattr(state, "vector", None)
+            if vector is None:
+                raise ScheduleError(
+                    "cache budgets require a statevector-family backend "
+                    "(snapshot states must expose .vector)"
+                )
+            if self.budget.mode == "drop":
+                cache.mark_dropped(slot)
+                backend.release_state(state)
+                if recorder:
+                    recorder.instant("cache.drop", cat="cache", slot=slot, layer=layer)
+                    recorder.counter("cache.drop", 1)
+            elif self.budget.mode == "spill":
+                path = self.spill_area.allocate(slot, layer)
+                flat = np.ascontiguousarray(vector)
+                flat.tofile(path)
+                cache.mark_spilled(slot, path, payload_checksum(flat))
+                backend.release_state(state)
+                if recorder:
+                    recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
+                    recorder.counter("cache.spill", 1)
+            else:
+                raise ScheduleError(
+                    f"unknown cache degradation mode {self.budget.mode!r} "
+                    "(expected 'spill' or 'drop')"
+                )
+
+    def _rehydrate(self, slot: int, entry, layer: int):
+        """A restored slot's state: reload a spilled stub, recompute a
+        dropped one from its provenance, or the resident state itself."""
+        backend, recorder = self.backend, self.recorder
+        if isinstance(entry, SpilledSnapshot):
+            vector = np.fromfile(entry.path, dtype=np.complex128)
+            if payload_checksum(vector) != entry.checksum:
+                raise CorruptionError(
+                    f"spilled snapshot {entry.path!r} failed its checksum"
+                )
+            os.unlink(entry.path)
+            self.cache.note_spill_load()
+            if recorder:
+                recorder.instant("cache.spill.load", cat="cache", slot=slot, layer=layer)
+                recorder.counter("cache.spill.load", 1)
+            return backend.adopt_state(
+                Statevector.from_buffer(vector, self.layered.num_qubits)
+            )
+        if isinstance(entry, DroppedSnapshot):
+            ops_before = backend.ops_applied
+            state = _run_program(
+                backend,
+                backend.make_initial(),
+                rebuild_program(entry.provenance, layer),
+            )
+            self.cache.note_recompute()
+            if recorder:
+                ops_delta = backend.ops_applied - ops_before
+                recorder.instant(
+                    "cache.recompute", cat="cache", slot=slot, layer=layer,
+                    ops=ops_delta,
+                )
+                recorder.counter("ops.applied", ops_delta)
+                recorder.counter("cache.recompute", 1)
+            return state
+        return entry
+
+
+def _interpret(
+    instructions: Sequence[Any],
     layered: LayeredCircuit,
-    slot: int,
-    recorder,
-) -> Tuple[Any, int, Tuple[Any, ...]]:
-    """Take a slot that may hold a degraded stub; rehydrate if needed."""
-    entry, layer, provenance = cache.take_full(slot)
-    events = provenance or ()
-    if isinstance(entry, SpilledSnapshot):
-        vector = np.fromfile(entry.path, dtype=np.complex128)
-        if payload_checksum(vector) != entry.checksum:
-            raise CorruptionError(
-                f"spilled snapshot {entry.path!r} failed its checksum"
-            )
-        os.unlink(entry.path)
-        state = backend.adopt_state(
-            Statevector.from_buffer(vector, layered.num_qubits)
+    model,
+    cache: StateCache,
+    recorder=None,
+    on_finish: Optional[FinishCallback] = None,
+    stop=None,
+    working_layer: int = 0,
+    tasks: Sequence[Any] = (),
+    entries: Any = None,
+    name: str = "optimized",
+) -> int:
+    """Execute an instruction stream against ``model``'s states.
+
+    The one runtime walk behind :func:`run_optimized`,
+    :func:`~repro.core.hybrid.run_hybrid` and the parallel prefix phase.
+    The loop owns what the instructions mean: layer checks, ``cache``
+    accounting (an emitted task entry stays counted toward the peaks, as
+    in :class:`~repro.core.schedule.PlanWalk`), the moved-snapshot and
+    borrowed-finish peepholes, trace events, ``stop`` polling, and
+    delivery — each ``Finish`` payload to ``on_finish``, each
+    ``EmitTask`` entry state into ``entries[task_id]`` at
+    ``tasks[task_id].entry_layer``.  The model owns what a state is
+    (:class:`_DenseStates`, or the hybrid model of
+    :mod:`repro.core.hybrid`).  Returns the number of finishes; the cache
+    is drained on return.
+    """
+    num_layers = layered.num_layers
+    total = len(instructions)
+    probe, advance, inject = model.probe, model.advance, model.inject
+    cache.working_created()
+    live = True  # a working state exists
+    moved = False  # ...and the last Snapshot moved it into the cache
+    finish_calls = 0
+    trials_done = 0
+    try:
+        for index, instr in enumerate(instructions):
+            if stop is not None and stop.is_set():
+                if live and not moved:
+                    model.release()
+                raise RunInterrupted(
+                    f"{name} run interrupted by stop request",
+                    trials_completed=trials_done,
+                )
+            if isinstance(instr, Advance):
+                if instr.start_layer != working_layer:
+                    raise ScheduleError(
+                        f"advance from layer {instr.start_layer} but working "
+                        f"state is at layer {working_layer}"
+                    )
+                working_layer = instr.end_layer
+                if probe is not None and probe(instr):
+                    continue
+                if recorder:
+                    span = f"advance[{instr.start_layer},{instr.end_layer})"
+                    gates = layered.gates_between(
+                        instr.start_layer, instr.end_layer
+                    )
+                    recorder.begin(span, cat="segment", gates=gates)
+                    advance(index, instr)
+                    recorder.end(span, cat="segment")
+                    recorder.counter("ops.applied", gates)
+                else:
+                    advance(index, instr)
+            elif isinstance(instr, Snapshot):
+                # Move peephole: when the very next instruction is a Restore,
+                # the working state is dropped in the same plan step — the
+                # stored snapshot can steal it instead of copying.  Cache
+                # accounting is unchanged (it mirrors the plan's nominal
+                # demand, keeping the static peak-MSV cross-check exact); only
+                # the allocation and memcpy are skipped.
+                moved = index + 1 < total and isinstance(
+                    instructions[index + 1], Restore
+                )
+                state, provenance = model.snapshot(index, moved)
+                try:
+                    assigned = cache.store(
+                        state, working_layer, slot=instr.slot,
+                        provenance=provenance,
+                    )
+                except RuntimeError as exc:
+                    raise ScheduleError(str(exc)) from exc
+                if assigned != instr.slot:
+                    raise ScheduleError(
+                        f"cache stored snapshot in slot {assigned}, plan "
+                        f"expected slot {instr.slot}"
+                    )
+                if recorder:
+                    recorder.instant(
+                        "cache.store",
+                        cat="cache",
+                        slot=assigned,
+                        layer=working_layer,
+                        moved=moved,
+                    )
+                    if moved:
+                        recorder.counter("cache.store.moved", 1)
+                model.stored(assigned, state, working_layer)
+            elif isinstance(instr, Inject):
+                event = instr.event
+                if event.layer + 1 != working_layer:
+                    raise ScheduleError(
+                        f"inject {event} at working layer {working_layer}"
+                    )
+                inject(index, event)
+                if recorder:
+                    recorder.instant(
+                        "inject",
+                        cat="exec",
+                        layer=event.layer,
+                        qubit=event.qubit,
+                        pauli=event.pauli,
+                    )
+                    recorder.counter("ops.applied", 1)
+            elif isinstance(instr, Restore):
+                # A moved working state lives on inside the cache: there is
+                # nothing to release.
+                if not moved:
+                    model.release()
+                moved = False
+                cache.working_destroyed()
+                entry, working_layer, provenance = cache.take_full(instr.slot)
+                model.restore(instr.slot, entry, working_layer, provenance)
+                cache.working_created()
+                if recorder:
+                    recorder.instant(
+                        "cache.hit",
+                        cat="cache",
+                        slot=instr.slot,
+                        layer=working_layer,
+                        evict=True,
+                    )
+            elif isinstance(instr, Finish):
+                if working_layer != num_layers:
+                    raise ScheduleError(
+                        f"finish at layer {working_layer}, circuit has "
+                        f"{num_layers} layers"
+                    )
+                finish_calls += 1
+                # Borrow peephole: the planner always drops the working state
+                # right after a Finish (next instruction is a Restore, or the
+                # plan ends), so the payload can borrow it instead of copying.
+                # Guarded on the actual plan shape so hand-built plans that
+                # keep using the state still get an independent copy.
+                borrowed = index + 1 >= total or isinstance(
+                    instructions[index + 1], Restore
+                )
+                payload = model.finish(index, borrowed, on_finish is not None)
+                if on_finish is not None:
+                    on_finish(payload, instr.trial_indices)
+                if recorder:
+                    recorder.instant(
+                        "finish",
+                        cat="exec",
+                        trials=len(instr.trial_indices),
+                        moved=borrowed,
+                    )
+                    recorder.counter(
+                        "trials.finished", len(instr.trial_indices)
+                    )
+                    if borrowed:
+                        recorder.counter("finish.moved", 1)
+                trials_done += len(instr.trial_indices)
+            elif isinstance(instr, EmitTask):
+                task = tasks[instr.task_id]
+                if working_layer != task.entry_layer:
+                    raise ScheduleError(
+                        f"task {task.task_id} entry at layer "
+                        f"{task.entry_layer} but working state is at layer "
+                        f"{working_layer}"
+                    )
+                model.emit(index, entries[instr.task_id])
+                if recorder:
+                    recorder.instant(
+                        "task.emit", cat="parallel", task=task.task_id,
+                        layer=working_layer, trials=len(task.trial_indices),
+                    )
+                    recorder.counter("tasks.emitted", 1)
+                # The working state is consumed (like a serial Finish): a
+                # following Restore swaps in the next state; otherwise the
+                # walk is done with it.
+                if index + 1 == total or not isinstance(
+                    instructions[index + 1], Restore
+                ):
+                    model.release()
+                    cache.working_destroyed()
+                    live = False
+                cache.entry_emitted()
+            else:  # pragma: no cover - exhaustive over instruction kinds
+                raise ScheduleError(f"unknown plan instruction {instr!r}")
+        if live:
+            model.release()
+            cache.working_destroyed()
+    finally:
+        model.close()
+    cache.assert_drained()
+    return finish_calls
+
+
+def _end_run(recorder, outcome):
+    """Close a run's ``run`` span with its headline counters."""
+    if recorder:
+        recorder.end(
+            "run",
+            cat="run",
+            ops_applied=outcome.ops_applied,
+            peak_msv=outcome.peak_msv,
+            finish_calls=outcome.finish_calls,
         )
-        cache.note_spill_load()
-        if recorder:
-            recorder.instant("cache.spill.load", cat="cache", slot=slot, layer=layer)
-            recorder.counter("cache.spill.load", 1)
-    elif isinstance(entry, DroppedSnapshot):
-        ops_before = backend.ops_applied
-        state = _run_program(
-            backend,
-            backend.make_initial(),
-            rebuild_program(entry.provenance, layer),
-        )
-        cache.note_recompute()
-        if recorder:
-            ops_delta = backend.ops_applied - ops_before
-            recorder.instant(
-                "cache.recompute", cat="cache", slot=slot, layer=layer,
-                ops=ops_delta,
-            )
-            recorder.counter("ops.applied", ops_delta)
-            recorder.counter("cache.recompute", 1)
-    else:
-        state = entry
-    return state, layer, events
+    return outcome
 
 
 def run_optimized(
@@ -398,276 +746,41 @@ def run_optimized(
 
     backend.reset_counter()
     backend.set_recorder(recorder)
-    state_bytes = 16 * (1 << layered.num_qubits)
     cache = StateCache(
-        recorder=recorder, budget=cache_budget, state_bytes=state_bytes
+        recorder=recorder,
+        budget=cache_budget,
+        state_bytes=16 * (1 << layered.num_qubits),
     )
-    track_provenance = cache_budget is not None
-    working_events: List[Any] = list(entry_events) if track_provenance else []
-    spill_area = _SpillArea(cache_budget) if cache_budget is not None else None
     if recorder:
         _record_run_meta(
             recorder, "optimized", layered, trials, num_instructions=len(plan)
         )
         recorder.begin("run", cat="run")
-    if entry_state is None:
-        working = backend.make_initial()
-        working_layer = 0
-    else:
-        working = backend.adopt_state(entry_state)
-        working_layer = entry_layer
-    cache.working_created()
-    finish_calls = 0
-    trials_done = 0
-    ops_shared = 0
-    working_moved = False  # working was moved into the cache (no copy taken)
-
     # Cross-job sharing needs a provenance key rooted at |0...0>; an entry
     # state resumes mid-circuit with unknown boundary history, so sharing
     # is disabled there (results are unchanged — only reuse is lost).
-    share_active = shared is not None and entry_state is None
-    if share_active:
-        if getattr(working, "vector", None) is None:
-            raise ScheduleError(
-                "shared prefix store requires a statevector-family backend "
-                "(states must expose .vector)"
-            )
-        fingerprint = circuit_fingerprint(layered)
-        working_steps: Tuple[Any, ...] = ()
-        slot_steps: Dict[int, Tuple[Any, ...]] = {}
-
-    instructions = plan.instructions
-    try:
-        for index, instr in enumerate(instructions):
-            if stop is not None and stop.is_set():
-                backend.release_state(working)
-                raise RunInterrupted(
-                    "optimized run interrupted by stop request",
-                    trials_completed=trials_done,
-                )
-            if isinstance(instr, Advance):
-                if instr.start_layer != working_layer:
-                    raise ScheduleError(
-                        f"advance from layer {instr.start_layer} but working "
-                        f"state is at layer {working_layer}"
-                    )
-                if share_active:
-                    candidate = working_steps + (
-                        advance_step(instr.start_layer, instr.end_layer),
-                    )
-                    fetched = shared.fetch(fingerprint, candidate)
-                    if fetched is not None:
-                        # Another job already computed this exact segment
-                        # sequence; adopt its amplitudes instead of
-                        # re-executing.  The skipped gates go into
-                        # ops_shared, never ops_applied.
-                        gates = layered.gates_between(
-                            instr.start_layer, instr.end_layer
-                        )
-                        backend.release_state(working)
-                        working = backend.adopt_state(
-                            Statevector.from_buffer(
-                                fetched, layered.num_qubits
-                            )
-                        )
-                        working_layer = instr.end_layer
-                        working_steps = candidate
-                        ops_shared += gates
-                        shared.note_saved(gates)
-                        if recorder:
-                            recorder.instant(
-                                "shared.hit",
-                                cat="shared",
-                                start=instr.start_layer,
-                                end=instr.end_layer,
-                                gates=gates,
-                            )
-                            recorder.counter("ops.shared", gates)
-                        continue
-                    working_steps = candidate
-                if recorder:
-                    span = f"advance[{instr.start_layer},{instr.end_layer})"
-                    gates = layered.gates_between(
-                        instr.start_layer, instr.end_layer
-                    )
-                    recorder.begin(span, cat="segment", gates=gates)
-                    backend.apply_layers(
-                        working, instr.start_layer, instr.end_layer
-                    )
-                    recorder.end(span, cat="segment")
-                    recorder.counter("ops.applied", gates)
-                else:
-                    backend.apply_layers(
-                        working, instr.start_layer, instr.end_layer
-                    )
-                working_layer = instr.end_layer
-            elif isinstance(instr, Snapshot):
-                # Move peephole: when the very next instruction is a Restore,
-                # the working state is dropped in the same plan step — the
-                # stored snapshot can steal it instead of copying.  Cache
-                # accounting is unchanged (it mirrors the plan's nominal
-                # demand, keeping the static peak-MSV cross-check exact); only
-                # the allocation and memcpy are skipped.
-                moved = index + 1 < len(instructions) and isinstance(
-                    instructions[index + 1], Restore
-                )
-                snapshot = working if moved else backend.copy_state(working)
-                try:
-                    assigned = cache.store(
-                        snapshot,
-                        working_layer,
-                        slot=instr.slot,
-                        provenance=(
-                            tuple(working_events) if track_provenance else None
-                        ),
-                    )
-                except RuntimeError as exc:
-                    raise ScheduleError(str(exc)) from exc
-                if assigned != instr.slot:
-                    raise ScheduleError(
-                        f"cache stored snapshot in slot {assigned}, plan "
-                        f"expected slot {instr.slot}"
-                    )
-                working_moved = moved
-                if recorder:
-                    recorder.instant(
-                        "cache.store",
-                        cat="cache",
-                        slot=assigned,
-                        layer=working_layer,
-                        moved=moved,
-                    )
-                    if moved:
-                        recorder.counter("cache.store.moved", 1)
-                if share_active:
-                    # Publish before budget enforcement can spill this very
-                    # snapshot out from under us.
-                    slot_steps[instr.slot] = working_steps
-                    if shared.publish(
-                        fingerprint, working_steps, snapshot.vector,
-                        working_layer,
-                    ) and recorder:
-                        recorder.counter("shared.publish", 1)
-                if cache_budget is not None:
-                    _enforce_budget(
-                        cache, backend, cache_budget, spill_area, recorder
-                    )
-            elif isinstance(instr, Inject):
-                event = instr.event
-                if event.layer + 1 != working_layer:
-                    raise ScheduleError(
-                        f"inject {event} at working layer {working_layer}"
-                    )
-                backend.apply_operator(working, event.gate, (event.qubit,))
-                if track_provenance:
-                    working_events.append(event)
-                if share_active:
-                    working_steps = working_steps + (inject_step(event),)
-                if recorder:
-                    recorder.instant(
-                        "inject",
-                        cat="exec",
-                        layer=event.layer,
-                        qubit=event.qubit,
-                        pauli=event.pauli,
-                    )
-                    recorder.counter("ops.applied", 1)
-            elif isinstance(instr, Restore):
-                if working_moved:
-                    # The working state lives on inside the cache (snapshot
-                    # move); there is nothing to release.
-                    working_moved = False
-                else:
-                    backend.release_state(working)
-                cache.working_destroyed()
-                if cache_budget is None:
-                    working, working_layer = cache.take(instr.slot)
-                else:
-                    working, working_layer, restored_events = (
-                        _restore_degradable(
-                            cache, backend, layered, instr.slot, recorder
-                        )
-                    )
-                    working_events = list(restored_events)
-                if share_active:
-                    working_steps = slot_steps.pop(instr.slot)
-                cache.working_created()
-                if recorder:
-                    recorder.instant(
-                        "cache.hit",
-                        cat="cache",
-                        slot=instr.slot,
-                        layer=working_layer,
-                        evict=True,
-                    )
-            elif isinstance(instr, Finish):
-                if working_layer != layered.num_layers:
-                    raise ScheduleError(
-                        f"finish at layer {working_layer}, circuit has "
-                        f"{layered.num_layers} layers"
-                    )
-                finish_calls += 1
-                # Borrow peephole: the planner always drops the working state
-                # right after a Finish (next instruction is a Restore, or the
-                # plan ends), so the payload can borrow it instead of copying.
-                # Guarded on the actual plan shape so hand-built plans that
-                # keep using the state still get an independent copy.
-                borrowed = index + 1 >= len(instructions) or isinstance(
-                    instructions[index + 1], Restore
-                )
-                if share_active:
-                    # Publish the leaf state too: an identical concurrent
-                    # job then skips even its final segments.
-                    if shared.publish(
-                        fingerprint, working_steps, working.vector,
-                        working_layer,
-                    ) and recorder:
-                        recorder.counter("shared.publish", 1)
-                if on_finish is not None:
-                    payload = (
-                        backend.finish_view(working)
-                        if borrowed
-                        else backend.finish(working)
-                    )
-                    on_finish(payload, instr.trial_indices)
-                if recorder:
-                    recorder.instant(
-                        "finish",
-                        cat="exec",
-                        trials=len(instr.trial_indices),
-                        moved=borrowed,
-                    )
-                    recorder.counter(
-                        "trials.finished", len(instr.trial_indices)
-                    )
-                    if borrowed:
-                        recorder.counter("finish.moved", 1)
-                trials_done += len(instr.trial_indices)
-            else:  # pragma: no cover - exhaustive over instruction kinds
-                raise ScheduleError(f"unknown plan instruction {instr!r}")
-    finally:
-        if spill_area is not None:
-            spill_area.cleanup()
-
-    backend.release_state(working)
-    cache.working_destroyed()
-    cache.assert_drained()
-    outcome = ExecutionOutcome(
-        ops_applied=backend.ops_applied,
-        num_trials=len(trials),
-        cache_stats=cache.stats(),
-        finish_calls=finish_calls,
-        ops_shared=ops_shared,
+    if entry_state is None:
+        working, entry_layer = backend.make_initial(), 0
+    else:
+        working, shared = backend.adopt_state(entry_state), None
+    model = _DenseStates(
+        layered, backend, cache, recorder, working,
+        entry_events=entry_events, budget=cache_budget, shared=shared,
     )
-    if recorder:
-        recorder.end(
-            "run",
-            cat="run",
-            ops_applied=outcome.ops_applied,
-            peak_msv=outcome.peak_msv,
-            finish_calls=outcome.finish_calls,
-        )
-    return outcome
+    finish_calls = _interpret(
+        plan.instructions, layered, model, cache, recorder,
+        on_finish=on_finish, stop=stop, working_layer=entry_layer,
+    )
+    return _end_run(
+        recorder,
+        ExecutionOutcome(
+            ops_applied=backend.ops_applied,
+            num_trials=len(trials),
+            cache_stats=cache.stats(),
+            finish_calls=finish_calls,
+            ops_shared=model.ops_shared,
+        ),
+    )
 
 
 def run_baseline(
@@ -723,21 +836,15 @@ def run_baseline(
             recorder.end(f"trial[{index}]", cat="trial")
 
     cache.assert_drained()
-    outcome = ExecutionOutcome(
-        ops_applied=backend.ops_applied,
-        num_trials=len(trials),
-        cache_stats=cache.stats(),
-        finish_calls=len(trials),
+    return _end_run(
+        recorder,
+        ExecutionOutcome(
+            ops_applied=backend.ops_applied,
+            num_trials=len(trials),
+            cache_stats=cache.stats(),
+            finish_calls=len(trials),
+        ),
     )
-    if recorder:
-        recorder.end(
-            "run",
-            cat="run",
-            ops_applied=outcome.ops_applied,
-            peak_msv=outcome.peak_msv,
-            finish_calls=outcome.finish_calls,
-        )
-    return outcome
 
 
 def baseline_operation_count(

@@ -33,9 +33,12 @@ crosses a kernel matrix when ``M @ P == i**k * (P' @ M)`` holds bitwise
 for the very float matrix the compiled kernel applies *and* the identity
 transfers to kernel arithmetic (single-qubit kernels, exact-unit entries,
 or phase permutations).  Segments that fail the check force a
-materialization point; the subtree below it runs dense — inline in serial
-mode, or delegated to :func:`~repro.core.wavefront.run_wavefront` as a
-batched fragment in batch mode.
+materialization point; the subtree below it runs dense.
+
+Execution is :func:`repro.core.executor.run_optimized`'s own instruction
+loop over a different state model (:class:`_HybridStates`): a symbolic
+working state is just its anchor path, and the dense subtrees hold
+backend states exactly as the serial executor does.
 
 The static classifier (:func:`classify_plan`) decides every action ahead
 of execution, so the schedule is lint-provable (rule ``P026``) and the
@@ -52,17 +55,18 @@ from ..circuits.layers import LayeredCircuit
 from ..sim.stabilizer import PauliFrame
 from ..sim.statevector import Statevector
 from .cache import StateCache
-from .events import ErrorEvent, Trial
+from .events import Trial
 from .executor import (
     ExecutionOutcome,
     FinishCallback,
-    RunInterrupted,
+    _DenseStates,
+    _end_run,
+    _interpret,
     _record_run_meta,
     run_optimized,
 )
 from .schedule import (
     Advance,
-    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -71,7 +75,6 @@ from .schedule import (
     ScheduleError,
     Snapshot,
     build_plan,
-    localize_plan,
 )
 
 __all__ = [
@@ -80,7 +83,6 @@ __all__ = [
     "classify_plan",
     "classify_instructions",
     "run_hybrid",
-    "run_hybrid_prefix",
 ]
 
 #: Boundary path of the root anchor: the initial state |0...0> at layer 0.
@@ -135,25 +137,6 @@ def _shadow_segment(
     for qubit in sorted(pending):
         flush(qubit)
     return tuple(entries)
-
-
-class _Sym:
-    """Symbolic working state: anchor path + Pauli frame + event history."""
-
-    __slots__ = ("path", "frame", "events")
-
-    def __init__(
-        self,
-        path: Tuple[int, ...],
-        frame: PauliFrame,
-        events: Tuple[ErrorEvent, ...],
-    ) -> None:
-        self.path = path
-        self.frame = frame
-        self.events = events
-
-    def copy(self) -> "_Sym":
-        return _Sym(self.path, self.frame.copy(), self.events)
 
 
 _DENSE = "dense"
@@ -402,8 +385,9 @@ def classify_plan(
 class HybridOutcome(ExecutionOutcome):
     """Serial-parity counters plus the hybrid's real-work statistics.
 
-    ``ops_applied`` / ``peak_msv`` are the *nominal* plan-mirror values —
-    byte-for-byte what :func:`run_optimized` reports for the same plan —
+    ``ops_applied``, ``peak_msv`` and ``peak_stored`` are the *nominal*
+    plan-mirror values — what :func:`run_optimized` reports for the same
+    plan —
     so every downstream metric (normalized computation, lint conservation
     checks) is invariant under the hybrid switch.  The actual dense work
     and residency live in ``hybrid``.
@@ -494,32 +478,130 @@ class _AnchorStore:
             del self.states[path]
             self._sample()
 
-    def get(self, path: Tuple[int, ...]) -> Statevector:
-        state = self.states.get(path)
-        if state is None:
-            raise ScheduleError(f"hybrid anchor {path} is not resident")
-        return state
-
-    def materialize(
+    def payload(
         self, path: Tuple[int, ...], frame: PauliFrame
     ) -> Statevector:
-        """Frame applied to the anchor — a fresh, mutable statevector."""
-        anchor = self.get(path)
-        if frame.is_identity:
-            result = anchor.copy()
-        else:
+        """``frame`` applied to the anchor: the anchor itself for the
+        identity frame (borrowed — callers must not mutate it), else a
+        fresh, mutable statevector."""
+        anchor = self.states.get(path)
+        if anchor is None:
+            raise ScheduleError(f"hybrid anchor {path} is not resident")
+        if not frame.is_identity:
             tensor = frame.apply_to_tensor(anchor._tensor)
-            result = Statevector.from_buffer(
+            anchor = Statevector.from_buffer(
                 tensor.reshape(-1), self.layered.num_qubits
             )
         self.release(path)
-        return result
-
-    def borrow(self, path: Tuple[int, ...]) -> Statevector:
-        """The anchor itself (identity frame) — callers must not mutate."""
-        anchor = self.get(path)
-        self.release(path)
         return anchor
+
+
+class _HybridStates(_DenseStates):
+    """The hybrid state model for the one plan loop.
+
+    A symbolic working state is just its anchor path (a tuple); below a
+    materialization point the working state is a backend state and every
+    instruction runs as in :class:`~repro.core.executor._DenseStates`.
+    The classifier's action for each instruction says which side it is
+    on.  ``ops_applied`` is the nominal plan-mirror count, what
+    :func:`~repro.core.executor.run_optimized` reports for the same plan.
+    """
+
+    def __init__(
+        self, layered: LayeredCircuit, backend, cache, recorder,
+        schedule: HybridSchedule,
+    ) -> None:
+        super().__init__(layered, backend, cache, recorder, ROOT_PATH)
+        self.actions = schedule.actions
+        self.anchors = _AnchorStore(layered, backend, schedule, recorder)
+        self.nominal_ops = 0
+        self.dense_ops = 0
+        self.clifford_ops = 0
+        self.materializations = 0
+        self.borrows = 0
+
+    @property
+    def ops_applied(self) -> int:
+        return self.nominal_ops
+
+    def _payload(self, action: Tuple, where: str) -> Statevector:
+        path, frame = action[1], action[2]
+        if self.working != path:
+            raise ScheduleError(f"hybrid schedule out of sync at {where}")
+        if frame.is_identity:
+            self.borrows += 1
+            if self.recorder:
+                self.recorder.counter("hybrid.borrows", 1)
+        else:
+            self.materializations += 1
+            if self.recorder:
+                self.recorder.counter("hybrid.materialize", 1)
+        return self.anchors.payload(path, frame)
+
+    def advance(self, index: int, instr: Advance) -> None:
+        gates = self.layered.gates_between(instr.start_layer, instr.end_layer)
+        self.nominal_ops += gates
+        action = self.actions[index]
+        if action[0] == "advance-sym":
+            # The classifier already proved the frame crosses this
+            # segment; only the path moves.  The conjugated frames live in
+            # the action payloads at every materialization point.
+            _, parent, path, derive = action
+            if derive:
+                self.anchors.derive(parent, path)
+            self.working = path
+            self.clifford_ops += gates
+            if self.recorder:
+                self.recorder.counter("hybrid.clifford_ops", gates)
+            return
+        if action[0] == "advance-mat":
+            dense = self._payload(action, "materialization")
+            if dense is self.anchors.states.get(action[1]):
+                dense = dense.copy()
+            self.working = self.backend.adopt_state(dense)
+        super().advance(index, instr)
+        self.dense_ops += gates
+
+    def inject(self, index: int, event) -> None:
+        self.nominal_ops += 1
+        # A symbolic Pauli is already folded into the downstream frames.
+        if self.actions[index][0] == "inject-dense":
+            super().inject(index, event)
+            self.dense_ops += 1
+
+    def snapshot(self, index: int, moved: bool) -> Tuple[Any, Any]:
+        if self.actions[index][0] == "snapshot-sym":
+            return self.working, None  # a path is immutable: nothing to copy
+        return super().snapshot(index, moved)
+
+    def finish(self, index: int, borrowed: bool, deliver: bool):
+        action = self.actions[index]
+        if action[0] != "finish-sym":
+            return super().finish(index, borrowed, deliver)
+        if deliver:
+            return self._payload(action, "finish")
+        self.anchors.release(action[1])
+        return None
+
+    def emit(self, index: int, row: np.ndarray) -> None:
+        action = self.actions[index]
+        if action[0] == "emit-sym":
+            np.copyto(row, self._payload(action, "emit").vector)
+        else:
+            super().emit(index, row)
+
+    def release(self) -> None:
+        if not isinstance(self.working, tuple):
+            super().release()
+
+
+def _require_compiled(backend) -> None:
+    """Anchors advance with the backend's own memoized segment kernels."""
+    if not hasattr(backend, "compiled"):
+        raise ScheduleError(
+            "hybrid execution needs a compiled statevector backend "
+            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
+        )
 
 
 def run_hybrid(
@@ -530,27 +612,26 @@ def run_hybrid(
     plan: Optional[ExecutionPlan] = None,
     check: bool = False,
     recorder=None,
-    batch_size: int = 0,
     schedule: Optional[HybridSchedule] = None,
     stop=None,
 ) -> HybridOutcome:
     """Execute ``trials`` with the Clifford/Pauli-frame fast path.
 
-    Drop-in alternative to :func:`~repro.core.executor.run_optimized`
-    (``batch_size=0``) or :func:`~repro.core.wavefront.run_wavefront`
-    (``batch_size >= 1``, dense subtrees delegated as batched fragments):
-    same ``on_finish`` payload/index stream in the same order, bitwise
-    identical payload amplitudes, identical nominal ``ops_applied`` and
-    ``peak_msv``.  Requires a compiled statevector backend (anchors are
-    advanced with the backend's own memoized segment kernels).
+    Drop-in alternative to :func:`~repro.core.executor.run_optimized`:
+    the same instruction loop over the hybrid state model, so the same
+    ``on_finish`` payload/index stream in the same order, bitwise
+    identical payload amplitudes, identical nominal ``ops_applied``,
+    ``peak_msv`` and ``peak_stored``.  Requires a compiled statevector
+    backend (anchors are advanced with the backend's own memoized
+    segment kernels).
 
     When the static classifier finds no sharable symbolic work
-    (``schedule.active`` is false) the run is delegated wholesale to the
-    serial or wavefront executor — zero overhead, trivially bit-exact —
-    and the outcome reports ``active=False``.
+    (``schedule.active`` is false) the run is delegated wholesale to
+    :func:`~repro.core.executor.run_optimized` — zero overhead, trivially
+    bit-exact — and the outcome reports ``active=False``.
 
-    ``stop`` (a ``threading.Event``) is polled before every plan action
-    and inside delegated fragments; once set, the run raises
+    ``stop`` (a ``threading.Event``) is polled before every plan
+    instruction; once set, the run raises
     :class:`~repro.core.executor.RunInterrupted` counting the trials
     delivered so far.
     """
@@ -560,11 +641,7 @@ def run_hybrid(
         raise ScheduleError(
             f"plan covers {plan.num_trials} trials, got {len(trials)}"
         )
-    if not hasattr(backend, "compiled"):
-        raise ScheduleError(
-            "hybrid execution needs a compiled statevector backend "
-            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
-        )
+    _require_compiled(backend)
     if check:
         plan.validate(trials=trials, layered=layered)
     if schedule is None:
@@ -577,30 +654,19 @@ def run_hybrid(
             raise ScheduleError("; ".join(problems))
 
     if not schedule.active:
-        if batch_size >= 1:
-            from .wavefront import run_wavefront
-
-            base = run_wavefront(
-                layered, trials, backend, on_finish=on_finish, plan=plan,
-                batch_size=batch_size, check=False, recorder=recorder,
-                stop=stop,
-            )
-        else:
-            base = run_optimized(
-                layered, trials, backend, on_finish=on_finish, plan=plan,
-                check=False, recorder=recorder, stop=stop,
-            )
-        hybrid_stats = dict(schedule.stats)
-        hybrid_stats.update(
-            anchors_derived=0, real_anchor_ops=0, real_dense_ops=base.ops_applied,
-            peak_anchors_live=0, fragments=0,
+        base = run_optimized(
+            layered, trials, backend, on_finish=on_finish, plan=plan,
+            recorder=recorder, stop=stop,
         )
         return HybridOutcome(
             ops_applied=base.ops_applied,
             num_trials=base.num_trials,
             cache_stats=base.cache_stats,
             finish_calls=base.finish_calls,
-            hybrid=hybrid_stats,
+            hybrid=dict(
+                schedule.stats, anchors_derived=0, real_anchor_ops=0,
+                real_dense_ops=base.ops_applied, peak_anchors_live=0,
+            ),
             active=False,
         )
 
@@ -612,520 +678,28 @@ def run_hybrid(
             recorder, "hybrid", layered, trials, num_instructions=len(plan)
         )
         recorder.begin("run", cat="run")
-
-    anchors = _AnchorStore(layered, backend, schedule, recorder)
-    instructions = plan.instructions
-    actions = schedule.actions
-    num_layers = layered.num_layers
-
-    #: nominal working token stored in the cache for symbolic states so
-    #: the plan-mirror peak accounting matches the serial executor's.
-    working: Any = _Sym(ROOT_PATH, PauliFrame(layered.num_qubits), ())
-    working_layer = 0
-    cache.working_created()
-    working_moved = False
-    finish_calls = 0
-    nominal_ops = 0
-    real_dense_ops = 0
-    clifford_ops = 0
-    materialize_count = 0
-    borrow_count = 0
-    fragments = 0
-    trials_done = 0
-    peak_candidates: List[int] = []
-
-    def materialize_payload(
-        path: Tuple[int, ...], frame: PauliFrame
-    ) -> Statevector:
-        nonlocal materialize_count, borrow_count
-        if frame.is_identity:
-            borrow_count += 1
-            if recorder:
-                recorder.counter("hybrid.borrows", 1)
-            return anchors.borrow(path)
-        materialize_count += 1
-        if recorder:
-            recorder.counter("hybrid.materialize", 1)
-        return anchors.materialize(path, frame)
-
-    index = 0
-    total = len(instructions)
-    while index < total:
-        if stop is not None and stop.is_set():
-            if isinstance(working, Statevector):
-                backend.release_state(working)
-            raise RunInterrupted(
-                "hybrid run interrupted by stop request",
-                trials_completed=trials_done,
-            )
-        instr = instructions[index]
-        action = actions[index]
-        kind = action[0]
-        if isinstance(instr, Advance):
-            if instr.start_layer != working_layer:
-                raise ScheduleError(
-                    f"advance from layer {instr.start_layer} but working "
-                    f"state is at layer {working_layer}"
-                )
-            gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            nominal_ops += gates
-            if recorder:
-                span = f"advance[{instr.start_layer},{instr.end_layer})"
-                recorder.begin(span, cat="segment", gates=gates)
-            if kind == "advance-sym":
-                # The classifier already proved the frame crosses this
-                # segment; the runtime only moves the path marker.  The
-                # conjugated frames live in the action payloads at every
-                # materialization point, so no frame state is tracked here.
-                _, parent, new_path, derive = action
-                if derive:
-                    anchors.derive(parent, new_path)
-                working = _Sym(new_path, working.frame, working.events)
-                clifford_ops += gates
-                if recorder:
-                    recorder.counter("hybrid.clifford_ops", gates)
-            elif kind == "advance-mat":
-                _, path, frame, events = action
-                if not isinstance(working, _Sym) or working.path != path:
-                    raise ScheduleError(
-                        "hybrid schedule out of sync at materialization"
-                    )
-                dense = materialize_payload(path, frame)
-                if dense is anchors.states.get(path):
-                    dense = dense.copy()
-                if batch_size >= 1:
-                    # Delegate the whole dense subtree as one batched
-                    # fragment; the loop resumes at the outer Restore,
-                    # the first one the classifier tagged symbolic.
-                    end = next(
-                        (
-                            j for j in range(index + 1, total)
-                            if actions[j][0] == "restore-sym"
-                        ),
-                        total,
-                    )
-                    sub_plan, ordered_globals, groups = localize_plan(
-                        instructions[index:end], num_layers
-                    )
-                    sub_finishes = len(groups)
-                    sub_trials = [trials[g] for g in ordered_globals]
-
-                    def sub_finish(payload, local_indices, _map=ordered_globals):
-                        nonlocal trials_done
-                        if on_finish is not None:
-                            on_finish(
-                                payload,
-                                tuple(_map[li] for li in local_indices),
-                            )
-                        trials_done += len(local_indices)
-
-                    if recorder:
-                        recorder.end(span, cat="segment")
-                        recorder.counter("ops.applied", gates)
-                    cache.working_destroyed()
-                    from .wavefront import run_wavefront
-
-                    saved_recorder = backend.recorder
-                    try:
-                        sub = run_wavefront(
-                            layered,
-                            sub_trials,
-                            backend,
-                            on_finish=sub_finish,
-                            plan=sub_plan,
-                            batch_size=batch_size,
-                            check=False,
-                            recorder=None,
-                            entry_state=dense,
-                            entry_layer=instr.start_layer,
-                            entry_events=events,
-                            stop=stop,
-                        )
-                    except RunInterrupted as exc:
-                        exc.trials_completed = trials_done
-                        raise
-                    backend.set_recorder(saved_recorder)
-                    fragments += 1
-                    finish_calls += sub_finishes
-                    nominal_ops += sub.ops_applied - gates
-                    real_dense_ops += sub.ops_applied
-                    peak_candidates.append(cache.num_live + sub.peak_msv)
-                    if recorder:
-                        recorder.instant(
-                            "hybrid.fragment",
-                            cat="hybrid",
-                            instructions=end - index,
-                            ops=sub.ops_applied - gates,
-                            finishes=sub_finishes,
-                        )
-                        recorder.counter(
-                            "ops.applied", sub.ops_applied - gates
-                        )
-                        recorder.counter(
-                            "trials.finished", len(ordered_globals)
-                        )
-                        recorder.counter("hybrid.fragments", 1)
-                    working = None
-                    index = end
-                    continue
-                working = backend.adopt_state(dense)
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-                real_dense_ops += gates
-            else:  # advance-dense
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-                real_dense_ops += gates
-            if recorder:
-                recorder.end(span, cat="segment")
-                recorder.counter("ops.applied", gates)
-            working_layer = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            moved = index + 1 < total and isinstance(
-                instructions[index + 1], Restore
-            )
-            if kind == "snapshot-sym":
-                snapshot: Any = working if moved else working.copy()
-            else:
-                snapshot = (
-                    working if moved else backend.copy_state(working)
-                )
-            try:
-                assigned = cache.store(snapshot, working_layer, slot=instr.slot)
-            except RuntimeError as exc:
-                raise ScheduleError(str(exc)) from exc
-            if assigned != instr.slot:
-                raise ScheduleError(
-                    f"cache stored snapshot in slot {assigned}, plan "
-                    f"expected slot {instr.slot}"
-                )
-            working_moved = moved
-            if recorder:
-                recorder.instant(
-                    "cache.store",
-                    cat="cache",
-                    slot=assigned,
-                    layer=working_layer,
-                    moved=moved,
-                )
-                if moved:
-                    recorder.counter("cache.store.moved", 1)
-        elif isinstance(instr, Inject):
-            event = instr.event
-            if event.layer + 1 != working_layer:
-                raise ScheduleError(
-                    f"inject {event} at working layer {working_layer}"
-                )
-            nominal_ops += 1
-            if kind == "inject-sym":
-                # Pure accounting: the classifier folded the Pauli into
-                # the frames carried by downstream action payloads.
-                pass
-            else:
-                backend.apply_operator(working, event.gate, (event.qubit,))
-                real_dense_ops += 1
-            if recorder:
-                recorder.instant(
-                    "inject",
-                    cat="exec",
-                    layer=event.layer,
-                    qubit=event.qubit,
-                    pauli=event.pauli,
-                )
-                recorder.counter("ops.applied", 1)
-        elif isinstance(instr, Restore):
-            if working is None:
-                # A batched fragment consumed the working state; the
-                # nominal destroy already happened before delegation.
-                pass
-            elif working_moved:
-                working_moved = False
-                cache.working_destroyed()
-            else:
-                if isinstance(working, Statevector):
-                    backend.release_state(working)
-                cache.working_destroyed()
-            working, working_layer = cache.take(instr.slot)
-            cache.working_created()
-            if recorder:
-                recorder.instant(
-                    "cache.hit",
-                    cat="cache",
-                    slot=instr.slot,
-                    layer=working_layer,
-                    evict=True,
-                )
-        elif isinstance(instr, Finish):
-            if working_layer != num_layers:
-                raise ScheduleError(
-                    f"finish at layer {working_layer}, circuit has "
-                    f"{num_layers} layers"
-                )
-            finish_calls += 1
-            borrowed = index + 1 >= total or isinstance(
-                instructions[index + 1], Restore
-            )
-            if kind == "finish-sym":
-                _, path, frame = action
-                if not isinstance(working, _Sym) or working.path != path:
-                    raise ScheduleError(
-                        "hybrid schedule out of sync at finish"
-                    )
-                if on_finish is not None:
-                    payload = materialize_payload(path, frame)
-                    on_finish(payload, instr.trial_indices)
-                else:
-                    anchors.release(path)
-            else:
-                if on_finish is not None:
-                    payload = (
-                        backend.finish_view(working)
-                        if borrowed
-                        else backend.finish(working)
-                    )
-                    on_finish(payload, instr.trial_indices)
-            if recorder:
-                recorder.instant(
-                    "finish",
-                    cat="exec",
-                    trials=len(instr.trial_indices),
-                    moved=borrowed,
-                )
-                recorder.counter("trials.finished", len(instr.trial_indices))
-                if borrowed:
-                    recorder.counter("finish.moved", 1)
-            trials_done += len(instr.trial_indices)
-        else:
-            raise ScheduleError(f"unknown plan instruction {instr!r}")
-        index += 1
-
-    if working is not None:
-        if isinstance(working, Statevector):
-            backend.release_state(working)
-        cache.working_destroyed()
-    cache.assert_drained()
-    stats = cache.stats()
-    if peak_candidates:
-        # Fold each delegated fragment's internal peak into the nominal
-        # bound: outer live states at delegation time plus the fragment's
-        # own peak — exactly what the serial/wavefront walk would report.
-        stats.peak_msv = max([stats.peak_msv] + peak_candidates)
-    hybrid_stats = dict(schedule.stats)
-    hybrid_stats.update(
-        anchors_derived=len(schedule.derive_gates),
-        real_anchor_ops=anchors.anchor_ops,
-        real_dense_ops=real_dense_ops,
-        real_clifford_ops=clifford_ops,
-        real_materializations=materialize_count,
-        real_borrows=borrow_count,
-        peak_anchors_live=anchors.live_peak,
-        fragments=fragments,
+    model = _HybridStates(layered, backend, cache, recorder, schedule)
+    finish_calls = _interpret(
+        plan.instructions, layered, model, cache, recorder,
+        on_finish=on_finish, stop=stop, name="hybrid",
     )
-    outcome = HybridOutcome(
-        ops_applied=nominal_ops,
-        num_trials=len(trials),
-        cache_stats=stats,
-        finish_calls=finish_calls,
-        hybrid=hybrid_stats,
-        active=True,
+    return _end_run(
+        recorder,
+        HybridOutcome(
+            ops_applied=model.nominal_ops,
+            num_trials=len(trials),
+            cache_stats=cache.stats(),
+            finish_calls=finish_calls,
+            hybrid=dict(
+                schedule.stats,
+                anchors_derived=len(schedule.derive_gates),
+                real_anchor_ops=model.anchors.anchor_ops,
+                real_dense_ops=model.dense_ops,
+                real_clifford_ops=model.clifford_ops,
+                real_materializations=model.materializations,
+                real_borrows=model.borrows,
+                peak_anchors_live=model.anchors.live_peak,
+            ),
+            active=True,
+        ),
     )
-    if recorder:
-        recorder.end(
-            "run",
-            cat="run",
-            ops_applied=outcome.ops_applied,
-            peak_msv=outcome.peak_msv,
-            finish_calls=outcome.finish_calls,
-        )
-    return outcome
-
-
-def run_hybrid_prefix(
-    partition,
-    layered: LayeredCircuit,
-    backend,
-    entries: np.ndarray,
-    recorder,
-) -> Dict[str, int]:
-    """Hybrid-aware replacement for the parallel phase-1 prefix runner.
-
-    Interprets the partition's prefix program symbolically where the
-    classifier allows it; ``EmitTask`` serializes the materialized entry
-    state into the shared ``entries`` row bitwise equal to the dense
-    prefix walk, so workers (which always run dense) produce identical
-    results.  Returns the same counter dict as the dense ``_run_prefix``
-    with nominal (plan-mirror) operation accounting.
-    """
-    if not hasattr(backend, "compiled"):
-        raise ScheduleError(
-            "hybrid prefix execution needs a compiled statevector backend "
-            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
-        )
-    instructions = partition.prefix
-    schedule = classify_instructions(layered, instructions)
-    if not schedule.active:
-        from .parallel import _run_prefix
-
-        return _run_prefix(partition, layered, backend, entries, recorder)
-
-    backend.reset_counter()
-    backend.set_recorder(recorder)
-    cache = StateCache(recorder=recorder)
-    if recorder:
-        recorder.begin(
-            "prefix",
-            cat="parallel",
-            tasks=partition.num_tasks,
-            depth=partition.depth,
-        )
-    anchors = _AnchorStore(layered, backend, schedule, recorder)
-    working: Any = _Sym(ROOT_PATH, PauliFrame(layered.num_qubits), ())
-    working_layer = 0
-    cache.working_created()
-    emitted = 0
-    peak_live = 1
-    peak_stored = 0
-    nominal_ops = 0
-    actions = schedule.actions
-
-    for index, instr in enumerate(instructions):
-        action = actions[index]
-        kind = action[0]
-        if isinstance(instr, Advance):
-            if instr.start_layer != working_layer:
-                raise ScheduleError(
-                    f"prefix advance from layer {instr.start_layer} but "
-                    f"working state is at layer {working_layer}"
-                )
-            gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            nominal_ops += gates
-            if recorder:
-                span = f"advance[{instr.start_layer},{instr.end_layer})"
-                recorder.begin(span, cat="segment", gates=gates)
-            if kind == "advance-sym":
-                _, parent, new_path, derive = action
-                if derive:
-                    anchors.derive(parent, new_path)
-                working = _Sym(new_path, working.frame, working.events)
-                if recorder:
-                    recorder.counter("hybrid.clifford_ops", gates)
-            elif kind == "advance-mat":
-                _, path, frame, _events = action
-                if not isinstance(working, _Sym) or working.path != path:
-                    raise ScheduleError(
-                        "hybrid prefix out of sync at materialization"
-                    )
-                dense = anchors.materialize(path, frame)
-                working = backend.adopt_state(dense)
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-            else:
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-            if recorder:
-                recorder.end(span, cat="segment")
-                recorder.counter("ops.applied", gates)
-            working_layer = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            if kind == "snapshot-sym":
-                cache.store(working.copy(), working_layer, slot=instr.slot)
-            else:
-                cache.store(
-                    backend.copy_state(working), working_layer,
-                    slot=instr.slot,
-                )
-            if recorder:
-                recorder.instant(
-                    "cache.store", cat="cache", slot=instr.slot,
-                    layer=working_layer,
-                )
-        elif isinstance(instr, Inject):
-            event = instr.event
-            if event.layer + 1 != working_layer:
-                raise ScheduleError(
-                    f"prefix inject {event} at working layer {working_layer}"
-                )
-            nominal_ops += 1
-            if kind == "inject-sym":
-                pass  # folded into downstream action-payload frames
-            else:
-                backend.apply_operator(working, event.gate, (event.qubit,))
-            if recorder:
-                recorder.instant(
-                    "inject", cat="exec", layer=event.layer,
-                    qubit=event.qubit, pauli=event.pauli,
-                )
-                recorder.counter("ops.applied", 1)
-        elif isinstance(instr, Restore):
-            if isinstance(working, Statevector):
-                backend.release_state(working)
-            cache.working_destroyed()
-            working, working_layer = cache.take(instr.slot)
-            cache.working_created()
-            if recorder:
-                recorder.instant(
-                    "cache.hit", cat="cache", slot=instr.slot,
-                    layer=working_layer, evict=True,
-                )
-        elif isinstance(instr, EmitTask):
-            task = partition.tasks[instr.task_id]
-            if working_layer != task.entry_layer:
-                raise ScheduleError(
-                    f"task {task.task_id} entry at layer {task.entry_layer} "
-                    f"but working state is at layer {working_layer}"
-                )
-            if kind == "emit-sym":
-                _, path, frame = action
-                if frame.is_identity:
-                    source = anchors.borrow(path)
-                    np.copyto(entries[instr.task_id], source.vector)
-                else:
-                    materialized = anchors.materialize(path, frame)
-                    np.copyto(entries[instr.task_id], materialized.vector)
-            else:
-                np.copyto(entries[instr.task_id], working.vector)
-            emitted += 1
-            if recorder:
-                recorder.instant(
-                    "task.emit", cat="parallel", task=task.task_id,
-                    layer=working_layer, trials=len(task.trial_indices),
-                )
-                recorder.counter("tasks.emitted", 1)
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if not isinstance(next_instr, Restore):
-                if isinstance(working, Statevector):
-                    backend.release_state(working)
-                cache.working_destroyed()
-                working = None
-        else:
-            raise ScheduleError(f"unknown prefix instruction {instr!r}")
-        peak_live = max(peak_live, cache.num_live + emitted)
-        peak_stored = max(peak_stored, cache.num_stored + emitted)
-
-    if working is not None:
-        raise ScheduleError(
-            "prefix program ended without consuming the working state "
-            "(last instruction must be an EmitTask)"
-        )
-    cache.assert_drained()
-    stats = cache.stats()
-    if recorder:
-        recorder.end(
-            "prefix", cat="parallel", ops_applied=nominal_ops,
-            tasks_emitted=emitted,
-        )
-    return {
-        "ops": nominal_ops,
-        "peak_live": peak_live,
-        "peak_stored": peak_stored,
-        "snapshots_taken": stats.snapshots_taken,
-        "emitted": emitted,
-    }

@@ -282,7 +282,7 @@ EXECUTORS: Tuple[Executor, ...] = (
         "parallel", "workers", "optimized",
         _PLANNED | _BUDGET | _POOL | {"task_weights", "batch_size", "hybrid"},
     ),
-    Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid", "batch_size"}),
+    Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}),
     Executor("wavefront", "batch_size", "optimized", _PLANNED | _BUDGET | {"batch_size"}),
     Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}),
     Executor("baseline", None, "baseline", _EVERY),
@@ -420,9 +420,7 @@ def execute(
     if executor.name == "hybrid":
         from .hybrid import run_hybrid
 
-        return run_hybrid(
-            layered, trials, engine, on_finish, plan=plan, batch_size=v["batch_size"], **common
-        )
+        return run_hybrid(layered, trials, engine, on_finish, plan=plan, **common)
     if executor.name == "wavefront":
         from .wavefront import run_wavefront
 

@@ -117,9 +117,12 @@ from .executor import (
     ExecutionOutcome,
     FinishCallback,
     RunInterrupted,
+    _DenseStates,
+    _interpret,
     _record_run_meta,
     run_optimized,
 )
+from .hybrid import _HybridStates, _require_compiled, classify_instructions
 from .resilience import WorkerCrash
 from .schedule import (
     Advance,
@@ -515,15 +518,27 @@ def graceful_stop(
             signal_module.signal(sig, handler)
 
 
-def _run_prefix(
+def _prefix_phase(
     partition: PlanPartition,
     layered: LayeredCircuit,
     backend,
     entries: np.ndarray,
-    recorder,
+    recorder=None,
+    hybrid: bool = False,
 ) -> Dict[str, int]:
-    """Execute the prefix program once; serialize entry states into
-    ``entries`` (one row per task).  Returns the phase-1 counters."""
+    """Phase 1: execute the prefix program once through the plan loop
+    (:func:`~repro.core.executor._interpret`), writing each task's entry
+    state into ``entries[task_id]``.  Returns the phase-1 counters.
+
+    With ``hybrid`` the prefix runs on the Clifford/Pauli-frame state
+    model whenever the classifier finds symbolic work to share; entry
+    states are bitwise the dense ones either way, so workers (always
+    dense) produce identical results.
+    """
+    schedule = None
+    if hybrid:
+        _require_compiled(backend)
+        schedule = classify_instructions(layered, partition.prefix)
     backend.reset_counter()
     backend.set_recorder(recorder)
     cache = StateCache(recorder=recorder)
@@ -534,114 +549,27 @@ def _run_prefix(
             tasks=partition.num_tasks,
             depth=partition.depth,
         )
-    working: Any = backend.make_initial()
-    working_layer = 0
-    cache.working_created()
-    emitted = 0
-    peak_live = 1  # live states incl. the emitted entry snapshots
-    peak_stored = 0
-
-    instructions = partition.prefix
-    for index, instr in enumerate(instructions):
-        if isinstance(instr, Advance):
-            if instr.start_layer != working_layer:
-                raise ScheduleError(
-                    f"prefix advance from layer {instr.start_layer} but "
-                    f"working state is at layer {working_layer}"
-                )
-            if recorder:
-                span = f"advance[{instr.start_layer},{instr.end_layer})"
-                gates = layered.gates_between(instr.start_layer, instr.end_layer)
-                recorder.begin(span, cat="segment", gates=gates)
-                backend.apply_layers(working, instr.start_layer, instr.end_layer)
-                recorder.end(span, cat="segment")
-                recorder.counter("ops.applied", gates)
-            else:
-                backend.apply_layers(working, instr.start_layer, instr.end_layer)
-            working_layer = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            snapshot = backend.copy_state(working)
-            cache.store(snapshot, working_layer, slot=instr.slot)
-            if recorder:
-                recorder.instant(
-                    "cache.store", cat="cache", slot=instr.slot,
-                    layer=working_layer,
-                )
-        elif isinstance(instr, Inject):
-            event = instr.event
-            if event.layer + 1 != working_layer:
-                raise ScheduleError(
-                    f"prefix inject {event} at working layer {working_layer}"
-                )
-            backend.apply_operator(working, event.gate, (event.qubit,))
-            if recorder:
-                recorder.instant(
-                    "inject", cat="exec", layer=event.layer,
-                    qubit=event.qubit, pauli=event.pauli,
-                )
-                recorder.counter("ops.applied", 1)
-        elif isinstance(instr, Restore):
-            backend.release_state(working)
-            cache.working_destroyed()
-            working, working_layer = cache.take(instr.slot)
-            cache.working_created()
-            if recorder:
-                recorder.instant(
-                    "cache.hit", cat="cache", slot=instr.slot,
-                    layer=working_layer, evict=True,
-                )
-        elif isinstance(instr, EmitTask):
-            task = partition.tasks[instr.task_id]
-            if working_layer != task.entry_layer:
-                raise ScheduleError(
-                    f"task {task.task_id} entry at layer {task.entry_layer} "
-                    f"but working state is at layer {working_layer}"
-                )
-            # Serialize straight out of the working state — no
-            # intermediate snapshot copy is ever taken for a task entry.
-            np.copyto(entries[instr.task_id], working.vector)
-            emitted += 1
-            if recorder:
-                recorder.instant(
-                    "task.emit", cat="parallel", task=task.task_id,
-                    layer=working_layer, trials=len(task.trial_indices),
-                )
-                recorder.counter("tasks.emitted", 1)
-            # The working state is consumed (like a serial Finish): a
-            # following Restore swaps in the next state; otherwise the
-            # prefix is done with it.
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if not isinstance(next_instr, Restore):
-                backend.release_state(working)
-                cache.working_destroyed()
-                working = None
-        else:  # pragma: no cover - exhaustive over prefix kinds
-            raise ScheduleError(f"unknown prefix instruction {instr!r}")
-        peak_live = max(peak_live, cache.num_live + emitted)
-        peak_stored = max(peak_stored, cache.num_stored + emitted)
-
-    if working is not None:
-        raise ScheduleError(
-            "prefix program ended without consuming the working state "
-            "(last instruction must be an EmitTask)"
+    if schedule is not None and schedule.active:
+        model: Any = _HybridStates(layered, backend, cache, recorder, schedule)
+    else:
+        model = _DenseStates(
+            layered, backend, cache, recorder, backend.make_initial()
         )
-    cache.assert_drained()
+    _interpret(
+        partition.prefix, layered, model, cache, recorder,
+        tasks=partition.tasks, entries=entries,
+    )
     stats = cache.stats()
     if recorder:
         recorder.end(
-            "prefix", cat="parallel", ops_applied=backend.ops_applied,
-            tasks_emitted=emitted,
+            "prefix", cat="parallel", ops_applied=model.ops_applied,
+            tasks_emitted=partition.num_tasks,
         )
     return {
-        "ops": backend.ops_applied,
-        "peak_live": peak_live,
-        "peak_stored": peak_stored,
+        "ops": model.ops_applied,
+        "peak_live": stats.peak_msv,
+        "peak_stored": stats.peak_stored,
         "snapshots_taken": stats.snapshots_taken,
-        "emitted": emitted,
     }
 
 
@@ -1308,11 +1236,11 @@ def run_parallel(
         recovery paths and the parent fallback alike.  Results and
         operation counts stay bit-identical at every width.
     hybrid:
-        Run the shared prefix through the Clifford/Pauli-frame fast path
-        (:func:`~repro.core.hybrid.run_hybrid_prefix`) — entry states are
-        materialized from shared anchors instead of walked densely, and
-        stay bitwise identical, so workers (always dense) produce the
-        same results.  Requires a compiled statevector backend.
+        Run the shared prefix on the Clifford/Pauli-frame state model
+        (:mod:`repro.core.hybrid`) — entry states are materialized from
+        shared anchors instead of walked densely, and stay bitwise
+        identical, so workers (always dense) produce the same results.
+        Requires a compiled statevector backend.
     stop:
         Optional ``threading.Event`` enabling graceful shutdown (pair it
         with :func:`graceful_stop` to hook SIGTERM/SIGINT).  When set, no
@@ -1345,11 +1273,6 @@ def run_parallel(
             "fork start method unavailable on this platform; "
             "use inline=None/True"
         )
-    if hybrid:
-        from .hybrid import run_hybrid_prefix as run_prefix
-    else:
-        run_prefix = _run_prefix
-
     num_qubits = layered.num_qubits
     amplitudes = 2**num_qubits
     state_bytes = amplitudes * 16  # complex128
@@ -1394,8 +1317,9 @@ def run_parallel(
                 batch=batch_size,
             )
 
-        phase1 = run_prefix(
-            partition, layered, backend_factory(), block.entries, recorder
+        phase1 = _prefix_phase(
+            partition, layered, backend_factory(), block.entries, recorder,
+            hybrid,
         )
         block.seal_entries()
 
@@ -1456,9 +1380,9 @@ def run_parallel(
                 try:
                     block.verify_entry(task_id)
                 except CorruptionError:
-                    regen = run_prefix(
+                    regen = _prefix_phase(
                         partition, layered, backend_factory(), block.entries,
-                        None,
+                        hybrid=hybrid,
                     )
                     wasted_ops += regen["ops"]
                     if recorder:

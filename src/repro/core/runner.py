@@ -265,8 +265,8 @@ class NoisySimulator:
             dense anchors, amplitudes materialize only at the first
             non-Clifford gate or at Finish.  Bit-identical payloads and
             nominal accounting at every configuration.  Composes with
-            ``workers`` (hybrid prefix) and ``batch_size`` (materialized
-            fragments run through the wavefront executor).
+            ``workers`` (hybrid prefix); ``batch_size`` then batches the
+            workers' sub-plans, and is rejected without ``workers``.
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
             cross-job prefix deduplication — the service tier passes one

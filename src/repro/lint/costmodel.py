@@ -747,10 +747,10 @@ def build_certificate(
                 batch=entry["batch"],
             )
 
-    # Hybrid candidates: the Clifford/Pauli-frame fast path, alone and
-    # combined with wavefront batching.  Only schedules with positive
-    # static savings are offered (the runtime falls back wholesale
-    # otherwise, so an inactive candidate would duplicate the dense row).
+    # The hybrid candidate: the Clifford/Pauli-frame fast path.  Only a
+    # schedule with positive static savings is offered (the runtime
+    # falls back wholesale otherwise, so an inactive candidate would
+    # duplicate the dense row).
     hybrid = analyze_hybrid(layered, plan, compiled=compiled, serial=serial)
     if hybrid["active"]:
         hybrid_dense = (
@@ -767,22 +767,6 @@ def build_certificate(
             False,
             hybrid_mode=True,
         )
-        for entry in wavefronts:
-            if entry["batch"] > 1:
-                # Batching accelerates only the dense remainder (the
-                # materialized fragments run through the wavefront
-                # executor); anchors and frame algebra stay serial.
-                scaled = round(hybrid_dense / entry["modeled_speedup"])
-                add_candidate(
-                    0,
-                    0,
-                    scaled + hybrid_shared,
-                    hybrid["memory"]["peak_full_states"]
-                    + entry["max_width"],
-                    False,
-                    batch=entry["batch"],
-                    hybrid_mode=True,
-                )
     candidates.sort(
         key=lambda c: (
             c["score"],

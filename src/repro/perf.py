@@ -137,11 +137,7 @@ def _bench_sections(
     ]
     sections += [_section("batch", "wavefront", batch_size=b) for b in batches]
     if hybrid:
-        # Materialized fragments per trial (0) and as width-64 wavefronts.
-        sections += [
-            _section("hybrid", "hybrid", hybrid=True, batch_size=b)
-            for b in (0, 64)
-        ]
+        sections.append(_section("hybrid", "hybrid", hybrid=True))
     return sections
 
 

@@ -82,8 +82,8 @@ class TestSerialStop:
 
 _BATCHED_AND_HYBRID = pytest.mark.parametrize(
     "options",
-    [{"batch_size": 8}, {"hybrid": True}, {"hybrid": True, "batch_size": 8}],
-    ids=["batch", "hybrid", "hybrid-batch"],
+    [{"batch_size": 8}, {"hybrid": True}],
+    ids=["batch", "hybrid"],
 )
 
 

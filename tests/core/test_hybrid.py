@@ -5,8 +5,8 @@ Clifford trie spans as Pauli-frame deltas over shared dense anchor
 states and materializes amplitudes only at the first non-Clifford gate
 or at Finish — yet the payload stream (trial groups, serial order,
 amplitudes) is **bit-identical** (``array_equal``, not ``allclose``) to
-the serial optimized executor, with equal nominal operation counts, at
-every fragment batch width and worker count.
+the serial optimized executor, with equal nominal operation counts and
+MSV peaks, in-process and at every worker count.
 """
 
 import numpy as np
@@ -16,20 +16,27 @@ from repro.bench.suite import resolve_benchmark
 from repro.circuits import QuantumCircuit, layerize, standard_gate
 from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
-from repro.core.hybrid import HybridSchedule, classify_plan, run_hybrid
-from repro.core.parallel import run_parallel
+from repro.core.hybrid import (
+    HybridSchedule,
+    classify_instructions,
+    classify_plan,
+    run_hybrid,
+)
+from repro.core.parallel import fork_available, partition_plan, run_parallel
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import ScheduleError, build_plan
+from repro.lint import lint_partition_trace, lint_trace
 from repro.lint.hybrid_rules import lint_hybrid, verify_schedule
 from repro.noise import NoiseModel
 from repro.noise.sampling import sample_trials
+from repro.obs import InMemoryRecorder, verify_trace
 from repro.sim.compiled import CompiledStatevectorBackend
 from repro.sim.kernels import compile_matrix
 from repro.sim.stabilizer import PauliFrame, frame_safe_matrix
 from repro.sim.backend import StatevectorBackend
 from repro.testing import random_circuit, random_trials
 
-BATCH_WIDTHS = (0, 1, 64)
+SUITE = ("bv4", "bv5", "qft5", "grover", "bv14")
 
 
 def collect(runner, layered, trials, backend, **kwargs):
@@ -90,9 +97,18 @@ def random_case():
     return layered, trials, plan, serial, outcome
 
 
+def _suite_case(name, num_trials=256):
+    circuit, model = resolve_benchmark(name)
+    layered = layerize(circuit)
+    trials = sample_trials(
+        layered, model, num_trials, np.random.default_rng(2020)
+    )
+    return layered, trials
+
+
 @pytest.fixture(scope="module")
 def suite_cases():
-    """Device-compiled suite benchmarks with their sampled trial sets.
+    """Suite benchmarks with their sampled trial sets.
 
     ``qft5`` with this exact seed is a regression anchor: its fused
     device-basis kernels expose the FMA re/im-swap hazard that odd-phase
@@ -100,10 +116,8 @@ def suite_cases():
     the ``_phase_transparent`` guard existed).
     """
     cases = {}
-    for name in ("bv5", "qft5"):
-        circuit, model = resolve_benchmark(name)
-        layered = layerize(circuit)
-        trials = sample_trials(layered, model, 128, np.random.default_rng(2020))
+    for name in SUITE:
+        layered, trials = _suite_case(name, 128)
         plan = build_plan(layered, trials)
         serial, outcome = collect(
             run_optimized, layered, trials,
@@ -113,40 +127,53 @@ def suite_cases():
     return cases
 
 
+def forced_schedule(layered, plan, active):
+    """The classified schedule with its verdict forced: active runs the
+    hybrid state model even where it saves nothing, inactive delegates
+    the run to ``run_optimized``."""
+    schedule = classify_plan(layered, plan)
+    savings = max(schedule.stats["savings"], 1) if active else 0
+    return HybridSchedule(
+        schedule.layered, schedule.actions, schedule.path_uses,
+        schedule.derive_gates, dict(schedule.stats, savings=savings),
+    )
+
+
+def assert_matches_serial(layered, trials, plan, serial, s_out, active):
+    hybrid, h_out = collect(
+        run_hybrid, layered, trials, CompiledStatevectorBackend(layered),
+        plan=plan, schedule=forced_schedule(layered, plan, active),
+    )
+    assert h_out.active == active
+    assert_streams_bit_identical(serial, hybrid, f"active={active}")
+    assert h_out.ops_applied == s_out.ops_applied
+    assert h_out.peak_msv == s_out.peak_msv
+    assert h_out.peak_stored == s_out.peak_stored
+
+
+_FORK = pytest.mark.skipif(not fork_available(), reason="needs fork")
+
+
 class TestBitExactness:
-    @pytest.mark.parametrize("batch", BATCH_WIDTHS)
-    def test_random_circuit_matches_serial(self, random_case, batch):
-        layered, trials, plan, serial, s_out = random_case
-        hybrid, h_out = collect(
-            run_hybrid, layered, trials, CompiledStatevectorBackend(layered),
-            plan=plan, batch_size=batch,
-        )
-        assert_streams_bit_identical(serial, hybrid, f"batch={batch}")
-        assert h_out.ops_applied == s_out.ops_applied
-        if batch == 0:
-            assert h_out.peak_msv == s_out.peak_msv
-        else:
-            assert h_out.peak_msv <= s_out.peak_msv + 1
+    @pytest.mark.parametrize("active", (True, False), ids=("active", "inactive"))
+    def test_random_circuit_matches_serial(self, random_case, active):
+        assert_matches_serial(*random_case, active)
 
-    @pytest.mark.parametrize("name", ("bv5", "qft5"))
-    @pytest.mark.parametrize("batch", BATCH_WIDTHS)
-    def test_suite_benchmarks_match_serial(self, suite_cases, name, batch):
-        layered, trials, plan, serial, s_out = suite_cases[name]
-        hybrid, h_out = collect(
-            run_hybrid, layered, trials, CompiledStatevectorBackend(layered),
-            plan=plan, batch_size=batch,
-        )
-        assert_streams_bit_identical(serial, hybrid, f"{name} batch={batch}")
-        assert h_out.ops_applied == s_out.ops_applied
-        if batch == 0:
-            assert h_out.peak_msv == s_out.peak_msv
-        else:
-            # Batched fragment delegation holds one transient working
-            # buffer beyond the serial DFS bound.
-            assert h_out.peak_msv <= s_out.peak_msv + 1
+    @pytest.mark.parametrize("name", SUITE)
+    @pytest.mark.parametrize("active", (True, False), ids=("active", "inactive"))
+    def test_suite_benchmarks_match_serial(self, suite_cases, name, active):
+        assert_matches_serial(*suite_cases[name], active)
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_parallel_hybrid_matches_serial(self, suite_cases, workers):
+    @pytest.mark.parametrize(
+        "workers, inline",
+        [
+            pytest.param(1, True, id="1"),
+            pytest.param(2, True, id="2"),
+            pytest.param(1, False, id="fork-1", marks=_FORK),
+            pytest.param(2, False, id="fork-2", marks=_FORK),
+        ],
+    )
+    def test_parallel_hybrid_matches_serial(self, suite_cases, workers, inline):
         layered, trials, plan, serial, s_out = suite_cases["qft5"]
         out = []
 
@@ -155,8 +182,9 @@ class TestBitExactness:
 
         p_out = run_parallel(
             layered, trials, lambda: CompiledStatevectorBackend(layered),
-            on_finish=on_finish, workers=workers, inline=True, hybrid=True,
+            on_finish=on_finish, workers=workers, inline=inline, hybrid=True,
         )
+        assert p_out.used_fork is not inline
         assert_streams_bit_identical(serial, out, f"workers={workers}")
         assert p_out.ops_applied == s_out.ops_applied
 
@@ -167,6 +195,43 @@ class TestBitExactness:
             plan=plan, check=True,
         )
         assert_streams_bit_identical(serial, hybrid, "check=True")
+
+
+class TestTraces:
+    """A traced hybrid run replays its own outcome and its plan's schedule."""
+
+    @pytest.mark.parametrize("name", ("bv4", "qft5", "bv14"))
+    def test_traced_run_replays_and_passes_p017(self, name):
+        layered, trials = _suite_case(name)
+        plan = build_plan(layered, trials)
+        assert classify_plan(layered, plan).active
+        recorder = InMemoryRecorder()
+        outcome = run_hybrid(
+            layered, trials, CompiledStatevectorBackend(layered),
+            plan=plan, recorder=recorder,
+        )
+        assert outcome.active
+        assert verify_trace(recorder, outcome) == []
+        result = lint_trace(plan, recorder)
+        assert result.ok, [str(d) for d in result.errors]
+
+    @pytest.mark.parametrize("name", ("bv4", "qft5", "bv14"))
+    @pytest.mark.parametrize("depth", (1, 2))
+    def test_traced_parallel_hybrid_passes_p017(self, name, depth):
+        """Depth 2 gives bv4 and qft5 a prefix with symbolic work, so
+        the parent track records the hybrid model there."""
+        layered, trials = _suite_case(name)
+        recorder = InMemoryRecorder()
+        run_parallel(
+            layered, trials, lambda: CompiledStatevectorBackend(layered),
+            workers=2, depth=depth, inline=True, hybrid=True,
+            recorder=recorder,
+        )
+        partition = partition_plan(layered, trials, depth=depth)
+        result = lint_partition_trace(partition, recorder)
+        assert result.ok, [str(d) for d in result.errors]
+        active = classify_instructions(layered, partition.prefix).active
+        assert (recorder.counter_total("hybrid.clifford_ops") > 0) == active
 
 
 class TestEdgeGatesBeforeMaterialization:

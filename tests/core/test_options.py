@@ -28,6 +28,10 @@ DOCS = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
 TRIALS = 24
 SEED = 17
 STATEVECTOR_FAMILY = ("statevector", "statevector-interpreted")
+_HYBRID_BATCH = (
+    "batch_size has no effect on the hybrid executor; "
+    "it is honoured by: parallel, wavefront"
+)
 
 
 def _parent_guard(o):
@@ -132,7 +136,9 @@ class TestTableCoversRun:
         ]
         assert validate(journal="j", workers=2).name == "journal"
         assert validate(workers=2, hybrid=True, batch_size=4).name == "parallel"
-        assert validate(hybrid=True, batch_size=4).name == "hybrid"
+        with pytest.raises(OptionError, match=re.escape(_HYBRID_BATCH)):
+            validate(hybrid=True, batch_size=4)
+        assert validate(hybrid=True).name == "hybrid"
         assert validate(batch_size=4).name == "wavefront"
         assert validate().name == "dfs"
         assert validate(mode="baseline", backend="counting").name == "baseline"
@@ -188,7 +194,8 @@ class TestNewRejections:
             expect("wavefront", batch_size=0)
         with pytest.raises(OptionError, match="workers must be >= 1"):
             expect("parallel", workers=0)
-        assert expect("hybrid", hybrid=True, batch_size=64).name == "hybrid"
+        with pytest.raises(OptionError, match=re.escape(_HYBRID_BATCH)):
+            expect("hybrid", hybrid=True, batch_size=64)
 
 
 _BASELINE_BUDGET = (
@@ -204,9 +211,10 @@ class TestOptionGrid:
     mode on the same backend (payloads ``array_equal``, equal counts and
     ``optimized_ops``); every rejected one raises the table's message
     before the simulator draws from its RNG, and keeps the message the
-    old guard block gave it.  The one combination the guard block let
-    through and the table rejects is a budget on the baseline, which
-    dropped it.
+    old guard block gave it.  Two combinations the guard block let
+    through are rejected by the table: a budget on the baseline, which
+    dropped it, and a batch width on the in-process hybrid executor,
+    which no longer runs batched fragments.
     """
 
     def test_grid(self, tmp_path):
@@ -236,8 +244,8 @@ class TestOptionGrid:
                 validate(**options)
             except OptionError as exc:
                 rejected += 1
-                # The grid's only new rejection: a budget the baseline drops.
-                assert str(exc) == (parent or _BASELINE_BUDGET), combo
+                new = _HYBRID_BATCH if hybrid and batch else _BASELINE_BUDGET
+                assert str(exc) == (parent or new), combo
                 sim = NoisySimulator(circuit, model, seed=SEED)
                 before = sim._rng.bit_generator.state
                 with pytest.raises(OptionError) as info:

@@ -211,6 +211,48 @@ class TestAutoCli:
         assert "auto-tuned" in out
         assert "certificate cross-check : ok" in out
 
+    #: ``repro run`` flags of an advice line, by the run() keyword they set.
+    RUN_FLAGS = {
+        "--workers": ("workers", int),
+        "--partition-depth": ("partition_depth", int),
+        "--max-cache-bytes": ("max_cache_bytes", int),
+        "--cache-degrade": ("cache_degrade", str),
+        "--batch": ("batch_size", int),
+    }
+
+    @pytest.mark.parametrize("name", ["bv14", "qft12", "bv5"])
+    def test_advise_prints_a_legal_run_of_its_top_candidate(
+        self, name, tmp_path, capsys
+    ):
+        from repro.core.options import validate
+
+        path = tmp_path / "cert.json"
+        code = main(
+            ["advise", name, "--trials", "256", "--json", str(path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(
+            row for row in out.splitlines() if row.startswith("advice")
+        )
+        words = line.split(":", 1)[1].split()
+        assert words[:4] == ["repro", "run", name, "--trials"]
+        options = {"hybrid": False}
+        rest = iter(words[5:])
+        for flag in rest:
+            if flag == "--hybrid":
+                options["hybrid"] = True
+            else:
+                keyword, kind = self.RUN_FLAGS[flag]
+                options[keyword] = kind(next(rest))
+        validate(**options)
+        top = json.loads(path.read_text())["candidates"][0]
+        assert options.get("workers", 0) == top["workers"]
+        assert options["hybrid"] == top["hybrid"]
+        if top["workers"] or top["hybrid"]:
+            # The wavefront width advisory applies to serial DFS only.
+            assert "batch_size" not in options, line
+
     def test_advise_json_writes_valid_certificate(self, tmp_path, capsys):
         from repro.lint import validate_certificate
 
