@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .analysis.report import rows_to_table
 from .core.atomicio import atomic_write_json
@@ -455,8 +455,62 @@ def _reject_options(**options) -> bool:
     return False
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _sampled(args: argparse.Namespace):
+    """``args.benchmark``'s simulator, seeded, and its first ``args.trials`` trials."""
     from .bench.suite import resolve_benchmark
+
+    circuit, model = resolve_benchmark(args.benchmark)
+    simulator = NoisySimulator(circuit, model, seed=args.seed)
+    return simulator, simulator.sample(args.trials)
+
+
+class _RecordedRun:
+    """The front ``run``, ``trace`` and ``profile`` share: ``_sampled``'s
+    trials run with ``options``, recorded when ``record``.
+    ``certify(simulator, trials)`` runs first and returns a certificate
+    for the checks and option overrides (``run --auto``'s advice).
+    """
+
+    def __init__(self, args, options, record=True, certify=None) -> None:
+        from .obs import InMemoryRecorder
+
+        self.simulator, self.trials = _sampled(args)
+        self.certificate, overrides = (
+            certify(self.simulator, self.trials) if certify else (None, {})
+        )
+        self.options = {**options, **overrides}
+        self.recorder = InMemoryRecorder() if record else None
+        start = time.perf_counter()
+        self.result = self.simulator.run(
+            trials=self.trials, recorder=self.recorder, **self.options
+        )
+        self.wall_s = time.perf_counter() - start
+
+    def checks(self) -> Dict[str, List[str]]:
+        """The problems of each check the picked executor's evidence names."""
+        from .lint import check_recorded_run
+
+        return check_recorded_run(
+            self.simulator.layered, self.trials, self.recorder, self.result.metrics,
+            certificate=self.certificate, compiled=self.simulator.compiled_circuit(),
+            **self.options,
+        )
+
+
+def _report_checks(label: str, checks: Dict[str, List[str]]) -> int:
+    """Print ``label``'s verdict over ``checks``; the exit status."""
+    problems = [problem for found in checks.values() for problem in found]
+    if problems:
+        print(f"{label} : FAILED", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    print(f"{label} : ok ({', '.join(checks)})")
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .core.options import OptionError
     from .obs import format_run_metrics
 
     options = {
@@ -473,12 +527,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }
     if _reject_options(**options):
         return 2
-    circuit, model = resolve_benchmark(args.benchmark)
-    simulator = NoisySimulator(circuit, model, seed=args.seed)
 
-    certificate = None
-    recorder = None
-    auto_trials = None
+    certify = None
     if args.auto:
         # The certificate describes the serial schedule of one fresh
         # optimized run, so --auto can only drive such a run.
@@ -505,35 +555,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .lint import build_certificate
-        from .obs import InMemoryRecorder
 
-        budget = None
-        if args.max_cache_bytes is not None:
-            from .core.cache import CacheBudget
+        def certify(simulator, trials):
+            certificate = _advise_certificate(args, simulator, trials)
+            return certificate, _advised_settings(certificate)
 
-            budget = CacheBudget(
-                max_bytes=args.max_cache_bytes, mode=args.cache_degrade
-            )
-        auto_trials = simulator.sample(args.trials)
-        certificate = build_certificate(
-            simulator.layered,
-            auto_trials,
-            benchmark=args.benchmark,
-            seed=args.seed,
-            budget=budget,
-            compiled=simulator.compiled_circuit(),
-        )
-        options.update(_advised_settings(certificate))
-        if _reject_options(**options):
-            return 2
-        recorder = InMemoryRecorder()
-
-    start = time.perf_counter()
-    result = simulator.run(
-        num_trials=args.trials, trials=auto_trials, recorder=recorder, **options
-    )
-    elapsed = time.perf_counter() - start
+    try:
+        run = _RecordedRun(args, options, record=args.auto, certify=certify)
+    except OptionError as exc:  # the advice conflicts with a given option
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    options, result, elapsed = run.options, run.result, run.wall_s
     metrics = result.metrics
     if args.json:
         payload = {
@@ -548,7 +580,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "wall_s": elapsed,
         }
         if args.auto:
-            payload["advice"] = certificate["advice"]
+            payload["advice"] = run.certificate["advice"]
         if result.journal is not None:
             payload["journal"] = {
                 "path": result.journal.path,
@@ -561,7 +593,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"benchmark         : {args.benchmark}")
     print(f"mode              : {args.mode}")
     if args.auto:
-        advice = certificate["advice"]
+        advice = run.certificate["advice"]
         chosen = (
             f"workers {advice['workers']}, depth {advice['depth']}"
             if advice["workers"]
@@ -621,47 +653,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.auto:
         # Close the loop: the run just taken must match its certificate.
-        from .lint import lint_certificate_trace, lint_memory_timeline
-
-        exact = (
-            options["workers"] == 0
-            and options["max_cache_bytes"] is None
-        )
-        r20 = lint_certificate_trace(certificate, recorder)
-        r21 = lint_memory_timeline(certificate, recorder, exact=exact)
-        problems = [d.render() for d in r20.errors + r21.errors]
-        if problems:
-            print("certificate cross-check : FAILED", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        print(
-            "certificate cross-check : ok (P020 op counts exact, "
-            "P021 memory timeline sound)"
-        )
+        return _report_checks("certificate cross-check", run.checks())
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one benchmark with recording on; emit trace file + profile."""
-    from .bench.suite import resolve_benchmark
-    from .core.schedule import build_plan
-    from .lint import lint_trace
-    from .obs import (
-        InMemoryRecorder,
-        format_trace_summary,
-        summarize,
-        verify_trace,
-        write_chrome_trace,
-    )
+    from .obs import format_trace_summary, summarize, write_chrome_trace
 
-    if args.batch and args.workers:
-        print(
-            "error: --batch and --workers are mutually exclusive (no "
-            "cross-check exists for a merged wavefront trace)",
-            file=sys.stderr,
-        )
-        return 2
     options = {
         "mode": args.mode,
         "backend": args.backend,
@@ -671,16 +670,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     }
     if _reject_options(**options):
         return 2
-
-    circuit, model = resolve_benchmark(args.benchmark)
-    simulator = NoisySimulator(circuit, model, seed=args.seed)
-    trials = simulator.sample(args.trials)
-    recorder = InMemoryRecorder()
-    result = simulator.run(trials=trials, recorder=recorder, **options)
+    run = _RecordedRun(args, options)
 
     out = args.out or f"{args.benchmark}.trace.json"
     write_chrome_trace(
-        recorder,
+        run.recorder,
         out,
         metadata={
             "benchmark": args.benchmark,
@@ -700,88 +694,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"workers           : {args.workers} "
             f"(partition depth {args.partition_depth})"
         )
-    summary = summarize(recorder)
-    print(format_trace_summary(summary, top=args.top))
-    print(f"\nwrote {out} ({len(recorder.events)} events)")
-
-    problems = []
-    if args.workers:
-        # A merged trace interleaves one prefix replay and N worker
-        # tracks, so the serial replay checks don't apply.  Instead
-        # prove the partition itself sound (P018), then re-derive it
-        # and hold the prefix track and every task attempt to its own
-        # plan (P017).
-        from .core.parallel import partition_plan
-        from .lint import lint_partition, lint_partition_trace
-
-        partition = partition_plan(
-            simulator.layered, trials, depth=args.partition_depth
-        )
-        audit = lint_partition(
-            partition, trials=trials, layered=simulator.layered
-        )
-        problems.extend(str(diagnostic) for diagnostic in audit.errors)
-        trace_audit = lint_partition_trace(partition, recorder)
-        problems.extend(str(diagnostic) for diagnostic in trace_audit.errors)
-        recorded_ops = recorder.counters.get("ops.applied", 0)
-        if recorded_ops != result.metrics.optimized_ops:
-            problems.append(
-                f"merged ops.applied counter {recorded_ops} != "
-                f"RunMetrics.optimized_ops {result.metrics.optimized_ops}"
-            )
-        if not problems:
-            print(
-                "trace cross-check : ok (partition exactly covers the "
-                "trials; every task attempt matches its sub-plan; "
-                "merged counters equal RunMetrics)"
-            )
-    elif args.batch:
-        # Wavefront traces carry fork instants instead of cache
-        # store/hit events, so P017 doesn't apply; instead prove the
-        # batched spans against the serial plan's cost analysis (P020:
-        # each span's ``batch`` arg restores the serial segment count).
-        from .lint import analyze_plan, lint_certificate_trace
-
-        problems = verify_trace(recorder, metrics=result.metrics)
-        plan = build_plan(simulator.layered, trials)
-        analysis = analyze_plan(
-            plan, simulator.layered, compiled=simulator.compiled_circuit()
-        )
-        certificate = {"plan": analysis.to_dict(), "num_trials": len(trials)}
-        audit = lint_certificate_trace(certificate, recorder)
-        problems.extend(str(diagnostic) for diagnostic in audit.errors)
-        if not problems:
-            print(
-                "trace cross-check : ok (replayed counters equal "
-                "RunMetrics; batched spans match the serial plan's "
-                "certified segment counts)"
-            )
-    else:
-        problems = verify_trace(recorder, metrics=result.metrics)
-        if args.mode == "optimized":
-            plan = build_plan(simulator.layered, trials)
-            audit = lint_trace(plan, recorder)
-            problems.extend(str(diagnostic) for diagnostic in audit.errors)
-        if not problems:
-            print(
-                "trace cross-check : ok (replayed counters equal "
-                "RunMetrics; cache events match the plan)"
-            )
-    if problems:
-        print("trace cross-check : FAILED", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    return 0
+    print(format_trace_summary(summarize(run.recorder), top=args.top))
+    print(f"\nwrote {out} ({len(run.recorder.events)} events)")
+    return _report_checks("trace cross-check", run.checks())
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Roofline profiler: attribute wall time to certified flops/bytes."""
-    from .bench.suite import resolve_benchmark
     from .core.schedule import build_plan
-    from .lint import analyze_plan, lint_certificate_trace, lint_metrics_trace
+    from .lint import analyze_plan
     from .obs import (
-        InMemoryRecorder,
         build_profile_report,
         fold_spans,
         format_profile_report,
@@ -791,53 +713,38 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_openmetrics,
     )
 
-    if _reject_options(batch_size=args.batch):
+    options = {"batch_size": args.batch}
+    if _reject_options(**options):
         return 2
-    circuit, model = resolve_benchmark(args.benchmark)
-    simulator = NoisySimulator(circuit, model, seed=args.seed)
-    trials = simulator.sample(args.trials)
-    compiled = simulator.compiled_circuit()
-    plan = build_plan(simulator.layered, trials)
-    analysis = analyze_plan(plan, simulator.layered, compiled=compiled)
-    certificate = {
-        "plan": analysis.to_dict(),
-        "num_trials": len(trials),
-    }
 
-    recorder = InMemoryRecorder()
-    simulator.run(
-        trials=trials,
-        mode="optimized",
-        backend="statevector",
-        recorder=recorder,
-        batch_size=args.batch,
-    )
-
-    failures = []
-
-    # P020 parity: the roofline numerators below are exactly the
-    # certificate's per-segment flop counts, so prove the certificate
-    # against the recorded spans first — an unproven numerator is noise.
-    parity = lint_certificate_trace(certificate, recorder)
-    parity_problems = [str(diagnostic) for diagnostic in parity.diagnostics]
-    if parity_problems:
-        failures.append(
-            "certificate/trace parity (P020) failed: "
-            + "; ".join(parity_problems)
+    def certify(simulator, trials):
+        # The roofline numerators are the certificate's per-segment flop
+        # counts.  Certified before the run, which then replays the
+        # segments the analysis compiled.
+        analysis = analyze_plan(
+            build_plan(simulator.layered, trials), simulator.layered,
+            compiled=simulator.compiled_circuit(),
         )
+        return {"plan": analysis.to_dict(), "num_trials": len(trials)}, {}
 
+    run = _RecordedRun(args, options, certify=certify)
+    simulator, recorder, certificate = run.simulator, run.recorder, run.certificate
+
+    # P020 proves those numerators against the recorded spans (an
+    # unproven numerator is noise) and P025 proves the OpenMetrics
+    # snapshot is the same data as the trace it is bridged from.
+    checks = run.checks()
     profile = fold_spans(recorder)
-    if abs(profile.coverage - 1.0) > 0.05:
-        failures.append(
-            f"attributed exclusive time covers {profile.coverage:.1%} of "
-            "the run span (must be within 5%)"
-        )
+    checks["coverage"] = [
+        f"attributed exclusive time covers {profile.coverage:.1%} of "
+        "the run span (must be within 5%)"
+    ] if abs(profile.coverage - 1.0) > 0.05 else []
 
     peaks = measure_peaks(repeats=args.calibration_repeats)
     report = build_profile_report(
         recorder,
         certificate["plan"]["segments"],
-        compiled,
+        simulator.compiled_circuit(),
         simulator.layered.num_qubits,
         peaks=peaks,
         top=args.top,
@@ -849,26 +756,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "batch": args.batch,
         },
     )
-    report["parity"] = {"ok": not parity_problems, "problems": parity_problems}
+    report["parity"] = {"ok": not checks["P020"], "problems": checks["P020"]}
 
-    # Metrics bridge + P025: the OpenMetrics snapshot must be provably
-    # the same data as the trace it was bridged from.
-    registry = registry_from_recorder(recorder)
-    metrics_audit = lint_metrics_trace(registry, recorder)
-    metrics_problems = [
-        str(diagnostic) for diagnostic in metrics_audit.diagnostics
-    ]
-    if metrics_problems:
-        failures.append(
-            "metrics/trace consistency (P025) failed: "
-            + "; ".join(metrics_problems)
-        )
     metrics_path = args.metrics or f"{args.benchmark}.metrics.txt"
-    write_openmetrics(registry, metrics_path)
+    write_openmetrics(registry_from_recorder(recorder), metrics_path)
     report["metrics"] = {
         "path": metrics_path,
-        "p025_ok": not metrics_problems,
-        "problems": metrics_problems,
+        "p025_ok": not checks["P025"],
+        "problems": checks["P025"],
     }
 
     flamegraph_path = args.flamegraph or f"{args.benchmark}.folded"
@@ -882,23 +777,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(format_profile_report(report, top=args.top))
     print(f"\nwrote {flamegraph_path} ({len(profile.stacks)} stacks)")
     print(f"wrote {metrics_path}")
-    print(
-        "certificate parity (P020): "
-        + ("ok" if not parity_problems else "FAILED")
-    )
-    print(
-        "metrics consistency (P025): "
-        + ("ok" if not metrics_problems else "FAILED")
-    )
+    print(f"certificate parity (P020): {'FAILED' if checks['P020'] else 'ok'}")
+    print(f"metrics consistency (P025): {'FAILED' if checks['P025'] else 'ok'}")
     if args.json:
         atomic_write_json(args.json, report, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
-    if failures:
-        print("profile cross-check : FAILED", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_checks("profile cross-check", checks)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1042,47 +926,27 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if num_errors else 0
 
 
-def _advise_certificate(args: argparse.Namespace):
-    """Build the resource certificate ``repro advise``/``--auto`` share.
-
-    Returns ``(certificate, layered, trials, compiled, budget)`` for the
-    benchmark named by ``args`` — sampled with the same seeded RNG a
-    :class:`NoisySimulator` run would use, so the certificate describes
-    exactly the run that ``--auto`` will launch.
-    """
-    import numpy as np
-
-    from .bench.suite import resolve_benchmark
-    from .circuits import layerize
+def _advise_certificate(args: argparse.Namespace, simulator, trials):
+    """The resource certificate ``repro advise`` prints and ``run --auto``
+    follows, for the ``trials`` ``simulator`` sampled."""
     from .lint import build_certificate
-    from .noise.sampling import sample_trials
-    from .sim.compiled import CompiledCircuit
 
-    circuit, model = resolve_benchmark(args.benchmark)
-    layered = layerize(circuit)
-    trials = sample_trials(
-        layered, model, args.trials, np.random.default_rng(args.seed)
-    )
     budget = None
-    if getattr(args, "max_cache_bytes", None) is not None:
+    if args.max_cache_bytes is not None:
         from .core.cache import CacheBudget
 
-        budget = CacheBudget(
-            max_bytes=args.max_cache_bytes, mode=args.cache_degrade
-        )
-    compiled = CompiledCircuit(layered)
-    certificate = build_certificate(
-        layered,
+        budget = CacheBudget(max_bytes=args.max_cache_bytes, mode=args.cache_degrade)
+    return build_certificate(
+        simulator.layered,
         trials,
         benchmark=args.benchmark,
         seed=args.seed,
         depths=getattr(args, "depths", None) or (1, 2),
         workers=getattr(args, "candidate_workers", None) or (1, 2, 4),
         budget=budget,
-        compiled=compiled,
+        compiled=simulator.compiled_circuit(),
         batches=getattr(args, "candidate_batches", None) or (1, 8, 16, 32, 64),
     )
-    return certificate, layered, trials, compiled, budget
 
 
 def _advised_settings(certificate) -> dict:
@@ -1114,7 +978,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     )
 
     try:
-        certificate, layered, trials, _, budget = _advise_certificate(args)
+        certificate = _advise_certificate(args, *_sampled(args))
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -1129,10 +993,11 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         f"peak MSV {certificate['plan']['memory']['peak_msv']} "
         f"({certificate['num_trials']} trials)"
     )
+    budget = certificate["budget"]
     if budget is not None:
-        predicted = certificate["budget"]["predicted"]
+        predicted = budget["predicted"]
         print(
-            f"cache budget      : {budget.max_bytes} bytes ({budget.mode}); "
+            f"cache budget      : {budget['max_bytes']} bytes ({budget['mode']}); "
             f"predicted {predicted['spills']} spill(s), "
             f"{predicted['drops']} drop(s), "
             f"{predicted['recompute_ops']} recompute op(s)"
@@ -1472,7 +1337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pbench.add_argument(
         "--trace", action="store_true",
         help="attach a recorded-run profile per benchmark (outside the "
-        "timed loop) and cross-check it against the run's counters",
+        "timed loop) and cross-check it with the serial executor's "
+        "evidence (counter replay, P017, P020, P021, P025)",
     )
     pbench.add_argument(
         "--workers", nargs="*", type=int, default=None, metavar="N",
@@ -1584,8 +1450,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--auto", action="store_true",
         help="build a resource certificate first and run with its advised "
         "workers/depth/schedule weights, then cross-check the recorded "
-        "run against the certificate (rules P020/P021; exit 1 on "
-        "divergence)",
+        "run with its executor's evidence, P020/P021 against the "
+        "certificate (exit 1 on divergence)",
     )
 
     ptrace = sub.add_parser(
@@ -1596,9 +1462,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "events as a chrome://tracing (Perfetto) JSON file, and print a "
             "profile summary: hottest segments, the MSV high-water timeline, "
             "cache hit/evict ratios and the kernel-class histogram.  The "
-            "trace is then cross-checked: counters replayed from the events "
-            "must equal the run's RunMetrics, and the recorded cache events "
-            "must match the static plan's slot schedule (lint rule P017).  "
+            "trace is then cross-checked with the evidence the options "
+            "table names for the executor that ran (counter replay and "
+            "lint rules P017-P025; see repro.lint.check_recorded_run).  "
             "Exit status 1 on any cross-check failure."
         ),
     )
@@ -1625,9 +1491,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ptrace.add_argument(
         "--batch", type=int, default=0, metavar="W",
         help="record a trial-batched wavefront run (optimized mode, "
-        "statevector backend; exclusive with --workers); the profile "
-        "surfaces per-kind kernel.batched.* dispatch counters and the "
-        "cross-check proves the batched spans against the serial plan "
+        "statevector backend; with --workers the workers batch); the "
+        "profile surfaces per-kind kernel.batched.* dispatch counters and "
+        "the cross-check proves the batched spans against the serial plan "
         "(P020)",
     )
     ptrace.add_argument(
@@ -1651,14 +1517,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "compute-bound verdict, and the cache-residency band the "
             "paper's working-set argument predicts.  Also emits a "
             "collapsed-stack flamegraph and an OpenMetrics snapshot, and "
-            "proves both views against the trace: certificate parity "
-            "(P020), metrics consistency (P025) and 95% attribution "
-            "coverage are hard failures (exit 1)."
+            "proves both views against the trace: the executor's evidence "
+            "(certificate parity P020 and metrics consistency P025 among "
+            "it) and 95% attribution coverage are hard failures (exit 1)."
         ),
     )
     pprofile.add_argument("benchmark", choices=all_benchmark_names())
     pprofile.add_argument("--trials", type=int, default=256)
-    pprofile.add_argument("--seed", type=int, default=2020)
+    # The global --seed spelled after the subcommand; SUPPRESS keeps an
+    # omitted one from overwriting `repro --seed N profile ...`.
+    pprofile.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     pprofile.add_argument(
         "--batch", type=int, default=0, metavar="W",
         help="profile the trial-batched wavefront executor at width W "

@@ -6,11 +6,12 @@ declares that once, as plain data: :data:`OPTIONS` gives every
 :meth:`~repro.core.runner.NoisySimulator.run` keyword its default, its
 domain and the modes, backends and other options it needs or excludes;
 :data:`EXECUTORS` lists the executors in the order options pick them,
-with the options each honours.  :func:`validate` checks a set of options
-against both and returns the executor they pick; :func:`execute`
-validates, then runs trials on that executor.  ``NoisySimulator.run``,
-the remaining-trials run of a journaled resume and ``repro bench`` all
-call it (see ``docs/architecture.md``, section 18).
+with the options each honours and the checks a recorded run of each
+must pass.  :func:`validate` checks a set of options against both and
+returns the executor they pick; :func:`execute` validates, then runs
+trials on that executor.  ``NoisySimulator.run``, the remaining-trials
+run of a journaled resume and ``repro bench`` all call it (see
+``docs/architecture.md``, section 18).
 """
 
 from __future__ import annotations
@@ -255,17 +256,22 @@ OPTIONS: Dict[str, Option] = {option.name: option for option in _DECLARED}
 
 
 class Executor(NamedTuple):
-    """One executor: what picks it and which options it honours.
+    """One executor: what picks it, which options it honours and which
+    checks a recorded run of it must pass.
 
     ``picked_by`` is the option whose setting picks it, and the executor
     runs on that option's backends; the two executors with ``None`` run on
     every backend and are picked by ``mode`` once no such option is set.
+    ``evidence`` names the checks :func:`repro.lint.check_recorded_run`
+    runs on its recorded run, ``"replay"`` or a lint rule code;
+    ``"<check> unless <option>"`` skips one when that option is set.
     """
 
     name: str
     picked_by: Optional[str]
     mode: str
     honours: FrozenSet[str]
+    evidence: Tuple[str, ...]
 
 
 #: Options ``run()`` applies around the executor, which ``execute()`` never sees.
@@ -275,17 +281,28 @@ _PLANNED = _EVERY | {"check"}
 _BUDGET = frozenset({"max_cache_bytes", "cache_degrade"})
 _POOL = frozenset({"workers", "partition_depth", "task_timeout", "retries"})
 
-#: The executors in the order options pick them.
+#: The evidence of a recorded walk of the serial plan.
+_SERIAL_WALK = ("replay", "P017", "P020", "P021", "P025")
+
+#: The executors in the order options pick them.  docs/architecture.md
+#: (section 18) says why each lacks the checks its evidence leaves out.
 EXECUTORS: Tuple[Executor, ...] = (
-    Executor("journal", "journal", "optimized", _PLANNED | _BUDGET | _POOL | {"journal", "shared"}),
+    Executor(
+        "journal", "journal", "optimized",
+        _PLANNED | _BUDGET | _POOL | {"journal", "shared"}, ("P019", "P025"),
+    ),
     Executor(
         "parallel", "workers", "optimized",
         _PLANNED | _BUDGET | _POOL | {"task_weights", "batch_size", "hybrid"},
+        ("P018", "replay", "P020", "P025", "P017 unless batch_size", "P021 unless batch_size"),
     ),
-    Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}),
-    Executor("wavefront", "batch_size", "optimized", _PLANNED | _BUDGET | {"batch_size"}),
-    Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}),
-    Executor("baseline", None, "baseline", _EVERY),
+    Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}, _SERIAL_WALK),
+    Executor(
+        "wavefront", "batch_size", "optimized",
+        _PLANNED | _BUDGET | {"batch_size"}, ("replay", "P020", "P025"),
+    ),
+    Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}, _SERIAL_WALK),
+    Executor("baseline", None, "baseline", _EVERY, ("replay", "P025")),
 )
 
 

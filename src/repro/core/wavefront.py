@@ -687,7 +687,6 @@ def run_wavefront(
         """Replay a dropped row through the width-1 batched path."""
         nonlocal recomputes
         recomputes += 1
-        ops_before = backend.ops_applied
         shape = (2,) * num_qubits + (1,)
         tensor = np.zeros(shape, dtype=np.complex128)
         tensor[(0,) * num_qubits + (0,)] = 1.0
@@ -705,10 +704,6 @@ def run_wavefront(
                     tensor, scratch, event.gate, (event.qubit,), 0, 1
                 )
         scratch_pool[shape] = scratch
-        if recorder:
-            ops_delta = backend.ops_applied - ops_before
-            recorder.counter("ops.applied", ops_delta)
-            recorder.counter("cache.recompute", 1)
         return tensor.reshape(-1)
 
     def release_row(row: _Row) -> None:
@@ -752,13 +747,16 @@ def run_wavefront(
             return
         # Dropped: replay the lane's exact hop/inject provenance.
         lane_id, station = _row_provenance_key(row)
-        result = recompute_row(row_program(lane_id, station))
-        dest[...] = result
+        ops_before = backend.ops_applied
+        dest[...] = recompute_row(row_program(lane_id, station))
         if recorder:
+            ops_delta = backend.ops_applied - ops_before
             recorder.instant(
                 "cache.recompute", cat="cache",
-                slot=_row_slot(row), layer=row.layer, ops=0,
+                slot=_row_slot(row), layer=row.layer, ops=ops_delta,
             )
+            recorder.counter("ops.applied", ops_delta)
+            recorder.counter("cache.recompute", 1)
 
     def _row_slot(row: _Row) -> int:
         key = row.key

@@ -58,6 +58,7 @@ from .metrics_rules import lint_metrics_trace
 from .wavefront_rules import lint_wavefront
 from .hybrid_rules import lint_hybrid
 from .api import (
+    check_recorded_run,
     lint_benchmark,
     lint_plan,
     lint_qasm_file,
@@ -79,6 +80,7 @@ __all__ = [
     "analyze_partition",
     "analyze_plan",
     "build_certificate",
+    "check_recorded_run",
     "get_rule",
     "lint_benchmark",
     "lint_budget_prediction",

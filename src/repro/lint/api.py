@@ -2,8 +2,9 @@
 
 These functions compose the low-level passes into whole-artifact checks:
 a QASM file (parse + circuit rules), a plan (sanitizer + optional runtime
-cross-check) and a full benchmark (compiled circuit + sampled trials +
-noise model + plan, optionally verified against a counting-backend run).
+cross-check), a full benchmark (compiled circuit + sampled trials +
+noise model + plan, optionally verified against a counting-backend run)
+and a recorded run (the checks its executor's evidence names).
 Heavyweight imports (benchmarks, backends) are deferred into the function
 bodies so ``import repro.lint`` stays cheap.
 """
@@ -11,19 +12,32 @@ bodies so ``import repro.lint`` stays cheap.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..circuits.layers import LayeredCircuit
 from ..circuits.qasm import QasmError, parse_qasm
 from ..core.events import Trial
-from ..core.schedule import ExecutionPlan
+from ..core.executor import ExecutionOutcome
+from ..core.options import OPTIONS, validate
+from ..core.schedule import ExecutionPlan, build_plan
+from ..obs.metrics import registry_from_recorder
+from ..obs.summary import verify_trace
 from .circuit_rules import lint_circuit
+from .costmodel import analyze_plan
 from .diagnostics import LintConfig, LintResult, Severity
+from .journal_rules import lint_journal
+from .metrics_rules import lint_metrics_trace
+from .partition_rules import lint_partition, lint_partition_trace
 from .plan_sanitizer import sanitize_plan
 from .registry import make_diagnostic, register
+from .schedule_rules import lint_certificate_trace, lint_memory_timeline
+from .trace_rules import lint_trace
 from .trial_rules import lint_noise_model, lint_trials
 
 __all__ = [
+    "RUN_CHECKS",
+    "check_recorded_run",
     "lint_qasm_text",
     "lint_qasm_file",
     "lint_plan",
@@ -170,7 +184,6 @@ def lint_benchmark(
 
     from ..bench.suite import build_compiled_benchmark
     from ..circuits.layers import layerize
-    from ..core.schedule import build_plan
     from ..noise.devices import ibm_yorktown
     from ..noise.sampling import sample_trials
 
@@ -220,3 +233,95 @@ def lint_suite(
         )
         for name in names
     }
+
+
+class _RunEvidence:
+    """A recorded run and the check inputs derived from it, each built on
+    first use."""
+
+    def __init__(self, layered, trials, recorder, metrics, certificate, compiled, values):
+        self.layered, self.trials, self.recorder = layered, trials, recorder
+        self.metrics, self.compiled, self.values = metrics, compiled, values
+        if certificate is not None:
+            self.certificate = certificate  # shadows the derived analysis
+
+    @cached_property
+    def plan(self) -> ExecutionPlan:
+        return build_plan(self.layered, self.trials)
+
+    @cached_property
+    def partition(self):
+        from ..core.parallel import partition_plan
+
+        return partition_plan(self.layered, self.trials, depth=self.values["partition_depth"])
+
+    @cached_property
+    def certificate(self) -> Dict[str, Any]:
+        analysis = analyze_plan(self.plan, self.layered, compiled=self.compiled)
+        return {"plan": analysis.to_dict(), "num_trials": len(self.trials)}
+
+
+def _errors(result: LintResult) -> List[str]:
+    return [str(diagnostic) for diagnostic in result.errors]
+
+
+#: The checks a recorded run can be held to, by the names the ``evidence``
+#: of :data:`repro.core.options.EXECUTORS` uses; each returns the run's
+#: problems.  A pool's P017 holds each task attempt to its sub-plan, and
+#: P021 is exact only for a serial run with no budget to degrade it.
+RUN_CHECKS: Dict[str, Callable[[_RunEvidence], List[str]]] = {
+    "replay": lambda run: (
+        verify_trace(run.recorder, outcome=run.metrics)
+        if isinstance(run.metrics, ExecutionOutcome)
+        else verify_trace(run.recorder, metrics=run.metrics)
+    ),
+    "P017": lambda run: _errors(
+        lint_partition_trace(run.partition, run.recorder)
+        if run.values["workers"]
+        else lint_trace(run.plan, run.recorder)
+    ),
+    "P018": lambda run: _errors(
+        lint_partition(run.partition, trials=run.trials, layered=run.layered)
+    ),
+    "P019": lambda run: _errors(
+        lint_journal(run.values["journal"], layered=run.layered, trials=run.trials)
+    ),
+    "P020": lambda run: _errors(lint_certificate_trace(run.certificate, run.recorder)),
+    "P021": lambda run: _errors(lint_memory_timeline(
+        run.certificate, run.recorder,
+        exact=not run.values["workers"] and run.values["max_cache_bytes"] is None,
+    )),
+    "P025": lambda run: _errors(
+        lint_metrics_trace(registry_from_recorder(run.recorder), run.recorder)
+    ),
+}
+
+
+def check_recorded_run(
+    layered: LayeredCircuit,
+    trials: Sequence[Trial],
+    recorder,
+    metrics,
+    certificate: Optional[Dict[str, Any]] = None,
+    compiled=None,
+    **options: Any,
+) -> Dict[str, List[str]]:
+    """Run the checks a recorded run of ``trials`` must pass; each
+    check's problems by name.
+
+    ``options``, the run's ``NoisySimulator.run`` keywords, are validated
+    and pick the executor whose ``evidence`` names the checks.
+    ``recorder`` is the run's unbounded ``InMemoryRecorder`` and
+    ``metrics`` the ``RunMetrics`` or ``ExecutionOutcome`` it returned.
+    Only the inputs a named check needs are derived; a ``certificate``
+    replaces the plan cost analysis, and ``compiled`` is shared with it.
+    """
+    executor = validate(**options)
+    values = {name: options.get(name, option.default) for name, option in OPTIONS.items()}
+    run = _RunEvidence(layered, trials, recorder, metrics, certificate, compiled, values)
+    problems: Dict[str, List[str]] = {}
+    for entry in executor.evidence:
+        name, _, unless = entry.partition(" unless ")
+        if not (unless and values[unless] != OPTIONS[unless].default):
+            problems[name] = RUN_CHECKS[name](run)
+    return problems

@@ -486,16 +486,18 @@ def bench_one(
                 }
 
     if trace:
-        from .obs import InMemoryRecorder, summarize, verify_trace
+        from .lint import check_recorded_run
+        from .obs import InMemoryRecorder, summarize
 
         recorder = InMemoryRecorder()
         traced_outcome = execute(
             layered, trials, make_compiled, plan=plan, recorder=recorder
         )
         profile = summarize(recorder).as_dict()
-        profile["crosscheck_ok"] = not verify_trace(
-            recorder, outcome=traced_outcome
+        checks = check_recorded_run(
+            layered, trials, recorder, traced_outcome, compiled=compiled
         )
+        profile["crosscheck_ok"] = not any(checks.values())
         record["profile"] = profile
 
     if check:

@@ -150,6 +150,16 @@ class TestTableCoversRun:
         with pytest.raises(TypeError, match="unknown execution option"):
             validate(turbo=True)
 
+    def test_every_executor_names_its_evidence(self):
+        from repro.lint.api import RUN_CHECKS
+
+        for executor in EXECUTORS:
+            assert executor.evidence, executor.name
+            for entry in executor.evidence:
+                name, _, unless = entry.partition(" unless ")
+                assert name in RUN_CHECKS, (executor.name, entry)
+                assert not unless or unless in executor.honours, (executor.name, entry)
+
 
 class TestNewRejections:
     """Inputs the parent accepted, or failed only mid-run."""
@@ -275,7 +285,21 @@ class TestOptionGrid:
 
 class TestDocsTable:
     """docs/architecture.md's "Execution options" table lists every
-    option with the executors the table says honour it."""
+    option with the executors the table says honour it, and the
+    executors table lists each executor's evidence."""
+
+    def test_evidence_column_matches_the_table(self):
+        section = DOCS.read_text().split("## 18.", 1)[1].split("\n#", 1)[0]
+        rows = {
+            cells[0].strip(): cells[-1].strip()
+            for cells in (
+                row.split("|")[1:-1]
+                for row in re.findall(r"^\|.*\|$", section, re.MULTILINE)
+            )
+        }
+        assert rows["executor"] == "evidence"
+        for executor in EXECUTORS:
+            assert rows[executor.name].replace("`", "") == ", ".join(executor.evidence)
 
     def _rows(self):
         text = DOCS.read_text()

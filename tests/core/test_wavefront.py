@@ -318,6 +318,27 @@ class TestTraceAndChecks:
             assert result.ok, [str(d) for d in result.errors]
 
 
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_certificate_p020_parity_under_drop_budget(self, workers):
+        # A dropped row's recompute is charged to ops.applied, so its
+        # cache.recompute instant must carry those ops for P020 to add up.
+        from repro.lint import analyze_plan, lint_certificate_trace
+
+        circuit, model = resolve_benchmark("qft5")
+        simulator = NoisySimulator(circuit, model, seed=7)
+        trials = simulator.sample(256)
+        recorder = InMemoryRecorder()
+        simulator.run(
+            trials=trials, recorder=recorder, workers=workers, batch_size=8,
+            max_cache_bytes=1100, cache_degrade="drop",
+        )
+        assert recorder.counter_total("cache.recompute") > 0
+        analysis = analyze_plan(build_plan(simulator.layered, trials), simulator.layered)
+        certificate = {"plan": analysis.to_dict(), "num_trials": len(trials)}
+        result = lint_certificate_trace(certificate, recorder)
+        assert result.ok, [str(d) for d in result.errors]
+
+
 class TestRunnerIntegration:
     @pytest.fixture(scope="class")
     def simulator(self):

@@ -1,0 +1,183 @@
+"""check_recorded_run: a clean recorded run of every executor passes the
+evidence the options table names for it, and a tampered recording fails
+the check that guards what was tampered with."""
+
+import pytest
+
+from repro import NoisySimulator
+from repro.bench.suite import resolve_benchmark
+from repro.core.options import EXECUTORS, validate
+from repro.core.parallel import run_parallel
+from repro.core.resilience import run_journaled
+from repro.lint import check_recorded_run
+from repro.obs import InMemoryRecorder
+
+SEED = 7
+EVIDENCE = {executor.name: executor.evidence for executor in EXECUTORS}
+
+
+class Recorded:
+    """One recorded run and the options it was given."""
+
+    def __init__(self, name, num_trials, options, inline=False):
+        circuit, model = resolve_benchmark(name)
+        self.sim = NoisySimulator(circuit, model, seed=SEED)
+        self.trials = self.sim.sample(num_trials)
+        self.options = options
+        self.recorder = InMemoryRecorder()
+        if inline:
+            self.metrics = run_parallel(
+                self.sim.layered, self.trials, self._backend,
+                workers=options["workers"], depth=options.get("partition_depth", 1),
+                inline=True, recorder=self.recorder,
+                batch_size=options.get("batch_size", 0),
+                hybrid=options.get("hybrid", False),
+            )
+        else:
+            self.metrics = self.sim.run(
+                trials=self.trials, recorder=self.recorder, **options
+            ).metrics
+
+    def _backend(self):
+        return self.sim.make_backend("statevector")
+
+    def checks(self):
+        return check_recorded_run(
+            self.sim.layered, self.trials, self.recorder, self.metrics,
+            compiled=self.sim.compiled_circuit(), **self.options,
+        )
+
+
+def _journal_run(tmp_path, resumed):
+    path = str(tmp_path / "run.journal")
+    if resumed:
+        circuit, model = resolve_benchmark("qft5")
+        sim = NoisySimulator(circuit, model, seed=SEED)
+        trials = sim.sample(128)
+        finished = []
+
+        def crash_after_five(payload, indices):
+            finished.append(indices)
+            if len(finished) == 5:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_journaled(
+                sim.layered, trials, lambda: sim.make_backend("statevector"),
+                crash_after_five, path,
+            )
+    return Recorded("qft5", 128, {"journal": path})
+
+
+def _drop_first(recorder, ph, prefix, worker=False):
+    """Delete the first ``ph`` event whose name starts with ``prefix``
+    (on a worker track when ``worker``)."""
+    events = recorder.events
+    del events[next(
+        i for i, event in enumerate(events)
+        if event.ph == ph and event.name.startswith(prefix)
+        and ("worker" in (event.args or {})) == worker
+    )]
+
+
+def _drop_store(recorder):
+    _drop_first(recorder, "i", "cache.store")
+
+
+def _drop_worker_store(recorder):
+    _drop_first(recorder, "i", "cache.store", worker=True)
+
+
+def _drop_advance(recorder):
+    _drop_first(recorder, "B", "advance[")
+
+
+def _bump_ops(recorder):
+    recorder.counters["ops.applied"] += 1
+
+
+SERIAL = [
+    ("bv4", 128, {}),
+    ("qft5", 128, {}),
+    ("qft5", 128, {"backend": "counting"}),
+    ("bv4", 128, {"mode": "baseline"}),
+    ("qft5", 128, {"mode": "baseline", "backend": "statevector-interpreted"}),
+    ("bv14", 64, {"hybrid": True}),
+    ("qft5", 128, {"batch_size": 8}),
+    ("qft5", 256, {"max_cache_bytes": 1100, "cache_degrade": "drop"}),
+]
+
+INLINE = [
+    {"workers": 2, "partition_depth": depth, **extra}
+    for depth in (1, 2)
+    for extra in ({}, {"hybrid": True}, {"batch_size": 8})
+]
+
+
+def _id(options):
+    return ",".join(f"{key}={value}" for key, value in options.items()) or "defaults"
+
+
+def _expected(options):
+    """The evidence names the table gives ``options``, conditions applied."""
+    names = []
+    for entry in EVIDENCE[validate(**options).name]:
+        name, _, unless = entry.partition(" unless ")
+        if not (unless and options.get(unless)):
+            names.append(name)
+    return names
+
+
+class TestCleanRunsPass:
+    @pytest.mark.parametrize(
+        "name, num_trials, options", SERIAL,
+        ids=[f"{name}-{_id(options)}" for name, _, options in SERIAL],
+    )
+    def test_serial(self, name, num_trials, options):
+        run = Recorded(name, num_trials, options)
+        checks = run.checks()
+        assert list(checks) == _expected(options)
+        assert not any(checks.values()), checks
+
+    def test_hybrid_run_is_active(self):
+        run = Recorded("bv14", 64, {"hybrid": True})
+        assert run.recorder.counter_total("hybrid.clifford_ops") > 0
+
+    @pytest.mark.parametrize(
+        "options", INLINE, ids=[_id(options) for options in INLINE]
+    )
+    def test_parallel_inline(self, options):
+        checks = Recorded("qft5", 128, options, inline=True).checks()
+        assert list(checks) == _expected(options)
+        assert not any(checks.values()), checks
+
+    @pytest.mark.parametrize("resumed", (False, True), ids=("fresh", "resumed"))
+    def test_journal(self, tmp_path, resumed):
+        run = _journal_run(tmp_path, resumed)
+        assert run.metrics.num_trials == 128
+        checks = run.checks()
+        assert list(checks) == ["P019", "P025"]
+        assert not any(checks.values()), checks
+
+
+class TestTamperedRunsFail:
+    @pytest.mark.parametrize(
+        "name, num_trials, options, tamper, code",
+        [
+            ("bv4", 128, {}, _drop_store, "P017"),
+            ("bv4", 128, {"mode": "baseline"}, _bump_ops, "replay"),
+            ("bv14", 64, {"hybrid": True}, _drop_advance, "P020"),
+            ("qft5", 128, {"batch_size": 8}, _drop_advance, "P020"),
+            ("qft5", 128, {"workers": 2}, _drop_worker_store, "P017"),
+        ],
+        ids=["dfs", "baseline", "hybrid", "wavefront", "parallel"],
+    )
+    def test_tampered(self, name, num_trials, options, tamper, code):
+        run = Recorded(name, num_trials, options, inline="workers" in options)
+        tamper(run.recorder)
+        assert run.checks()[code]
+
+    def test_journal(self, tmp_path):
+        run = _journal_run(tmp_path, resumed=False)
+        _bump_ops(run.recorder)
+        assert run.checks()["P025"]

@@ -16,6 +16,7 @@ from repro.bench.suite import build_compiled_benchmark
 from repro.circuits.layers import layerize
 from repro.core.executor import ExecutionOutcome, run_optimized
 from repro.core.metrics import RunMetrics
+from repro.core.parallel import fork_available, run_parallel
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import build_plan
 from repro.lint import lint_trace
@@ -191,3 +192,47 @@ class TestCliTrace:
         document = json.loads(out.read_text())
         assert validate_chrome_trace(document) == []
         assert document["otherData"]["benchmark"] == "grover"
+
+
+class TestMergedReplay:
+    """A merged parallel trace replays every counter but the peaks: the
+    pool's peak counts each task's entry state plus each worker's own
+    peak, which per-track gauge maxima cannot give."""
+
+    @pytest.mark.parametrize(
+        "inline",
+        [
+            pytest.param(True, id="inline"),
+            pytest.param(
+                False, id="fork",
+                marks=pytest.mark.skipif(
+                    not fork_available(), reason="no fork start method"
+                ),
+            ),
+        ],
+    )
+    def test_two_workers_replay_clean(self, inline):
+        simulator = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        )
+        trials = simulator.sample(128)
+        recorder = InMemoryRecorder()
+        outcome = run_parallel(
+            simulator.layered, trials,
+            lambda: simulator.make_backend("statevector"),
+            workers=2, inline=inline, recorder=recorder,
+        )
+        assert verify_trace(recorder, outcome=outcome) == []
+        recorder.counters["ops.applied"] += 1
+        problems = verify_trace(recorder, outcome=outcome)
+        assert len(problems) == 1 and problems[0].startswith("ops_applied")
+
+    def test_run_metrics_replay_clean(self):
+        simulator = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        )
+        recorder = InMemoryRecorder()
+        result = simulator.run(num_trials=128, workers=2, recorder=recorder)
+        assert verify_trace(recorder, metrics=result.metrics) == []
+        recorder.counters["ops.applied"] += 1
+        assert verify_trace(recorder, metrics=result.metrics)

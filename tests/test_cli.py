@@ -79,6 +79,33 @@ class TestCLI:
         assert "cache store/hit" in out
         assert validate_chrome_trace(json.loads(target.read_text())) == []
 
+    def test_trace_batched_workers(self, tmp_path, capsys):
+        target = tmp_path / "pb.trace.json"
+        assert main(
+            [
+                "trace", "bv4", "--trials", "64", "--batch", "8",
+                "--workers", "2", "--out", str(target),
+            ]
+        ) == 0
+        assert (
+            "trace cross-check : ok (P018, replay, P020, P025)"
+            in capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "5", "profile", "qft5"],
+            ["profile", "qft5", "--seed", "5"],
+        ],
+        ids=["global", "subcommand"],
+    )
+    def test_profile_seed_either_spelling(self, argv, monkeypatch):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "_cmd_profile", lambda args: args.seed)
+        assert main(argv) == 5
+
     def test_trace_baseline_mode(self, tmp_path, capsys):
         target = tmp_path / "b.trace.json"
         assert main(
