@@ -341,19 +341,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.auto:
         for record in payload["results"]:
             advice = record["advise"]["advice"]
-            picked = (
-                f"workers={advice['workers']} depth={advice['depth']}"
-                if advice["workers"]
-                else "serial"
-            )
             advised = record.get("advised")
-            timing = (
-                f", measured {advised['best_s']:.3f}s "
+            if advised is None:
+                print(f"advise {record['benchmark']}: dfs (the serial run)")
+                continue
+            picked = advised["executor"]
+            if advice["workers"]:
+                picked += f" workers={advice['workers']} depth={advice['depth']}"
+            print(
+                f"advise {record['benchmark']}: {picked}, measured "
+                f"{advised['best_s']:.3f}s "
                 f"({advised['speedup_vs_serial']:.2f}x vs serial)"
-                if advised
-                else ""
             )
-            print(f"advise {record['benchmark']}: {picked}{timing}")
         if summary["all_advised_exact"] is False:
             print("advised schedule exactness: FAILED")
     trace_failures = []
@@ -557,8 +556,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
 
         def certify(simulator, trials):
+            from .lint import advised_options
+
             certificate = _advise_certificate(args, simulator, trials)
-            return certificate, _advised_settings(certificate)
+            return certificate, advised_options(certificate)
 
     try:
         run = _RecordedRun(args, options, record=args.auto, certify=certify)
@@ -949,26 +950,6 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials):
     )
 
 
-def _advised_settings(certificate) -> dict:
-    """Translate a certificate's ``advice`` into ``NoisySimulator.run``
-    keyword arguments plus the matching certificate task weights."""
-    advice = certificate["advice"]
-    settings = {
-        "workers": advice["workers"],
-        "partition_depth": advice["depth"] or 1,
-        "max_cache_bytes": advice["max_cache_bytes"],
-        "cache_degrade": advice["cache_degrade"] or "spill",
-        "task_weights": None,
-        "hybrid": bool(advice.get("hybrid")),
-    }
-    if advice["workers"]:
-        for schedule in certificate["schedules"]:
-            if schedule["depth"] == advice["depth"]:
-                settings["task_weights"] = list(schedule["task_flops"])
-                break
-    return settings
-
-
 def _cmd_advise(args: argparse.Namespace) -> int:
     """Static auto-tuner: rank (depth, workers, budget) candidates."""
     from .lint import (
@@ -1035,9 +1016,12 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             f"--cache-degrade {advice['cache_degrade']}",
         ]
     # The batch width is the separate serial-wavefront advisory: print
-    # it only when the ranked run is serial DFS, the run it was modeled
-    # for (the in-process hybrid executor takes no width).
-    if advice.get("batch_size") and not (advice["workers"] or advice.get("hybrid")):
+    # it only when the ranked run is plain serial DFS, the run it was
+    # modeled for (the hybrid executor takes no width and no wavefront
+    # takes a budget).
+    if advice.get("batch_size") and not (
+        advice["workers"] or advice.get("hybrid") or advice["max_cache_bytes"] is not None
+    ):
         suggestion.append(f"--batch {advice['batch_size']}")
     if advice.get("hybrid"):
         suggestion.append("--hybrid")
@@ -1351,9 +1335,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     pbench.add_argument(
         "--auto", action="store_true",
-        help="attach a ResourceCertificate advice per benchmark and, when "
-        "it picks a parallel schedule, time one extra section with the "
-        "certificate's task weights driving the scheduler",
+        help="attach a ResourceCertificate advice per benchmark and, "
+        "unless it is the plain serial run, time one extra section on "
+        "the executor the advised options pick (a pool gets the "
+        "certificate's task weights)",
     )
     pbench.add_argument(
         "--batch", nargs="*", type=int, default=None, metavar="W",
@@ -1404,17 +1389,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--batch", type=int, default=0, metavar="W",
         help="trial-batched wavefront execution: vectorize kernels over "
         "up to W trials at once (optimized mode, compiled backend; "
-        "results stay bit-identical to serial; 0 = off)",
+        "results stay bit-identical to serial; with --workers it batches "
+        "the workers' sub-plans; every row stays resident, so not with "
+        "--max-cache-bytes; 0 = off)",
     )
     prun.add_argument(
         "--hybrid", action="store_true",
         help="Clifford/Pauli-frame fast path: run pure-Clifford trie "
         "spans symbolically over shared dense anchors and materialize "
         "amplitudes only at non-Clifford gates or Finish (optimized "
-        "mode, compiled backend; bit-identical to serial dense; "
-        "composes with --workers, where it runs the shared prefix — "
-        "--batch then batches the workers' sub-plans — but not with "
-        "--batch alone)",
+        "mode, compiled backend; bit-identical to serial dense; not "
+        "with --workers, --batch or --max-cache-bytes)",
     )
     prun.add_argument(
         "--json", default=None, metavar="PATH",
@@ -1428,8 +1413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     prun.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
-        help="snapshot-cache byte budget; coldest snapshots degrade per "
-        "--cache-degrade when the budget is exceeded (results unchanged)",
+        help="snapshot-cache byte budget for serial DFS, its --workers "
+        "and --journal runs; coldest snapshots degrade per "
+        "--cache-degrade when the budget is exceeded (results unchanged; "
+        "not with --batch or --hybrid)",
     )
     prun.add_argument(
         "--cache-degrade", choices=("spill", "drop"), default="spill",

@@ -21,9 +21,10 @@ With a :class:`CacheBudget` attached, the executor keeps the *resident*
 (in-RAM) footprint under ``max_bytes`` by degrading the coldest stored
 snapshot whenever a store pushes the cache over budget: either **spilling**
 its amplitudes to disk (reloaded, checksum-verified, on restore) or
-**dropping** it outright and recomputing it from its recorded event
-provenance when restored.  Degradation trades operations (or disk I/O) for
-memory and never changes results.
+**dropping** it outright and recomputing it from its recorded provenance
+(the instructions applied since the run's entry state) when restored.
+Degradation trades operations (or disk I/O) for memory and never changes
+results.
 
 The *nominal* peaks above are deliberately untouched by degradation: they
 mirror the plan's demand, so lint's static peak-MSV bound stays an exact
@@ -75,7 +76,7 @@ class CacheBudget(NamedTuple):
     ``mode`` selects what happens to the coldest snapshot when the budget
     is exceeded: ``"spill"`` writes its amplitudes to ``spill_dir`` (a
     temporary directory when ``None``) and reloads them on restore;
-    ``"drop"`` frees it and recomputes it from its event provenance on
+    ``"drop"`` frees it and recomputes it from its provenance on
     restore.  The working state is never degraded, so the effective floor
     is one statevector.
     """
@@ -93,8 +94,9 @@ class SpilledSnapshot(NamedTuple):
 
 
 class DroppedSnapshot(NamedTuple):
-    """Slot stub: the snapshot was freed; ``provenance`` (the error events
-    injected on its path, in order) is enough to recompute it exactly."""
+    """Slot stub: the snapshot was freed; ``provenance`` (the ``Advance``
+    and ``Inject`` instructions applied since the run's entry state, in
+    order) replays it exactly."""
 
     provenance: Tuple[Any, ...]
 
@@ -244,8 +246,8 @@ class StateCache:
         the executor passes the plan's ``Snapshot.slot`` so cache ids and
         plan ids can never drift apart.  Storing into an occupied slot
         raises; auto-assignment (``slot=None``) keeps handing out fresh ids.
-        ``provenance`` (the snapshot's injected-event history) is retained
-        for drop-mode degradation and returned by :meth:`take_full`.
+        ``provenance`` (what recomputes the snapshot) is retained for
+        drop-mode degradation and returned by :meth:`take_full`.
         """
         if slot is None:
             slot = self._next_slot

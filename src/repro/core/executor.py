@@ -15,8 +15,9 @@ no executor ever holds more than the cache-accounted number of states.
 :func:`run_optimized`'s instruction loop (:func:`_interpret`) is the one
 place plan instructions execute against real states:
 :func:`~repro.core.hybrid.run_hybrid` and the parallel prefix phase run
-through it too, each over its own *state model* — :class:`_DenseStates`
-here, the hybrid model in :mod:`repro.core.hybrid`.
+through it too.  What a state is belongs to a *state model*:
+:class:`_DenseStates` here and in the prefix phase, the hybrid model in
+:mod:`repro.core.hybrid`.
 
 Both executors accept an optional ``recorder``
 (:class:`~repro.obs.recorder.TraceRecorder`): when attached, every
@@ -33,14 +34,14 @@ Memory-budgeted degradation
 ---------------------------
 ``run_optimized`` accepts a :class:`~repro.core.cache.CacheBudget`: after
 every snapshot store the executor degrades the coldest resident snapshot
-(spill to disk, or drop and recompute from its event provenance) until the
-resident footprint fits.  Results are unchanged — spilled amplitudes are
-checksum-verified on reload, and a recomputed snapshot replays exactly the
-advance/inject boundaries that produced the original, so even compiled
-kernel fusion reproduces the same float rounding.  The nominal peak-MSV
-accounting deliberately ignores degradation (it mirrors the plan's demand
-and lint's static bound); the actually-resident peaks are reported
-separately on :class:`~repro.core.cache.CacheStats`.
+(spill to disk, or drop and recompute it) until the resident footprint
+fits.  Results are unchanged — spilled amplitudes are checksum-verified on
+reload, and a recomputed snapshot replays the very ``Advance``/``Inject``
+instructions that produced it, from an unmodified copy of the run's entry
+state, so even compiled kernel fusion reproduces the same float rounding.
+The nominal peak-MSV accounting deliberately ignores degradation (it
+mirrors the plan's demand and lint's static bound); the actually-resident
+peaks are reported separately on :class:`~repro.core.cache.CacheStats`.
 """
 
 from __future__ import annotations
@@ -235,8 +236,12 @@ class _DenseStates:
     It also owns what the serial executor keeps beside the walk:
     cross-job prefix adoption and publication through a
     :class:`~repro.core.shared.SharedPrefixStore`, and cache-budget
-    degradation (spill or drop after a store, rehydration on restore)
-    with the event provenance a dropped snapshot is recomputed from.
+    degradation (spill or drop after a store, rehydration on restore).
+    A dropped snapshot's provenance is the ``Advance``/``Inject``
+    instructions applied since the run's entry state; it is rebuilt by
+    replaying them on an unmodified copy of that entry (``|0...0>``, or
+    ``entry`` — the entry state's amplitudes, kept because the run
+    mutates its working copy in place).
     The hybrid model (:mod:`repro.core.hybrid`) extends it with a
     symbolic side.
     """
@@ -248,9 +253,9 @@ class _DenseStates:
         cache: StateCache,
         recorder,
         working,
-        entry_events: Tuple = (),
         budget: Optional[CacheBudget] = None,
         shared: Optional[SharedPrefixStore] = None,
+        entry: Optional[np.ndarray] = None,
     ) -> None:
         self.layered = layered
         self.backend = backend
@@ -259,9 +264,12 @@ class _DenseStates:
         self.working = working
         self.budget = budget
         self.shared = shared
+        self.entry = entry
         self.ops_shared = 0
-        #: The working state's injected events, tracked only under a budget.
-        self.events = list(entry_events) if budget is not None else None
+        #: The working state's provenance, tracked only under a drop budget.
+        self.program: Optional[list] = (
+            [] if budget is not None and budget.mode == "drop" else None
+        )
         self.spill_area = _SpillArea(budget) if budget is not None else None
         #: Called before each ``Advance``; true when the store supplied it.
         self.probe: Optional[Callable[[Advance], bool]] = None
@@ -295,6 +303,8 @@ class _DenseStates:
         self.working = self.backend.adopt_state(
             Statevector.from_buffer(fetched, self.layered.num_qubits)
         )
+        if self.program is not None:
+            self.program.append(instr)
         self.ops_shared += gates
         self.shared.note_saved(gates)
         if self.recorder:
@@ -316,11 +326,13 @@ class _DenseStates:
 
     def advance(self, index: int, instr: Advance) -> None:
         self.backend.apply_layers(self.working, instr.start_layer, instr.end_layer)
+        if self.program is not None:
+            self.program.append(instr)
 
     def inject(self, index: int, event) -> None:
         self.backend.apply_operator(self.working, event.gate, (event.qubit,))
-        if self.events is not None:
-            self.events.append(event)
+        if self.program is not None:
+            self.program.append(Inject(event))
         if self.shared is not None:
             self.steps = self.steps + (inject_step(event),)
 
@@ -328,7 +340,7 @@ class _DenseStates:
         """The state to store — the working state itself when ``moved`` —
         and its provenance."""
         state = self.working if moved else self.backend.copy_state(self.working)
-        return state, (tuple(self.events) if self.events is not None else None)
+        return state, (tuple(self.program) if self.program is not None else None)
 
     def stored(self, slot: int, state, layer: int) -> None:
         if self.shared is not None:
@@ -342,7 +354,8 @@ class _DenseStates:
     def restore(self, slot: int, entry, layer: int, provenance) -> None:
         if self.budget is not None:
             entry = self._rehydrate(slot, entry, layer)
-            self.events = list(provenance or ())
+        if self.program is not None:
+            self.program = list(provenance)
         if self.shared is not None:
             self.steps = self.slot_steps.pop(slot)
         self.working = entry
@@ -425,11 +438,14 @@ class _DenseStates:
             )
         if isinstance(entry, DroppedSnapshot):
             ops_before = backend.ops_applied
-            state = _run_program(
-                backend,
-                backend.make_initial(),
-                rebuild_program(entry.provenance, layer),
+            start = (
+                backend.make_initial()
+                if self.entry is None
+                else backend.adopt_state(
+                    Statevector(self.layered.num_qubits, tensor=self.entry)
+                )
             )
+            state = _run_program(backend, start, entry.provenance)
             self.cache.note_recompute()
             if recorder:
                 ops_delta = backend.ops_applied - ops_before
@@ -468,8 +484,8 @@ def _interpret(
     ``EmitTask`` entry state into ``entries[task_id]`` at
     ``tasks[task_id].entry_layer``.  The model owns what a state is
     (:class:`_DenseStates`, or the hybrid model of
-    :mod:`repro.core.hybrid`).  Returns the number of finishes; the cache
-    is drained on return.
+    :mod:`repro.core.hybrid`, which runs no ``EmitTask``).  Returns the
+    number of finishes; the cache is drained on return.
     """
     num_layers = layered.num_layers
     total = len(instructions)
@@ -709,9 +725,11 @@ def run_optimized(
         Optional :class:`~repro.core.cache.CacheBudget` capping the
         resident statevector bytes; snapshots beyond the budget are
         spilled to disk or dropped-and-recomputed (statevector-family
-        backends only).  Results and nominal peak-MSV accounting are
-        unchanged; ``CacheStats`` reports the degradation counters and the
-        resident peaks.
+        backends only).  A dropped snapshot is recomputed by replaying its
+        instructions from ``|0...0>``, or from a copy of ``entry_state``
+        taken before the run mutates it.  Results and nominal peak-MSV
+        accounting are unchanged; ``CacheStats`` reports the degradation
+        counters and the resident peaks.
     shared:
         Optional cross-job :class:`~repro.core.shared.SharedPrefixStore`.
         Before each ``Advance`` the executor probes the store with the
@@ -759,13 +777,16 @@ def run_optimized(
     # Cross-job sharing needs a provenance key rooted at |0...0>; an entry
     # state resumes mid-circuit with unknown boundary history, so sharing
     # is disabled there (results are unchanged — only reuse is lost).
+    entry = None
     if entry_state is None:
         working, entry_layer = backend.make_initial(), 0
     else:
         working, shared = backend.adopt_state(entry_state), None
+        if cache_budget is not None and cache_budget.mode == "drop":
+            entry = np.array(working.vector)
     model = _DenseStates(
         layered, backend, cache, recorder, working,
-        entry_events=entry_events, budget=cache_budget, shared=shared,
+        budget=cache_budget, shared=shared, entry=entry,
     )
     finish_calls = _interpret(
         plan.instructions, layered, model, cache, recorder,

@@ -81,7 +81,6 @@ __all__ = [
     "HybridOutcome",
     "HybridSchedule",
     "classify_plan",
-    "classify_instructions",
     "run_hybrid",
 ]
 
@@ -153,8 +152,8 @@ class HybridSchedule:
     * ``("advance-mat", path, frame, events)`` — the frame cannot cross:
       materialize at ``path`` first, then run the segment (and the whole
       subtree until the next outer ``Restore``) dense.
-    * ``("finish-sym", path, frame)`` / ``("emit-sym", path, frame)`` —
-      materialize the payload from the anchor.
+    * ``("finish-sym", path, frame)`` — materialize the payload from the
+      anchor.
     * ``("snapshot-sym",)`` / ``("inject-sym",)`` / ``("restore-sym",)``
       — pure bookkeeping on the symbolic side.
     * ``(..."-dense",)`` — the serial dense behavior, verbatim.
@@ -192,14 +191,12 @@ class HybridSchedule:
         return bool(self.stats["savings"] > 0)
 
 
-def classify_instructions(
-    layered: LayeredCircuit,
-    instructions: Sequence[Any],
+def classify_plan(
+    layered: LayeredCircuit, plan: ExecutionPlan
 ) -> HybridSchedule:
-    """Statically split an instruction stream into symbolic/dense actions.
+    """Statically split a plan's instructions into symbolic/dense actions.
 
-    A fold over :class:`~repro.core.schedule.PlanWalk`, so it accepts plan
-    instructions plus the parallel partitioner's ``EmitTask``.  The walk
+    A fold over :class:`~repro.core.schedule.PlanWalk`.  The walk
     pairs every ``Restore`` with its ``Snapshot`` and carries the event
     history; the fold keeps only each state's own fact — ``(anchor path,
     frame)`` for a symbolic state, ``_DENSE`` for a dense one — keyed by
@@ -242,21 +239,7 @@ def classify_instructions(
         path_uses[path] += 1
         timeline.append(("use", path))
 
-    def deliver(kind: str) -> None:
-        """A Finish or EmitTask payload: borrow or materialize the anchor."""
-        if working is _DENSE:
-            actions.append((kind + "-dense",))
-            return
-        path, frame = working
-        use(path)
-        if frame.is_identity:
-            count["borrows"] += 1
-        else:
-            count["materializations"] += 1
-            timeline.append(("transient",))
-        actions.append((kind + "-sym", path, frame.copy()))
-
-    for step in PlanWalk(instructions, layered.num_layers):
+    for step in PlanWalk(plan.instructions, layered.num_layers):
         if step.fault:
             raise step.error()
         instr = step.instr
@@ -332,9 +315,20 @@ def classify_instructions(
                 actions.append(("restore-sym",))
                 sym_stored -= 1
         elif isinstance(instr, Finish):
-            deliver("finish")
+            # The payload borrows or materializes the anchor.
+            if working is _DENSE:
+                actions.append(("finish-dense",))
+                continue
+            path, frame = working
+            use(path)
+            if frame.is_identity:
+                count["borrows"] += 1
+            else:
+                count["materializations"] += 1
+                timeline.append(("transient",))
+            actions.append(("finish-sym", path, frame.copy()))
         else:
-            deliver("emit")
+            raise ScheduleError(f"unknown plan instruction {instr!r}")
 
     # ---- residency replay: anchors live from creation to last use -------
     live_anchors = 0
@@ -373,13 +367,6 @@ def classify_instructions(
     return HybridSchedule(
         layered, actions, path_uses, derive_gates, stats
     )
-
-
-def classify_plan(
-    layered: LayeredCircuit, plan: ExecutionPlan
-) -> HybridSchedule:
-    """Classify a full execution plan (see :func:`classify_instructions`)."""
-    return classify_instructions(layered, plan.instructions)
 
 
 class HybridOutcome(ExecutionOutcome):
@@ -582,13 +569,6 @@ class _HybridStates(_DenseStates):
             return self._payload(action, "finish")
         self.anchors.release(action[1])
         return None
-
-    def emit(self, index: int, row: np.ndarray) -> None:
-        action = self.actions[index]
-        if action[0] == "emit-sym":
-            np.copyto(row, self._payload(action, "emit").vector)
-        else:
-            super().emit(index, row)
 
     def release(self) -> None:
         if not isinstance(self.working, tuple):

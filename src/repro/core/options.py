@@ -146,11 +146,18 @@ _DECLARED: Tuple[Option, ...] = (
             "batch_size requires the compiled 'statevector' backend (batched kernel surface), "
             "got {backend!r}"
         ),
-        excludes=((
-            "journal",
-            "batch_size is incompatible with journal: the wavefront interleaves trials, so the "
-            "trial-ordered resume log cannot be replayed against it",
-        ),),
+        excludes=(
+            (
+                "journal",
+                "batch_size is incompatible with journal: the wavefront interleaves trials, so "
+                "the trial-ordered resume log cannot be replayed against it",
+            ),
+            (
+                "max_cache_bytes",
+                "batch_size is incompatible with max_cache_bytes: a wavefront, in-process or in "
+                "a pool's workers, keeps every parked row resident, so no budget applies",
+            ),
+        ),
     ),
     Option(
         "hybrid", False, "bool",
@@ -293,13 +300,13 @@ EXECUTORS: Tuple[Executor, ...] = (
     ),
     Executor(
         "parallel", "workers", "optimized",
-        _PLANNED | _BUDGET | _POOL | {"task_weights", "batch_size", "hybrid"},
+        _PLANNED | _BUDGET | _POOL | {"task_weights", "batch_size"},
         ("P018", "replay", "P020", "P025", "P017 unless batch_size", "P021 unless batch_size"),
     ),
     Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}, _SERIAL_WALK),
     Executor(
         "wavefront", "batch_size", "optimized",
-        _PLANNED | _BUDGET | {"batch_size"}, ("replay", "P020", "P025"),
+        _PLANNED | {"batch_size"}, ("replay", "P020", "P025"),
     ),
     Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}, _SERIAL_WALK),
     Executor("baseline", None, "baseline", _EVERY, ("replay", "P025")),
@@ -430,7 +437,7 @@ def execute(
             layered, trials, backend_factory, on_finish, workers=v["workers"],
             depth=v["partition_depth"], cache_budget=budget, retries=v["retries"],
             task_timeout=v["task_timeout"], task_weights=v["task_weights"],
-            batch_size=v["batch_size"], hybrid=v["hybrid"], **common,
+            batch_size=v["batch_size"], **common,
         )
     if engine is None:
         engine = backend_factory()
@@ -442,8 +449,7 @@ def execute(
         from .wavefront import run_wavefront
 
         return run_wavefront(
-            layered, trials, engine, on_finish, plan=plan, batch_size=v["batch_size"],
-            cache_budget=budget, **common,
+            layered, trials, engine, on_finish, plan=plan, batch_size=v["batch_size"], **common,
         )
     if executor.name == "dfs":
         return run_optimized(

@@ -122,7 +122,6 @@ from .executor import (
     _record_run_meta,
     run_optimized,
 )
-from .hybrid import _HybridStates, _require_compiled, classify_instructions
 from .resilience import WorkerCrash
 from .schedule import (
     Advance,
@@ -524,21 +523,12 @@ def _prefix_phase(
     backend,
     entries: np.ndarray,
     recorder=None,
-    hybrid: bool = False,
 ) -> Dict[str, int]:
     """Phase 1: execute the prefix program once through the plan loop
-    (:func:`~repro.core.executor._interpret`), writing each task's entry
-    state into ``entries[task_id]``.  Returns the phase-1 counters.
-
-    With ``hybrid`` the prefix runs on the Clifford/Pauli-frame state
-    model whenever the classifier finds symbolic work to share; entry
-    states are bitwise the dense ones either way, so workers (always
-    dense) produce identical results.
+    (:func:`~repro.core.executor._interpret`) on the dense state model,
+    writing each task's entry state into ``entries[task_id]``.  Returns
+    the phase-1 counters.
     """
-    schedule = None
-    if hybrid:
-        _require_compiled(backend)
-        schedule = classify_instructions(layered, partition.prefix)
     backend.reset_counter()
     backend.set_recorder(recorder)
     cache = StateCache(recorder=recorder)
@@ -549,12 +539,9 @@ def _prefix_phase(
             tasks=partition.num_tasks,
             depth=partition.depth,
         )
-    if schedule is not None and schedule.active:
-        model: Any = _HybridStates(layered, backend, cache, recorder, schedule)
-    else:
-        model = _DenseStates(
-            layered, backend, cache, recorder, backend.make_initial()
-        )
+    model = _DenseStates(
+        layered, backend, cache, recorder, backend.make_initial()
+    )
     _interpret(
         partition.prefix, layered, model, cache, recorder,
         tasks=partition.tasks, entries=entries,
@@ -574,6 +561,11 @@ def _prefix_phase(
 
 
 # -- task execution + integrity primitives --------------------------------------
+
+
+#: The :class:`~repro.core.cache.CacheStats` counters a task reports
+#: and the merge sums.
+_DEGRADATION = ("spills", "spill_loads", "drops", "recomputes")
 
 
 class _TaskBlock:
@@ -671,7 +663,9 @@ class _TaskBlock:
                 run_wavefront, batch_size=self.batch_size
             )
         else:
-            execute = run_optimized
+            execute = functools.partial(
+                run_optimized, cache_budget=self.cache_budget
+            )
         outcome = execute(
             self.layered,
             local_trials,
@@ -682,14 +676,17 @@ class _TaskBlock:
             entry_state=entry,
             entry_layer=task.entry_layer,
             entry_events=task.entry_events,
-            cache_budget=self.cache_budget,
         )
+        stats = outcome.cache_stats
         return {
             "ops": outcome.ops_applied,
             "finish_calls": outcome.finish_calls,
-            "snapshots_taken": outcome.cache_stats.snapshots_taken,
+            "snapshots_taken": stats.snapshots_taken,
             "peak": outcome.peak_msv,
             "stored": outcome.peak_stored,
+            "degradation": {
+                name: getattr(stats, name) for name in _DEGRADATION
+            },
             "checksums": checksums,
         }
 
@@ -1161,7 +1158,6 @@ def run_parallel(
     faults=None,
     task_weights: Optional[Sequence[int]] = None,
     batch_size: int = 0,
-    hybrid: bool = False,
     stop=None,
 ) -> ParallelOutcome:
     """Execute ``trials`` with prefix reuse across ``workers`` processes.
@@ -1208,7 +1204,10 @@ def run_parallel(
         ``False`` demands real processes and raises without ``fork``.
     cache_budget:
         Optional :class:`~repro.core.cache.CacheBudget` forwarded to every
-        sub-plan execution (workers and parent fallback alike).
+        sub-plan execution (workers and parent fallback alike); each task
+        reports its spills, spill loads, drops and recomputes, and the
+        merged ``CacheStats`` sums them.  Incompatible with
+        ``batch_size``: a wavefront keeps its rows resident.
     retries:
         How many times a failed task attempt (crash, timeout, checksum
         mismatch, exception) is requeued before the parent executes it
@@ -1235,12 +1234,6 @@ def run_parallel(
         (:func:`~repro.core.wavefront.run_wavefront`) instead — workers,
         recovery paths and the parent fallback alike.  Results and
         operation counts stay bit-identical at every width.
-    hybrid:
-        Run the shared prefix on the Clifford/Pauli-frame state model
-        (:mod:`repro.core.hybrid`) — entry states are materialized from
-        shared anchors instead of walked densely, and stay bitwise
-        identical, so workers (always dense) produce the same results.
-        Requires a compiled statevector backend.
     stop:
         Optional ``threading.Event`` enabling graceful shutdown (pair it
         with :func:`graceful_stop` to hook SIGTERM/SIGINT).  When set, no
@@ -1255,6 +1248,8 @@ def run_parallel(
         raise ValueError(f"need at least one worker, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if batch_size and cache_budget is not None:
+        raise ValueError("batching workers take no cache budget")
     partition = partition_plan(layered, trials, depth=depth, check=check)
     if task_weights is not None and len(task_weights) != partition.num_tasks:
         raise ValueError(
@@ -1318,8 +1313,7 @@ def run_parallel(
             )
 
         phase1 = _prefix_phase(
-            partition, layered, backend_factory(), block.entries, recorder,
-            hybrid,
+            partition, layered, backend_factory(), block.entries, recorder
         )
         block.seal_entries()
 
@@ -1381,8 +1375,7 @@ def run_parallel(
                     block.verify_entry(task_id)
                 except CorruptionError:
                     regen = _prefix_phase(
-                        partition, layered, backend_factory(), block.entries,
-                        hybrid=hybrid,
+                        partition, layered, backend_factory(), block.entries
                     )
                     wasted_ops += regen["ops"]
                     if recorder:
@@ -1445,6 +1438,10 @@ def run_parallel(
             ),
             snapshots_taken=snapshots_taken,
             snapshots_released=snapshots_taken,
+            **{
+                name: sum(report["degradation"][name] for report in reports)
+                for name in _DEGRADATION
+            },
         )
         return ParallelOutcome(
             ops_applied=ops_applied,

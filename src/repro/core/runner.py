@@ -230,14 +230,17 @@ class NoisySimulator:
             ``journal`` attribute carries the
             :class:`~repro.core.resilience.JournalSummary`.
         max_cache_bytes:
-            Byte budget for the snapshot cache.  When the resident
-            snapshots would exceed it, the coldest are degraded per
-            ``cache_degrade`` — results stay bit-identical; only
-            time/memory trade off.
+            Byte budget for the snapshot cache of the serial DFS
+            executor, a pool's DFS workers and a journaled run.  When the
+            resident snapshots would exceed it, the coldest are degraded
+            per ``cache_degrade`` — results stay bit-identical; only
+            time/memory trade off.  Rejected beside ``batch_size`` or
+            ``hybrid``.
         cache_degrade:
             ``"spill"`` (default) writes evicted snapshots to disk and
-            reloads them on restore; ``"drop"`` discards them and
-            recomputes from the initial state when needed.
+            reloads them on restore; ``"drop"`` discards them and, when
+            needed, replays the instructions that built them from the
+            run's (or pool task's) entry state.
         task_timeout:
             Per-task deadline in seconds for parallel workers (see
             :func:`~repro.core.parallel.run_parallel`).
@@ -256,17 +259,19 @@ class NoisySimulator:
             (:func:`~repro.core.wavefront.run_wavefront`): sibling
             subtrees facing the same layer segment advance together in
             one ``(2,)*n + (batch,)`` ndarray, capped at ``batch_size``
-            columns.  Results, operation counts and cache accounting are
-            bit-identical to the serial executor at every width.
+            columns.  Results and operation counts are bit-identical to
+            the serial executor at every width.  With ``workers`` it
+            batches the workers' sub-plans.  Every parked row stays
+            resident, so ``max_cache_bytes`` is rejected beside it.
         hybrid:
             Route execution through the Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
             spans run symbolically as Pauli-frame deltas over shared
             dense anchors, amplitudes materialize only at the first
             non-Clifford gate or at Finish.  Bit-identical payloads and
-            nominal accounting at every configuration.  Composes with
-            ``workers`` (hybrid prefix); ``batch_size`` then batches the
-            workers' sub-plans, and is rejected without ``workers``.
+            nominal accounting.  In-process only: rejected beside
+            ``workers``, ``batch_size``, ``journal`` or
+            ``max_cache_bytes``.
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
             cross-job prefix deduplication — the service tier passes one

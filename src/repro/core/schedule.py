@@ -454,11 +454,10 @@ def rebuild_program(
 ) -> List[PlanInstruction]:
     """``Advance``/``Inject`` instructions rebuilding a state from |0...0>.
 
-    Advance to each event's layer, inject it, then advance to ``layer``.
-    Dropped-snapshot recompute, the baseline executor's per-trial run,
-    wavefront entry regeneration and the cost model's recompute price
-    all run this one program, so they agree on its segment boundaries
-    (and therefore on compiled segments and their rounding).
+    Advance to each event's layer, inject it, then advance to ``layer``:
+    the baseline executor's per-trial run.  Its segment boundaries are
+    not a plan's, so a dropped snapshot is recomputed from the plan's own
+    instructions instead (compiled segments fuse per ``[start, end)``).
     """
     program: List[PlanInstruction] = []
     cursor = 0

@@ -45,38 +45,33 @@ profile extractor weights by).
 
 Memory: the wavefront trades peak state count for throughput — many rows
 are live at once (parked rows awaiting consumers plus the in-flight
-batch plus buffered finish payloads).  A :class:`~repro.core.cache.CacheBudget`
-keeps that honest: batch width is clamped to the row budget and parked
-rows (payloads included) are spilled to disk or dropped and recomputed —
-a dropped row replays its lane's exact hop/inject provenance through the
-width-1 batched path, which is bit-identical by the argument above.
+batch plus buffered finish payloads), all resident.  Its memory is its
+parked rows, reported as the run's peaks; no cache budget applies (the
+options table rejects ``batch_size`` with ``max_cache_bytes``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.layers import LayeredCircuit
 from ..sim.statevector import Statevector
-from .cache import CacheBudget, CacheStats, CorruptionError, payload_checksum
+from .cache import CacheStats
 from .events import ErrorEvent, Trial
-from .executor import ExecutionOutcome, FinishCallback, RunInterrupted, _SpillArea, _record_run_meta
+from .executor import ExecutionOutcome, FinishCallback, RunInterrupted, _record_run_meta
 from .schedule import (
     Advance,
     ExecutionPlan,
     Finish,
     Inject,
-    PlanInstruction,
     PlanWalk,
     Restore,
     ScheduleError,
     Snapshot,
     build_plan,
-    rebuild_program,
 )
 
 __all__ = [
@@ -187,23 +182,15 @@ class WavefrontPlan:
         self.num_trials = num_trials
         self.entry_layer = entry_layer
         self.entry_events = tuple(entry_events)
-        #: (lane, station) -> index of the step that materializes it
-        self.mat_step: Dict[Tuple[int, int], int] = {}
-        for index, step in enumerate(self.steps):
-            for row in step.rows:
-                self.mat_step[(row.lane, row.station)] = index
-        #: (lane, station) -> sorted step indices of later consumers
-        #: (children materializations and the lane's own carry); a finish
-        #: consumes its row immediately at arrival and is not listed.
-        self.consumers: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        for lane in self.lanes:
-            for station in range(len(lane.stations)):
-                uses: List[int] = []
-                for child_id, _steal in lane.spawns.get(station, ()):
-                    uses.append(self.mat_step[(child_id, 0)])
-                if station + 1 < len(lane.stations):
-                    uses.append(self.mat_step[(lane.lane_id, station + 1)])
-                self.consumers[(lane.lane_id, station)] = tuple(sorted(uses))
+        #: (lane, station) -> number of later consumers (children
+        #: materializations and the lane's own carry); a finish consumes
+        #: its row immediately at arrival and is not counted.
+        self.consumers: Dict[Tuple[int, int], int] = {
+            (lane.lane_id, station): len(lane.spawns.get(station, ()))
+            + int(station + 1 < len(lane.stations))
+            for lane in self.lanes
+            for station in range(len(lane.stations))
+        }
         #: finishes sorted by serial rank: (rank, lane_id, trial_indices)
         finishes = [
             (lane.finish[0], lane.lane_id, lane.finish[1])
@@ -221,7 +208,7 @@ class WavefrontPlan:
 
     def _simulate_occupancy(self) -> Tuple[int, int]:
         """Static peak live/parked row counts (the executor's nominal peaks)."""
-        refs = {key: len(uses) for key, uses in self.consumers.items()}
+        refs = dict(self.consumers)
         parked = 0
         payloads = 0
         peak_live = 0
@@ -474,28 +461,14 @@ def plan_wavefronts(
 # ---------------------------------------------------------------------------
 
 class _Row:
-    """A parked wavefront row: one lane's state awaiting its consumers."""
+    """A parked wavefront row: one lane's column awaiting its consumers."""
 
-    __slots__ = (
-        "key", "buffer", "col", "refs", "uses", "spilled", "dropped", "layer",
-    )
+    __slots__ = ("buffer", "col", "refs")
 
-    def __init__(self, key, buffer, col, refs, uses, layer) -> None:
-        self.key = key
-        self.buffer = buffer  # holding ndarray, or None when degraded
+    def __init__(self, buffer: np.ndarray, col: int, refs: int) -> None:
+        self.buffer = buffer  # the batch array holding the column
         self.col = col
         self.refs = refs
-        self.uses = list(uses)  # remaining consumer step indices (sorted)
-        self.spilled: Optional[Tuple[str, int]] = None  # (path, checksum)
-        self.dropped = False
-        self.layer = layer
-
-    @property
-    def resident(self) -> bool:
-        return self.buffer is not None
-
-    def next_use(self) -> int:
-        return self.uses[0] if self.uses else 1 << 60
 
 
 def run_wavefront(
@@ -510,8 +483,6 @@ def run_wavefront(
     entry_state=None,
     entry_layer: int = 0,
     entry_events: Tuple[ErrorEvent, ...] = (),
-    cache_budget: Optional[CacheBudget] = None,
-    wavefront: Optional[WavefrontPlan] = None,
     stop=None,
 ) -> ExecutionOutcome:
     """Execute ``trials`` with prefix reuse *and* trial-axis batching.
@@ -526,8 +497,8 @@ def run_wavefront(
 
     Finishes are buffered and delivered after the last step in serial
     rank order; payload copies are included in the live/stored row
-    accounting (the memory cost of batching is not hidden) and are
-    subject to ``cache_budget`` spill/drop like any parked row.
+    accounting (the memory cost of batching is not hidden).  Every row
+    stays resident: the wavefront takes no cache budget.
 
     ``stop`` (a ``threading.Event``) is polled before every step and
     every delivered finish; once set, the run raises
@@ -558,17 +529,9 @@ def run_wavefront(
         )
 
     num_qubits = layered.num_qubits
-    state_bytes = 16 * (1 << num_qubits)
-    effective_batch = batch_size
-    if cache_budget is not None:
-        # The in-flight batch is the working set: clamp its width to the
-        # row budget (floor 1, mirroring the serial working-state floor).
-        budget_rows = cache_budget.max_bytes // state_bytes
-        effective_batch = min(batch_size, max(1, budget_rows))
-    if wavefront is None:
-        wavefront = plan_wavefronts(
-            plan, effective_batch, entry_layer, tuple(entry_events)
-        )
+    wavefront = plan_wavefronts(
+        plan, batch_size, entry_layer, tuple(entry_events)
+    )
     if check:
         from ..lint.wavefront_rules import lint_wavefront
 
@@ -580,11 +543,8 @@ def run_wavefront(
 
     lanes = wavefront.lanes
     steps = wavefront.steps
-    num_steps = len(steps)
     backend.reset_counter()
     backend.set_recorder(recorder)
-    spill_area = _SpillArea(cache_budget) if cache_budget is not None else None
-    track_drop = cache_budget is not None and cache_budget.mode == "drop"
 
     if recorder:
         _record_run_meta(
@@ -595,8 +555,7 @@ def run_wavefront(
             "wavefront.meta",
             cat="run",
             batch_size=batch_size,
-            effective_batch=effective_batch,
-            num_steps=num_steps,
+            num_steps=len(steps),
             num_lanes=len(lanes),
             peak_rows=wavefront.peak_rows,
         )
@@ -606,20 +565,15 @@ def run_wavefront(
     if entry_state is not None:
         entry_tensor = backend.adopt_state(entry_state)._tensor
 
-    rows: Dict[Any, _Row] = {}
+    rows: Dict[Tuple[int, int], _Row] = {}
+    payloads: Dict[int, np.ndarray] = {}  # rank -> buffered finish payload
     scratch_pool: Dict[Tuple[int, ...], np.ndarray] = {}
-    payload_entries: Dict[int, _Row] = {}  # rank -> payload row
 
-    # Nominal counts mirror the plan's demand; resident counts subtract
-    # degraded rows.  ``live`` includes the in-flight batch while a step
-    # runs and the buffered payload copies.
-    parked_nominal = 0
-    parked_resident = 0
+    # Parked rows plus buffered payload copies; ``live`` adds the
+    # in-flight batch while a step runs.
+    parked = 0
     peak_live = 0
     peak_stored = 0
-    peak_resident_live = 0
-    peak_resident_stored = 0
-    spills = spill_loads = drops = recomputes = 0
     snapshots_taken = 0
     finish_calls = 0
     trials_done = 0
@@ -632,19 +586,13 @@ def run_wavefront(
             )
 
     def sample(width: int = 0) -> None:
-        nonlocal peak_live, peak_stored, peak_resident_live, peak_resident_stored
-        live = parked_nominal + width
-        stored = parked_nominal
-        resident_live = parked_resident + width
+        nonlocal peak_live, peak_stored
+        live = parked + width
         peak_live = max(peak_live, live)
-        peak_stored = max(peak_stored, stored)
-        peak_resident_live = max(peak_resident_live, resident_live)
-        peak_resident_stored = max(peak_resident_stored, parked_resident)
+        peak_stored = max(peak_stored, parked)
         if recorder:
             recorder.gauge("msv.live", live)
-            recorder.gauge("msv.stored", stored)
-            if cache_budget is not None:
-                recorder.gauge("msv.resident", resident_live)
+            recorder.gauge("msv.stored", parked)
 
     def take_scratch(shape: Tuple[int, ...]) -> np.ndarray:
         scratch = scratch_pool.pop(shape, None)
@@ -652,405 +600,199 @@ def run_wavefront(
             scratch = np.empty(shape, dtype=np.complex128)
         return scratch
 
-    program_cache: Dict[int, Tuple[PlanInstruction, ...]] = {}
-    entry_prog = tuple(rebuild_program(entry_events, entry_layer))
+    def release(key: Tuple[int, int]) -> None:
+        nonlocal parked
+        del rows[key]
+        parked -= 1
 
-    def birth_program(lane_id: int) -> Tuple[PlanInstruction, ...]:
-        """Ops rebuilding a lane's post-inject birth state from |0...0>."""
-        cached = program_cache.get(lane_id)
-        if cached is not None:
-            return cached
-        lane = lanes[lane_id]
-        if lane.parent is None:
-            program = entry_prog
+    for step_index, step in enumerate(steps):
+        check_stop()
+        width = len(step.rows)
+        shape = (2,) * num_qubits + (width,)
+
+        # --- materialize the batch (copy-on-diverge happens here) ---
+        reusable = None
+        if all(row.kind == "carry" for row in step.rows):
+            sources = [rows.get(row.src) for row in step.rows]
+            if all(src is not None and src.refs == 1 for src in sources):
+                buffer = sources[0].buffer
+                if (
+                    buffer.shape == shape
+                    and all(src.buffer is buffer for src in sources)
+                    and all(
+                        src.col == col for col, src in enumerate(sources)
+                    )
+                ):
+                    reusable = buffer
+        if reusable is not None:
+            batch = reusable
+            for row in step.rows:
+                release(row.src)
         else:
-            parent_id, station = lane.src
-            parent = lanes[parent_id]
-            assert lane.event is not None  # a child lane is born by its inject
-            program = birth_program(parent_id) + tuple(
-                Advance(s, e)
-                for s, e in parent.stations[: station + 1]
-                if e > s
-            ) + (Inject(lane.event),)
-        program_cache[lane_id] = program
-        return program
-
-    def row_program(lane_id: int, station: int) -> Tuple[PlanInstruction, ...]:
-        lane = lanes[lane_id]
-        return birth_program(lane_id) + tuple(
-            Advance(s, e)
-            for s, e in lane.stations[: station + 1]
-            if e > s
-        )
-
-    def recompute_row(program: Sequence[PlanInstruction]) -> np.ndarray:
-        """Replay a dropped row through the width-1 batched path."""
-        nonlocal recomputes
-        recomputes += 1
-        shape = (2,) * num_qubits + (1,)
-        tensor = np.zeros(shape, dtype=np.complex128)
-        tensor[(0,) * num_qubits + (0,)] = 1.0
-        scratch = take_scratch(shape)
-        for op in program:
-            if isinstance(op, Advance):
-                out = backend.apply_layers_batch(
-                    tensor, scratch, op.start_layer, op.end_layer
-                )
-                scratch = tensor if out is scratch else scratch
-                tensor = out
-            elif isinstance(op, Inject):
-                event = op.event
-                backend.apply_operator_columns(
-                    tensor, scratch, event.gate, (event.qubit,), 0, 1
-                )
-        scratch_pool[shape] = scratch
-        return tensor.reshape(-1)
-
-    def release_row(row: _Row) -> None:
-        nonlocal parked_nominal, parked_resident
-        rows.pop(row.key, None)
-        parked_nominal -= 1
-        if row.resident:
-            parked_resident -= 1
-        elif row.spilled is not None and os.path.exists(row.spilled[0]):
-            os.unlink(row.spilled[0])
-        row.buffer = None
-
-    def load_into(row: _Row, dest: np.ndarray) -> None:
-        """Write a (possibly degraded) row's amplitudes into flat ``dest``.
-
-        ``dest`` is a 1-D (possibly strided) view of one batch column;
-        resident sources are read through the matching 1-D column view of
-        their holding buffer — a flat fixed-stride copy is several times
-        faster than the equivalent copy between two ``(2,)*n`` views.
-        """
-        nonlocal spill_loads
-        if row.resident:
-            buffer = row.buffer
-            dest[...] = buffer.reshape(-1, buffer.shape[-1])[:, row.col]
-            return
-        if row.spilled is not None:
-            path, checksum = row.spilled
-            flat = np.fromfile(path, dtype=np.complex128)
-            if payload_checksum(flat) != checksum:
-                raise CorruptionError(
-                    f"spilled wavefront row {path!r} failed its checksum"
-                )
-            dest[...] = flat
-            spill_loads += 1
-            if recorder:
-                recorder.instant(
-                    "cache.spill.load", cat="cache",
-                    slot=_row_slot(row), layer=row.layer,
-                )
-                recorder.counter("cache.spill.load", 1)
-            return
-        # Dropped: replay the lane's exact hop/inject provenance.
-        lane_id, station = _row_provenance_key(row)
-        ops_before = backend.ops_applied
-        dest[...] = recompute_row(row_program(lane_id, station))
-        if recorder:
-            ops_delta = backend.ops_applied - ops_before
-            recorder.instant(
-                "cache.recompute", cat="cache",
-                slot=_row_slot(row), layer=row.layer, ops=ops_delta,
-            )
-            recorder.counter("ops.applied", ops_delta)
-            recorder.counter("cache.recompute", 1)
-
-    def _row_slot(row: _Row) -> int:
-        key = row.key
-        if key[0] == "payload":
-            return len(lanes) + key[1]
-        return key[0]
-
-    def _row_provenance_key(row: _Row) -> Tuple[int, int]:
-        key = row.key
-        if key[0] == "payload":
-            rank = key[1]
-            for r, lane_id, _indices in wavefront.finishes:
-                if r == rank:
-                    lane = lanes[lane_id]
-                    return lane_id, len(lane.stations) - 1
-            raise ScheduleError(f"no lane for payload rank {rank}")
-        return key
-
-    def enforce_budget() -> None:
-        """Spill/drop coldest parked rows until the budget is met."""
-        nonlocal parked_resident, spills, drops
-        if cache_budget is None:
-            return
-        while (parked_resident + 1) * state_bytes > cache_budget.max_bytes:
-            coldest = None
-            for row in rows.values():
-                if not row.resident:
-                    continue
-                rank = (row.next_use(), _row_slot(row))
-                if coldest is None or rank > coldest[0]:
-                    coldest = (rank, row)
-            if coldest is None:
-                break
-            row = coldest[1]
-            if cache_budget.mode == "drop":
-                row.buffer = None
-                row.dropped = True
-                drops += 1
-                parked_resident -= 1
-                if recorder:
-                    recorder.instant(
-                        "cache.drop", cat="cache",
-                        slot=_row_slot(row), layer=row.layer,
-                    )
-                    recorder.counter("cache.drop", 1)
-            elif cache_budget.mode == "spill":
-                path = spill_area.allocate(_row_slot(row), row.layer)
-                buffer = row.buffer
-                flat = buffer.reshape(-1, buffer.shape[-1])[:, row.col].copy()
-                flat.tofile(path)
-                row.spilled = (path, payload_checksum(flat))
-                row.buffer = None
-                spills += 1
-                parked_resident -= 1
-                if recorder:
-                    recorder.instant(
-                        "cache.spill", cat="cache",
-                        slot=_row_slot(row), layer=row.layer,
-                    )
-                    recorder.counter("cache.spill", 1)
-            else:
-                raise ScheduleError(
-                    f"unknown cache degradation mode {cache_budget.mode!r} "
-                    "(expected 'spill' or 'drop')"
-                )
-
-    try:
-        for step_index, step in enumerate(steps):
-            check_stop()
-            width = len(step.rows)
-            shape = (2,) * num_qubits + (width,)
-
-            # --- materialize the batch (copy-on-diverge happens here) ---
-            reusable = None
-            if all(row.kind == "carry" for row in step.rows):
-                sources = [rows.get(row.src) for row in step.rows]
-                if all(
-                    src is not None and src.resident and src.refs == 1
-                    for src in sources
-                ):
-                    buffer = sources[0].buffer
-                    if (
-                        buffer.shape == shape
-                        and all(src.buffer is buffer for src in sources)
-                        and all(
-                            src.col == col for col, src in enumerate(sources)
-                        )
-                    ):
-                        reusable = buffer
-            if reusable is not None:
-                batch = reusable
-                for row in step.rows:
-                    src = rows[row.src]
-                    src.refs -= 1
-                    release_row(src)
-            else:
-                batch = np.empty(shape, dtype=np.complex128)
-                flat = batch.reshape(-1, width)
-                # Resident sources are gathered per holding buffer: one
-                # ``np.take`` pass over a buffer serves every column taken
-                # from it, instead of re-reading the whole buffer once per
-                # column (the dominant assembly cost at 14 qubits).  The
-                # group keeps a direct buffer reference, so releasing the
-                # source rows first is safe.
-                gathers: Dict[int, Tuple[np.ndarray, List[int], List[int]]]
-                gathers = {}
-                for col, row in enumerate(step.rows):
-                    if row.kind == "root":
-                        dest = flat[:, col]
-                        if entry_tensor is not None:
-                            dest[...] = entry_tensor.reshape(-1)
-                        else:
-                            dest[...] = 0.0
-                            dest[0] = 1.0
-                        continue
-                    src = rows.get(row.src)
-                    if src is None:
-                        raise ScheduleError(
-                            f"step {step_index} consumes missing row {row.src}"
-                        )
-                    if src.resident:
-                        group = gathers.get(id(src.buffer))
-                        if group is None:
-                            gathers[id(src.buffer)] = (
-                                src.buffer, [src.col], [col]
-                            )
-                        else:
-                            group[1].append(src.col)
-                            group[2].append(col)
-                    else:
-                        load_into(src, flat[:, col])
-                    src.refs -= 1
-                    if row.kind == "fork" and recorder:
-                        lane = lanes[row.lane]
-                        recorder.instant(
-                            "cache.hit", cat="cache",
-                            slot=lane.slot, layer=lane.birth_layer,
-                            evict=True,
-                        )
-                    if src.refs == 0:
-                        release_row(src)
-                for buffer, src_cols, dst_cols in gathers.values():
-                    src_flat = buffer.reshape(-1, buffer.shape[-1])
-                    start = 0
-                    count = len(dst_cols)
-                    while start < count:
-                        run_end = start + 1
-                        while (
-                            run_end < count
-                            and dst_cols[run_end] == dst_cols[run_end - 1] + 1
-                        ):
-                            run_end += 1
-                        if run_end - start == 1:
-                            flat[:, dst_cols[start]] = (
-                                src_flat[:, src_cols[start]]
-                            )
-                        else:
-                            np.take(
-                                src_flat, src_cols[start:run_end], axis=1,
-                                out=flat[
-                                    :, dst_cols[start]:dst_cols[run_end - 1] + 1
-                                ],
-                            )
-                        start = run_end
-            sample(width)
-
-            # --- inject newborn columns (contiguous equal-event ranges) ---
-            col = 0
-            scratch = take_scratch(shape)
-            while col < width:
-                row = step.rows[col]
-                if row.kind not in ("fork", "steal"):
-                    col += 1
-                    continue
-                event = lanes[row.lane].event
-                end_col = col + 1
-                while (
-                    end_col < width
-                    and step.rows[end_col].kind in ("fork", "steal")
-                    and lanes[step.rows[end_col].lane].event == event
-                ):
-                    end_col += 1
-                backend.apply_operator_columns(
-                    batch, scratch, event.gate, (event.qubit,), col, end_col
-                )
-                if recorder:
-                    for position in range(col, end_col):
-                        recorder.instant(
-                            "inject", cat="exec",
-                            layer=event.layer, qubit=event.qubit,
-                            pauli=event.pauli,
-                        )
-                    recorder.counter("ops.applied", end_col - col)
-                col = end_col
-
-            # --- advance the whole batch through the pending segment ---
-            if step.end > step.start:
-                if recorder:
-                    span = f"advance[{step.start},{step.end})"
-                    gates = layered.gates_between(step.start, step.end)
-                    recorder.gauge("wavefront.width", width)
-                    recorder.begin(
-                        span, cat="segment", gates=gates, batch=width
-                    )
-                    out = backend.apply_layers_batch(
-                        batch, scratch, step.start, step.end
-                    )
-                    recorder.end(span, cat="segment")
-                    recorder.counter("ops.applied", gates * width)
-                else:
-                    out = backend.apply_layers_batch(
-                        batch, scratch, step.start, step.end
-                    )
-                scratch = batch if out is scratch else scratch
-                batch = out
-            scratch_pool[shape] = scratch
-
-            # --- arrivals: park rows, spawn bookkeeping, buffer finishes ---
+            batch = np.empty(shape, dtype=np.complex128)
+            flat = batch.reshape(-1, width)
+            # Sources are gathered per holding buffer: one ``np.take``
+            # pass over a buffer serves every column taken from it,
+            # instead of re-reading the whole buffer once per column (the
+            # dominant assembly cost at 14 qubits).  The group keeps a
+            # direct buffer reference, so releasing the source rows first
+            # is safe.
+            gathers: Dict[int, Tuple[np.ndarray, List[int], List[int]]]
+            gathers = {}
             for col, row in enumerate(step.rows):
-                lane = lanes[row.lane]
-                last = row.station == len(lane.stations) - 1
-                uses = wavefront.consumers[(row.lane, row.station)]
-                finishing = lane.finish is not None and last
-                if recorder:
-                    for child_id, _steal in lane.spawns.get(row.station, ()):
-                        child = lanes[child_id]
-                        if child.snapshot:
-                            recorder.instant(
-                                "cache.store", cat="cache",
-                                slot=child.slot, layer=child.birth_layer,
-                                moved=False,
-                            )
-                snapshots_taken += sum(
-                    1
-                    for child_id, _steal in lane.spawns.get(row.station, ())
-                    if lanes[child_id].snapshot
-                )
-                if finishing:
-                    rank = lane.finish[0]
-                    payload = _Row(
-                        ("payload", rank),
-                        batch.reshape(-1, width)[:, col].copy().reshape(
-                            (2,) * num_qubits + (1,)
-                        ),
-                        0,
-                        1,
-                        (num_steps + rank,),
-                        step.end,
-                    )
-                    payload_entries[rank] = payload
-                    rows[payload.key] = payload
-                    parked_nominal += 1
-                    parked_resident += 1
-                if uses:
-                    parked = _Row(
-                        (row.lane, row.station), batch, col,
-                        len(uses), uses, step.end,
-                    )
-                    rows[parked.key] = parked
-                    parked_nominal += 1
-                    parked_resident += 1
-                elif not finishing:
+                if row.kind == "root":
+                    dest = flat[:, col]
+                    if entry_tensor is not None:
+                        dest[...] = entry_tensor.reshape(-1)
+                    else:
+                        dest[...] = 0.0
+                        dest[0] = 1.0
+                    continue
+                src = rows.get(row.src)
+                if src is None:
                     raise ScheduleError(
-                        f"lane {row.lane} station {row.station} has no "
-                        "consumer and does not finish"
+                        f"step {step_index} consumes missing row {row.src}"
                     )
-            enforce_budget()
-            sample()
+                group = gathers.get(id(src.buffer))
+                if group is None:
+                    gathers[id(src.buffer)] = (src.buffer, [src.col], [col])
+                else:
+                    group[1].append(src.col)
+                    group[2].append(col)
+                src.refs -= 1
+                if row.kind == "fork" and recorder:
+                    lane = lanes[row.lane]
+                    recorder.instant(
+                        "cache.hit", cat="cache",
+                        slot=lane.slot, layer=lane.birth_layer,
+                        evict=True,
+                    )
+                if src.refs == 0:
+                    release(row.src)
+            for buffer, src_cols, dst_cols in gathers.values():
+                src_flat = buffer.reshape(-1, buffer.shape[-1])
+                start = 0
+                count = len(dst_cols)
+                while start < count:
+                    run_end = start + 1
+                    while (
+                        run_end < count
+                        and dst_cols[run_end] == dst_cols[run_end - 1] + 1
+                    ):
+                        run_end += 1
+                    if run_end - start == 1:
+                        flat[:, dst_cols[start]] = src_flat[:, src_cols[start]]
+                    else:
+                        np.take(
+                            src_flat, src_cols[start:run_end], axis=1,
+                            out=flat[
+                                :, dst_cols[start]:dst_cols[run_end - 1] + 1
+                            ],
+                        )
+                    start = run_end
+        sample(width)
 
-        # --- deliver finishes in serial rank order -----------------------
-        for rank, lane_id, trial_indices in wavefront.finishes:
-            check_stop()
-            row = payload_entries.pop(rank)
-            if row.resident:
-                payload_flat = row.buffer.reshape(-1)
-            else:
-                payload_flat = np.empty(1 << num_qubits, dtype=np.complex128)
-                load_into(row, payload_flat)
-            finish_calls += 1
-            if on_finish is not None:
-                payload = Statevector.from_buffer(payload_flat, num_qubits)
-                on_finish(payload, trial_indices)
+        # --- inject newborn columns (contiguous equal-event ranges) ---
+        col = 0
+        scratch = take_scratch(shape)
+        while col < width:
+            row = step.rows[col]
+            if row.kind not in ("fork", "steal"):
+                col += 1
+                continue
+            event = lanes[row.lane].event
+            end_col = col + 1
+            while (
+                end_col < width
+                and step.rows[end_col].kind in ("fork", "steal")
+                and lanes[step.rows[end_col].lane].event == event
+            ):
+                end_col += 1
+            backend.apply_operator_columns(
+                batch, scratch, event.gate, (event.qubit,), col, end_col
+            )
             if recorder:
-                recorder.instant(
-                    "finish", cat="exec",
-                    trials=len(trial_indices), moved=False,
+                for position in range(col, end_col):
+                    recorder.instant(
+                        "inject", cat="exec",
+                        layer=event.layer, qubit=event.qubit,
+                        pauli=event.pauli,
+                    )
+                recorder.counter("ops.applied", end_col - col)
+            col = end_col
+
+        # --- advance the whole batch through the pending segment ---
+        if step.end > step.start:
+            if recorder:
+                span = f"advance[{step.start},{step.end})"
+                gates = layered.gates_between(step.start, step.end)
+                recorder.gauge("wavefront.width", width)
+                recorder.begin(span, cat="segment", gates=gates, batch=width)
+                out = backend.apply_layers_batch(
+                    batch, scratch, step.start, step.end
                 )
-                recorder.counter("trials.finished", len(trial_indices))
-            trials_done += len(trial_indices)
-            release_row(row)
-            sample()
-    finally:
-        if spill_area is not None:
-            spill_area.cleanup()
+                recorder.end(span, cat="segment")
+                recorder.counter("ops.applied", gates * width)
+            else:
+                out = backend.apply_layers_batch(
+                    batch, scratch, step.start, step.end
+                )
+            scratch = batch if out is scratch else scratch
+            batch = out
+        scratch_pool[shape] = scratch
+
+        # --- arrivals: park rows, spawn bookkeeping, buffer finishes ---
+        for col, row in enumerate(step.rows):
+            lane = lanes[row.lane]
+            uses = wavefront.consumers[(row.lane, row.station)]
+            finishing = (
+                lane.finish is not None
+                and row.station == len(lane.stations) - 1
+            )
+            if recorder:
+                for child_id, _steal in lane.spawns.get(row.station, ()):
+                    child = lanes[child_id]
+                    if child.snapshot:
+                        recorder.instant(
+                            "cache.store", cat="cache",
+                            slot=child.slot, layer=child.birth_layer,
+                            moved=False,
+                        )
+            snapshots_taken += sum(
+                1
+                for child_id, _steal in lane.spawns.get(row.station, ())
+                if lanes[child_id].snapshot
+            )
+            if finishing:
+                payloads[lane.finish[0]] = batch.reshape(-1, width)[:, col].copy()
+                parked += 1
+            if uses:
+                rows[(row.lane, row.station)] = _Row(batch, col, uses)
+                parked += 1
+            elif not finishing:
+                raise ScheduleError(
+                    f"lane {row.lane} station {row.station} has no "
+                    "consumer and does not finish"
+                )
+        sample()
+
+    # --- deliver finishes in serial rank order ---------------------------
+    for rank, _lane_id, trial_indices in wavefront.finishes:
+        check_stop()
+        payload_flat = payloads.pop(rank)
+        finish_calls += 1
+        if on_finish is not None:
+            payload = Statevector.from_buffer(payload_flat, num_qubits)
+            on_finish(payload, trial_indices)
+        if recorder:
+            recorder.instant(
+                "finish", cat="exec",
+                trials=len(trial_indices), moved=False,
+            )
+            recorder.counter("trials.finished", len(trial_indices))
+        trials_done += len(trial_indices)
+        parked -= 1
+        sample()
 
     if rows:
         raise ScheduleError(
@@ -1061,12 +803,6 @@ def run_wavefront(
         peak_stored=peak_stored,
         snapshots_taken=snapshots_taken,
         snapshots_released=snapshots_taken,
-        spills=spills,
-        spill_loads=spill_loads,
-        drops=drops,
-        recomputes=recomputes,
-        peak_resident_msv=peak_resident_live,
-        peak_resident_stored=peak_resident_stored,
     )
     outcome = ExecutionOutcome(
         ops_applied=backend.ops_applied,

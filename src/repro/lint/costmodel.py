@@ -59,13 +59,13 @@ from ..core.schedule import (
     Restore,
     ScheduleError,
     Snapshot,
-    rebuild_program,
 )
 
 __all__ = [
     "CERT_SCHEMA",
     "FRAME_OP_FLOPS",
     "PlanCostAnalysis",
+    "advised_options",
     "analyze_hybrid",
     "analyze_plan",
     "frame_bytes",
@@ -258,6 +258,13 @@ def analyze_plan(
     # slot -> "resident" | "spilled" | "dropped"
     residency: Dict[int, str] = {}
     resident_stored = 0  # non-degraded snapshots only
+    # Under a drop budget: the working state's instructions since the
+    # walk's entry and each snapshot's — what the executor replays to
+    # rebuild a dropped snapshot.
+    program: Optional[List[Any]] = (
+        [] if budget is not None and budget.mode == "drop" else None
+    )
+    programs: Dict[int, Tuple[Any, ...]] = {}
 
     def resident_peaks() -> None:
         analysis.peak_resident_msv = max(
@@ -281,6 +288,8 @@ def analyze_plan(
         analysis.ops += ops
         analysis.flops += flops
         analysis.bytes_moved += bytes_moved
+        if program is not None and isinstance(instr, (Advance, Inject)):
+            program.append(instr)
         if isinstance(instr, Advance):
             entry = analysis.segments.setdefault(
                 _segment_name(instr.start_layer, instr.end_layer),
@@ -303,6 +312,8 @@ def analyze_plan(
                     "snapshotted while occupied (run sanitize_plan first)"
                 )
             residency[instr.slot] = "resident"
+            if program is not None:
+                programs[instr.slot] = tuple(program)
             resident_stored += 1
             analysis.snapshots_taken += 1
             resident_peaks()
@@ -344,14 +355,14 @@ def analyze_plan(
                     f"slot {instr.slot} (run sanitize_plan first)"
                 )
             state = residency.pop(instr.slot)
+            if program is not None:
+                program = list(programs.pop(instr.slot))
             if state == "resident":
                 resident_stored -= 1
             elif state == "spilled":
                 analysis.predicted_spill_loads += 1
             else:  # dropped: priced as the executor rebuilds it
-                for rebuild in rebuild_program(
-                    restored.history, restored.layer
-                ):
+                for rebuild in program:
                     rebuild_ops, rebuild_flops, _ = _charge(
                         compiled, layered, rebuild
                     )
@@ -840,6 +851,34 @@ def build_certificate(
         "advice": advice,
     }
     return certificate
+
+
+def advised_options(certificate: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``NoisySimulator.run`` options of a certificate's top candidate.
+
+    The one translation of ``advice`` into run options, shared by
+    ``repro run --auto`` and ``repro bench --auto``: workers and depth
+    (with the certificate's task flops as the pool's weights), the cache
+    budget and the hybrid switch.  The batch width is a separate advisory
+    and not part of the ranked run.  Default options mean the plain
+    serial run.
+    """
+    advice = certificate["advice"]
+    return {
+        "workers": advice["workers"],
+        "partition_depth": advice["depth"] or 1,
+        "max_cache_bytes": advice["max_cache_bytes"],
+        "cache_degrade": advice["cache_degrade"] or "spill",
+        "task_weights": next(
+            (
+                list(schedule["task_flops"])
+                for schedule in certificate["schedules"]
+                if advice["workers"] and schedule["depth"] == advice["depth"]
+            ),
+            None,
+        ),
+        "hybrid": bool(advice.get("hybrid")),
+    }
 
 
 def write_certificate(path: str, certificate: Dict[str, Any]) -> None:

@@ -16,7 +16,7 @@ plan sanitizer (P001-P012) and the wavefront rule (P024):
   crosses the segment's compiled matrices, a materialization point
   exactly at the first failure, dense everywhere below it;
 * **frame re-derivation** — the conjugated frame stored in every
-  materialization/finish/emit action payload must equal the
+  materialization/finish action payload must equal the
   independently re-derived frame (phase, X and Z bit masks);
 * **event conservation** — the event history carried to each symbolic
   materialization point must equal the plan's injected events along that
@@ -112,7 +112,6 @@ def _replay(
     from ..core.hybrid import ROOT_PATH, _shadow_segment
     from ..core.schedule import (
         Advance,
-        EmitTask,
         Finish,
         Inject,
         PlanWalk,
@@ -271,21 +270,13 @@ def _replay(
                     kind,
                     "restore-dense" if working is DENSE else "restore-sym",
                 )
-            elif isinstance(instr, (Finish, EmitTask)):
-                label = "finish" if isinstance(instr, Finish) else "emit"
+            elif isinstance(instr, Finish):
                 if working is DENSE:
-                    expect_kind(kind, f"{label}-dense")
+                    expect_kind(kind, "finish-dense")
                     continue
-                expect_kind(kind, f"{label}-sym")
+                expect_kind(kind, "finish-sym")
                 _, payload_path, payload_frame = action
                 path, frame = working
-                if label == "emit":
-                    expect(
-                        payload_path == path
-                        and _frames_equal(payload_frame, frame),
-                        "emitted entry state disagrees with the "
-                        "re-derived path/frame",
-                    )
                 expect(
                     payload_path == path,
                     f"finish anchored at {payload_path}, replay is at {path}",

@@ -47,7 +47,7 @@ from .bench.suite import all_benchmark_names, benchmark_names, resolve_benchmark
 from .circuits.layers import layerize
 from .core.hostinfo import machine_info, peak_rss_kb
 from .core.hybrid import HybridOutcome
-from .core.options import execute, expect
+from .core.options import OPTIONS, execute, expect, validate
 from .core.parallel import ParallelOutcome
 from .core.schedule import build_plan
 from .noise.sampling import sample_trials
@@ -165,6 +165,7 @@ def _bench_section(
     bit_identical = _all_trials(serial_by_trial, by_trial, np.array_equal)
     ops_equal = outcome.ops_applied == serial_ops
     section: Dict[str, object] = {
+        "executor": validate(**options).name,
         "best_s": best,
         "mean_s": mean,
         "speedup_vs_serial": serial_best / best,
@@ -373,10 +374,11 @@ def bench_one(
     against the serial compiled run.
 
     With ``auto=True`` a :func:`~repro.lint.costmodel.build_certificate`
-    pass ranks (depth, workers) candidates statically; the winning
-    advice is attached as ``advise`` and, when it picks a parallel
-    schedule, one extra timed section runs with the certificate's
-    ``task_flops`` as scheduler weights (``advised`` in the record).
+    pass ranks the candidate runs statically; the winning advice is
+    attached as ``advise`` and, unless it is the plain serial run, one
+    extra timed section (``advised`` in the record) runs the options
+    :func:`~repro.lint.costmodel.advised_options` translates it into, on
+    whichever executor they pick.
     """
     sections = _bench_sections(workers, partition_depth, batches, hybrid)
     circuit, model = resolve_benchmark(name)
@@ -425,7 +427,7 @@ def bench_one(
     }
 
     if auto:
-        from .lint.costmodel import build_certificate
+        from .lint.costmodel import advised_options, build_certificate
 
         certificate = build_certificate(
             layered,
@@ -440,19 +442,10 @@ def bench_one(
             "advice": advice,
             "candidates": certificate["candidates"][:5],
         }
-        if advice["workers"]:
+        advised = advised_options(certificate)
+        if any(value != OPTIONS[name].default for name, value in advised.items()):
             sections.append(
-                _section(
-                    "advised",
-                    "parallel",
-                    workers=int(advice["workers"]),
-                    partition_depth=int(advice["depth"] or 1),
-                    task_weights=next(
-                        list(s["task_flops"])
-                        for s in certificate["schedules"]
-                        if s["depth"] == advice["depth"]
-                    ),
-                )
+                _section("advised", validate(**advised).name, **advised)
             )
 
     if sections:

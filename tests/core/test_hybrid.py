@@ -6,7 +6,7 @@ states and materializes amplitudes only at the first non-Clifford gate
 or at Finish — yet the payload stream (trial groups, serial order,
 amplitudes) is **bit-identical** (``array_equal``, not ``allclose``) to
 the serial optimized executor, with equal nominal operation counts and
-MSV peaks, in-process and at every worker count.
+MSV peaks.
 """
 
 import numpy as np
@@ -16,16 +16,10 @@ from repro.bench.suite import resolve_benchmark
 from repro.circuits import QuantumCircuit, layerize, standard_gate
 from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
-from repro.core.hybrid import (
-    HybridSchedule,
-    classify_instructions,
-    classify_plan,
-    run_hybrid,
-)
-from repro.core.parallel import fork_available, partition_plan, run_parallel
+from repro.core.hybrid import HybridSchedule, classify_plan, run_hybrid
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import ScheduleError, build_plan
-from repro.lint import lint_partition_trace, lint_trace
+from repro.lint import lint_trace
 from repro.lint.hybrid_rules import lint_hybrid, verify_schedule
 from repro.noise import NoiseModel
 from repro.noise.sampling import sample_trials
@@ -151,9 +145,6 @@ def assert_matches_serial(layered, trials, plan, serial, s_out, active):
     assert h_out.peak_stored == s_out.peak_stored
 
 
-_FORK = pytest.mark.skipif(not fork_available(), reason="needs fork")
-
-
 class TestBitExactness:
     @pytest.mark.parametrize("active", (True, False), ids=("active", "inactive"))
     def test_random_circuit_matches_serial(self, random_case, active):
@@ -163,30 +154,6 @@ class TestBitExactness:
     @pytest.mark.parametrize("active", (True, False), ids=("active", "inactive"))
     def test_suite_benchmarks_match_serial(self, suite_cases, name, active):
         assert_matches_serial(*suite_cases[name], active)
-
-    @pytest.mark.parametrize(
-        "workers, inline",
-        [
-            pytest.param(1, True, id="1"),
-            pytest.param(2, True, id="2"),
-            pytest.param(1, False, id="fork-1", marks=_FORK),
-            pytest.param(2, False, id="fork-2", marks=_FORK),
-        ],
-    )
-    def test_parallel_hybrid_matches_serial(self, suite_cases, workers, inline):
-        layered, trials, plan, serial, s_out = suite_cases["qft5"]
-        out = []
-
-        def on_finish(payload, indices):
-            out.append((tuple(indices), payload.vector.copy()))
-
-        p_out = run_parallel(
-            layered, trials, lambda: CompiledStatevectorBackend(layered),
-            on_finish=on_finish, workers=workers, inline=inline, hybrid=True,
-        )
-        assert p_out.used_fork is not inline
-        assert_streams_bit_identical(serial, out, f"workers={workers}")
-        assert p_out.ops_applied == s_out.ops_applied
 
     def test_check_mode_verifies_and_matches(self, suite_cases):
         layered, trials, plan, serial, _ = suite_cases["bv5"]
@@ -214,24 +181,6 @@ class TestTraces:
         assert verify_trace(recorder, outcome) == []
         result = lint_trace(plan, recorder)
         assert result.ok, [str(d) for d in result.errors]
-
-    @pytest.mark.parametrize("name", ("bv4", "qft5", "bv14"))
-    @pytest.mark.parametrize("depth", (1, 2))
-    def test_traced_parallel_hybrid_passes_p017(self, name, depth):
-        """Depth 2 gives bv4 and qft5 a prefix with symbolic work, so
-        the parent track records the hybrid model there."""
-        layered, trials = _suite_case(name)
-        recorder = InMemoryRecorder()
-        run_parallel(
-            layered, trials, lambda: CompiledStatevectorBackend(layered),
-            workers=2, depth=depth, inline=True, hybrid=True,
-            recorder=recorder,
-        )
-        partition = partition_plan(layered, trials, depth=depth)
-        result = lint_partition_trace(partition, recorder)
-        assert result.ok, [str(d) for d in result.errors]
-        active = classify_instructions(layered, partition.prefix).active
-        assert (recorder.counter_total("hybrid.clifford_ops") > 0) == active
 
 
 class TestEdgeGatesBeforeMaterialization:

@@ -32,6 +32,11 @@ _HYBRID_BATCH = (
     "batch_size has no effect on the hybrid executor; "
     "it is honoured by: parallel, wavefront"
 )
+_BATCH_BUDGET = (
+    "batch_size is incompatible with max_cache_bytes: a wavefront, in-process "
+    "or in a pool's workers, keeps every parked row resident, so no budget applies"
+)
+_POOL_HYBRID = "hybrid has no effect on the parallel executor; it is honoured by: hybrid"
 
 
 def _parent_guard(o):
@@ -96,6 +101,16 @@ def _parent_guard(o):
     return None
 
 
+def _guard(o):
+    """``_parent_guard`` plus the rejection the table adds to the guard
+    block's ``batch_size`` entry: a batch width beside a budget, checked
+    after the block's own ``batch_size`` checks and before its ``hybrid``
+    and ``shared`` ones."""
+    if o["batch_size"] and o["max_cache_bytes"] is not None:
+        return _parent_guard({**o, "hybrid": False, "shared": None}) or _BATCH_BUDGET
+    return _parent_guard(o)
+
+
 def _clifford_circuit(num_qubits, num_gates, rng):
     circuit = QuantumCircuit(num_qubits, name="clifford")
     one = ("h", "s", "sdg", "x", "y", "z")
@@ -135,7 +150,9 @@ class TestTableCoversRun:
             "journal", "workers", "hybrid", "batch_size",
         ]
         assert validate(journal="j", workers=2).name == "journal"
-        assert validate(workers=2, hybrid=True, batch_size=4).name == "parallel"
+        assert validate(workers=2, batch_size=4).name == "parallel"
+        with pytest.raises(OptionError, match=re.escape(_POOL_HYBRID)):
+            validate(workers=2, hybrid=True)
         with pytest.raises(OptionError, match=re.escape(_HYBRID_BATCH)):
             validate(hybrid=True, batch_size=4)
         assert validate(hybrid=True).name == "hybrid"
@@ -191,6 +208,9 @@ class TestNewRejections:
              "task_weights has no effect on the journal executor"),
             ({"collect_final_states": True, "backend": "counting"},
              "collect_final_states requires a backend with readout"),
+            ({"batch_size": 8, "max_cache_bytes": 4096}, _BATCH_BUDGET),
+            ({"workers": 2, "batch_size": 8, "max_cache_bytes": 4096}, _BATCH_BUDGET),
+            ({"workers": 2, "hybrid": True}, _POOL_HYBRID),
         ],
     )
     def test_rejected_before_sampling(self, sim, options, message):
@@ -210,7 +230,7 @@ class TestNewRejections:
 
 _BASELINE_BUDGET = (
     "max_cache_bytes has no effect on the baseline executor; "
-    "it is honoured by: journal, parallel, wavefront, dfs"
+    "it is honoured by: journal, parallel, dfs"
 )
 
 
@@ -221,10 +241,12 @@ class TestOptionGrid:
     mode on the same backend (payloads ``array_equal``, equal counts and
     ``optimized_ops``); every rejected one raises the table's message
     before the simulator draws from its RNG, and keeps the message the
-    old guard block gave it.  Two combinations the guard block let
-    through are rejected by the table: a budget on the baseline, which
-    dropped it, and a batch width on the in-process hybrid executor,
-    which no longer runs batched fragments.
+    old guard block gave it (``_guard``: unless a batch width beside a
+    budget fails first).  Combinations the guard block let through that
+    the table rejects: a budget on the baseline, which dropped it; a
+    batch width on the in-process hybrid executor, which no longer runs
+    batched fragments; a batch width beside a budget, which no wavefront
+    honours; and a pool with ``hybrid``, whose prefix runs dense only.
     """
 
     def test_grid(self, tmp_path):
@@ -249,13 +271,18 @@ class TestOptionGrid:
                 journal=str(tmp_path / f"{index}.journal") if journal else None,
                 shared=SharedPrefixStore() if shared else None,
             )
-            parent = _parent_guard(options)
+            guard = _guard(options)
             try:
                 validate(**options)
             except OptionError as exc:
                 rejected += 1
-                new = _HYBRID_BATCH if hybrid and batch else _BASELINE_BUDGET
-                assert str(exc) == (parent or new), combo
+                if hybrid and workers:
+                    new = _POOL_HYBRID
+                elif hybrid and batch:
+                    new = _HYBRID_BATCH
+                else:
+                    new = _BASELINE_BUDGET
+                assert str(exc) == (guard or new), combo
                 sim = NoisySimulator(circuit, model, seed=SEED)
                 before = sim._rng.bit_generator.state
                 with pytest.raises(OptionError) as info:
@@ -263,7 +290,7 @@ class TestOptionGrid:
                 assert str(info.value) == str(exc), combo
                 assert sim._rng.bit_generator.state == before, combo
                 continue
-            assert parent is None, combo
+            assert guard is None, combo
             accepted += 1
             key = (mode, backend)
             if key not in references:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.bench.suite import resolve_benchmark
 from repro.circuits.layers import layerize
-from repro.core.cache import CacheBudget
 from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
 from repro.core.parallel import run_parallel
@@ -219,56 +218,6 @@ class TestDivergence:
             )
             assert_streams_bit_identical(serial, batched, f"batch={batch}")
 
-    @pytest.mark.parametrize("mode", ("spill", "drop"))
-    def test_budget_degradation_mid_batch(self, mode):
-        rng = np.random.default_rng(11)
-        layered = self._layered(rng=rng, num_qubits=5, num_gates=36)
-        trials = random_trials(layered, 24, rng, max_errors=3)
-        plan = build_plan(layered, trials)
-        state_bytes = 16 * (1 << layered.num_qubits)
-        serial, s_out = collect(
-            run_optimized, layered, trials,
-            CompiledStatevectorBackend(layered), plan=plan,
-        )
-        for rows in (2, 4):
-            budget = CacheBudget(max_bytes=rows * state_bytes, mode=mode)
-            batched, w_out = collect(
-                run_wavefront, layered, trials,
-                CompiledStatevectorBackend(layered),
-                plan=plan, batch_size=8, cache_budget=budget,
-            )
-            assert_streams_bit_identical(
-                serial, batched, f"{mode} rows={rows}"
-            )
-            stats = w_out.cache_stats
-            if mode == "spill":
-                # Spilled rows reload bit-exactly: no extra operations.
-                assert w_out.ops_applied == s_out.ops_applied
-            else:
-                # Dropped rows recompute from |0...0>: extra operations,
-                # identical amplitudes.
-                assert w_out.ops_applied >= s_out.ops_applied
-            if rows == 2:
-                assert (stats.spills if mode == "spill" else stats.drops) > 0
-
-    def test_budget_clamps_effective_width(self):
-        layered = self._layered()
-        rng = np.random.default_rng(3)
-        trials = random_trials(layered, 16, rng, max_errors=2)
-        state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(max_bytes=3 * state_bytes, mode="spill")
-        recorder = InMemoryRecorder()
-        collect(
-            run_wavefront, layered, trials,
-            CompiledStatevectorBackend(layered),
-            batch_size=64, cache_budget=budget, recorder=recorder,
-        )
-        meta = next(
-            e for e in recorder.events if e.name == "wavefront.meta"
-        )
-        assert meta.args["batch_size"] == 64
-        assert meta.args["effective_batch"] == 3  # clamped to the 3-row budget
-
 
 class TestTraceAndChecks:
     def test_verify_trace_clean(self, random_case):
@@ -278,18 +227,6 @@ class TestTraceAndChecks:
             run_wavefront, layered, trials,
             CompiledStatevectorBackend(layered),
             plan=plan, batch_size=8, recorder=recorder,
-        )
-        assert not verify_trace(recorder, outcome)
-
-    def test_verify_trace_clean_under_budget(self, random_case):
-        layered, trials, plan, _serial, _s_out = random_case
-        state_bytes = 16 * (1 << layered.num_qubits)
-        recorder = InMemoryRecorder()
-        budget = CacheBudget(max_bytes=3 * state_bytes, mode="drop")
-        _, outcome = collect(
-            run_wavefront, layered, trials,
-            CompiledStatevectorBackend(layered),
-            plan=plan, batch_size=8, recorder=recorder, cache_budget=budget,
         )
         assert not verify_trace(recorder, outcome)
 
@@ -316,27 +253,6 @@ class TestTraceAndChecks:
             )
             result = lint_certificate_trace(certificate, recorder)
             assert result.ok, [str(d) for d in result.errors]
-
-
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_certificate_p020_parity_under_drop_budget(self, workers):
-        # A dropped row's recompute is charged to ops.applied, so its
-        # cache.recompute instant must carry those ops for P020 to add up.
-        from repro.lint import analyze_plan, lint_certificate_trace
-
-        circuit, model = resolve_benchmark("qft5")
-        simulator = NoisySimulator(circuit, model, seed=7)
-        trials = simulator.sample(256)
-        recorder = InMemoryRecorder()
-        simulator.run(
-            trials=trials, recorder=recorder, workers=workers, batch_size=8,
-            max_cache_bytes=1100, cache_degrade="drop",
-        )
-        assert recorder.counter_total("cache.recompute") > 0
-        analysis = analyze_plan(build_plan(simulator.layered, trials), simulator.layered)
-        certificate = {"plan": analysis.to_dict(), "num_trials": len(trials)}
-        result = lint_certificate_trace(certificate, recorder)
-        assert result.ok, [str(d) for d in result.errors]
 
 
 class TestRunnerIntegration:

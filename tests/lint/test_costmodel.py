@@ -192,31 +192,22 @@ class TestScheduleAnalysis:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_prefix_peaks_match_runtime_prefix(self, depth):
         """The walk's static prefix peaks equal what the parallel phase 1
-        measures under either state model: cached + working + emitted
-        entries, with the working state released at an EmitTask no
-        Restore follows.  Both models also write the same entry states
-        (at 256 trials the depth-2 prefix has symbolic work to share, so
-        the hybrid model runs there; the depth-1 prefix falls back)."""
+        measures: cached + working + emitted entries, with the working
+        state released at an EmitTask no Restore follows."""
         from repro.core.parallel import _prefix_phase
 
         layered, trials = _setup("qft5", trials=256)
         partition = partition_plan(layered, trials, depth=depth)
         schedule = analyze_partition(partition, layered)
-        written = []
-        for hybrid in (False, True):
-            entries = np.zeros(
-                (partition.num_tasks, 1 << layered.num_qubits),
-                dtype=np.complex128,
-            )
-            runtime = _prefix_phase(
-                partition, layered, CompiledStatevectorBackend(layered),
-                entries, hybrid=hybrid,
-            )
-            assert schedule["prefix_peak_live"] == runtime["peak_live"]
-            assert schedule["prefix_peak_stored"] == runtime["peak_stored"]
-            assert schedule["prefix_ops"] == runtime["ops"]
-            written.append(entries)
-        assert np.array_equal(*written)
+        entries = np.zeros(
+            (partition.num_tasks, 1 << layered.num_qubits), dtype=np.complex128
+        )
+        runtime = _prefix_phase(
+            partition, layered, CompiledStatevectorBackend(layered), entries
+        )
+        assert schedule["prefix_peak_live"] == runtime["peak_live"]
+        assert schedule["prefix_peak_stored"] == runtime["peak_stored"]
+        assert schedule["prefix_ops"] == runtime["ops"]
 
     def test_partition_ops_conservation(self, partitioned):
         layered, trials, partition = partitioned

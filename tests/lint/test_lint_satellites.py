@@ -220,15 +220,25 @@ class TestAutoCli:
         "--batch": ("batch_size", int),
     }
 
-    @pytest.mark.parametrize("name", ["bv14", "qft12", "bv5"])
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("bv14", ()),
+            ("qft12", ()),
+            ("bv5", ()),
+            ("qft5", ("--max-cache-bytes", "1100")),
+            ("qft5", ("--max-cache-bytes", str(1 << 20))),
+        ],
+        ids=["bv14", "qft12", "bv5", "qft5-budget-1100", "qft5-budget-1MB"],
+    )
     def test_advise_prints_a_legal_run_of_its_top_candidate(
-        self, name, tmp_path, capsys
+        self, name, extra, tmp_path, capsys
     ):
         from repro.core.options import validate
 
         path = tmp_path / "cert.json"
         code = main(
-            ["advise", name, "--trials", "256", "--json", str(path)]
+            ["advise", name, "--trials", "256", "--json", str(path), *extra]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -249,8 +259,8 @@ class TestAutoCli:
         top = json.loads(path.read_text())["candidates"][0]
         assert options.get("workers", 0) == top["workers"]
         assert options["hybrid"] == top["hybrid"]
-        if top["workers"] or top["hybrid"]:
-            # The wavefront width advisory applies to serial DFS only.
+        if top["workers"] or top["hybrid"] or top["budget"]:
+            # The wavefront width advisory applies to plain serial DFS only.
             assert "batch_size" not in options, line
 
     def test_advise_json_writes_valid_certificate(self, tmp_path, capsys):

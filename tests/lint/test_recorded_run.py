@@ -31,7 +31,6 @@ class Recorded:
                 workers=options["workers"], depth=options.get("partition_depth", 1),
                 inline=True, recorder=self.recorder,
                 batch_size=options.get("batch_size", 0),
-                hybrid=options.get("hybrid", False),
             )
         else:
             self.metrics = self.sim.run(
@@ -110,7 +109,7 @@ SERIAL = [
 INLINE = [
     {"workers": 2, "partition_depth": depth, **extra}
     for depth in (1, 2)
-    for extra in ({}, {"hybrid": True}, {"batch_size": 8})
+    for extra in ({}, {"batch_size": 8})
 ]
 
 

@@ -64,6 +64,14 @@ class TestJobSpec:
                 "hybrid is incompatible with max_cache_bytes",
             ),
             ({"workers": -2}, "workers must be >= 1"),
+            (
+                {"batch_size": 8, "max_cache_bytes": 4096},
+                "batch_size is incompatible with max_cache_bytes",
+            ),
+            (
+                {"workers": 2, "hybrid": True},
+                "hybrid has no effect on the parallel executor",
+            ),
         ],
     )
     def test_engine_options_the_table_rejects_fail_at_admission(
