@@ -11,7 +11,8 @@
 Pipeline per run: layerize the circuit → statically sample all trials →
 build the prefix trie / execution plan (the reordering) → execute on the
 chosen backend → sample measurements (with classical readout flips) from
-each distinct final state → aggregate counts and metrics.
+each distinct final state, one CDF per state for all trials that reach it
+→ aggregate counts and metrics.
 
 ``backend="counting"`` runs the identical schedule without amplitudes and
 returns metrics only — this is how the 40-qubit scalability figures are
@@ -33,7 +34,12 @@ from ..noise.model import NoiseModel
 from ..noise.sampling import sample_trials
 from ..sim.backend import SimulationBackend, StatevectorBackend
 from ..sim.counting import CountingBackend
-from ..sim.measurement import apply_readout_flips
+from ..sim.measurement import (
+    apply_readout_flips,
+    clbits_bitstring,
+    outcome_clbits,
+    sample_outcomes,
+)
 from ..sim.statevector import Statevector
 from .events import Trial
 from .executor import run_optimized
@@ -304,21 +310,47 @@ class NoisySimulator:
         engine = self.make_backend(backend)
         has_readout = backend in READOUT
         measurements = self.layered.measurements
+        num_qubits = self.layered.num_qubits
+        num_clbits = self.circuit.num_clbits
         counts: Dict[str, int] = {}
         trial_clbits: List[Optional[Dict[int, int]]] = [None] * len(trial_list)
         final_states: List[Optional[Statevector]] = [None] * len(trial_list)
 
+        by_outcome: Dict[int, Tuple[Dict[int, int], str]] = {}
+
+        def readouts(payload, count: int) -> List[Tuple[Dict[int, int], str]]:
+            """``count`` fresh readouts of one finished state, in draw order.
+
+            A statevector payload draws all of them through one CDF, and
+            each basis outcome's (read-only) clbit map and bitstring are
+            built once per run.  The stabilizer collapses qubit by qubit,
+            one trial at a time.
+            """
+            if isinstance(payload, Statevector):
+                outcomes = sample_outcomes(payload, count, self._rng).tolist()
+                for outcome in outcomes:
+                    if outcome not in by_outcome:
+                        clbits = outcome_clbits(outcome, num_qubits, measurements)
+                        by_outcome[outcome] = (clbits, clbits_bitstring(clbits, num_clbits))
+                return [by_outcome[outcome] for outcome in outcomes]
+            drawn = []
+            for _ in range(count):
+                clbits = engine.sample_clbits(payload, measurements, self._rng)
+                drawn.append((clbits, clbits_bitstring(clbits, num_clbits)))
+            return drawn
+
         def on_finish(payload, trial_indices: Tuple[int, ...]) -> None:
             if not has_readout:
                 return
-            for index in trial_indices:
-                trial = trial_list[index]
-                clbits = engine.sample_clbits(payload, measurements, self._rng)
-                clbits = apply_readout_flips(clbits, trial.meas_flips)
+            drawn = readouts(payload, len(trial_indices))
+            for index, (clbits, bits) in zip(trial_indices, drawn):
+                flips = trial_list[index].meas_flips
+                if flips:
+                    clbits = apply_readout_flips(clbits, flips)
+                    bits = clbits_bitstring(clbits, num_clbits)
+                else:
+                    clbits = dict(clbits)
                 trial_clbits[index] = clbits
-                bits = "".join(
-                    str(clbits.get(c, 0)) for c in range(self.circuit.num_clbits)
-                )
                 counts[bits] = counts.get(bits, 0) + 1
                 if collect_final_states:
                     final_states[index] = payload.copy()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class PauliChannel:
         labels must share one width.
     """
 
-    __slots__ = ("_probs", "_labels", "_weights", "_total", "_width")
+    __slots__ = ("_probs", "_labels", "_total", "_width", "_draw")
 
     def __init__(self, probabilities: Dict[str, float]) -> None:
         cleaned: Dict[str, float] = {}
@@ -104,9 +104,12 @@ class PauliChannel:
             raise ValueError(f"error probabilities sum to {total} > 1")
         self._probs = cleaned
         self._labels = tuple(sorted(cleaned))
-        self._weights = tuple(cleaned[label] for label in self._labels)
         self._total = min(total, 1.0)
         self._width = width
+        # (labels, CDF), built on the first draw: a noise model makes one
+        # channel per error position, but the sampler draws from one per
+        # group of equal channels.
+        self._draw: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def width(self) -> int:
@@ -127,17 +130,27 @@ class PauliChannel:
 
     def sample_label(self, rng: np.random.Generator) -> str:
         """Draw an error label *given that an error fired*."""
-        if len(self._labels) == 1:
-            return self._labels[0]
-        weights = np.asarray(self._weights) / self._total
-        return str(rng.choice(np.array(self._labels), p=weights))
+        return str(self.sample_labels(1, rng)[0])
 
     def sample_labels(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` labels given that an error fired in each draw."""
+        """Draw ``count`` labels given that an error fired in each draw.
+
+        A one-label channel draws nothing; otherwise each label consumes
+        one uniform, exactly as ``count`` draws of
+        ``rng.choice(labels, p=weights / total)`` would.
+        """
         if len(self._labels) == 1:
             return np.full(count, self._labels[0])
-        weights = np.asarray(self._weights) / self._total
-        return rng.choice(np.array(self._labels), size=count, p=weights)
+        if self._draw is None:
+            if not self._labels:
+                raise ValueError("a zero-probability channel has no label to draw")
+            # The array and arithmetic of ``rng.choice(labels, p=...)``.
+            weights = np.array([self._probs[label] for label in self._labels])
+            cdf = (weights / self._total).cumsum()
+            cdf /= cdf[-1]
+            self._draw = (np.array(self._labels), cdf)
+        labels, cdf = self._draw
+        return labels[cdf.searchsorted(rng.random(count), side="right")]
 
     def conditional_probability(self, label: str) -> float:
         """P(operator == label | an error fired)."""

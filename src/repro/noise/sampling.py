@@ -6,8 +6,12 @@ without actually running the simulation").  :func:`sample_trials` does this
 for up to millions of trials efficiently: positions are grouped by channel,
 the per-trial error count in each group is drawn from the exact binomial,
 and only trials that actually contain errors pay any per-event Python cost.
-At realistic error rates the overwhelming majority of trials are error-free,
-so sampling 10^6 trials is cheap.
+Error-free trials cost no per-trial Python beyond their slot in the result:
+they all share one ``Trial((), ())``.  Each channel's label CDF is built
+once (see :class:`~repro.noise.channels.PauliChannel`).  At realistic error
+rates the overwhelming majority of trials are error-free, so sampling 10^6
+trials is cheap.  The order of the draws is pinned in
+``docs/architecture.md`` §7.
 
 :func:`enumerate_trials` is the exact counterpart for validation: it walks
 every possible error pattern of a small circuit with its probability, which
@@ -102,8 +106,9 @@ def sample_trials(
             chosen = rng.choice(len(clbits), size=fired, replace=False)
             flips_per_trial[trial_index].extend(clbits[int(i)] for i in chosen)
 
+    error_free = Trial((), ())
     return [
-        make_trial(events, flips)
+        make_trial(events, flips) if events or flips else error_free
         for events, flips in zip(events_per_trial, flips_per_trial)
     ]
 

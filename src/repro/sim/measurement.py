@@ -9,6 +9,7 @@ quantum part of a trial finished.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -17,11 +18,45 @@ from ..circuits.circuit import Measurement
 from .statevector import Statevector
 
 __all__ = [
+    "sample_outcomes",
+    "outcome_clbits",
     "sample_measurements",
     "apply_readout_flips",
+    "clbits_bitstring",
     "counts_from_samples",
     "merge_counts",
 ]
+
+
+def sample_outcomes(
+    state: Statevector, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``count`` computational-basis outcomes of ``state`` at once.
+
+    Builds the outcome CDF once and inverts ``count`` uniforms through it:
+    exactly the arithmetic of ``rng.choice(probs.size, p=probs)``, so the
+    draws and the generator state afterwards equal ``count`` such calls.
+    Returns the basis indices (qubit 0 most significant) in draw order.
+    """
+    probs = state.probabilities()
+    # Guard against tiny negative values from float error (an in-place clip).
+    np.maximum(probs, 0.0, out=probs)
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    if math.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(count), side="right")
+
+
+def outcome_clbits(
+    outcome: int, num_qubits: int, measurements: Sequence[Measurement]
+) -> Dict[int, int]:
+    """The ``clbit -> bit`` map that basis outcome ``outcome`` reads out."""
+    return {
+        meas.clbit: (outcome >> (num_qubits - 1 - meas.qubit)) & 1
+        for meas in measurements
+    }
 
 
 def sample_measurements(
@@ -35,15 +70,8 @@ def sample_measurements(
     multinomial draw from the full distribution (all listed measurements are
     terminal, so no collapse ordering matters).
     """
-    probs = state.probabilities()
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    outcome = int(rng.choice(probs.size, p=probs))
-    clbits: Dict[int, int] = {}
-    for meas in measurements:
-        shift = state.num_qubits - 1 - meas.qubit
-        clbits[meas.clbit] = (outcome >> shift) & 1
-    return clbits
+    outcome = int(sample_outcomes(state, 1, rng)[0])
+    return outcome_clbits(outcome, state.num_qubits, measurements)
 
 
 def apply_readout_flips(
@@ -57,6 +85,11 @@ def apply_readout_flips(
     return result
 
 
+def clbits_bitstring(clbits: Dict[int, int], num_clbits: int) -> str:
+    """``clbits`` as a bitstring: clbit 0 leftmost, unmeasured bits 0."""
+    return "".join(str(clbits.get(c, 0)) for c in range(num_clbits))
+
+
 def counts_from_samples(
     samples: Sequence[Dict[int, int]], num_clbits: int
 ) -> Dict[str, int]:
@@ -67,7 +100,7 @@ def counts_from_samples(
     """
     counts: Dict[str, int] = {}
     for sample in samples:
-        bits = "".join(str(sample.get(c, 0)) for c in range(num_clbits))
+        bits = clbits_bitstring(sample, num_clbits)
         counts[bits] = counts.get(bits, 0) + 1
     return counts
 

@@ -258,17 +258,15 @@ class Statevector:
         ``qubits`` restricts (and orders) the measured subset; by default all
         qubits are measured in index order.
         """
-        probs = self.probabilities()
-        # Guard against tiny negative / drifted values from float error.
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        outcomes = rng.choice(len(probs), size=shots, p=probs)
+        from .measurement import sample_outcomes
+
+        outcomes = sample_outcomes(self, shots, rng)
         measured = tuple(range(self.num_qubits)) if qubits is None else tuple(qubits)
         # Vectorized tally: collapse the shots to their distinct basis
         # indices first, then extract the measured bits for those few
         # distinct values only — the Python-level loop is over unique
         # outcomes (<= 2**n), not over shots.
-        values, frequencies = np.unique(np.asarray(outcomes), return_counts=True)
+        values, frequencies = np.unique(outcomes, return_counts=True)
         shifts = np.array(
             [self.num_qubits - 1 - q for q in measured], dtype=np.int64
         )

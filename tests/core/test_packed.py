@@ -164,6 +164,23 @@ class TestPackedSampler:
             events = unpack_trial_events(packed)
             assert events == sorted(events)
 
+    @pytest.mark.parametrize("name", ["qft5", "grover", "bv14", "qv_n5d4"])
+    def test_equals_object_sampler_event_for_event(self, name):
+        """Same seed, same trials: the packed path draws what the executed
+        path draws (flips come last, so the events never shift)."""
+        from repro.bench.suite import resolve_benchmark
+
+        circuit, model = resolve_benchmark(name)
+        layered = layerize(circuit)
+        for seed in (1, 7, 11):
+            packed = sample_packed_trials(
+                layered, model, 1024, np.random.default_rng(seed)
+            )
+            objects = sample_trials(
+                layered, model, 1024, np.random.default_rng(seed)
+            )
+            assert packed == [pack_trial(trial) for trial in objects]
+
     def test_statistics_match_object_sampler(self, five_layer):
         """Same error-count distribution as the Trial-object sampler."""
         model = NoiseModel.uniform(0.08)

@@ -132,3 +132,101 @@ class TestChannelBehaviour:
     def test_repr_compact_for_wide_channels(self):
         assert "labels=15" in repr(two_qubit_depolarizing(0.1))
         assert "x=" in repr(bit_flip(0.1))
+
+
+def _choice_labels(channel, count, rng):
+    """The label draw as ``rng.choice`` makes it (the pinned stream)."""
+    labels = channel.labels()
+    if len(labels) == 1:
+        return np.full(count, labels[0])
+    weights = np.array([channel.probabilities[label] for label in labels])
+    return rng.choice(
+        np.array(labels), size=count, p=weights / channel.total_probability
+    )
+
+
+_PINNED_CHANNELS = {
+    "depolarizing": depolarizing(0.013),
+    "two-qubit": two_qubit_depolarizing(0.041),
+    "asymmetric": PauliChannel({"x": 0.01, "y": 0.0025, "z": 0.031}),
+    "single-label": bit_flip(0.2),
+    "scaled": two_qubit_depolarizing(0.02).scaled(1.7),
+}
+
+
+class TestLabelStreamPin:
+    """Label draws equal ``rng.choice``'s, uniform for uniform.
+
+    A numpy release that changes ``Generator.choice`` fails here instead
+    of silently changing every seed's trials.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_CHANNELS))
+    def test_sample_labels_equal_choice(self, name):
+        channel = _PINNED_CHANNELS[name]
+        for seed in range(40):
+            for count in (1, 2, 3, 7, 64):
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                got = channel.sample_labels(count, ours)
+                want = _choice_labels(channel, count, theirs)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_CHANNELS))
+    def test_sample_label_equals_choice(self, name):
+        channel = _PINNED_CHANNELS[name]
+        ours = np.random.default_rng(5)
+        theirs = np.random.default_rng(5)
+        for _ in range(200):
+            got = channel.sample_label(ours)
+            assert isinstance(got, str)
+            assert got == str(_choice_labels(channel, 1, theirs)[0])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_interleaved_draws_keep_one_stream(self):
+        a, b = depolarizing(0.03), two_qubit_depolarizing(0.05)
+        ours = np.random.default_rng(9)
+        theirs = np.random.default_rng(9)
+        for count in (3, 1, 5, 2):
+            for channel in (a, b):
+                got = channel.sample_labels(count, ours)
+                want = _choice_labels(channel, count, theirs)
+                assert got.tolist() == want.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestZeroProbabilityChannels:
+    @pytest.mark.parametrize(
+        "channel",
+        [depolarizing(0.0), PauliChannel({"x": 0.0, "z": 0.0})],
+        ids=["depolarizing", "explicit-zeros"],
+    )
+    def test_constructs_and_never_draws(self, channel):
+        assert channel.total_probability == 0.0
+        assert channel.labels() == ()
+        assert channel.kraus_operators()[0].shape == (2, 2)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            channel.sample_labels(1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_zero_channel_positions_never_fire(self):
+        # An idle channel with no weight still yields error positions; the
+        # sampler draws their binomial counts but never a label.
+        from repro.circuits import QuantumCircuit, layerize
+        from repro.noise import NoiseModel, sample_trials
+
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.measure_all()
+        model = NoiseModel(
+            idle_error=0.5, idle_channel=PauliChannel({"x": 0.0, "z": 0.0})
+        )
+        layered = layerize(circuit)
+        assert model.error_positions(layered)
+        trials = sample_trials(layered, model, 32, np.random.default_rng(1))
+        assert all(trial.is_error_free for trial in trials)
