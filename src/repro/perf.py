@@ -56,11 +56,13 @@ from .sim.compiled import CompiledCircuit, CompiledStatevectorBackend
 
 __all__ = [
     "BENCH_SCHEMA",
+    "MICROBENCH_CLASSES",
     "bench_one",
     "bench_rows",
     "compare_bench",
     "dense_microbench",
     "hybrid_microbench",
+    "kernel_microbench",
     "peak_rss_kb",
     "run_bench",
     "section_label",
@@ -348,6 +350,92 @@ def hybrid_microbench(
         "symbolic_s": symbolic_best,
         "ratio": dense_best / symbolic_best if symbolic_best else 0.0,
     }
+
+
+#: Kernel classes :func:`kernel_microbench` times, in row order.
+MICROBENCH_CLASSES = ("dense-1q", "diagonal-2q", "permutation", "controlled")
+
+
+def _microbench_kernel(kind: str, num_qubits: int, target: int, rng):
+    """The compiled kernel one :func:`kernel_microbench` row times.
+
+    Two-qubit classes pair ``target`` with its successor (wrapping to
+    qubit 0); ``controlled`` is a random 2x2 unitary on ``target``
+    controlled by that neighbour, so its inner kernel is dense.
+    """
+    from .sim.kernels import compile_matrix
+
+    partner = (target + 1) % num_qubits
+    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    unitary, _ = np.linalg.qr(raw)
+    if kind == "dense-1q":
+        return compile_matrix(unitary, (target,), num_qubits)
+    if kind == "diagonal-2q":
+        phases = np.exp(1j * rng.standard_normal(4))
+        return compile_matrix(np.diag(phases), (target, partner), num_qubits)
+    if kind == "permutation":
+        return compile_matrix(
+            np.array([[0, 1], [1, 0]], dtype=np.complex128),
+            (target,),
+            num_qubits,
+        )
+    if kind == "controlled":
+        matrix = np.eye(4, dtype=np.complex128)
+        matrix[2:, 2:] = unitary
+        return compile_matrix(matrix, (partner, target), num_qubits)
+    raise ValueError(f"unknown kernel class {kind!r}")
+
+
+def kernel_microbench(
+    widths: Sequence[int] = (5, 8, 10, 11, 12, 14),
+    batch: int = 16,
+    repeats: int = 5,
+    min_time: float = 2e-3,
+) -> List[Dict[str, object]]:
+    """Per-class kernel cost at every target position, measured directly.
+
+    For each class, width ``n`` and target qubit, the compiled kernel is
+    applied serially (``batch`` 1, ``apply``) and to a batch-last array of
+    ``batch`` columns (``apply_batch``).  Each repeat times enough calls
+    to last ``min_time`` seconds; a row reports the median per-call time
+    over ``repeats`` in microseconds: ``{"class", "num_qubits",
+    "target", "batch", "us"}``.  ``DENSE_PRODUCT_MIN_QUBITS`` and
+    ``DIAGONAL_BLOCK_QUBITS`` in :mod:`repro.sim.kernels` were chosen
+    from these rows (docs/architecture.md §9).
+    """
+    rng = np.random.default_rng(11)
+    rows: List[Dict[str, object]] = []
+    for kind in MICROBENCH_CLASSES:
+        for num_qubits in widths:
+            for target in range(num_qubits):
+                kernel = _microbench_kernel(kind, num_qubits, target, rng)
+                for width in sorted({1, batch}):
+                    shape = (2,) * num_qubits + ((width,) if width > 1 else ())
+                    apply = kernel.apply_batch if width > 1 else kernel.apply
+                    work = rng.standard_normal(shape) + 1j * rng.standard_normal(
+                        shape
+                    )
+                    spare = np.empty_like(work)
+                    start = time.perf_counter()
+                    work, spare = apply(work, spare)
+                    single = time.perf_counter() - start
+                    number = max(1, min(10_000, int(min_time / max(single, 1e-7))))
+                    samples = []
+                    for _ in range(max(1, repeats)):
+                        start = time.perf_counter()
+                        for _ in range(number):
+                            work, spare = apply(work, spare)
+                        samples.append((time.perf_counter() - start) / number)
+                    rows.append(
+                        {
+                            "class": kind,
+                            "num_qubits": num_qubits,
+                            "target": target,
+                            "batch": width,
+                            "us": float(np.median(samples)) * 1e6,
+                        }
+                    )
+    return rows
 
 
 def bench_one(

@@ -275,10 +275,11 @@ class CompiledStatevectorBackend(StatevectorBackend):
 
     Drop-in replacement for :class:`StatevectorBackend`: identical
     ``ops_applied`` / ``peak_msv`` accounting and final states ``allclose``
-    to the interpreted path (bit-identical except where fusion reorders
-    float rounding).  A single scratch buffer of ``2**n`` amplitudes is
-    owned by the backend and shared by all kernels — it is only ever used
-    transiently inside one gate application.
+    to the interpreted path (not bit-identical: the kernels round in a
+    different order than ``tensordot``).  A single scratch buffer of
+    ``2**n`` amplitudes is owned by the backend and shared by all
+    kernels — it is only ever used transiently inside one gate
+    application.
     """
 
     def __init__(

@@ -14,7 +14,9 @@ Kernel taxonomy (classification priority top to bottom):
 
 ``diagonal``
     The matrix is diagonal (rz, z, s, t, cz, cu1, rzz, ...).  Applied as a
-    single in-place broadcast multiply: ``tensor *= diag``.
+    single in-place broadcast multiply: ``tensor *= diag``, with the
+    factor pre-broadcast over the trailing ``2**DIAGONAL_BLOCK_QUBITS``
+    amplitudes so the inner loop is long wherever the targets sit.
 ``controlled``
     Identity except a bottom-right block — a gate on the trailing target
     qubits fired only when all leading control qubits are 1 (cx, ccx, ch,
@@ -27,7 +29,11 @@ Kernel taxonomy (classification priority top to bottom):
     buffers are swapped — no contraction at all.
 ``dense``
     Everything else (h, sx, u3, rxx, Haar-random su4, fused runs).  A
-    single preplanned ``einsum`` contraction into the scratch buffer.
+    preplanned ``einsum`` contraction into the scratch buffer, except a
+    one-target kernel at ``num_qubits >= DENSE_PRODUCT_MIN_QUBITS``: it
+    computes each output amplitude as ``u[i,0]*x0 + u[i,1]*x1`` — two
+    complex products with the scalar gate entries and one add — as numpy
+    ufuncs on the ``(pre, 2, post)`` view of the state.
 
 Apply contract
 --------------
@@ -35,7 +41,11 @@ Apply contract
 swapped*: kernels that write out of place return the scratch as the new
 state tensor and the old tensor as the new scratch.  Both arrays must have
 shape ``(2,) * num_qubits`` and be distinct.  Callers thread the pair
-through a kernel sequence and adopt the final ``tensor``.
+through a kernel sequence and adopt the final ``tensor``.  An out-of-place
+kernel may **consume** its input: the two-product dense form uses the old
+tensor as working space, so after a swap its contents are undefined —
+keep a copy of anything still needed.  No kernel keeps a temporary of its
+own; the kernel cache is shared by every thread of the process.
 
 Batched apply contract
 ----------------------
@@ -45,12 +55,13 @@ over a **batch-last** array of shape ``(2,) * num_qubits + (B,)``: column
 columns.  Batch-last is deliberate: every precomputed index tuple in this
 module addresses the *leading* ``num_qubits`` axes, so permutation moves
 and control slices work unchanged on the batched array, the diagonal
-broadcast only needs a trailing length-1 axis, and the dense einsum only
-needs the batch label appended as a free (uncontracted) index.  Because
-the batch axis is never contracted, the per-column arithmetic — operand
-order, summation order — is identical to the serial ``apply``, which is
-what makes batched execution bit-exact against the serial path at every
-batch width, including ``B == 1``.
+broadcast only needs a trailing length-1 axis, the dense einsum only
+needs the batch label appended as a free (uncontracted) index, and the
+two-product form merges the batch axis into ``post``.  Because the batch
+axis is never contracted, the per-column arithmetic — operand order,
+summation order — is identical to the serial ``apply``, which is what
+makes batched execution bit-exact against the serial path at every batch
+width, including ``B == 1``.
 
 The module-level :func:`kernel_for_gate` cache is keyed by
 :attr:`Gate._key` (name, arity, params, rounded matrix bytes) plus the
@@ -83,6 +94,16 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+
+#: Widths from which a one-target :class:`DenseKernel` computes each output
+#: as two products and an add instead of an ``einsum``; measured per
+#: target with :func:`repro.perf.kernel_microbench` (docs/architecture.md
+#: §9).  Below it the einsum's lower per-call cost wins.
+DENSE_PRODUCT_MIN_QUBITS = 10
+
+#: log2 of the trailing amplitude block a :class:`DiagonalKernel`
+#: pre-broadcasts its factor over (the whole state below this width).
+DIAGONAL_BLOCK_QUBITS = 8
 
 #: index tuple addressing a sub-array: ints on some axes, full slices elsewhere
 _Index = Tuple[object, ...]
@@ -163,7 +184,10 @@ def _collapse_axes(
 class DiagonalKernel(Kernel):
     """Diagonal gate as one in-place broadcast multiply."""
 
-    __slots__ = ("_diag", "_diag_batch", "_cshape", "_cdiag", "_cpost")
+    __slots__ = (
+        "_diag", "_diag_batch", "_cshape", "_cdiag", "_cpost",
+        "_bshape", "_block",
+    )
 
     kind = "diagonal"
 
@@ -192,10 +216,30 @@ class DiagonalKernel(Kernel):
         # iterator from ``n + 1`` axes to a handful.
         self._cshape, cdiag, self._cpost = _collapse_axes(num_qubits, qubits)
         self._cdiag = diagonal.reshape(cdiag + (1,))
+        # Serial contiguous path: the factor pre-broadcast over the
+        # trailing ``2**block`` amplitudes, so numpy's inner loop runs
+        # over a long contiguous block wherever the targets sit (a target
+        # on the last qubit would otherwise leave an inner loop of 2).
+        # Each amplitude still meets the same factor entry.
+        block = min(num_qubits, DIAGONAL_BLOCK_QUBITS)
+        lead = num_qubits - block
+        bshape, bdiag, run = _collapse_axes(
+            lead, [q for q in qubits if q < lead]
+        )
+        if run > 1:
+            bshape, bdiag = bshape + (run,), bdiag + (1,)
+        self._bshape = bshape + (1 << block,)
+        self._block = np.ascontiguousarray(
+            np.broadcast_to(self._diag, tuple(shape[:lead]) + (2,) * block)
+        ).reshape(bdiag + (1 << block,))
 
     def apply(
         self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if tensor.flags.c_contiguous:
+            view = tensor.reshape(self._bshape)
+            np.multiply(view, self._block, out=view)
+            return tensor, scratch
         np.multiply(tensor, self._diag, out=tensor)
         return tensor, scratch
 
@@ -308,12 +352,20 @@ class ControlledKernel(Kernel):
 
 
 class DenseKernel(Kernel):
-    """General gate as one preplanned einsum contraction into scratch."""
+    """General gate as one preplanned einsum contraction into scratch.
+
+    A one-target kernel at ``num_qubits >= DENSE_PRODUCT_MIN_QUBITS``
+    instead computes each output amplitude as ``u[i,0]*x0 + u[i,1]*x1``:
+    two complex products with the gate entries and one add, as numpy
+    ufuncs on the ``(pre, 2, post)`` view of the state.  That form
+    consumes its input (see the module's apply contract).
+    """
 
     __slots__ = (
         "_gate_tensor", "_gate_sub", "_in_sub", "_out_sub",
         "_bin_sub", "_bout_sub",
         "_rshape", "_rpost", "_rgate_sub", "_rin_sub", "_rout_sub",
+        "_factors", "_halves",
     )
 
     kind = "dense"
@@ -376,10 +428,65 @@ class DenseKernel(Kernel):
                 self._rgate_sub = [5, 6, 1, 3]
             else:
                 self._rgate_sub = [6, 5, 3, 1]
+        # Two-product form: the gate entries as factors over the target
+        # axis — ``(u00, u11)`` for the products that land in place,
+        # ``(u10, u01)`` for the cross products — and index views of the
+        # two target halves for input that cannot take the contiguous
+        # ``(pre, 2, post*B)`` reshape above.
+        self._factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._halves: Tuple[_Index, ...] = ()
+        if k == 1 and num_qubits >= DENSE_PRODUCT_MIN_QUBITS:
+            gate = self._gate_tensor
+            self._factors = (
+                np.array([gate[0, 0], gate[1, 1]]).reshape(2, 1),
+                np.array([gate[1, 0], gate[0, 1]]).reshape(2, 1),
+            )
+            self._halves = (
+                _basis_index(0, qubits, num_qubits),
+                _basis_index(1, qubits, num_qubits),
+            )
+
+    def _products(
+        self, tensor: np.ndarray, scratch: np.ndarray, width: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``out_i = x0*u[i,0] + x1*u[i,1]`` into scratch; consumes tensor.
+
+        Every form multiplies each amplitude by the same factor entry and
+        adds the same two products, so all are bit-identical.  The cross
+        products always overwrite their own operands in place: a product
+        written into the *other* half — an overlapping view of the same
+        buffer — is rounded differently on some layouts, which would
+        break serial == batched bit-exactness.
+        """
+        direct, cross = self._factors
+        post = self._rpost * width
+        if post > 1 and tensor.flags.c_contiguous and scratch.flags.c_contiguous:
+            # Three ufuncs over the whole ``(pre, 2, post)`` view.
+            shape = self._rshape + (post,)
+            state, out = tensor.reshape(shape), scratch.reshape(shape)
+            np.multiply(state, direct, out=out)
+            np.multiply(state, cross, out=state)
+            np.add(out, state[:, ::-1], out=out)
+            return scratch, tensor
+        # Strided input, or half-rows of one amplitude (the last qubit of
+        # one column), where the whole view would iterate rows of length
+        # one but each half is a single strided run: six ufuncs over the
+        # halves.
+        low, high = self._halves
+        x0, x1, y0, y1 = tensor[low], tensor[high], scratch[low], scratch[high]
+        np.multiply(x0, direct[0], out=y0)
+        np.multiply(x1, direct[1], out=y1)
+        np.multiply(x0, cross[0], out=x0)
+        np.multiply(x1, cross[1], out=x1)
+        np.add(y0, x1, out=y0)
+        np.add(y1, x0, out=y1)
+        return scratch, tensor
 
     def apply(
         self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if self._factors is not None:
+            return self._products(tensor, scratch, 1)
         np.einsum(
             self._gate_tensor,
             self._gate_sub,
@@ -393,6 +500,8 @@ class DenseKernel(Kernel):
     def apply_batch(
         self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if self._factors is not None:
+            return self._products(tensor, scratch, tensor.shape[-1])
         if (
             self._rshape is not None
             and tensor.flags.c_contiguous
@@ -565,8 +674,10 @@ def kernel_cost(
     * ``controlled`` — the inner kernel applied to the all-controls-1
       slice, i.e. recursion at ``n - num_controls`` qubits; the untouched
       rest of the state costs nothing.
-    * ``dense`` — one einsum contraction: ``2**k`` complex multiply-adds
-      (8 flops) per output amplitude; the state is streamed in and out.
+    * ``dense`` — ``2**k`` complex multiply-adds (8 flops) per output
+      amplitude; the state is streamed in and out.  The two-product form
+      is priced the same as the einsum, so a certificate does not depend
+      on ``DENSE_PRODUCT_MIN_QUBITS``.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")

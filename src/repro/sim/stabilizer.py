@@ -191,8 +191,11 @@ def _matrix_safety(matrix: np.ndarray) -> Tuple[bool, Dict]:
     identity transfer to the kernel-application level?  True when
 
     * the matrix acts on one qubit — every 1q kernel computes each output
-      amplitude from at most a two-term sum, and two-term IEEE sums
-      commute with the operand reorder a Pauli induces, or
+      amplitude from at most a two-term sum (the einsum below
+      ``DENSE_PRODUCT_MIN_QUBITS``, ``x0*u[i,0] + x1*u[i,1]`` — two
+      products with the operands in that order, then one add — from it
+      up), and two-term IEEE sums commute with the operand reorder a Pauli
+      induces, or
     * every entry is an exact unit (``{0, +-1, +-i}``) — an exact-entry
       unitary is monomial, so its kernels only copy and unit-scale, or
     * the matrix is a phase permutation (diagonals included) — each

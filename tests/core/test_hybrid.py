@@ -25,7 +25,7 @@ from repro.noise import NoiseModel
 from repro.noise.sampling import sample_trials
 from repro.obs import InMemoryRecorder, verify_trace
 from repro.sim.compiled import CompiledStatevectorBackend
-from repro.sim.kernels import compile_matrix
+from repro.sim.kernels import DENSE_PRODUCT_MIN_QUBITS, compile_matrix
 from repro.sim.stabilizer import PauliFrame, frame_safe_matrix
 from repro.sim.backend import StatevectorBackend
 from repro.testing import random_circuit, random_trials
@@ -51,6 +51,16 @@ def assert_streams_bit_identical(serial, hybrid, context=""):
         assert np.array_equal(s_vec, h_vec), (context, s_idx)
 
 
+#: A width at which one-qubit dense kernels run in the two-product form.
+WIDE = DENSE_PRODUCT_MIN_QUBITS
+
+
+def placement(k, num_qubits, where):
+    """``k`` consecutive qubits at the first, middle or last position."""
+    start = {"first": 0, "middle": num_qubits // 2, "last": num_qubits - k}
+    return tuple(range(start[where], start[where] + k))
+
+
 def clifford_heavy_circuit(num_qubits=5, edge_gate=None):
     """A Clifford prefix (optionally ending in ``edge_gate``) then a t.
 
@@ -67,12 +77,16 @@ def clifford_heavy_circuit(num_qubits=5, edge_gate=None):
     circ.gate("sdg", 1)
     circ.gate("cz", 1, 2)
     circ.gate("sx", 2)
+    last = 2
     if edge_gate is not None:
         name, qubits = edge_gate
         circ.gate(name, *qubits)
-    circ.gate("t", 2)
-    circ.gate("h", 2)
-    circ.gate("cx", 2, 3)
+        last = qubits[-1]
+    # The t follows the edge gate on its last qubit, so every frame
+    # crosses the edge gate wherever it sits.
+    circ.gate("t", last)
+    circ.gate("h", last)
+    circ.gate("cx", last, (last + 1) % num_qubits)
     circ.measure_all()
     return circ
 
@@ -192,11 +206,24 @@ class TestEdgeGatesBeforeMaterialization:
         ("cy", (1, 2)),
         ("swap", (1, 2)),
     )
+    # The same gates at a width where one-qubit dense kernels run as two
+    # products and an add, on a middle qubit and on the last qubit.
+    EDGE_CASES = [
+        pytest.param(edge, 5, id=edge[0]) for edge in EDGE_GATES
+    ] + [
+        pytest.param(
+            (name, placement(len(qubits), WIDE, where)),
+            WIDE,
+            id=f"{name}-{WIDE}q-{where}",
+        )
+        for name, qubits in EDGE_GATES
+        for where in ("middle", "last")
+    ]
 
-    @pytest.mark.parametrize("edge", EDGE_GATES, ids=lambda e: e[0])
+    @pytest.mark.parametrize("edge,num_qubits", EDGE_CASES)
     @pytest.mark.parametrize("pauli", ("x", "y", "z"))
-    def test_edge_gate_crossing_is_bit_exact(self, edge, pauli):
-        circuit = clifford_heavy_circuit(edge_gate=edge)
+    def test_edge_gate_crossing_is_bit_exact(self, edge, num_qubits, pauli):
+        circuit = clifford_heavy_circuit(num_qubits, edge_gate=edge)
         layered = layerize(circuit)
         # One error per qubit in the Clifford prefix: the frames must
         # cross the edge gate, then materialize at the t layer.
@@ -254,25 +281,50 @@ class TestFrameConjugationProperty:
             frame.inject(str(rng.choice(["x", "y", "z"])), qubit)
         return frame
 
-    @pytest.mark.parametrize("name", CLIFFORD_1Q + CLIFFORD_2Q)
-    def test_crossing_commutes_with_kernel_bitwise(self, name):
+    CROSSING_CASES = [
+        pytest.param(name, 3, "first", id=name)
+        for name in CLIFFORD_1Q + CLIFFORD_2Q
+    ] + [
+        pytest.param(name, WIDE, where, id=f"{name}-{WIDE}q-{where}")
+        for name in CLIFFORD_1Q + CLIFFORD_2Q
+        for where in ("middle", "last")
+    ]
+
+    @staticmethod
+    def _frame_codes(num_qubits, qubits, rng):
+        """Per-qubit Pauli codes (0..3 = I, X, Z, Y) of the frames to try.
+
+        Every frame when there are few; otherwise every Pauli on the
+        gate's qubits over four random backgrounds on the others.
+        """
+        if 4 ** num_qubits <= 64:
+            for x_bits in range(4 ** num_qubits):
+                yield [(x_bits >> (2 * q)) & 3 for q in range(num_qubits)]
+            return
+        for _ in range(4):
+            background = [int(c) for c in rng.integers(4, size=num_qubits)]
+            for local in range(4 ** len(qubits)):
+                codes = list(background)
+                for position, qubit in enumerate(qubits):
+                    codes[qubit] = (local >> (2 * position)) & 3
+                yield codes
+
+    @pytest.mark.parametrize("name,num_qubits,where", CROSSING_CASES)
+    def test_crossing_commutes_with_kernel_bitwise(self, name, num_qubits, where):
         """kernel(P . x) == P' . kernel(x), bitwise, whenever it crosses."""
         rng = np.random.default_rng(3)
         gate = standard_gate(name)
         k = gate.num_qubits
-        num_qubits = 3
-        qubits = tuple(range(k))
+        qubits = placement(k, num_qubits, where)
         kernel = compile_matrix(
             np.asarray(gate.matrix, dtype=np.complex128), qubits, num_qubits
         )
         crossed = 0
-        for x_bits in range(4 ** num_qubits):
+        for codes in self._frame_codes(num_qubits, qubits, rng):
             frame = PauliFrame(num_qubits)
-            for qubit in range(num_qubits):
-                which = (x_bits >> (2 * qubit)) & 3
-                for pauli in ("", "x", "z", "y")[which : which + 1]:
-                    if pauli:
-                        frame.inject(pauli, qubit)
+            for qubit, which in enumerate(codes):
+                if which:
+                    frame.inject(("x", "z", "y")[which - 1], qubit)
             state = self._random_state(num_qubits, rng)
             after = frame.copy()
             if not after.try_conjugate_matrix(

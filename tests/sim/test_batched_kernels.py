@@ -5,22 +5,31 @@ class: ``apply_batch`` on a batch-last ``(2,)*n + (B,)`` array produces,
 in every column, the **bit-identical** amplitudes of serial ``apply`` on
 that column alone (``array_equal``, not ``allclose``).  The collapsed
 fast paths (contiguous diagonal broadcast, reshaped low-rank dense
-einsum) must match their general fallbacks exactly as well — they reorder
-axes, never the per-element arithmetic.
+einsum, two-product dense form) must match their general fallbacks
+exactly as well — they reorder axes, never the per-element arithmetic.
+:class:`TestLayoutSweep` walks every kernel class over every target
+position on both sides of ``DENSE_PRODUCT_MIN_QUBITS``.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from repro.circuits import gates
 from repro.sim.kernels import (
+    DENSE_PRODUCT_MIN_QUBITS,
     ControlledKernel,
     DenseKernel,
     DiagonalKernel,
     PermutationKernel,
     kernel_for_gate,
 )
-from repro.sim.statevector import StateLayoutError, require_state_layout
+from repro.sim.statevector import (
+    StateLayoutError,
+    apply_gate_matrix,
+    require_state_layout,
+)
 
 BATCH_WIDTHS = (1, 2, 7, 64)
 
@@ -178,6 +187,126 @@ class TestFastPathsMatchFallbacks:
         # Permutations share one strided loop: apply_batch IS apply.
         kernel = PermutationKernel(gates.swap().matrix, (1, 4), 6)
         assert kernel.apply_batch.__func__ is kernel.apply.__func__
+
+
+def random_unitary(dim, rng):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    return unitary
+
+
+def random_phase_permutation(dim, rng):
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    phases = np.exp(1j * rng.standard_normal(dim))
+    matrix[rng.permutation(dim), np.arange(dim)] = phases
+    return matrix
+
+
+def controlled_matrix(inner):
+    matrix = np.eye(4, dtype=np.complex128)
+    matrix[2:, 2:] = inner
+    return matrix
+
+
+def _sweep_kernel(name, num_qubits, target, rng):
+    """``(kernel, full matrix, qubits)`` of one sweep class at ``target``.
+
+    Two-qubit classes pair the target with the qubit before it (wrapping),
+    so the placement is descending everywhere but at target 0.
+    """
+    pair = (target, (target - 1) % num_qubits)
+    if name == "diagonal-1q":
+        matrix = np.diag(np.exp(1j * rng.standard_normal(2)))
+        return DiagonalKernel(matrix, (target,), num_qubits), matrix, (target,)
+    if name == "diagonal-2q":
+        matrix = np.diag(np.exp(1j * rng.standard_normal(4)))
+        return DiagonalKernel(matrix, pair, num_qubits), matrix, pair
+    if name == "permutation":
+        matrix = random_phase_permutation(4, rng)
+        return PermutationKernel(matrix, pair, num_qubits), matrix, pair
+    if name == "dense-1q":
+        matrix = random_unitary(2, rng)
+        return DenseKernel(matrix, (target,), num_qubits), matrix, (target,)
+    if name == "dense-2q":
+        matrix = random_unitary(4, rng)
+        return DenseKernel(matrix, pair, num_qubits), matrix, pair
+    inner = (
+        random_unitary(2, rng)
+        if name == "controlled-dense"
+        else random_phase_permutation(2, rng)
+    )
+    qubits = (pair[1], target)
+    kernel = ControlledKernel(inner, qubits[:1], qubits[1:], num_qubits)
+    return kernel, controlled_matrix(inner), qubits
+
+
+SWEEP_CLASSES = (
+    "diagonal-1q",
+    "diagonal-2q",
+    "permutation",
+    "dense-1q",
+    "dense-2q",
+    "controlled-dense",
+    "controlled-permutation",
+)
+SWEEP_WIDTHS = sorted(
+    {5, DENSE_PRODUCT_MIN_QUBITS - 1, DENSE_PRODUCT_MIN_QUBITS, 14}
+)
+
+
+@lru_cache(maxsize=None)
+def sweep_batch(num_qubits, width):
+    """One random batch per shape, shared read-only by every sweep case."""
+    batch = random_batch(num_qubits, width, np.random.default_rng(num_qubits))
+    batch.setflags(write=False)
+    return batch
+
+
+def strided(array):
+    """A non-contiguous view holding ``array`` (every other element of the
+    last axis of a wider buffer)."""
+    wide = np.empty(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
+    view = wide[..., ::2]
+    view[...] = array
+    assert not view.flags.c_contiguous
+    return view
+
+
+class TestLayoutSweep:
+    """Every class, every target, both sides of the two-product width.
+
+    Random complex unitaries, batch widths 1/2/7/64, contiguous and
+    strided input: each batched column equals serial ``apply`` bitwise,
+    every strided fallback equals its contiguous fast path bitwise, and
+    every result is ``allclose`` to the interpreted ``apply_gate_matrix``.
+    """
+
+    @pytest.mark.parametrize("num_qubits", SWEEP_WIDTHS, ids=lambda n: f"{n}q")
+    @pytest.mark.parametrize("name", SWEEP_CLASSES)
+    def test_every_target(self, name, num_qubits):
+        rng = np.random.default_rng(
+            [SWEEP_CLASSES.index(name), num_qubits]
+        )
+        for target in range(num_qubits):
+            kernel, matrix, qubits = _sweep_kernel(name, num_qubits, target, rng)
+            for width in BATCH_WIDTHS:
+                batch = sweep_batch(num_qubits, width)
+                context = (name, num_qubits, qubits, width)
+                serial = apply_serial_per_column(kernel, batch)
+                batched = apply_batched(kernel, batch)
+                assert np.array_equal(serial, batched), context
+                view = strided(batch)
+                result, _ = kernel.apply_batch(view, np.empty_like(view))
+                assert np.array_equal(batched, result), context
+                # Serial strided input (state and scratch both strided),
+                # and the interpreted oracle, on the first and last column.
+                for j in {0, width - 1}:
+                    column = strided(batch[..., j, None])[..., 0]
+                    spare = strided(np.empty_like(batch[..., j, None]))[..., 0]
+                    out, _ = kernel.apply(column, spare)
+                    assert np.array_equal(serial[..., j], out), context
+                    expected = apply_gate_matrix(batch[..., j], matrix, qubits)
+                    assert np.allclose(serial[..., j], expected), context
 
 
 class TestStateLayout:

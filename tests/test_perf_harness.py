@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.perf import BENCH_SCHEMA, bench_one, bench_rows, run_bench
+from repro.perf import (
+    BENCH_SCHEMA,
+    MICROBENCH_CLASSES,
+    bench_one,
+    bench_rows,
+    kernel_microbench,
+    run_bench,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +149,25 @@ class TestSectionLoop:
         assert section["exact"] == {
             "ops_equal": True, "states_bit_identical": False, "ok": False,
         }
+
+
+class TestKernelMicrobench:
+    def test_rows_cover_every_class_target_and_batch(self):
+        rows = kernel_microbench(widths=(3,), batch=2, repeats=1, min_time=0.0)
+        assert {tuple(sorted(row)) for row in rows} == {
+            ("batch", "class", "num_qubits", "target", "us")
+        }
+        assert {
+            (row["class"], row["num_qubits"], row["target"], row["batch"])
+            for row in rows
+        } == {
+            (kind, 3, target, batch)
+            for kind in MICROBENCH_CLASSES
+            for target in range(3)
+            for batch in (1, 2)
+        }
+        assert len(rows) == len(MICROBENCH_CLASSES) * 3 * 2
+        assert all(row["us"] > 0 for row in rows)
 
 
 class TestBenchCli:
