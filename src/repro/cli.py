@@ -575,7 +575,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "workers": options["workers"],
             "batch": args.batch,
-            "hybrid": options["hybrid"],
+            "executor": result.executor,
             "metrics": metrics.as_dict(),
             "counts": result.counts,
             "wall_s": elapsed,
@@ -593,6 +593,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         atomic_write_json(args.json, payload, indent=2, sort_keys=True)
     print(f"benchmark         : {args.benchmark}")
     print(f"mode              : {args.mode}")
+    print(f"executor          : {result.executor}")
     if args.auto:
         advice = run.certificate["advice"]
         chosen = (
@@ -617,7 +618,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"batch             : wavefront execution, up to {args.batch} "
             "trial column(s) per kernel call (bit-identical to serial)"
         )
-    if options["hybrid"]:
+    if result.executor == "hybrid":
         print(
             "hybrid            : Clifford spans run as Pauli-frame "
             "deltas over shared anchors (bit-identical to serial dense)"
@@ -1394,12 +1395,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--max-cache-bytes; 0 = off)",
     )
     prun.add_argument(
-        "--hybrid", action="store_true",
-        help="Clifford/Pauli-frame fast path: run pure-Clifford trie "
-        "spans symbolically over shared dense anchors and materialize "
+        "--hybrid", action="store_true", default=None,
+        help="force the Clifford/Pauli-frame fast path: run pure-Clifford "
+        "trie spans symbolically over shared dense anchors and materialize "
         "amplitudes only at non-Clifford gates or Finish (optimized "
         "mode, compiled backend; bit-identical to serial dense; not "
-        "with --workers, --batch or --max-cache-bytes)",
+        "with --workers, --batch or --max-cache-bytes).  Without it a "
+        "run with no executor option takes the fast path when the "
+        "circuit is wide and frame-safe (bv14), serial DFS otherwise",
     )
     prun.add_argument(
         "--json", default=None, metavar="PATH",

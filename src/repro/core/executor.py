@@ -132,6 +132,10 @@ class ExecutionOutcome:
         #: :class:`~repro.core.resilience.JournalSummary` of a journaled
         #: run (set by :func:`~repro.core.options.execute`), else ``None``.
         self.journal: Optional[Any] = None
+        #: Name of the executor that ran, from
+        #: :data:`~repro.core.options.EXECUTORS` (set by
+        #: :func:`~repro.core.options.execute`), else ``None``.
+        self.executor: Optional[str] = None
 
     @property
     def peak_msv(self) -> int:

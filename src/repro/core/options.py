@@ -8,10 +8,14 @@ domain and the modes, backends and other options it needs or excludes;
 :data:`EXECUTORS` lists the executors in the order options pick them,
 with the options each honours and the checks a recorded run of each
 must pass.  :func:`validate` checks a set of options against both and
-returns the executor they pick; :func:`execute` validates, then runs
-trials on that executor.  ``NoisySimulator.run``, the remaining-trials
-run of a journaled resume and ``repro bench`` all call it (see
-``docs/architecture.md``, section 18).
+returns the executor they pick.  When the options leave the executor
+open, :func:`pick` decides it from the circuit and its trials (the
+default pick rule: hybrid for a wide, frame-safe, lightly errored run,
+serial DFS otherwise), and :func:`execute` validates, then runs trials
+on the executor it picks.
+``NoisySimulator.run``, the remaining-trials run of a journaled resume
+and ``repro bench`` all call it (see ``docs/architecture.md``, section
+18).
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ __all__ = [
     "accepts",
     "execute",
     "expect",
+    "frame_safe_share",
+    "is_set",
+    "pick",
     "validate",
 ]
 
@@ -46,6 +53,17 @@ STATEVECTOR_FAMILY: Tuple[str, ...] = BACKENDS[:2]
 COMPILED: Tuple[str, ...] = BACKENDS[:1]
 #: Backends that sample measurements; ``counting`` only counts operations.
 READOUT: Tuple[str, ...] = ("statevector", "statevector-interpreted", "stabilizer")
+
+#: The default pick rule's cutoffs, measured end to end on this
+#: repository's workloads (docs/architecture.md §18, "Default pick"): a
+#: run whose options leave the executor open takes the hybrid fast path
+#: when its circuit has at least ``HYBRID_MIN_QUBITS`` qubits, at least
+#: ``HYBRID_MIN_FRAME_SAFE`` of its gate occurrences are frame-safe and
+#: its trials inject at most ``HYBRID_MAX_ERRORS_PER_TRIAL`` error events
+#: (one-qubit Paulis) each on average.
+HYBRID_MIN_QUBITS = 14
+HYBRID_MIN_FRAME_SAFE = 0.9
+HYBRID_MAX_ERRORS_PER_TRIAL = 1.5
 
 
 class OptionError(ValueError):
@@ -70,9 +88,10 @@ class Option(NamedTuple):
     """One ``NoisySimulator.run`` keyword and its constraints.
 
     Constraints apply only when the option is *set* (differs from
-    ``default``): ``valid`` bounds its value, ``modes`` and ``backends``
-    say where it may be used, ``excludes`` names options that must stay
-    at their default beside it and ``requires`` options that must be set.
+    ``default`` and from every value in ``unset``): ``valid`` bounds its
+    value, ``modes`` and ``backends`` say where it may be used,
+    ``excludes`` names options that must stay unset beside it and
+    ``requires`` options that must be set.
     Each constraint carries the message its violation raises, with
     ``{value}`` and ``{backend}`` filled in.
     """
@@ -88,6 +107,7 @@ class Option(NamedTuple):
     wrong_backend: str = ""
     excludes: Tuple[Tuple[str, str], ...] = ()
     requires: Tuple[Tuple[str, str], ...] = ()
+    unset: Tuple[Any, ...] = ()
 
 
 _OPTIMIZED = ("optimized",)
@@ -160,7 +180,8 @@ _DECLARED: Tuple[Option, ...] = (
         ),
     ),
     Option(
-        "hybrid", False, "bool",
+        "hybrid", None, "None (the default pick), True (force) or False (force serial DFS)",
+        unset=(False,),
         modes=_OPTIMIZED,
         wrong_mode=(
             "hybrid requires mode='optimized' (the fast path rewrites the optimized plan's trie "
@@ -269,6 +290,8 @@ class Executor(NamedTuple):
     ``picked_by`` is the option whose setting picks it, and the executor
     runs on that option's backends; the two executors with ``None`` run on
     every backend and are picked by ``mode`` once no such option is set.
+    Where the options leave the executor open, :func:`pick` may move a
+    dfs run to hybrid.
     ``evidence`` names the checks :func:`repro.lint.check_recorded_run`
     runs on its recorded run, ``"replay"`` or a lint rule code;
     ``"<check> unless <option>"`` skips one when that option is set.
@@ -314,9 +337,18 @@ EXECUTORS: Tuple[Executor, ...] = (
 
 
 def _is_set(option: Option, value: Any) -> bool:
+    if value in option.unset:
+        return False
     if option.default is None:
         return value is not None
     return bool(value != option.default)
+
+
+def is_set(name: str, value: Any) -> bool:
+    """Whether ``value`` sets option ``name``: it differs from the default
+    and from every value that, like the default, carries no constraint
+    (``hybrid=False`` forces serial DFS yet constrains nothing)."""
+    return _is_set(OPTIONS[name], value)
 
 
 def _check(options: Dict[str, Any]) -> Tuple[Executor, Dict[str, Any]]:
@@ -360,7 +392,9 @@ def validate(**options: Any) -> Executor:
 
     Omitted options take their defaults.  Raises :class:`OptionError`
     with the table's message for the first failed constraint, or when a
-    set option would be ignored by the picked executor.
+    set option would be ignored by the picked executor.  It sees no
+    circuit, so where the options leave the executor open it returns
+    dfs; :func:`pick` adds the default pick.
     """
     return _check(options)[0]
 
@@ -389,6 +423,75 @@ def expect(executor: str, **options: Any) -> Executor:
     return picked
 
 
+def frame_safe_share(layered: LayeredCircuit) -> float:
+    """The share of ``layered``'s gate occurrences that any Pauli frame
+    crosses bit-exactly (:func:`repro.sim.stabilizer.frame_safe_gate`,
+    whose verdicts are memoized per matrix)."""
+    from ..sim.stabilizer import frame_safe_gate
+
+    ops = [op for layer in layered.layers for op in layer]
+    return sum(frame_safe_gate(op.gate) for op in ops) / len(ops) if ops else 0.0
+
+
+def _left_open(executor: Executor, values: Dict[str, Any]) -> bool:
+    """Whether no option picks the executor: an optimized run on the
+    compiled backend with none of the options that pick, force or
+    exclude an executor set (``hybrid=False`` forces serial DFS)."""
+    return (
+        executor.name == "dfs"
+        and values["hybrid"] is None
+        and values["backend"] in COMPILED
+        and values["shared"] is None
+        and values["max_cache_bytes"] is None
+    )
+
+
+def _default_pick(layered: LayeredCircuit, trials: Sequence[Trial], recorder=None) -> Executor:
+    """The pick rule: hybrid for a wide, frame-safe, lightly errored run,
+    serial DFS otherwise.
+
+    Width is checked first, so a narrow circuit costs one comparison
+    unless a ``recorder`` asks for the other inputs too: a recorded run
+    emits one ``run.pick`` instant with the inputs and the cutoffs.
+    """
+    width = layered.num_qubits
+    if width < HYBRID_MIN_QUBITS and not recorder:
+        return next(e for e in EXECUTORS if e.name == "dfs")
+    share = frame_safe_share(layered)
+    errors = sum(trial.num_errors for trial in trials) / len(trials) if trials else 0.0
+    name = (
+        "hybrid"
+        if width >= HYBRID_MIN_QUBITS
+        and share >= HYBRID_MIN_FRAME_SAFE
+        and errors <= HYBRID_MAX_ERRORS_PER_TRIAL
+        else "dfs"
+    )
+    if recorder:
+        recorder.instant(
+            "run.pick", cat="run", executor=name, num_qubits=width,
+            frame_safe_share=share, errors_per_trial=errors,
+            min_qubits=HYBRID_MIN_QUBITS, min_frame_safe=HYBRID_MIN_FRAME_SAFE,
+            max_errors_per_trial=HYBRID_MAX_ERRORS_PER_TRIAL,
+        )
+    return next(e for e in EXECUTORS if e.name == name)
+
+
+def pick(layered: LayeredCircuit, trials: Sequence[Trial], **options: Any) -> Executor:
+    """The executor :func:`execute` runs ``options`` on for ``trials`` of
+    ``layered``.
+
+    :func:`validate`'s executor, unless the options leave it open (no
+    option picks, forces or excludes one on the compiled backend); then
+    the default pick rule decides from the input: hybrid when the
+    circuit has at least ``HYBRID_MIN_QUBITS`` qubits, at least
+    ``HYBRID_MIN_FRAME_SAFE`` of its gate occurrences are frame-safe and
+    the trials inject at most ``HYBRID_MAX_ERRORS_PER_TRIAL`` error
+    events each on average; serial DFS otherwise.
+    """
+    executor, values = _check(options)
+    return _default_pick(layered, trials) if _left_open(executor, values) else executor
+
+
 def execute(
     layered: LayeredCircuit,
     trials: Sequence[Trial],
@@ -399,7 +502,7 @@ def execute(
     engine=None,
     **options: Any,
 ) -> ExecutionOutcome:
-    """Run ``trials`` on the executor :func:`validate` picks for ``options``.
+    """Run ``trials`` on the executor :func:`pick` picks for ``options``.
 
     ``options`` are the executor keywords of ``NoisySimulator.run``
     (``mode``, ``backend``, ``check``, ``recorder``, ``workers``, ...);
@@ -408,19 +511,25 @@ def execute(
     themselves; the in-process ones run on ``engine``, built from the
     factory when not given.  ``plan`` is an optional prebuilt serial plan
     of ``trials`` for the executors that walk one (dfs, wavefront,
-    hybrid).  A journaled run's outcome carries its
+    hybrid).  The outcome names the executor that ran as ``executor``,
+    and a journaled run's outcome carries its
     :class:`~repro.core.resilience.JournalSummary` as ``journal``.
     """
     if _READOUT_SIDE & set(options):
         raise TypeError(f"execute() takes no {sorted(_READOUT_SIDE & set(options))}")
     executor, v = _check(options)
+    if _left_open(executor, v):
+        executor = _default_pick(layered, trials, v["recorder"])
     budget = None
     if v["max_cache_bytes"] is not None:
         from .cache import CacheBudget
 
         budget = CacheBudget(max_bytes=v["max_cache_bytes"], mode=v["cache_degrade"])
     common = {"check": v["check"], "recorder": v["recorder"], "stop": v["stop"]}
+    if engine is None and executor.name not in ("journal", "parallel"):
+        engine = backend_factory()
 
+    outcome: ExecutionOutcome
     if executor.name == "journal":
         from .resilience import run_journaled
 
@@ -429,31 +538,33 @@ def execute(
             layered, trials, backend_factory, on_finish, v["journal"], **rest
         )
         outcome.journal = summary
-        return outcome
-    if executor.name == "parallel":
+    elif executor.name == "parallel":
         from .parallel import run_parallel
 
-        return run_parallel(
+        outcome = run_parallel(
             layered, trials, backend_factory, on_finish, workers=v["workers"],
             depth=v["partition_depth"], cache_budget=budget, retries=v["retries"],
             task_timeout=v["task_timeout"], task_weights=v["task_weights"],
             batch_size=v["batch_size"], **common,
         )
-    if engine is None:
-        engine = backend_factory()
-    if executor.name == "hybrid":
+    elif executor.name == "hybrid":
         from .hybrid import run_hybrid
 
-        return run_hybrid(layered, trials, engine, on_finish, plan=plan, **common)
-    if executor.name == "wavefront":
+        outcome = run_hybrid(layered, trials, engine, on_finish, plan=plan, **common)
+    elif executor.name == "wavefront":
         from .wavefront import run_wavefront
 
-        return run_wavefront(
+        outcome = run_wavefront(
             layered, trials, engine, on_finish, plan=plan, batch_size=v["batch_size"], **common,
         )
-    if executor.name == "dfs":
-        return run_optimized(
+    elif executor.name == "dfs":
+        outcome = run_optimized(
             layered, trials, engine, on_finish, plan=plan, cache_budget=budget,
             shared=v["shared"], **common,
         )
-    return run_baseline(layered, trials, engine, on_finish, recorder=v["recorder"], stop=v["stop"])
+    else:
+        outcome = run_baseline(
+            layered, trials, engine, on_finish, recorder=v["recorder"], stop=v["stop"]
+        )
+    outcome.executor = executor.name
+    return outcome

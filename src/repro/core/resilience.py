@@ -442,7 +442,12 @@ def run_journaled(
                 if on_finish is not None:
                     on_finish(payload, global_indices)
 
-            outcome = execute(layered, subset, backend_factory, tee, **options)
+            # The journal executor walks the plan serially: the default
+            # pick must not move the remaining trials to hybrid, which
+            # excludes journal.
+            outcome = execute(
+                layered, subset, backend_factory, tee, **{**options, "hybrid": False}
+            )
     finally:
         recorded = journal.next_seq - replayed_finishes
         journal.close()

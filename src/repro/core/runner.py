@@ -63,6 +63,7 @@ class SimulationResult:
         final_states: Optional[List[Optional[Statevector]]] = None,
         journal=None,
         ops_shared: int = 0,
+        executor: Optional[str] = None,
     ) -> None:
         #: Aggregated measurement histogram (bitstring -> occurrences).
         self.counts = counts
@@ -79,6 +80,9 @@ class SimulationResult:
         #: Plan operations satisfied by a cross-job shared prefix store
         #: instead of execution (see :mod:`repro.core.shared`).
         self.ops_shared = ops_shared
+        #: Name of the executor that ran (``repro.core.options.EXECUTORS``):
+        #: the one the options picked, or the default pick's.
+        self.executor = executor
 
     @property
     def num_trials(self) -> int:
@@ -93,7 +97,8 @@ class SimulationResult:
 
     def __repr__(self) -> str:
         return (
-            f"SimulationResult(mode={self.mode!r}, trials={self.num_trials}, "
+            f"SimulationResult(mode={self.mode!r}, executor={self.executor!r}, "
+            f"trials={self.num_trials}, "
             f"normalized={self.metrics.normalized_computation:.3f}, "
             f"msv={self.metrics.peak_msv})"
         )
@@ -184,7 +189,7 @@ class NoisySimulator:
         retries: int = 2,
         task_weights: Optional[Sequence[int]] = None,
         batch_size: int = 0,
-        hybrid: bool = False,
+        hybrid: Optional[bool] = None,
         shared=None,
         stop=None,
         on_trial=None,
@@ -270,14 +275,21 @@ class NoisySimulator:
             batches the workers' sub-plans.  Every parked row stays
             resident, so ``max_cache_bytes`` is rejected beside it.
         hybrid:
-            Route execution through the Clifford/Pauli-frame fast path
+            The Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
             spans run symbolically as Pauli-frame deltas over shared
             dense anchors, amplitudes materialize only at the first
             non-Clifford gate or at Finish.  Bit-identical payloads and
-            nominal accounting.  In-process only: rejected beside
-            ``workers``, ``batch_size``, ``journal`` or
-            ``max_cache_bytes``.
+            nominal accounting.  ``None`` (default) lets the default pick
+            decide: a run whose other options leave the executor open
+            takes the fast path when the circuit has at least
+            ``HYBRID_MIN_QUBITS`` (14) qubits and at least
+            ``HYBRID_MIN_FRAME_SAFE`` (0.9) of its gate occurrences are
+            frame-safe (:mod:`repro.core.options`), and serial DFS
+            otherwise; ``result.executor`` names what ran.  ``True``
+            forces the fast path and is rejected beside ``workers``,
+            ``batch_size``, ``journal`` or ``max_cache_bytes``; ``False``
+            forces serial DFS and combines with everything.
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
             cross-job prefix deduplication — the service tier passes one
@@ -388,6 +400,7 @@ class NoisySimulator:
             final_states=final_states if collect_final_states else None,
             journal=outcome.journal,
             ops_shared=outcome.ops_shared,
+            executor=outcome.executor,
         )
 
     def expectation(

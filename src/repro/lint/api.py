@@ -19,7 +19,7 @@ from ..circuits.layers import LayeredCircuit
 from ..circuits.qasm import QasmError, parse_qasm
 from ..core.events import Trial
 from ..core.executor import ExecutionOutcome
-from ..core.options import OPTIONS, validate
+from ..core.options import OPTIONS, is_set, pick
 from ..core.schedule import ExecutionPlan, build_plan
 from ..obs.metrics import registry_from_recorder
 from ..obs.summary import verify_trace
@@ -310,18 +310,20 @@ def check_recorded_run(
     check's problems by name.
 
     ``options``, the run's ``NoisySimulator.run`` keywords, are validated
-    and pick the executor whose ``evidence`` names the checks.
+    and, with the circuit and trials, pick the executor that ran
+    (:func:`repro.core.options.pick`: the default pick where the options
+    leave it open), whose ``evidence`` names the checks.
     ``recorder`` is the run's unbounded ``InMemoryRecorder`` and
     ``metrics`` the ``RunMetrics`` or ``ExecutionOutcome`` it returned.
     Only the inputs a named check needs are derived; a ``certificate``
     replaces the plan cost analysis, and ``compiled`` is shared with it.
     """
-    executor = validate(**options)
+    executor = pick(layered, trials, **options)
     values = {name: options.get(name, option.default) for name, option in OPTIONS.items()}
     run = _RunEvidence(layered, trials, recorder, metrics, certificate, compiled, values)
     problems: Dict[str, List[str]] = {}
     for entry in executor.evidence:
         name, _, unless = entry.partition(" unless ")
-        if not (unless and values[unless] != OPTIONS[unless].default):
+        if not (unless and is_set(unless, values[unless])):
             problems[name] = RUN_CHECKS[name](run)
     return problems

@@ -17,6 +17,7 @@ name                   ph    cat       emitted by
 =====================  ====  ========  ==========================================
 ``run``                B/E   run       executor, around the whole run
 ``run.meta``           i     run       executor, once, before execution
+``run.pick``           i     run       ``execute()``, once, when the default pick ran
 ``advance[s,e)``       B/E   segment   executor, per ``Advance`` instruction
 ``trial[i]``           B/E   trial     baseline executor, per trial
 ``kernels[s,e)``       B/E   kernel    compiled backend, per program replay

@@ -10,9 +10,9 @@ Methodology
 -----------
 For each benchmark the harness builds the Yorktown-compiled circuit,
 samples a seeded trial set, builds the execution plan **once**, then times
-the serial executor (:func:`~repro.core.options.execute` with default
-options) with each backend against that same plan (plan construction and
-trial sampling are deliberately excluded
+serial DFS (:func:`~repro.core.options.execute` with ``hybrid=False``, so
+the default pick never moves it) with each backend against that same plan
+(plan construction and trial sampling are deliberately excluded
 — the paper's reordering is shared by both paths; this harness isolates
 the per-gate kernel cost).  Reported time is the best of ``repeats``
 timed runs after ``warmup`` untimed ones; ops/sec divides the paper's
@@ -47,7 +47,7 @@ from .bench.suite import all_benchmark_names, benchmark_names, resolve_benchmark
 from .circuits.layers import layerize
 from .core.hostinfo import machine_info, peak_rss_kb
 from .core.hybrid import HybridOutcome
-from .core.options import OPTIONS, execute, expect, validate
+from .core.options import execute, expect, is_set, validate
 from .core.parallel import ParallelOutcome
 from .core.schedule import build_plan
 from .noise.sampling import sample_trials
@@ -167,7 +167,7 @@ def _bench_section(
     bit_identical = _all_trials(serial_by_trial, by_trial, np.array_equal)
     ops_equal = outcome.ops_applied == serial_ops
     section: Dict[str, object] = {
-        "executor": validate(**options).name,
+        "executor": outcome.executor,
         "best_s": best,
         "mean_s": mean,
         "speedup_vs_serial": serial_best / best,
@@ -483,11 +483,16 @@ def bench_one(
     def make_interpreted():
         return StatevectorBackend(layered)
 
+    # The serial references are DFS on both engines: the interpreted one
+    # under its own backend name, the compiled one forced past the
+    # default pick, so every speedup stays "over serial DFS".
+    interpreted = {"backend": "statevector-interpreted"}
+    serial = {"hybrid": False}
     interp_outcome, interp_best, interp_mean = _time_run(
-        layered, trials, plan, make_interpreted, warmup, repeats
+        layered, trials, plan, make_interpreted, warmup, repeats, **interpreted
     )
     comp_outcome, comp_best, comp_mean = _time_run(
-        layered, trials, plan, make_compiled, warmup, repeats
+        layered, trials, plan, make_compiled, warmup, repeats, **serial
     )
 
     record: Dict[str, object] = {
@@ -531,14 +536,14 @@ def bench_one(
             "candidates": certificate["candidates"][:5],
         }
         advised = advised_options(certificate)
-        if any(value != OPTIONS[name].default for name, value in advised.items()):
+        if any(is_set(name, value) for name, value in advised.items()):
             sections.append(
                 _section("advised", validate(**advised).name, **advised)
             )
 
     if sections:
         serial_by_trial, serial_outcome = _payloads(
-            layered, trials, plan, make_compiled
+            layered, trials, plan, make_compiled, **serial
         )
         for key, options in sections:
             section = _bench_section(
@@ -572,18 +577,18 @@ def bench_one(
 
         recorder = InMemoryRecorder()
         traced_outcome = execute(
-            layered, trials, make_compiled, plan=plan, recorder=recorder
+            layered, trials, make_compiled, plan=plan, recorder=recorder, **serial
         )
         profile = summarize(recorder).as_dict()
         checks = check_recorded_run(
-            layered, trials, recorder, traced_outcome, compiled=compiled
+            layered, trials, recorder, traced_outcome, compiled=compiled, **serial
         )
         profile["crosscheck_ok"] = not any(checks.values())
         record["profile"] = profile
 
     if check:
-        i_states, i_out = _payloads(layered, trials, plan, make_interpreted)
-        c_states, c_out = _payloads(layered, trials, plan, make_compiled)
+        i_states, i_out = _payloads(layered, trials, plan, make_interpreted, **interpreted)
+        c_states, c_out = _payloads(layered, trials, plan, make_compiled, **serial)
         states_close = _all_trials(
             i_states, c_states, lambda a, b: np.allclose(a, b, atol=1e-8)
         )

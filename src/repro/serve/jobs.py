@@ -164,6 +164,9 @@ class JobSpec:
         self.journal = bool(journal)
         self.share = bool(share)
         self.label = str(label)
+        # The circuit and noise model admission resolved; kept outside
+        # to_dict(), so digests, spec.json and journals never see it.
+        self._resolved: Optional[Tuple[Any, NoiseModel]] = None
 
     # -- wire form ---------------------------------------------------------
 
@@ -188,8 +191,7 @@ class JobSpec:
         # Fail malformed circuits/noise and option combinations the
         # engine rejects at admission, not mid-execution.
         validate(**spec.engine_options())
-        resolve_circuit(spec.circuit)
-        resolve_noise(spec.noise)
+        spec.resolved()
         return spec
 
     def to_dict(self) -> Dict[str, Any]:
@@ -242,9 +244,22 @@ class JobSpec:
         """Cross-job sharing was asked for and the options table accepts it."""
         return self.share and accepts(shared=True, **self.engine_options())
 
+    def resolved(self) -> Tuple[Any, NoiseModel]:
+        """The job's circuit and noise model, resolved once per spec:
+        admission resolves them to validate them, and every attempt of
+        the job (retries and recovery included) reuses them."""
+        if self._resolved is None:
+            self._resolved = (resolve_circuit(self.circuit), resolve_noise(self.noise))
+        return self._resolved
+
+    def release(self) -> None:
+        """Drop the resolved circuit and model (a few tens of KB), so a
+        daemon's finished jobs do not hold them; :meth:`resolved`
+        builds them again if asked."""
+        self._resolved = None
+
     def build_simulator(self) -> NoisySimulator:
-        circuit = resolve_circuit(self.circuit)
-        noise = resolve_noise(self.noise)
+        circuit, noise = self.resolved()
         return NoisySimulator(circuit, noise, seed=self.seed)
 
     def __repr__(self) -> str:
@@ -400,10 +415,12 @@ class JobStore:
                 record.state = "done"
                 record.result = result
                 finished.append(record)
+                spec.release()
             elif error is not None:
                 record.state = "failed"
                 record.error = str(error.get("message", "failed"))
                 finished.append(record)
+                spec.release()
             else:
                 record.recovered = True
                 pending.append(record)
@@ -522,8 +539,10 @@ def execute_job(
         store.commit_result(record.job_id, payload)
         record.result = payload
         record.state = "done"
+        spec.release()
         return payload
     record.state = "failed"
+    spec.release()
     record.error = f"{type(last_error).__name__}: {last_error}"
     store.commit_error(
         record.job_id,

@@ -244,14 +244,15 @@ def frame_safe_gate(gate: Gate) -> bool:
     still cross a gate that fails this full check — e.g. a ``Z`` frame
     commutes exactly with the non-Clifford ``t`` — which
     :meth:`PauliFrame.try_conjugate_matrix` decides per frame.
+
+    The cheap phase check runs first, so a matrix it rejects (a QFT's
+    controlled phases) never pays for the image search.
     """
     matrix = np.asarray(gate.matrix)
+    if not _phase_transparent(matrix):
+        return False
     arith_safe, images = _matrix_safety(matrix)
-    return (
-        arith_safe
-        and len(images) == 2 * gate.num_qubits
-        and _phase_transparent(matrix)
-    )
+    return arith_safe and len(images) == 2 * gate.num_qubits
 
 
 def _compose_images(

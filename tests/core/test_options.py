@@ -247,6 +247,8 @@ class TestOptionGrid:
     batch width on the in-process hybrid executor, which no longer runs
     batched fragments; a batch width beside a budget, which no wavefront
     honours; and a pool with ``hybrid``, whose prefix runs dense only.
+    ``hybrid=None`` (the default pick) gets the verdict ``hybrid=False``
+    gets everywhere: the same executor or the same message.
     """
 
     def test_grid(self, tmp_path):
@@ -256,9 +258,10 @@ class TestOptionGrid:
         clifford = _clifford_circuit(3, 14, rng)
         budget = 2 * 16 * (1 << 3)  # two resident states: forces spills
         references = {}
+        verdicts = {}
         accepted = rejected = 0
         grid = itertools.product(
-            MODES, BACKENDS, (0, 1), (0, 3), (False, True),
+            MODES, BACKENDS, (0, 1), (0, 3), (None, False, True),
             (None, budget), (False, True), (False, True),
         )
         for index, combo in enumerate(grid):
@@ -273,8 +276,9 @@ class TestOptionGrid:
             )
             guard = _guard(options)
             try:
-                validate(**options)
+                verdicts[combo] = validate(**options).name
             except OptionError as exc:
+                verdicts[combo] = str(exc)
                 rejected += 1
                 if hybrid and workers:
                     new = _POOL_HYBRID
@@ -308,6 +312,9 @@ class TestOptionGrid:
                     for a, b in zip(_payload_arrays(got), _payload_arrays(want)):
                         assert np.array_equal(a, b), combo
         assert accepted >= 30 and rejected >= 300, (accepted, rejected)
+        for combo, verdict in verdicts.items():
+            if combo[4] is None:
+                assert verdict == verdicts[combo[:4] + (False,) + combo[5:]], combo
 
 
 class TestDocsTable:

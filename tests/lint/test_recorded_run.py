@@ -102,6 +102,7 @@ SERIAL = [
     ("bv4", 128, {"mode": "baseline"}),
     ("qft5", 128, {"mode": "baseline", "backend": "statevector-interpreted"}),
     ("bv14", 64, {"hybrid": True}),
+    ("bv14", 64, {}),
     ("qft5", 128, {"batch_size": 8}),
     ("qft5", 256, {"max_cache_bytes": 1100, "cache_degrade": "drop"}),
 ]
@@ -168,8 +169,9 @@ class TestTamperedRunsFail:
             ("bv14", 64, {"hybrid": True}, _drop_advance, "P020"),
             ("qft5", 128, {"batch_size": 8}, _drop_advance, "P020"),
             ("qft5", 128, {"workers": 2}, _drop_worker_store, "P017"),
+            ("bv14", 64, {}, _drop_advance, "P020"),
         ],
-        ids=["dfs", "baseline", "hybrid", "wavefront", "parallel"],
+        ids=["dfs", "baseline", "hybrid", "wavefront", "parallel", "default-pick-hybrid"],
     )
     def test_tampered(self, name, num_trials, options, tamper, code):
         run = Recorded(name, num_trials, options, inline="workers" in options)

@@ -167,6 +167,47 @@ class TestExecuteJob:
         assert payload["counts"] == reference.counts
         assert payload["ops_applied"] == reference.metrics.optimized_ops
 
+    def test_circuit_and_noise_resolve_once_per_job(self, tmp_path, monkeypatch):
+        """Admission resolves the circuit and the model; every attempt of
+        the job reuses them, and the wire form never sees them."""
+        import repro.bench
+
+        reference = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        ).run(num_trials=32)
+        built = []
+        real_build = repro.bench.build_compiled_benchmark
+
+        def counted(name, *args, **kwargs):
+            built.append(name)
+            return real_build(name, *args, **kwargs)
+
+        monkeypatch.setattr(repro.bench, "build_compiled_benchmark", counted)
+        spec = JobSpec.from_dict(_payload(retries=1))
+        unresolved = JobSpec(**_payload(retries=1))
+        assert spec.to_dict() == unresolved.to_dict()
+        assert spec.digest() == unresolved.digest()
+        store = JobStore(str(tmp_path))
+        record = store.admit(spec)
+        real_run = NoisySimulator.run
+        failures = {"left": 1}
+
+        def flaky_run(self, *args, **kwargs):
+            if failures["left"]:
+                failures["left"] -= 1
+                raise OSError("chaos: transient engine failure")
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoisySimulator, "run", flaky_run)
+        payload = execute_job(record, store, sleep=lambda _s: None)
+        assert record.attempts == 2
+        assert built == ["bv4"]
+        assert payload["counts"] == reference.counts
+        assert payload["ops_applied"] == reference.metrics.optimized_ops
+        # A finished job releases them; asking again builds them anew.
+        spec.resolved()
+        assert built == ["bv4", "bv4"]
+
     def test_retries_with_backoff_then_succeeds(
         self, tmp_path, monkeypatch
     ):

@@ -105,6 +105,33 @@ class TestSectionLoop:
         assert record["batch_best"]["batch"] == 2
         assert record["hybrid_best"]["batch"] == 0
 
+    def test_serial_references_run_dfs_where_the_default_picks_hybrid(self, monkeypatch):
+        """bv14 runs hybrid by default, so every serial reference (both
+        timed engines, the payloads each section is proven against and
+        the traced run) forces DFS, and the interpreted one runs under
+        its own backend name."""
+        import repro.perf as perf
+
+        ran = []
+        real_execute = perf.execute
+
+        def spy(*args, **options):
+            outcome = real_execute(*args, **options)
+            backend = options.get("backend", "statevector")
+            ran.append((backend, options.get("hybrid"), outcome.executor))
+            return outcome
+
+        monkeypatch.setattr(perf, "execute", spy)
+        record = bench_one("bv14", num_trials=64, repeats=1, warmup=0, trace=True, hybrid=True)
+        (section,) = record["hybrid"]
+        assert section["executor"] == "hybrid" and section["exact"]["ok"]
+        assert record["equivalence"]["ok"] and record["profile"]["crosscheck_ok"]
+        references = [entry for entry in ran if entry[1] is not True]
+        assert {executor for _, _, executor in references} == {"dfs"}
+        assert {backend for backend, _, _ in references} == {
+            "statevector", "statevector-interpreted",
+        }
+
     def test_advice_that_is_not_a_pool_is_timed(self):
         # The certificate advises the hybrid fast path on bv14; the
         # advised section runs it on the executor the table picks.
