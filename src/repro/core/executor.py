@@ -76,6 +76,7 @@ from .schedule import (
     ScheduleError,
     Snapshot,
     build_plan,
+    check_trial_events,
     rebuild_program,
 )
 from .shared import SharedPrefixStore, advance_step, circuit_fingerprint, inject_step
@@ -824,6 +825,7 @@ def run_baseline(
     ``recorder`` attached each trial becomes one contiguous span (the
     baseline is the one strategy where trials are not interleaved).
     """
+    check_trial_events(layered, trials)
     backend.reset_counter()
     backend.set_recorder(recorder)
     # Used only for uniform accounting (peak_msv == 1).

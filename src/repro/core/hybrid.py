@@ -32,8 +32,11 @@ Bit-exactness rests on the commutation lemma enforced by
 crosses a kernel matrix when ``M @ P == i**k * (P' @ M)`` holds bitwise
 for the very float matrix the compiled kernel applies *and* the identity
 transfers to kernel arithmetic (single-qubit kernels, exact-unit entries,
-or phase permutations).  Segments that fail the check force a
-materialization point; the subtree below it runs dense.
+or phase permutations).  The matrices are
+:meth:`~repro.sim.compiled.CompiledCircuit.matrices`, the fused list the
+segment's kernels are compiled from, so the check and the arithmetic read
+one statement of what a segment applies.  Segments that fail the check
+force a materialization point; the subtree below it runs dense.
 
 Execution is :func:`repro.core.executor.run_optimized`'s own instruction
 loop over a different state model (:class:`_HybridStates`): a symbolic
@@ -49,9 +52,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..circuits.layers import LayeredCircuit
+from ..sim.compiled import CompiledCircuit
 from ..sim.stabilizer import PauliFrame
 from ..sim.statevector import Statevector
 from .cache import StateCache
@@ -86,56 +88,6 @@ __all__ = [
 
 #: Boundary path of the root anchor: the initial state |0...0> at layer 0.
 ROOT_PATH: Tuple[int, ...] = (0,)
-
-
-def _shadow_segment(
-    layered: LayeredCircuit, start: int, end: int
-) -> Tuple[Tuple[np.ndarray, Tuple[int, ...]], ...]:
-    """The (matrix, qubits) sequence a compiled segment applies.
-
-    Mirrors ``repro.sim.compiled._compile_ops`` exactly — same flattening,
-    same single-qubit-run fusion, same flush order, same left-to-right
-    ``@`` product for fused runs — so each returned matrix is bitwise the
-    matrix the corresponding kernel was compiled from.  Frame-safety
-    checked against these matrices therefore holds for the very floats
-    the serial executor multiplies with.
-    """
-    entries: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-    pending: Dict[int, List[Any]] = {}
-
-    def flush(qubit: int) -> None:
-        run = pending.pop(qubit, None)
-        if run is None:
-            return
-        if len(run) == 1:
-            entries.append(
-                (
-                    np.asarray(run[0].gate.matrix, dtype=np.complex128),
-                    tuple(run[0].qubits),
-                )
-            )
-            return
-        fused = run[0].gate.matrix
-        for op in run[1:]:
-            fused = op.gate.matrix @ fused
-        entries.append((np.asarray(fused, dtype=np.complex128), (qubit,)))
-
-    for layer in layered.layers[start:end]:
-        for op in layer:
-            if op.gate.num_qubits == 1:
-                pending.setdefault(op.qubits[0], []).append(op)
-            else:
-                for qubit in op.qubits:
-                    flush(qubit)
-                entries.append(
-                    (
-                        np.asarray(op.gate.matrix, dtype=np.complex128),
-                        tuple(op.qubits),
-                    )
-                )
-    for qubit in sorted(pending):
-        flush(qubit)
-    return tuple(entries)
 
 
 _DENSE = "dense"
@@ -192,7 +144,9 @@ class HybridSchedule:
 
 
 def classify_plan(
-    layered: LayeredCircuit, plan: ExecutionPlan
+    layered: LayeredCircuit,
+    plan: ExecutionPlan,
+    compiled: Optional[CompiledCircuit] = None,
 ) -> HybridSchedule:
     """Statically split a plan's instructions into symbolic/dense actions.
 
@@ -200,20 +154,15 @@ def classify_plan(
     pairs every ``Restore`` with its ``Snapshot`` and carries the event
     history; the fold keeps only each state's own fact — ``(anchor path,
     frame)`` for a symbolic state, ``_DENSE`` for a dense one — keyed by
-    the slot the walk reports.  Frames are conjugated through the shadow
-    segment matrices (`_shadow_segment`), and every residency statistic
-    is derived from the same use-counting the runtime applies.
+    the slot the walk reports.  Frames are conjugated through the fused
+    matrices each segment applies
+    (:meth:`~repro.sim.compiled.CompiledCircuit.matrices` of
+    ``compiled``, built here when omitted), which compiles no kernel, and
+    every residency statistic is derived from the same use-counting the
+    runtime applies.
     """
-    shadow_cache: Dict[Tuple[int, int], Tuple] = {}
-
-    def shadow(a: int, b: int) -> Tuple:
-        key = (a, b)
-        prog = shadow_cache.get(key)
-        if prog is None:
-            prog = _shadow_segment(layered, a, b)
-            shadow_cache[key] = prog
-        return prog
-
+    if compiled is None:
+        compiled = CompiledCircuit(layered)
     actions: List[Tuple] = []
     slots: Dict[int, Any] = {}
     working: Any = (ROOT_PATH, PauliFrame(layered.num_qubits))
@@ -254,7 +203,7 @@ def classify_plan(
             crossed: Optional[PauliFrame] = frame
             if not frame.is_identity:
                 trial_frame = crossed = frame.copy()
-                for matrix, qubits in shadow(
+                for matrix, qubits in compiled.matrices(
                     instr.start_layer, instr.end_layer
                 ):
                     if not trial_frame.try_conjugate_matrix(matrix, qubits):
@@ -625,7 +574,7 @@ def run_hybrid(
     if check:
         plan.validate(trials=trials, layered=layered)
     if schedule is None:
-        schedule = classify_plan(layered, plan)
+        schedule = classify_plan(layered, plan, backend.compiled)
     if check:
         from ..lint.hybrid_rules import verify_schedule
 

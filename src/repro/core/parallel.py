@@ -7,11 +7,14 @@ its reuse tree).  This module splits the optimized schedule in two:
 
 * :func:`partition_plan` cuts the trie at a chosen ``depth`` into a
   **prefix program** (the shared work above the cut, executed once by the
-  parent) and K independent :class:`SubPlan` tasks.  The prefix program is
-  the serial plan with each cut subtree replaced by an :class:`EmitTask`
-  pseudo-instruction that serializes the subtree's entry state; each task
-  carries its entry layer, entry event history and its own
-  Advance/Inject/Snapshot/Restore/Finish schedule (local trial indices).
+  parent) and K independent :class:`SubPlan` tasks.  The partitioner is
+  the serial plan builder (:mod:`repro.core.schedule`) with a cut: the
+  prefix program is the serial plan with each cut subtree, and each
+  above-cut node's terminal tail, replaced by an :class:`EmitTask`
+  pseudo-instruction that serializes the task's entry state; each task
+  carries its entry layer, entry event history and the builder's own
+  Advance/Inject/Snapshot/Restore/Finish schedule for its part (local
+  trial indices).
 * :func:`run_parallel` executes the prefix against a real backend, ships
   each entry state to a worker process through
   ``multiprocessing.shared_memory`` (raw complex128 amplitudes — never
@@ -22,8 +25,8 @@ its reuse tree).  This module splits the optimized schedule in two:
 Determinism
 -----------
 Task ids are assigned in prefix-emission order, which by construction
-equals the serial plan's ``Finish`` order (the prefix walk mirrors the
-serial builder's DFS, and a subtree's finishes are contiguous in it).  The
+equals the serial plan's ``Finish`` order (the prefix is the serial
+builder's walk, and a subtree's finishes are contiguous in it).  The
 parent therefore replays ``on_finish`` callbacks *in serial order* from
 the workers' result buffers after the pool drains — so a seeded
 measurement RNG consumes the identical stream and the merged counts are
@@ -33,8 +36,9 @@ sub-plan ops equal the serial plan's ops, so ``ops_applied`` totals match
 exactly (property-tested).
 
 Load balancing assigns tasks to workers with the LPT (longest processing
-time first) greedy heuristic, weighted by each sub-plan's statically known
-operation count — the same closed form the P-series sanitizer uses.
+time first) greedy heuristic (:func:`lpt_assign`, also the cost model's
+scheduler), weighted by each sub-plan's statically known operation count
+— the same closed form the P-series sanitizer uses.
 
 Fault tolerance
 ---------------
@@ -127,13 +131,13 @@ from .schedule import (
     Advance,
     EmitTask,
     ExecutionPlan,
-    Finish,
     Inject,
     PlanInstruction,
     Restore,
     ScheduleError,
     Snapshot,
-    emit_subtree,
+    _PlanBuilder,
+    count_operations,
     localize_plan,
 )
 from .trie import TrialTrie, TrieNode
@@ -143,6 +147,7 @@ __all__ = [
     "SubPlan",
     "PlanPartition",
     "ParallelOutcome",
+    "lpt_assign",
     "partition_plan",
     "run_parallel",
     "fork_available",
@@ -196,6 +201,36 @@ class SubPlan:
         )
 
 
+def lpt_order(weights: Sequence[int]) -> List[int]:
+    """Task ids heaviest first, ties by task id: the LPT dispatch order."""
+    return sorted(range(len(weights)), key=lambda t: (-weights[t], t))
+
+
+def lpt_assign(
+    weights: Sequence[int], num_workers: int
+) -> Tuple[List[List[int]], List[int]]:
+    """LPT-balance weighted task ids; returns ``(buckets, loads)``.
+
+    Heaviest task first (:func:`lpt_order`), each to the least-loaded
+    worker (ties by worker index), every task contributing at least load
+    1; fully deterministic, so a certificate's schedule can be reproduced
+    from its own weights.  Each bucket is returned sorted by task id —
+    execution order within a worker does not affect results, only
+    determinism of the trace.
+    """
+    if num_workers < 1:
+        raise ValueError(f"need at least one worker, got {num_workers}")
+    loads = [0] * num_workers
+    buckets: List[List[int]] = [[] for _ in range(num_workers)]
+    for task_id in lpt_order(weights):
+        worker = min(range(num_workers), key=lambda w: (loads[w], w))
+        buckets[worker].append(task_id)
+        loads[worker] += max(1, weights[task_id])
+    for bucket in buckets:
+        bucket.sort()
+    return buckets, loads
+
+
 class PlanPartition:
     """A prefix program plus the sub-plan tasks it emits (exact cover)."""
 
@@ -225,13 +260,7 @@ class PlanPartition:
 
     def prefix_operations(self, layered: LayeredCircuit) -> int:
         """Basic operations the parent pays once (prefix Advances+Injects)."""
-        ops = 0
-        for instr in self.prefix:
-            if isinstance(instr, Advance):
-                ops += layered.gates_between(instr.start_layer, instr.end_layer)
-            elif isinstance(instr, Inject):
-                ops += 1
-        return ops
+        return count_operations(self.prefix, layered)
 
     def planned_operations(self, layered: LayeredCircuit) -> int:
         """Closed-form total ops — equals the serial plan's count exactly."""
@@ -242,12 +271,8 @@ class PlanPartition:
     def assign(
         self, num_workers: int, weights: Optional[Sequence[int]] = None
     ) -> List[List[int]]:
-        """LPT-balance task ids over ``num_workers`` buckets.
-
-        Heaviest task first, each to the least-loaded worker; fully
-        deterministic (ties broken by task id, then worker index).  Each
-        bucket is returned sorted by task id — execution order within a
-        worker does not affect results, only determinism of the trace.
+        """LPT-balance task ids over ``num_workers`` buckets
+        (:func:`lpt_assign`).
 
         ``weights`` overrides the default per-task operation counts —
         e.g. the flop weights of a resource certificate
@@ -255,8 +280,6 @@ class PlanPartition:
         for kernel kind and fusion, not just gate count.  Must list one
         weight per task.
         """
-        if num_workers < 1:
-            raise ValueError(f"need at least one worker, got {num_workers}")
         if weights is None:
             weights = [task.est_ops for task in self.tasks]
         elif len(weights) != len(self.tasks):
@@ -264,19 +287,7 @@ class PlanPartition:
                 f"got {len(weights)} task weight(s) for "
                 f"{len(self.tasks)} task(s)"
             )
-        loads = [0] * num_workers
-        buckets: List[List[int]] = [[] for _ in range(num_workers)]
-        order = sorted(
-            range(len(self.tasks)),
-            key=lambda t: (-weights[t], t),
-        )
-        for task_id in order:
-            worker = min(range(num_workers), key=lambda w: (loads[w], w))
-            buckets[worker].append(task_id)
-            loads[worker] += max(1, weights[task_id])
-        for bucket in buckets:
-            bucket.sort()
-        return buckets
+        return lpt_assign(weights, num_workers)[0]
 
     def audit(self, trials=None, layered=None):
         """Partition-cover lint (rule P018) without raising."""
@@ -291,112 +302,78 @@ class PlanPartition:
         )
 
 
-class _Partitioner:
-    """Mirror of the serial ``_PlanBuilder`` walk, cutting at ``depth``."""
+class _Partitioner(_PlanBuilder):
+    """The serial plan builder with a cut at ``depth``.
+
+    The instructions it emits are the prefix program.  It overrides two
+    steps of the builder's walk: a child at the cut depth becomes one
+    task holding the builder's own walk of its subtree (slots numbered
+    from 0), and a node above the cut hands its terminal trials' tail to
+    a task instead of running it on the parent.  Everything else —
+    advances, snapshot/steal decisions, the event checks — is the serial
+    builder's, so the prefix and the tasks reassemble into the serial
+    plan by construction.
+    """
 
     def __init__(
         self, layered: LayeredCircuit, trie: TrialTrie, depth: int
     ) -> None:
-        self.layered = layered
-        self.trie = trie
+        super().__init__(layered, trie)
         self.depth = depth
-        self.prefix: List[PrefixInstruction] = []
+        self.path: List[ErrorEvent] = []  # events injected above the cursor
         self.tasks: List[SubPlan] = []
-        self.next_slot = 0
 
-    def build(self) -> PlanPartition:
-        if self.trie.num_trials == 0:
-            raise ScheduleError("cannot partition an empty trial set")
+    def partition(self) -> PlanPartition:
         if self.depth < 1:
             raise ScheduleError(
                 f"partition depth must be >= 1, got {self.depth}"
             )
-        self._walk(self.trie.root, entry_layer=0, path=())
+        self._emit_root()
         return PlanPartition(
-            prefix=tuple(self.prefix),
+            prefix=tuple(self.instructions),
             tasks=tuple(self.tasks),
             num_trials=self.trie.num_trials,
             num_layers=self.layered.num_layers,
             depth=self.depth,
         )
 
-    def _make_task(
-        self,
-        entry_layer: int,
-        path: Tuple[ErrorEvent, ...],
-        instructions: Sequence[PlanInstruction],
-    ) -> int:
-        """Localize a global-index instruction list into a SubPlan."""
+    def _descend(self, child: TrieNode, cursor: int) -> None:
+        self.path.append(child.event)
+        if child.depth >= self.depth:
+            # Cut: the whole subtree under `child` becomes one task.
+            task = _PlanBuilder(self.layered, self.trie)
+            task._emit_node(child, cursor)
+            self._emit_task(cursor, task.instructions)
+        else:
+            self._emit_node(child, cursor)
+        self.path.pop()
+
+    def _terminals(self, node: TrieNode, cursor: int) -> None:
+        # The worker advances the entry state to the final layer and
+        # finishes — keeping the expensive remaining layers off the parent.
+        tail = _PlanBuilder(self.layered, self.trie)
+        tail._terminals(node, cursor)
+        self._emit_task(cursor, tail.instructions)
+
+    def _emit_task(
+        self, entry_layer: int, instructions: Sequence[PlanInstruction]
+    ) -> None:
+        """Localize a global-index instruction list into a SubPlan and
+        emit it from the prefix."""
         plan, trial_indices, finishes = localize_plan(
             instructions, self.layered.num_layers
         )
         task = SubPlan(
             task_id=len(self.tasks),
             entry_layer=entry_layer,
-            entry_events=path,
+            entry_events=tuple(self.path),
             plan=plan,
             trial_indices=trial_indices,
             finishes=finishes,
             est_ops=plan.planned_operations(self.layered),
         )
         self.tasks.append(task)
-        return task.task_id
-
-    def _walk(
-        self,
-        node: TrieNode,
-        entry_layer: int,
-        path: Tuple[ErrorEvent, ...],
-    ) -> None:
-        cursor = entry_layer
-        children = node.sorted_children()
-        has_terminals = bool(node.terminal_trials)
-        for position, child in enumerate(children):
-            target = child.event.layer + 1
-            if target > cursor:
-                self.prefix.append(Advance(cursor, target))
-                cursor = target
-            is_last_consumer = (
-                position == len(children) - 1 and not has_terminals
-            )
-            child_path = path + (child.event,)
-            if child.depth >= self.depth:
-                # Cut: the whole subtree under `child` becomes one task.
-                subtree, _ = emit_subtree(self.layered, child, cursor)
-                if is_last_consumer:
-                    self.prefix.append(Inject(child.event))
-                    task_id = self._make_task(cursor, child_path, subtree)
-                    self.prefix.append(EmitTask(task_id))
-                else:
-                    slot = self.next_slot
-                    self.next_slot += 1
-                    self.prefix.append(Snapshot(slot))
-                    self.prefix.append(Inject(child.event))
-                    task_id = self._make_task(cursor, child_path, subtree)
-                    self.prefix.append(EmitTask(task_id))
-                    self.prefix.append(Restore(slot))
-            else:
-                # Above the cut: keep walking in the prefix program.
-                if is_last_consumer:
-                    self.prefix.append(Inject(child.event))
-                    self._walk(child, cursor, child_path)
-                else:
-                    slot = self.next_slot
-                    self.next_slot += 1
-                    self.prefix.append(Snapshot(slot))
-                    self.prefix.append(Inject(child.event))
-                    self._walk(child, cursor, child_path)
-                    self.prefix.append(Restore(slot))
-        if has_terminals:
-            # Terminal tail of a node above the cut: the worker advances
-            # the entry state to the final layer and finishes — keeping
-            # the expensive remaining layers off the parent.
-            tail: List[PlanInstruction] = []
-            if self.layered.num_layers > cursor:
-                tail.append(Advance(cursor, self.layered.num_layers))
-            tail.append(Finish(tuple(node.terminal_trials)))
-            task_id = self._make_task(cursor, path, tail)
-            self.prefix.append(EmitTask(task_id))
+        self.instructions.append(EmitTask(task.task_id))
 
 
 def partition_plan(
@@ -416,7 +393,7 @@ def partition_plan(
     before being returned.
     """
     trie = TrialTrie(trials)
-    partition = _Partitioner(layered, trie, depth).build()
+    partition = _Partitioner(layered, trie, depth).partition()
     if check:
         audit = partition.audit(trials=trials, layered=layered)
         if not audit.ok:
@@ -1319,7 +1296,7 @@ def run_parallel(
 
         # LPT dispatch order: heaviest first keeps the dynamic queue's
         # makespan near the static assignment's.
-        order = sorted(range(num_tasks), key=lambda t: (-weights[t], t))
+        order = lpt_order(weights)
         pool_size = min(workers, num_tasks)
         if use_fork:
             transport: Any = _ForkTransport(

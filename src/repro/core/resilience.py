@@ -48,6 +48,7 @@ from .events import Trial
 from .executor import ExecutionOutcome, FinishCallback
 from .options import execute, validate
 from .packed import pack_trial
+from .schedule import check_trial_events
 
 __all__ = [
     "payload_checksum",
@@ -388,6 +389,7 @@ def run_journaled(
     is committed and closed — the journal stays a valid resume point.
     """
     validate(journal=journal_path, **options)
+    check_trial_events(layered, trials)
     replay: Optional[JournalReplay] = None
     if os.path.exists(journal_path) and os.path.getsize(journal_path) > 0:
         replay = load_journal(journal_path)

@@ -37,6 +37,14 @@ error in the first layer, we can execute one more layer and store the new
 state as S2; now S1 can be dropped") and it never recomputes a layer.  A
 snapshot is taken only when the node's state has further pending consumers;
 the last consumer steals the state instead of copying it.
+
+This walk has one home, ``_PlanBuilder``.  The parallel partitioner
+(:func:`repro.core.parallel.partition_plan`) is the same builder with a
+cut: it overrides only what follows a child's ``Inject`` and what a node
+does with its terminal trials, so any change to plan shape is made here
+once.  :func:`check_trial_events` is the one out-of-range event check:
+the builder, the baseline executor and a journaled run (before it
+writes its journal) call it.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ __all__ = [
     "Step",
     "build_plan",
     "build_plan_from_trie",
-    "emit_subtree",
+    "check_trial_events",
+    "count_operations",
     "localize_plan",
     "rebuild_program",
     "ScheduleError",
@@ -254,6 +263,20 @@ class PlanWalk:
             )
 
 
+def count_operations(
+    instructions: Sequence[Any], layered: LayeredCircuit
+) -> int:
+    """Basic operations an instruction list applies, in closed form: the
+    gates of every ``Advance`` plus one per ``Inject``."""
+    ops = 0
+    for instr in instructions:
+        if isinstance(instr, Advance):
+            ops += layered.gates_between(instr.start_layer, instr.end_layer)
+        elif isinstance(instr, Inject):
+            ops += 1
+    return ops
+
+
 class ExecutionPlan:
     """A fully resolved optimized-execution schedule."""
 
@@ -286,13 +309,7 @@ class ExecutionPlan:
 
     def planned_operations(self, layered: LayeredCircuit) -> int:
         """Basic-operation count of the plan (closed form, no execution)."""
-        ops = 0
-        for instr in self.instructions:
-            if isinstance(instr, Advance):
-                ops += layered.gates_between(instr.start_layer, instr.end_layer)
-            elif isinstance(instr, Inject):
-                ops += 1
-        return ops
+        return count_operations(self.instructions, layered)
 
     def validate(
         self, trials=None, layered=None, entry_layer=0, entry_events=()
@@ -344,41 +361,55 @@ class ExecutionPlan:
         )
 
 
+def check_trial_events(
+    layered: LayeredCircuit, trials: Sequence[Trial]
+) -> None:
+    """Raise :class:`ScheduleError` naming the first event outside the
+    circuit's layers or qubits — the one check every executor runs
+    before it touches a state.  A negative position is outside too: it
+    would otherwise index from the end of the state's axes."""
+    num_layers = layered.num_layers
+    num_qubits = layered.num_qubits
+    for trial in trials:
+        for event in trial.events:
+            if not 0 <= event.layer < num_layers:
+                raise ScheduleError(
+                    f"event {event} beyond circuit depth {num_layers}"
+                )
+            if not 0 <= event.qubit < num_qubits:
+                raise ScheduleError(
+                    f"event {event} beyond qubit count {num_qubits}"
+                )
+
+
 class _PlanBuilder:
-    def __init__(
-        self, layered: LayeredCircuit, trie: Optional[TrialTrie] = None
-    ) -> None:
+    """The one depth-first walk that turns the trial trie into a plan.
+
+    Two steps are hooks, so a cut of the same walk
+    (:class:`repro.core.parallel._Partitioner`) overrides only them:
+    :meth:`_descend`, what follows a child's ``Inject``, and
+    :meth:`_terminals`, what a node does with its terminal trials.
+    """
+
+    def __init__(self, layered: LayeredCircuit, trie: TrialTrie) -> None:
         self.layered = layered
         self.trie = trie
-        self.instructions: List[PlanInstruction] = []
+        self.instructions: List[Any] = []
         self.next_slot = 0
 
     def build(self) -> ExecutionPlan:
-        assert self.trie is not None, "build() needs a trie"
-        if self.trie.num_trials == 0:
-            raise ScheduleError("cannot schedule an empty trial set")
-        self._check_events()
-        self._emit_node(self.trie.root, entry_layer=0)
-        plan = ExecutionPlan(
+        self._emit_root()
+        return ExecutionPlan(
             self.instructions,
             num_trials=self.trie.num_trials,
             num_layers=self.layered.num_layers,
         )
-        return plan
 
-    def _check_events(self) -> None:
-        num_layers = self.layered.num_layers
-        num_qubits = self.layered.num_qubits
-        for trial in self.trie.trials:
-            for event in trial.events:
-                if event.layer >= num_layers:
-                    raise ScheduleError(
-                        f"event {event} beyond circuit depth {num_layers}"
-                    )
-                if event.qubit >= num_qubits:
-                    raise ScheduleError(
-                        f"event {event} beyond qubit count {num_qubits}"
-                    )
+    def _emit_root(self) -> None:
+        if self.trie.num_trials == 0:
+            raise ScheduleError("cannot schedule an empty trial set")
+        check_trial_events(self.layered, self.trie.trials)
+        self._emit_node(self.trie.root, entry_layer=0)
 
     def _emit_node(self, node: TrieNode, entry_layer: int) -> None:
         cursor = entry_layer
@@ -393,18 +424,26 @@ class _PlanBuilder:
             if is_last_consumer:
                 # The child steals the node's state: inject directly.
                 self.instructions.append(Inject(child.event))
-                self._emit_node(child, cursor)
+                self._descend(child, cursor)
             else:
                 slot = self.next_slot
                 self.next_slot += 1
                 self.instructions.append(Snapshot(slot))
                 self.instructions.append(Inject(child.event))
-                self._emit_node(child, cursor)
+                self._descend(child, cursor)
                 self.instructions.append(Restore(slot))
         if has_terminals:
-            if self.layered.num_layers > cursor:
-                self.instructions.append(Advance(cursor, self.layered.num_layers))
-            self.instructions.append(Finish(tuple(node.terminal_trials)))
+            self._terminals(node, cursor)
+
+    def _descend(self, child: TrieNode, cursor: int) -> None:
+        """After ``Inject(child.event)``: emit the child's subtree."""
+        self._emit_node(child, cursor)
+
+    def _terminals(self, node: TrieNode, cursor: int) -> None:
+        """Advance to the last layer and finish the node's trials."""
+        if self.layered.num_layers > cursor:
+            self.instructions.append(Advance(cursor, self.layered.num_layers))
+        self.instructions.append(Finish(tuple(node.terminal_trials)))
 
 
 def build_plan(
@@ -424,29 +463,6 @@ def build_plan(
     if check:
         plan.validate(trials=trials, layered=layered)
     return plan
-
-
-def emit_subtree(
-    layered: LayeredCircuit,
-    node: TrieNode,
-    entry_layer: int,
-    start_slot: int = 0,
-) -> Tuple[List[PlanInstruction], int]:
-    """DFS instruction sequence for ``node``'s subtree, entered mid-circuit.
-
-    Emits exactly the instructions :func:`build_plan` would emit for the
-    subtree rooted at ``node`` when the working state has already advanced
-    to ``entry_layer`` with the node's path events injected — the building
-    block of the plan partitioner (:mod:`repro.core.parallel`).  Snapshot
-    slots are numbered from ``start_slot``; returns ``(instructions,
-    next_free_slot)``.  ``Finish`` instructions carry the trie's original
-    (global) trial indices; callers remap them to a local index space when
-    the sub-plan runs standalone.
-    """
-    builder = _PlanBuilder(layered)
-    builder.next_slot = start_slot
-    builder._emit_node(node, entry_layer)
-    return builder.instructions, builder.next_slot
 
 
 def rebuild_program(

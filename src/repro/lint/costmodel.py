@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..circuits.layers import LayeredCircuit
 from ..core.cache import CacheBudget
 from ..core.events import ErrorEvent, Trial
+from ..core.parallel import lpt_assign
 from ..core.schedule import (
     Advance,
     ExecutionPlan,
@@ -387,30 +388,6 @@ def analyze_plan(
 # ---------------------------------------------------------------------------
 
 
-def lpt_assign(
-    weights: Sequence[int], num_workers: int
-) -> Tuple[List[List[int]], List[int]]:
-    """LPT-balance weighted task ids; returns ``(buckets, loads)``.
-
-    Exactly mirrors :meth:`repro.core.parallel.PlanPartition.assign` —
-    heaviest first (ties by task id), each to the least-loaded worker
-    (ties by worker index), every task contributing at least load 1 — so
-    a certificate's schedule can be reproduced from its own weights.
-    """
-    if num_workers < 1:
-        raise ValueError(f"need at least one worker, got {num_workers}")
-    loads = [0] * num_workers
-    buckets: List[List[int]] = [[] for _ in range(num_workers)]
-    order = sorted(range(len(weights)), key=lambda t: (-weights[t], t))
-    for task_id in order:
-        worker = min(range(num_workers), key=lambda w: (loads[w], w))
-        buckets[worker].append(task_id)
-        loads[worker] += max(1, weights[task_id])
-    for bucket in buckets:
-        bucket.sort()
-    return buckets, loads
-
-
 def lpt_makespan(weights: Sequence[int], num_workers: int) -> int:
     """Max worker load of the deterministic LPT assignment."""
     _, loads = lpt_assign(weights, num_workers)
@@ -534,7 +511,7 @@ def analyze_hybrid(
     if serial is None:
         serial = analyze_plan(plan, layered, compiled=compiled)
 
-    schedule = classify_plan(layered, plan)
+    schedule = classify_plan(layered, plan, compiled)
     stats = dict(schedule.stats)
     num_qubits = layered.num_qubits
     state_bytes = 16 * (1 << num_qubits)

@@ -105,11 +105,12 @@ def _replay(
     problems: List[Tuple[str, str, str]],
 ) -> None:
     """Independent fold over the plan walk; appends ``(message, location,
-    hint)``.  Re-derives every frame itself; the walk supplies only slot
-    pairing and the event history.  The first disagreeing action ends the
-    replay (later actions are misaligned); the conservation checks run
-    once every action agreed."""
-    from ..core.hybrid import ROOT_PATH, _shadow_segment
+    hint)``.  Re-derives every frame itself, through the fused matrices
+    of its own :class:`~repro.sim.compiled.CompiledCircuit`; the walk
+    supplies only slot pairing and the event history.  The first
+    disagreeing action ends the replay (later actions are misaligned);
+    the conservation checks run once every action agreed."""
+    from ..core.hybrid import ROOT_PATH
     from ..core.schedule import (
         Advance,
         Finish,
@@ -118,6 +119,7 @@ def _replay(
         Restore,
         Snapshot,
     )
+    from ..sim.compiled import CompiledCircuit
     from ..sim.stabilizer import PauliFrame
 
     actions = schedule.actions
@@ -132,14 +134,7 @@ def _replay(
         )
         return
 
-    shadow_cache: Dict[Tuple[int, int], Tuple] = {}
-
-    def shadow(a: int, b: int) -> Tuple:
-        key = (a, b)
-        if key not in shadow_cache:
-            shadow_cache[key] = _shadow_segment(layered, a, b)
-        return shadow_cache[key]
-
+    compiled = CompiledCircuit(layered)
     DENSE = "dense"
     # Per-state fact: (anchor path, frame), or DENSE below a
     # materialization point; slots keyed as the walk reports them.
@@ -182,7 +177,7 @@ def _replay(
                 trial = frame.copy()
                 crossed: Optional[PauliFrame] = trial
                 if not frame.is_identity:
-                    for matrix, qubits in shadow(
+                    for matrix, qubits in compiled.matrices(
                         instr.start_layer, instr.end_layer
                     ):
                         if not trial.try_conjugate_matrix(matrix, qubits):

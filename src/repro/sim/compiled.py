@@ -15,6 +15,12 @@ and memoized:
   :func:`~repro.sim.kernels.kernel_for_gate` cache (keyed by
   ``Gate._key``), which error-injection operators also go through.
 
+The first two steps are one fusion pass, whose fused ``(matrix, qubits)``
+list :meth:`CompiledCircuit.matrices` returns — the one statement of what
+a segment applies.  The kernels are compiled from exactly those matrices,
+and the hybrid Clifford fast path (:mod:`repro.core.hybrid`) conjugates
+its Pauli frames through the same list without compiling anything.
+
 Fusion never changes the paper's accounting: ``ops_applied`` is charged
 from :meth:`LayeredCircuit.gates_between` (the gate count of the range),
 not from the number of kernel applications, and snapshots are untouched,
@@ -52,21 +58,23 @@ from .statevector import Statevector
 __all__ = ["CompiledCircuit", "CompiledStatevectorBackend"]
 
 
-def _compile_ops(
-    ops: Sequence, num_qubits: int
-) -> Tuple[Tuple[Kernel, ...], int, int]:
-    """Compile a flattened gate-op sequence with single-qubit fusion.
+def _fuse(ops: Sequence) -> Tuple[List[Tuple], int, int]:
+    """Single-qubit-run fusion of a flattened gate-op sequence.
 
-    ``pending[q]`` accumulates the matrix product of a run of single-qubit
-    gates on qubit ``q``.  A multi-qubit gate flushes the runs of exactly
-    the qubits it touches *before* it is emitted (preserving order on
-    those qubits); runs on untouched qubits stay pending, which is sound
-    because gates on disjoint qubits commute.
+    ``pending[q]`` accumulates a run of single-qubit gates on qubit ``q``.
+    A multi-qubit gate flushes the runs of exactly the qubits it touches
+    *before* it is emitted (preserving order on those qubits); runs on
+    untouched qubits stay pending, which is sound because gates on
+    disjoint qubits commute.  A run of several gates becomes their
+    left-to-right ``@`` product.
 
-    Returns ``(kernels, fused_runs, fused_gates)``: how many multi-gate
-    runs were fused and how many gates they absorbed in total.
+    Returns ``(entries, fused_runs, fused_gates)``: one ``(matrix, qubits,
+    gate)`` entry per matrix the sequence applies, in order — ``gate`` is
+    the lone gate the matrix came from, or ``None`` for a fused product —
+    and how many multi-gate runs were fused and how many gates they
+    absorbed in total.
     """
-    kernels: List[Kernel] = []
+    entries: List[Tuple[np.ndarray, Tuple[int, ...], Optional[Gate]]] = []
     pending: Dict[int, List] = {}  # qubit -> [GateOp, ...] of the run
     fused_runs = 0
     fused_gates = 0
@@ -77,16 +85,14 @@ def _compile_ops(
         if run is None:
             return
         if len(run) == 1:
-            kernels.append(
-                kernel_for_gate(run[0].gate, run[0].qubits, num_qubits)
-            )
+            entries.append((run[0].gate.matrix, run[0].qubits, run[0].gate))
             return
         fused = run[0].gate.matrix
         for op in run[1:]:
             fused = op.gate.matrix @ fused
         fused_runs += 1
         fused_gates += len(run)
-        kernels.append(compile_matrix(fused, (qubit,), num_qubits))
+        entries.append((fused, (qubit,), None))
 
     for op in ops:
         if op.gate.num_qubits == 1:
@@ -94,9 +100,29 @@ def _compile_ops(
         else:
             for qubit in op.qubits:
                 flush(qubit)
-            kernels.append(kernel_for_gate(op.gate, op.qubits, num_qubits))
+            entries.append((op.gate.matrix, op.qubits, op.gate))
     for qubit in sorted(pending):
         flush(qubit)
+    return entries, fused_runs, fused_gates
+
+
+def _compile_ops(
+    ops: Sequence, num_qubits: int
+) -> Tuple[Tuple[Kernel, ...], int, int]:
+    """Compile a flattened gate-op sequence: fuse (:func:`_fuse`), then
+    classify each matrix — a lone gate through the shared
+    :func:`~repro.sim.kernels.kernel_for_gate` cache, a fused product
+    through :func:`~repro.sim.kernels.compile_matrix`.
+
+    Returns ``(kernels, fused_runs, fused_gates)``.
+    """
+    entries, fused_runs, fused_gates = _fuse(ops)
+    kernels = [
+        compile_matrix(matrix, qubits, num_qubits)
+        if gate is None
+        else kernel_for_gate(gate, qubits, num_qubits)
+        for matrix, qubits, gate in entries
+    ]
     return tuple(kernels), fused_runs, fused_gates
 
 
@@ -116,33 +142,64 @@ class CompiledCircuit:
         self._segments: Dict[Tuple[int, int], Tuple[Kernel, ...]] = {}
         # key -> (fused_runs, fused_gates), parallel to _segments.
         self._segment_fusion: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # key -> matrices() list, only for ranges a caller asked for.
+        self._matrices: Dict[
+            Tuple[int, int], List[Tuple[np.ndarray, Tuple[int, ...]]]
+        ] = {}
         self._segment_costs: Dict[Tuple[int, int], Dict[str, object]] = {}
         self._segment_kind_costs: Dict[
             Tuple[int, int], Dict[str, Dict[str, int]]
         ] = {}
         self.recorder = None
 
+    def _ops(self, start_layer: int, end_layer: int) -> List:
+        """The gate ops of layers ``start .. end - 1``, flattened in order."""
+        if not 0 <= start_layer <= end_layer <= self.layered.num_layers:
+            raise ValueError(
+                f"bad layer range [{start_layer}, {end_layer}) for "
+                f"{self.layered.num_layers} layer(s)"
+            )
+        return [
+            op
+            for layer in self.layered.layers[start_layer:end_layer]
+            for op in layer
+        ]
+
+    def matrices(
+        self, start_layer: int, end_layer: int
+    ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
+        """The fused ``(matrix, qubits)`` list layers ``start .. end - 1``
+        apply, in order.
+
+        The one statement of what a segment applies: :meth:`segment`
+        compiles exactly these matrices (both come from :func:`_fuse`),
+        and the hybrid classifier and lint rule P026 conjugate Pauli
+        frames through them, so a frame-safety verdict holds for the
+        very floats the kernels multiply with.  Compiles no kernel and
+        records nothing; memoized for the ranges a caller asks for.
+        """
+        key = (start_layer, end_layer)
+        matrices = self._matrices.get(key)
+        if matrices is None:
+            entries, _, _ = _fuse(self._ops(start_layer, end_layer))
+            matrices = [(matrix, qubits) for matrix, qubits, _ in entries]
+            self._matrices[key] = matrices
+        return matrices
+
     def segment(self, start_layer: int, end_layer: int) -> Tuple[Kernel, ...]:
         """The compiled kernel program for layers ``start .. end - 1``."""
         key = (start_layer, end_layer)
         program = self._segments.get(key)
         if program is None:
-            if not 0 <= start_layer <= end_layer <= self.layered.num_layers:
-                raise ValueError(
-                    f"bad layer range [{start_layer}, {end_layer}) for "
-                    f"{self.layered.num_layers} layer(s)"
-                )
+            ops = self._ops(start_layer, end_layer)
             recorder = self.recorder
             if recorder:
                 recorder.begin(
                     f"compile[{start_layer},{end_layer})", cat="compile"
                 )
-            ops = [
-                op
-                for layer in self.layered.layers[start_layer:end_layer]
-                for op in layer
-            ]
-            program, fused_runs, fused_gates = _compile_ops(ops, self.num_qubits)
+            program, fused_runs, fused_gates = _compile_ops(
+                ops, self.num_qubits
+            )
             self._segments[key] = program
             self._segment_fusion[key] = (fused_runs, fused_gates)
             if recorder:
@@ -166,58 +223,20 @@ class CompiledCircuit:
                 recorder.counter("segment.hit", 1)
         return program
 
-    def segment_cost(self, start_layer: int, end_layer: int) -> Dict[str, object]:
-        """Static cost summary of one layer range — analysis only.
-
-        Compiles the segment through the same memoized :meth:`segment`
-        path (with the recorder detached, so static analysis never leaves
-        ``compile``/``segment.hit`` events in a trace) and folds each
-        kernel through :func:`~repro.sim.kernels.kernel_cost`.  The result
-        is memoized and safe to share with execution: runtime replays of
-        the same range reuse the compiled program.
-        """
-        key = (start_layer, end_layer)
-        cost = self._segment_costs.get(key)
-        if cost is None:
-            recorder = self.recorder
-            self.recorder = None
-            try:
-                program = self.segment(start_layer, end_layer)
-            finally:
-                self.recorder = recorder
-            fused_runs, fused_gates = self._segment_fusion[key]
-            flops = 0
-            bytes_moved = 0
-            kinds: Dict[str, int] = {}
-            for kernel in program:
-                each = kernel_cost(kernel, self.num_qubits)
-                flops += each.flops
-                bytes_moved += each.bytes_moved
-                kinds[kernel.kind] = kinds.get(kernel.kind, 0) + 1
-            cost = {
-                "gates": self.layered.gates_between(start_layer, end_layer),
-                "kernels": len(program),
-                "fused_runs": fused_runs,
-                "fused_gates": fused_gates,
-                "flops": flops,
-                "bytes_moved": bytes_moved,
-                "kinds": kinds,
-            }
-            self._segment_costs[key] = cost
-        return cost
-
     def segment_kind_costs(
         self, start_layer: int, end_layer: int
     ) -> Dict[str, Dict[str, int]]:
         """Per-kernel-kind cost split of one layer range — analysis only.
 
         Maps each kernel kind in the segment's compiled program to its
-        ``{"count", "flops", "bytes_moved"}`` share, priced by the same
-        :func:`~repro.sim.kernels.kernel_cost` model as
-        :meth:`segment_cost` (the kind totals sum exactly to the
-        segment's ``flops`` / ``bytes_moved``).  The profiler uses this
-        split to attribute a segment's measured wall time across kernel
-        classes by flop share.  Memoized, recorder-detached.
+        ``{"count", "flops", "bytes_moved"}`` share, priced by
+        :func:`~repro.sim.kernels.kernel_cost`.  The program comes from
+        the same memoized :meth:`segment` path with the recorder
+        detached, so static analysis never leaves ``compile`` /
+        ``segment.hit`` events in a trace, and runtime replays of the
+        range reuse the compiled program.  The profiler uses this split
+        to attribute a segment's measured wall time across kernel
+        classes by flop share.  Memoized.
         """
         key = (start_layer, end_layer)
         split = self._segment_kind_costs.get(key)
@@ -239,6 +258,32 @@ class CompiledCircuit:
                 entry["bytes_moved"] += int(each.bytes_moved)
             self._segment_kind_costs[key] = split
         return split
+
+    def segment_cost(self, start_layer: int, end_layer: int) -> Dict[str, object]:
+        """Static cost summary of one layer range — analysis only.
+
+        The totals of :meth:`segment_kind_costs` (so the kind split sums
+        exactly to the segment's ``flops`` / ``bytes_moved``) plus the
+        range's gate count and fusion counts.  Memoized.
+        """
+        key = (start_layer, end_layer)
+        cost = self._segment_costs.get(key)
+        if cost is None:
+            split = self.segment_kind_costs(start_layer, end_layer)
+            fused_runs, fused_gates = self._segment_fusion[key]
+            cost = {
+                "gates": self.layered.gates_between(start_layer, end_layer),
+                "kernels": sum(entry["count"] for entry in split.values()),
+                "fused_runs": fused_runs,
+                "fused_gates": fused_gates,
+                "flops": sum(entry["flops"] for entry in split.values()),
+                "bytes_moved": sum(
+                    entry["bytes_moved"] for entry in split.values()
+                ),
+                "kinds": {kind: entry["count"] for kind, entry in split.items()},
+            }
+            self._segment_costs[key] = cost
+        return cost
 
     def operator_kernel(self, gate: Gate, qubits: Sequence[int]) -> Kernel:
         """Kernel for an injected error operator (same ``Gate._key`` cache)."""

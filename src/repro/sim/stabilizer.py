@@ -14,6 +14,15 @@ Tableau layout (Aaronson & Gottesman, PRA 70, 052328): binary matrices
 ``x`` and ``z`` of shape ``(2n, n)`` plus a phase column ``r``; rows
 ``0..n-1`` are destabilizers, rows ``n..2n-1`` stabilizers.  All row
 updates are numpy-vectorized.
+
+The module also holds the Pauli-frame algebra of the hybrid fast path
+(:mod:`repro.core.hybrid`): :class:`PauliFrame` is a deferred Pauli error
+that crosses a segment one fused kernel matrix at a time, through
+:meth:`PauliFrame.try_conjugate_matrix` — the only crossing rule, which
+checks bitwise commutation and the odd-phase rule on the very floats the
+compiled kernel applies.  :func:`frame_safe_matrix` (and
+:func:`frame_safe_gate` over a gate's matrix) says whether *every* frame
+crosses a matrix.
 """
 
 from __future__ import annotations
@@ -180,8 +189,6 @@ def _phase_transparent(matrix: np.ndarray) -> bool:
 #: one float matrix is a pure function of its bytes, so fused kernel
 #: products and gate matrices share one cache.
 _MATRIX_SAFETY_CACHE: Dict[bytes, Tuple[bool, Dict]] = {}
-_GENERATOR_CACHE: Dict = {}
-_CONJUGATION_CACHE: Dict = {}
 
 
 def _matrix_safety(matrix: np.ndarray) -> Tuple[bool, Dict]:
@@ -219,14 +226,6 @@ def _matrix_safety(matrix: np.ndarray) -> Tuple[bool, Dict]:
     return result
 
 
-def _gate_generator_images(gate: Gate) -> Dict:
-    key = gate._key
-    if key not in _GENERATOR_CACHE:
-        matrix = np.asarray(gate.matrix, dtype=np.complex128)
-        _GENERATOR_CACHE[key] = _search_images(matrix, gate.num_qubits)
-    return _GENERATOR_CACHE[key]
-
-
 def frame_safe_gate(gate: Gate) -> bool:
     """Whether *any* Pauli frame may cross ``gate`` bit-exactly.
 
@@ -248,11 +247,17 @@ def frame_safe_gate(gate: Gate) -> bool:
     The cheap phase check runs first, so a matrix it rejects (a QFT's
     controlled phases) never pays for the image search.
     """
-    matrix = np.asarray(gate.matrix)
+    return frame_safe_matrix(gate.matrix)
+
+
+def frame_safe_matrix(matrix: np.ndarray) -> bool:
+    """:func:`frame_safe_gate` for a raw unitary matrix (fused kernels)."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
     if not _phase_transparent(matrix):
         return False
     arith_safe, images = _matrix_safety(matrix)
-    return arith_safe and len(images) == 2 * gate.num_qubits
+    num_qubits = int(matrix.shape[0]).bit_length() - 1
+    return arith_safe and len(images) == 2 * num_qubits
 
 
 def _compose_images(
@@ -289,44 +294,16 @@ def _compose_images(
     return (acc_phase % 4, tuple(acc_x), tuple(acc_z))
 
 
-def _conjugate_bits(
-    gate: Gate, x_bits: Tuple[int, ...], z_bits: Tuple[int, ...]
-) -> Optional[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
-    """Memoized per-gate wrapper around :func:`_compose_images`."""
-    key = (gate._key, x_bits, z_bits)
-    cached = _CONJUGATION_CACHE.get(key)
-    if cached is not None or key in _CONJUGATION_CACHE:
-        return cached
-    arith_safe, images = _matrix_safety(np.asarray(gate.matrix))
-    if not arith_safe:
-        result = None
-    else:
-        result = _compose_images(images, gate.num_qubits, x_bits, z_bits)
-    _CONJUGATION_CACHE[key] = result
-    return result
-
-
-def frame_safe_matrix(matrix: np.ndarray) -> bool:
-    """:func:`frame_safe_gate` for a raw unitary matrix (fused kernels)."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    num_qubits = int(matrix.shape[0]).bit_length() - 1
-    arith_safe, images = _matrix_safety(matrix)
-    return (
-        arith_safe
-        and len(images) == 2 * num_qubits
-        and _phase_transparent(matrix)
-    )
-
-
 class PauliFrame:
     """A deferred Pauli error: ``i^phase * prod_q X_q^{x_q} Z_q^{z_q}``.
 
     The hybrid executor carries one frame per trie node instead of a full
     materialized statevector: injected Pauli errors left-multiply the
-    frame, Clifford layer advances conjugate it, and materialization
-    applies it to the shared anchor state with exact arithmetic only
-    (axis flips, sign flips, quarter-turn units) — so the materialized
-    amplitudes are bit-identical to the serial dense execution.
+    frame, segment advances conjugate it through each fused kernel matrix
+    (:meth:`try_conjugate_matrix`), and materialization applies it to the
+    shared anchor state with exact arithmetic only (axis flips, sign
+    flips, quarter-turn units) — so the materialized amplitudes are
+    bit-identical to the serial dense execution.
     """
 
     __slots__ = ("num_qubits", "x", "z", "phase")
@@ -370,49 +347,22 @@ class PauliFrame:
         else:
             raise StabilizerError(f"not a Pauli error: {pauli!r}")
 
-    def conjugate(self, gate: Gate, qubits: Sequence[int]) -> None:
-        """Push the frame through ``gate``: ``F <- G F G^dagger``.
-
-        Only the bits on the gate's qubits change; gates on qubits where
-        the frame is the identity are free.  Raises for gates without an
-        exact conjugation image (the hybrid classifier excludes them).
-        """
-        x_bits = tuple(int(self.x[q]) for q in qubits)
-        z_bits = tuple(int(self.z[q]) for q in qubits)
-        if not any(x_bits) and not any(z_bits):
-            return
-        image = _conjugate_bits(gate, x_bits, z_bits)
-        if image is None:
-            raise StabilizerError(
-                f"gate {gate.name!r} has no exact Pauli conjugation image"
-            )
-        delta, new_x, new_z = image
-        self.phase = (self.phase + delta) % 4
-        for position, qubit in enumerate(qubits):
-            self.x[qubit] = bool(new_x[position])
-            self.z[qubit] = bool(new_z[position])
-
-    def conjugate_layers(
-        self, layered: LayeredCircuit, start_layer: int, end_layer: int
-    ) -> None:
-        """Conjugate through all gates of layers ``start .. end - 1``."""
-        for layer_index in range(start_layer, end_layer):
-            for op in layered.layers[layer_index]:
-                self.conjugate(op.gate, op.qubits)
-
     def try_conjugate_matrix(
         self, matrix: np.ndarray, qubits: Sequence[int]
     ) -> bool:
-        """Push the frame through a raw kernel matrix, if bit-exactly safe.
+        """Push the frame through a kernel matrix, ``F <- M F M^dagger``,
+        if bit-exactly safe.
 
-        This is the fused-kernel analogue of :meth:`conjugate`: the hybrid
-        executor crosses frames through the *same* matrices the compiled
-        segment programs apply (single-qubit fusion included), so the
-        commutation identity it relies on is checked against exactly the
-        floats the serial path multiplies with.  Returns ``True`` and
-        mutates the frame on success; returns ``False`` with the frame
-        unchanged when the matrix is arithmetically unsafe or a generator
-        in the frame's support has no exact image.
+        The one way a frame crosses a gate: the hybrid executor crosses
+        frames through the *same* matrices the compiled segment programs
+        apply (:meth:`repro.sim.compiled.CompiledCircuit.matrices`,
+        single-qubit fusion included), so the commutation identity it
+        relies on is checked against exactly the floats the serial path
+        multiplies with.  Only the bits on the matrix's qubits change.
+        Returns ``True`` and mutates the frame on success; returns
+        ``False`` with the frame unchanged when the matrix is
+        arithmetically unsafe or a generator in the frame's support has
+        no exact image.
 
         A frame with an odd global phase (``i^{+-1}``) additionally
         requires the matrix to be :func:`_phase_transparent` — even on

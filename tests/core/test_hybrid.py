@@ -18,13 +18,13 @@ from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
 from repro.core.hybrid import HybridSchedule, classify_plan, run_hybrid
 from repro.core.runner import NoisySimulator
-from repro.core.schedule import ScheduleError, build_plan
+from repro.core.schedule import Advance, ScheduleError, build_plan
 from repro.lint import lint_trace
 from repro.lint.hybrid_rules import lint_hybrid, verify_schedule
 from repro.noise import NoiseModel
 from repro.noise.sampling import sample_trials
 from repro.obs import InMemoryRecorder, verify_trace
-from repro.sim.compiled import CompiledStatevectorBackend
+from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
 from repro.sim.kernels import DENSE_PRODUCT_MIN_QUBITS, compile_matrix
 from repro.sim.stabilizer import PauliFrame, frame_safe_matrix
 from repro.sim.backend import StatevectorBackend
@@ -195,6 +195,33 @@ class TestTraces:
         assert verify_trace(recorder, outcome) == []
         result = lint_trace(plan, recorder)
         assert result.ok, [str(d) for d in result.errors]
+
+    @pytest.mark.parametrize("name", SUITE)
+    def test_classifier_compiles_no_kernel(self, name):
+        """The classifier reads the fused matrices of the run's own
+        compiled circuit without compiling a segment, so a traced run
+        still records every ``compile[s,e)`` span itself."""
+        layered, trials = _suite_case(name, 128)
+        plan = build_plan(layered, trials)
+        compiled = CompiledCircuit(layered)
+        schedule = classify_plan(layered, plan, compiled)
+        assert compiled.stats()["segments"] == 0
+        own = classify_plan(layered, plan)
+        assert schedule.stats == own.stats
+        assert schedule.path_uses == own.path_uses
+        assert schedule.derive_gates == own.derive_gates
+        assert [a[0] for a in schedule.actions] == [a[0] for a in own.actions]
+        # A segment compiled from the list the classifier read is the
+        # segment a fresh circuit compiles.
+        fresh = CompiledCircuit(layered)
+        for instr in plan.instructions:
+            if isinstance(instr, Advance):
+                span = (instr.start_layer, instr.end_layer)
+                reused = compiled.segment(*span)
+                assert len(reused) == len(compiled.matrices(*span))
+                assert [(k.kind, k.qubits) for k in reused] == [
+                    (k.kind, k.qubits) for k in fresh.segment(*span)
+                ]
 
 
 class TestEdgeGatesBeforeMaterialization:

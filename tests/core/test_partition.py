@@ -4,13 +4,19 @@ The partition is correct iff (a) the tasks exactly cover the trial set,
 (b) prefix ops plus sub-plan ops equal the serial plan's operation count,
 and (c) concatenating the tasks' finishes in task-id order reproduces the
 serial plan's ``Finish`` order — the invariant the deterministic merge in
-:func:`repro.core.parallel.run_parallel` rests on.
+:func:`repro.core.parallel.run_parallel` rests on.  All three follow from
+(d): inlining every task's sub-plan at its ``EmitTask`` reproduces the
+serial plan's instruction stream exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.suite import build_compiled_benchmark
+from repro.bench.suite import (
+    benchmark_names,
+    build_compiled_benchmark,
+    resolve_benchmark,
+)
 from repro.circuits import layerize
 from repro.core import build_plan, make_trial
 from repro.core.parallel import EmitTask, partition_plan
@@ -112,6 +118,61 @@ class TestPartitionInvariants:
                 assert tuple(
                     task.trial_indices[i] for i in local
                 ) == global_indices
+
+
+def _inline(partition):
+    """The prefix with every task's sub-plan inlined at its ``EmitTask``.
+
+    ``Finish`` indices map back through ``trial_indices``, and every
+    ``Snapshot`` is renumbered in order of appearance, keyed by its owner
+    (the prefix or one task) so the two slot spaces stay apart.
+    """
+    stream = []
+    slots = {}
+
+    def emit(owner, instructions, task=None):
+        for instr in instructions:
+            if isinstance(instr, EmitTask):
+                sub = partition.tasks[instr.task_id]
+                emit(instr.task_id, sub.plan.instructions, sub)
+            elif isinstance(instr, Snapshot):
+                slots[owner, instr.slot] = len(slots)
+                stream.append(Snapshot(slots[owner, instr.slot]))
+            elif isinstance(instr, Restore):
+                stream.append(Restore(slots[owner, instr.slot]))
+            elif isinstance(instr, Finish):
+                stream.append(
+                    Finish(tuple(task.trial_indices[i] for i in instr.trial_indices))
+                )
+            else:
+                stream.append(instr)
+
+    emit("prefix", partition.prefix)
+    return stream
+
+
+class TestPartitionIsTheSerialPlanCut:
+    """Inlining every task back at its emission point gives the serial
+    plan, instruction for instruction — the partitioner is the serial
+    plan builder with a cut, not a second walk."""
+
+    @pytest.mark.parametrize("name", benchmark_names() + ["qft12", "bv14"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_inlined_partition_is_the_serial_plan(self, name, depth):
+        circuit, model = resolve_benchmark(name)
+        layered = layerize(circuit)
+        trials = sample_trials(
+            layered, model, 256, np.random.default_rng(depth)
+        )
+        partition = partition_plan(layered, trials, depth=depth)
+        serial = build_plan(layered, trials)
+        assert _inline(partition) == serial.instructions
+
+    def test_error_free_trials_inline_to_the_serial_plan(self):
+        layered, _ = _setup()
+        trials = [make_trial([]) for _ in range(8)]
+        partition = partition_plan(layered, trials, depth=1)
+        assert _inline(partition) == build_plan(layered, trials).instructions
 
 
 class TestPartitionEdgeCases:

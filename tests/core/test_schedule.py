@@ -1,9 +1,13 @@
 """Tests for execution-plan generation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import NoisySimulator
+from repro.bench.suite import resolve_benchmark
 from repro.circuits import QuantumCircuit, layerize
 from repro.core import (
     Advance,
@@ -18,6 +22,7 @@ from repro.core import (
 )
 from repro.sim import CountingBackend
 from repro.core.executor import run_optimized
+from repro.core.events import Trial
 from repro.core.schedule import EmitTask, PlanWalk, SlotEntry
 from tests.core.test_reorder import trials_strategy
 
@@ -111,6 +116,52 @@ class TestPlanStructure:
         ]
         plan = build_plan(three_layer_circuit, trials)
         assert sorted(plan.finished_trial_indices()) == [0, 1, 2]
+
+
+class TestOutOfRangeEvents:
+    """Every executor rejects an event outside the circuit's layers or
+    qubits with the plan builder's error, before it touches a state."""
+
+    @staticmethod
+    def _bad_trials(layered, where):
+        event = {
+            "layer": ErrorEvent(layered.num_layers + 3, 0, "x"),
+            "qubit": ErrorEvent(1, layered.num_qubits + 4, "x"),
+            "negative-layer": ErrorEvent(-1, 0, "x"),
+            "negative-qubit": ErrorEvent(1, -1, "x"),
+        }[where]
+        # Built directly: make_trial would reject the negative positions
+        # itself, but run(trials=...) takes any Trial.
+        return event, [Trial(()), Trial((event,))]
+
+    @pytest.mark.parametrize(
+        "where", ["layer", "qubit", "negative-layer", "negative-qubit"]
+    )
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"hybrid": True},
+            {"batch_size": 4},
+            {"workers": 2, "partition_depth": 1},
+            {"workers": 2, "partition_depth": 2},
+            {"journal": "run.journal"},
+            {"mode": "baseline"},
+        ],
+        ids=["dfs", "hybrid", "batch", "pool-d1", "pool-d2", "journal",
+             "baseline"],
+    )
+    def test_every_executor_names_the_event(self, tmp_path, options, where):
+        circuit, model = resolve_benchmark("bv4")
+        sim = NoisySimulator(circuit, model, seed=1)
+        event, trials = self._bad_trials(sim.layered, where)
+        if "journal" in options:
+            options = dict(options, journal=str(tmp_path / options["journal"]))
+        bound = "circuit depth" if where.endswith("layer") else "qubit count"
+        with pytest.raises(
+            ScheduleError, match=re.escape(f"event {event} beyond {bound}")
+        ):
+            sim.run(trials=trials, **options)
 
 
 class TestPlanValidation:
