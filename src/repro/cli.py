@@ -279,7 +279,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             trace=args.trace,
             workers=args.workers or (),
             partition_depth=args.partition_depth,
-            auto=args.auto,
             batches=args.batch or (),
             hybrid=args.hybrid,
             progress=lambda name: print(f"benching {name} ...", file=sys.stderr),
@@ -338,23 +337,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"x{micro['gates']} Clifford gates): dense/symbolic time "
             f"ratio {micro['ratio']:.1f}"
         )
-    if args.auto:
-        for record in payload["results"]:
-            advice = record["advise"]["advice"]
-            advised = record.get("advised")
-            if advised is None:
-                print(f"advise {record['benchmark']}: dfs (the serial run)")
-                continue
-            picked = advised["executor"]
-            if advice["workers"]:
-                picked += f" workers={advice['workers']} depth={advice['depth']}"
-            print(
-                f"advise {record['benchmark']}: {picked}, measured "
-                f"{advised['best_s']:.3f}s "
-                f"({advised['speedup_vs_serial']:.2f}x vs serial)"
-            )
-        if summary["all_advised_exact"] is False:
-            print("advised schedule exactness: FAILED")
     trace_failures = []
     if args.trace:
         trace_failures = [
@@ -466,18 +448,16 @@ def _sampled(args: argparse.Namespace):
 class _RecordedRun:
     """The front ``run``, ``trace`` and ``profile`` share: ``_sampled``'s
     trials run with ``options``, recorded when ``record``.
-    ``certify(simulator, trials)`` runs first and returns a certificate
-    for the checks and option overrides (``run --auto``'s advice).
+    ``certify(simulator, trials)`` runs first and returns the certificate
+    the checks compare the run against.
     """
 
     def __init__(self, args, options, record=True, certify=None) -> None:
         from .obs import InMemoryRecorder
 
         self.simulator, self.trials = _sampled(args)
-        self.certificate, overrides = (
-            certify(self.simulator, self.trials) if certify else (None, {})
-        )
-        self.options = {**options, **overrides}
+        self.certificate = certify(self.simulator, self.trials) if certify else None
+        self.options = options
         self.recorder = InMemoryRecorder() if record else None
         start = time.perf_counter()
         self.result = self.simulator.run(
@@ -509,7 +489,6 @@ def _report_checks(label: str, checks: Dict[str, List[str]]) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .core.options import OptionError
     from .obs import format_run_metrics
 
     options = {
@@ -530,7 +509,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     certify = None
     if args.auto:
         # The certificate describes the serial schedule of one fresh
-        # optimized run, so --auto can only drive such a run.
+        # optimized run, so --auto checks only such a run.
         if args.mode != "optimized":
             print(
                 "error: --auto requires --mode optimized (the certificate "
@@ -549,24 +528,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(
                 "error: --batch and --auto are mutually exclusive (the "
                 "certificate's memory timeline describes the serial "
-                "schedule; see `repro advise` for the certified batch "
-                "advisory)",
+                "schedule)",
                 file=sys.stderr,
             )
             return 2
 
         def certify(simulator, trials):
-            from .lint import advised_options
+            return _advise_certificate(args, simulator, trials)
 
-            certificate = _advise_certificate(args, simulator, trials)
-            return certificate, advised_options(certificate)
-
-    try:
-        run = _RecordedRun(args, options, record=args.auto, certify=certify)
-    except OptionError as exc:  # the advice conflicts with a given option
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    options, result, elapsed = run.options, run.result, run.wall_s
+    run = _RecordedRun(args, options, record=args.auto, certify=certify)
+    result, elapsed = run.result, run.wall_s
     metrics = result.metrics
     if args.json:
         payload = {
@@ -594,20 +565,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"benchmark         : {args.benchmark}")
     print(f"mode              : {args.mode}")
     print(f"executor          : {result.executor}")
-    if args.auto:
-        advice = run.certificate["advice"]
-        chosen = (
-            f"workers {advice['workers']}, depth {advice['depth']}"
-            if advice["workers"]
-            else "serial"
-        )
-        if advice.get("hybrid"):
-            chosen += ", hybrid fast path"
-        print(
-            f"auto-tuned        : {chosen} (certified makespan "
-            f"{advice['makespan_flops'] / 1e6:.2f} Mflop, "
-            f"memory {advice['memory_states']} states)"
-        )
     if options["workers"]:
         print(
             f"workers           : {options['workers']} "
@@ -727,7 +684,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             build_plan(simulator.layered, trials), simulator.layered,
             compiled=simulator.compiled_circuit(),
         )
-        return {"plan": analysis.to_dict(), "num_trials": len(trials)}, {}
+        return {"plan": analysis.to_dict(), "num_trials": len(trials)}
 
     run = _RecordedRun(args, options, certify=certify)
     simulator, recorder, certificate = run.simulator, run.recorder, run.certificate
@@ -930,7 +887,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _advise_certificate(args: argparse.Namespace, simulator, trials):
     """The resource certificate ``repro advise`` prints and ``run --auto``
-    follows, for the ``trials`` ``simulator`` sampled."""
+    checks its run against, for the ``trials`` ``simulator`` sampled."""
     from .lint import build_certificate
 
     budget = None
@@ -952,7 +909,7 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials):
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    """Static auto-tuner: rank (depth, workers, budget) candidates."""
+    """Resource certificate of one benchmark run, and the executor it picks."""
     from .lint import (
         lint_certificate_schedule,
         validate_certificate,
@@ -984,75 +941,27 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             f"{predicted['drops']} drop(s), "
             f"{predicted['recompute_ops']} recompute op(s)"
         )
-    rows = [
-        {
-            "depth": c["depth"] or "-",
-            "workers": c["workers"] or "serial",
-            "batch": c.get("batch") or "-",
-            "hybrid": "yes" if c.get("hybrid") else "-",
-            "Mflop makespan": c["makespan_flops"] / 1e6,
-            "mem states": c["memory_states"],
-            "budget": "yes" if c["budget"] else "-",
-            "score": c["score"],
-        }
-        for c in certificate["candidates"][: args.top]
-    ]
+    hybrid_section = certificate["hybrid"]
+    memory = hybrid_section["memory"]
+    stats = hybrid_section["stats"]
     print(
-        rows_to_table(
-            rows,
-            title="certified candidates (score = makespan x memory, "
-            "lower is better)",
-        )
+        f"hybrid            : "
+        f"{'active' if hybrid_section['active'] else 'inactive'} "
+        f"({stats['symbolic_gates']}/{stats['planned_ops']} gates "
+        f"symbolic, {hybrid_section['modeled_speedup']:.2f}x flop "
+        f"model); snapshot cache {memory['cache_resident_bytes']} B "
+        f"vs dense {memory['dense_cache_resident_bytes']} B"
     )
     advice = certificate["advice"]
     suggestion = [f"repro run {args.benchmark}", f"--trials {args.trials}"]
-    if advice["workers"]:
-        suggestion += [
-            f"--workers {advice['workers']}",
-            f"--partition-depth {advice['depth']}",
-        ]
     if advice["max_cache_bytes"] is not None:
         suggestion += [
             f"--max-cache-bytes {advice['max_cache_bytes']}",
             f"--cache-degrade {advice['cache_degrade']}",
         ]
-    # The batch width is the separate serial-wavefront advisory: print
-    # it only when the ranked run is plain serial DFS, the run it was
-    # modeled for (the hybrid executor takes no width and no wavefront
-    # takes a budget).
-    if advice.get("batch_size") and not (
-        advice["workers"] or advice.get("hybrid") or advice["max_cache_bytes"] is not None
-    ):
-        suggestion.append(f"--batch {advice['batch_size']}")
-    if advice.get("hybrid"):
-        suggestion.append("--hybrid")
-    hybrid_section = certificate.get("hybrid")
-    if hybrid_section is not None:
-        memory = hybrid_section["memory"]
-        stats = hybrid_section["stats"]
-        print(
-            f"hybrid            : "
-            f"{'active' if hybrid_section['active'] else 'inactive'} "
-            f"({stats['symbolic_gates']}/{stats['planned_ops']} gates "
-            f"symbolic, {hybrid_section['modeled_speedup']:.2f}x flop "
-            f"model); snapshot cache {memory['cache_resident_bytes']} B "
-            f"vs dense {memory['dense_cache_resident_bytes']} B"
-        )
-    best_wave = max(
-        certificate["wavefront"],
-        key=lambda e: e["modeled_speedup"],
-        default=None,
-    )
-    if best_wave is not None:
-        print(
-            f"wavefront         : best modeled width "
-            f"{best_wave['batch']} ({best_wave['modeled_speedup']:.2f}x "
-            f"fewer-dispatch model, {best_wave['memory_states']} states "
-            "working set; ops conserved exactly)"
-        )
-    print(f"\nadvice            : {' '.join(suggestion)}")
-    print("                    (or: repro run "
-          f"{args.benchmark} --trials {args.trials} --auto)")
+    print(f"\nexecutor          : {advice['executor']} (the pick of the run below)")
+    print(f"advice            : {' '.join(suggestion)}")
+    print(f"                    (or, cross-checked: {' '.join(suggestion)} --auto)")
 
     status = "ok" if schedule_audit.ok and not problems else "FAILED"
     print(f"certificate check : {status} (schema + P022)")
@@ -1252,18 +1161,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     padvise = sub.add_parser(
         "advise",
-        help="static auto-tuner: certified (depth, workers, budget) ranking",
+        help="resource certificate of one run and the executor it picks",
         description=(
             "Build a machine-checkable resource certificate for one "
             "benchmark — per-segment flop/byte costs from the kernel "
             "taxonomy, the full resident-memory timeline (with predicted "
-            "spill/drop events under --max-cache-bytes), and LPT makespans "
-            "for every candidate partition depth and worker count — then "
-            "rank the candidates by certified makespan x memory and print "
-            "the recommended settings.  No statevector is ever allocated.  "
-            "Feed the pick into a real run with 'repro run <benchmark> "
-            "--auto'.  Exit status 1 if the certificate fails its own "
-            "consistency proof (P022)."
+            "spill/drop events under --max-cache-bytes), LPT makespans "
+            "for every candidate partition depth and worker count, and "
+            "the wavefront and hybrid schedules' static shapes — and print "
+            "the executor the default pick rule runs these trials on, "
+            "with the 'repro run' line that runs them.  No statevector is "
+            "ever allocated.  'repro run <benchmark> --auto' checks a real "
+            "run against the certificate.  Exit status 1 if the "
+            "certificate fails its own consistency proof (P022)."
         ),
     )
     padvise.add_argument("benchmark", choices=all_benchmark_names())
@@ -1283,14 +1193,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     padvise.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
-        help="also certify degradation under this snapshot-cache budget",
+        help="also certify degradation under this snapshot-cache budget "
+        "(the advised run is then serial DFS under it)",
     )
     padvise.add_argument(
         "--cache-degrade", choices=("spill", "drop"), default="spill",
-    )
-    padvise.add_argument(
-        "--top", type=int, default=8,
-        help="how many ranked candidates to print (default: 8)",
     )
     padvise.add_argument(
         "--json", default=None, metavar="PATH",
@@ -1333,13 +1240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pbench.add_argument(
         "--partition-depth", type=int, default=1,
         help="trie cut depth for the parallel partition (default 1)",
-    )
-    pbench.add_argument(
-        "--auto", action="store_true",
-        help="attach a ResourceCertificate advice per benchmark and, "
-        "unless it is the plain serial run, time one extra section on "
-        "the executor the advised options pick (a pool gets the "
-        "certificate's task weights)",
     )
     pbench.add_argument(
         "--batch", nargs="*", type=int, default=None, metavar="W",
@@ -1438,10 +1338,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     prun.add_argument(
         "--auto", action="store_true",
-        help="build a resource certificate first and run with its advised "
-        "workers/depth/schedule weights, then cross-check the recorded "
-        "run with its executor's evidence, P020/P021 against the "
-        "certificate (exit 1 on divergence)",
+        help="build a resource certificate first, run the given options "
+        "unchanged, then cross-check the recorded run with its "
+        "executor's evidence, P020/P021 against the certificate (exit 1 "
+        "on divergence; not with --mode baseline, --journal or --batch)",
     )
 
     ptrace = sub.add_parser(

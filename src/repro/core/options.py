@@ -270,12 +270,6 @@ _DECLARED: Tuple[Option, ...] = (
         invalid="retries must be >= 0, got {value}",
         requires=(("workers", "retries requires workers: it is the parallel task retry budget"),),
     ),
-    Option(
-        "task_weights", None, "one weight per partition task, or None",
-        requires=((
-            "workers", "task_weights requires workers: it weights the parallel task schedule",
-        ),),
-    ),
     Option("stop", None, "threading.Event or None"),
 )
 
@@ -323,7 +317,7 @@ EXECUTORS: Tuple[Executor, ...] = (
     ),
     Executor(
         "parallel", "workers", "optimized",
-        _PLANNED | _BUDGET | _POOL | {"task_weights", "batch_size"},
+        _PLANNED | _BUDGET | _POOL | {"batch_size"},
         ("P018", "replay", "P020", "P025", "P017 unless batch_size", "P021 unless batch_size"),
     ),
     Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}, _SERIAL_WALK),
@@ -544,8 +538,7 @@ def execute(
         outcome = run_parallel(
             layered, trials, backend_factory, on_finish, workers=v["workers"],
             depth=v["partition_depth"], cache_budget=budget, retries=v["retries"],
-            task_timeout=v["task_timeout"], task_weights=v["task_weights"],
-            batch_size=v["batch_size"], **common,
+            task_timeout=v["task_timeout"], batch_size=v["batch_size"], **common,
         )
     elif executor.name == "hybrid":
         from .hybrid import run_hybrid

@@ -36,9 +36,9 @@ sub-plan ops equal the serial plan's ops, so ``ops_applied`` totals match
 exactly (property-tested).
 
 Load balancing assigns tasks to workers with the LPT (longest processing
-time first) greedy heuristic (:func:`lpt_assign`, also the cost model's
-scheduler), weighted by each sub-plan's statically known operation count
-— the same closed form the P-series sanitizer uses.
+time first) greedy heuristic (:func:`~repro.core.schedule.lpt_assign`,
+also the cost model's scheduler), weighted by each sub-plan's statically
+known operation count — the same closed form the P-series sanitizer uses.
 
 Fault tolerance
 ---------------
@@ -139,6 +139,8 @@ from .schedule import (
     _PlanBuilder,
     count_operations,
     localize_plan,
+    lpt_assign,
+    lpt_order,
 )
 from .trie import TrialTrie, TrieNode
 
@@ -147,7 +149,6 @@ __all__ = [
     "SubPlan",
     "PlanPartition",
     "ParallelOutcome",
-    "lpt_assign",
     "partition_plan",
     "run_parallel",
     "fork_available",
@@ -201,36 +202,6 @@ class SubPlan:
         )
 
 
-def lpt_order(weights: Sequence[int]) -> List[int]:
-    """Task ids heaviest first, ties by task id: the LPT dispatch order."""
-    return sorted(range(len(weights)), key=lambda t: (-weights[t], t))
-
-
-def lpt_assign(
-    weights: Sequence[int], num_workers: int
-) -> Tuple[List[List[int]], List[int]]:
-    """LPT-balance weighted task ids; returns ``(buckets, loads)``.
-
-    Heaviest task first (:func:`lpt_order`), each to the least-loaded
-    worker (ties by worker index), every task contributing at least load
-    1; fully deterministic, so a certificate's schedule can be reproduced
-    from its own weights.  Each bucket is returned sorted by task id —
-    execution order within a worker does not affect results, only
-    determinism of the trace.
-    """
-    if num_workers < 1:
-        raise ValueError(f"need at least one worker, got {num_workers}")
-    loads = [0] * num_workers
-    buckets: List[List[int]] = [[] for _ in range(num_workers)]
-    for task_id in lpt_order(weights):
-        worker = min(range(num_workers), key=lambda w: (loads[w], w))
-        buckets[worker].append(task_id)
-        loads[worker] += max(1, weights[task_id])
-    for bucket in buckets:
-        bucket.sort()
-    return buckets, loads
-
-
 class PlanPartition:
     """A prefix program plus the sub-plan tasks it emits (exact cover)."""
 
@@ -268,26 +239,14 @@ class PlanPartition:
             task.est_ops for task in self.tasks
         )
 
-    def assign(
-        self, num_workers: int, weights: Optional[Sequence[int]] = None
-    ) -> List[List[int]]:
-        """LPT-balance task ids over ``num_workers`` buckets
-        (:func:`lpt_assign`).
+    def weights(self) -> List[int]:
+        """Each task's LPT weight: its closed-form operation count."""
+        return [task.est_ops for task in self.tasks]
 
-        ``weights`` overrides the default per-task operation counts —
-        e.g. the flop weights of a resource certificate
-        (:func:`repro.lint.costmodel.build_certificate`), which account
-        for kernel kind and fusion, not just gate count.  Must list one
-        weight per task.
-        """
-        if weights is None:
-            weights = [task.est_ops for task in self.tasks]
-        elif len(weights) != len(self.tasks):
-            raise ValueError(
-                f"got {len(weights)} task weight(s) for "
-                f"{len(self.tasks)} task(s)"
-            )
-        return lpt_assign(weights, num_workers)[0]
+    def assign(self, num_workers: int) -> List[List[int]]:
+        """LPT-balance task ids over ``num_workers`` buckets
+        (:func:`~repro.core.schedule.lpt_assign` over :meth:`weights`)."""
+        return lpt_assign(self.weights(), num_workers)[0]
 
     def audit(self, trials=None, layered=None):
         """Partition-cover lint (rule P018) without raising."""
@@ -1133,7 +1092,6 @@ def run_parallel(
     retries: int = 2,
     task_timeout: Optional[float] = None,
     faults=None,
-    task_weights: Optional[Sequence[int]] = None,
     batch_size: int = 0,
     stop=None,
 ) -> ParallelOutcome:
@@ -1197,13 +1155,6 @@ def run_parallel(
         Deterministic fault injector (:class:`repro.testing.ChaosPlan`)
         exposing ``before_task`` / ``corrupt_payload`` / ``corrupt_entry``
         hooks; production runs leave it ``None``.
-    task_weights:
-        Optional per-task schedule weights (one per partition task)
-        replacing the built-in operation-count heuristic in both the
-        static LPT assignment and the dynamic dispatch order — the hook
-        a resource certificate's flop weights feed
-        (:func:`repro.lint.costmodel.build_certificate`).  Scheduling
-        only: results are bit-identical for any weighting.
     batch_size:
         ``0`` (default) runs each sub-plan through the serial DFS
         executor.  Any value >= 1 runs each sub-plan through the
@@ -1228,17 +1179,8 @@ def run_parallel(
     if batch_size and cache_budget is not None:
         raise ValueError("batching workers take no cache budget")
     partition = partition_plan(layered, trials, depth=depth, check=check)
-    if task_weights is not None and len(task_weights) != partition.num_tasks:
-        raise ValueError(
-            f"got {len(task_weights)} task weight(s) for "
-            f"{partition.num_tasks} task(s) at depth {depth}"
-        )
-    weights = (
-        list(task_weights)
-        if task_weights is not None
-        else [task.est_ops for task in partition.tasks]
-    )
-    assignment = partition.assign(workers, weights=weights)
+    weights = partition.weights()
+    assignment = partition.assign(workers)
     use_fork = fork_available() if inline is None else not inline
     if inline is False and not fork_available():
         raise RuntimeError(

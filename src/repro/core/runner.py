@@ -187,7 +187,6 @@ class NoisySimulator:
         cache_degrade: str = "spill",
         task_timeout: Optional[float] = None,
         retries: int = 2,
-        task_weights: Optional[Sequence[int]] = None,
         batch_size: int = 0,
         hybrid: Optional[bool] = None,
         shared=None,
@@ -258,12 +257,6 @@ class NoisySimulator:
         retries:
             Parallel task retry budget before the parent falls back to
             inline execution.
-        task_weights:
-            Optional per-task schedule weights for the parallel path —
-            typically a resource certificate's flop weights
-            (``certificate["schedules"][...]["task_flops"]``), replacing
-            the operation-count heuristic.  Scheduling only; results are
-            bit-identical for any weighting.
         batch_size:
             ``0`` (default) keeps the per-trial DFS executor.  Any value
             >= 1 switches to breadth-wise wavefront execution
@@ -313,8 +306,8 @@ class NoisySimulator:
             mode=mode, backend=backend, check=check, recorder=recorder,
             workers=workers, partition_depth=partition_depth, journal=journal,
             max_cache_bytes=max_cache_bytes, cache_degrade=cache_degrade,
-            task_timeout=task_timeout, retries=retries, task_weights=task_weights,
-            batch_size=batch_size, hybrid=hybrid, shared=shared, stop=stop,
+            task_timeout=task_timeout, retries=retries, batch_size=batch_size,
+            hybrid=hybrid, shared=shared, stop=stop,
         )
         validate(collect_final_states=collect_final_states, on_trial=on_trial, **options)
         trial_list = list(trials) if trials is not None else self.sample(num_trials)

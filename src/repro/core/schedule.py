@@ -42,9 +42,11 @@ This walk has one home, ``_PlanBuilder``.  The parallel partitioner
 (:func:`repro.core.parallel.partition_plan`) is the same builder with a
 cut: it overrides only what follows a child's ``Inject`` and what a node
 does with its terminal trials, so any change to plan shape is made here
-once.  :func:`check_trial_events` is the one out-of-range event check:
-the builder, the baseline executor and a journaled run (before it
-writes its journal) call it.
+once.  :func:`event_range_problems` is the one statement of the
+out-of-range event rule, and :func:`check_trial_events` the one check
+built on it: the builder, the baseline executor and a journaled run
+(before it writes its journal) call it.  :func:`lpt_assign` is the one
+LPT scheduler, shared by the parallel pool and the cost model.
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ __all__ = [
     "build_plan_from_trie",
     "check_trial_events",
     "count_operations",
+    "event_range_problems",
     "localize_plan",
+    "lpt_assign",
+    "lpt_order",
     "rebuild_program",
     "ScheduleError",
 ]
@@ -277,6 +282,36 @@ def count_operations(
     return ops
 
 
+def lpt_order(weights: Sequence[int]) -> List[int]:
+    """Task ids heaviest first, ties by task id: the LPT dispatch order."""
+    return sorted(range(len(weights)), key=lambda t: (-weights[t], t))
+
+
+def lpt_assign(
+    weights: Sequence[int], num_workers: int
+) -> Tuple[List[List[int]], List[int]]:
+    """LPT-balance weighted task ids; returns ``(buckets, loads)``.
+
+    Heaviest task first (:func:`lpt_order`), each to the least-loaded
+    worker (ties by worker index), every task contributing at least load
+    1; fully deterministic, so a certificate's schedule can be reproduced
+    from its own weights.  Each bucket is returned sorted by task id —
+    execution order within a worker does not affect results, only
+    determinism of the trace.
+    """
+    if num_workers < 1:
+        raise ValueError(f"need at least one worker, got {num_workers}")
+    loads = [0] * num_workers
+    buckets: List[List[int]] = [[] for _ in range(num_workers)]
+    for task_id in lpt_order(weights):
+        worker = min(range(num_workers), key=lambda w: (loads[w], w))
+        buckets[worker].append(task_id)
+        loads[worker] += max(1, weights[task_id])
+    for bucket in buckets:
+        bucket.sort()
+    return buckets, loads
+
+
 class ExecutionPlan:
     """A fully resolved optimized-execution schedule."""
 
@@ -361,25 +396,41 @@ class ExecutionPlan:
         )
 
 
+def event_range_problems(
+    event: ErrorEvent, num_layers: Optional[int], num_qubits: Optional[int]
+) -> List[Tuple[str, str]]:
+    """``event``'s out-of-range problems, layer first, as ``(bound,
+    message)`` pairs with ``bound`` ``"layer"`` or ``"qubit"``; a bound
+    given as ``None`` is unknown and not checked.  A negative position is
+    outside too: it would otherwise index from the end of the state's
+    axes.  The one statement of the rule: :func:`check_trial_events`
+    raises the first problem, lint rules N001/N002 and P012 report them.
+    """
+    problems: List[Tuple[str, str]] = []
+    if num_layers is not None and not 0 <= event.layer < num_layers:
+        problems.append(
+            ("layer", f"event {event} beyond circuit depth {num_layers}")
+        )
+    if num_qubits is not None and not 0 <= event.qubit < num_qubits:
+        problems.append(
+            ("qubit", f"event {event} beyond qubit count {num_qubits}")
+        )
+    return problems
+
+
 def check_trial_events(
     layered: LayeredCircuit, trials: Sequence[Trial]
 ) -> None:
     """Raise :class:`ScheduleError` naming the first event outside the
-    circuit's layers or qubits — the one check every executor runs
-    before it touches a state.  A negative position is outside too: it
-    would otherwise index from the end of the state's axes."""
+    circuit's layers or qubits (:func:`event_range_problems`) — the one
+    check every executor runs before it touches a state."""
     num_layers = layered.num_layers
     num_qubits = layered.num_qubits
     for trial in trials:
         for event in trial.events:
-            if not 0 <= event.layer < num_layers:
-                raise ScheduleError(
-                    f"event {event} beyond circuit depth {num_layers}"
-                )
-            if not 0 <= event.qubit < num_qubits:
-                raise ScheduleError(
-                    f"event {event} beyond qubit count {num_qubits}"
-                )
+            problems = event_range_problems(event, num_layers, num_qubits)
+            if problems:
+                raise ScheduleError(problems[0][1])
 
 
 class _PlanBuilder:

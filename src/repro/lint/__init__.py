@@ -41,7 +41,6 @@ from .partition_rules import lint_partition, lint_partition_trace
 from .journal_rules import lint_journal
 from .costmodel import (
     PlanCostAnalysis,
-    advised_options,
     analyze_hybrid,
     analyze_partition,
     analyze_plan,
@@ -76,7 +75,6 @@ __all__ = [
     "PlanCostAnalysis",
     "Rule",
     "Severity",
-    "advised_options",
     "all_rules",
     "analyze_hybrid",
     "analyze_partition",

@@ -24,8 +24,10 @@ before a single amplitude is touched.  This module computes them:
 :func:`build_certificate`
     Bundles the plan analysis with, per candidate partition depth, the
     statically weighted sub-plan set and its LPT makespan over k workers,
-    a sound parallel memory bound, and a ranked candidate list — the
-    JSON document behind ``repro advise``.  Written atomically via
+    a sound parallel memory bound, the wavefront and hybrid schedules'
+    static shapes, and the executor the default pick rule
+    (:func:`repro.core.options.pick`) runs the trials on as ``advice`` —
+    the JSON document behind ``repro advise``.  Written atomically via
     :func:`repro.core.atomicio.atomic_write_json`.
 
 The certificate is *checkable*: rules P020-P023
@@ -50,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..circuits.layers import LayeredCircuit
 from ..core.cache import CacheBudget
 from ..core.events import ErrorEvent, Trial
-from ..core.parallel import lpt_assign
 from ..core.schedule import (
     Advance,
     ExecutionPlan,
@@ -60,13 +61,13 @@ from ..core.schedule import (
     Restore,
     ScheduleError,
     Snapshot,
+    lpt_assign,
 )
 
 __all__ = [
     "CERT_SCHEMA",
     "FRAME_OP_FLOPS",
     "PlanCostAnalysis",
-    "advised_options",
     "analyze_hybrid",
     "analyze_plan",
     "frame_bytes",
@@ -79,15 +80,7 @@ __all__ = [
 ]
 
 #: Certificate document schema tag.
-CERT_SCHEMA = "repro-cert/1"
-
-#: Modeled fixed cost of one kernel dispatch, in flop units.  Batching
-#: folds ``width`` serial gate applications into one vectorized call, so
-#: its win is dispatch-count reduction; a few microseconds of Python and
-#: ufunc-setup overhead per call is worth roughly this many flops at the
-#: dense kernel's streaming throughput.  Used only to *rank* batch widths
-#: relative to each other — never compared against measured time.
-DISPATCH_OVERHEAD_FLOPS = 16384
+CERT_SCHEMA = "repro-cert/2"
 
 #: Modeled flop cost of conjugating one Pauli frame through one fused
 #: gate matrix (``PauliFrame.try_conjugate_matrix`` on a <= 4x4 unitary):
@@ -148,15 +141,6 @@ class PlanCostAnalysis:
         self.predicted_recomputes = 0
         self.predicted_recompute_ops = 0
         self.predicted_recompute_flops = 0
-
-    @property
-    def total_ops(self) -> int:
-        """Ops a run actually applies: plan ops plus predicted recomputes."""
-        return self.ops + self.predicted_recompute_ops
-
-    @property
-    def total_flops(self) -> int:
-        return self.flops + self.predicted_recompute_flops
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -595,19 +579,16 @@ def build_certificate(
     LPT makespans over every candidate worker count and a sound parallel
     memory bound, (d) per candidate batch width the wavefront schedule's
     static shape (batched dispatch count, peak rows, working set) with
-    its operation count proven equal to the serial plan's, and (e) the
-    ranked (depth, workers, budget, batch) candidate list with the top
-    pick as ``advice``.  Candidate scores are ``makespan_flops *
-    memory_bytes`` (lower is better; ties broken serial-first, then
-    fewer workers, then shallower depth, then narrower batch).  Budget
-    degradation is certified for the serial schedule (P023 checks it
-    against ``run_optimized``); parallel candidates are enumerated
-    without a budget.  ``advice['batch_size']`` is chosen
-    makespan-first among the batch widths whose working set fits
-    ``budget`` (all of them when no budget is given) — batching trades
-    memory for fewer dispatches, so the constraint is the budget, not
-    the score product.
+    its operation count proven equal to the serial plan's, (e) the
+    hybrid fast path's static price, and (f) ``advice``: the executor
+    :func:`repro.core.options.pick` runs these trials on under
+    ``budget`` (serial DFS whenever a budget is given), with that budget.
+    The sections rank nothing: the reordering is exact on every
+    executor, so choosing one is a cost decision, and the measured pick
+    rule is the only one that makes it.  Budget degradation is certified
+    for the serial schedule (P023 checks it against ``run_optimized``).
     """
+    from ..core.options import pick
     from ..core.parallel import partition_plan
     from ..core.schedule import build_plan as _build_plan
     from ..core.wavefront import plan_wavefronts
@@ -643,158 +624,39 @@ def build_certificate(
 
     # Wavefront (trial-batched) schedules: same ops, fewer dispatches,
     # wider working set.  All numbers are static — no execution.
-    serial_dispatches = serial.total_ops
-    serial_cost = serial.flops + DISPATCH_OVERHEAD_FLOPS * serial_dispatches
     wavefronts: List[Dict[str, Any]] = []
     for batch in sorted(set(int(b) for b in batches if int(b) >= 1)):
         wavefront = plan_wavefronts(plan, batch)
         profile = wavefront.profile()
-        dispatches = wavefront.num_injects + sum(
-            layered.gates_between(step.start, step.end)
-            for step in wavefront.steps
-            if step.end > step.start
-        )
-        # Normalized so batch=1 keeps exactly serial.flops: the modeled
-        # speedup is the dispatch-inclusive cost ratio, applied to the
-        # flop makespan the rest of the tuner ranks in.
-        batched_cost = serial.flops + DISPATCH_OVERHEAD_FLOPS * dispatches
-        makespan = (
-            round(serial.flops * batched_cost / serial_cost)
-            if serial_cost
-            else serial.flops
-        )
         # Parked/live rows plus the in-flight double buffer.
         memory_states = profile["peak_rows"] + profile["max_width"]
         wavefronts.append(
             {
                 "batch": batch,
                 "ops": wavefront.planned_operations(layered),
-                "dispatches": dispatches,
+                "dispatches": wavefront.num_injects + sum(
+                    layered.gates_between(step.start, step.end)
+                    for step in wavefront.steps
+                    if step.end > step.start
+                ),
                 "batched_calls": profile["batched_calls"],
                 "max_width": profile["max_width"],
                 "mean_width": profile["mean_width"],
                 "peak_rows": profile["peak_rows"],
                 "memory_states": memory_states,
                 "memory_bytes": memory_states * state_bytes,
-                "makespan_flops": makespan,
-                "modeled_speedup": (
-                    serial_cost / batched_cost if batched_cost else 1.0
-                ),
             }
         )
 
-    candidates: List[Dict[str, Any]] = []
-
-    def add_candidate(
-        depth: int,
-        num_workers: int,
-        makespan: int,
-        memory_states: int,
-        with_budget: bool,
-        batch: int = 0,
-        hybrid_mode: bool = False,
-    ) -> None:
-        memory_bytes = memory_states * state_bytes
-        candidates.append(
-            {
-                "depth": depth,
-                "workers": num_workers,
-                "batch": batch,
-                "hybrid": hybrid_mode,
-                "makespan_flops": makespan,
-                "memory_states": memory_states,
-                "memory_bytes": memory_bytes,
-                "budget": with_budget,
-                "score": makespan * memory_bytes,
-            }
-        )
-
-    # Serial candidates (workers=0 encodes "no parallel pool").
-    add_candidate(0, 0, serial.flops, serial.peak_msv, False)
-    if degraded is not None:
-        add_candidate(
-            0, 0, degraded.total_flops, degraded.peak_resident_msv, True
-        )
-    for schedule in schedules:
-        for k, entry in schedule["workers"].items():
-            add_candidate(
-                schedule["depth"],
-                int(k),
-                schedule["prefix_flops"] + entry["makespan"],
-                entry["memory_states"],
-                False,
-            )
-    for entry in wavefronts:
-        if entry["batch"] > 1:
-            add_candidate(
-                0,
-                0,
-                entry["makespan_flops"],
-                entry["memory_states"],
-                False,
-                batch=entry["batch"],
-            )
-
-    # The hybrid candidate: the Clifford/Pauli-frame fast path.  Only a
-    # schedule with positive static savings is offered (the runtime
-    # falls back wholesale otherwise, so an inactive candidate would
-    # duplicate the dense row).
-    hybrid = analyze_hybrid(layered, plan, compiled=compiled, serial=serial)
-    if hybrid["active"]:
-        hybrid_dense = (
-            hybrid["flops"]["dense"] + hybrid["flops"]["materialize"]
-        )
-        hybrid_shared = (
-            hybrid["flops"]["anchor"] + hybrid["flops"]["frame"]
-        )
-        add_candidate(
-            0,
-            0,
-            hybrid_dense + hybrid_shared,
-            hybrid["memory"]["peak_full_states"],
-            False,
-            hybrid_mode=True,
-        )
-    candidates.sort(
-        key=lambda c: (
-            c["score"],
-            c["workers"] > 0,
-            c["workers"],
-            c["depth"],
-            c["batch"],
-            c["hybrid"],
-        )
+    budget_options = (
+        {}
+        if budget is None
+        else {"max_cache_bytes": budget.max_bytes, "cache_degrade": budget.mode}
     )
-
-    # Batch advisory: fastest modeled width whose working set fits the
-    # budget (no budget -> all fit).  Width 1 means "don't batch".
-    fitting = [
-        entry
-        for entry in wavefronts
-        if budget is None or entry["memory_bytes"] <= budget.max_bytes
-    ]
-    best_batch = (
-        min(fitting, key=lambda e: (e["makespan_flops"], e["batch"]))
-        if fitting
-        else None
-    )
-
-    top = candidates[0]
     advice = {
-        "workers": top["workers"],
-        "depth": top["depth"] if top["workers"] else None,
-        "max_cache_bytes": budget.max_bytes if top["budget"] else None,
-        "cache_degrade": budget.mode if top["budget"] else None,
-        "hybrid": top["hybrid"],
-        "batch_size": (
-            best_batch["batch"]
-            if best_batch is not None and best_batch["batch"] > 1
-            else None
-        ),
-        "makespan_flops": top["makespan_flops"],
-        "memory_states": top["memory_states"],
-        "memory_bytes": top["memory_bytes"],
-        "score": top["score"],
+        "executor": pick(layered, trials, **budget_options).name,
+        "max_cache_bytes": budget_options.get("max_cache_bytes"),
+        "cache_degrade": budget_options.get("cache_degrade"),
     }
 
     certificate: Dict[str, Any] = {
@@ -823,39 +685,12 @@ def build_certificate(
         ),
         "schedules": schedules,
         "wavefront": wavefronts,
-        "hybrid": hybrid,
-        "candidates": candidates,
+        "hybrid": analyze_hybrid(
+            layered, plan, compiled=compiled, serial=serial
+        ),
         "advice": advice,
     }
     return certificate
-
-
-def advised_options(certificate: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``NoisySimulator.run`` options of a certificate's top candidate.
-
-    The one translation of ``advice`` into run options, shared by
-    ``repro run --auto`` and ``repro bench --auto``: workers and depth
-    (with the certificate's task flops as the pool's weights), the cache
-    budget and the hybrid switch.  The batch width is a separate advisory
-    and not part of the ranked run.  Default options mean the plain
-    serial run.
-    """
-    advice = certificate["advice"]
-    return {
-        "workers": advice["workers"],
-        "partition_depth": advice["depth"] or 1,
-        "max_cache_bytes": advice["max_cache_bytes"],
-        "cache_degrade": advice["cache_degrade"] or "spill",
-        "task_weights": next(
-            (
-                list(schedule["task_flops"])
-                for schedule in certificate["schedules"]
-                if advice["workers"] and schedule["depth"] == advice["depth"]
-            ),
-            None,
-        ),
-        "hybrid": bool(advice.get("hybrid")),
-    }
 
 
 def write_certificate(path: str, certificate: Dict[str, Any]) -> None:
@@ -869,9 +704,10 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
     """Structural validation of a certificate document.
 
     Returns a list of problems (empty = valid).  Checks the schema tag,
-    required sections, schedule shape consistency and candidate ordering
-    — the cheap checks a CI step runs before trusting the numbers; the
-    deep semantic proofs live in rules P020-P023.
+    required sections, schedule shape consistency and that ``advice``
+    names an executor and the certified budget — the cheap checks a CI
+    step runs before trusting the numbers; the deep semantic proofs live
+    in rules P020-P023.
     """
     problems: List[str] = []
     if not isinstance(certificate, dict):
@@ -889,7 +725,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
         "state_bytes",
         "plan",
         "schedules",
-        "candidates",
         "advice",
     ):
         if key not in certificate:
@@ -950,18 +785,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
                     f"wavefront batch={batch}: memory_bytes inconsistent "
                     "with memory_states"
                 )
-        advice = certificate.get("advice")
-        if isinstance(advice, dict) and advice.get("batch_size") is not None:
-            listed = {
-                entry.get("batch")
-                for entry in wavefronts
-                if isinstance(entry, dict)
-            }
-            if advice["batch_size"] not in listed:
-                problems.append(
-                    f"advice.batch_size {advice['batch_size']} is not a "
-                    "certified wavefront width"
-                )
     hybrid = certificate.get("hybrid")
     if isinstance(hybrid, dict):
         stats = hybrid.get("stats", {})
@@ -1015,15 +838,21 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
                     "hybrid cache_shrink flag contradicts the certified "
                     "cache byte counts"
                 )
-    candidates = certificate.get("candidates")
-    if isinstance(candidates, list) and candidates:
-        scores = [c.get("score") for c in candidates]
-        if scores != sorted(scores):
-            problems.append("candidates are not sorted by score")
-        advice = certificate.get("advice")
-        if isinstance(advice, dict):
-            if advice.get("score") != candidates[0].get("score"):
-                problems.append("advice does not match the top candidate")
-    elif isinstance(candidates, list):
-        problems.append("certificate lists no candidates")
+    advice = certificate.get("advice")
+    if isinstance(advice, dict):
+        from ..core.options import EXECUTORS
+
+        if advice.get("executor") not in {e.name for e in EXECUTORS}:
+            problems.append(
+                f"advice.executor {advice.get('executor')!r} names no "
+                "executor"
+            )
+        budget = certificate.get("budget")
+        if isinstance(budget, dict) and advice.get(
+            "max_cache_bytes"
+        ) != budget.get("max_bytes"):
+            problems.append(
+                f"advice.max_cache_bytes {advice.get('max_cache_bytes')!r} "
+                f"is not the certified budget {budget.get('max_bytes')!r}"
+            )
     return problems

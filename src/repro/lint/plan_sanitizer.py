@@ -39,6 +39,7 @@ from ..core.schedule import (
     PlanWalk,
     Restore,
     Snapshot,
+    event_range_problems,
 )
 from .diagnostics import Diagnostic, LintConfig, LintResult, Severity
 from .registry import make_diagnostic, register
@@ -368,19 +369,9 @@ def sanitize_plan(
                 snapshots_taken += 1
         elif isinstance(instr, Inject):
             event = instr.event
-            depth_bound = num_layers
-            if not 0 <= event.layer < depth_bound:
-                emit(
-                    "P012",
-                    f"event {event} beyond circuit depth {depth_bound}",
-                    index,
-                )
-            elif num_qubits is not None and not 0 <= event.qubit < num_qubits:
-                emit(
-                    "P012",
-                    f"event {event} beyond qubit count {num_qubits}",
-                    index,
-                )
+            out_of_range = event_range_problems(event, num_layers, num_qubits)
+            if out_of_range:
+                emit("P012", out_of_range[0][1], index)
             elif step.fault:
                 emit(
                     "P006",

@@ -52,8 +52,8 @@ register(
     "advance span (count and gate weight), the inject count, the total "
     "ops.applied counter and the finished-trial count against the "
     "certified numbers — exactly, not approximately.  A mismatch means "
-    "the cost model no longer mirrors the executor and every advise "
-    "decision built on it is unsound.",
+    "the cost model no longer mirrors the executor and no number the "
+    "certificate derives from it can be trusted.",
 )
 
 register(
@@ -65,7 +65,7 @@ register(
     "timeline.",
     explanation="The certificate's memory timeline upper-bounds the live, "
     "stored and resident statevector counts at every plan instruction; "
-    "`repro advise` picks configurations on the strength of that bound.  "
+    "cache budgets are sized on the strength of that bound.  "
     "P021 checks the recorded msv.live/msv.stored/msv.resident gauge "
     "peaks never exceed the static peaks (and, for an undegraded serial "
     "run, that the live peak is hit exactly) — a violation means the "
@@ -104,8 +104,7 @@ register(
     "spill-load, drop and recompute counts against the runtime CacheStats "
     "counters — equality proves the analyzer replays the executor's "
     "degradation policy exactly, which is what makes certified "
-    "budget-degradation tradeoffs (and the advise ranking built on them) "
-    "sound.",
+    "budget-degradation tradeoffs sound.",
 )
 
 

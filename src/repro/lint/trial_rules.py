@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from ..circuits.layers import LayeredCircuit
 from ..core.events import PAULI_LABELS, Trial
+from ..core.schedule import event_range_problems
 from ..noise.model import NoiseModel
 from .diagnostics import LintConfig, LintResult, Severity
 from .registry import make_diagnostic, register
@@ -109,6 +110,9 @@ register(
     "a probability distribution.",
 )
 
+#: The rule of each bound :func:`event_range_problems` reports.
+_RANGE_CODES = {"layer": "N001", "qubit": "N002"}
+
 
 def lint_trials(
     trials: Sequence[Trial],
@@ -136,18 +140,10 @@ def lint_trials(
     for index, trial in enumerate(trials):
         positions = set()
         for event in trial.events:
-            if num_layers is not None and not 0 <= event.layer < num_layers:
-                emit(
-                    "N001",
-                    f"event {event} beyond circuit depth {num_layers}",
-                    index,
-                )
-            if num_qubits is not None and not 0 <= event.qubit < num_qubits:
-                emit(
-                    "N002",
-                    f"event {event} beyond qubit count {num_qubits}",
-                    index,
-                )
+            for bound, message in event_range_problems(
+                event, num_layers, num_qubits
+            ):
+                emit(_RANGE_CODES[bound], message, index)
             if (event.layer, event.qubit) in positions:
                 emit(
                     "N003",

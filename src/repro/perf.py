@@ -29,7 +29,7 @@ so timings stay honest — and its :class:`~repro.obs.summary.TraceSummary`
 is attached to the record as ``profile`` after being cross-checked
 against the timed run's outcome.
 
-Every further section (``workers``, ``batches``, ``hybrid``, ``auto``)
+Every further section (``workers``, ``batches``, ``hybrid``)
 is one option set from :mod:`repro.core.options`, timed through the same
 ``execute()`` against the same plan and proven exact the same way: each
 trial's payload ``array_equal`` to the serial compiled run's, with equal
@@ -47,7 +47,7 @@ from .bench.suite import all_benchmark_names, benchmark_names, resolve_benchmark
 from .circuits.layers import layerize
 from .core.hostinfo import machine_info, peak_rss_kb
 from .core.hybrid import HybridOutcome
-from .core.options import execute, expect, is_set, validate
+from .core.options import execute, expect
 from .core.parallel import ParallelOutcome
 from .core.schedule import build_plan
 from .noise.sampling import sample_trials
@@ -448,7 +448,6 @@ def bench_one(
     trace: bool = False,
     workers: Sequence[int] = (),
     partition_depth: int = 1,
-    auto: bool = False,
     batches: Sequence[int] = (),
     hybrid: bool = False,
 ) -> Dict[str, object]:
@@ -460,13 +459,6 @@ def bench_one(
     ``workers`` and ``batches``, and ``hybrid``, adds timed sections
     (parallel, wavefront, hybrid executor) plus a bit-exactness proof
     against the serial compiled run.
-
-    With ``auto=True`` a :func:`~repro.lint.costmodel.build_certificate`
-    pass ranks the candidate runs statically; the winning advice is
-    attached as ``advise`` and, unless it is the plain serial run, one
-    extra timed section (``advised`` in the record) runs the options
-    :func:`~repro.lint.costmodel.advised_options` translates it into, on
-    whichever executor they pick.
     """
     sections = _bench_sections(workers, partition_depth, batches, hybrid)
     circuit, model = resolve_benchmark(name)
@@ -519,28 +511,6 @@ def bench_one(
         "kernel_stats": compiled.stats(),
     }
 
-    if auto:
-        from .lint.costmodel import advised_options, build_certificate
-
-        certificate = build_certificate(
-            layered,
-            trials,
-            benchmark=name,
-            seed=seed,
-            workers=tuple(workers) if workers else (1, 2, 4),
-            compiled=compiled,
-        )
-        advice = dict(certificate["advice"])
-        record["advise"] = {
-            "advice": advice,
-            "candidates": certificate["candidates"][:5],
-        }
-        advised = advised_options(certificate)
-        if any(is_set(name, value) for name, value in advised.items()):
-            sections.append(
-                _section("advised", validate(**advised).name, **advised)
-            )
-
     if sections:
         serial_by_trial, serial_outcome = _payloads(
             layered, trials, plan, make_compiled, **serial
@@ -557,10 +527,7 @@ def bench_one(
                 serial_outcome.ops_applied,
                 repeats,
             )
-            if key == "advised":
-                record[key] = section
-            else:
-                record.setdefault(key, []).append(section)
+            record.setdefault(key, []).append(section)
         for key in ("batch", "hybrid"):
             if key in record:
                 best_section = max(
@@ -616,7 +583,6 @@ def run_bench(
     trace: bool = False,
     workers: Sequence[int] = (),
     partition_depth: int = 1,
-    auto: bool = False,
     batches: Sequence[int] = (),
     hybrid: bool = False,
     progress: Optional[Callable[[str], None]] = None,
@@ -652,7 +618,6 @@ def run_bench(
                 trace=trace,
                 workers=workers,
                 partition_depth=partition_depth,
-                auto=auto,
                 batches=batches,
                 hybrid=hybrid,
             )
@@ -669,14 +634,12 @@ def run_bench(
             else None
         ),
     }
-    for key, enabled in (
-        ("parallel", workers), ("advised", auto), ("batch", batches), ("hybrid", hybrid)
-    ):
+    for key, enabled in (("parallel", workers), ("batch", batches), ("hybrid", hybrid)):
         summary[f"all_{key}_exact"] = (
             all(
                 section["exact"]["ok"]
                 for record in results
-                for section in _record_sections(record, key)
+                for section in record.get(key, ())
             )
             if enabled
             else None
@@ -702,7 +665,6 @@ def run_bench(
             "trace": trace,
             "workers": list(workers),
             "partition_depth": partition_depth,
-            "auto": auto,
             "batches": list(batches),
             "hybrid": hybrid,
         },
@@ -759,22 +721,14 @@ def _geomean(values: Sequence[float]) -> Optional[float]:
     return float(np.exp(np.mean(np.log(values)))) if values else None
 
 
-def _record_sections(record: Dict[str, object], key: str) -> List[Dict[str, object]]:
-    """A record's timed sections under ``key`` (``advised`` holds one)."""
-    sections = record.get(key, ())
-    return [sections] if isinstance(sections, dict) else list(sections)  # type: ignore
-
-
 #: Record keys of the timed sections beside the serial run.
-SECTION_KEYS = ("parallel", "advised", "batch", "hybrid")
+SECTION_KEYS = ("parallel", "batch", "hybrid")
 
 
 def section_label(key: str, section: Dict[str, object]) -> str:
     """A timed section's name, e.g. ``parallel[w2]`` or ``hybrid+batch[64]``."""
     if key == "parallel":
         return f"parallel[w{section['workers']}]"
-    if key == "advised":
-        return key
     batch = f"batch[{section['batch']}]"
     return batch if key == "batch" else f"hybrid+{batch}" if section["batch"] else "hybrid"
 
@@ -797,7 +751,7 @@ def _comparable_sections(
         }
     }
     for key in SECTION_KEYS:
-        for section in _record_sections(record, key):
+        for section in record.get(key, ()):
             sections[section_label(key, section)] = {
                 "speedup": float(section["speedup_vs_serial"]),  # type: ignore[arg-type]
                 "best_s": float(section["best_s"]),  # type: ignore[arg-type]
@@ -814,7 +768,7 @@ def compare_bench(
     """Compare two harness payloads; the CI regression gate.
 
     For every benchmark present in *both* payloads, each named speedup
-    section (``compiled``, ``parallel[wN]``, ``advised``, ``batch[W]``)
+    section (``compiled``, ``parallel[wN]``, ``batch[W]``, ``hybrid``)
     is compared as ``current_speedup / baseline_speedup``.  A section
     regresses when that ratio falls below ``1 - tolerance`` **and** both
     measurements clear the ``min_seconds`` noise floor (best-of-N times

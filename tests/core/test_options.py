@@ -195,7 +195,7 @@ class TestNewRejections:
             ({"task_timeout": 0, "workers": 2}, "task_timeout must be"),
             ({"task_timeout": -1, "workers": 2}, "task_timeout must be"),
             ({"max_cache_bytes": -5}, "max_cache_bytes must be"),
-            ({"task_weights": [1, 2]}, "task_weights requires workers"),
+            ({"retries": -1, "workers": 2}, "retries must be >= 0, got -1"),
             ({"max_cache_bytes": 4096, "mode": "baseline"},
              "max_cache_bytes has no effect on the baseline executor"),
             ({"workers": -2}, "workers must be >= 1"),
@@ -204,8 +204,7 @@ class TestNewRejections:
             ({"cache_degrade": "drop"}, "cache_degrade requires max_cache_bytes"),
             ({"partition_depth": 2}, "partition_depth requires workers"),
             ({"retries": 5}, "retries requires workers"),
-            ({"task_weights": [1], "workers": 2, "journal": "x.journal"},
-             "task_weights has no effect on the journal executor"),
+            ({"partition_depth": 0, "workers": 2}, "partition_depth must be >= 1, got 0"),
             ({"collect_final_states": True, "backend": "counting"},
              "collect_final_states requires a backend with readout"),
             ({"batch_size": 8, "max_cache_bytes": 4096}, _BATCH_BUDGET),

@@ -20,6 +20,7 @@ from repro.bench.suite import (
 from repro.circuits.layers import layerize
 from repro.core.cache import CacheBudget
 from repro.core.executor import run_optimized
+from repro.core.options import pick
 from repro.core.parallel import partition_plan
 from repro.core.schedule import build_plan
 from repro.lint import (
@@ -246,10 +247,55 @@ class TestCertificateSerialization:
         broken["plan"]["ops"] += 1
         assert validate_certificate(broken)
 
-    def test_candidates_sorted_by_score(self, certificate):
-        scores = [c["score"] for c in certificate["candidates"]]
-        assert scores == sorted(scores)
-        assert certificate["advice"]["score"] == scores[0]
+    def test_validate_reports_the_first_schema(self, certificate):
+        first = dict(certificate, schema="repro-cert/1")
+        assert validate_certificate(first) == [
+            f"schema is 'repro-cert/1', expected {CERT_SCHEMA!r}"
+        ]
+
+    def test_validate_rejects_unknown_executor(self, certificate):
+        broken = json.loads(json.dumps(certificate))
+        broken["advice"]["executor"] = "turbo"
+        assert validate_certificate(broken) == [
+            "advice.executor 'turbo' names no executor"
+        ]
+
+    def test_validate_rejects_advice_off_the_budget(self):
+        layered, trials = _setup("bv5")
+        certificate = build_certificate(
+            layered, trials, budget=CacheBudget(max_bytes=2048)
+        )
+        assert not validate_certificate(certificate)
+        broken = json.loads(json.dumps(certificate))
+        broken["advice"]["max_cache_bytes"] = None
+        assert validate_certificate(broken) == [
+            "advice.max_cache_bytes None is not the certified budget 2048"
+        ]
+
+
+class TestAdvice:
+    """``advice`` is the default pick's verdict, not a second ranking."""
+
+    @pytest.mark.parametrize("name", benchmark_names() + large_benchmark_names())
+    def test_advice_is_the_default_pick(self, name):
+        for seed in (1, 7, 11):
+            layered, trials = _setup(name, trials=256, seed=seed)
+            advice = build_certificate(layered, trials)["advice"]
+            assert advice == {
+                "executor": pick(layered, trials).name,
+                "max_cache_bytes": None,
+                "cache_degrade": None,
+            }, seed
+
+    def test_budget_advises_dfs_with_that_budget(self):
+        # bv14's default pick is the hybrid, which takes no budget.
+        layered, trials = _setup("bv14", trials=256, seed=7)
+        assert pick(layered, trials).name == "hybrid"
+        budget = CacheBudget(max_bytes=4096, mode="drop")
+        advice = build_certificate(layered, trials, budget=budget)["advice"]
+        assert advice == {
+            "executor": "dfs", "max_cache_bytes": 4096, "cache_degrade": "drop",
+        }
 
 
 class TestHybridCostModel:
@@ -307,8 +353,6 @@ class TestHybridCostModel:
             layered, trials, benchmark="bv5", seed=2020
         )
         assert "hybrid" in certificate
-        assert isinstance(certificate["advice"]["hybrid"], dict | bool | type(None))
-        assert any(c.get("hybrid") for c in certificate["candidates"])
         assert not validate_certificate(certificate)
 
     def test_validate_rejects_tampered_hybrid_flops(self):

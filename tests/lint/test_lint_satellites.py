@@ -1,23 +1,17 @@
 """Satellite guarantees around the analyzer: deterministic output,
 mandatory rationales, docs/registry parity, crash-safe CLI exit codes,
-and the certificate-driven scheduler's bit-exactness."""
+and the certificate's advice as the run it names."""
 
 import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.bench.suite import resolve_benchmark
-from repro.circuits.layers import layerize
 from repro.cli import main
-from repro.core.parallel import run_parallel
 from repro.lint.api import sort_diagnostics
 from repro.lint.diagnostics import Diagnostic, LintResult, Severity
 from repro.lint.registry import register, registered_codes, unregister
-from repro.noise.sampling import sample_trials
-from repro.sim.compiled import CompiledStatevectorBackend
 
 DOCS = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
 
@@ -154,71 +148,37 @@ class TestCrashingRuleExitCode:
         assert "INTERNAL ERROR" in captured.err
 
 
-class TestCertificateScheduler:
-    def test_task_weights_change_schedule_not_results(self):
-        circuit, model = resolve_benchmark("bv5")
-        layered = layerize(circuit)
-        trials = sample_trials(layered, model, 96, np.random.default_rng(3))
-
-        def collect(weights):
-            states = []
-            outcome = run_parallel(
-                layered,
-                trials,
-                lambda: CompiledStatevectorBackend(layered),
-                lambda payload, idx: states.append(
-                    (tuple(idx), payload.vector.copy())
-                ),
-                workers=2,
-                depth=1,
-                inline=True,
-                task_weights=weights,
-            )
-            return outcome, states
-
-        baseline_outcome, baseline = collect(None)
-        num_tasks = baseline_outcome.num_tasks
-        degenerate, shuffled = collect([1] * num_tasks)[1], collect(
-            list(range(num_tasks, 0, -1))
-        )[1]
-        for other in (degenerate, shuffled):
-            assert len(other) == len(baseline)
-            for (idx_a, state_a), (idx_b, state_b) in zip(baseline, other):
-                assert idx_a == idx_b
-                assert np.array_equal(state_a, state_b)
-
-    def test_weight_length_mismatch_rejected(self):
-        circuit, model = resolve_benchmark("bv4")
-        layered = layerize(circuit)
-        trials = sample_trials(layered, model, 32, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="task weight"):
-            run_parallel(
-                layered,
-                trials,
-                lambda: CompiledStatevectorBackend(layered),
-                workers=2,
-                depth=1,
-                inline=True,
-                task_weights=[1],
-            )
-
-
 class TestAutoCli:
     def test_run_auto_smoke(self, capsys):
         code = main(["run", "bv4", "--trials", "64", "--auto"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "auto-tuned" in out
         assert "certificate cross-check : ok" in out
 
-    #: ``repro run`` flags of an advice line, by the run() keyword they set.
-    RUN_FLAGS = {
-        "--workers": ("workers", int),
-        "--partition-depth": ("partition_depth", int),
-        "--max-cache-bytes": ("max_cache_bytes", int),
-        "--cache-degrade": ("cache_degrade", str),
-        "--batch": ("batch_size", int),
-    }
+    @pytest.mark.parametrize(
+        "extra, executor, workers, budget",
+        [
+            (("--workers", "2"), "parallel", 2, None),
+            (("--max-cache-bytes", "2048"), "dfs", 0, 2048),
+        ],
+        ids=["workers-2", "budget-2048"],
+    )
+    def test_run_auto_runs_the_given_options(
+        self, extra, executor, workers, budget, tmp_path, capsys
+    ):
+        path = tmp_path / "run.json"
+        code = main(
+            ["run", "qft5", "--trials", "128", "--auto", *extra,
+             "--json", str(path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "certificate cross-check : ok" in out
+        payload = json.loads(path.read_text())
+        assert payload["executor"] == executor
+        assert payload["workers"] == workers
+        assert payload["advice"]["max_cache_bytes"] == budget
+        assert (f"cache budget      : {budget} bytes" in out) == bool(budget)
 
     @pytest.mark.parametrize(
         "name, extra",
@@ -234,34 +194,24 @@ class TestAutoCli:
     def test_advise_prints_a_legal_run_of_its_top_candidate(
         self, name, extra, tmp_path, capsys
     ):
-        from repro.core.options import validate
-
-        path = tmp_path / "cert.json"
+        """The printed ``repro run`` line runs the executor the advice names."""
+        cert_path = tmp_path / "cert.json"
         code = main(
-            ["advise", name, "--trials", "256", "--json", str(path), *extra]
+            ["advise", name, "--trials", "256", "--json", str(cert_path), *extra]
         )
         out = capsys.readouterr().out
         assert code == 0
+        advice = json.loads(cert_path.read_text())["advice"]
+        assert f"executor          : {advice['executor']} " in out
         line = next(
             row for row in out.splitlines() if row.startswith("advice")
         )
         words = line.split(":", 1)[1].split()
-        assert words[:4] == ["repro", "run", name, "--trials"]
-        options = {"hybrid": False}
-        rest = iter(words[5:])
-        for flag in rest:
-            if flag == "--hybrid":
-                options["hybrid"] = True
-            else:
-                keyword, kind = self.RUN_FLAGS[flag]
-                options[keyword] = kind(next(rest))
-        validate(**options)
-        top = json.loads(path.read_text())["candidates"][0]
-        assert options.get("workers", 0) == top["workers"]
-        assert options["hybrid"] == top["hybrid"]
-        if top["workers"] or top["hybrid"] or top["budget"]:
-            # The wavefront width advisory applies to plain serial DFS only.
-            assert "batch_size" not in options, line
+        assert words[:5] == ["repro", "run", name, "--trials", "256"]
+        run_path = tmp_path / "run.json"
+        assert main([*words[1:], "--json", str(run_path)]) == 0
+        capsys.readouterr()
+        assert json.loads(run_path.read_text())["executor"] == advice["executor"]
 
     def test_advise_json_writes_valid_certificate(self, tmp_path, capsys):
         from repro.lint import validate_certificate

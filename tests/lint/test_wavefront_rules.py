@@ -154,11 +154,6 @@ class TestCertificateWavefrontSection:
         for entry in entries:
             assert entry["ops"] == serial_ops
 
-    def test_advice_batch_is_listed_or_none(self, certificate):
-        advised = certificate["advice"]["batch_size"]
-        widths = [e["batch"] for e in certificate["wavefront"]]
-        assert advised is None or advised in widths
-
     def test_validate_accepts_clean(self, certificate):
         assert validate_certificate(certificate) == []
 

@@ -13,7 +13,6 @@ def record(
     speedup,
     best_s=0.1,
     parallel=(),
-    advised=None,
     batch=(),
 ):
     rec = {
@@ -26,8 +25,6 @@ def record(
             {"workers": w, "speedup_vs_serial": s, "best_s": best_s}
             for w, s in parallel
         ]
-    if advised is not None:
-        rec["advised"] = {"speedup_vs_serial": advised, "best_s": best_s}
     if batch:
         rec["batch"] = [
             {"batch": w, "speedup_vs_serial": s, "best_s": best_s}
@@ -77,12 +74,12 @@ class TestCompareBench:
         assert compare_bench(current, baseline, min_seconds=0.005)["ok"]
 
     def test_all_section_kinds_compared(self):
-        kwargs = dict(parallel=((2, 1.8),), advised=1.9, batch=((64, 3.0),))
+        kwargs = dict(parallel=((2, 1.8),), batch=((64, 3.0),))
         baseline = payload(record("qft12", 1.5, **kwargs))
         current = payload(record("qft12", 1.5, **kwargs))
         outcome = compare_bench(current, baseline)
         assert sorted(row["section"] for row in outcome["rows"]) == [
-            "advised", "batch[64]", "compiled", "parallel[w2]",
+            "batch[64]", "compiled", "parallel[w2]",
         ]
 
     def test_batched_section_regression_detected(self):

@@ -132,18 +132,6 @@ class TestSectionLoop:
             "statevector", "statevector-interpreted",
         }
 
-    def test_advice_that_is_not_a_pool_is_timed(self):
-        # The certificate advises the hybrid fast path on bv14; the
-        # advised section runs it on the executor the table picks.
-        record = bench_one(
-            "bv14", num_trials=64, repeats=1, warmup=0, check=False, auto=True,
-        )
-        assert record["advise"]["advice"]["hybrid"] is True
-        advised = record["advised"]
-        assert advised["executor"] == "hybrid"
-        assert advised["active"] is True
-        assert advised["exact"]["ok"] is True
-
     def test_one_perturbed_payload_fails_exactness(self, monkeypatch):
         import repro.core.wavefront as wavefront
         from repro.sim.statevector import Statevector
