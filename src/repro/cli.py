@@ -534,7 +534,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
 
         def certify(simulator, trials):
-            return _advise_certificate(args, simulator, trials)
+            # The cross-check reads the plan, budget and trial count, so
+            # the partition and wavefront sections are not built.
+            return _advise_certificate(
+                args, simulator, trials, depths=(), batches=()
+            )
 
     run = _RecordedRun(args, options, record=args.auto, certify=certify)
     result, elapsed = run.result, run.wall_s
@@ -885,9 +889,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if num_errors else 0
 
 
-def _advise_certificate(args: argparse.Namespace, simulator, trials):
+def _advise_certificate(
+    args: argparse.Namespace, simulator, trials, depths=None, batches=None
+):
     """The resource certificate ``repro advise`` prints and ``run --auto``
-    checks its run against, for the ``trials`` ``simulator`` sampled."""
+    checks its run against, for the ``trials`` ``simulator`` sampled.
+
+    ``depths`` and ``batches`` override the partition depths and
+    wavefront widths the arguments name; ``()`` leaves a section empty.
+    """
     from .lint import build_certificate
 
     budget = None
@@ -895,16 +905,20 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials):
         from .core.cache import CacheBudget
 
         budget = CacheBudget(max_bytes=args.max_cache_bytes, mode=args.cache_degrade)
+    if depths is None:
+        depths = getattr(args, "depths", None) or (1, 2)
+    if batches is None:
+        batches = getattr(args, "candidate_batches", None) or (1, 8, 16, 32, 64)
     return build_certificate(
         simulator.layered,
         trials,
         benchmark=args.benchmark,
         seed=args.seed,
-        depths=getattr(args, "depths", None) or (1, 2),
+        depths=depths,
         workers=getattr(args, "candidate_workers", None) or (1, 2, 4),
         budget=budget,
         compiled=simulator.compiled_circuit(),
-        batches=getattr(args, "candidate_batches", None) or (1, 8, 16, 32, 64),
+        batches=batches,
     )
 
 
@@ -948,8 +962,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         f"hybrid            : "
         f"{'active' if hybrid_section['active'] else 'inactive'} "
         f"({stats['symbolic_gates']}/{stats['planned_ops']} gates "
-        f"symbolic, {hybrid_section['modeled_speedup']:.2f}x flop "
-        f"model); snapshot cache {memory['cache_resident_bytes']} B "
+        f"symbolic); snapshot cache {memory['cache_resident_bytes']} B "
         f"vs dense {memory['dense_cache_resident_bytes']} B"
     )
     advice = certificate["advice"]

@@ -276,8 +276,6 @@ class _DenseStates:
             [] if budget is not None and budget.mode == "drop" else None
         )
         self.spill_area = _SpillArea(budget) if budget is not None else None
-        #: Called before each ``Advance``; true when the store supplied it.
-        self.probe: Optional[Callable[[Advance], bool]] = None
         if shared is not None:
             if getattr(working, "vector", None) is None:
                 raise ScheduleError(
@@ -287,13 +285,14 @@ class _DenseStates:
             self.fingerprint = circuit_fingerprint(layered)
             self.steps: Tuple[Any, ...] = ()
             self.slot_steps: Dict[int, Tuple[Any, ...]] = {}
-            self.probe = self._fetch_shared
 
     @property
     def ops_applied(self) -> int:
         return self.backend.ops_applied
 
     def _fetch_shared(self, instr: Advance) -> bool:
+        """Called before each ``Advance`` when a shared store is attached;
+        true when the store supplied the state."""
         self.steps = self.steps + (
             advance_step(instr.start_layer, instr.end_layer),
         )
@@ -494,7 +493,10 @@ def _interpret(
     """
     num_layers = layered.num_layers
     total = len(instructions)
-    probe, advance, inject = model.probe, model.advance, model.inject
+    # Bound methods live in locals: kept on the model, they would form a
+    # reference cycle holding its backend until the collector runs.
+    probe = model._fetch_shared if model.shared is not None else None
+    advance, inject = model.advance, model.inject
     cache.working_created()
     live = True  # a working state exists
     moved = False  # ...and the last Snapshot moved it into the cache

@@ -11,18 +11,22 @@ recompute a published prefix can adopt the cached amplitudes instead.
 
 Why sharing is bit-exact
 ------------------------
-Floating-point gate application is deterministic but **boundary
+Floating-point gate application is deterministic but, above
+:data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_QUBITS`, **boundary
 sensitive**: the compiled backend fuses single-qubit runs per
 ``apply_layers`` segment, so advancing ``0→5`` in one call and ``0→3,
-3→5`` in two calls may round differently.  A cached state is therefore
-only reusable when the consumer would have issued *the same call
-sequence*.  The store's key captures exactly that: the circuit's identity
-fingerprint plus the ordered tuple of steps — ``("A", start, end)`` for
-each ``apply_layers`` segment and ``("I", layer, qubit, pauli)`` for each
-injected error — that produced the state from ``|0...0>``.  Equal keys
-mean equal call sequences mean bit-identical amplitudes, so a shared hit
-is indistinguishable (``np.array_equal``) from recomputing, and per-job
-results stay bit-identical to isolated runs.
+3→5`` in two calls may round differently.  (At or below that width a
+segment applies one product per layer, so the split does not change
+the rounding; the key below is kept for every width.)  A cached state
+is therefore only reusable when the consumer would have issued *the
+same call sequence*.  The store's key captures exactly that: the
+circuit's identity fingerprint plus the ordered tuple of steps —
+``("A", start, end)`` for each ``apply_layers`` segment and ``("I",
+layer, qubit, pauli)`` for each injected error — that produced the state
+from ``|0...0>``.  Equal keys mean equal call sequences mean
+bit-identical amplitudes, so a shared hit is indistinguishable
+(``np.array_equal``) from recomputing, and per-job results stay
+bit-identical to isolated runs.
 
 Operations accounting stays honest: the executor counts gates it *skips*
 via a hit into ``ExecutionOutcome.ops_shared`` (never into

@@ -548,9 +548,6 @@ def analyze_hybrid(
             "dense_cache_resident_bytes": dense_cache_bytes,
             "cache_shrink": bool(cache_bytes < dense_cache_bytes),
         },
-        "modeled_speedup": (
-            serial.flops / total_flops if total_flops else 1.0
-        ),
     }
 
 

@@ -56,6 +56,7 @@ from .sim.compiled import CompiledCircuit, CompiledStatevectorBackend
 
 __all__ = [
     "BENCH_SCHEMA",
+    "LAYER_CLASS",
     "MICROBENCH_CLASSES",
     "bench_one",
     "bench_rows",
@@ -355,16 +356,30 @@ def hybrid_microbench(
 #: Kernel classes :func:`kernel_microbench` times, in row order.
 MICROBENCH_CLASSES = ("dense-1q", "diagonal-2q", "permutation", "controlled")
 
+#: The class of one layer's unitary as a single full-width product (what
+#: a segment applies per layer up to ``LAYER_PRODUCT_MAX_QUBITS``).  It
+#: has no target, so :func:`kernel_microbench` gives it one row per width
+#: and batch, with ``target`` ``None``.
+LAYER_CLASS = "layer"
 
-def _microbench_kernel(kind: str, num_qubits: int, target: int, rng):
+
+def _microbench_kernel(kind: str, num_qubits: int, target: Optional[int], rng):
     """The compiled kernel one :func:`kernel_microbench` row times.
 
     Two-qubit classes pair ``target`` with its successor (wrapping to
     qubit 0); ``controlled`` is a random 2x2 unitary on ``target``
-    controlled by that neighbour, so its inner kernel is dense.
+    controlled by that neighbour, so its inner kernel is dense;
+    ``layer`` is a random ``2**n`` unitary on every qubit.
     """
-    from .sim.kernels import compile_matrix
+    from .sim.kernels import DenseKernel, compile_matrix
 
+    if kind == LAYER_CLASS:
+        dim = 1 << num_qubits
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
+            (dim, dim)
+        )
+        unitary, _ = np.linalg.qr(raw)
+        return DenseKernel(unitary, range(num_qubits), num_qubits)
     partner = (target + 1) % num_qubits
     raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     unitary, _ = np.linalg.qr(raw)
@@ -391,23 +406,27 @@ def kernel_microbench(
     batch: int = 16,
     repeats: int = 5,
     min_time: float = 2e-3,
+    classes: Sequence[str] = MICROBENCH_CLASSES,
 ) -> List[Dict[str, object]]:
     """Per-class kernel cost at every target position, measured directly.
 
-    For each class, width ``n`` and target qubit, the compiled kernel is
-    applied serially (``batch`` 1, ``apply``) and to a batch-last array of
-    ``batch`` columns (``apply_batch``).  Each repeat times enough calls
-    to last ``min_time`` seconds; a row reports the median per-call time
-    over ``repeats`` in microseconds: ``{"class", "num_qubits",
-    "target", "batch", "us"}``.  ``DENSE_PRODUCT_MIN_QUBITS`` and
-    ``DIAGONAL_BLOCK_QUBITS`` in :mod:`repro.sim.kernels` were chosen
-    from these rows (docs/architecture.md §9).
+    For each of ``classes`` (:data:`MICROBENCH_CLASSES` and
+    :data:`LAYER_CLASS`), width ``n`` and target qubit, the compiled
+    kernel is applied serially (``batch`` 1, ``apply``) and to a
+    batch-last array of ``batch`` columns (``apply_batch``).  Each repeat
+    times enough calls to last ``min_time`` seconds; a row reports the
+    median per-call time over ``repeats`` in microseconds: ``{"class",
+    "num_qubits", "target", "batch", "us"}``.  ``DENSE_PRODUCT_MIN_QUBITS``,
+    ``DIAGONAL_BLOCK_QUBITS`` and ``LAYER_PRODUCT_MAX_QUBITS`` in
+    :mod:`repro.sim.kernels` were chosen from these rows
+    (docs/architecture.md §9).
     """
     rng = np.random.default_rng(11)
     rows: List[Dict[str, object]] = []
-    for kind in MICROBENCH_CLASSES:
+    for kind in classes:
         for num_qubits in widths:
-            for target in range(num_qubits):
+            targets = (None,) if kind == LAYER_CLASS else range(num_qubits)
+            for target in targets:
                 kernel = _microbench_kernel(kind, num_qubits, target, rng)
                 for width in sorted({1, batch}):
                     shape = (2,) * num_qubits + ((width,) if width > 1 else ())

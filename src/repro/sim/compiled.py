@@ -21,6 +21,18 @@ a segment applies.  The kernels are compiled from exactly those matrices,
 and the hybrid Clifford fast path (:mod:`repro.core.hybrid`) conjugates
 its Pauli frames through the same list without compiling anything.
 
+Narrow circuits apply one product per layer instead.  At widths up to
+:data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_QUBITS`, when the layers'
+``2**n x 2**n`` unitaries fit under
+:data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_BYTES`, each layer's unitary
+is built once from that layer's fused matrices, and a segment over
+layers ``[s, e)`` is ``e - s`` full-width dense kernels, one
+matrix-vector product each — at 32 amplitudes a gate kernel is nearly
+all dispatch.  :meth:`CompiledCircuit.matrices` then returns those
+unitaries, so the statement above still holds.  The rule reads only the
+circuit, and since every segment applies the same per-layer products,
+the arithmetic no longer depends on where segments split.
+
 Fusion never changes the paper's accounting: ``ops_applied`` is charged
 from :meth:`LayeredCircuit.gates_between` (the gate count of the range),
 not from the number of kernel applications, and snapshots are untouched,
@@ -52,7 +64,15 @@ import numpy as np
 from ..circuits.gates import Gate
 from ..circuits.layers import LayeredCircuit
 from .backend import StatevectorBackend
-from .kernels import Kernel, compile_matrix, kernel_cost, kernel_for_gate
+from .kernels import (
+    LAYER_PRODUCT_MAX_BYTES,
+    LAYER_PRODUCT_MAX_QUBITS,
+    DenseKernel,
+    Kernel,
+    compile_matrix,
+    kernel_cost,
+    kernel_for_gate,
+)
 from .statevector import Statevector
 
 __all__ = ["CompiledCircuit", "CompiledStatevectorBackend"]
@@ -139,6 +159,15 @@ class CompiledCircuit:
     def __init__(self, layered: LayeredCircuit) -> None:
         self.layered = layered
         self.num_qubits = layered.num_qubits
+        #: Whether segments apply one product per layer (module docstring).
+        self.layer_products = (
+            self.num_qubits <= LAYER_PRODUCT_MAX_QUBITS
+            and layered.num_layers * 16 * 4**self.num_qubits
+            <= LAYER_PRODUCT_MAX_BYTES
+        )
+        # layer -> its unitary / its full-width kernel, built on first use.
+        self._unitaries: Dict[int, np.ndarray] = {}
+        self._layer_kernels: Dict[int, Kernel] = {}
         self._segments: Dict[Tuple[int, int], Tuple[Kernel, ...]] = {}
         # key -> (fused_runs, fused_gates), parallel to _segments.
         self._segment_fusion: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -165,24 +194,67 @@ class CompiledCircuit:
             for op in layer
         ]
 
+    def _unitary(self, layer: int) -> np.ndarray:
+        """The ``2**n x 2**n`` unitary of one layer (layer products only).
+
+        Built once from the layer's fused matrices: their kernels advance
+        the identity as a batch-last array, column ``j`` the basis state
+        ``j``, so column ``j`` ends as the unitary's column ``j``.
+        """
+        unitary = self._unitaries.get(layer)
+        if unitary is None:
+            num_qubits = self.num_qubits
+            dim = 1 << num_qubits
+            program, _, _ = _compile_ops(
+                self._ops(layer, layer + 1), num_qubits
+            )
+            columns = np.eye(dim, dtype=np.complex128).reshape(
+                (2,) * num_qubits + (dim,)
+            )
+            spare = np.empty_like(columns)
+            for kernel in program:
+                columns, spare = kernel.apply_batch(columns, spare)
+            unitary = np.ascontiguousarray(columns.reshape(dim, dim))
+            self._unitaries[layer] = unitary
+        return unitary
+
+    def _layer_kernel(self, layer: int) -> Kernel:
+        """The full-width dense kernel of :meth:`_unitary` (memoized)."""
+        kernel = self._layer_kernels.get(layer)
+        if kernel is None:
+            kernel = DenseKernel(
+                self._unitary(layer), range(self.num_qubits), self.num_qubits
+            )
+            self._layer_kernels[layer] = kernel
+        return kernel
+
     def matrices(
         self, start_layer: int, end_layer: int
     ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
         """The fused ``(matrix, qubits)`` list layers ``start .. end - 1``
-        apply, in order.
+        apply, in order: with layer products, one unitary per layer on
+        every qubit.
 
         The one statement of what a segment applies: :meth:`segment`
         compiles exactly these matrices (both come from :func:`_fuse`),
         and the hybrid classifier and lint rule P026 conjugate Pauli
         frames through them, so a frame-safety verdict holds for the
-        very floats the kernels multiply with.  Compiles no kernel and
+        very floats the kernels multiply with.  Compiles no segment and
         records nothing; memoized for the ranges a caller asks for.
         """
         key = (start_layer, end_layer)
         matrices = self._matrices.get(key)
         if matrices is None:
-            entries, _, _ = _fuse(self._ops(start_layer, end_layer))
-            matrices = [(matrix, qubits) for matrix, qubits, _ in entries]
+            ops = self._ops(start_layer, end_layer)
+            if self.layer_products:
+                qubits = tuple(range(self.num_qubits))
+                matrices = [
+                    (self._unitary(layer), qubits)
+                    for layer in range(start_layer, end_layer)
+                ]
+            else:
+                entries, _, _ = _fuse(ops)
+                matrices = [(matrix, qubits) for matrix, qubits, _ in entries]
             self._matrices[key] = matrices
         return matrices
 
@@ -197,9 +269,16 @@ class CompiledCircuit:
                 recorder.begin(
                     f"compile[{start_layer},{end_layer})", cat="compile"
                 )
-            program, fused_runs, fused_gates = _compile_ops(
-                ops, self.num_qubits
-            )
+            if self.layer_products:
+                program = tuple(
+                    self._layer_kernel(layer)
+                    for layer in range(start_layer, end_layer)
+                )
+                fused_runs = fused_gates = 0
+            else:
+                program, fused_runs, fused_gates = _compile_ops(
+                    ops, self.num_qubits
+                )
             self._segments[key] = program
             self._segment_fusion[key] = (fused_runs, fused_gates)
             if recorder:

@@ -33,7 +33,10 @@ Kernel taxonomy (classification priority top to bottom):
     one-target kernel at ``num_qubits >= DENSE_PRODUCT_MIN_QUBITS``: it
     computes each output amplitude as ``u[i,0]*x0 + u[i,1]*x1`` — two
     complex products with the scalar gate entries and one add — as numpy
-    ufuncs on the ``(pre, 2, post)`` view of the state.
+    ufuncs on the ``(pre, 2, post)`` view of the state.  A kernel over
+    all of two or more qubits in ascending order (a whole layer's
+    unitary, see :mod:`repro.sim.compiled`) is one ``np.dot``
+    matrix-vector product into the scratch buffer.
 
 Apply contract
 --------------
@@ -104,6 +107,17 @@ DENSE_PRODUCT_MIN_QUBITS = 10
 #: log2 of the trailing amplitude block a :class:`DiagonalKernel`
 #: pre-broadcasts its factor over (the whole state below this width).
 DIAGONAL_BLOCK_QUBITS = 8
+
+#: Widths up to which a compiled segment applies each layer as one
+#: matrix-vector product with the layer's ``2**n x 2**n`` unitary instead
+#: of the layer's gate kernels; measured with the ``layer`` class of
+#: :func:`repro.perf.kernel_microbench` (docs/architecture.md §9).  Above
+#: it one product costs about as much as a layer's kernels.
+LAYER_PRODUCT_MAX_QUBITS = 6
+
+#: Byte cap on a circuit's layer unitaries (``16 * 4**n`` bytes a layer):
+#: a narrow circuit whose layers would hold more keeps its gate kernels.
+LAYER_PRODUCT_MAX_BYTES = 4 << 20
 
 #: index tuple addressing a sub-array: ints on some axes, full slices elsewhere
 _Index = Tuple[object, ...]
@@ -359,13 +373,19 @@ class DenseKernel(Kernel):
     two complex products with the gate entries and one add, as numpy
     ufuncs on the ``(pre, 2, post)`` view of the state.  That form
     consumes its input (see the module's apply contract).
+
+    A kernel on two or more qubits that are ``0 .. n-1`` in order acts on
+    the flat state index directly, so it is one ``np.dot`` of its matrix
+    with the flat state into the flat scratch.  Batched, it runs that
+    same product once per column, which keeps every column bit-identical
+    to ``apply``.
     """
 
     __slots__ = (
         "_gate_tensor", "_gate_sub", "_in_sub", "_out_sub",
         "_bin_sub", "_bout_sub",
         "_rshape", "_rpost", "_rgate_sub", "_rin_sub", "_rout_sub",
-        "_factors", "_halves",
+        "_factors", "_halves", "_matrix",
     )
 
     kind = "dense"
@@ -378,6 +398,12 @@ class DenseKernel(Kernel):
         self._gate_tensor = np.ascontiguousarray(
             matrix, dtype=np.complex128
         ).reshape((2,) * (2 * k))
+        # Full-width form.  One target keeps the einsum below: its
+        # two-term sum is what lets a Pauli frame cross a one-qubit
+        # matrix bit-exactly (repro.sim.stabilizer._matrix_safety).
+        self._matrix: Optional[np.ndarray] = None
+        if k >= 2 and self.qubits == tuple(range(num_qubits)):
+            self._matrix = self._gate_tensor.reshape(1 << k, 1 << k)
         # Integer-subscript einsum: state axes are 0..n-1; the gate's k
         # output axes get fresh labels n..n+k-1 and its k input axes take
         # the target-qubit labels, which einsum then contracts away.
@@ -482,9 +508,27 @@ class DenseKernel(Kernel):
         np.add(y1, x0, out=y1)
         return scratch, tensor
 
+    def _product(
+        self, tensor: np.ndarray, scratch: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``scratch = U @ tensor`` over the flat index: one ``np.dot``.
+
+        Strided input is flattened into a contiguous copy first and a
+        strided output takes the result by assignment, so every layout
+        multiplies the same contiguous vector with the same call.
+        """
+        vector = tensor.reshape(-1)
+        if scratch.flags.c_contiguous:
+            np.dot(self._matrix, vector, out=scratch.reshape(-1))
+        else:
+            scratch[...] = np.dot(self._matrix, vector).reshape(scratch.shape)
+        return scratch, tensor
+
     def apply(
         self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if self._matrix is not None:
+            return self._product(tensor, scratch)
         if self._factors is not None:
             return self._products(tensor, scratch, 1)
         np.einsum(
@@ -500,6 +544,16 @@ class DenseKernel(Kernel):
     def apply_batch(
         self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if self._matrix is not None:
+            # One product per column, each on a contiguous row of a
+            # transposed copy: the very call ``apply`` makes.
+            dim, width = self._matrix.shape[0], tensor.shape[-1]
+            columns = np.ascontiguousarray(tensor.reshape(dim, width).T)
+            out = np.empty_like(columns)
+            for column in range(width):
+                np.dot(self._matrix, columns[column], out=out[column])
+            scratch[...] = out.T.reshape(scratch.shape)
+            return scratch, tensor
         if self._factors is not None:
             return self._products(tensor, scratch, tensor.shape[-1])
         if (

@@ -25,7 +25,11 @@ from repro.noise import NoiseModel
 from repro.noise.sampling import sample_trials
 from repro.obs import InMemoryRecorder, verify_trace
 from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
-from repro.sim.kernels import DENSE_PRODUCT_MIN_QUBITS, compile_matrix
+from repro.sim.kernels import (
+    DENSE_PRODUCT_MIN_QUBITS,
+    LAYER_PRODUCT_MAX_QUBITS,
+    compile_matrix,
+)
 from repro.sim.stabilizer import PauliFrame, frame_safe_matrix
 from repro.sim.backend import StatevectorBackend
 from repro.testing import random_circuit, random_trials
@@ -91,10 +95,34 @@ def clifford_heavy_circuit(num_qubits=5, edge_gate=None):
     return circ
 
 
+#: The narrowest width whose segments run gate kernels, not one product
+#: per layer: no frame crosses a layer unitary of three or more qubits,
+#: so hybrid schedules that must save work are pinned at this width.
+ABOVE_CUTOFF = LAYER_PRODUCT_MAX_QUBITS + 1
+
+
+def _clifford_heavy_case():
+    """:func:`clifford_heavy_circuit` above the cutoff, with the error-free
+    trial and one x and one z error per qubit after layer 1: an active
+    hybrid schedule."""
+    layered = layerize(clifford_heavy_circuit(ABOVE_CUTOFF))
+    trials = [make_trial([])]
+    for qubit in range(layered.num_qubits):
+        for pauli in ("x", "z"):
+            trials.append(make_trial([ErrorEvent(1, qubit, pauli)]))
+    return layered, trials
+
+
 @pytest.fixture(scope="module")
 def random_case():
+    """A random circuit just above the layer-product cutoff.
+
+    A regression anchor for the odd-phase rule: with
+    ``_phase_transparent`` forced true, 3 of its payloads diverge from
+    the serial run by one ulp.
+    """
     rng = np.random.default_rng(11)
-    circuit = random_circuit(6, 40, rng)
+    circuit = random_circuit(ABOVE_CUTOFF, 40, rng)
     layered = layerize(circuit)
     trials = random_trials(layered, 32, rng, max_errors=3)
     plan = build_plan(layered, trials)
@@ -118,10 +146,12 @@ def _suite_case(name, num_trials=256):
 def suite_cases():
     """Suite benchmarks with their sampled trial sets.
 
-    ``qft5`` with this exact seed is a regression anchor: its fused
-    device-basis kernels expose the FMA re/im-swap hazard that odd-phase
-    frames must not cross (one trial of 128 diverged by one ulp before
-    the ``_phase_transparent`` guard existed).
+    ``qft5`` with this exact seed exposed the FMA re/im-swap hazard that
+    odd-phase frames must not cross while its segments ran fused gate
+    kernels (one trial of 128 diverged by one ulp before the
+    ``_phase_transparent`` guard existed).  At 5 qubits its segments now
+    apply one product per layer and no frame crosses a layer, so
+    ``random_case`` carries that anchor.
     """
     cases = {}
     for name in SUITE:
@@ -181,9 +211,12 @@ class TestBitExactness:
 class TestTraces:
     """A traced hybrid run replays its own outcome and its plan's schedule."""
 
-    @pytest.mark.parametrize("name", ("bv4", "qft5", "bv14"))
+    @pytest.mark.parametrize("name", ("clifford-heavy", "qft12", "bv14"))
     def test_traced_run_replays_and_passes_p017(self, name):
-        layered, trials = _suite_case(name)
+        if name == "clifford-heavy":
+            layered, trials = _clifford_heavy_case()
+        else:
+            layered, trials = _suite_case(name)
         plan = build_plan(layered, trials)
         assert classify_plan(layered, plan).active
         recorder = InMemoryRecorder()
@@ -273,12 +306,7 @@ class TestEdgeGatesBeforeMaterialization:
         assert schedule.stats["symbolic_gates"] > 0
 
     def test_schedule_is_active_on_clifford_heavy(self):
-        circuit = clifford_heavy_circuit()
-        layered = layerize(circuit)
-        trials = [make_trial([])]
-        for qubit in range(layered.num_qubits):
-            for pauli in ("x", "z"):
-                trials.append(make_trial([ErrorEvent(1, qubit, pauli)]))
+        layered, trials = _clifford_heavy_case()
         plan = build_plan(layered, trials)
         schedule = classify_plan(layered, plan)
         assert schedule.active
@@ -627,8 +655,9 @@ class TestLintP026:
         result = lint_hybrid(layered, plan, schedule=corrupt)
         assert {d.code for d in result.diagnostics} == {"P026"}
 
-    def test_clean_on_suite_benchmark(self, suite_cases):
-        layered, trials, plan, _, _ = suite_cases["qft5"]
+    def test_clean_on_suite_benchmark(self):
+        layered, trials = _suite_case("qft12", 128)
+        plan = build_plan(layered, trials)
         result = lint_hybrid(layered, plan)
         assert not result.diagnostics
         assert result.info["active"]

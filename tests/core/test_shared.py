@@ -1,6 +1,8 @@
 """SharedPrefixStore: cross-job prefix dedup, eviction, bit-identity."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -135,6 +137,22 @@ class TestEviction:
 
 
 class TestCrossJobSharing:
+    def test_a_shared_run_frees_its_backend_on_return(self):
+        """No reference cycle keeps a finished job's compiled circuit (and
+        its layer unitaries) alive until the collector runs: a served
+        daemon runs one job after another with the store attached."""
+        gc.disable()
+        try:
+            sim = NoisySimulator(
+                build_compiled_benchmark("grover"), ibm_yorktown(), seed=3
+            )
+            sim.run(num_trials=64, shared=SharedPrefixStore())
+            compiled = weakref.ref(sim.compiled_circuit())
+            del sim
+            assert compiled() is None
+        finally:
+            gc.enable()
+
     def test_second_identical_job_is_bit_identical_and_cheaper(self):
         isolated = _run()
         store = SharedPrefixStore()

@@ -155,6 +155,31 @@ class TestAutoCli:
         assert code == 0
         assert "certificate cross-check : ok" in out
 
+    def test_run_auto_builds_only_what_its_check_reads(
+        self, monkeypatch, capsys
+    ):
+        """P020/P021 read the plan, budget and trial count, so ``--auto``
+        builds no partition schedules and no wavefront entries."""
+        import repro.lint as lint
+
+        built = []
+
+        def spy(*args, **kwargs):
+            certificate = build_certificate(*args, **kwargs)
+            built.append(certificate)
+            return certificate
+
+        build_certificate = lint.build_certificate
+        monkeypatch.setattr(lint, "build_certificate", spy)
+        code = main(["run", "grover", "--trials", "256", "--auto"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "certificate cross-check : ok" in out
+        (certificate,) = built
+        assert certificate["schedules"] == []
+        assert certificate["wavefront"] == []
+        assert lint.validate_certificate(certificate) == []
+
     @pytest.mark.parametrize(
         "extra, executor, workers, budget",
         [

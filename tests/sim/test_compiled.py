@@ -18,6 +18,7 @@ from repro.core.schedule import build_plan
 from repro.noise import NoiseModel, ibm_yorktown
 from repro.noise.sampling import sample_trials
 from repro.sim.backend import StatevectorBackend
+from repro.sim.kernels import LAYER_PRODUCT_MAX_QUBITS
 from repro.sim.compiled import (
     CompiledCircuit,
     CompiledStatevectorBackend,
@@ -88,7 +89,8 @@ class TestCompiledCircuit:
             CompiledStatevectorBackend(layerize(bell_circuit), compiled=compiled)
 
     def test_stats_account_fusion(self):
-        circuit = QuantumCircuit(2, name="runs")
+        # Wider than the layer-product cutoff, where segments fuse runs.
+        circuit = QuantumCircuit(LAYER_PRODUCT_MAX_QUBITS + 1, name="runs")
         circuit.h(0).t(0).h(0).cx(0, 1).s(1).t(1)
         compiled = CompiledCircuit(layerize(circuit))
         compiled.segment(0, layerize(circuit).num_layers)

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.perf import (
     BENCH_SCHEMA,
+    LAYER_CLASS,
     MICROBENCH_CLASSES,
     bench_one,
     bench_rows,
@@ -182,6 +183,17 @@ class TestKernelMicrobench:
             for batch in (1, 2)
         }
         assert len(rows) == len(MICROBENCH_CLASSES) * 3 * 2
+        assert all(row["us"] > 0 for row in rows)
+
+    def test_layer_class_has_one_row_per_width_and_batch(self):
+        rows = kernel_microbench(
+            widths=(3, 4), batch=2, repeats=1, min_time=0.0,
+            classes=(LAYER_CLASS,),
+        )
+        assert [
+            (row["class"], row["num_qubits"], row["target"], row["batch"])
+            for row in rows
+        ] == [(LAYER_CLASS, n, None, b) for n in (3, 4) for b in (1, 2)]
         assert all(row["us"] > 0 for row in rows)
 
 
