@@ -12,7 +12,9 @@ every write atomic at the filesystem level:
    before the name is,
 3. ``os.replace`` atomically installs it under the final name (POSIX
    rename semantics: readers see either the old complete file or the new
-   complete file, never a prefix).
+   complete file, never a prefix),
+4. on POSIX the containing directory is ``fsync``-ed, so the rename
+   itself is durable once the call returns.
 
 On any failure the temp file is removed and the previous file — if one
 existed — is untouched.
@@ -26,11 +28,27 @@ import tempfile
 from typing import Any, Callable
 
 __all__ = [
+    "fsync_directory",
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "atomic_write_via",
 ]
+
+
+def fsync_directory(path: str) -> None:
+    """Make the entries of directory ``path`` (creates, renames) durable.
+
+    POSIX only: elsewhere a directory cannot be opened for ``fsync`` and
+    this does nothing.
+    """
+    if os.name != "posix":
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def atomic_write_via(path: str, write: Callable[[Any], None], mode: str = "w") -> None:
@@ -56,6 +74,7 @@ def atomic_write_via(path: str, write: Callable[[Any], None], mode: str = "w") -
         except OSError:
             pass
         raise
+    fsync_directory(directory)
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -9,12 +9,15 @@ module keeps that guarantee intact when things fail:
   ``multiprocessing.shared_memory`` boundary is checksummed by the writer
   and re-verified by the reader, so silent corruption is detected (and the
   affected task retried) instead of folded into the counts.
-* :class:`RunJournal` — an append-only, fsync-on-commit journal of finish
-  payloads at trial granularity.  Like the ``.npz`` trial archives
+* :class:`RunJournal` — an append-only, group-committed journal of
+  finish payloads at trial granularity.  Like the ``.npz`` trial archives
   (:mod:`repro.core.persistence`) the format is flat binary — never
-  pickled — so a journal written by a crashed run is safe to load.  A
-  record only counts once its commit marker is durable; a truncated tail
-  (the crash frontier) is detected and discarded, never misparsed.
+  pickled — so a journal written by a crashed run is safe to load.  Each
+  record reaches the OS as it is appended; ``fsync`` runs once per group
+  of :data:`GROUP_RECORDS` records or :data:`GROUP_SECONDS`, and on
+  close.  A record only counts once its commit marker and CRCs verify; a
+  truncated tail (the crash frontier) is detected and discarded, never
+  misparsed.
 * :func:`run_journaled` — execute (or *resume*) a trial set against a
   journal: finishes already committed are replayed from disk in their
   original order, and only the remaining trials are executed — zero
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
+import time
 import zlib
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,6 +59,8 @@ __all__ = [
     "CorruptionError",
     "WorkerCrash",
     "JournalError",
+    "GROUP_RECORDS",
+    "GROUP_SECONDS",
     "journal_fingerprint",
     "RunJournal",
     "JournalReplay",
@@ -115,15 +121,28 @@ _HEADER = struct.Struct("<4sIIQII")
 _RECORD = struct.Struct("<IIQII")
 
 
-class RunJournal:
-    """Append-only journal writer with fsync-on-commit durability.
+#: A group of pending records is fsynced once it holds this many...
+GROUP_RECORDS = 64
+#: ...or once this many seconds have passed since its oldest record,
+#: checked at each append.  Both were read from served-job replays
+#: (docs/architecture.md §12, "Group commit").
+GROUP_SECONDS = 0.05
 
-    Each :meth:`record` call appends one finish record and (by default)
-    ``fsync``-s the file, so a record the writer returned from is durable:
-    a crash at any instant leaves either a committed record or a
-    detectably truncated tail, never a silently wrong one.  ``fsync=False``
-    trades that durability for speed (tests, throwaway runs).
+
+class RunJournal:
+    """Append-only journal writer with group-committed durability.
+
+    Each :meth:`record` call appends one finish record and flushes it to
+    the OS, so a killed process loses no record it wrote.  ``fsync`` runs
+    when :data:`GROUP_RECORDS` records are pending or the oldest pending
+    one is :data:`GROUP_SECONDS` old, and on :meth:`close`, so an OS
+    crash loses at most the open group.  Either way a crash leaves
+    committed records plus a detectably truncated tail, never a silently
+    wrong one.  ``fsync=False`` never syncs (tests, throwaway runs).
     """
+
+    #: The clock that ages the open group (a test may hold it still).
+    clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -140,6 +159,9 @@ class RunJournal:
         self.fingerprint = fingerprint
         self.fsync = fsync
         self.next_seq = 0
+        # Records written since the last fsync, and when the first was.
+        self._pending = 0
+        self._group_start = 0.0
         if _resume_seq is None:
             self._file = open(self.path, "wb")
             header = _HEADER.pack(
@@ -147,7 +169,8 @@ class RunJournal:
             )
             crc = zlib.crc32(header[:-4]) & 0xFFFFFFFF
             self._file.write(header[:-4] + struct.pack("<I", crc))
-            self._commit()
+            self._file.flush()
+            self._sync()
         else:
             # Resuming: truncate the crash frontier (any partial tail
             # record), then append after the last committed record.
@@ -192,13 +215,17 @@ class RunJournal:
         journal._file.truncate()
         return journal
 
-    def _commit(self) -> None:
-        self._file.flush()
+    def _sync(self) -> None:
         if self.fsync:
             os.fsync(self._file.fileno())
+        self._pending = 0
 
     def record(self, payload: Any, trial_indices: Sequence[int]) -> None:
-        """Append one finish (payload amplitudes + its global trial indices)."""
+        """Append one finish (payload amplitudes + its global trial indices).
+
+        The record is flushed to the OS before this returns; it is
+        fsynced with the rest of its group.
+        """
         vector = getattr(payload, "vector", payload)
         if vector is None:
             raise JournalError(
@@ -218,12 +245,20 @@ class RunJournal:
         self._file.write(indices)
         self._file.write(data)
         self._file.write(_COMMIT)
-        self._commit()
+        self._file.flush()
         self.next_seq += 1
+        now = self.clock()
+        if not self._pending:
+            self._group_start = now
+        self._pending += 1
+        if self._pending >= GROUP_RECORDS or now - self._group_start >= GROUP_SECONDS:
+            self._sync()
 
     def close(self) -> None:
+        """Fsync the open group, if any, and close the file."""
         if not self._file.closed:
-            self._commit()
+            if self._pending:
+                self._sync()
             self._file.close()
 
     def __enter__(self) -> "RunJournal":
@@ -373,7 +408,9 @@ def run_journaled(
 
     With no journal at ``journal_path`` this is
     :func:`~repro.core.options.execute` plus a journal tee: every finish
-    is committed to disk before the user's ``on_finish`` sees it.  With an
+    is written to the journal and flushed to the OS before the user's
+    ``on_finish`` sees it, and fsynced with its group (so a streamed
+    finish that an OS crash loses is recomputed to the same bits).  With an
     existing journal, its committed finishes are first validated (lint
     rule ``P019``), replayed through ``on_finish`` in their original
     order, and only the remaining trials are executed — the returned
@@ -385,8 +422,9 @@ def run_journaled(
     ``max_cache_bytes``, ``cache_degrade``, ``retries``,
     ``task_timeout``, ``shared``, ``stop``, ...), checked against the
     table in :mod:`repro.core.options`.  A stop raises
-    :class:`~repro.core.executor.RunInterrupted` *after* the journal tail
-    is committed and closed — the journal stays a valid resume point.
+    :class:`~repro.core.executor.RunInterrupted` *after* the journal's
+    open group is fsynced and the file closed — the journal stays a valid
+    resume point.  Completion and errors close it the same way.
     """
     validate(journal=journal_path, **options)
     check_trial_events(layered, trials)

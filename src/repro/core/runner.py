@@ -233,7 +233,7 @@ class NoisySimulator:
             Trie cut depth for the parallel partition.
         journal:
             Path to a crash-safe run journal.  A fresh run records every
-            finish payload (fsync-on-commit) as it streams; re-running
+            finish payload as it streams, fsynced in groups; re-running
             with the same path after a crash replays the committed
             finishes and recomputes only the unfinished trials — counts
             are bit-identical to an uninterrupted run.  The result's

@@ -39,7 +39,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..circuits.qasm import parse_qasm
-from ..core.atomicio import atomic_write_json
+from ..core.atomicio import atomic_write_json, fsync_directory
 from ..core.executor import RunInterrupted
 from ..core.options import accepts, validate
 from ..core.runner import NoisySimulator, SimulationResult
@@ -360,6 +360,7 @@ class JobStore:
         self._next_seq += 1
         job_id = f"j{seq:06d}-{spec.digest()}"
         os.makedirs(self.job_dir(job_id), exist_ok=True)
+        fsync_directory(self.jobs_root)
         atomic_write_json(
             self.spec_path(job_id),
             {"job_id": job_id, "seq": seq, "spec": spec.to_dict()},

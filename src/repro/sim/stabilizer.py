@@ -106,6 +106,14 @@ def _local_pauli_matrix(x_bits: Tuple[int, ...], z_bits: Tuple[int, ...]) -> np.
     return result
 
 
+#: Generator images are searched, and frame verdicts cached, only for
+#: matrices on at most this many qubits.  A wider matrix (the layer
+#: unitary of a narrow circuit) has no images, its verdict costs about
+#: what building its cache key does, and its distinct keys would grow
+#: the caches for the life of the process.
+_IMAGE_MAX_QUBITS = 2
+
+
 def _search_images(matrix: np.ndarray, num_qubits: int) -> Dict:
     """Conjugation images ``M P M^dagger = i^k P'`` for each Pauli generator.
 
@@ -121,7 +129,7 @@ def _search_images(matrix: np.ndarray, num_qubits: int) -> Dict:
     which lets frames whose support only touches the safe generators
     still cross the matrix.
     """
-    if num_qubits > 2:
+    if num_qubits > _IMAGE_MAX_QUBITS:
         return {}
     bit_space = list(_iter_product((0, 1), repeat=num_qubits))
     images: Dict = {}
@@ -181,7 +189,8 @@ def _phase_transparent(matrix: np.ndarray) -> bool:
     if cached is None:
         flat = matrix.reshape(-1)
         cached = bool(((flat.real == 0.0) | (flat.imag == 0.0)).all())
-        _PHASE_TRANSPARENT_CACHE[key] = cached
+        if matrix.shape[0] <= 1 << _IMAGE_MAX_QUBITS:
+            _PHASE_TRANSPARENT_CACHE[key] = cached
     return cached
 
 
@@ -222,7 +231,8 @@ def _matrix_safety(matrix: np.ndarray) -> Tuple[bool, Dict]:
     )
     images = _search_images(matrix, num_qubits) if arith_safe else {}
     result = (arith_safe, images)
-    _MATRIX_SAFETY_CACHE[key] = result
+    if num_qubits <= _IMAGE_MAX_QUBITS:
+        _MATRIX_SAFETY_CACHE[key] = result
     return result
 
 

@@ -212,9 +212,12 @@ class ServerKilled(BaseException):
     machinery catches ``Exception``, and a SIGKILL must blow straight
     through it exactly as process death would.  Raised by
     :class:`ServiceChaosPlan` from inside a job's trial stream — i.e.
-    *after* the run journal committed that trial — so the state the
-    "dead" server leaves behind is precisely a crash-consistent journal
-    tail, which the recovery tests then resume against.
+    *after* the run journal wrote that trial's record to the OS — so the
+    state the "dead" server leaves behind is precisely a crash-consistent
+    journal tail, which the recovery tests then resume against.  The
+    record need not be fsynced yet: the journal fsyncs in groups, and
+    unwinding through its ``close()`` fsyncs the open one, so a test of
+    an OS crash drops the unsynced bytes itself.
     """
 
 
@@ -236,8 +239,11 @@ class ServiceChaosPlan:
     torn_labels:
         Labels whose run journal should have garbage appended after the
         kill (the test harness does the appending via
-        :meth:`tear_journal`) — modelling a crash mid-``write`` before
-        the commit fsync landed.
+        :meth:`tear_journal`) — modelling a crash mid-``write`` of a
+        record.
+
+    A trial streams once its record is written, not once its group is
+    fsynced, so a kill here models process death, not an OS crash.
     """
 
     def __init__(

@@ -1,12 +1,15 @@
 """Crash-safe journaling: kill a run mid-plan, resume with zero recompute.
 
 The journal records finish payloads at trial granularity in the serial
-finish order, fsync-on-commit; resuming replays the committed prefix and
-recomputes only the remaining trials, producing the identical ``on_finish``
-stream (and therefore identical counts for a seeded measurement RNG).
+finish order, each flushed to the OS as it is written and fsynced in
+groups; resuming replays the committed prefix and recomputes only the
+remaining trials, producing the identical ``on_finish`` stream (and
+therefore identical counts for a seeded measurement RNG).
 """
 
+import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ import pytest
 from repro.bench.suite import build_compiled_benchmark
 from repro.circuits import layerize
 from repro.core import run_optimized
+from repro.core.executor import RunInterrupted
 from repro.core.resilience import (
+    GROUP_RECORDS,
+    GROUP_SECONDS,
     JournalError,
     RunJournal,
     journal_fingerprint,
@@ -322,3 +328,120 @@ class TestJournalLint:
         result = lint_journal(path, layered=layered, trials=trials)
         assert result.ok
         assert result.info["truncated"]
+
+
+class _Clock:
+    """A journal clock that moves only when a test moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def still_clock(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(RunJournal, "clock", staticmethod(clock))
+    return clock
+
+
+def _tiny_journal(path):
+    """A one-qubit journal: records are cheap, so groups fill fast."""
+    return RunJournal(path, num_qubits=1, num_trials=10_000, fingerprint=0)
+
+
+_TINY_STATE = np.array([1.0, 0.0], dtype=np.complex128)
+
+
+class TestGroupCommit:
+    """Records reach the OS one at a time; fsync runs once per group."""
+
+    def test_a_journaled_run_fsyncs_once_per_group(
+        self, tmp_path, still_clock, fsync_log
+    ):
+        layered, trials = _setup("qft5", num_trials=256, seed=5)
+        path = str(tmp_path / "run.journal")
+        _, summary = run_journaled(
+            layered, trials, lambda: CompiledStatevectorBackend(layered),
+            None, path,
+        )
+        finishes = summary.recorded_finishes
+        assert finishes > GROUP_RECORDS
+        syncs = fsync_log.sizes(path)
+        # Header, one per full group, and the open group at close.
+        assert len(syncs) <= math.ceil(finishes / GROUP_RECORDS) + 2
+        assert len(syncs) < finishes
+        assert syncs[-1] == os.path.getsize(path)
+
+    def test_an_old_group_is_fsynced_at_the_next_append(
+        self, tmp_path, still_clock, fsync_log
+    ):
+        path = str(tmp_path / "run.journal")
+        journal = _tiny_journal(path)
+        assert fsync_log.sizes(path) == [28]  # the header
+        journal.record(_TINY_STATE, (0,))
+        assert len(fsync_log.sizes(path)) == 1
+        still_clock.now += GROUP_SECONDS * 1.01
+        journal.record(_TINY_STATE, (1,))
+        assert fsync_log.sizes(path)[1:] == [os.path.getsize(path)]
+        journal.close()
+
+    def test_a_full_group_is_fsynced_and_close_adds_nothing(
+        self, tmp_path, still_clock, fsync_log
+    ):
+        path = str(tmp_path / "run.journal")
+        journal = _tiny_journal(path)
+        for index in range(GROUP_RECORDS - 1):
+            journal.record(_TINY_STATE, (index,))
+        assert len(fsync_log.sizes(path)) == 1
+        journal.record(_TINY_STATE, (GROUP_RECORDS - 1,))
+        assert fsync_log.sizes(path)[1:] == [os.path.getsize(path)]
+        journal.close()
+        assert len(fsync_log.sizes(path)) == 2
+
+    def test_each_record_is_in_the_file_before_on_finish_sees_it(
+        self, tmp_path
+    ):
+        """A killed process keeps what it wrote: every streamed finish
+        is already a whole, verifiable record in the file."""
+        layered, trials = _setup()
+        path = str(tmp_path / "run.journal")
+        checked = []
+
+        def on_finish(payload, indices):
+            replay = load_journal(path)
+            assert not replay.truncated
+            assert replay.committed_bytes == os.path.getsize(path)
+            vector, recorded = replay.finishes[-1]
+            assert recorded == tuple(indices)
+            assert np.array_equal(vector, payload.vector)
+            checked.append(len(replay.finishes))
+
+        run_journaled(
+            layered, trials, lambda: CompiledStatevectorBackend(layered),
+            on_finish, path,
+        )
+        assert checked == list(range(1, len(checked) + 1))
+
+    def test_a_stopped_run_leaves_no_pending_record(
+        self, tmp_path, still_clock, fsync_log
+    ):
+        layered, trials = _setup("qft5", num_trials=256, seed=5)
+        path = str(tmp_path / "run.journal")
+        stop = threading.Event()
+        seen = []
+
+        def on_finish(payload, indices):
+            seen.append(indices)
+            if len(seen) == GROUP_RECORDS + 3:
+                stop.set()
+
+        with pytest.raises(RunInterrupted):
+            run_journaled(
+                layered, trials, lambda: CompiledStatevectorBackend(layered),
+                on_finish, path, stop=stop,
+            )
+        assert fsync_log.sizes(path)[-1] == os.path.getsize(path)
+        assert len(load_journal(path).finishes) == len(seen)

@@ -1,6 +1,8 @@
 """Job specs, the store, and the execute_job retry/degrade discipline."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -123,6 +125,22 @@ class TestJobStore:
         assert on_disk["job_id"] == record.job_id
         assert on_disk["spec"]["trials"] == 32
 
+    def test_admit_makes_the_new_job_directory_durable(
+        self, tmp_path, fsync_log
+    ):
+        store = JobStore(str(tmp_path))
+        record = store.admit(JobSpec.from_dict(_payload()))
+        directories = [
+            status.st_ino
+            for status in fsync_log
+            if stat.S_ISDIR(status.st_mode)
+        ]
+        # jobs/ (the new directory), then the job directory (spec.json).
+        assert directories == [
+            os.stat(store.jobs_root).st_ino,
+            os.stat(store.job_dir(record.job_id)).st_ino,
+        ]
+
     def test_recover_classifies_terminal_states(self, tmp_path):
         store = JobStore(str(tmp_path))
         done = store.admit(JobSpec.from_dict(_payload(label="done")))
@@ -139,8 +157,6 @@ class TestJobStore:
     def test_recover_skips_torn_spec(self, tmp_path):
         store = JobStore(str(tmp_path))
         job_dir = store.job_dir("j000099-deadbeef")
-        import os
-
         os.makedirs(job_dir)
         with open(os.path.join(job_dir, "spec.json"), "w") as handle:
             handle.write('{"spec": {"trunc')

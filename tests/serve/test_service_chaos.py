@@ -11,10 +11,11 @@ The contract under test, for each fault × worker count:
 
 Fault plans: server kill mid-job (SIGKILL semantics via
 :class:`~repro.testing.ServerKilled`), client disconnect mid-stream,
-queue-full submission storms, and a torn journal tail (crash mid-write
-after the kill).
+queue-full submission storms, a torn journal tail (crash mid-write
+after the kill), and an OS crash that loses the journal's open group.
 """
 
+import os
 import socket
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
+from repro.core.resilience import GROUP_RECORDS, RunJournal, load_journal
 from repro.core.shared import SharedPrefixStore
 from repro.serve import JobSpec, JobStore, ServeError, execute_job
 from repro.testing import ServerKilled, ServiceChaosPlan
@@ -152,6 +154,106 @@ class TestServerKill:
         payload = execute_job(pending[0], store)
         assert payload["counts"] == isolated["counts"]
         assert payload["journal"]["replayed_trials"] >= 90
+
+
+OS_CRASH_TRIALS = 256
+
+
+@pytest.fixture(scope="module")
+def isolated_qft5():
+    """The fault-free serial reference of the OS-crash job."""
+    stream = {}
+    result = NoisySimulator(
+        build_compiled_benchmark("qft5"), ibm_yorktown(), seed=11
+    ).run(
+        num_trials=OS_CRASH_TRIALS,
+        on_trial=lambda i, b: stream.setdefault(i, b),
+    )
+    return {
+        "counts": result.counts,
+        "stream": stream,
+        "ops": result.metrics.optimized_ops,
+    }
+
+
+def _record_ends(path):
+    """File offset just past each record of a journal with no torn tail."""
+    replay = load_journal(path)
+    ends, offset = [], 28
+    for vector, indices in replay.finishes:
+        offset += 24 + 8 * len(indices) + vector.nbytes + 4
+        ends.append(offset)
+    assert ends[-1] == os.path.getsize(path)
+    return ends, replay.finishes
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("cut", ["group-boundary", "inside-open-group"])
+def test_os_crash_loses_at_most_the_open_group(
+    tmp_path, monkeypatch, isolated_qft5, cut, workers
+):
+    """A power loss keeps what was fsynced, and maybe part of the rest.
+
+    A kill keeps the OS cache, and ``ServerKilled`` unwinds through the
+    journal's ``close()``, which fsyncs the open group.  So the test
+    drops the unsynced bytes itself: it records the journal's size at
+    each fsync made before the kill, then cuts the file at the last one
+    (a group boundary) or one and a half records past it (the OS wrote
+    part of the open group back before it died).  The journal's clock
+    stands still, so groups close every ``GROUP_RECORDS`` records.
+    """
+    monkeypatch.setattr(RunJournal, "clock", staticmethod(lambda: 0.0))
+    chaos = ServiceChaosPlan(kill_after={"power-loss": 200})
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync_until_the_kill(fd):
+        if not chaos.killed:
+            synced.append(os.fstat(fd))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_until_the_kill)
+    store = JobStore(str(tmp_path))
+    record = store.admit(
+        _spec(
+            "power-loss", workers=workers,
+            circuit={"benchmark": "qft5"}, trials=OS_CRASH_TRIALS,
+        )
+    )
+    with pytest.raises(ServerKilled):
+        execute_job(record, store, chaos=chaos)
+
+    path = store.journal_path(record.job_id)
+    inode = os.stat(path).st_ino
+    synced_size = [st.st_size for st in synced if st.st_ino == inode][-1]
+    ends, finishes = _record_ends(path)
+    kept = ends.index(synced_size) + 1
+    assert kept % GROUP_RECORDS == 0 and kept < len(ends) - 2
+    if cut == "group-boundary":
+        size = synced_size
+    else:
+        size = ends[kept] + (ends[kept + 1] - ends[kept]) // 2
+        kept += 1
+    os.truncate(path, size)
+
+    recovered_store = JobStore(str(tmp_path))
+    pending, _ = recovered_store.recover()
+    stream = {}
+    payload = execute_job(
+        pending[0],
+        recovered_store,
+        on_trial=lambda i, b: stream.setdefault(i, b),
+    )
+    assert payload["counts"] == isolated_qft5["counts"]
+    _assert_stream_identical(stream, isolated_qft5["stream"])
+    journal = payload["journal"]
+    assert journal["resumed"]
+    assert journal["replayed_finishes"] == kept
+    assert journal["replayed_trials"] == sum(
+        len(indices) for _, indices in finishes[:kept]
+    )
+    assert journal["truncated_tail"] == (cut == "inside-open-group")
+    assert payload["ops_applied"] < isolated_qft5["ops"]
 
 
 class TestCrossJobConservation:

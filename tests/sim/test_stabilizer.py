@@ -237,3 +237,31 @@ class TestStabilizerBackend:
         sim = NoisySimulator(ghz3_circuit, NoiseModel.uniform(1e-3), seed=2)
         result = sim.run(num_trials=50, backend="stabilizer", mode="baseline")
         assert sum(result.counts.values()) == 50
+
+
+class TestFrameVerdictCaches:
+    def test_layer_unitaries_leave_no_cache_keys(self, monkeypatch):
+        """Below seven qubits a certificate prices frames over whole-layer
+        unitaries (16 KB each at five qubits); only verdicts on at most
+        two qubits are cached, so a daemon's caches stay bounded."""
+        from repro.bench import build_compiled_benchmark
+        from repro.lint.costmodel import build_certificate
+        from repro.noise import ibm_yorktown, sample_trials
+        from repro.sim import stabilizer
+
+        monkeypatch.setattr(stabilizer, "_MATRIX_SAFETY_CACHE", {})
+        monkeypatch.setattr(stabilizer, "_PHASE_TRANSPARENT_CACHE", {})
+        for name in ("qft5", "grover", "qv_n5d5", "bv5"):
+            layered = layerize(build_compiled_benchmark(name))
+            trials = sample_trials(
+                layered, ibm_yorktown(), 128, np.random.default_rng(7)
+            )
+            build_certificate(layered, trials, benchmark=name)
+        keys = list(stabilizer._MATRIX_SAFETY_CACHE) + list(
+            stabilizer._PHASE_TRANSPARENT_CACHE
+        )
+        assert all(len(key) <= 256 for key in keys)
+        # A two-qubit verdict (a 256-byte key) is still cached.
+        cx = np.asarray(standard_gate("cx").matrix, dtype=np.complex128)
+        assert stabilizer.frame_safe_matrix(cx)
+        assert cx.tobytes() in stabilizer._MATRIX_SAFETY_CACHE
