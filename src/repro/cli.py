@@ -279,7 +279,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             trace=args.trace,
             workers=args.workers or (),
             partition_depth=args.partition_depth,
-            batches=args.batch or (),
             hybrid=args.hybrid,
             progress=lambda name: print(f"benching {name} ...", file=sys.stderr),
         )
@@ -307,7 +306,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.no_check:
         status = "ok" if summary["all_equivalent"] else "FAILED"
         print(f"equivalence (ops, peak MSV, final states): {status}")
-    for key, flag in (("parallel", args.workers), ("batch", args.batch), ("hybrid", args.hybrid)):
+    for key, flag in (("parallel", args.workers), ("hybrid", args.hybrid)):
         if not flag:
             continue
         status = "ok" if summary[f"all_{key}_exact"] else "FAILED"
@@ -319,18 +318,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for s in record[key]
             )
             print(f"{key} {record['benchmark']}: {sections}")
-        if key != "parallel":
-            print(
-                f"geomean best-{key} speedup vs serial compiled: "
-                f"{summary[f'geomean_{key}_speedup']:.2f}x"
-            )
-    if args.batch:
-        micro = payload["microbench"]
-        print(
-            f"dense microbench ({micro['num_qubits']}q x{micro['width']}): "
-            f"batched/serial throughput ratio {micro['ratio']:.2f}"
-        )
     if args.hybrid:
+        print(
+            "geomean hybrid speedup vs serial compiled: "
+            f"{summary['geomean_hybrid_speedup']:.2f}x"
+        )
         micro = payload["hybrid_microbench"]
         print(
             f"hybrid microbench ({micro['num_qubits']}q "
@@ -500,7 +492,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "cache_degrade": args.cache_degrade,
         "task_timeout": args.task_timeout,
         "retries": args.retries,
-        "batch_size": args.batch,
         "hybrid": args.hybrid,
     }
     if _reject_options(**options):
@@ -524,21 +515,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.batch:
-            print(
-                "error: --batch and --auto are mutually exclusive (the "
-                "certificate's memory timeline describes the serial "
-                "schedule)",
-                file=sys.stderr,
-            )
-            return 2
 
         def certify(simulator, trials):
             # The cross-check reads the plan, budget and trial count, so
-            # the partition and wavefront sections are not built.
-            return _advise_certificate(
-                args, simulator, trials, depths=(), batches=()
-            )
+            # the partition section is not built.
+            return _advise_certificate(args, simulator, trials, depths=())
 
     run = _RecordedRun(args, options, record=args.auto, certify=certify)
     result, elapsed = run.result, run.wall_s
@@ -549,7 +530,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "seed": args.seed,
             "workers": options["workers"],
-            "batch": args.batch,
             "executor": result.executor,
             "metrics": metrics.as_dict(),
             "counts": result.counts,
@@ -573,11 +553,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"workers           : {options['workers']} "
             f"(partition depth {options['partition_depth']})"
-        )
-    if args.batch:
-        print(
-            f"batch             : wavefront execution, up to {args.batch} "
-            "trial column(s) per kernel call (bit-identical to serial)"
         )
     if result.executor == "hybrid":
         print(
@@ -629,7 +604,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "backend": args.backend,
         "workers": args.workers,
         "partition_depth": args.partition_depth,
-        "batch_size": args.batch,
     }
     if _reject_options(**options):
         return 2
@@ -646,7 +620,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "num_trials": args.trials,
             "workers": args.workers,
-            "batch": args.batch,
         },
     )
 
@@ -676,10 +649,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_openmetrics,
     )
 
-    options = {"batch_size": args.batch}
-    if _reject_options(**options):
-        return 2
-
     def certify(simulator, trials):
         # The roofline numerators are the certificate's per-segment flop
         # counts.  Certified before the run, which then replays the
@@ -690,7 +659,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         return {"plan": analysis.to_dict(), "num_trials": len(trials)}
 
-    run = _RecordedRun(args, options, certify=certify)
+    run = _RecordedRun(args, {}, certify=certify)
     simulator, recorder, certificate = run.simulator, run.recorder, run.certificate
 
     # P020 proves those numerators against the recorded spans (an
@@ -716,7 +685,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "mode": "optimized",
             "seed": args.seed,
             "num_trials": args.trials,
-            "batch": args.batch,
         },
     )
     report["parity"] = {"ok": not checks["P020"], "problems": checks["P020"]}
@@ -732,11 +700,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     flamegraph_path = args.flamegraph or f"{args.benchmark}.folded"
     write_flamegraph(profile, flamegraph_path)
 
-    print(
-        f"benchmark         : {args.benchmark} "
-        f"({args.trials} trials, "
-        f"{'batch ' + str(args.batch) if args.batch else 'serial'})"
-    )
+    print(f"benchmark         : {args.benchmark} ({args.trials} trials)")
     print(format_profile_report(report, top=args.top))
     print(f"\nwrote {flamegraph_path} ({len(profile.stacks)} stacks)")
     print(f"wrote {metrics_path}")
@@ -889,14 +853,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if num_errors else 0
 
 
-def _advise_certificate(
-    args: argparse.Namespace, simulator, trials, depths=None, batches=None
-):
+def _advise_certificate(args: argparse.Namespace, simulator, trials, depths=None):
     """The resource certificate ``repro advise`` prints and ``run --auto``
     checks its run against, for the ``trials`` ``simulator`` sampled.
 
-    ``depths`` and ``batches`` override the partition depths and
-    wavefront widths the arguments name; ``()`` leaves a section empty.
+    ``depths`` overrides the partition depths the arguments name; ``()``
+    leaves the partition section empty.
     """
     from .lint import build_certificate
 
@@ -907,8 +869,6 @@ def _advise_certificate(
         budget = CacheBudget(max_bytes=args.max_cache_bytes, mode=args.cache_degrade)
     if depths is None:
         depths = getattr(args, "depths", None) or (1, 2)
-    if batches is None:
-        batches = getattr(args, "candidate_batches", None) or (1, 8, 16, 32, 64)
     return build_certificate(
         simulator.layered,
         trials,
@@ -918,7 +878,6 @@ def _advise_certificate(
         workers=getattr(args, "candidate_workers", None) or (1, 2, 4),
         budget=budget,
         compiled=simulator.compiled_circuit(),
-        batches=batches,
     )
 
 
@@ -1181,7 +1140,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "taxonomy, the full resident-memory timeline (with predicted "
             "spill/drop events under --max-cache-bytes), LPT makespans "
             "for every candidate partition depth and worker count, and "
-            "the wavefront and hybrid schedules' static shapes — and print "
+            "the hybrid schedule's static shape — and print "
             "the executor the default pick rule runs these trials on, "
             "with the 'repro run' line that runs them.  No statevector is "
             "ever allocated.  'repro run <benchmark> --auto' checks a real "
@@ -1198,11 +1157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     padvise.add_argument(
         "--candidate-workers", nargs="*", type=int, default=None,
         metavar="N", help="candidate worker counts (default: 1 2 4)",
-    )
-    padvise.add_argument(
-        "--candidate-batches", nargs="*", type=int, default=None,
-        metavar="W",
-        help="candidate wavefront batch widths (default: 1 8 16 32 64)",
     )
     padvise.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
@@ -1255,12 +1209,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="trie cut depth for the parallel partition (default 1)",
     )
     pbench.add_argument(
-        "--batch", nargs="*", type=int, default=None, metavar="W",
-        help="also time the trial-batched wavefront executor at these "
-        "widths and prove its payload stream bit-identical to the serial "
-        "compiled run (plus a dense-kernel microbench in the payload)",
-    )
-    pbench.add_argument(
         "--hybrid", action="store_true",
         help="also time the Clifford/Pauli-frame fast path and prove "
         "every payload bit-identical to the serial compiled run (plus a "
@@ -1300,20 +1248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="trie cut depth for the parallel partition (default 1)",
     )
     prun.add_argument(
-        "--batch", type=int, default=0, metavar="W",
-        help="trial-batched wavefront execution: vectorize kernels over "
-        "up to W trials at once (optimized mode, compiled backend; "
-        "results stay bit-identical to serial; with --workers it batches "
-        "the workers' sub-plans; every row stays resident, so not with "
-        "--max-cache-bytes; 0 = off)",
-    )
-    prun.add_argument(
         "--hybrid", action="store_true", default=None,
         help="force the Clifford/Pauli-frame fast path: run pure-Clifford "
         "trie spans symbolically over shared dense anchors and materialize "
         "amplitudes only at non-Clifford gates or Finish (optimized "
         "mode, compiled backend; bit-identical to serial dense; not "
-        "with --workers, --batch or --max-cache-bytes).  Without it a "
+        "with --workers or --max-cache-bytes).  Without it a "
         "run with no executor option takes the fast path when the "
         "circuit is wide and frame-safe (bv14), serial DFS otherwise",
     )
@@ -1332,7 +1272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="snapshot-cache byte budget for serial DFS, its --workers "
         "and --journal runs; coldest snapshots degrade per "
         "--cache-degrade when the budget is exceeded (results unchanged; "
-        "not with --batch or --hybrid)",
+        "not with --hybrid)",
     )
     prun.add_argument(
         "--cache-degrade", choices=("spill", "drop"), default="spill",
@@ -1354,7 +1294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="build a resource certificate first, run the given options "
         "unchanged, then cross-check the recorded run with its "
         "executor's evidence, P020/P021 against the certificate (exit 1 "
-        "on divergence; not with --mode baseline, --journal or --batch)",
+        "on divergence; not with --mode baseline or --journal)",
     )
 
     ptrace = sub.add_parser(
@@ -1392,14 +1332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="trie cut depth for the parallel partition (default 1)",
     )
     ptrace.add_argument(
-        "--batch", type=int, default=0, metavar="W",
-        help="record a trial-batched wavefront run (optimized mode, "
-        "statevector backend; with --workers the workers batch); the "
-        "profile surfaces per-kind kernel.batched.* dispatch counters and "
-        "the cross-check proves the batched spans against the serial plan "
-        "(P020)",
-    )
-    ptrace.add_argument(
         "--out", default=None, metavar="PATH",
         help="trace file path (default: <benchmark>.trace.json)",
     )
@@ -1430,11 +1362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The global --seed spelled after the subcommand; SUPPRESS keeps an
     # omitted one from overwriting `repro --seed N profile ...`.
     pprofile.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    pprofile.add_argument(
-        "--batch", type=int, default=0, metavar="W",
-        help="profile the trial-batched wavefront executor at width W "
-        "instead of the serial compiled path (0 = serial)",
-    )
     pprofile.add_argument(
         "--top", type=int, default=12,
         help="how many hotspot rows to show",

@@ -40,7 +40,6 @@ __all__ = [
     "execute",
     "expect",
     "frame_safe_share",
-    "is_set",
     "pick",
     "validate",
 ]
@@ -49,7 +48,7 @@ MODES: Tuple[str, ...] = ("optimized", "baseline")
 BACKENDS: Tuple[str, ...] = ("statevector", "statevector-interpreted", "counting", "stabilizer")
 #: Backends whose states are dense amplitude vectors.
 STATEVECTOR_FAMILY: Tuple[str, ...] = BACKENDS[:2]
-#: The compiled backend, the only one with a batched kernel surface.
+#: The compiled backend, the only one the hybrid runs on.
 COMPILED: Tuple[str, ...] = BACKENDS[:1]
 #: Backends that sample measurements; ``counting`` only counts operations.
 READOUT: Tuple[str, ...] = ("statevector", "statevector-interpreted", "stabilizer")
@@ -112,13 +111,13 @@ class Option(NamedTuple):
 
 _OPTIMIZED = ("optimized",)
 _SERIAL_ONLY = (
-    "shared requires the serial per-trial executor (workers=0, batch_size=0, hybrid=False); "
-    "the batched and partitioned executors do not walk the provenance keys the store is "
-    "shared under"
+    "shared requires the serial per-trial executor (workers=0, hybrid=False); the "
+    "partitioned and hybrid executors do not walk the provenance keys the store is shared "
+    "under"
 )
 
 # Declaration order is check order, and the first failed check names the
-# error.  The first eight entries keep the order in which run() always
+# error.  The first seven entries keep the order in which run() always
 # checked them, so every combination it rejected keeps its message.
 _DECLARED: Tuple[Option, ...] = (
     Option(
@@ -154,30 +153,6 @@ _DECLARED: Tuple[Option, ...] = (
         invalid="max_cache_bytes must be an int >= 0, got {value!r}",
         backends=STATEVECTOR_FAMILY,
         wrong_backend="max_cache_bytes requires a statevector-family backend, got {backend!r}",
-    ),
-    Option(
-        "batch_size", 0, "int >= 0; 0 keeps the per-trial walk",
-        valid=_at_least(1),
-        invalid="batch_size must be >= 1, got {value}",
-        modes=_OPTIMIZED,
-        wrong_mode="batch_size requires mode='optimized' (the baseline has no plan to batch over)",
-        backends=COMPILED,
-        wrong_backend=(
-            "batch_size requires the compiled 'statevector' backend (batched kernel surface), "
-            "got {backend!r}"
-        ),
-        excludes=(
-            (
-                "journal",
-                "batch_size is incompatible with journal: the wavefront interleaves trials, so "
-                "the trial-ordered resume log cannot be replayed against it",
-            ),
-            (
-                "max_cache_bytes",
-                "batch_size is incompatible with max_cache_bytes: a wavefront, in-process or in "
-                "a pool's workers, keeps every parked row resident, so no budget applies",
-            ),
-        ),
     ),
     Option(
         "hybrid", None, "None (the default pick), True (force) or False (force serial DFS)",
@@ -216,7 +191,7 @@ _DECLARED: Tuple[Option, ...] = (
             "shared requires a statevector-family backend (amplitudes are published), "
             "got {backend!r}"
         ),
-        excludes=tuple((other, _SERIAL_ONLY) for other in ("workers", "batch_size", "hybrid")),
+        excludes=tuple((other, _SERIAL_ONLY) for other in ("workers", "hybrid")),
     ),
     Option(
         "on_trial", None, "callable (trial_index, bits) or None",
@@ -287,8 +262,7 @@ class Executor(NamedTuple):
     Where the options leave the executor open, :func:`pick` may move a
     dfs run to hybrid.
     ``evidence`` names the checks :func:`repro.lint.check_recorded_run`
-    runs on its recorded run, ``"replay"`` or a lint rule code;
-    ``"<check> unless <option>"`` skips one when that option is set.
+    runs on its recorded run, ``"replay"`` or a lint rule code.
     """
 
     name: str
@@ -317,32 +291,23 @@ EXECUTORS: Tuple[Executor, ...] = (
     ),
     Executor(
         "parallel", "workers", "optimized",
-        _PLANNED | _BUDGET | _POOL | {"batch_size"},
-        ("P018", "replay", "P020", "P025", "P017 unless batch_size", "P021 unless batch_size"),
+        _PLANNED | _BUDGET | _POOL, ("P018", "replay", "P020", "P025", "P017", "P021"),
     ),
     Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}, _SERIAL_WALK),
-    Executor(
-        "wavefront", "batch_size", "optimized",
-        _PLANNED | {"batch_size"}, ("replay", "P020", "P025"),
-    ),
     Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}, _SERIAL_WALK),
     Executor("baseline", None, "baseline", _EVERY, ("replay", "P025")),
 )
 
 
 def _is_set(option: Option, value: Any) -> bool:
+    """Whether ``value`` sets ``option``: it differs from the default and
+    from every value that, like the default, carries no constraint
+    (``hybrid=False`` forces serial DFS yet constrains nothing)."""
     if value in option.unset:
         return False
     if option.default is None:
         return value is not None
     return bool(value != option.default)
-
-
-def is_set(name: str, value: Any) -> bool:
-    """Whether ``value`` sets option ``name``: it differs from the default
-    and from every value that, like the default, carries no constraint
-    (``hybrid=False`` forces serial DFS yet constrains nothing)."""
-    return _is_set(OPTIONS[name], value)
 
 
 def _check(options: Dict[str, Any]) -> Tuple[Executor, Dict[str, Any]]:
@@ -504,9 +469,9 @@ def execute(
     validated.  The pool and journal executors call ``backend_factory``
     themselves; the in-process ones run on ``engine``, built from the
     factory when not given.  ``plan`` is an optional prebuilt serial plan
-    of ``trials`` for the executors that walk one (dfs, wavefront,
-    hybrid).  The outcome names the executor that ran as ``executor``,
-    and a journaled run's outcome carries its
+    of ``trials`` for the executors that walk one (dfs, hybrid).  The
+    outcome names the executor that ran as ``executor``, and a journaled
+    run's outcome carries its
     :class:`~repro.core.resilience.JournalSummary` as ``journal``.
     """
     if _READOUT_SIDE & set(options):
@@ -538,18 +503,12 @@ def execute(
         outcome = run_parallel(
             layered, trials, backend_factory, on_finish, workers=v["workers"],
             depth=v["partition_depth"], cache_budget=budget, retries=v["retries"],
-            task_timeout=v["task_timeout"], batch_size=v["batch_size"], **common,
+            task_timeout=v["task_timeout"], **common,
         )
     elif executor.name == "hybrid":
         from .hybrid import run_hybrid
 
         outcome = run_hybrid(layered, trials, engine, on_finish, plan=plan, **common)
-    elif executor.name == "wavefront":
-        from .wavefront import run_wavefront
-
-        outcome = run_wavefront(
-            layered, trials, engine, on_finish, plan=plan, batch_size=v["batch_size"], **common,
-        )
     elif executor.name == "dfs":
         outcome = run_optimized(
             layered, trials, engine, on_finish, plan=plan, cache_budget=budget,

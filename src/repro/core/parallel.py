@@ -82,7 +82,6 @@ where finish payloads are borrowed or copied out).
 from __future__ import annotations
 
 import contextlib
-import functools
 import heapq
 import itertools
 import multiprocessing
@@ -521,7 +520,6 @@ class _TaskBlock:
         entries: np.ndarray,
         results: np.ndarray,
         cache_budget: Optional[CacheBudget],
-        batch_size: int,
         faults,
     ) -> None:
         self.partition = partition
@@ -530,7 +528,6 @@ class _TaskBlock:
         self.entries = entries
         self.results = results
         self.cache_budget = cache_budget
-        self.batch_size = batch_size
         self.faults = faults
         #: First ``results`` row of each task's finish payloads.
         self.offsets = list(
@@ -592,23 +589,14 @@ class _TaskBlock:
             np.copyto(row, payload.vector)
             checksums.append(payload_checksum(row))
 
-        if self.batch_size:
-            from .wavefront import run_wavefront
-
-            execute: Callable[..., ExecutionOutcome] = functools.partial(
-                run_wavefront, batch_size=self.batch_size
-            )
-        else:
-            execute = functools.partial(
-                run_optimized, cache_budget=self.cache_budget
-            )
-        outcome = execute(
+        outcome = run_optimized(
             self.layered,
             local_trials,
             backend,
             write_finish,
             plan=task.plan,
             recorder=recorder,
+            cache_budget=self.cache_budget,
             entry_state=entry,
             entry_layer=task.entry_layer,
             entry_events=task.entry_events,
@@ -1092,7 +1080,6 @@ def run_parallel(
     retries: int = 2,
     task_timeout: Optional[float] = None,
     faults=None,
-    batch_size: int = 0,
     stop=None,
 ) -> ParallelOutcome:
     """Execute ``trials`` with prefix reuse across ``workers`` processes.
@@ -1141,8 +1128,7 @@ def run_parallel(
         Optional :class:`~repro.core.cache.CacheBudget` forwarded to every
         sub-plan execution (workers and parent fallback alike); each task
         reports its spills, spill loads, drops and recomputes, and the
-        merged ``CacheStats`` sums them.  Incompatible with
-        ``batch_size``: a wavefront keeps its rows resident.
+        merged ``CacheStats`` sums them.
     retries:
         How many times a failed task attempt (crash, timeout, checksum
         mismatch, exception) is requeued before the parent executes it
@@ -1155,13 +1141,6 @@ def run_parallel(
         Deterministic fault injector (:class:`repro.testing.ChaosPlan`)
         exposing ``before_task`` / ``corrupt_payload`` / ``corrupt_entry``
         hooks; production runs leave it ``None``.
-    batch_size:
-        ``0`` (default) runs each sub-plan through the serial DFS
-        executor.  Any value >= 1 runs each sub-plan through the
-        trial-batched wavefront
-        (:func:`~repro.core.wavefront.run_wavefront`) instead — workers,
-        recovery paths and the parent fallback alike.  Results and
-        operation counts stay bit-identical at every width.
     stop:
         Optional ``threading.Event`` enabling graceful shutdown (pair it
         with :func:`graceful_stop` to hook SIGTERM/SIGINT).  When set, no
@@ -1176,8 +1155,6 @@ def run_parallel(
         raise ValueError(f"need at least one worker, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if batch_size and cache_budget is not None:
-        raise ValueError("batching workers take no cache budget")
     partition = partition_plan(layered, trials, depth=depth, check=check)
     weights = partition.weights()
     assignment = partition.assign(workers)
@@ -1216,7 +1193,6 @@ def run_parallel(
                 buffer=results_shm.buf,
             ),
             cache_budget,
-            batch_size,
             faults,
         )
 
@@ -1228,7 +1204,6 @@ def run_parallel(
                 "parallel.meta", cat="parallel", workers=workers,
                 depth=depth, tasks=num_tasks, shm_bytes=shm_bytes,
                 fork=use_fork, retries=retries, task_timeout=task_timeout,
-                batch=batch_size,
             )
 
         phase1 = _prefix_phase(

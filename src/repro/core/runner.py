@@ -187,7 +187,6 @@ class NoisySimulator:
         cache_degrade: str = "spill",
         task_timeout: Optional[float] = None,
         retries: int = 2,
-        batch_size: int = 0,
         hybrid: Optional[bool] = None,
         shared=None,
         stop=None,
@@ -244,8 +243,7 @@ class NoisySimulator:
             executor, a pool's DFS workers and a journaled run.  When the
             resident snapshots would exceed it, the coldest are degraded
             per ``cache_degrade`` — results stay bit-identical; only
-            time/memory trade off.  Rejected beside ``batch_size`` or
-            ``hybrid``.
+            time/memory trade off.  Rejected beside ``hybrid``.
         cache_degrade:
             ``"spill"`` (default) writes evicted snapshots to disk and
             reloads them on restore; ``"drop"`` discards them and, when
@@ -257,16 +255,6 @@ class NoisySimulator:
         retries:
             Parallel task retry budget before the parent falls back to
             inline execution.
-        batch_size:
-            ``0`` (default) keeps the per-trial DFS executor.  Any value
-            >= 1 switches to breadth-wise wavefront execution
-            (:func:`~repro.core.wavefront.run_wavefront`): sibling
-            subtrees facing the same layer segment advance together in
-            one ``(2,)*n + (batch,)`` ndarray, capped at ``batch_size``
-            columns.  Results and operation counts are bit-identical to
-            the serial executor at every width.  With ``workers`` it
-            batches the workers' sub-plans.  Every parked row stays
-            resident, so ``max_cache_bytes`` is rejected beside it.
         hybrid:
             The Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
@@ -281,8 +269,8 @@ class NoisySimulator:
             frame-safe (:mod:`repro.core.options`), and serial DFS
             otherwise; ``result.executor`` names what ran.  ``True``
             forces the fast path and is rejected beside ``workers``,
-            ``batch_size``, ``journal`` or ``max_cache_bytes``; ``False``
-            forces serial DFS and combines with everything.
+            ``journal`` or ``max_cache_bytes``; ``False`` forces serial
+            DFS and combines with everything.
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
             cross-job prefix deduplication — the service tier passes one
@@ -306,8 +294,8 @@ class NoisySimulator:
             mode=mode, backend=backend, check=check, recorder=recorder,
             workers=workers, partition_depth=partition_depth, journal=journal,
             max_cache_bytes=max_cache_bytes, cache_degrade=cache_degrade,
-            task_timeout=task_timeout, retries=retries, batch_size=batch_size,
-            hybrid=hybrid, shared=shared, stop=stop,
+            task_timeout=task_timeout, retries=retries, hybrid=hybrid,
+            shared=shared, stop=stop,
         )
         validate(collect_final_states=collect_final_states, on_trial=on_trial, **options)
         trial_list = list(trials) if trials is not None else self.sample(num_trials)

@@ -23,8 +23,8 @@ A parallel *prefix program* (:mod:`repro.core.parallel`) adds a sixth kind,
 
 :class:`PlanWalk` is the one backend-free interpretation of these
 instructions: every static analysis (the sanitizer, the cost model, the
-partition, trace, journal, wavefront and hybrid rules, the wavefront and
-hybrid planners) is a fold over its steps.
+partition, trace, journal and hybrid rules, the hybrid planner) is a fold
+over its steps.
 
 Plan shape
 ----------

@@ -55,7 +55,6 @@ from .schedule_rules import (
     lint_memory_timeline,
 )
 from .metrics_rules import lint_metrics_trace
-from .wavefront_rules import lint_wavefront
 from .hybrid_rules import lint_hybrid
 from .api import (
     check_recorded_run,
@@ -100,7 +99,6 @@ __all__ = [
     "lint_suite",
     "lint_trace",
     "lint_trials",
-    "lint_wavefront",
     "registered_codes",
     "render_json",
     "render_text",

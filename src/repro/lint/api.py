@@ -19,7 +19,7 @@ from ..circuits.layers import LayeredCircuit
 from ..circuits.qasm import QasmError, parse_qasm
 from ..core.events import Trial
 from ..core.executor import ExecutionOutcome
-from ..core.options import OPTIONS, is_set, pick
+from ..core.options import OPTIONS, pick
 from ..core.schedule import ExecutionPlan, build_plan
 from ..obs.metrics import registry_from_recorder
 from ..obs.summary import verify_trace
@@ -322,8 +322,6 @@ def check_recorded_run(
     values = {name: options.get(name, option.default) for name, option in OPTIONS.items()}
     run = _RunEvidence(layered, trials, recorder, metrics, certificate, compiled, values)
     problems: Dict[str, List[str]] = {}
-    for entry in executor.evidence:
-        name, _, unless = entry.partition(" unless ")
-        if not (unless and is_set(unless, values[unless])):
-            problems[name] = RUN_CHECKS[name](run)
+    for name in executor.evidence:
+        problems[name] = RUN_CHECKS[name](run)
     return problems

@@ -24,8 +24,8 @@ before a single amplitude is touched.  This module computes them:
 :func:`build_certificate`
     Bundles the plan analysis with, per candidate partition depth, the
     statically weighted sub-plan set and its LPT makespan over k workers,
-    a sound parallel memory bound, the wavefront and hybrid schedules'
-    static shapes, and the executor the default pick rule
+    a sound parallel memory bound, the hybrid schedule's static shape,
+    and the executor the default pick rule
     (:func:`repro.core.options.pick`) runs the trials on as ``advice`` —
     the JSON document behind ``repro advise``.  Written atomically via
     :func:`repro.core.atomicio.atomic_write_json`.
@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 #: Certificate document schema tag.
-CERT_SCHEMA = "repro-cert/2"
+CERT_SCHEMA = "repro-cert/3"
 
 #: Modeled flop cost of conjugating one Pauli frame through one fused
 #: gate matrix (``PauliFrame.try_conjugate_matrix`` on a <= 4x4 unitary):
@@ -565,7 +565,6 @@ def build_certificate(
     workers: Sequence[int] = (1, 2, 4),
     budget: Optional[CacheBudget] = None,
     compiled=None,
-    batches: Sequence[int] = (1, 8, 16, 32, 64),
 ) -> Dict[str, Any]:
     """Build the ResourceCertificate for one circuit + trial set.
 
@@ -574,10 +573,8 @@ def build_certificate(
     timeline with predicted degradation under ``budget``, (c) per
     partition ``depth`` the statically weighted sub-plan set, certified
     LPT makespans over every candidate worker count and a sound parallel
-    memory bound, (d) per candidate batch width the wavefront schedule's
-    static shape (batched dispatch count, peak rows, working set) with
-    its operation count proven equal to the serial plan's, (e) the
-    hybrid fast path's static price, and (f) ``advice``: the executor
+    memory bound, (d) the hybrid fast path's static price, and (e)
+    ``advice``: the executor
     :func:`repro.core.options.pick` runs these trials on under
     ``budget`` (serial DFS whenever a budget is given), with that budget.
     The sections rank nothing: the reordering is exact on every
@@ -588,7 +585,6 @@ def build_certificate(
     from ..core.options import pick
     from ..core.parallel import partition_plan
     from ..core.schedule import build_plan as _build_plan
-    from ..core.wavefront import plan_wavefronts
 
     if compiled is None:
         from ..sim.compiled import CompiledCircuit
@@ -617,32 +613,6 @@ def build_certificate(
             analyze_partition(
                 partition, layered, compiled=compiled, workers=workers
             )
-        )
-
-    # Wavefront (trial-batched) schedules: same ops, fewer dispatches,
-    # wider working set.  All numbers are static — no execution.
-    wavefronts: List[Dict[str, Any]] = []
-    for batch in sorted(set(int(b) for b in batches if int(b) >= 1)):
-        wavefront = plan_wavefronts(plan, batch)
-        profile = wavefront.profile()
-        # Parked/live rows plus the in-flight double buffer.
-        memory_states = profile["peak_rows"] + profile["max_width"]
-        wavefronts.append(
-            {
-                "batch": batch,
-                "ops": wavefront.planned_operations(layered),
-                "dispatches": wavefront.num_injects + sum(
-                    layered.gates_between(step.start, step.end)
-                    for step in wavefront.steps
-                    if step.end > step.start
-                ),
-                "batched_calls": profile["batched_calls"],
-                "max_width": profile["max_width"],
-                "mean_width": profile["mean_width"],
-                "peak_rows": profile["peak_rows"],
-                "memory_states": memory_states,
-                "memory_bytes": memory_states * state_bytes,
-            }
         )
 
     budget_options = (
@@ -681,7 +651,6 @@ def build_certificate(
             }
         ),
         "schedules": schedules,
-        "wavefront": wavefronts,
         "hybrid": analyze_hybrid(
             layered, plan, compiled=compiled, serial=serial
         ),
@@ -756,31 +725,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
             if not schedule.get("workers"):
                 problems.append(
                     f"schedule depth={depth}: no worker candidates"
-                )
-    wavefronts = certificate.get("wavefront")
-    if isinstance(wavefronts, list):
-        plan_ops = plan.get("ops") if isinstance(plan, dict) else None
-        for entry in wavefronts:
-            batch = entry.get("batch")
-            if not isinstance(batch, int) or batch < 1:
-                problems.append(f"wavefront entry has bad batch {batch!r}")
-                continue
-            if plan_ops is not None and entry.get("ops") != plan_ops:
-                problems.append(
-                    f"wavefront batch={batch}: ops {entry.get('ops')} != "
-                    f"plan.ops {plan_ops} (batching must conserve "
-                    "operations)"
-                )
-            states = entry.get("memory_states")
-            state_bytes = certificate.get("state_bytes")
-            if (
-                isinstance(states, int)
-                and isinstance(state_bytes, int)
-                and entry.get("memory_bytes") != states * state_bytes
-            ):
-                problems.append(
-                    f"wavefront batch={batch}: memory_bytes inconsistent "
-                    "with memory_states"
                 )
     hybrid = certificate.get("hybrid")
     if isinstance(hybrid, dict):

@@ -7,7 +7,7 @@ cross a segment.  The executor's bit-exactness contract rests on the
 static :class:`~repro.core.hybrid.HybridSchedule` being a faithful
 re-interpretation of the serial instruction stream.  P026 proves that
 with an *independent* symbolic replay — same static-proof idiom as the
-plan sanitizer (P001-P012) and the wavefront rule (P024):
+plan sanitizer (P001-P012):
 
 * **action agreement** — an independent fold over the plan's walk
   (:class:`~repro.core.schedule.PlanWalk`), with its own frame

@@ -34,11 +34,9 @@ name                   ph    cat       emitted by
 ``segment.hit``        C     counter   compiled circuit, memoized program reuse
 ``segment.compile``    C     counter   compiled circuit, first-use compilation
 ``kernel.<kind>``      C     counter   compiled circuit, per compiled kernel
-``kernel.batched.<kind>``  C  counter  compiled backend, per batched dispatch
 ``fusion.runs``        C     counter   compiled circuit, fused 1q-run count
 ``fusion.gates``       C     counter   compiled circuit, gates absorbed by fusion
 ``scratch.swaps``      C     counter   compiled backend, ping-pong buffer swaps
-``scratch.batched.swaps``  C  counter  compiled backend, batched ping-pong swaps
 ``msv.live``           C     gauge     state cache, sampled at every cache event
 ``msv.stored``         C     gauge     state cache, stored snapshots only
 ``run.host``           i     run       runner, once after the run (cpu, rss)
@@ -94,7 +92,6 @@ class TraceSummary:
         msv_high_water: List[Tuple[float, int]],
         wall_s: float,
         num_events: int,
-        batched_kernel_histogram: Optional[Dict[str, int]] = None,
         dropped_events: int = 0,
     ) -> None:
         self.mode = mode
@@ -122,8 +119,6 @@ class TraceSummary:
         self.msv_high_water = msv_high_water
         self.wall_s = wall_s
         self.num_events = num_events
-        #: Batched wavefront dispatches per kernel kind (``kernel.batched.*``).
-        self.batched_kernel_histogram = batched_kernel_histogram or {}
         #: Events evicted by a bounded recorder; 0 for unbounded recording.
         self.dropped_events = dropped_events
 
@@ -182,7 +177,6 @@ class TraceSummary:
             "fusion_gates": self.fusion_gates,
             "scratch_swaps": self.scratch_swaps,
             "kernel_histogram": dict(self.kernel_histogram),
-            "batched_kernel_histogram": dict(self.batched_kernel_histogram),
             "dropped_events": self.dropped_events,
             "truncated": self.truncated,
             "hot_segments": [
@@ -231,12 +225,6 @@ def summarize(recorder: InMemoryRecorder) -> TraceSummary:
         name[len("kernel."):]: int(total)
         for name, total in recorder.counters.items()
         if name.startswith("kernel.")
-        and not name.startswith("kernel.batched.")
-    }
-    batched_kernel_histogram = {
-        name[len("kernel.batched."):]: int(total)
-        for name, total in recorder.counters.items()
-        if name.startswith("kernel.batched.")
     }
 
     return TraceSummary(
@@ -263,7 +251,6 @@ def summarize(recorder: InMemoryRecorder) -> TraceSummary:
         msv_high_water=high_water,
         wall_s=run_total if run_count else 0.0,
         num_events=len(recorder.events),
-        batched_kernel_histogram=batched_kernel_histogram,
         dropped_events=int(getattr(recorder, "dropped_events", 0)),
     )
 
@@ -277,10 +264,7 @@ def segment_profile(recorder: InMemoryRecorder) -> Dict[str, object]:
     trial total, and any recompute operations a drop-mode cache budget
     added (which the certificate accounts separately from plan ops).
     Works on merged multi-worker traces — span counts sum over all
-    tracks, exactly like the instruction multiset they record.  Wavefront
-    traces batch ``batch`` serial advances into one span; the span's
-    ``batch`` argument restores the serial count, so certificates built
-    from the serial plan validate unchanged against batched runs.
+    tracks, exactly like the instruction multiset they record.
     Requires an untruncated recorder — ring eviction loses span events,
     so P020 evidence must be recorded unbounded.
     """
@@ -290,7 +274,7 @@ def segment_profile(recorder: InMemoryRecorder) -> Dict[str, object]:
     for event in recorder.events:
         if event.ph == "B" and event.cat == "segment":
             entry = segments.setdefault(event.name, {"count": 0, "gates": 0})
-            entry["count"] += int((event.args or {}).get("batch", 1))
+            entry["count"] += 1
             entry["gates"] = int((event.args or {}).get("gates", 0))
         elif event.ph == "i" and event.name == "inject":
             injects += 1
@@ -448,14 +432,6 @@ def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
             for kind, count in sorted(summary.kernel_histogram.items())
         )
         lines.append(f"kernel classes    : {histogram}")
-    if summary.batched_kernel_histogram:
-        histogram = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(
-                summary.batched_kernel_histogram.items()
-            )
-        )
-        lines.append(f"batched kernels   : {histogram} (dispatches)")
     if summary.truncated:
         lines.append(
             f"ring truncation   : {summary.dropped_events} event(s) "

@@ -29,7 +29,7 @@ so timings stay honest — and its :class:`~repro.obs.summary.TraceSummary`
 is attached to the record as ``profile`` after being cross-checked
 against the timed run's outcome.
 
-Every further section (``workers``, ``batches``, ``hybrid``)
+Every further section (``workers``, ``hybrid``)
 is one option set from :mod:`repro.core.options`, timed through the same
 ``execute()`` against the same plan and proven exact the same way: each
 trial's payload ``array_equal`` to the serial compiled run's, with equal
@@ -61,7 +61,6 @@ __all__ = [
     "bench_one",
     "bench_rows",
     "compare_bench",
-    "dense_microbench",
     "hybrid_microbench",
     "kernel_microbench",
     "peak_rss_kb",
@@ -129,16 +128,12 @@ def _section(key: str, executor: str, **options) -> tuple:
 
 
 def _bench_sections(
-    workers: Sequence[int],
-    partition_depth: int,
-    batches: Sequence[int],
-    hybrid: bool,
+    workers: Sequence[int], partition_depth: int, hybrid: bool
 ) -> List[tuple]:
     sections = [
         _section("parallel", "parallel", workers=w, partition_depth=partition_depth)
         for w in workers
     ]
-    sections += [_section("batch", "wavefront", batch_size=b) for b in batches]
     if hybrid:
         sections.append(_section("hybrid", "hybrid", hybrid=True))
     return sections
@@ -188,86 +183,9 @@ def _bench_section(
             used_fork=outcome.used_fork,
             shm_bytes=outcome.shm_bytes,
         )
-    else:
-        section["batch"] = options.get("batch_size", 0)
     if isinstance(outcome, HybridOutcome):
         section.update(active=outcome.active, stats=dict(outcome.hybrid))
     return section
-
-
-def dense_microbench(
-    num_qubits: int = 12,
-    width: int = 16,
-    gates: int = 32,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Dense-kernel throughput: batched columns vs one-at-a-time.
-
-    Applies ``gates`` alternating 1q/2q dense unitaries to a
-    ``num_qubits``-qubit state, serially per column versus one batched
-    ``(2,)*n + (width,)`` call, and reports amplitudes processed per
-    second for each.  ``ratio`` (batched / serial per-column throughput)
-    is the CI regression gate: vectorizing across trials must never make
-    the dense kernel slower per column (gate at 0.9 to absorb machine
-    noise).
-    """
-    from .sim.kernels import DenseKernel
-
-    rng = np.random.default_rng(7)
-
-    def unitary(k: int) -> np.ndarray:
-        raw = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal(
-            (2**k, 2**k)
-        )
-        q, _ = np.linalg.qr(raw)
-        return q
-
-    kernels = []
-    for g in range(gates):
-        if g % 2:
-            qubits = (g % num_qubits, (g + 1) % num_qubits)
-            kernels.append(DenseKernel(unitary(2), qubits, num_qubits))
-        else:
-            kernels.append(DenseKernel(unitary(1), (g % num_qubits,), num_qubits))
-
-    shape = (2,) * num_qubits
-    base = rng.standard_normal(shape + (width,)) + 1j * rng.standard_normal(
-        shape + (width,)
-    )
-    base /= np.linalg.norm(base.reshape(-1, width), axis=0)
-
-    serial_best = float("inf")
-    for _ in range(max(1, repeats)):
-        cols = [np.ascontiguousarray(base[..., w]) for w in range(width)]
-        scratch = np.empty(shape, dtype=np.complex128)
-        start = time.perf_counter()
-        for w in range(width):
-            work, spare = cols[w], scratch
-            for kernel in kernels:
-                work, spare = kernel.apply(work, spare)
-            scratch = spare
-        serial_best = min(serial_best, time.perf_counter() - start)
-
-    batch_best = float("inf")
-    for _ in range(max(1, repeats)):
-        work = np.ascontiguousarray(base)
-        spare = np.empty_like(work)
-        start = time.perf_counter()
-        for kernel in kernels:
-            work, spare = kernel.apply_batch(work, spare)
-        batch_best = min(batch_best, time.perf_counter() - start)
-
-    amplitudes = float((2**num_qubits) * width * gates)
-    serial_rate = amplitudes / serial_best
-    batch_rate = amplitudes / batch_best
-    return {
-        "num_qubits": num_qubits,
-        "width": width,
-        "gates": gates,
-        "serial_amps_per_s": serial_rate,
-        "batched_amps_per_s": batch_rate,
-        "ratio": batch_rate / serial_rate,
-    }
 
 
 def hybrid_microbench(
@@ -358,8 +276,8 @@ MICROBENCH_CLASSES = ("dense-1q", "diagonal-2q", "permutation", "controlled")
 
 #: The class of one layer's unitary as a single full-width product (what
 #: a segment applies per layer up to ``LAYER_PRODUCT_MAX_QUBITS``).  It
-#: has no target, so :func:`kernel_microbench` gives it one row per width
-#: and batch, with ``target`` ``None``.
+#: has no target, so :func:`kernel_microbench` gives it one row per width,
+#: with ``target`` ``None``.
 LAYER_CLASS = "layer"
 
 
@@ -403,7 +321,6 @@ def _microbench_kernel(kind: str, num_qubits: int, target: Optional[int], rng):
 
 def kernel_microbench(
     widths: Sequence[int] = (5, 8, 10, 11, 12, 14),
-    batch: int = 16,
     repeats: int = 5,
     min_time: float = 2e-3,
     classes: Sequence[str] = MICROBENCH_CLASSES,
@@ -412,11 +329,10 @@ def kernel_microbench(
 
     For each of ``classes`` (:data:`MICROBENCH_CLASSES` and
     :data:`LAYER_CLASS`), width ``n`` and target qubit, the compiled
-    kernel is applied serially (``batch`` 1, ``apply``) and to a
-    batch-last array of ``batch`` columns (``apply_batch``).  Each repeat
-    times enough calls to last ``min_time`` seconds; a row reports the
-    median per-call time over ``repeats`` in microseconds: ``{"class",
-    "num_qubits", "target", "batch", "us"}``.  ``DENSE_PRODUCT_MIN_QUBITS``,
+    kernel's ``apply`` is timed on a ``2**n`` state.  Each repeat times
+    enough calls to last ``min_time`` seconds; a row reports the median
+    per-call time over ``repeats`` in microseconds: ``{"class",
+    "num_qubits", "target", "us"}``.  ``DENSE_PRODUCT_MIN_QUBITS``,
     ``DIAGONAL_BLOCK_QUBITS`` and ``LAYER_PRODUCT_MAX_QUBITS`` in
     :mod:`repro.sim.kernels` were chosen from these rows
     (docs/architecture.md §9).
@@ -428,32 +344,27 @@ def kernel_microbench(
             targets = (None,) if kind == LAYER_CLASS else range(num_qubits)
             for target in targets:
                 kernel = _microbench_kernel(kind, num_qubits, target, rng)
-                for width in sorted({1, batch}):
-                    shape = (2,) * num_qubits + ((width,) if width > 1 else ())
-                    apply = kernel.apply_batch if width > 1 else kernel.apply
-                    work = rng.standard_normal(shape) + 1j * rng.standard_normal(
-                        shape
-                    )
-                    spare = np.empty_like(work)
+                shape = (2,) * num_qubits
+                work = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                spare = np.empty_like(work)
+                start = time.perf_counter()
+                work, spare = kernel.apply(work, spare)
+                single = time.perf_counter() - start
+                number = max(1, min(10_000, int(min_time / max(single, 1e-7))))
+                samples = []
+                for _ in range(max(1, repeats)):
                     start = time.perf_counter()
-                    work, spare = apply(work, spare)
-                    single = time.perf_counter() - start
-                    number = max(1, min(10_000, int(min_time / max(single, 1e-7))))
-                    samples = []
-                    for _ in range(max(1, repeats)):
-                        start = time.perf_counter()
-                        for _ in range(number):
-                            work, spare = apply(work, spare)
-                        samples.append((time.perf_counter() - start) / number)
-                    rows.append(
-                        {
-                            "class": kind,
-                            "num_qubits": num_qubits,
-                            "target": target,
-                            "batch": width,
-                            "us": float(np.median(samples)) * 1e6,
-                        }
-                    )
+                    for _ in range(number):
+                        work, spare = kernel.apply(work, spare)
+                    samples.append((time.perf_counter() - start) / number)
+                rows.append(
+                    {
+                        "class": kind,
+                        "num_qubits": num_qubits,
+                        "target": target,
+                        "us": float(np.median(samples)) * 1e6,
+                    }
+                )
     return rows
 
 
@@ -467,7 +378,6 @@ def bench_one(
     trace: bool = False,
     workers: Sequence[int] = (),
     partition_depth: int = 1,
-    batches: Sequence[int] = (),
     hybrid: bool = False,
 ) -> Dict[str, object]:
     """Benchmark one suite circuit; returns one JSON-ready record.
@@ -475,11 +385,10 @@ def bench_one(
     ``name`` may be a Table I benchmark (Yorktown-compiled, device model)
     or a large-suite benchmark (logical circuit, artificial model — see
     :data:`repro.bench.suite.LARGE_BENCHMARKS`).  Each entry in
-    ``workers`` and ``batches``, and ``hybrid``, adds timed sections
-    (parallel, wavefront, hybrid executor) plus a bit-exactness proof
-    against the serial compiled run.
+    ``workers``, and ``hybrid``, adds timed sections (parallel, hybrid
+    executor) plus a bit-exactness proof against the serial compiled run.
     """
-    sections = _bench_sections(workers, partition_depth, batches, hybrid)
+    sections = _bench_sections(workers, partition_depth, hybrid)
     circuit, model = resolve_benchmark(name)
     layered = layerize(circuit)
     trials = sample_trials(
@@ -547,15 +456,6 @@ def bench_one(
                 repeats,
             )
             record.setdefault(key, []).append(section)
-        for key in ("batch", "hybrid"):
-            if key in record:
-                best_section = max(
-                    record[key], key=lambda s: s["speedup_vs_serial"]
-                )
-                record[f"{key}_best"] = {
-                    "batch": best_section["batch"],
-                    "speedup_vs_serial": best_section["speedup_vs_serial"],
-                }
 
     if trace:
         from .lint import check_recorded_run
@@ -602,20 +502,15 @@ def run_bench(
     trace: bool = False,
     workers: Sequence[int] = (),
     partition_depth: int = 1,
-    batches: Sequence[int] = (),
     hybrid: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
     """Run the harness over ``benchmarks`` (default: the full Table I suite).
 
-    Each entry in ``batches`` adds a timed trial-batched wavefront
-    section per benchmark (plus a bit-exactness proof against the serial
-    compiled payload stream) and a dense-kernel microbench to the
-    payload — the per-column throughput ratio CI gates on.  Section
-    options the table rejects raise
+    Section options the table rejects raise
     :class:`~repro.core.options.OptionError` before anything is timed.
     """
-    _bench_sections(workers, partition_depth, batches, hybrid)
+    _bench_sections(workers, partition_depth, hybrid)
     names = list(benchmarks) if benchmarks else benchmark_names()
     unknown = sorted(set(names) - set(all_benchmark_names()))
     if unknown:
@@ -637,7 +532,6 @@ def run_bench(
                 trace=trace,
                 workers=workers,
                 partition_depth=partition_depth,
-                batches=batches,
                 hybrid=hybrid,
             )
         )
@@ -653,7 +547,7 @@ def run_bench(
             else None
         ),
     }
-    for key, enabled in (("parallel", workers), ("batch", batches), ("hybrid", hybrid)):
+    for key, enabled in (("parallel", workers), ("hybrid", hybrid)):
         summary[f"all_{key}_exact"] = (
             all(
                 section["exact"]["ok"]
@@ -663,14 +557,13 @@ def run_bench(
             if enabled
             else None
         )
-    for key in ("batch", "hybrid"):
-        summary[f"geomean_{key}_speedup"] = _geomean(
-            [
-                record[f"{key}_best"]["speedup_vs_serial"]
-                for record in results
-                if f"{key}_best" in record
-            ]
-        )
+    summary["geomean_hybrid_speedup"] = _geomean(
+        [
+            section["speedup_vs_serial"]
+            for record in results
+            for section in record.get("hybrid", ())
+        ]
+    )
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -684,14 +577,11 @@ def run_bench(
             "trace": trace,
             "workers": list(workers),
             "partition_depth": partition_depth,
-            "batches": list(batches),
             "hybrid": hybrid,
         },
         "results": results,
         "summary": summary,
     }
-    if batches:
-        payload["microbench"] = dense_microbench()
     if hybrid:
         payload["hybrid_microbench"] = hybrid_microbench()
     return payload
@@ -741,15 +631,21 @@ def _geomean(values: Sequence[float]) -> Optional[float]:
 
 
 #: Record keys of the timed sections beside the serial run.
-SECTION_KEYS = ("parallel", "batch", "hybrid")
+SECTION_KEYS = ("parallel", "hybrid")
 
 
 def section_label(key: str, section: Dict[str, object]) -> str:
-    """A timed section's name, e.g. ``parallel[w2]`` or ``hybrid+batch[64]``."""
+    """A timed section's name, ``parallel[w2]`` or ``hybrid``.
+
+    Hybrid sections of older payloads carry the trial-batch width they
+    ran at; a nonzero one keeps its ``hybrid+batch[W]`` label, so a
+    baseline such as ``BENCH_0009.json`` compares only its width-0
+    section with today's ``hybrid``.
+    """
     if key == "parallel":
         return f"parallel[w{section['workers']}]"
-    batch = f"batch[{section['batch']}]"
-    return batch if key == "batch" else f"hybrid+{batch}" if section["batch"] else "hybrid"
+    width = section.get("batch", 0)
+    return f"hybrid+batch[{width}]" if width else "hybrid"
 
 
 def _comparable_sections(
@@ -787,7 +683,7 @@ def compare_bench(
     """Compare two harness payloads; the CI regression gate.
 
     For every benchmark present in *both* payloads, each named speedup
-    section (``compiled``, ``parallel[wN]``, ``batch[W]``, ``hybrid``)
+    section (``compiled``, ``parallel[wN]``, ``hybrid``)
     is compared as ``current_speedup / baseline_speedup``.  A section
     regresses when that ratio falls below ``1 - tolerance`` **and** both
     measurements clear the ``min_seconds`` noise floor (best-of-N times
@@ -848,7 +744,7 @@ def compare_bench(
         if only:
             skipped.extend(f"{name}:{section} (not in current)" for section in only)
     config_mismatches = []
-    for key in ("num_trials", "repeats", "warmup", "seed", "batches", "workers"):
+    for key in ("num_trials", "repeats", "warmup", "seed", "workers"):
         cur_value = current.get("config", {}).get(key)  # type: ignore[union-attr]
         base_value = baseline.get("config", {}).get(key)  # type: ignore[union-attr]
         if cur_value != base_value:

@@ -128,7 +128,6 @@ class JobSpec:
         mode: str = "optimized",
         backend: str = "statevector",
         workers: int = 0,
-        batch_size: int = 0,
         hybrid: bool = False,
         max_cache_bytes: Optional[int] = None,
         priority: str = "interactive",
@@ -155,7 +154,6 @@ class JobSpec:
         self.mode = mode
         self.backend = backend
         self.workers = int(workers)
-        self.batch_size = int(batch_size)
         self.hybrid = bool(hybrid)
         self.max_cache_bytes = max_cache_bytes
         self.priority = priority
@@ -178,7 +176,7 @@ class JobSpec:
             )
         known = {
             "circuit", "noise", "trials", "seed", "mode", "backend",
-            "workers", "batch_size", "hybrid", "max_cache_bytes",
+            "workers", "hybrid", "max_cache_bytes",
             "priority", "timeout", "retries", "journal", "share", "label",
         }
         unknown = sorted(set(payload) - known)
@@ -203,7 +201,6 @@ class JobSpec:
             "mode": self.mode,
             "backend": self.backend,
             "workers": self.workers,
-            "batch_size": self.batch_size,
             "hybrid": self.hybrid,
             "max_cache_bytes": self.max_cache_bytes,
             "priority": self.priority,
@@ -229,7 +226,6 @@ class JobSpec:
             "mode": self.mode,
             "backend": self.backend,
             "workers": self.workers,
-            "batch_size": self.batch_size,
             "hybrid": self.hybrid,
             "max_cache_bytes": self.max_cache_bytes,
         }
@@ -395,6 +391,9 @@ class JobStore:
         In-flight records (spec committed, no terminal file) come back in
         admission order with ``recovered=True`` so the server re-enqueues
         them; their journals make the re-run resume instead of recompute.
+        A spec stored with the retired ``batch_size`` field loads without
+        it: that executor's payloads equaled serial DFS's, and such a job
+        kept no journal, so running it on DFS returns the same result.
         """
         pending: List[JobRecord] = []
         finished: List[JobRecord] = []
@@ -405,7 +404,10 @@ class JobStore:
             try:
                 with open(spec_path, "r", encoding="utf-8") as handle:
                     payload = json.load(handle)
-                spec = JobSpec.from_dict(payload["spec"])
+                stored = payload["spec"]
+                if isinstance(stored, dict):
+                    stored.pop("batch_size", None)
+                spec = JobSpec.from_dict(stored)
                 seq = int(payload["seq"])
             except (ValueError, KeyError, json.JSONDecodeError):
                 continue  # torn spec: never admitted, nothing to resume
@@ -521,7 +523,6 @@ def execute_job(
                 mode=spec.mode,
                 backend=spec.backend,
                 workers=workers,
-                batch_size=spec.batch_size,
                 hybrid=spec.hybrid,
                 max_cache_bytes=spec.max_cache_bytes,
                 journal=journal,

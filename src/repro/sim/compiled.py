@@ -28,8 +28,12 @@ Narrow circuits apply one product per layer instead.  At widths up to
 is built once from that layer's fused matrices, and a segment over
 layers ``[s, e)`` is ``e - s`` full-width dense kernels, one
 matrix-vector product each — at 32 amplitudes a gate kernel is nearly
-all dispatch.  :meth:`CompiledCircuit.matrices` then returns those
-unitaries, so the statement above still holds.  The rule reads only the
+all dispatch.  The unitary is built by the serial kernels themselves:
+the ``2**n x 2**n`` identity is a ``2n``-qubit state whose first ``n``
+qubits carry the row index and last ``n`` the column index, so the
+layer's kernels, compiled at width ``2n``, advance it to the unitary.
+:meth:`CompiledCircuit.matrices` then returns those unitaries, so the
+statement above still holds.  The rule reads only the
 circuit, and since every segment applies the same per-layer products,
 the arithmetic no longer depends on where segments split.
 
@@ -44,15 +48,6 @@ state's tensor and one preallocated scratch buffer, threading the
 steady state allocates nothing per gate.  It subclasses
 :class:`~repro.sim.backend.StatevectorBackend`, so live-state tracking,
 ``finish`` snapshots and measurement sampling are inherited unchanged.
-
-The backend also exposes the **batched** execution surface used by the
-wavefront executor (:mod:`repro.core.wavefront`): the same compiled kernel
-programs applied through :meth:`Kernel.apply_batch` to a batch-last
-``(2,)*n + (B,)`` array holding ``B`` trial states as columns.  Batched
-calls charge ``ops_applied`` per column (``gates * B`` for a segment, one
-per column for an operator), so the paper's operation metric is invariant
-under any batch grouping; ``kernel.batched.*`` counters record how many
-batched applications each kernel kind received.
 """
 
 from __future__ import annotations
@@ -197,24 +192,24 @@ class CompiledCircuit:
     def _unitary(self, layer: int) -> np.ndarray:
         """The ``2**n x 2**n`` unitary of one layer (layer products only).
 
-        Built once from the layer's fused matrices: their kernels advance
-        the identity as a batch-last array, column ``j`` the basis state
-        ``j``, so column ``j`` ends as the unitary's column ``j``.
+        Built once from the layer's fused matrices.  The identity, as a
+        ``2n``-qubit state, holds the row index on qubits ``0 .. n-1``
+        and the column index on ``n .. 2n-1``; the layer's kernels,
+        compiled at width ``2n``, act on the row qubits only, so the
+        serial ``apply`` advances every column ``j`` from the basis state
+        ``j`` to the unitary's column ``j``.  No kernel spans all ``2n``
+        qubits.
         """
         unitary = self._unitaries.get(layer)
         if unitary is None:
-            num_qubits = self.num_qubits
-            dim = 1 << num_qubits
-            program, _, _ = _compile_ops(
-                self._ops(layer, layer + 1), num_qubits
-            )
-            columns = np.eye(dim, dtype=np.complex128).reshape(
-                (2,) * num_qubits + (dim,)
-            )
-            spare = np.empty_like(columns)
+            width = 2 * self.num_qubits
+            program, _, _ = _compile_ops(self._ops(layer, layer + 1), width)
+            dim = 1 << self.num_qubits
+            tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * width)
+            scratch = np.empty_like(tensor)
             for kernel in program:
-                columns, spare = kernel.apply_batch(columns, spare)
-            unitary = np.ascontiguousarray(columns.reshape(dim, dim))
+                tensor, scratch = kernel.apply(tensor, scratch)
+            unitary = tensor.reshape(dim, dim)
             self._unitaries[layer] = unitary
         return unitary
 
@@ -418,9 +413,6 @@ class CompiledStatevectorBackend(StatevectorBackend):
         self._scratch = np.empty(
             (2,) * layered.num_qubits, dtype=np.complex128
         )
-        # Lazy second single-state temporary for per-column injection
-        # (apply_operator_columns); most runs never allocate it.
-        self._col_temp: Optional[np.ndarray] = None
 
     def set_recorder(self, recorder) -> None:
         """Attach the recorder to the backend *and* its compiled circuit."""
@@ -471,125 +463,3 @@ class CompiledStatevectorBackend(StatevectorBackend):
             state, (self.compiled.operator_kernel(gate, tuple(qubits)),)
         )
         self.ops_applied += 1
-
-    # -- batched execution (wavefront) ------------------------------------
-
-    def run_kernels_batch(
-        self,
-        tensor: np.ndarray,
-        scratch: np.ndarray,
-        kernels: Sequence[Kernel],
-    ) -> np.ndarray:
-        """Thread a batch-last ``(2,)*n + (B,)`` pair through ``kernels``.
-
-        Returns the buffer holding the result; the other buffer is dead
-        scratch the caller may discard or reuse.  Accounting-free — the
-        ``apply_*_batch`` wrappers below charge ``ops_applied``.
-        """
-        recorder = self.recorder
-        if recorder:
-            swaps = 0
-            for kernel in kernels:
-                recorder.counter(f"kernel.batched.{kernel.kind}", 1)
-                new_tensor, scratch = kernel.apply_batch(tensor, scratch)
-                if new_tensor is not tensor:
-                    swaps += 1
-                tensor = new_tensor
-            if swaps:
-                recorder.counter("scratch.batched.swaps", swaps)
-        else:
-            for kernel in kernels:
-                tensor, scratch = kernel.apply_batch(tensor, scratch)
-        return tensor
-
-    def apply_layers_batch(
-        self,
-        tensor: np.ndarray,
-        scratch: np.ndarray,
-        start_layer: int,
-        end_layer: int,
-    ) -> np.ndarray:
-        """Advance every column of a batch through one layer segment.
-
-        The kernel program is the *same* memoized ``segment()`` object the
-        serial path compiles — identical fusion boundaries, hence
-        bit-identical per-column arithmetic.  Charges ``gates * B`` basic
-        operations (one per gate per trial).
-        """
-        kernels = self.compiled.segment(start_layer, end_layer)
-        width = tensor.shape[-1]
-        recorder = self.recorder
-        if recorder:
-            span = f"kernels[{start_layer},{end_layer})"
-            recorder.begin(span, cat="kernel", kernels=len(kernels), batch=width)
-            tensor = self.run_kernels_batch(tensor, scratch, kernels)
-            recorder.end(span, cat="kernel")
-        else:
-            tensor = self.run_kernels_batch(tensor, scratch, kernels)
-        self.ops_applied += (
-            self.layered.gates_between(start_layer, end_layer) * width
-        )
-        return tensor
-
-    def apply_operator_columns(
-        self,
-        tensor: np.ndarray,
-        scratch: np.ndarray,
-        gate: Gate,
-        qubits: Sequence[int],
-        start_col: int,
-        end_col: int,
-    ) -> None:
-        """Inject one error operator into columns ``[start_col, end_col)``.
-
-        Sibling columns with a different (or no) pending event are
-        untouched.  The column range is gathered into a contiguous
-        temporary, the kernel runs at contiguous speed, and the result is
-        scattered back — far cheaper than running the kernel on a strided
-        column-range view, and arithmetically identical since the batched
-        kernels are bit-exact per column on contiguous input.  Charges
-        one basic operation per column.
-        """
-        kernel = self.compiled.operator_kernel(gate, tuple(qubits))
-        recorder = self.recorder
-        if recorder:
-            recorder.counter(f"kernel.batched.{kernel.kind}", 1)
-        width = tensor.shape[-1]
-        count = end_col - start_col
-        if not tensor.flags.c_contiguous:
-            # A reshape below would silently copy; keep the strided path.
-            view = tensor[..., start_col:end_col]
-            result, _ = kernel.apply_batch(
-                view, scratch[..., start_col:end_col]
-            )
-            if result is not view:
-                view[...] = result
-            self.ops_applied += count
-            return
-        flat = tensor.reshape(-1, width)
-        num_qubits = self.layered.num_qubits
-        if count == 1:
-            # Single column: reuse the pooled one-state temporary and the
-            # serial apply (identical arithmetic, zero allocation).
-            if self._col_temp is None:
-                self._col_temp = np.empty(
-                    (2,) * num_qubits, dtype=np.complex128
-                )
-            work, spare = self._col_temp, self._scratch
-            work.reshape(-1)[...] = flat[:, start_col]
-            result, other = kernel.apply(work, spare)
-            flat[:, start_col] = result.reshape(-1)
-            self._col_temp, self._scratch = result, other
-            self.ops_applied += 1
-            return
-        # Multi-column range: one strided pass gathers all columns at
-        # once, the kernel advances them in a single batched call, and one
-        # strided pass scatters back — instead of re-crossing the buffer
-        # once per column.
-        shape = (2,) * num_qubits + (count,)
-        work = np.empty(shape, dtype=np.complex128)
-        spare = np.empty(shape, dtype=np.complex128)
-        work.reshape(-1, count)[...] = flat[:, start_col:end_col]
-        result, _ = kernel.apply_batch(work, spare)
-        flat[:, start_col:end_col] = result.reshape(-1, count)
-        self.ops_applied += count

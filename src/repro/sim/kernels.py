@@ -50,22 +50,6 @@ tensor as working space, so after a swap its contents are undefined —
 keep a copy of anything still needed.  No kernel keeps a temporary of its
 own; the kernel cache is shared by every thread of the process.
 
-Batched apply contract
-----------------------
-``kernel.apply_batch(tensor, scratch)`` is the same ping-pong contract
-over a **batch-last** array of shape ``(2,) * num_qubits + (B,)``: column
-``[..., b]`` holds trial ``b``'s state and one call advances all ``B``
-columns.  Batch-last is deliberate: every precomputed index tuple in this
-module addresses the *leading* ``num_qubits`` axes, so permutation moves
-and control slices work unchanged on the batched array, the diagonal
-broadcast only needs a trailing length-1 axis, the dense einsum only
-needs the batch label appended as a free (uncontracted) index, and the
-two-product form merges the batch axis into ``post``.  Because the batch
-axis is never contracted, the per-column arithmetic — operand order,
-summation order — is identical to the serial ``apply``, which is what
-makes batched execution bit-exact against the serial path at every batch
-width, including ``B == 1``.
-
 The module-level :func:`kernel_for_gate` cache is keyed by
 :attr:`Gate._key` (name, arity, params, rounded matrix bytes) plus the
 qubit placement, so error-injection operators and circuit gates share one
@@ -154,12 +138,6 @@ class Kernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def apply_batch(
-        self, tensor: np.ndarray, scratch: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Apply to a batch-last ``(2,)*n + (B,)`` array; same ping-pong."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(qubits={self.qubits})"
 
@@ -171,11 +149,11 @@ def _collapse_axes(
 
     Returns ``(shape, diag_shape, post)``: a reshape template where every
     run of consecutive non-target axes is merged into one axis (the
-    trailing run's size is returned separately as ``post`` so a batch
-    axis can be merged into it), and the matching broadcast shape with 1s
-    on the merged axes and 2s on the targets.  Reshaping a C-contiguous
-    tensor this way is free, and collapsing e.g. 14 axes to 3 makes
-    numpy's broadcast iterator several times cheaper per call.
+    trailing run's size is returned separately as ``post``), and the
+    matching broadcast shape with 1s on the merged axes and 2s on the
+    targets.  Reshaping a C-contiguous tensor this way is free, and
+    collapsing e.g. 14 axes to 3 makes numpy's broadcast iterator several
+    times cheaper per call.
     """
     targets = set(qubits)
     shape: List[int] = []
@@ -198,10 +176,7 @@ def _collapse_axes(
 class DiagonalKernel(Kernel):
     """Diagonal gate as one in-place broadcast multiply."""
 
-    __slots__ = (
-        "_diag", "_diag_batch", "_cshape", "_cdiag", "_cpost",
-        "_bshape", "_block",
-    )
+    __slots__ = ("_diag", "_bshape", "_block")
 
     kind = "diagonal"
 
@@ -221,20 +196,11 @@ class DiagonalKernel(Kernel):
         for qubit in qubits:
             shape[qubit] = 2
         self._diag = diagonal.reshape(shape)
-        # Same factors with a trailing length-1 axis: broadcasts along the
-        # batch axis of a batch-last array (a view, not a copy).
-        self._diag_batch = self._diag.reshape(shape + [1])
-        # Collapsed-axis views for the batched path: merging non-target
-        # axis runs (and the batch axis into the trailing run) does not
-        # change a single element-wise product, but cuts the broadcast
-        # iterator from ``n + 1`` axes to a handful.
-        self._cshape, cdiag, self._cpost = _collapse_axes(num_qubits, qubits)
-        self._cdiag = diagonal.reshape(cdiag + (1,))
-        # Serial contiguous path: the factor pre-broadcast over the
-        # trailing ``2**block`` amplitudes, so numpy's inner loop runs
-        # over a long contiguous block wherever the targets sit (a target
-        # on the last qubit would otherwise leave an inner loop of 2).
-        # Each amplitude still meets the same factor entry.
+        # Contiguous path: the factor pre-broadcast over the trailing
+        # ``2**block`` amplitudes, so numpy's inner loop runs over a long
+        # contiguous block wherever the targets sit (a target on the last
+        # qubit would otherwise leave an inner loop of 2).  Each
+        # amplitude still meets the same factor entry.
         block = min(num_qubits, DIAGONAL_BLOCK_QUBITS)
         lead = num_qubits - block
         bshape, bdiag, run = _collapse_axes(
@@ -255,17 +221,6 @@ class DiagonalKernel(Kernel):
             np.multiply(view, self._block, out=view)
             return tensor, scratch
         np.multiply(tensor, self._diag, out=tensor)
-        return tensor, scratch
-
-    def apply_batch(
-        self, tensor: np.ndarray, scratch: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if tensor.flags.c_contiguous:
-            width = tensor.shape[-1]
-            view = tensor.reshape(self._cshape + (self._cpost * width,))
-            np.multiply(view, self._cdiag, out=view)
-            return tensor, scratch
-        np.multiply(tensor, self._diag_batch, out=tensor)
         return tensor, scratch
 
 
@@ -306,10 +261,6 @@ class PermutationKernel(Kernel):
             else:
                 np.multiply(tensor[src], phase, out=scratch[dest])
         return scratch, tensor
-
-    # The move index tuples address the leading ``num_qubits`` axes only,
-    # so the identical loop moves every batch column at once.
-    apply_batch = apply
 
 
 class ControlledKernel(Kernel):
@@ -352,18 +303,6 @@ class ControlledKernel(Kernel):
             view[...] = result
         return tensor, scratch
 
-    def apply_batch(
-        self, tensor: np.ndarray, scratch: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        # The control index drops the control axes and keeps the batch
-        # axis, so the sliced view is itself batch-last for the inner
-        # kernel (compiled against the view's qubit count).
-        view = tensor[self._ctrl_index]
-        result, _ = self._inner.apply_batch(view, scratch[self._ctrl_index])
-        if result is not view:
-            view[...] = result
-        return tensor, scratch
-
 
 class DenseKernel(Kernel):
     """General gate as one preplanned einsum contraction into scratch.
@@ -376,16 +315,12 @@ class DenseKernel(Kernel):
 
     A kernel on two or more qubits that are ``0 .. n-1`` in order acts on
     the flat state index directly, so it is one ``np.dot`` of its matrix
-    with the flat state into the flat scratch.  Batched, it runs that
-    same product once per column, which keeps every column bit-identical
-    to ``apply``.
+    with the flat state into the flat scratch.
     """
 
     __slots__ = (
         "_gate_tensor", "_gate_sub", "_in_sub", "_out_sub",
-        "_bin_sub", "_bout_sub",
-        "_rshape", "_rpost", "_rgate_sub", "_rin_sub", "_rout_sub",
-        "_factors", "_halves", "_matrix",
+        "_rshape", "_rpost", "_factors", "_halves", "_matrix",
     )
 
     kind = "dense"
@@ -413,55 +348,19 @@ class DenseKernel(Kernel):
         for i, qubit in enumerate(qubits):
             out_sub[qubit] = num_qubits + i
         self._out_sub = out_sub
-        # Batched subscripts: the batch axis takes one more fresh label
-        # appearing in both state operands, so it rides through as a free
-        # index — einsum never contracts it and the per-column summation
-        # order matches the serial contraction exactly.
-        batch_label = num_qubits + k
-        self._bin_sub = self._in_sub + [batch_label]
-        self._bout_sub = out_sub + [batch_label]
-        # Collapsed-axis subscripts for the contiguous batched path: a
-        # C-contiguous batch-last array reshapes for free to
-        # ``(pre, 2, post*B)`` (one target) or ``(pre, 2, mid, 2, post*B)``
-        # (two targets), turning an (n+1)-axis einsum into a 3- or 5-axis
-        # one.  The contraction per output element sums the same products
-        # with the target labels iterated in the same nesting order, so
-        # the result stays bit-identical to the full-rank labeling (the
-        # test suite asserts this per kernel).  Non-contiguous inputs
-        # (controlled-kernel inner slices) keep the full-rank labels.
-        self._rshape: Optional[Tuple[int, ...]] = None
-        self._rpost = 0
-        self._rgate_sub: List[int] = []
-        self._rin_sub: List[int] = []
-        self._rout_sub: List[int] = []
-        if k == 1:
-            qubit = qubits[0]
-            self._rshape = (1 << qubit, 2)
-            self._rpost = 1 << (num_qubits - 1 - qubit)
-            self._rgate_sub = [3, 1]
-            self._rin_sub = [0, 1, 2]
-            self._rout_sub = [0, 3, 2]
-        elif k == 2:
-            low, high = sorted(qubits)
-            self._rshape = (1 << low, 2, 1 << (high - low - 1), 2)
-            self._rpost = 1 << (num_qubits - 1 - high)
-            self._rin_sub = [0, 1, 2, 3, 4]
-            self._rout_sub = [0, 5, 2, 6, 4]
-            # The gate tensor's axes follow the qubits argument order:
-            # (out_q0, out_q1, in_q0, in_q1).  Map each onto the collapsed
-            # state labels for its qubit's axis position.
-            if qubits[0] == low:
-                self._rgate_sub = [5, 6, 1, 3]
-            else:
-                self._rgate_sub = [6, 5, 3, 1]
         # Two-product form: the gate entries as factors over the target
         # axis — ``(u00, u11)`` for the products that land in place,
-        # ``(u10, u01)`` for the cross products — and index views of the
-        # two target halves for input that cannot take the contiguous
-        # ``(pre, 2, post*B)`` reshape above.
+        # ``(u10, u01)`` for the cross products — the ``(pre, 2)`` head
+        # and ``post`` size a contiguous state reshapes to for free, and
+        # index views of the two target halves for input that cannot.
+        self._rshape: Tuple[int, ...] = ()
+        self._rpost = 0
         self._factors: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._halves: Tuple[_Index, ...] = ()
         if k == 1 and num_qubits >= DENSE_PRODUCT_MIN_QUBITS:
+            qubit = qubits[0]
+            self._rshape = (1 << qubit, 2)
+            self._rpost = 1 << (num_qubits - 1 - qubit)
             gate = self._gate_tensor
             self._factors = (
                 np.array([gate[0, 0], gate[1, 1]]).reshape(2, 1),
@@ -473,7 +372,7 @@ class DenseKernel(Kernel):
             )
 
     def _products(
-        self, tensor: np.ndarray, scratch: np.ndarray, width: int
+        self, tensor: np.ndarray, scratch: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``out_i = x0*u[i,0] + x1*u[i,1]`` into scratch; consumes tensor.
 
@@ -482,10 +381,11 @@ class DenseKernel(Kernel):
         products always overwrite their own operands in place: a product
         written into the *other* half — an overlapping view of the same
         buffer — is rounded differently on some layouts, which would
-        break serial == batched bit-exactness.
+        break strided == contiguous bit-exactness (``TestLayoutSweep`` in
+        ``tests/sim/test_batched_kernels.py``).
         """
         direct, cross = self._factors
-        post = self._rpost * width
+        post = self._rpost
         if post > 1 and tensor.flags.c_contiguous and scratch.flags.c_contiguous:
             # Three ufuncs over the whole ``(pre, 2, post)`` view.
             shape = self._rshape + (post,)
@@ -494,10 +394,9 @@ class DenseKernel(Kernel):
             np.multiply(state, cross, out=state)
             np.add(out, state[:, ::-1], out=out)
             return scratch, tensor
-        # Strided input, or half-rows of one amplitude (the last qubit of
-        # one column), where the whole view would iterate rows of length
-        # one but each half is a single strided run: six ufuncs over the
-        # halves.
+        # Strided input, or half-rows of one amplitude (the last qubit),
+        # where the whole view would iterate rows of length one but each
+        # half is a single strided run: six ufuncs over the halves.
         low, high = self._halves
         x0, x1, y0, y1 = tensor[low], tensor[high], scratch[low], scratch[high]
         np.multiply(x0, direct[0], out=y0)
@@ -530,54 +429,13 @@ class DenseKernel(Kernel):
         if self._matrix is not None:
             return self._product(tensor, scratch)
         if self._factors is not None:
-            return self._products(tensor, scratch, 1)
+            return self._products(tensor, scratch)
         np.einsum(
             self._gate_tensor,
             self._gate_sub,
             tensor,
             self._in_sub,
             self._out_sub,
-            out=scratch,
-        )
-        return scratch, tensor
-
-    def apply_batch(
-        self, tensor: np.ndarray, scratch: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self._matrix is not None:
-            # One product per column, each on a contiguous row of a
-            # transposed copy: the very call ``apply`` makes.
-            dim, width = self._matrix.shape[0], tensor.shape[-1]
-            columns = np.ascontiguousarray(tensor.reshape(dim, width).T)
-            out = np.empty_like(columns)
-            for column in range(width):
-                np.dot(self._matrix, columns[column], out=out[column])
-            scratch[...] = out.T.reshape(scratch.shape)
-            return scratch, tensor
-        if self._factors is not None:
-            return self._products(tensor, scratch, tensor.shape[-1])
-        if (
-            self._rshape is not None
-            and tensor.flags.c_contiguous
-            and scratch.flags.c_contiguous
-        ):
-            width = tensor.shape[-1]
-            shape = self._rshape + (self._rpost * width,)
-            np.einsum(
-                self._gate_tensor,
-                self._rgate_sub,
-                tensor.reshape(shape),
-                self._rin_sub,
-                self._rout_sub,
-                out=scratch.reshape(shape),
-            )
-            return scratch, tensor
-        np.einsum(
-            self._gate_tensor,
-            self._gate_sub,
-            tensor,
-            self._bin_sub,
-            self._bout_sub,
             out=scratch,
         )
         return scratch, tensor
@@ -706,16 +564,8 @@ class KernelCost(NamedTuple):
 _AMP_BYTES = 16
 
 
-def kernel_cost(
-    kernel: Kernel, num_qubits: int, batch: int = 1
-) -> KernelCost:
+def kernel_cost(kernel: Kernel, num_qubits: int) -> KernelCost:
     """Static flop/byte cost of applying ``kernel`` to a ``2**n`` state.
-
-    With ``batch > 1`` the cost is that of one ``apply_batch`` call over a
-    batch-last ``(2,)*n + (batch,)`` array: exactly ``batch`` times the
-    serial cost, because the batch axis is a free index everywhere — this
-    linearity is what the cost model certifies when it prices batched
-    schedules (total flops are invariant under any batch grouping).
 
     The model mirrors each kernel's ``apply`` body:
 
@@ -733,13 +583,11 @@ def kernel_cost(
       is priced the same as the einsum, so a certificate does not depend
       on ``DENSE_PRODUCT_MIN_QUBITS``.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    dim = 2**num_qubits * batch
+    dim = 2**num_qubits
     if isinstance(kernel, DiagonalKernel):
         return KernelCost(6 * dim, 2 * _AMP_BYTES * dim)
     if isinstance(kernel, PermutationKernel):
-        per_move = 2 ** (num_qubits - len(kernel.qubits)) * batch
+        per_move = 2 ** (num_qubits - len(kernel.qubits))
         flops = sum(
             0 if phase == 1.0 else 6 * per_move
             for _, _, phase in kernel._moves
@@ -747,7 +595,7 @@ def kernel_cost(
         return KernelCost(flops, 2 * _AMP_BYTES * dim)
     if isinstance(kernel, ControlledKernel):
         num_controls = len(kernel.qubits) - len(kernel._inner.qubits)
-        return kernel_cost(kernel._inner, num_qubits - num_controls, batch)
+        return kernel_cost(kernel._inner, num_qubits - num_controls)
     if isinstance(kernel, DenseKernel):
         k = len(kernel.qubits)
         return KernelCost(8 * dim * 2**k, 2 * _AMP_BYTES * dim)

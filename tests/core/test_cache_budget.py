@@ -241,15 +241,6 @@ class TestBudgetEverywhere:
         result = lint_certificate_trace(certificate, recorder)
         assert result.ok, [str(d) for d in result.errors]
 
-    def test_batching_pool_takes_no_budget(self):
-        layered, trials = _setup(num_trials=32)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="spill")
-        with pytest.raises(ValueError, match="no cache budget"):
-            run_parallel(
-                layered, trials, lambda: CompiledStatevectorBackend(layered),
-                workers=2, inline=True, batch_size=8, cache_budget=budget,
-            )
-
     def test_runner_budget_counts_identical(self):
         circuit = build_compiled_benchmark("bv4")
         reference = NoisySimulator(circuit, ibm_yorktown(), seed=3).run(

@@ -154,7 +154,6 @@ class TestExplicitOptionsForce:
         [
             ({"backend": "statevector-interpreted"}, "dfs"),
             ({"max_cache_bytes": 1 << 30}, "dfs"),
-            ({"batch_size": 8}, "wavefront"),
             ({"mode": "baseline"}, "baseline"),
         ],
     )

@@ -80,36 +80,27 @@ class TestSerialStop:
             _sim().run(num_trials=16, mode="baseline", stop=stop)
 
 
-_BATCHED_AND_HYBRID = pytest.mark.parametrize(
-    "options",
-    [{"batch_size": 8}, {"hybrid": True}],
-    ids=["batch", "hybrid"],
-)
+class TestHybridStop:
 
-
-class TestBatchedAndHybridStop:
-    @_BATCHED_AND_HYBRID
-    def test_preset_stop_interrupts_before_any_work(self, options, monkeypatch):
+    def test_preset_stop_interrupts_before_any_work(self, monkeypatch):
         from repro.sim.compiled import CompiledStatevectorBackend
 
         kernel_calls = []
-        for name in ("apply_layers", "apply_layers_batch"):
-            real = getattr(CompiledStatevectorBackend, name)
+        real = CompiledStatevectorBackend.apply_layers
 
-            def spy(self, *args, _real=real, **kwargs):
-                kernel_calls.append(1)
-                return _real(self, *args, **kwargs)
+        def spy(self, *args, **kwargs):
+            kernel_calls.append(1)
+            return real(self, *args, **kwargs)
 
-            monkeypatch.setattr(CompiledStatevectorBackend, name, spy)
+        monkeypatch.setattr(CompiledStatevectorBackend, "apply_layers", spy)
         stop = threading.Event()
         stop.set()
         with pytest.raises(RunInterrupted) as info:
-            _sim(name="qft5").run(num_trials=256, stop=stop, **options)
+            _sim(name="qft5").run(num_trials=256, stop=stop, hybrid=True)
         assert info.value.trials_completed == 0
         assert kernel_calls == []
 
-    @_BATCHED_AND_HYBRID
-    def test_midrun_stop_reports_the_delivered_trials(self, options):
+    def test_midrun_stop_reports_the_delivered_trials(self):
         stop = threading.Event()
         delivered = []
 
@@ -120,7 +111,7 @@ class TestBatchedAndHybridStop:
 
         with pytest.raises(RunInterrupted) as info:
             _sim(name="qft5").run(
-                num_trials=256, stop=stop, on_trial=trip, **options
+                num_trials=256, stop=stop, on_trial=trip, hybrid=True
             )
         assert info.value.trials_completed == len(delivered)
         assert 50 <= len(delivered) < 256

@@ -28,20 +28,13 @@ DOCS = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
 TRIALS = 24
 SEED = 17
 STATEVECTOR_FAMILY = ("statevector", "statevector-interpreted")
-_HYBRID_BATCH = (
-    "batch_size has no effect on the hybrid executor; "
-    "it is honoured by: parallel, wavefront"
-)
-_BATCH_BUDGET = (
-    "batch_size is incompatible with max_cache_bytes: a wavefront, in-process "
-    "or in a pool's workers, keeps every parked row resident, so no budget applies"
-)
 _POOL_HYBRID = "hybrid has no effect on the parallel executor; it is honoured by: hybrid"
 
 
-def _parent_guard(o):
+def _guard(o):
     """The pairwise guard block ``run()`` carried before the table, kept
-    verbatim as the oracle for message parity; ``None`` when it passed."""
+    as the oracle for message parity (less the retired ``batch_size``
+    checks); ``None`` when it passed."""
     mode, backend = o["mode"], o["backend"]
     sv = backend in STATEVECTOR_FAMILY
     if mode not in MODES:
@@ -61,17 +54,6 @@ def _parent_guard(o):
                     f"(payload amplitudes are recorded), got {backend!r}")
     if o["max_cache_bytes"] is not None and not sv:
         return f"max_cache_bytes requires a statevector-family backend, got {backend!r}"
-    if o["batch_size"]:
-        if mode != "optimized":
-            return ("batch_size requires mode='optimized' (the baseline "
-                    "has no plan to batch over)")
-        if backend != "statevector":
-            return ("batch_size requires the compiled 'statevector' "
-                    f"backend (batched kernel surface), got {backend!r}")
-        if o["journal"] is not None:
-            return ("batch_size is incompatible with journal: the "
-                    "wavefront interleaves trials, so the trial-ordered "
-                    "resume log cannot be replayed against it")
     if o["hybrid"]:
         if mode != "optimized":
             return ("hybrid requires mode='optimized' (the fast path "
@@ -93,22 +75,12 @@ def _parent_guard(o):
         if not sv:
             return ("shared requires a statevector-family backend "
                     f"(amplitudes are published), got {backend!r}")
-        if o["workers"] or o["batch_size"] or o["hybrid"]:
+        if o["workers"] or o["hybrid"]:
             return ("shared requires the serial per-trial executor "
-                    "(workers=0, batch_size=0, hybrid=False); the batched "
-                    "and partitioned executors do not walk the provenance "
-                    "keys the store is shared under")
+                    "(workers=0, hybrid=False); the partitioned and hybrid "
+                    "executors do not walk the provenance keys the store is "
+                    "shared under")
     return None
-
-
-def _guard(o):
-    """``_parent_guard`` plus the rejection the table adds to the guard
-    block's ``batch_size`` entry: a batch width beside a budget, checked
-    after the block's own ``batch_size`` checks and before its ``hybrid``
-    and ``shared`` ones."""
-    if o["batch_size"] and o["max_cache_bytes"] is not None:
-        return _parent_guard({**o, "hybrid": False, "shared": None}) or _BATCH_BUDGET
-    return _parent_guard(o)
 
 
 def _clifford_circuit(num_qubits, num_gates, rng):
@@ -146,17 +118,11 @@ class TestTableCoversRun:
             assert params[name].default == option.default, name
 
     def test_pick_order(self):
-        assert [e.picked_by for e in EXECUTORS[:4]] == [
-            "journal", "workers", "hybrid", "batch_size",
-        ]
+        assert [e.picked_by for e in EXECUTORS[:3]] == ["journal", "workers", "hybrid"]
         assert validate(journal="j", workers=2).name == "journal"
-        assert validate(workers=2, batch_size=4).name == "parallel"
         with pytest.raises(OptionError, match=re.escape(_POOL_HYBRID)):
             validate(workers=2, hybrid=True)
-        with pytest.raises(OptionError, match=re.escape(_HYBRID_BATCH)):
-            validate(hybrid=True, batch_size=4)
         assert validate(hybrid=True).name == "hybrid"
-        assert validate(batch_size=4).name == "wavefront"
         assert validate().name == "dfs"
         assert validate(mode="baseline", backend="counting").name == "baseline"
 
@@ -172,10 +138,8 @@ class TestTableCoversRun:
 
         for executor in EXECUTORS:
             assert executor.evidence, executor.name
-            for entry in executor.evidence:
-                name, _, unless = entry.partition(" unless ")
-                assert name in RUN_CHECKS, (executor.name, entry)
-                assert not unless or unless in executor.honours, (executor.name, entry)
+            for name in executor.evidence:
+                assert name in RUN_CHECKS, (executor.name, name)
 
 
 class TestNewRejections:
@@ -207,8 +171,8 @@ class TestNewRejections:
             ({"partition_depth": 0, "workers": 2}, "partition_depth must be >= 1, got 0"),
             ({"collect_final_states": True, "backend": "counting"},
              "collect_final_states requires a backend with readout"),
-            ({"batch_size": 8, "max_cache_bytes": 4096}, _BATCH_BUDGET),
-            ({"workers": 2, "batch_size": 8, "max_cache_bytes": 4096}, _BATCH_BUDGET),
+            ({"task_timeout": 5.0}, "task_timeout requires workers"),
+            ({"retries": 0}, "retries requires workers"),
             ({"workers": 2, "hybrid": True}, _POOL_HYBRID),
         ],
     )
@@ -219,12 +183,10 @@ class TestNewRejections:
         assert sim._rng.bit_generator.state == before
 
     def test_expect_names_the_picking_option(self):
-        with pytest.raises(OptionError, match="batch_size must be >= 1, got 0"):
-            expect("wavefront", batch_size=0)
         with pytest.raises(OptionError, match="workers must be >= 1"):
             expect("parallel", workers=0)
-        with pytest.raises(OptionError, match=re.escape(_HYBRID_BATCH)):
-            expect("hybrid", hybrid=True, batch_size=64)
+        with pytest.raises(OptionError, match=re.escape(_POOL_HYBRID)):
+            expect("hybrid", hybrid=True, workers=2)
 
 
 _BASELINE_BUDGET = (
@@ -234,18 +196,15 @@ _BASELINE_BUDGET = (
 
 
 class TestOptionGrid:
-    """mode x backend x workers x batch x hybrid x budget x journal x shared.
+    """mode x backend x workers x hybrid x budget x journal x shared.
 
     Every combination the table accepts matches the serial run of the same
     mode on the same backend (payloads ``array_equal``, equal counts and
     ``optimized_ops``); every rejected one raises the table's message
     before the simulator draws from its RNG, and keeps the message the
-    old guard block gave it (``_guard``: unless a batch width beside a
-    budget fails first).  Combinations the guard block let through that
-    the table rejects: a budget on the baseline, which dropped it; a
-    batch width on the in-process hybrid executor, which no longer runs
-    batched fragments; a batch width beside a budget, which no wavefront
-    honours; and a pool with ``hybrid``, whose prefix runs dense only.
+    old guard block gave it (``_guard``).  Combinations the guard block
+    let through that the table rejects: a budget on the baseline, which
+    dropped it, and a pool with ``hybrid``, whose prefix runs dense only.
     ``hybrid=None`` (the default pick) gets the verdict ``hybrid=False``
     gets everywhere: the same executor or the same message.
     """
@@ -260,16 +219,16 @@ class TestOptionGrid:
         verdicts = {}
         accepted = rejected = 0
         grid = itertools.product(
-            MODES, BACKENDS, (0, 1), (0, 3), (None, False, True),
+            MODES, BACKENDS, (0, 1), (None, False, True),
             (None, budget), (False, True), (False, True),
         )
         for index, combo in enumerate(grid):
-            mode, backend, workers, batch, hybrid, mcb, journal, shared = combo
+            mode, backend, workers, hybrid, mcb, journal, shared = combo
             circuit = clifford if backend == "stabilizer" else dense
             readout = backend != "counting"
             options = dict(
                 mode=mode, backend=backend, workers=workers,
-                batch_size=batch, hybrid=hybrid, max_cache_bytes=mcb,
+                hybrid=hybrid, max_cache_bytes=mcb,
                 journal=str(tmp_path / f"{index}.journal") if journal else None,
                 shared=SharedPrefixStore() if shared else None,
             )
@@ -279,12 +238,7 @@ class TestOptionGrid:
             except OptionError as exc:
                 verdicts[combo] = str(exc)
                 rejected += 1
-                if hybrid and workers:
-                    new = _POOL_HYBRID
-                elif hybrid and batch:
-                    new = _HYBRID_BATCH
-                else:
-                    new = _BASELINE_BUDGET
+                new = _POOL_HYBRID if hybrid and workers else _BASELINE_BUDGET
                 assert str(exc) == (guard or new), combo
                 sim = NoisySimulator(circuit, model, seed=SEED)
                 before = sim._rng.bit_generator.state
@@ -312,8 +266,8 @@ class TestOptionGrid:
                         assert np.array_equal(a, b), combo
         assert accepted >= 30 and rejected >= 300, (accepted, rejected)
         for combo, verdict in verdicts.items():
-            if combo[4] is None:
-                assert verdict == verdicts[combo[:4] + (False,) + combo[5:]], combo
+            if combo[3] is None:
+                assert verdict == verdicts[combo[:3] + (False,) + combo[4:]], combo
 
 
 class TestDocsTable:

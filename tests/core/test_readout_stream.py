@@ -114,11 +114,6 @@ def test_inline_pool(name, monkeypatch):
     _assert_matches(_reference(name), *_run(name, workers=2))
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_wavefront(name):
-    _assert_matches(_reference(name), *_run(name, batch_size=8))
-
-
 @pytest.mark.parametrize("name", CLIFFORD)
 def test_hybrid(name):
     _assert_matches(_reference(name), *_run(name, hybrid=True))

@@ -142,14 +142,12 @@ class TestOutOfRangeEvents:
         [
             {},
             {"hybrid": True},
-            {"batch_size": 4},
             {"workers": 2, "partition_depth": 1},
             {"workers": 2, "partition_depth": 2},
             {"journal": "run.journal"},
             {"mode": "baseline"},
         ],
-        ids=["dfs", "hybrid", "batch", "pool-d1", "pool-d2", "journal",
-             "baseline"],
+        ids=["dfs", "hybrid", "pool-d1", "pool-d2", "journal", "baseline"],
     )
     def test_every_executor_names_the_event(self, tmp_path, options, where):
         circuit, model = resolve_benchmark("bv4")

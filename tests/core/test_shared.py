@@ -245,4 +245,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             sim.run(num_trials=8, workers=2, shared=store)
         with pytest.raises(ValueError):
-            sim.run(num_trials=8, batch_size=4, shared=store)
+            sim.run(num_trials=8, hybrid=True, shared=store)

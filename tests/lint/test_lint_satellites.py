@@ -159,7 +159,7 @@ class TestAutoCli:
         self, monkeypatch, capsys
     ):
         """P020/P021 read the plan, budget and trial count, so ``--auto``
-        builds no partition schedules and no wavefront entries."""
+        builds no partition schedules."""
         import repro.lint as lint
 
         built = []
@@ -177,7 +177,6 @@ class TestAutoCli:
         assert "certificate cross-check : ok" in out
         (certificate,) = built
         assert certificate["schedules"] == []
-        assert certificate["wavefront"] == []
         assert lint.validate_certificate(certificate) == []
 
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ class Recorded:
                 self.sim.layered, self.trials, self._backend,
                 workers=options["workers"], depth=options.get("partition_depth", 1),
                 inline=True, recorder=self.recorder,
-                batch_size=options.get("batch_size", 0),
             )
         else:
             self.metrics = self.sim.run(
@@ -103,15 +102,10 @@ SERIAL = [
     ("qft5", 128, {"mode": "baseline", "backend": "statevector-interpreted"}),
     ("bv14", 64, {"hybrid": True}),
     ("bv14", 64, {}),
-    ("qft5", 128, {"batch_size": 8}),
     ("qft5", 256, {"max_cache_bytes": 1100, "cache_degrade": "drop"}),
 ]
 
-INLINE = [
-    {"workers": 2, "partition_depth": depth, **extra}
-    for depth in (1, 2)
-    for extra in ({}, {"batch_size": 8})
-]
+INLINE = [{"workers": 2, "partition_depth": depth} for depth in (1, 2)]
 
 
 def _id(options):
@@ -119,13 +113,8 @@ def _id(options):
 
 
 def _expected(options):
-    """The evidence names the table gives ``options``, conditions applied."""
-    names = []
-    for entry in EVIDENCE[validate(**options).name]:
-        name, _, unless = entry.partition(" unless ")
-        if not (unless and options.get(unless)):
-            names.append(name)
-    return names
+    """The evidence names the table gives ``options``."""
+    return list(EVIDENCE[validate(**options).name])
 
 
 class TestCleanRunsPass:
@@ -167,11 +156,10 @@ class TestTamperedRunsFail:
             ("bv4", 128, {}, _drop_store, "P017"),
             ("bv4", 128, {"mode": "baseline"}, _bump_ops, "replay"),
             ("bv14", 64, {"hybrid": True}, _drop_advance, "P020"),
-            ("qft5", 128, {"batch_size": 8}, _drop_advance, "P020"),
             ("qft5", 128, {"workers": 2}, _drop_worker_store, "P017"),
             ("bv14", 64, {}, _drop_advance, "P020"),
         ],
-        ids=["dfs", "baseline", "hybrid", "wavefront", "parallel", "default-pick-hybrid"],
+        ids=["dfs", "baseline", "hybrid", "parallel", "default-pick-hybrid"],
     )
     def test_tampered(self, name, num_trials, options, tamper, code):
         run = Recorded(name, num_trials, options, inline="workers" in options)

@@ -111,7 +111,7 @@ class TestDisabledPathIsFree:
 
 class TestDisabledPathThroughSimulator:
     """The zero-call contract holds through the public NoisySimulator API,
-    including the new run.host wiring and the batched wavefront path."""
+    including the run.host wiring."""
 
     def _simulator(self, name="bv4", seed=3):
         from repro.bench.suite import resolve_benchmark
@@ -128,18 +128,6 @@ class TestDisabledPathThroughSimulator:
             mode="optimized",
             backend="statevector",
             recorder=SpyRecorder(),
-        )
-        assert SpyRecorder.calls == 0
-
-    def test_batched_run_makes_zero_recorder_calls(self):
-        simulator = self._simulator()
-        SpyRecorder.calls = 0
-        simulator.run(
-            num_trials=64,
-            mode="optimized",
-            backend="statevector",
-            recorder=SpyRecorder(),
-            batch_size=8,
         )
         assert SpyRecorder.calls == 0
 

@@ -296,18 +296,3 @@ class TestProfileCli:
         assert report["parity"]["ok"] is True
         assert report["metrics"]["p025_ok"] is True
         assert abs(report["run"]["coverage"] - 1.0) <= 0.05
-
-    def test_profile_command_batched(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "profile", "bv4", "--trials", "48", "--batch", "8",
-                "--calibration-repeats", "1",
-                "--flamegraph", str(tmp_path / "b.folded"),
-                "--metrics", str(tmp_path / "b.metrics.txt"),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batch 8" in out

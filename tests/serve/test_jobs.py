@@ -67,8 +67,8 @@ class TestJobSpec:
             ),
             ({"workers": -2}, "workers must be >= 1"),
             (
-                {"batch_size": 8, "max_cache_bytes": 4096},
-                "batch_size is incompatible with max_cache_bytes",
+                {"hybrid": True, "max_cache_bytes": 4096},
+                "hybrid is incompatible with max_cache_bytes",
             ),
             (
                 {"workers": 2, "hybrid": True},
@@ -153,6 +153,39 @@ class TestJobStore:
         states = {r.job_id: r.state for r in finished}
         assert states[done.job_id] == "done"
         assert states[failed.job_id] == "failed"
+
+    def test_recover_loads_specs_with_the_retired_batch_size(self, tmp_path):
+        """A state directory written while specs carried ``batch_size``
+        still recovers: a finished job keeps its result, and an in-flight
+        batched job (which kept no journal) runs to the isolated result."""
+        store = JobStore(str(tmp_path))
+
+        def write_legacy(seq, batch_size, label):
+            spec = dict(JobSpec.from_dict(_payload(label=label)).to_dict())
+            spec["batch_size"] = batch_size
+            job_id = f"j{seq:06d}-0000000{seq}"
+            os.makedirs(store.job_dir(job_id))
+            with open(store.spec_path(job_id), "w") as handle:
+                json.dump({"job_id": job_id, "seq": seq, "spec": spec}, handle)
+            return job_id
+
+        done_id = write_legacy(0, 0, "done")
+        inflight_id = write_legacy(1, 8, "inflight")
+        stored = {"job_id": done_id, "counts": {"0101": 32}}
+        store.commit_result(done_id, stored)
+
+        pending, finished = JobStore(str(tmp_path)).recover()
+        assert [(r.job_id, r.state, r.result) for r in finished] == [
+            (done_id, "done", stored)
+        ]
+        (record,) = pending
+        assert record.job_id == inflight_id and record.spec.label == "inflight"
+        payload = execute_job(record, store)
+        reference = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        ).run(num_trials=32)
+        assert payload["counts"] == reference.counts
+        assert payload["ops_applied"] == reference.metrics.optimized_ops
 
     def test_recover_skips_torn_spec(self, tmp_path):
         store = JobStore(str(tmp_path))

@@ -352,8 +352,22 @@ class TestSocketFaults:
             instance.stop()
 
     def test_queue_full_storm_rejects_visibly_and_admitted_jobs_survive(
-        self, tmp_path, isolated
+        self, tmp_path, isolated, monkeypatch
     ):
+        import threading
+
+        import repro.serve.server as server_module
+
+        # Admitted jobs run only once the storm is over, so they hold
+        # their slots however fast a job would finish.
+        storm_over = threading.Event()
+        real_execute_job = server_module.execute_job
+
+        def held(*args, **kwargs):
+            storm_over.wait(30)
+            return real_execute_job(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_job", held)
         instance, client = self._start(tmp_path, max_pending=2)
         try:
             accepted, rejected = [], 0
@@ -369,6 +383,7 @@ class TestSocketFaults:
                     assert exc.retry_after and exc.retry_after > 0
                     rejected += 1
             assert rejected > 0 and len(accepted) <= 2
+            storm_over.set()
             for job_id in accepted:
                 outcome = client.wait(job_id)
                 assert outcome["state"] == "done"
@@ -382,6 +397,7 @@ class TestSocketFaults:
             assert outcome["result"]["counts"] == isolated["counts"]
             assert 'state="rejected"' in client.metrics_http()
         finally:
+            storm_over.set()
             instance.stop()
 
     def test_sigkilled_server_process_resumes_over_state_dir(

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro import NoisySimulator
-from repro.circuits import QuantumCircuit, layerize
+from repro.circuits import QuantumCircuit, gates, layerize
+from repro.circuits.circuit import GateOp
+from repro.circuits.layers import LayeredCircuit
 from repro.core.cache import CacheBudget
 from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
@@ -39,6 +41,30 @@ CUTOFF = LAYER_PRODUCT_MAX_QUBITS
 def _random_layered(num_qubits, num_gates=30, seed=5):
     rng = np.random.default_rng(seed + num_qubits)
     return layerize(random_circuit(num_qubits, num_gates, rng))
+
+
+def _spanning_layered(num_qubits, seed=7):
+    """A layer of Hadamards, then one hand-built layer: a gate on every
+    qubit in ascending order, one on every qubit in descending order, and
+    a run of one-qubit gates on qubit 0 that fuses into one matrix."""
+    rng = np.random.default_rng(seed + num_qubits)
+    dim = 1 << num_qubits
+
+    def random_gate():
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return gates.unitary(np.linalg.qr(raw)[0])
+
+    every = tuple(range(num_qubits))
+    hadamards = [GateOp(gates.h(), (qubit,)) for qubit in every]
+    spanning = [
+        GateOp(random_gate(), every),
+        GateOp(random_gate(), every[::-1]),
+        GateOp(gates.h(), (0,)),
+        GateOp(gates.t(), (0,)),
+        GateOp(gates.sx(), (0,)),
+    ]
+    circuit = QuantumCircuit(num_qubits, name="spanning")
+    return LayeredCircuit(circuit, [hadamards, spanning], [])
 
 
 def _basis_columns(kernel, num_qubits):
@@ -74,9 +100,16 @@ class TestNarrowSegments:
         split = compiled.segment(0, middle) + compiled.segment(middle, layers)
         assert all(a is b for a, b in zip(everything, split))
 
-    @pytest.mark.parametrize("num_qubits", range(1, CUTOFF + 1))
-    def test_matrices_are_the_layer_unitaries(self, num_qubits):
-        layered = _random_layered(num_qubits)
+    @pytest.mark.parametrize(
+        "num_qubits, build",
+        [pytest.param(n, _random_layered, id=str(n)) for n in range(1, CUTOFF + 1)]
+        + [
+            pytest.param(n, _spanning_layered, id=f"spanning-{n}")
+            for n in range(2, CUTOFF + 1)
+        ],
+    )
+    def test_matrices_are_the_layer_unitaries(self, num_qubits, build):
+        layered = build(num_qubits)
         compiled = CompiledCircuit(layered)
         dim = 1 << num_qubits
         every_qubit = tuple(range(num_qubits))
@@ -102,20 +135,6 @@ class TestNarrowSegments:
                 np.testing.assert_allclose(
                     matrix[:, j], state.vector, atol=1e-13
                 )
-
-    def test_batched_columns_equal_serial_products(self):
-        layered = _random_layered(CUTOFF)
-        (kernel,) = CompiledCircuit(layered).segment(2, 3)
-        rng = np.random.default_rng(3)
-        shape = (2,) * CUTOFF + (5,)
-        batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        result, _ = kernel.apply_batch(batch.copy(), np.empty_like(batch))
-        for column in range(shape[-1]):
-            serial, _ = kernel.apply(
-                np.ascontiguousarray(batch[..., column]),
-                np.empty(shape[:-1], dtype=np.complex128),
-            )
-            assert np.array_equal(result[..., column], serial)
 
 
 class TestGateKernelsKept:
@@ -259,7 +278,6 @@ class TestExecutorsMatchSerialDfs:
             "journal": dict(journal=str(tmp_path / "run.journal")),
             "spill": dict(max_cache_bytes=budget, cache_degrade="spill"),
             "drop": dict(max_cache_bytes=budget, cache_degrade="drop"),
-            "batch-3": dict(batch_size=3),
             "hybrid": dict(hybrid=True),
         }
         # A drop budget recomputes dropped snapshots: the certified count.

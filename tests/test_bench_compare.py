@@ -1,11 +1,14 @@
 """The bench regression gate: compare_bench and `repro bench --compare`."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.perf import compare_bench
+from repro.perf import compare_bench, run_bench
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def record(
@@ -13,8 +16,10 @@ def record(
     speedup,
     best_s=0.1,
     parallel=(),
-    batch=(),
+    hybrid=(),
 ):
+    """A bench record; ``hybrid`` lists ``(width, speedup)`` pairs, where a
+    nonzero width is the wavefront width older payloads recorded."""
     rec = {
         "benchmark": name,
         "speedup": speedup,
@@ -25,10 +30,10 @@ def record(
             {"workers": w, "speedup_vs_serial": s, "best_s": best_s}
             for w, s in parallel
         ]
-    if batch:
-        rec["batch"] = [
-            {"batch": w, "speedup_vs_serial": s, "best_s": best_s}
-            for w, s in batch
+    if hybrid:
+        rec["hybrid"] = [
+            {"speedup_vs_serial": s, "best_s": best_s, **({"batch": w} if w else {})}
+            for w, s in hybrid
         ]
     return rec
 
@@ -74,19 +79,19 @@ class TestCompareBench:
         assert compare_bench(current, baseline, min_seconds=0.005)["ok"]
 
     def test_all_section_kinds_compared(self):
-        kwargs = dict(parallel=((2, 1.8),), batch=((64, 3.0),))
+        kwargs = dict(parallel=((2, 1.8),), hybrid=((0, 3.0),))
         baseline = payload(record("qft12", 1.5, **kwargs))
         current = payload(record("qft12", 1.5, **kwargs))
         outcome = compare_bench(current, baseline)
         assert sorted(row["section"] for row in outcome["rows"]) == [
-            "batch[64]", "compiled", "parallel[w2]",
+            "compiled", "hybrid", "parallel[w2]",
         ]
 
-    def test_batched_section_regression_detected(self):
-        baseline = payload(record("qft12", 1.5, batch=((64, 3.0),)))
-        current = payload(record("qft12", 1.5, batch=((64, 1.0),)))
+    def test_hybrid_section_regression_detected(self):
+        baseline = payload(record("qft12", 1.5, hybrid=((0, 3.0),)))
+        current = payload(record("qft12", 1.5, hybrid=((0, 1.0),)))
         outcome = compare_bench(current, baseline, tolerance=0.35)
-        assert outcome["regressions"] == ["qft12:batch[64]"]
+        assert outcome["regressions"] == ["qft12:hybrid"]
 
     def test_one_sided_benchmarks_informational(self):
         baseline = payload(record("qft12", 1.5), record("bv4", 1.2))
@@ -97,12 +102,12 @@ class TestCompareBench:
         assert outcome["benchmarks_skipped"] == ["bv4", "rb"]
 
     def test_one_sided_sections_informational(self):
-        baseline = payload(record("qft12", 1.5, batch=((64, 3.0),)))
-        current = payload(record("qft12", 1.5))
+        baseline = payload(record("qft12", 1.5, hybrid=((0, 2.0), (64, 3.0))))
+        current = payload(record("qft12", 1.5, hybrid=((0, 2.0),)))
         outcome = compare_bench(current, baseline)
         assert outcome["ok"]
         assert outcome["sections_skipped"] == [
-            "qft12:batch[64] (not in current)"
+            "qft12:hybrid+batch[64] (not in current)"
         ]
 
     def test_config_mismatches_reported_not_failed(self):
@@ -126,6 +131,34 @@ class TestCompareBench:
     def test_tolerance_validated(self, tolerance):
         with pytest.raises(ValueError):
             compare_bench(payload(), payload(), tolerance=tolerance)
+
+
+class TestCommittedBaselines:
+    """CI gates fresh payloads against committed ones, some of which
+    still carry wavefront sections."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return run_bench(
+            ["bv14"], num_trials=48, repeats=1, warmup=0, check=False, hybrid=True
+        )
+
+    def test_hybrid_compares_with_the_width_zero_section(self, fresh):
+        baseline = json.loads((ROOT / "BENCH_0009.json").read_text())
+        (bv14,) = [r for r in baseline["results"] if r["benchmark"] == "bv14"]
+        width_zero = next(s for s in bv14["hybrid"] if not s["batch"])
+        outcome = compare_bench(fresh, baseline)
+        (row,) = [
+            r for r in outcome["rows"]
+            if r["benchmark"] == "bv14" and r["section"] == "hybrid"
+        ]
+        assert row["baseline_speedup"] == width_zero["speedup_vs_serial"]
+        assert "bv14:hybrid+batch[64] (not in current)" in outcome["sections_skipped"]
+
+    def test_wavefront_only_baseline_compares(self, fresh):
+        baseline = json.loads((ROOT / "BENCH_0007.json").read_text())
+        outcome = compare_bench(fresh, baseline)
+        assert {row["section"] for row in outcome["rows"]} == {"compiled"}
 
 
 class TestCompareCli:

@@ -79,16 +79,16 @@ class TestCLI:
         assert "cache store/hit" in out
         assert validate_chrome_trace(json.loads(target.read_text())) == []
 
-    def test_trace_batched_workers(self, tmp_path, capsys):
-        target = tmp_path / "pb.trace.json"
+    def test_trace_workers(self, tmp_path, capsys):
+        target = tmp_path / "p.trace.json"
         assert main(
             [
-                "trace", "bv4", "--trials", "64", "--batch", "8",
-                "--workers", "2", "--out", str(target),
+                "trace", "bv4", "--trials", "64", "--workers", "2",
+                "--out", str(target),
             ]
         ) == 0
         assert (
-            "trace cross-check : ok (P018, replay, P020, P025)"
+            "trace cross-check : ok (P018, replay, P020, P025, P017, P021)"
             in capsys.readouterr().out
         )
 
@@ -139,10 +139,10 @@ class TestCLI:
                 "plan to partition)",
             ),
             (
-                ["trace", "bv4", "--trials", "16", "--batch", "4",
+                ["trace", "bv4", "--trials", "16", "--workers", "2",
                  "--backend", "counting"],
-                "batch_size requires the compiled 'statevector' backend "
-                "(batched kernel surface), got 'counting'",
+                "workers requires a statevector-family backend, got "
+                "'counting'",
             ),
         ],
     )

@@ -87,10 +87,10 @@ class TestSectionLoop:
     def test_every_section_is_exact_and_keeps_the_ci_keys(self):
         record = bench_one(
             "bv4", num_trials=24, repeats=1, warmup=0, seed=7, check=False,
-            workers=[1], batches=[2], hybrid=True,
+            workers=[1], hybrid=True,
         )
-        sections = record["parallel"] + record["batch"] + record["hybrid"]
-        assert len(sections) == 3
+        sections = record["parallel"] + record["hybrid"]
+        assert len(sections) == 2
         for section in sections:
             assert section["exact"] == {
                 "ops_equal": True, "states_bit_identical": True, "ok": True,
@@ -100,11 +100,8 @@ class TestSectionLoop:
         (parallel,) = record["parallel"]
         assert parallel["workers"] == 1 and parallel["partition_depth"] == 1
         assert {"num_tasks", "used_fork", "shm_bytes"} <= set(parallel)
-        assert [s["batch"] for s in record["batch"]] == [2]
-        assert [s["batch"] for s in record["hybrid"]] == [0]
-        assert all({"active", "stats"} <= set(s) for s in record["hybrid"])
-        assert record["batch_best"]["batch"] == 2
-        assert record["hybrid_best"]["batch"] == 0
+        (hybrid,) = record["hybrid"]
+        assert {"active", "stats"} <= set(hybrid)
 
     def test_serial_references_run_dfs_where_the_default_picks_hybrid(self, monkeypatch):
         """bv14 runs hybrid by default, so every serial reference (both
@@ -134,14 +131,14 @@ class TestSectionLoop:
         }
 
     def test_one_perturbed_payload_fails_exactness(self, monkeypatch):
-        import repro.core.wavefront as wavefront
+        import repro.core.hybrid as hybrid
         from repro.sim.statevector import Statevector
 
-        real_run_wavefront = wavefront.run_wavefront
+        real_run_hybrid = hybrid.run_hybrid
 
         def perturbed(layered, trials, backend, on_finish=None, **kwargs):
             if on_finish is None:
-                return real_run_wavefront(layered, trials, backend, **kwargs)
+                return real_run_hybrid(layered, trials, backend, **kwargs)
             seen = []
 
             def tamper(payload, indices):
@@ -154,46 +151,42 @@ class TestSectionLoop:
                 seen.append(indices)
                 on_finish(payload, indices)
 
-            return real_run_wavefront(layered, trials, backend, tamper, **kwargs)
+            return real_run_hybrid(layered, trials, backend, tamper, **kwargs)
 
-        monkeypatch.setattr(wavefront, "run_wavefront", perturbed)
+        monkeypatch.setattr(hybrid, "run_hybrid", perturbed)
         record = bench_one(
             "bv4", num_trials=24, repeats=1, warmup=0, seed=7, check=False,
-            batches=[2],
+            hybrid=True,
         )
-        (section,) = record["batch"]
+        (section,) = record["hybrid"]
         assert section["exact"] == {
             "ops_equal": True, "states_bit_identical": False, "ok": False,
         }
 
 
 class TestKernelMicrobench:
-    def test_rows_cover_every_class_target_and_batch(self):
-        rows = kernel_microbench(widths=(3,), batch=2, repeats=1, min_time=0.0)
+    def test_rows_cover_every_class_and_target(self):
+        rows = kernel_microbench(widths=(3,), repeats=1, min_time=0.0)
         assert {tuple(sorted(row)) for row in rows} == {
-            ("batch", "class", "num_qubits", "target", "us")
+            ("class", "num_qubits", "target", "us")
         }
         assert {
-            (row["class"], row["num_qubits"], row["target"], row["batch"])
-            for row in rows
+            (row["class"], row["num_qubits"], row["target"]) for row in rows
         } == {
-            (kind, 3, target, batch)
+            (kind, 3, target)
             for kind in MICROBENCH_CLASSES
             for target in range(3)
-            for batch in (1, 2)
         }
-        assert len(rows) == len(MICROBENCH_CLASSES) * 3 * 2
+        assert len(rows) == len(MICROBENCH_CLASSES) * 3
         assert all(row["us"] > 0 for row in rows)
 
-    def test_layer_class_has_one_row_per_width_and_batch(self):
+    def test_layer_class_has_one_row_per_width(self):
         rows = kernel_microbench(
-            widths=(3, 4), batch=2, repeats=1, min_time=0.0,
-            classes=(LAYER_CLASS,),
+            widths=(3, 4), repeats=1, min_time=0.0, classes=(LAYER_CLASS,),
         )
         assert [
-            (row["class"], row["num_qubits"], row["target"], row["batch"])
-            for row in rows
-        ] == [(LAYER_CLASS, n, None, b) for n in (3, 4) for b in (1, 2)]
+            (row["class"], row["num_qubits"], row["target"]) for row in rows
+        ] == [(LAYER_CLASS, n, None) for n in (3, 4)]
         assert all(row["us"] > 0 for row in rows)
 
 
@@ -223,7 +216,8 @@ class TestBenchCli:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--batch", "0"], "batch_size must be >= 1, got 0"),
+            (["--workers", "2", "--partition-depth", "0"],
+             "partition_depth must be >= 1, got 0"),
             (["--workers", "0"], "workers must be >= 1 (0 runs serially), got 0"),
         ],
     )
