@@ -10,6 +10,9 @@ orders of magnitude less memory:
   Pauli index), and a trial is the concatenation of its sorted events —
   so Python's plain ``bytes`` comparison is precisely the lexicographic
   trial order of Algorithm 1;
+* trials are sampled straight into that form from the object sampler's
+  event arrays (:func:`sample_packed_trials`), so no ``Trial`` object is
+  ever built;
 * after sorting, a **single streaming pass** with an explicit frame stack
   replays the scheduler's semantics arithmetically: frame creation pays
   the parent's layer advance plus one inject, a frame popped with pending
@@ -31,6 +34,7 @@ import numpy as np
 
 from ..circuits.layers import LayeredCircuit
 from ..noise.model import NoiseModel
+from ..noise.sampling import _draw_events, _trial_runs
 from .events import PAULI_LABELS, Trial
 
 __all__ = [
@@ -91,44 +95,23 @@ def sample_packed_trials(
 ) -> List[bytes]:
     """Sample trials directly in packed form (no Trial objects).
 
-    Statistically identical to :func:`repro.noise.sampling.sample_trials`
-    (same binomial-per-channel-group scheme, same label expansion); only
-    the representation differs.  Measurement flips are not sampled — the
-    packed path computes cost metrics, which readout flips never affect.
+    The same draw as :func:`repro.noise.sampling.sample_trials`, packed
+    straight from its event arrays: on the same generator state, trial
+    ``i`` here is ``pack_trial`` of trial ``i`` there.  Measurement flips
+    are not sampled — the packed path computes cost metrics, which readout
+    flips never affect, and the flips are drawn after every event.
     """
-    if num_trials < 1:
-        raise ValueError(f"need at least one trial, got {num_trials}")
-    positions = model.error_positions(layered)
-    groups: Dict[object, List] = {}
-    for position in positions:
-        groups.setdefault(position.channel, []).append(position)
-
-    events_per_trial: List[List[bytes]] = [[] for _ in range(num_trials)]
-    for channel, group in groups.items():
-        group_size = len(group)
-        probability = channel.total_probability
-        counts = rng.binomial(group_size, probability, size=num_trials)
-        hot = np.nonzero(counts)[0]
-        for trial_index in hot:
-            fired = int(counts[trial_index])
-            chosen = rng.choice(group_size, size=fired, replace=False)
-            labels = channel.sample_labels(fired, rng)
-            bucket = events_per_trial[trial_index]
-            for position_index, label in zip(chosen, labels):
-                position = group[int(position_index)]
-                for component, char in enumerate(str(label)):
-                    if char != "i":
-                        bucket.append(
-                            _pack_event(
-                                position.layer,
-                                position.qubits[component],
-                                _PAULI_INDEX[char],
-                            )
-                        )
-    packed = []
-    for bucket in events_per_trial:
-        bucket.sort()
-        packed.append(b"".join(bucket))
+    draw = _draw_events(layered, model, num_trials, rng, flips=False)
+    if draw.trial.size and max(draw.layer.max(), draw.qubit.max()) >= 1 << 16:
+        raise ValueError("an event exceeds the 16-bit packing")
+    rows = np.empty((draw.trial.size, EVENT_BYTES), dtype=np.uint8)
+    rows[:, 0], rows[:, 1] = draw.layer >> 8, draw.layer & 0xFF
+    rows[:, 2], rows[:, 3] = draw.qubit >> 8, draw.qubit & 0xFF
+    rows[:, 4] = draw.pauli
+    data = rows.tobytes()
+    packed = [b""] * num_trials
+    for index, start, end in _trial_runs(draw.trial):
+        packed[index] = data[start * EVENT_BYTES : end * EVENT_BYTES]
     return packed
 
 

@@ -42,6 +42,7 @@ from ..circuits.qasm import parse_qasm
 from ..core.atomicio import atomic_write_json, fsync_directory
 from ..core.executor import RunInterrupted
 from ..core.options import accepts, validate
+from ..core.resilience import JournalError
 from ..core.runner import NoisySimulator, SimulationResult
 from ..noise.devices import artificial_model, ibm_yorktown
 from ..noise.model import NoiseModel
@@ -486,6 +487,10 @@ def execute_job(
     ``RunInterrupted`` (stop event / deadline) and ``BaseException``
     chaos kills propagate immediately — both leave the committed journal
     tail intact, which is the resume contract the chaos suite proves.
+    A recovered job whose journal its first attempt refuses
+    (:class:`~repro.core.resilience.JournalError`: the journal holds other
+    trials than the spec now draws) moves that journal to
+    ``run.journal.stale`` and runs from scratch in the same attempt.
     The result payload is committed to the store before returning.
     """
     spec = record.spec
@@ -506,6 +511,20 @@ def execute_job(
         else None
     )
 
+    def run(workers: int) -> SimulationResult:
+        return spec.build_simulator().run(
+            num_trials=spec.trials,
+            mode=spec.mode,
+            backend=spec.backend,
+            workers=workers,
+            hybrid=spec.hybrid,
+            max_cache_bytes=spec.max_cache_bytes,
+            journal=journal,
+            shared=use_shared,
+            stop=stop,
+            on_trial=stream,
+        )
+
     attempts_allowed = spec.retries + 1
     last_error: Optional[BaseException] = None
     for attempt in range(attempts_allowed + 1):
@@ -517,19 +536,18 @@ def execute_job(
             record.degraded = True
         record.attempts += 1
         try:
-            simulator = spec.build_simulator()
-            result = simulator.run(
-                num_trials=spec.trials,
-                mode=spec.mode,
-                backend=spec.backend,
-                workers=workers,
-                hybrid=spec.hybrid,
-                max_cache_bytes=spec.max_cache_bytes,
-                journal=journal,
-                shared=use_shared,
-                stop=stop,
-                on_trial=stream,
-            )
+            try:
+                result = run(workers)
+            except JournalError:
+                # A recovered job's journal that the run refuses (P019) was
+                # written for other trials: by a version that drew another
+                # random stream (docs/architecture.md §7, pin 4).  It can
+                # never resume, so it moves aside and the job starts over.
+                recovered = record.recovered and not attempt
+                if not (recovered and journal and os.path.exists(journal)):
+                    raise
+                os.replace(journal, journal + ".stale")
+                result = run(workers)
         except RunInterrupted:
             raise
         except Exception as exc:  # noqa: BLE001 - service retry boundary

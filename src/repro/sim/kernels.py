@@ -58,6 +58,7 @@ compilation cache across all circuits of the same width.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -513,7 +514,15 @@ def compile_matrix(
 # The shared per-gate kernel cache
 # ---------------------------------------------------------------------------
 
+#: Entries the shared per-gate kernel cache holds.  A miss past it
+#: evicts the oldest entry (insertion order), so a long-lived process that
+#: meets many circuits (``repro serve``) stays bounded.  A Table I pass
+#: uses 216 entries and qft14 154.
+KERNEL_CACHE_MAX_ENTRIES = 1024
+
 _GATE_KERNEL_CACHE: Dict[tuple, Kernel] = {}
+# Guards eviction against a concurrent miss; a hit takes no lock.
+_CACHE_LOCK = threading.Lock()
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
 
@@ -525,15 +534,19 @@ def kernel_for_gate(
 
     Keyed by ``Gate._key`` — name, arity, params and rounded matrix bytes —
     so circuit gates and injected error operators with equal matrices share
-    one compiled kernel per placement.
+    one compiled kernel per placement.  Holds at most
+    :data:`KERNEL_CACHE_MAX_ENTRIES` kernels.
     """
     global _CACHE_HITS, _CACHE_MISSES
     key = (gate._key, tuple(qubits), num_qubits)
     kernel = _GATE_KERNEL_CACHE.get(key)
     if kernel is None:
-        _CACHE_MISSES += 1
         kernel = compile_matrix(gate.matrix, qubits, num_qubits)
-        _GATE_KERNEL_CACHE[key] = kernel
+        with _CACHE_LOCK:
+            _CACHE_MISSES += 1
+            if len(_GATE_KERNEL_CACHE) >= KERNEL_CACHE_MAX_ENTRIES:
+                del _GATE_KERNEL_CACHE[next(iter(_GATE_KERNEL_CACHE))]
+            _GATE_KERNEL_CACHE[key] = kernel
     else:
         _CACHE_HITS += 1
     return kernel
@@ -619,6 +632,7 @@ def kernel_cache_info() -> Dict[str, int]:
 def clear_kernel_cache() -> None:
     """Drop every cached compiled kernel (tests / memory pressure)."""
     global _CACHE_HITS, _CACHE_MISSES
-    _GATE_KERNEL_CACHE.clear()
-    _CACHE_HITS = 0
-    _CACHE_MISSES = 0
+    with _CACHE_LOCK:
+        _GATE_KERNEL_CACHE.clear()
+        _CACHE_HITS = 0
+        _CACHE_MISSES = 0

@@ -663,7 +663,12 @@ class TestLintP026:
         assert result.info["active"]
 
     def test_detects_tampered_finish_frame(self, suite_cases):
-        layered, trials, plan, _, _ = suite_cases["qft5"]
+        # A finish-sym action with a non-identity frame needs a trial whose
+        # error comes after the last layer; the case carries one outright
+        # rather than relying on the seeded draw.
+        layered, trials, _, _, _ = suite_cases["qft5"]
+        late = make_trial([ErrorEvent(layered.num_layers - 1, 0, "x")])
+        plan = build_plan(layered, list(trials) + [late])
         schedule = classify_plan(layered, plan)
         tampered = False
         actions = list(schedule.actions)

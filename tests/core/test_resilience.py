@@ -273,6 +273,32 @@ class TestRunnerIntegration:
         assert resumed.journal.replayed_trials > 0
         assert resumed.counts == reference.counts
 
+    def test_journal_of_other_trials_is_refused_before_any_replay(
+        self, tmp_path
+    ):
+        """A journal written for other trials than the seed now draws (one
+        from before the sampler's stream changed, docs/architecture.md §7
+        pin 4) fails P019's fingerprint check: nothing replays, nothing
+        streams, and the journal stays as it was, so the two streams never
+        mix."""
+        path = str(tmp_path / "run.journal")
+        layered = self._simulator().layered
+        foreign = sample_trials(
+            layered, ibm_yorktown(), 128, np.random.default_rng(99)
+        )
+        _run_until(layered, foreign, path, crash_after=3)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        streamed = []
+        with pytest.raises(JournalError, match="P019.*fingerprint"):
+            self._simulator().run(
+                num_trials=128, journal=path,
+                on_trial=lambda index, bits: streamed.append(index),
+            )
+        assert streamed == []
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
     def test_journal_requires_optimized_statevector(self, tmp_path):
         path = str(tmp_path / "run.journal")
         simulator = self._simulator()

@@ -4,11 +4,15 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
+from repro.core.resilience import load_journal, run_journaled
+from repro.noise import sample_trials
 from repro.serve import JobSpec, JobStore, execute_job
+from repro.sim.compiled import CompiledStatevectorBackend
 from repro.serve.jobs import resolve_circuit, resolve_noise
 
 
@@ -186,6 +190,50 @@ class TestJobStore:
         ).run(num_trials=32)
         assert payload["counts"] == reference.counts
         assert payload["ops_applied"] == reference.metrics.optimized_ops
+
+    def test_recovered_job_sets_a_foreign_journal_aside(self, tmp_path):
+        """An in-flight job whose journal holds other trials than its spec
+        now draws (a journal written before the sampler's stream changed,
+        docs/architecture.md §7 pin 4) restarts cleanly: the journal moves
+        aside, the job runs from scratch in its first attempt, and the
+        result equals an isolated run of its spec."""
+        store = JobStore(str(tmp_path))
+        admitted = store.admit(JobSpec.from_dict(_payload(label="inflight")))
+        layered = admitted.spec.build_simulator().layered
+        foreign = sample_trials(layered, ibm_yorktown(), 32, np.random.default_rng(99))
+        journal = store.journal_path(admitted.job_id)
+
+        class Killed(Exception):
+            pass
+
+        finishes = []
+
+        def kill_after_two(payload, indices):
+            finishes.append(indices)
+            if len(finishes) == 2:
+                raise Killed
+
+        with pytest.raises(Killed):
+            run_journaled(
+                layered, foreign, lambda: CompiledStatevectorBackend(layered),
+                kill_after_two, journal,
+            )
+        stale = load_journal(journal)
+
+        (record,), finished = JobStore(str(tmp_path)).recover()
+        assert record.job_id == admitted.job_id and not finished
+        payload = execute_job(
+            record, store, sleep=lambda _s: pytest.fail("the job retried")
+        )
+        reference = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        ).run(num_trials=32)
+        assert record.state == "done" and record.attempts == 1
+        assert payload["counts"] == reference.counts
+        assert payload["ops_applied"] == reference.metrics.optimized_ops
+        assert payload["journal"]["resumed"] is False
+        assert load_journal(journal + ".stale").fingerprint == stale.fingerprint
+        assert load_journal(journal).fingerprint != stale.fingerprint
 
     def test_recover_skips_torn_spec(self, tmp_path):
         store = JobStore(str(tmp_path))

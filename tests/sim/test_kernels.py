@@ -6,20 +6,31 @@ every gate of the standard library and at assorted qubit placements
 (including reversed / non-adjacent orders).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro import NoisySimulator
+from repro.bench.suite import benchmark_names, resolve_benchmark
 from repro.circuits import gates
+from repro.noise import NoiseModel
+from repro.sim import kernels
 from repro.sim.kernels import (
+    KERNEL_CACHE_MAX_ENTRIES,
     ControlledKernel,
     DenseKernel,
     DiagonalKernel,
     PermutationKernel,
+    clear_kernel_cache,
     compile_matrix,
     controlled_split,
     is_permutation_matrix,
+    kernel_cache_info,
     kernel_for_gate,
 )
+from repro.testing import random_circuit
 from repro.sim.statevector import apply_gate_matrix
 
 
@@ -210,3 +221,58 @@ class TestGateKernelCache:
         assert kernel_for_gate(event.gate, (2,), 5) is kernel_for_gate(
             gates.x(), (2,), 5
         )
+
+    def test_many_circuits_stay_within_the_bound(self):
+        """400 distinct random 5-qubit circuits, as a ``repro serve``
+        daemon meets them, keep the cache at or under its bound; unbounded,
+        they left 3,504 entries."""
+        clear_kernel_cache()
+        rng = np.random.default_rng(26)
+        model = NoiseModel.uniform(0.01)
+        try:
+            for seed in range(400):
+                circuit = random_circuit(5, 40, rng)
+                NoisySimulator(circuit, model, seed=seed).run(num_trials=16)
+                assert kernel_cache_info()["size"] <= KERNEL_CACHE_MAX_ENTRIES
+            assert kernel_cache_info()["misses"] > KERNEL_CACHE_MAX_ENTRIES
+        finally:
+            clear_kernel_cache()
+
+    def test_a_table1_pass_evicts_nothing(self):
+        clear_kernel_cache()
+        for name in benchmark_names():
+            circuit, model = resolve_benchmark(name)
+            NoisySimulator(circuit, model, seed=11).run(num_trials=1024)
+        info = kernel_cache_info()
+        assert info["misses"] == info["size"] <= KERNEL_CACHE_MAX_ENTRIES
+
+    def test_concurrent_misses_keep_the_bound(self, monkeypatch):
+        """Threads that miss at once evict under one lock: no thread fails
+        on an entry another already evicted, and the cache never passes
+        its bound."""
+        monkeypatch.setattr(kernels, "KERNEL_CACHE_MAX_ENTRIES", 8)
+        clear_kernel_cache()
+        errors, sizes = [], []
+
+        def miss(offset):
+            try:
+                for step in range(300):
+                    kernel_for_gate(gates.rz(offset + 1e-3 * step), (0,), 2)
+                    sizes.append(kernel_cache_info()["size"])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=miss, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_kernel_cache()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(sizes) == 4 * 300
+        assert max(sizes) <= 8
