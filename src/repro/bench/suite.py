@@ -129,7 +129,7 @@ def export_qasm_suite(directory, compiled: bool = True) -> List[str]:
 
 
 class LargeBenchmarkSpec(NamedTuple):
-    """A beyond-Table-I benchmark for the parallel/perf harness.
+    """A beyond-Table-I benchmark for the perf harness and the CLI.
 
     Too many qubits for the 5-qubit Yorktown device, so these run as
     *logical* circuits under a uniform artificial noise model (the
@@ -143,10 +143,10 @@ class LargeBenchmarkSpec(NamedTuple):
     error_rate: float
 
 
-#: 12+-qubit workloads for ``repro bench --workers``.  Error rates are
-#: tuned so a 1024-trial set branches into enough distinct subtrees to
-#: load-balance across workers while keeping the distinct-final-state
-#: count (hence memory and runtime) bounded.
+#: 12+-qubit workloads for ``repro bench``, ``run``, ``trace`` and
+#: ``advise``.  Error rates are tuned so a 1024-trial set branches into
+#: many distinct subtrees while keeping the distinct-final-state count
+#: (hence memory and runtime) bounded.
 LARGE_BENCHMARKS: Tuple[LargeBenchmarkSpec, ...] = (
     LargeBenchmarkSpec("qft12", lambda: qft(12), 12, 1.0e-3),
     LargeBenchmarkSpec("bv14", lambda: bv(14), 14, 2.0e-3),

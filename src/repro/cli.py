@@ -265,8 +265,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Wall-clock perf harness: compiled kernels vs interpreted statevector."""
-    from .core.options import OptionError
-    from .perf import SECTION_KEYS, bench_rows, run_bench, section_label, write_bench_json
+    from .perf import bench_rows, run_bench, section_label, write_bench_json
 
     try:
         payload = run_bench(
@@ -277,16 +276,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             check=not args.no_check,
             trace=args.trace,
-            workers=args.workers or (),
-            partition_depth=args.partition_depth,
             hybrid=args.hybrid,
             progress=lambda name: print(f"benching {name} ...", file=sys.stderr),
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except OptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
         rows_to_table(
@@ -306,19 +300,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.no_check:
         status = "ok" if summary["all_equivalent"] else "FAILED"
         print(f"equivalence (ops, peak MSV, final states): {status}")
-    for key, flag in (("parallel", args.workers), ("hybrid", args.hybrid)):
-        if not flag:
-            continue
-        status = "ok" if summary[f"all_{key}_exact"] else "FAILED"
-        print(f"{key} exactness (every trial's payload bit-identical, equal ops): {status}")
+    if args.hybrid:
+        status = "ok" if summary["all_hybrid_exact"] else "FAILED"
+        print(f"hybrid exactness (every trial's payload bit-identical, equal ops): {status}")
         for record in payload["results"]:
             sections = ", ".join(
-                f"{section_label(key, s)} {s['speedup_vs_serial']:.2f}x"
+                f"{section_label(s)} {s['speedup_vs_serial']:.2f}x"
                 + (" (inactive)" if s.get("active") is False else "")
-                for s in record[key]
+                for s in record["hybrid"]
             )
-            print(f"{key} {record['benchmark']}: {sections}")
-    if args.hybrid:
+            print(f"hybrid {record['benchmark']}: {sections}")
         print(
             "geomean hybrid speedup vs serial compiled: "
             f"{summary['geomean_hybrid_speedup']:.2f}x"
@@ -407,7 +398,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
     if not args.no_check and not summary["all_equivalent"]:
         return 1
-    if any(summary[f"all_{key}_exact"] is False for key in SECTION_KEYS):
+    if summary["all_hybrid_exact"] is False:
         return 1
     if trace_failures:
         return 1
@@ -485,13 +476,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     options = {
         "mode": args.mode,
-        "workers": args.workers,
-        "partition_depth": args.partition_depth,
         "journal": args.journal,
         "max_cache_bytes": args.max_cache_bytes,
         "cache_degrade": args.cache_degrade,
-        "task_timeout": args.task_timeout,
-        "retries": args.retries,
         "hybrid": args.hybrid,
     }
     if _reject_options(**options):
@@ -517,9 +504,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
 
         def certify(simulator, trials):
-            # The cross-check reads the plan, budget and trial count, so
-            # the partition section is not built.
-            return _advise_certificate(args, simulator, trials, depths=())
+            return _advise_certificate(args, simulator, trials)
 
     run = _RecordedRun(args, options, record=args.auto, certify=certify)
     result, elapsed = run.result, run.wall_s
@@ -529,7 +514,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "benchmark": args.benchmark,
             "mode": args.mode,
             "seed": args.seed,
-            "workers": options["workers"],
             "executor": result.executor,
             "metrics": metrics.as_dict(),
             "counts": result.counts,
@@ -549,11 +533,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"benchmark         : {args.benchmark}")
     print(f"mode              : {args.mode}")
     print(f"executor          : {result.executor}")
-    if options["workers"]:
-        print(
-            f"workers           : {options['workers']} "
-            f"(partition depth {options['partition_depth']})"
-        )
     if result.executor == "hybrid":
         print(
             "hybrid            : Clifford spans run as Pauli-frame "
@@ -602,8 +581,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     options = {
         "mode": args.mode,
         "backend": args.backend,
-        "workers": args.workers,
-        "partition_depth": args.partition_depth,
     }
     if _reject_options(**options):
         return 2
@@ -619,17 +596,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             "backend": args.backend,
             "seed": args.seed,
             "num_trials": args.trials,
-            "workers": args.workers,
         },
     )
 
     print(f"benchmark         : {args.benchmark}")
     print(f"backend           : {args.backend}")
-    if args.workers:
-        print(
-            f"workers           : {args.workers} "
-            f"(partition depth {args.partition_depth})"
-        )
     print(format_trace_summary(summarize(run.recorder), top=args.top))
     print(f"\nwrote {out} ({len(run.recorder.events)} events)")
     return _report_checks("trace cross-check", run.checks())
@@ -853,13 +824,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if num_errors else 0
 
 
-def _advise_certificate(args: argparse.Namespace, simulator, trials, depths=None):
+def _advise_certificate(args: argparse.Namespace, simulator, trials):
     """The resource certificate ``repro advise`` prints and ``run --auto``
-    checks its run against, for the ``trials`` ``simulator`` sampled.
-
-    ``depths`` overrides the partition depths the arguments name; ``()``
-    leaves the partition section empty.
-    """
+    checks its run against, for the ``trials`` ``simulator`` sampled."""
     from .lint import build_certificate
 
     budget = None
@@ -867,15 +834,11 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials, depths=None
         from .core.cache import CacheBudget
 
         budget = CacheBudget(max_bytes=args.max_cache_bytes, mode=args.cache_degrade)
-    if depths is None:
-        depths = getattr(args, "depths", None) or (1, 2)
     return build_certificate(
         simulator.layered,
         trials,
         benchmark=args.benchmark,
         seed=args.seed,
-        depths=depths,
-        workers=getattr(args, "candidate_workers", None) or (1, 2, 4),
         budget=budget,
         compiled=simulator.compiled_circuit(),
     )
@@ -883,20 +846,22 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials, depths=None
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     """Resource certificate of one benchmark run, and the executor it picks."""
-    from .lint import (
-        lint_certificate_schedule,
-        validate_certificate,
-        write_certificate,
-    )
+    from .core.schedule import build_plan
+    from .lint import analyze_hybrid, validate_certificate, write_certificate
 
     try:
-        certificate = _advise_certificate(args, *_sampled(args))
+        simulator, trials = _sampled(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
+    certificate = _advise_certificate(args, simulator, trials)
+    # Only advise reads the hybrid section, so it is built here rather
+    # than in every certificate (run --auto checks none of it).
+    certificate["hybrid"] = analyze_hybrid(
+        simulator.layered, build_plan(simulator.layered, trials),
+        compiled=simulator.compiled_circuit(),
+    )
     problems = validate_certificate(certificate)
-    schedule_audit = lint_certificate_schedule(certificate)
 
     print(f"benchmark         : {args.benchmark}")
     print(
@@ -935,12 +900,10 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     print(f"advice            : {' '.join(suggestion)}")
     print(f"                    (or, cross-checked: {' '.join(suggestion)} --auto)")
 
-    status = "ok" if schedule_audit.ok and not problems else "FAILED"
-    print(f"certificate check : {status} (schema + P022)")
+    status = "FAILED" if problems else "ok"
+    print(f"certificate check : {status} (schema)")
     for problem in problems:
         print(f"  {problem}", file=sys.stderr)
-    for diagnostic in schedule_audit.errors:
-        print(f"  {diagnostic.render()}", file=sys.stderr)
 
     if args.json:
         write_certificate(args.json, certificate)
@@ -979,7 +942,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "noise": "ibm_yorktown",
         "trials": args.trials,
         "seed": args.seed,
-        "workers": args.workers,
         "priority": args.priority,
         "label": args.label or args.benchmark,
     }
@@ -1138,26 +1100,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "Build a machine-checkable resource certificate for one "
             "benchmark — per-segment flop/byte costs from the kernel "
             "taxonomy, the full resident-memory timeline (with predicted "
-            "spill/drop events under --max-cache-bytes), LPT makespans "
-            "for every candidate partition depth and worker count, and "
-            "the hybrid schedule's static shape — and print "
+            "spill/drop events under --max-cache-bytes) and the hybrid "
+            "schedule's static shape — and print "
             "the executor the default pick rule runs these trials on, "
             "with the 'repro run' line that runs them.  No statevector is "
             "ever allocated.  'repro run <benchmark> --auto' checks a real "
             "run against the certificate.  Exit status 1 if the "
-            "certificate fails its own consistency proof (P022)."
+            "certificate fails its schema check."
         ),
     )
     padvise.add_argument("benchmark", choices=all_benchmark_names())
     padvise.add_argument("--trials", type=int, default=1024)
-    padvise.add_argument(
-        "--depths", nargs="*", type=int, default=None, metavar="D",
-        help="candidate partition depths (default: 1 2)",
-    )
-    padvise.add_argument(
-        "--candidate-workers", nargs="*", type=int, default=None,
-        metavar="N", help="candidate worker counts (default: 1 2 4)",
-    )
     padvise.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
         help="also certify degradation under this snapshot-cache budget "
@@ -1200,15 +1153,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "evidence (counter replay, P017, P020, P021, P025)",
     )
     pbench.add_argument(
-        "--workers", nargs="*", type=int, default=None, metavar="N",
-        help="also time run_parallel at these worker counts and prove "
-        "the merged results bit-identical to the serial run",
-    )
-    pbench.add_argument(
-        "--partition-depth", type=int, default=1,
-        help="trie cut depth for the parallel partition (default 1)",
-    )
-    pbench.add_argument(
         "--hybrid", action="store_true",
         help="also time the Clifford/Pauli-frame fast path and prove "
         "every payload bit-identical to the serial compiled run (plus a "
@@ -1239,21 +1183,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--mode", choices=("optimized", "baseline"), default="optimized"
     )
     prun.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="execute the partitioned plan across N worker processes "
-        "(optimized mode only; 0 = serial)",
-    )
-    prun.add_argument(
-        "--partition-depth", type=int, default=1,
-        help="trie cut depth for the parallel partition (default 1)",
-    )
-    prun.add_argument(
         "--hybrid", action="store_true", default=None,
         help="force the Clifford/Pauli-frame fast path: run pure-Clifford "
         "trie spans symbolically over shared dense anchors and materialize "
         "amplitudes only at non-Clifford gates or Finish (optimized "
         "mode, compiled backend; bit-identical to serial dense; not "
-        "with --workers or --max-cache-bytes).  Without it a "
+        "with --journal or --max-cache-bytes).  Without it a "
         "run with no executor option takes the fast path when the "
         "circuit is wide and frame-safe (bv14), serial DFS otherwise",
     )
@@ -1269,8 +1204,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     prun.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
-        help="snapshot-cache byte budget for serial DFS, its --workers "
-        "and --journal runs; coldest snapshots degrade per "
+        help="snapshot-cache byte budget for serial DFS and --journal "
+        "runs; coldest snapshots degrade per "
         "--cache-degrade when the budget is exceeded (results unchanged; "
         "not with --hybrid)",
     )
@@ -1278,16 +1213,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--cache-degrade", choices=("spill", "drop"), default="spill",
         help="over-budget policy: spill to disk and reload, or drop and "
         "recompute (default: spill)",
-    )
-    prun.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline for parallel workers; a hung worker is "
-        "killed and its task re-run elsewhere",
-    )
-    prun.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="parallel task retry budget before the parent runs the "
-        "task inline (default: 2)",
     )
     prun.add_argument(
         "--auto", action="store_true",
@@ -1320,16 +1245,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--backend",
         choices=("statevector", "statevector-interpreted", "counting"),
         default="statevector",
-    )
-    ptrace.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="record a partitioned parallel run instead of a serial one; "
-        "worker events merge into per-worker trace tracks and the "
-        "cross-check validates each track against its sub-plans",
-    )
-    ptrace.add_argument(
-        "--partition-depth", type=int, default=1,
-        help="trie cut depth for the parallel partition (default 1)",
     )
     ptrace.add_argument(
         "--out", default=None, metavar="PATH",
@@ -1426,7 +1341,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     psubmit.add_argument("state_dir", help="server state directory")
     psubmit.add_argument("benchmark", choices=all_benchmark_names())
     psubmit.add_argument("--trials", type=int, default=1024)
-    psubmit.add_argument("--workers", type=int, default=0)
     psubmit.add_argument(
         "--priority", choices=("interactive", "batch"), default="interactive"
     )

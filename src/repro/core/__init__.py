@@ -22,7 +22,6 @@ from .resilience import (
     JournalError,
     JournalSummary,
     RunJournal,
-    WorkerCrash,
     journal_fingerprint,
     load_journal,
     payload_checksum,
@@ -87,7 +86,6 @@ __all__ = [
     "Trial",
     "TrialTrie",
     "TrieNode",
-    "WorkerCrash",
     "adjacent_prefix_lengths",
     "atomic_write_json",
     "baseline_operation_count",

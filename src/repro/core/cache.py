@@ -22,7 +22,7 @@ With a :class:`CacheBudget` attached, the executor keeps the *resident*
 snapshot whenever a store pushes the cache over budget: either **spilling**
 its amplitudes to disk (reloaded, checksum-verified, on restore) or
 **dropping** it outright and recomputing it from its recorded provenance
-(the instructions applied since the run's entry state) when restored.
+(the instructions applied since ``|0...0>``) when restored.
 Degradation trades operations (or disk I/O) for memory and never changes
 results.
 
@@ -55,17 +55,16 @@ __all__ = [
 
 
 class CorruptionError(RuntimeError):
-    """A checksum over statevector bytes (shared memory, journal record,
-    spilled snapshot) did not verify — the data must not be trusted."""
+    """A checksum over statevector bytes (journal record, spilled
+    snapshot) did not verify — the data must not be trusted."""
 
 
 def payload_checksum(array: Any) -> int:
     """CRC32 over the raw bytes of an amplitude array.
 
     The integrity primitive for every statevector that leaves RAM custody:
-    shared-memory entry states and finish payloads (:mod:`.parallel`),
-    journal records (:mod:`.resilience`) and spilled snapshots all carry
-    this checksum and are verified on the way back in.
+    journal records (:mod:`.resilience`) and spilled snapshots carry this
+    checksum and are verified on the way back in.
     """
     return zlib.crc32(np.asarray(array).tobytes()) & 0xFFFFFFFF
 
@@ -95,8 +94,8 @@ class SpilledSnapshot(NamedTuple):
 
 class DroppedSnapshot(NamedTuple):
     """Slot stub: the snapshot was freed; ``provenance`` (the ``Advance``
-    and ``Inject`` instructions applied since the run's entry state, in
-    order) replays it exactly."""
+    and ``Inject`` instructions applied since ``|0...0>``, in order)
+    replays it exactly."""
 
     provenance: Tuple[Any, ...]
 
@@ -186,7 +185,6 @@ class StateCache:
         self._peak_resident_stored = 0
         self._snapshots_taken = 0
         self._snapshots_released = 0
-        self._entries = 0
         self._spills = 0
         self._spill_loads = 0
         self._drops = 0
@@ -220,16 +218,6 @@ class StateCache:
             raise RuntimeError("working_destroyed without a live working state")
         self._working_live -= 1
         self._sample()
-
-    def entry_emitted(self) -> None:
-        """A parallel task's entry state was written out for its task.
-
-        The entry stays held until the run ends, so it counts toward both
-        nominal peaks — as in :class:`~repro.core.schedule.PlanWalk` — but
-        it is no cache state: it is never taken, sampled or drained.
-        """
-        self._entries += 1
-        self._update_peaks()
 
     # -- snapshot slots -----------------------------------------------------------
 
@@ -370,10 +358,8 @@ class StateCache:
         return self._resident_stored + self._working_live
 
     def _update_peaks(self) -> None:
-        self._peak_msv = max(self._peak_msv, self.num_live + self._entries)
-        self._peak_stored = max(
-            self._peak_stored, len(self._slots) + self._entries
-        )
+        self._peak_msv = max(self._peak_msv, self.num_live)
+        self._peak_stored = max(self._peak_stored, len(self._slots))
         self._peak_resident_msv = max(self._peak_resident_msv, self.num_resident)
         self._peak_resident_stored = max(
             self._peak_resident_stored, self._resident_stored

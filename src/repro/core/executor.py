@@ -14,10 +14,9 @@ no executor ever holds more than the cache-accounted number of states.
 
 :func:`run_optimized`'s instruction loop (:func:`_interpret`) is the one
 place plan instructions execute against real states:
-:func:`~repro.core.hybrid.run_hybrid` and the parallel prefix phase run
-through it too.  What a state is belongs to a *state model*:
-:class:`_DenseStates` here and in the prefix phase, the hybrid model in
-:mod:`repro.core.hybrid`.
+:func:`~repro.core.hybrid.run_hybrid` runs through it too.  What a state
+is belongs to a *state model*: :class:`_DenseStates` here, the hybrid
+model in :mod:`repro.core.hybrid`.
 
 Both executors accept an optional ``recorder``
 (:class:`~repro.obs.recorder.TraceRecorder`): when attached, every
@@ -37,8 +36,8 @@ every snapshot store the executor degrades the coldest resident snapshot
 (spill to disk, or drop and recompute it) until the resident footprint
 fits.  Results are unchanged — spilled amplitudes are checksum-verified on
 reload, and a recomputed snapshot replays the very ``Advance``/``Inject``
-instructions that produced it, from an unmodified copy of the run's entry
-state, so even compiled kernel fusion reproduces the same float rounding.
+instructions that produced it, from ``|0...0>``, so even compiled kernel
+fusion reproduces the same float rounding.
 The nominal peak-MSV accounting deliberately ignores degradation (it
 mirrors the plan's demand and lint's static bound); the actually-resident
 peaks are reported separately on :class:`~repro.core.cache.CacheStats`.
@@ -46,9 +45,12 @@ peaks are reported separately on :class:`~repro.core.cache.CacheStats`.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
+import signal as signal_module
 import tempfile
+import threading
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +70,6 @@ from .cache import (
 from .events import Trial
 from .schedule import (
     Advance,
-    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -84,6 +85,7 @@ from .shared import SharedPrefixStore, advance_step, circuit_fingerprint, inject
 __all__ = [
     "ExecutionOutcome",
     "RunInterrupted",
+    "graceful_stop",
     "run_optimized",
     "run_baseline",
     "FinishCallback",
@@ -96,18 +98,48 @@ FinishCallback = Callable[[Any, Tuple[int, ...]], None]
 class RunInterrupted(RuntimeError):
     """An execution was stopped cooperatively before finishing its trials.
 
-    Raised when a ``stop`` event passed to an executor (or to
-    :func:`~repro.core.parallel.run_parallel` via a signal handler) is
-    set.  The interrupt is *clean*: every finish delivered before the
-    exception was complete and in order, resources were released through
-    the normal ``finally`` paths, and a journaled run's committed tail
-    remains a valid resume point.  ``trials_completed`` counts the trials
-    whose finishes were delivered before the stop took effect.
+    Raised when a ``stop`` event passed to an executor (by hand, or by
+    :func:`graceful_stop` on a signal) is set.  The interrupt is *clean*:
+    every finish delivered before the exception was complete and in
+    order, resources were released through the normal ``finally`` paths,
+    and a journaled run's committed tail remains a valid resume
+    point.  ``trials_completed`` counts the trials whose finishes were
+    delivered before the stop took effect.
     """
 
     def __init__(self, message: str, trials_completed: int = 0) -> None:
         super().__init__(message)
         self.trials_completed = trials_completed
+
+
+@contextlib.contextmanager
+def graceful_stop(
+    signals: Sequence[int] = (signal_module.SIGTERM, signal_module.SIGINT),
+):
+    """Turn SIGTERM/SIGINT into a cooperative stop event for the block.
+
+    The default disposition of SIGTERM kills the process outright —
+    ``finally`` blocks never run, so a journal loses its open group and
+    a spill area its cleanup.  Inside this context the listed signals
+    instead set the yielded ``threading.Event``; an executor polling it
+    (``run(stop=...)``) stops at the next plan instruction, the journal
+    fsyncs what completed, every resource is released through the normal
+    cleanup paths and :class:`RunInterrupted` is raised.  Previous
+    handlers are restored on exit.  Signal handlers can only be installed
+    from the main thread; use a plain ``threading.Event`` (or the asyncio
+    loop's ``add_signal_handler``) elsewhere.
+    """
+    stop = threading.Event()
+    previous = {}
+    for sig in signals:
+        previous[sig] = signal_module.signal(
+            sig, lambda signum, frame: stop.set()
+        )
+    try:
+        yield stop
+    finally:
+        for sig, handler in previous.items():
+            signal_module.signal(sig, handler)
 
 
 class ExecutionOutcome:
@@ -243,10 +275,8 @@ class _DenseStates:
     :class:`~repro.core.shared.SharedPrefixStore`, and cache-budget
     degradation (spill or drop after a store, rehydration on restore).
     A dropped snapshot's provenance is the ``Advance``/``Inject``
-    instructions applied since the run's entry state; it is rebuilt by
-    replaying them on an unmodified copy of that entry (``|0...0>``, or
-    ``entry`` — the entry state's amplitudes, kept because the run
-    mutates its working copy in place).
+    instructions applied since ``|0...0>``; it is rebuilt by replaying
+    them on a fresh initial state.
     The hybrid model (:mod:`repro.core.hybrid`) extends it with a
     symbolic side.
     """
@@ -260,7 +290,6 @@ class _DenseStates:
         working,
         budget: Optional[CacheBudget] = None,
         shared: Optional[SharedPrefixStore] = None,
-        entry: Optional[np.ndarray] = None,
     ) -> None:
         self.layered = layered
         self.backend = backend
@@ -269,7 +298,6 @@ class _DenseStates:
         self.working = working
         self.budget = budget
         self.shared = shared
-        self.entry = entry
         self.ops_shared = 0
         #: The working state's provenance, tracked only under a drop budget.
         self.program: Optional[list] = (
@@ -375,11 +403,6 @@ class _DenseStates:
             return self.backend.finish_view(self.working)
         return self.backend.finish(self.working)
 
-    def emit(self, index: int, row: np.ndarray) -> None:
-        # Serialize straight out of the working state — no intermediate
-        # snapshot copy is ever taken for a task entry.
-        np.copyto(row, self.working.vector)
-
     def release(self) -> None:
         self.backend.release_state(self.working)
 
@@ -442,14 +465,7 @@ class _DenseStates:
             )
         if isinstance(entry, DroppedSnapshot):
             ops_before = backend.ops_applied
-            start = (
-                backend.make_initial()
-                if self.entry is None
-                else backend.adopt_state(
-                    Statevector(self.layered.num_qubits, tensor=self.entry)
-                )
-            )
-            state = _run_program(backend, start, entry.provenance)
+            state = _run_program(backend, backend.make_initial(), entry.provenance)
             self.cache.note_recompute()
             if recorder:
                 ops_delta = backend.ops_applied - ops_before
@@ -471,25 +487,18 @@ def _interpret(
     recorder=None,
     on_finish: Optional[FinishCallback] = None,
     stop=None,
-    working_layer: int = 0,
-    tasks: Sequence[Any] = (),
-    entries: Any = None,
     name: str = "optimized",
 ) -> int:
     """Execute an instruction stream against ``model``'s states.
 
-    The one runtime walk behind :func:`run_optimized`,
-    :func:`~repro.core.hybrid.run_hybrid` and the parallel prefix phase.
-    The loop owns what the instructions mean: layer checks, ``cache``
-    accounting (an emitted task entry stays counted toward the peaks, as
-    in :class:`~repro.core.schedule.PlanWalk`), the moved-snapshot and
-    borrowed-finish peepholes, trace events, ``stop`` polling, and
-    delivery — each ``Finish`` payload to ``on_finish``, each
-    ``EmitTask`` entry state into ``entries[task_id]`` at
-    ``tasks[task_id].entry_layer``.  The model owns what a state is
-    (:class:`_DenseStates`, or the hybrid model of
-    :mod:`repro.core.hybrid`, which runs no ``EmitTask``).  Returns the
-    number of finishes; the cache is drained on return.
+    The one runtime walk behind :func:`run_optimized` and
+    :func:`~repro.core.hybrid.run_hybrid`.  The loop owns what the
+    instructions mean: layer checks, ``cache`` accounting, the
+    moved-snapshot and borrowed-finish peepholes, trace events, ``stop``
+    polling, and delivery of each ``Finish`` payload to ``on_finish``.
+    The model owns what a state is (:class:`_DenseStates`, or the hybrid
+    model of :mod:`repro.core.hybrid`).  Returns the number of finishes;
+    the cache is drained on return.
     """
     num_layers = layered.num_layers
     total = len(instructions)
@@ -498,14 +507,14 @@ def _interpret(
     probe = model._fetch_shared if model.shared is not None else None
     advance, inject = model.advance, model.inject
     cache.working_created()
-    live = True  # a working state exists
-    moved = False  # ...and the last Snapshot moved it into the cache
+    working_layer = 0
+    moved = False  # the last Snapshot moved the working state into the cache
     finish_calls = 0
     trials_done = 0
     try:
         for index, instr in enumerate(instructions):
             if stop is not None and stop.is_set():
-                if live and not moved:
+                if not moved:
                     model.release()
                 raise RunInterrupted(
                     f"{name} run interrupted by stop request",
@@ -630,36 +639,10 @@ def _interpret(
                     if borrowed:
                         recorder.counter("finish.moved", 1)
                 trials_done += len(instr.trial_indices)
-            elif isinstance(instr, EmitTask):
-                task = tasks[instr.task_id]
-                if working_layer != task.entry_layer:
-                    raise ScheduleError(
-                        f"task {task.task_id} entry at layer "
-                        f"{task.entry_layer} but working state is at layer "
-                        f"{working_layer}"
-                    )
-                model.emit(index, entries[instr.task_id])
-                if recorder:
-                    recorder.instant(
-                        "task.emit", cat="parallel", task=task.task_id,
-                        layer=working_layer, trials=len(task.trial_indices),
-                    )
-                    recorder.counter("tasks.emitted", 1)
-                # The working state is consumed (like a serial Finish): a
-                # following Restore swaps in the next state; otherwise the
-                # walk is done with it.
-                if index + 1 == total or not isinstance(
-                    instructions[index + 1], Restore
-                ):
-                    model.release()
-                    cache.working_destroyed()
-                    live = False
-                cache.entry_emitted()
             else:  # pragma: no cover - exhaustive over instruction kinds
                 raise ScheduleError(f"unknown plan instruction {instr!r}")
-        if live:
-            model.release()
-            cache.working_destroyed()
+        model.release()
+        cache.working_destroyed()
     finally:
         model.close()
     cache.assert_drained()
@@ -687,9 +670,6 @@ def run_optimized(
     plan: Optional[ExecutionPlan] = None,
     check: bool = False,
     recorder=None,
-    entry_state=None,
-    entry_layer: int = 0,
-    entry_events: Tuple = (),
     cache_budget: Optional[CacheBudget] = None,
     shared: Optional[SharedPrefixStore] = None,
     stop=None,
@@ -720,21 +700,12 @@ def run_optimized(
         Optional :class:`~repro.obs.recorder.TraceRecorder`.  Falsy
         recorders (``None`` or :class:`~repro.obs.recorder.NullRecorder`)
         cost one truthiness check per plan instruction and nothing else.
-    entry_state / entry_layer / entry_events:
-        Resume execution from a mid-circuit state instead of ``|0...0>``:
-        ``entry_state`` (adopted via ``backend.adopt_state``) is a state
-        already advanced to ``entry_layer`` with ``entry_events`` injected.
-        This is how parallel workers replay a sub-plan cut out of a larger
-        plan (:mod:`repro.core.parallel`); the plan's instructions must
-        start from ``entry_layer`` and the sanitizer (``check=True``)
-        verifies trial exactness against the *full* event histories.
     cache_budget:
         Optional :class:`~repro.core.cache.CacheBudget` capping the
         resident statevector bytes; snapshots beyond the budget are
         spilled to disk or dropped-and-recomputed (statevector-family
         backends only).  A dropped snapshot is recomputed by replaying its
-        instructions from ``|0...0>``, or from a copy of ``entry_state``
-        taken before the run mutates it.  Results and nominal peak-MSV
+        instructions from ``|0...0>``.  Results and nominal peak-MSV
         accounting are unchanged; ``CacheStats`` reports the degradation
         counters and the resident peaks.
     shared:
@@ -745,9 +716,7 @@ def run_optimized(
         see :mod:`repro.core.shared`) and counts the skipped gates into
         ``ops_shared`` instead of executing them.  Prefix states are
         published at every ``Snapshot`` and ``Finish``.  Requires a
-        statevector-family backend and is ignored (with exact results)
-        when ``entry_state`` is set, since a mid-circuit entry state has
-        no provenance key.
+        statevector-family backend.
     stop:
         Optional ``threading.Event``-like object polled once per plan
         instruction; when set, the run raises :class:`RunInterrupted`
@@ -762,12 +731,7 @@ def run_optimized(
             f"plan covers {plan.num_trials} trials, got {len(trials)}"
         )
     if check:
-        plan.validate(
-            trials=trials,
-            layered=layered,
-            entry_layer=entry_layer,
-            entry_events=entry_events,
-        )
+        plan.validate(trials=trials, layered=layered)
 
     backend.reset_counter()
     backend.set_recorder(recorder)
@@ -781,23 +745,13 @@ def run_optimized(
             recorder, "optimized", layered, trials, num_instructions=len(plan)
         )
         recorder.begin("run", cat="run")
-    # Cross-job sharing needs a provenance key rooted at |0...0>; an entry
-    # state resumes mid-circuit with unknown boundary history, so sharing
-    # is disabled there (results are unchanged — only reuse is lost).
-    entry = None
-    if entry_state is None:
-        working, entry_layer = backend.make_initial(), 0
-    else:
-        working, shared = backend.adopt_state(entry_state), None
-        if cache_budget is not None and cache_budget.mode == "drop":
-            entry = np.array(working.vector)
     model = _DenseStates(
-        layered, backend, cache, recorder, working,
-        budget=cache_budget, shared=shared, entry=entry,
+        layered, backend, cache, recorder, backend.make_initial(),
+        budget=cache_budget, shared=shared,
     )
     finish_calls = _interpret(
         plan.instructions, layered, model, cache, recorder,
-        on_finish=on_finish, stop=stop, working_layer=entry_layer,
+        on_finish=on_finish, stop=stop,
     )
     return _end_run(
         recorder,

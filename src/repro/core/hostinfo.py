@@ -33,7 +33,7 @@ def peak_rss_kb() -> Dict[str, Optional[int]]:
     """Peak resident-set size so far, in KB (Linux ``ru_maxrss`` units).
 
     ``self`` covers this process, ``children`` the high-water mark over
-    all reaped child processes (the parallel workers).  Both are monotone
+    all reaped child processes.  Both are monotone
     process-lifetime maxima, so per-section values in a longer session
     are cumulative, not isolated — still the honest upper bound on what
     the section needed.

@@ -1,7 +1,9 @@
 """The execution-options table and the one dispatcher that reads it.
 
-Every reordered executor must return the serial-DFS payloads, so what
-varies between them is only which options each honours.  This module
+Every run executes in the calling process, on one of four executors:
+journal, hybrid, serial DFS and baseline.  Every reordered executor must
+return the serial-DFS payloads, so what varies between them is only
+which options each honours.  This module
 declares that once, as plain data: :data:`OPTIONS` gives every
 :meth:`~repro.core.runner.NoisySimulator.run` keyword its default, its
 domain and the modes, backends and other options it needs or excludes;
@@ -20,7 +22,6 @@ and ``repro bench`` all call it (see ``docs/architecture.md``, section
 
 from __future__ import annotations
 
-import numbers
 import operator
 from typing import Any, Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,7 +39,6 @@ __all__ = [
     "OptionError",
     "accepts",
     "execute",
-    "expect",
     "frame_safe_share",
     "pick",
     "validate",
@@ -79,10 +79,6 @@ def _at_least(low: int) -> Callable[[Any], bool]:
     return check
 
 
-def _positive(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and value > 0
-
-
 class Option(NamedTuple):
     """One ``NoisySimulator.run`` keyword and its constraints.
 
@@ -110,29 +106,15 @@ class Option(NamedTuple):
 
 
 _OPTIMIZED = ("optimized",)
-_SERIAL_ONLY = (
-    "shared requires the serial per-trial executor (workers=0, hybrid=False); the "
-    "partitioned and hybrid executors do not walk the provenance keys the store is shared "
-    "under"
-)
 
 # Declaration order is check order, and the first failed check names the
-# error.  The first seven entries keep the order in which run() always
+# error.  The first six entries keep the order in which run() always
 # checked them, so every combination it rejected keeps its message.
 _DECLARED: Tuple[Option, ...] = (
     Option(
         "mode", "optimized", "'optimized' or 'baseline'",
         valid=MODES.__contains__,
         invalid=f"unknown mode {{value!r}}; choose from {MODES}",
-    ),
-    Option(
-        "workers", 0, "int >= 0; 0 runs serially",
-        valid=_at_least(1),
-        invalid="workers must be >= 1 (0 runs serially), got {value}",
-        modes=_OPTIMIZED,
-        wrong_mode="workers requires mode='optimized' (the baseline has no plan to partition)",
-        backends=STATEVECTOR_FAMILY,
-        wrong_backend="workers requires a statevector-family backend, got {backend!r}",
     ),
     Option(
         "journal", None, "journal path or None",
@@ -191,7 +173,11 @@ _DECLARED: Tuple[Option, ...] = (
             "shared requires a statevector-family backend (amplitudes are published), "
             "got {backend!r}"
         ),
-        excludes=tuple((other, _SERIAL_ONLY) for other in ("workers", "hybrid")),
+        excludes=((
+            "hybrid",
+            "shared requires the serial per-trial executor (hybrid=False); the hybrid "
+            "executor does not walk the provenance keys the store is shared under",
+        ),),
     ),
     Option(
         "on_trial", None, "callable (trial_index, bits) or None",
@@ -213,15 +199,6 @@ _DECLARED: Tuple[Option, ...] = (
     Option("check", False, "bool"),
     Option("recorder", None, "TraceRecorder or None"),
     Option(
-        "partition_depth", 1, "int >= 1",
-        valid=_at_least(1),
-        invalid="partition_depth must be >= 1, got {value}",
-        requires=((
-            "workers",
-            "partition_depth requires workers: only the parallel executor partitions the plan",
-        ),),
-    ),
-    Option(
         "cache_degrade", "spill", "'spill' or 'drop'",
         valid=("spill", "drop").__contains__,
         invalid="unknown cache degradation mode {value!r} (expected 'spill' or 'drop')",
@@ -230,20 +207,6 @@ _DECLARED: Tuple[Option, ...] = (
             "cache_degrade requires max_cache_bytes: it picks what happens to snapshots over "
             "the budget",
         ),),
-    ),
-    Option(
-        "task_timeout", None, "seconds > 0 or None",
-        valid=_positive,
-        invalid="task_timeout must be a number of seconds > 0, got {value!r}",
-        requires=((
-            "workers", "task_timeout requires workers: it bounds a parallel worker's task",
-        ),),
-    ),
-    Option(
-        "retries", 2, "int >= 0",
-        valid=_at_least(0),
-        invalid="retries must be >= 0, got {value}",
-        requires=(("workers", "retries requires workers: it is the parallel task retry budget"),),
     ),
     Option("stop", None, "threading.Event or None"),
 )
@@ -277,7 +240,6 @@ _READOUT_SIDE = frozenset({"num_trials", "trials", "collect_final_states", "on_t
 _EVERY = _READOUT_SIDE | {"mode", "backend", "recorder", "stop"}
 _PLANNED = _EVERY | {"check"}
 _BUDGET = frozenset({"max_cache_bytes", "cache_degrade"})
-_POOL = frozenset({"workers", "partition_depth", "task_timeout", "retries"})
 
 #: The evidence of a recorded walk of the serial plan.
 _SERIAL_WALK = ("replay", "P017", "P020", "P021", "P025")
@@ -286,12 +248,8 @@ _SERIAL_WALK = ("replay", "P017", "P020", "P021", "P025")
 #: (section 18) says why each lacks the checks its evidence leaves out.
 EXECUTORS: Tuple[Executor, ...] = (
     Executor(
-        "journal", "journal", "optimized",
-        _PLANNED | _BUDGET | _POOL | {"journal", "shared"}, ("P019", "P025"),
-    ),
-    Executor(
-        "parallel", "workers", "optimized",
-        _PLANNED | _BUDGET | _POOL, ("P018", "replay", "P020", "P025", "P017", "P021"),
+        "journal", "journal", "optimized", _PLANNED | _BUDGET | {"journal", "shared"},
+        ("P019", "P025"),
     ),
     Executor("hybrid", "hybrid", "optimized", _PLANNED | {"hybrid"}, _SERIAL_WALK),
     Executor("dfs", None, "optimized", _PLANNED | _BUDGET | {"shared"}, _SERIAL_WALK),
@@ -365,21 +323,6 @@ def accepts(**options: Any) -> bool:
     except OptionError:
         return False
     return True
-
-
-def expect(executor: str, **options: Any) -> Executor:
-    """Validate ``options`` and require that they pick ``executor``.
-
-    For callers that name the executor to exercise (a bench section):
-    when the option that picks it is left at a value that picks another
-    executor, that option's domain message is raised.
-    """
-    picked = validate(**options)
-    wanted = next(e for e in EXECUTORS if e.name == executor)
-    if picked != wanted:
-        option = OPTIONS[wanted.picked_by or "mode"]
-        raise OptionError(option.invalid.format(value=options.get(option.name, option.default)))
-    return picked
 
 
 def frame_safe_share(layered: LayeredCircuit) -> float:
@@ -464,15 +407,15 @@ def execute(
     """Run ``trials`` on the executor :func:`pick` picks for ``options``.
 
     ``options`` are the executor keywords of ``NoisySimulator.run``
-    (``mode``, ``backend``, ``check``, ``recorder``, ``workers``, ...);
+    (``mode``, ``backend``, ``check``, ``recorder``, ``journal``, ...);
     ``backend`` names what ``backend_factory`` builds and is only
-    validated.  The pool and journal executors call ``backend_factory``
-    themselves; the in-process ones run on ``engine``, built from the
-    factory when not given.  ``plan`` is an optional prebuilt serial plan
-    of ``trials`` for the executors that walk one (dfs, hybrid).  The
-    outcome names the executor that ran as ``executor``, and a journaled
-    run's outcome carries its
-    :class:`~repro.core.resilience.JournalSummary` as ``journal``.
+    validated.  The journal executor calls ``backend_factory`` itself;
+    the others run on ``engine``, built from the factory when not given.
+    ``plan`` is an optional prebuilt serial plan of ``trials`` for the
+    executors that walk one (dfs, hybrid).  The outcome names the
+    executor that ran as ``executor``, and a journaled run's outcome
+    carries its :class:`~repro.core.resilience.JournalSummary` as
+    ``journal``.
     """
     if _READOUT_SIDE & set(options):
         raise TypeError(f"execute() takes no {sorted(_READOUT_SIDE & set(options))}")
@@ -485,7 +428,7 @@ def execute(
 
         budget = CacheBudget(max_bytes=v["max_cache_bytes"], mode=v["cache_degrade"])
     common = {"check": v["check"], "recorder": v["recorder"], "stop": v["stop"]}
-    if engine is None and executor.name not in ("journal", "parallel"):
+    if engine is None and executor.name != "journal":
         engine = backend_factory()
 
     outcome: ExecutionOutcome
@@ -497,14 +440,6 @@ def execute(
             layered, trials, backend_factory, on_finish, v["journal"], **rest
         )
         outcome.journal = summary
-    elif executor.name == "parallel":
-        from .parallel import run_parallel
-
-        outcome = run_parallel(
-            layered, trials, backend_factory, on_finish, workers=v["workers"],
-            depth=v["partition_depth"], cache_budget=budget, retries=v["retries"],
-            task_timeout=v["task_timeout"], **common,
-        )
     elif executor.name == "hybrid":
         from .hybrid import run_hybrid
 

@@ -5,10 +5,9 @@ reordered Monte-Carlo trials still produce bit-identical results.  This
 module keeps that guarantee intact when things fail:
 
 * :func:`payload_checksum` — CRC32 over the raw complex128 bytes of a
-  statevector.  Every entry state and finish payload that crosses a
-  ``multiprocessing.shared_memory`` boundary is checksummed by the writer
-  and re-verified by the reader, so silent corruption is detected (and the
-  affected task retried) instead of folded into the counts.
+  statevector.  A spilled snapshot is checksummed when it is written and
+  re-verified when it is reloaded, so silent corruption is detected
+  instead of folded into the counts.
 * :class:`RunJournal` — an append-only, group-committed journal of
   finish payloads at trial granularity.  Like the ``.npz`` trial archives
   (:mod:`repro.core.persistence`) the format is flat binary — never
@@ -57,7 +56,6 @@ from .schedule import check_trial_events
 __all__ = [
     "payload_checksum",
     "CorruptionError",
-    "WorkerCrash",
     "JournalError",
     "GROUP_RECORDS",
     "GROUP_SECONDS",
@@ -68,10 +66,6 @@ __all__ = [
     "JournalSummary",
     "run_journaled",
 ]
-
-
-class WorkerCrash(RuntimeError):
-    """Raised by fault injectors to simulate a worker dying mid-task."""
 
 
 class JournalError(ValueError):
@@ -418,10 +412,9 @@ def run_journaled(
     how tests assert zero recompute.
 
     ``options`` are the execution options of that remaining-trials run
-    (``workers``, ``partition_depth``, ``check``, ``recorder``,
-    ``max_cache_bytes``, ``cache_degrade``, ``retries``,
-    ``task_timeout``, ``shared``, ``stop``, ...), checked against the
-    table in :mod:`repro.core.options`.  A stop raises
+    (``check``, ``recorder``, ``max_cache_bytes``, ``cache_degrade``,
+    ``shared``, ``stop``, ...), checked against the table in
+    :mod:`repro.core.options`; the remaining trials run on serial DFS.  A stop raises
     :class:`~repro.core.executor.RunInterrupted` *after* the journal's
     open group is fsynced and the file closed — the journal stays a valid
     resume point.  Completion and errors close it the same way.

@@ -180,13 +180,9 @@ class NoisySimulator:
         collect_final_states: bool = False,
         check: bool = False,
         recorder=None,
-        workers: int = 0,
-        partition_depth: int = 1,
         journal=None,
         max_cache_bytes: Optional[int] = None,
         cache_degrade: str = "spill",
-        task_timeout: Optional[float] = None,
-        retries: int = 2,
         hybrid: Optional[bool] = None,
         shared=None,
         stop=None,
@@ -194,12 +190,14 @@ class NoisySimulator:
     ) -> SimulationResult:
         """Sample (or reuse) trials and execute them.
 
-        Which executor runs, which options it honours and which
-        combinations are rejected is declared once, in
-        :mod:`repro.core.options` (tabulated in ``docs/architecture.md``,
-        "Execution options").  Every option is validated before the
-        simulator draws from its RNG; a rejected value or combination
-        raises :class:`~repro.core.options.OptionError`.
+        Every run executes in this process, on one of four executors:
+        journal, hybrid, serial DFS or baseline.  Which executor runs,
+        which options it honours and which combinations are rejected is
+        declared once, in :mod:`repro.core.options` (tabulated in
+        ``docs/architecture.md``, "Execution options").  Every option is
+        validated before the simulator draws from its RNG; a rejected
+        value or combination raises
+        :class:`~repro.core.options.OptionError`.
 
         Parameters
         ----------
@@ -222,14 +220,6 @@ class NoisySimulator:
             execution spans, cache events and the live-MSV timeline; see
             :mod:`repro.obs`.  Falsy recorders cost nothing on the hot
             path.
-        workers:
-            ``0`` (default) runs serially.  Any value >= 1 partitions the
-            plan trie and executes the subtrees through
-            :func:`~repro.core.parallel.run_parallel`.  Counts are
-            bit-identical to the serial run for the same seed, regardless
-            of the worker count.
-        partition_depth:
-            Trie cut depth for the parallel partition.
         journal:
             Path to a crash-safe run journal.  A fresh run records every
             finish payload as it streams, fsynced in groups; re-running
@@ -240,21 +230,15 @@ class NoisySimulator:
             :class:`~repro.core.resilience.JournalSummary`.
         max_cache_bytes:
             Byte budget for the snapshot cache of the serial DFS
-            executor, a pool's DFS workers and a journaled run.  When the
+            executor and a journaled run.  When the
             resident snapshots would exceed it, the coldest are degraded
             per ``cache_degrade`` — results stay bit-identical; only
             time/memory trade off.  Rejected beside ``hybrid``.
         cache_degrade:
             ``"spill"`` (default) writes evicted snapshots to disk and
             reloads them on restore; ``"drop"`` discards them and, when
-            needed, replays the instructions that built them from the
-            run's (or pool task's) entry state.
-        task_timeout:
-            Per-task deadline in seconds for parallel workers (see
-            :func:`~repro.core.parallel.run_parallel`).
-        retries:
-            Parallel task retry budget before the parent falls back to
-            inline execution.
+            needed, replays the instructions that built them from
+            ``|0...0>``.
         hybrid:
             The Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
@@ -268,8 +252,8 @@ class NoisySimulator:
             ``HYBRID_MIN_FRAME_SAFE`` (0.9) of its gate occurrences are
             frame-safe (:mod:`repro.core.options`), and serial DFS
             otherwise; ``result.executor`` names what ran.  ``True``
-            forces the fast path and is rejected beside ``workers``,
-            ``journal`` or ``max_cache_bytes``; ``False`` forces serial
+            forces the fast path and is rejected beside ``journal``,
+            ``max_cache_bytes`` or ``shared``; ``False`` forces serial
             DFS and combines with everything.
         shared:
             Optional :class:`~repro.core.shared.SharedPrefixStore` for
@@ -283,6 +267,8 @@ class NoisySimulator:
             raises :class:`~repro.core.executor.RunInterrupted` after the
             finishes already streamed (and, for journaled runs, after the
             journal tail is committed), so a stopped run is resumable.
+            :func:`~repro.core.executor.graceful_stop` yields one that
+            SIGTERM and SIGINT set.
         on_trial:
             Optional callback ``(trial_index, bits)`` invoked once per
             trial as its measurement is sampled — the service tier's
@@ -292,10 +278,8 @@ class NoisySimulator:
         """
         options = dict(
             mode=mode, backend=backend, check=check, recorder=recorder,
-            workers=workers, partition_depth=partition_depth, journal=journal,
-            max_cache_bytes=max_cache_bytes, cache_degrade=cache_degrade,
-            task_timeout=task_timeout, retries=retries, hybrid=hybrid,
-            shared=shared, stop=stop,
+            journal=journal, max_cache_bytes=max_cache_bytes,
+            cache_degrade=cache_degrade, hybrid=hybrid, shared=shared, stop=stop,
         )
         validate(collect_final_states=collect_final_states, on_trial=on_trial, **options)
         trial_list = list(trials) if trials is not None else self.sample(num_trials)

@@ -18,13 +18,10 @@ five instruction kinds interpreted by the executor against any backend.
     The working state has reached the final layer; it is the final state of
     every listed trial (several indices = deduplicated identical trials).
 
-A parallel *prefix program* (:mod:`repro.core.parallel`) adds a sixth kind,
-``EmitTask(task_id)``, which hands the working state to a sub-plan task.
-
 :class:`PlanWalk` is the one backend-free interpretation of these
 instructions: every static analysis (the sanitizer, the cost model, the
-partition, trace, journal and hybrid rules, the hybrid planner) is a fold
-over its steps.
+trace, journal and hybrid rules, the hybrid planner) is a fold over its
+steps.
 
 Plan shape
 ----------
@@ -38,15 +35,14 @@ state as S2; now S1 can be dropped") and it never recomputes a layer.  A
 snapshot is taken only when the node's state has further pending consumers;
 the last consumer steals the state instead of copying it.
 
-This walk has one home, ``_PlanBuilder``.  The parallel partitioner
-(:func:`repro.core.parallel.partition_plan`) is the same builder with a
+This walk has one home, ``_PlanBuilder``.  The trie partitioner
+(:func:`repro.core.partition.partition_plan`) is the same builder with a
 cut: it overrides only what follows a child's ``Inject`` and what a node
 does with its terminal trials, so any change to plan shape is made here
-once.  :func:`event_range_problems` is the one statement of the
-out-of-range event rule, and :func:`check_trial_events` the one check
+once.  :func:`event_range_problems` is the one statement of
+the out-of-range event rule, and :func:`check_trial_events` the one check
 built on it: the builder, the baseline executor and a journaled run
-(before it writes its journal) call it.  :func:`lpt_assign` is the one
-LPT scheduler, shared by the parallel pool and the cost model.
+(before it writes its journal) call it.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ __all__ = [
     "Inject",
     "Restore",
     "Finish",
-    "EmitTask",
     "PlanInstruction",
     "ExecutionPlan",
     "PlanWalk",
@@ -84,9 +79,6 @@ __all__ = [
     "check_trial_events",
     "count_operations",
     "event_range_problems",
-    "localize_plan",
-    "lpt_assign",
-    "lpt_order",
     "rebuild_program",
     "ScheduleError",
 ]
@@ -117,15 +109,6 @@ class Finish(NamedTuple):
     trial_indices: Tuple[int, ...]
 
 
-class EmitTask(NamedTuple):
-    """Prefix pseudo-instruction: serialize the working state as the entry
-    snapshot of task ``task_id`` (the working state is consumed, exactly
-    like a serial ``Finish``: the next instruction is a ``Restore`` or the
-    prefix ends)."""
-
-    task_id: int
-
-
 PlanInstruction = Union[Advance, Snapshot, Inject, Restore, Finish]
 
 
@@ -147,8 +130,7 @@ class Step(NamedTuple):
     occupied slot (the occupant), else ``None``.  ``live`` and ``stored``
     count states *after* the instruction, as
     :class:`~repro.core.cache.StateCache` does at runtime: the working
-    state (until an ``EmitTask`` not followed by a ``Restore`` consumes
-    it), stored snapshots and emitted task entries.  ``fault`` is ``""``
+    state and the stored snapshots.  ``fault`` is ``""``
     for a sound instruction, else one of ``advance-range`` (inverted or
     beyond the circuit), ``advance-gap`` (not starting at the working
     layer), ``slot-occupied``, ``inject-layer`` (not at its event's layer
@@ -175,9 +157,8 @@ class Step(NamedTuple):
 class PlanWalk:
     """The backend-free symbolic walk over an instruction stream.
 
-    Iterating yields one :class:`Step` per instruction, starting from a
-    working state at ``entry_layer`` with ``entry_events`` injected (a
-    sub-plan resumed from a shared-prefix entry state).  The walk owns
+    Iterating yields one :class:`Step` per instruction, starting from
+    ``|0...0>``: a working state at layer 0 with no events.  The walk owns
     the plan's symbolic semantics: the working layer, the injected-event
     history, slot occupancy with each snapshot's layer and history, and
     the live/stored counts.  It never raises on a bad stream: a
@@ -191,17 +172,9 @@ class PlanWalk:
     runtime ``CacheStats`` of an optimized run of the same plan.
     """
 
-    def __init__(
-        self,
-        instructions: Sequence[Any],
-        num_layers: int,
-        entry_layer: int = 0,
-        entry_events: Sequence[ErrorEvent] = (),
-    ) -> None:
+    def __init__(self, instructions: Sequence[Any], num_layers: int) -> None:
         self.instructions = instructions
         self.num_layers = num_layers
-        self.entry_layer = int(entry_layer)
-        self.entry_events = tuple(entry_events)
         self.slots: Dict[int, SlotEntry] = {}
         self.peak_live = 1
         self.peak_stored = 0
@@ -209,14 +182,13 @@ class PlanWalk:
     def __iter__(self) -> Iterator[Step]:
         instructions = self.instructions
         num_layers = self.num_layers
-        layer = self.entry_layer
-        history = self.entry_events
+        layer = 0
+        history: Tuple[ErrorEvent, ...] = ()
         slots: Dict[int, SlotEntry] = {}
         self.slots = slots
         self.peak_live = 1
         self.peak_stored = 0
-        working = 1
-        stored = 0  # snapshots plus emitted task entries
+        stored = 0
         for index, instr in enumerate(instructions):
             layer_before, history_before = layer, history
             fault = ""
@@ -245,21 +217,12 @@ class PlanWalk:
                 else:
                     layer, history = entry.layer, entry.history
                     stored -= 1
-                    working = 1
             elif isinstance(instr, Finish):
                 if layer != num_layers:
                     fault = "finish-early"
-            elif isinstance(instr, EmitTask):
-                # The entry stays held for its task; the working state is
-                # released unless a Restore replaces it right away.
-                stored += 1
-                if index + 1 == len(instructions) or not isinstance(
-                    instructions[index + 1], Restore
-                ):
-                    working = 0
             else:
                 fault = "unknown"
-            live = stored + working
+            live = stored + 1
             self.peak_live = max(self.peak_live, live)
             self.peak_stored = max(self.peak_stored, stored)
             yield Step(
@@ -280,36 +243,6 @@ def count_operations(
         elif isinstance(instr, Inject):
             ops += 1
     return ops
-
-
-def lpt_order(weights: Sequence[int]) -> List[int]:
-    """Task ids heaviest first, ties by task id: the LPT dispatch order."""
-    return sorted(range(len(weights)), key=lambda t: (-weights[t], t))
-
-
-def lpt_assign(
-    weights: Sequence[int], num_workers: int
-) -> Tuple[List[List[int]], List[int]]:
-    """LPT-balance weighted task ids; returns ``(buckets, loads)``.
-
-    Heaviest task first (:func:`lpt_order`), each to the least-loaded
-    worker (ties by worker index), every task contributing at least load
-    1; fully deterministic, so a certificate's schedule can be reproduced
-    from its own weights.  Each bucket is returned sorted by task id —
-    execution order within a worker does not affect results, only
-    determinism of the trace.
-    """
-    if num_workers < 1:
-        raise ValueError(f"need at least one worker, got {num_workers}")
-    loads = [0] * num_workers
-    buckets: List[List[int]] = [[] for _ in range(num_workers)]
-    for task_id in lpt_order(weights):
-        worker = min(range(num_workers), key=lambda w: (loads[w], w))
-        buckets[worker].append(task_id)
-        loads[worker] += max(1, weights[task_id])
-    for bucket in buckets:
-        bucket.sort()
-    return buckets, loads
 
 
 class ExecutionPlan:
@@ -346,9 +279,7 @@ class ExecutionPlan:
         """Basic-operation count of the plan (closed form, no execution)."""
         return count_operations(self.instructions, layered)
 
-    def validate(
-        self, trials=None, layered=None, entry_layer=0, entry_events=()
-    ) -> None:
+    def validate(self, trials=None, layered=None) -> None:
         """Run the static plan sanitizer; raise on the first violation.
 
         Delegates to :func:`repro.lint.sanitize_plan` — the symbolic
@@ -357,22 +288,15 @@ class ExecutionPlan:
         exactness, all without a backend.  Raises :class:`ScheduleError`
         listing every error-severity diagnostic.  Cheap enough to run on
         every schedule in debug contexts; ``run_optimized(check=True)``
-        calls it before execution.  ``entry_layer`` / ``entry_events``
-        audit a sub-plan that resumes from a shared-prefix entry state
-        (see :mod:`repro.core.parallel`).
+        calls it before execution.
         """
-        audit = self.audit(
-            trials=trials,
-            layered=layered,
-            entry_layer=entry_layer,
-            entry_events=entry_events,
-        )
+        audit = self.audit(trials=trials, layered=layered)
         if not audit.ok:
             raise ScheduleError(
                 "; ".join(str(diagnostic) for diagnostic in audit.errors)
             )
 
-    def audit(self, trials=None, layered=None, entry_layer=0, entry_events=()):
+    def audit(self, trials=None, layered=None):
         """Sanitize without raising: the full :class:`repro.lint.PlanAudit`.
 
         Exposes the diagnostics *and* the static cache bounds
@@ -381,13 +305,7 @@ class ExecutionPlan:
         """
         from ..lint.plan_sanitizer import sanitize_plan
 
-        return sanitize_plan(
-            self,
-            trials=trials,
-            layered=layered,
-            entry_layer=entry_layer,
-            entry_events=entry_events,
-        )
+        return sanitize_plan(self, trials=trials, layered=layered)
 
     def __repr__(self) -> str:
         return (
@@ -437,7 +355,7 @@ class _PlanBuilder:
     """The one depth-first walk that turns the trial trie into a plan.
 
     Two steps are hooks, so a cut of the same walk
-    (:class:`repro.core.parallel._Partitioner`) overrides only them:
+    (:class:`repro.core.partition._Partitioner`) overrides only them:
     :meth:`_descend`, what follows a child's ``Inject``, and
     :meth:`_terminals`, what a node does with its terminal trials.
     """
@@ -537,33 +455,6 @@ def rebuild_program(
     if layer > cursor:
         program.append(Advance(cursor, layer))
     return program
-
-
-def localize_plan(
-    instructions: Sequence[PlanInstruction], num_layers: int
-) -> Tuple[ExecutionPlan, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    """Renumber a plan slice's ``Finish`` indices into a local plan.
-
-    Global trial indices are numbered in finish order, so the local plan
-    runs standalone against the trial subset.  Returns the local plan,
-    the global index of each local one, and each ``Finish``'s global
-    index tuple in order.
-    """
-    trial_indices: List[int] = []
-    finishes: List[Tuple[int, ...]] = []
-    local: List[PlanInstruction] = []
-    for instr in instructions:
-        if isinstance(instr, Finish):
-            start = len(trial_indices)
-            trial_indices.extend(instr.trial_indices)
-            finishes.append(tuple(instr.trial_indices))
-            local.append(Finish(tuple(range(start, len(trial_indices)))))
-        else:
-            local.append(instr)
-    plan = ExecutionPlan(
-        local, num_trials=len(trial_indices), num_layers=num_layers
-    )
-    return plan, tuple(trial_indices), tuple(finishes)
 
 
 def build_plan_from_trie(

@@ -37,12 +37,10 @@ from .plan_sanitizer import PlanAudit, sanitize_plan
 from .circuit_rules import lint_circuit
 from .trial_rules import lint_noise_model, lint_trials
 from .trace_rules import lint_trace
-from .partition_rules import lint_partition, lint_partition_trace
 from .journal_rules import lint_journal
 from .costmodel import (
     PlanCostAnalysis,
     analyze_hybrid,
-    analyze_partition,
     analyze_plan,
     build_certificate,
     validate_certificate,
@@ -50,7 +48,6 @@ from .costmodel import (
 )
 from .schedule_rules import (
     lint_budget_prediction,
-    lint_certificate_schedule,
     lint_certificate_trace,
     lint_memory_timeline,
 )
@@ -76,14 +73,12 @@ __all__ = [
     "Severity",
     "all_rules",
     "analyze_hybrid",
-    "analyze_partition",
     "analyze_plan",
     "build_certificate",
     "check_recorded_run",
     "get_rule",
     "lint_benchmark",
     "lint_budget_prediction",
-    "lint_certificate_schedule",
     "lint_certificate_trace",
     "lint_memory_timeline",
     "lint_metrics_trace",
@@ -91,8 +86,6 @@ __all__ = [
     "lint_hybrid",
     "lint_journal",
     "lint_noise_model",
-    "lint_partition",
-    "lint_partition_trace",
     "lint_plan",
     "lint_qasm_file",
     "lint_qasm_text",

@@ -28,7 +28,6 @@ from .costmodel import analyze_plan
 from .diagnostics import LintConfig, LintResult, Severity
 from .journal_rules import lint_journal
 from .metrics_rules import lint_metrics_trace
-from .partition_rules import lint_partition, lint_partition_trace
 from .plan_sanitizer import sanitize_plan
 from .registry import make_diagnostic, register
 from .schedule_rules import lint_certificate_trace, lint_memory_timeline
@@ -250,12 +249,6 @@ class _RunEvidence:
         return build_plan(self.layered, self.trials)
 
     @cached_property
-    def partition(self):
-        from ..core.parallel import partition_plan
-
-        return partition_plan(self.layered, self.trials, depth=self.values["partition_depth"])
-
-    @cached_property
     def certificate(self) -> Dict[str, Any]:
         analysis = analyze_plan(self.plan, self.layered, compiled=self.compiled)
         return {"plan": analysis.to_dict(), "num_trials": len(self.trials)}
@@ -267,29 +260,21 @@ def _errors(result: LintResult) -> List[str]:
 
 #: The checks a recorded run can be held to, by the names the ``evidence``
 #: of :data:`repro.core.options.EXECUTORS` uses; each returns the run's
-#: problems.  A pool's P017 holds each task attempt to its sub-plan, and
-#: P021 is exact only for a serial run with no budget to degrade it.
+#: problems.  P021 is exact only for a run with no budget to degrade it.
 RUN_CHECKS: Dict[str, Callable[[_RunEvidence], List[str]]] = {
     "replay": lambda run: (
         verify_trace(run.recorder, outcome=run.metrics)
         if isinstance(run.metrics, ExecutionOutcome)
         else verify_trace(run.recorder, metrics=run.metrics)
     ),
-    "P017": lambda run: _errors(
-        lint_partition_trace(run.partition, run.recorder)
-        if run.values["workers"]
-        else lint_trace(run.plan, run.recorder)
-    ),
-    "P018": lambda run: _errors(
-        lint_partition(run.partition, trials=run.trials, layered=run.layered)
-    ),
+    "P017": lambda run: _errors(lint_trace(run.plan, run.recorder)),
     "P019": lambda run: _errors(
         lint_journal(run.values["journal"], layered=run.layered, trials=run.trials)
     ),
     "P020": lambda run: _errors(lint_certificate_trace(run.certificate, run.recorder)),
     "P021": lambda run: _errors(lint_memory_timeline(
         run.certificate, run.recorder,
-        exact=not run.values["workers"] and run.values["max_cache_bytes"] is None,
+        exact=run.values["max_cache_bytes"] is None,
     )),
     "P025": lambda run: _errors(
         lint_metrics_trace(registry_from_recorder(run.recorder), run.recorder)

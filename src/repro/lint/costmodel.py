@@ -4,9 +4,9 @@ machine-checkable **ResourceCertificate**.
 The paper's redundancy elimination makes run cost a function of trie
 *structure*: every ``Advance`` applies a statically known layer range,
 every ``Inject`` one operator, every ``Snapshot``/``Restore`` moves one
-statevector — so operations, flops, the resident-memory timeline and the
-parallel makespan are all decidable from the :class:`ExecutionPlan` alone,
-before a single amplitude is touched.  This module computes them:
+statevector — so operations, flops and the resident-memory timeline are
+all decidable from the :class:`ExecutionPlan` alone, before a single
+amplitude is touched.  This module computes them:
 
 :func:`analyze_plan`
     A fold over the symbolic plan walk
@@ -22,27 +22,18 @@ before a single amplitude is touched.  This module computes them:
     executor's enforce-after-store / coldest-slot-first policy).
 
 :func:`build_certificate`
-    Bundles the plan analysis with, per candidate partition depth, the
-    statically weighted sub-plan set and its LPT makespan over k workers,
-    a sound parallel memory bound, the hybrid schedule's static shape,
-    and the executor the default pick rule
+    Bundles the plan analysis, the predicted degradation under a cache
+    budget and the executor the default pick rule
     (:func:`repro.core.options.pick`) runs the trials on as ``advice`` —
-    the JSON document behind ``repro advise``.  Written atomically via
-    :func:`repro.core.atomicio.atomic_write_json`.
+    the JSON document behind ``repro run --auto`` and ``repro advise``,
+    which adds the hybrid fast path's static price
+    (:func:`analyze_hybrid`) as its ``hybrid`` section.  Written
+    atomically via :func:`repro.core.atomicio.atomic_write_json`.
 
-The certificate is *checkable*: rules P020-P023
-(:mod:`repro.lint.schedule_rules`) prove its numbers against real traces
-and runtime counters, the same prove-it-then-run idiom as P013/P017/P018.
-
-A note on makespan monotonicity: the raw LPT makespan at exactly ``k``
-workers is **not** monotone in partition depth (deeper cuts move shared
-segment work into the serial prefix), and greedy LPT itself is not even
-guaranteed monotone in ``k`` for adversarial weights.  The *certified*
-makespan is therefore ``min`` over ``j <= k`` of the raw LPT value —
-monotone in workers by construction and sound, since extra workers can
-always idle.  Depth monotonicity is deliberately not asserted; instead
-P022 verifies operation conservation across depths (prefix + tasks ==
-serial, every depth).
+The certificate is *checkable*: :func:`validate_certificate` checks its
+schema, and rules P020, P021 and P023 (:mod:`repro.lint.schedule_rules`)
+prove its numbers against real traces and runtime counters, the same
+prove-it-then-run idiom as P013/P017.
 """
 
 from __future__ import annotations
@@ -61,7 +52,6 @@ from ..core.schedule import (
     Restore,
     ScheduleError,
     Snapshot,
-    lpt_assign,
 )
 
 __all__ = [
@@ -71,16 +61,13 @@ __all__ = [
     "analyze_hybrid",
     "analyze_plan",
     "frame_bytes",
-    "lpt_assign",
-    "lpt_makespan",
-    "analyze_partition",
     "build_certificate",
     "write_certificate",
     "validate_certificate",
 ]
 
 #: Certificate document schema tag.
-CERT_SCHEMA = "repro-cert/3"
+CERT_SCHEMA = "repro-cert/4"
 
 #: Modeled flop cost of conjugating one Pauli frame through one fused
 #: gate matrix (``PauliFrame.try_conjugate_matrix`` on a <= 4x4 unitary):
@@ -215,8 +202,6 @@ def analyze_plan(
     layered: LayeredCircuit,
     compiled=None,
     budget: Optional[CacheBudget] = None,
-    entry_layer: int = 0,
-    entry_events: Sequence[ErrorEvent] = (),
 ) -> PlanCostAnalysis:
     """Fold over the symbolic walk of ``plan`` and compute its static costs.
 
@@ -243,9 +228,9 @@ def analyze_plan(
     # slot -> "resident" | "spilled" | "dropped"
     residency: Dict[int, str] = {}
     resident_stored = 0  # non-degraded snapshots only
-    # Under a drop budget: the working state's instructions since the
-    # walk's entry and each snapshot's — what the executor replays to
-    # rebuild a dropped snapshot.
+    # Under a drop budget: the working state's instructions since
+    # |0...0> and each snapshot's — what the executor replays to rebuild
+    # a dropped snapshot.
     program: Optional[List[Any]] = (
         [] if budget is not None and budget.mode == "drop" else None
     )
@@ -266,7 +251,7 @@ def analyze_plan(
 
     sample(-1, 1, 0)  # the initial working state
 
-    walk = PlanWalk(plan.instructions, plan.num_layers, entry_layer, entry_events)
+    walk = PlanWalk(plan.instructions, plan.num_layers)
     for step in walk:
         index, instr = step.index, step.instr
         ops, flops, bytes_moved = _charge(compiled, layered, instr)
@@ -365,95 +350,6 @@ def analyze_plan(
     analysis.peak_msv = walk.peak_live
     analysis.peak_stored = walk.peak_stored
     return analysis
-
-
-# ---------------------------------------------------------------------------
-# Parallel schedules: LPT makespan + sound memory bounds, per depth
-# ---------------------------------------------------------------------------
-
-
-def lpt_makespan(weights: Sequence[int], num_workers: int) -> int:
-    """Max worker load of the deterministic LPT assignment."""
-    _, loads = lpt_assign(weights, num_workers)
-    return max(loads) if loads else 0
-
-
-def analyze_partition(
-    partition,
-    layered: LayeredCircuit,
-    compiled=None,
-    workers: Sequence[int] = (1, 2, 4),
-) -> Dict[str, Any]:
-    """Static schedule analysis of one partition depth.
-
-    Weighs every sub-plan with the cost model (ops for conservation
-    proofs, flops as the LPT load weight), statically bounds the parent's
-    prefix memory, and computes per-worker-count LPT makespans plus a
-    memory bound that is sound for *any* distribution of the tasks over
-    at most ``k`` workers: ``max(prefix peak, num_tasks + sum of the k
-    largest task peaks)`` — an upper bound on the runtime
-    ``ParallelOutcome.peak_msv`` even under the dynamic work queue, where
-    actual per-worker task sets can differ from the static assignment.
-    """
-    if compiled is None:
-        from ..sim.compiled import CompiledCircuit
-
-        compiled = CompiledCircuit(layered)
-
-    task_ops: List[int] = []
-    task_flops: List[int] = []
-    task_peaks: List[int] = []
-    for task in partition.tasks:
-        sub = analyze_plan(
-            task.plan,
-            layered,
-            compiled=compiled,
-            entry_layer=task.entry_layer,
-            entry_events=task.entry_events,
-        )
-        task_ops.append(sub.ops)
-        task_flops.append(sub.flops)
-        task_peaks.append(sub.peak_msv)
-
-    prefix_ops = partition.prefix_operations(layered)
-    # The parent's prefix: its flops, and its live count after every
-    # instruction (working + cached + emitted entries, the formula
-    # ``_run_prefix`` maximizes at runtime).
-    prefix = PlanWalk(partition.prefix, partition.num_layers)
-    prefix_flops = sum(
-        _charge(compiled, layered, step.instr)[1] for step in prefix
-    )
-
-    num_tasks = partition.num_tasks
-    peaks_desc = sorted(task_peaks, reverse=True)
-    by_workers: Dict[str, Dict[str, int]] = {}
-    best = None
-    for k in sorted(set(int(w) for w in workers if int(w) >= 1)):
-        raw = lpt_makespan(task_flops, k)
-        # Certified makespan: monotone in workers by construction (extra
-        # workers can idle), which raw greedy LPT does not guarantee.
-        best = raw if best is None else min(best, raw)
-        memory_states = max(
-            prefix.peak_live,
-            num_tasks + sum(peaks_desc[: min(k, num_tasks)]),
-        )
-        by_workers[str(k)] = {
-            "lpt_makespan": raw,
-            "makespan": best,
-            "memory_states": memory_states,
-        }
-    return {
-        "depth": partition.depth,
-        "num_tasks": num_tasks,
-        "prefix_ops": prefix_ops,
-        "prefix_flops": prefix_flops,
-        "prefix_peak_live": prefix.peak_live,
-        "prefix_peak_stored": prefix.peak_stored,
-        "task_ops": task_ops,
-        "task_flops": task_flops,
-        "task_peaks": task_peaks,
-        "workers": by_workers,
-    }
 
 
 def analyze_hybrid(
@@ -561,8 +457,6 @@ def build_certificate(
     trials: Sequence[Trial],
     benchmark: Optional[str] = None,
     seed: Optional[int] = None,
-    depths: Sequence[int] = (1, 2),
-    workers: Sequence[int] = (1, 2, 4),
     budget: Optional[CacheBudget] = None,
     compiled=None,
 ) -> Dict[str, Any]:
@@ -570,10 +464,7 @@ def build_certificate(
 
     The certificate carries (a) the serial plan's exact per-segment op
     counts and kernel-model flop/byte costs, (b) the full resident-memory
-    timeline with predicted degradation under ``budget``, (c) per
-    partition ``depth`` the statically weighted sub-plan set, certified
-    LPT makespans over every candidate worker count and a sound parallel
-    memory bound, (d) the hybrid fast path's static price, and (e)
+    timeline with predicted degradation under ``budget``, and (c)
     ``advice``: the executor
     :func:`repro.core.options.pick` runs these trials on under
     ``budget`` (serial DFS whenever a budget is given), with that budget.
@@ -581,9 +472,10 @@ def build_certificate(
     executor, so choosing one is a cost decision, and the measured pick
     rule is the only one that makes it.  Budget degradation is certified
     for the serial schedule (P023 checks it against ``run_optimized``).
+    The hybrid fast path's static price (:func:`analyze_hybrid`) is not
+    built here: ``repro advise``, its only reader, adds it.
     """
     from ..core.options import pick
-    from ..core.parallel import partition_plan
     from ..core.schedule import build_plan as _build_plan
 
     if compiled is None:
@@ -606,14 +498,6 @@ def build_certificate(
     )
 
     state_bytes = 16 * (1 << layered.num_qubits)
-    schedules: List[Dict[str, Any]] = []
-    for depth in sorted(set(int(d) for d in depths if int(d) >= 1)):
-        partition = partition_plan(layered, trials, depth=depth)
-        schedules.append(
-            analyze_partition(
-                partition, layered, compiled=compiled, workers=workers
-            )
-        )
 
     budget_options = (
         {}
@@ -650,10 +534,6 @@ def build_certificate(
                 ],
             }
         ),
-        "schedules": schedules,
-        "hybrid": analyze_hybrid(
-            layered, plan, compiled=compiled, serial=serial
-        ),
         "advice": advice,
     }
     return certificate
@@ -670,10 +550,11 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
     """Structural validation of a certificate document.
 
     Returns a list of problems (empty = valid).  Checks the schema tag,
-    required sections, schedule shape consistency and that ``advice``
-    names an executor and the certified budget — the cheap checks a CI
-    step runs before trusting the numbers; the deep semantic proofs live
-    in rules P020-P023.
+    required sections, the plan's op totals, an optional ``hybrid``
+    section's internal sums and that ``advice`` names an executor and the
+    certified budget — the cheap checks a CI step runs before trusting
+    the numbers; the deep semantic proofs live in rules P020, P021 and
+    P023.
     """
     problems: List[str] = []
     if not isinstance(certificate, dict):
@@ -690,7 +571,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
         "num_gates",
         "state_bytes",
         "plan",
-        "schedules",
         "advice",
     ):
         if key not in certificate:
@@ -709,22 +589,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
                 problems.append(
                     f"segment ops + injects = {total} but plan.ops = "
                     f"{plan.get('ops')}"
-                )
-    schedules = certificate.get("schedules")
-    if isinstance(schedules, list):
-        for schedule in schedules:
-            depth = schedule.get("depth")
-            num_tasks = schedule.get("num_tasks")
-            for key in ("task_ops", "task_flops", "task_peaks"):
-                values = schedule.get(key)
-                if not isinstance(values, list) or len(values) != num_tasks:
-                    problems.append(
-                        f"schedule depth={depth}: {key} does not list "
-                        f"{num_tasks} task(s)"
-                    )
-            if not schedule.get("workers"):
-                problems.append(
-                    f"schedule depth={depth}: no worker candidates"
                 )
     hybrid = certificate.get("hybrid")
     if isinstance(hybrid, dict):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..circuits.layers import LayeredCircuit
-from ..core.events import PAULI_LABELS, ErrorEvent, Trial
+from ..core.events import PAULI_LABELS, Trial
 from ..core.schedule import (
     Advance,
     ExecutionPlan,
@@ -271,8 +271,6 @@ def sanitize_plan(
     trials: Optional[Sequence[Trial]] = None,
     layered: Optional[LayeredCircuit] = None,
     config: Optional[LintConfig] = None,
-    entry_layer: int = 0,
-    entry_events: Sequence[ErrorEvent] = (),
 ) -> PlanAudit:
     """Fold over the symbolic walk of ``plan`` and collect every violation.
 
@@ -288,13 +286,6 @@ def sanitize_plan(
         declared ``num_layers`` is available).
     config:
         Optional filtering/severity policy.
-    entry_layer / entry_events:
-        Audit a *sub-plan* that resumes from a shared-prefix entry state:
-        the symbolic working state starts at ``entry_layer`` with
-        ``entry_events`` already in its history, exactly as the parallel
-        executor hands sub-plans to workers (:mod:`repro.core.parallel`).
-        Trial exactness is still checked against each trial's *full*
-        sampled event sequence.
 
     The walk never raises on a bad plan — each structural fault becomes a
     diagnostic and the walk recovers, so one structural bug does not mask
@@ -336,7 +327,7 @@ def sanitize_plan(
 
     finished_at: Dict[int, int] = {}
     snapshots_taken = 0
-    walk = PlanWalk(plan.instructions, num_layers, entry_layer, entry_events)
+    walk = PlanWalk(plan.instructions, num_layers)
     for step in walk:
         index, instr, layer = step.index, step.instr, step.layer
         if isinstance(instr, Advance):
@@ -436,7 +427,7 @@ def sanitize_plan(
                             hint="the reordering must be exact: every trial "
                             "receives precisely its own sampled errors",
                         )
-        else:  # EmitTask included: a prefix program is not a plan
+        else:
             emit("P015", f"unknown plan instruction {instr!r}", index)
 
     for slot, entry in sorted(walk.slots.items()):

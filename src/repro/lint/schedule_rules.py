@@ -10,31 +10,23 @@ same static-proof-then-runtime-evidence idiom as P013 (peak MSV) and P017
   count, total ``ops.applied``, finished trials);
 * **P021** — recorded memory gauges never exceed the certificate's static
   memory timeline (and equal it exactly for an undegraded serial run);
-* **P022** — the certified schedules are internally sound: LPT makespans
-  reproduce from the certificate's own task weights, certified makespans
-  are monotone non-increasing in workers, and operation counts are
-  conserved across every partition depth;
 * **P023** — predicted spill/drop/recompute counts under a cache budget
   equal the runtime ``CacheStats`` counters.
 
-P020/P021 accept merged multi-worker traces too: the partitioner
-conserves the Advance/Inject instruction multiset between the serial plan
-and prefix-plus-tasks, and every sub-run's live peak is bounded by the
-serial peak.
+The certificate's own structure is checked by
+:func:`~repro.lint.costmodel.validate_certificate`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .costmodel import lpt_makespan, validate_certificate
 from .diagnostics import Diagnostic, LintConfig, LintResult, Severity
 from .registry import make_diagnostic, register
 
 __all__ = [
     "lint_certificate_trace",
     "lint_memory_timeline",
-    "lint_certificate_schedule",
     "lint_budget_prediction",
 ]
 
@@ -71,24 +63,6 @@ register(
     "run, that the live peak is hit exactly) — a violation means the "
     "analyzer's StateCache mirror has diverged and certified memory "
     "budgets cannot be trusted.",
-)
-
-register(
-    "P022",
-    "makespan-inconsistency",
-    Severity.ERROR,
-    "plan",
-    "Certified schedule is not reproducible or not monotone in workers.",
-    explanation="A certificate is only machine-checkable if its schedule "
-    "numbers can be re-derived from its own data: re-running LPT over the "
-    "certified task weights must reproduce each raw makespan, the "
-    "certified makespan must be the running minimum over smaller worker "
-    "counts (hence monotone non-increasing in workers — extra workers can "
-    "always idle), and prefix-plus-task operation counts must equal the "
-    "serial plan's at every partition depth.  Raw LPT makespans are "
-    "deliberately not required to be monotone in depth: deeper cuts move "
-    "shared segment work into the serial prefix, which can lengthen the "
-    "critical path.",
 )
 
 register(
@@ -131,8 +105,7 @@ def lint_certificate_trace(
     """``P020``: prove certified op counts against a recorded trace.
 
     ``recorder`` is an :class:`~repro.obs.recorder.InMemoryRecorder` for
-    the same circuit/trial set the certificate was built from — serial,
-    or merged multi-worker (the instruction multiset is conserved).
+    the same circuit/trial set the certificate was built from.
     Under a drop-mode budget the recorded total legitimately includes the
     recompute operations the trace itself reports (``cache.recompute``
     instants); P020 accounts for them exactly.
@@ -236,11 +209,9 @@ def lint_memory_timeline(
 ) -> LintResult:
     """``P021``: recorded memory gauges never exceed the static timeline.
 
-    With ``exact=True`` (an undegraded *serial* run) the recorded
-    ``msv.live`` peak must also hit the certified peak exactly — the
-    static bound is tight by construction.  Merged parallel traces use
-    the sound direction only: gauge peaks are maxed across tracks and
-    every sub-run's peak is bounded by the serial peak.
+    With ``exact=True`` (an undegraded run) the recorded ``msv.live``
+    peak must also hit the certified peak exactly — the static bound is
+    tight by construction.
     """
     diagnostics: List[Diagnostic] = []
     plan_memory = certificate.get("plan", {}).get("memory", {})
@@ -284,91 +255,6 @@ def lint_memory_timeline(
                 config=config,
             )
     return LintResult(diagnostics, info={"recorded_peaks": peaks})
-
-
-def lint_certificate_schedule(
-    certificate: Dict[str, Any],
-    config: Optional[LintConfig] = None,
-) -> LintResult:
-    """``P022``: the certificate's schedules are internally sound.
-
-    Pure certificate arithmetic — no trace needed: structural validity,
-    LPT reproducibility from the certified task weights, certified
-    makespan == running minimum of raw LPT (hence monotone non-increasing
-    in workers), and operation conservation (prefix + tasks == serial
-    plan) at every partition depth.
-    """
-    diagnostics: List[Diagnostic] = []
-
-    for problem in validate_certificate(certificate):
-        _emit(
-            diagnostics, "P022", problem, location="certificate", config=config
-        )
-
-    plan_ops = certificate.get("plan", {}).get("ops")
-    for schedule in certificate.get("schedules", []):
-        depth = schedule.get("depth")
-        location = f"depth[{depth}]"
-        task_ops = schedule.get("task_ops", [])
-        task_flops = schedule.get("task_flops", [])
-
-        if plan_ops is not None:
-            total = schedule.get("prefix_ops", 0) + sum(task_ops)
-            if total != plan_ops:
-                _emit(
-                    diagnostics,
-                    "P022",
-                    f"prefix + task ops = {total} but the serial plan "
-                    f"performs {plan_ops} (depth {depth})",
-                    location=location,
-                    hint="the partition must conserve the serial "
-                    "instruction multiset at every depth",
-                    config=config,
-                )
-
-        best: Optional[int] = None
-        previous: Optional[int] = None
-        for k in sorted(schedule.get("workers", {}), key=int):
-            entry = schedule["workers"][k]
-            raw = lpt_makespan(task_flops, int(k))
-            if raw != entry.get("lpt_makespan"):
-                _emit(
-                    diagnostics,
-                    "P022",
-                    f"LPT over the certified weights gives makespan {raw} "
-                    f"at {k} worker(s) but the certificate records "
-                    f"{entry.get('lpt_makespan')}",
-                    location=f"{location}.workers[{k}]",
-                    config=config,
-                )
-            best = raw if best is None else min(best, raw)
-            if entry.get("makespan") != best:
-                _emit(
-                    diagnostics,
-                    "P022",
-                    f"certified makespan at {k} worker(s) is "
-                    f"{entry.get('makespan')}, expected the running "
-                    f"minimum {best}",
-                    location=f"{location}.workers[{k}]",
-                    config=config,
-                )
-            if previous is not None and entry.get("makespan") > previous:
-                _emit(
-                    diagnostics,
-                    "P022",
-                    f"certified makespan increases from {previous} to "
-                    f"{entry.get('makespan')} at {k} worker(s)",
-                    location=f"{location}.workers[{k}]",
-                    hint="certified makespans must be monotone "
-                    "non-increasing in workers",
-                    config=config,
-                )
-            previous = entry.get("makespan")
-
-    return LintResult(
-        diagnostics,
-        info={"depths": [s.get("depth") for s in certificate.get("schedules", [])]},
-    )
 
 
 def lint_budget_prediction(

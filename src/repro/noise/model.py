@@ -243,9 +243,12 @@ class NoiseModel:
         One position per gate occurrence.  Within a layer, gates are
         qubit-disjoint, so ``(layer, qubits)`` identifies a position
         uniquely.  Positions with zero error probability are omitted — they
-        can never fire and would only slow the sampler down.
+        can never fire and would only slow the sampler down.  Each distinct
+        ``(probability, width)`` channel is built once per call and shared
+        by every gate occurrence that has it.
         """
         positions: List[ErrorPosition] = []
+        channels: Dict[Tuple[float, int], PauliChannel] = {}
         idle_active = self.idle_error > 0.0 and self.idle_channel is not None
         for layer_index, layer in enumerate(layered.layers):
             layer_positions = []
@@ -255,7 +258,10 @@ class NoiseModel:
                 probability = self.gate_error_probability(op)
                 if probability <= 0.0:
                     continue
-                channel = uniform_pauli_channel(probability, len(op.qubits))
+                key = (probability, len(op.qubits))
+                channel = channels.get(key)
+                if channel is None:
+                    channel = channels[key] = uniform_pauli_channel(*key)
                 layer_positions.append(
                     ErrorPosition(layer_index, op.qubits, channel)
                 )

@@ -46,17 +46,16 @@ def _orphan_end_positions(recorder: InMemoryRecorder) -> frozenset:
 
     Ring eviction drops the *oldest* events, and a span's begin always
     precedes its end, so truncation can only orphan end events — never
-    leave a begin without its end.  Matching is LIFO per (name, worker)
-    track, mirroring the validator's nesting rule.
+    leave a begin without its end.  Matching is LIFO per name, mirroring
+    the validator's nesting rule.
     """
     orphans = set()
-    stacks: Dict[object, list] = {}
+    stacks: Dict[str, list] = {}
     for position, event in enumerate(recorder.events):
-        worker = (event.args or {}).get("worker")
         if event.ph == "B":
-            stacks.setdefault((event.name, worker), []).append(position)
+            stacks.setdefault(event.name, []).append(position)
         elif event.ph == "E":
-            stack = stacks.get((event.name, worker))
+            stack = stacks.get(event.name)
             if stack:
                 stack.pop()
             else:
@@ -100,37 +99,16 @@ def chrome_trace(
             "args": {"name": "main"},
         },
     ]
-    # Events merged back from parallel workers carry a ``worker`` arg
-    # (see InMemoryRecorder.merge); fan each worker out to its own thread
-    # track so spans from different processes never interleave on one tid.
-    worker_tids: Dict[int, int] = {}
     for position, event in enumerate(recorder.events):
         if position in skip:
             continue
-        tid = _TID
-        if event.args and "worker" in event.args:
-            worker = int(event.args["worker"])  # type: ignore[arg-type]
-            tid = worker_tids.get(worker)
-            if tid is None:
-                tid = _TID + 1 + worker
-                worker_tids[worker] = tid
-                trace_events.append(
-                    {
-                        "ph": "M",
-                        "name": "thread_name",
-                        "pid": _PID,
-                        "tid": tid,
-                        "ts": 0,
-                        "args": {"name": f"worker {worker}"},
-                    }
-                )
         payload: Dict[str, object] = {
             "ph": event.ph,
             "name": event.name,
             "cat": event.cat,
             "ts": (event.ts - base) * 1e6,
             "pid": _PID,
-            "tid": tid,
+            "tid": _TID,
         }
         if event.ph == "i":
             payload["s"] = "t"  # thread-scoped instant

@@ -11,8 +11,8 @@ exactness — only the denominator is a measurement.
 
 Attribution model
 -----------------
-Spans nest per track (the main thread, or one track per merged worker).
-Walking the ``B``/``E`` stream with a stack, every interval between two
+Spans nest on one track.  Walking the ``B``/``E`` stream with a stack,
+every interval between two
 consecutive events belongs *exclusively* to the innermost open span, so
 
 * the sum of exclusive times over a run's spans equals the run span's
@@ -133,19 +133,17 @@ class SpanProfile:
 def fold_spans(recorder: InMemoryRecorder) -> SpanProfile:
     """Fold a recorder's B/E stream into a :class:`SpanProfile`.
 
-    Events are walked per track (events merged from parallel workers
-    carry a ``worker`` arg and fold on their own stack), attributing
-    each inter-event interval to the innermost open span and to its
-    full stack path.  Orphan end events (the ring buffer evicted their
-    begin) are counted and skipped; spans left open at the end of the
-    stream (mid-span truncation) are counted in ``unclosed_spans`` and
-    contribute no inclusive time.
+    Events are walked on one stack, attributing each inter-event
+    interval to the innermost open span and to its full stack path.
+    Orphan end events (the ring buffer evicted their begin) are counted
+    and skipped; spans left open at the end of the stream (mid-span
+    truncation) are counted in ``unclosed_spans`` and contribute no
+    inclusive time.
     """
     profile = SpanProfile()
     profile.dropped_events = int(getattr(recorder, "dropped_events", 0))
-    # track key -> (stack of (name, cat, begin_ts), last event ts)
-    stacks: Dict[object, List[Tuple[str, str, float]]] = {}
-    last_ts: Dict[object, float] = {}
+    stack: List[Tuple[str, str, float]] = []  # (name, cat, begin_ts)
+    last_ts: Optional[float] = None
 
     def entry(name: str, cat: str) -> Dict[str, object]:
         found = profile.spans.get(name)
@@ -154,12 +152,10 @@ def fold_spans(recorder: InMemoryRecorder) -> SpanProfile:
             profile.spans[name] = found
         return found
 
-    def attribute(track: object, now: float) -> None:
-        stack = stacks.get(track)
-        previous = last_ts.get(track)
-        if not stack or previous is None:
+    def attribute(now: float) -> None:
+        if not stack or last_ts is None:
             return
-        delta = now - previous
+        delta = now - last_ts
         if delta <= 0.0:
             return
         name, cat, _ = stack[-1]
@@ -173,10 +169,8 @@ def fold_spans(recorder: InMemoryRecorder) -> SpanProfile:
     for event in recorder.events:
         if event.ph not in ("B", "E"):
             continue
-        track = (event.args or {}).get("worker")
-        attribute(track, event.ts)
-        last_ts[track] = event.ts
-        stack = stacks.setdefault(track, [])
+        attribute(event.ts)
+        last_ts = event.ts
         if event.ph == "B":
             record = entry(event.name, event.cat)
             record["count"] = int(record["count"]) + 1
@@ -192,7 +186,7 @@ def fold_spans(recorder: InMemoryRecorder) -> SpanProfile:
                     profile.run_total_s += event.ts - begin_ts
             else:
                 profile.orphan_ends += 1
-    profile.unclosed_spans = sum(len(stack) for stack in stacks.values())
+    profile.unclosed_spans = len(stack)
     return profile
 
 

@@ -235,61 +235,6 @@ class InMemoryRecorder(TraceRecorder):
             payload.update(args)
         self._record(TraceEvent("C", name, cat, self._clock(), payload))
 
-    # -- multi-process composition -------------------------------------------
-
-    def child(self) -> "InMemoryRecorder":
-        """A fresh recorder sharing this one's clock.
-
-        Parallel workers record into a child (forked processes inherit
-        ``perf_counter``'s CLOCK_MONOTONIC origin, so child timestamps
-        compose with the parent's without rebasing) and the parent folds
-        the children back in with :meth:`merge` after the pool drains.
-        A bounded parent hands its ``max_events`` down, so workers of a
-        served run are ring-buffered too.
-        """
-        return InMemoryRecorder(clock=self._clock, max_events=self.max_events)
-
-    def merge(
-        self,
-        other: "InMemoryRecorder",
-        ts_offset: float = 0.0,
-        worker: Optional[int] = None,
-    ) -> None:
-        """Fold another recorder's events into this one.
-
-        Events are appended in ``other``'s emission order with
-        ``ts_offset`` added to their timestamps; with ``worker`` given,
-        each event's args gain a ``worker`` tag (pre-existing tags are
-        kept, so re-merging an already-merged recorder is safe) and the
-        Chrome exporter fans the events out to a per-worker thread track.
-        Counter totals are summed and gauge peaks maxed — counter *events*
-        keep their source-local running ``value``; only the aggregate
-        :attr:`counters` view is global after a merge.  Merged events pass
-        through this recorder's ring bound, and the other recorder's
-        :attr:`dropped_events` carry over — an event dropped upstream is
-        dropped from the merged view too.
-        """
-        for event in other.events:
-            args = dict(event.args) if event.args else {}
-            if worker is not None:
-                args.setdefault("worker", worker)
-            self._record(
-                TraceEvent(
-                    event.ph,
-                    event.name,
-                    event.cat,
-                    event.ts + ts_offset,
-                    args or None,
-                )
-            )
-        self.dropped_events += other.dropped_events
-        for name, total in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + total
-        for name, peak in other.gauge_peaks.items():
-            mine = self.gauge_peaks.get(name)
-            if mine is None or peak > mine:
-                self.gauge_peaks[name] = peak
-
     # -- read-side helpers (summaries, tests) -------------------------------
 
     def counter_total(self, name: str, default: float = 0) -> float:

@@ -263,8 +263,6 @@ def segment_profile(recorder: InMemoryRecorder) -> Dict[str, object]:
     count and per-replay gate weight, the inject count, the finished
     trial total, and any recompute operations a drop-mode cache budget
     added (which the certificate accounts separately from plan ops).
-    Works on merged multi-worker traces — span counts sum over all
-    tracks, exactly like the instruction multiset they record.
     Requires an untruncated recorder — ring eviction loses span events,
     so P020 evidence must be recorded unbounded.
     """
@@ -337,11 +335,6 @@ def verify_trace(
     replays exactly.  A ring-truncated recorder cannot replay — instant
     counts describe the retained window only — so truncation is reported
     as a single problem instead of a cascade of spurious mismatches.
-
-    A merged parallel trace (it carries a ``parallel.meta`` instant)
-    replays everything but the peaks.  A pool's peak counts every task's
-    entry state plus each worker's own peak, which per-track gauge maxima
-    cannot give; lint rule P021 bounds those peaks instead.
     """
     dropped = int(getattr(recorder, "dropped_events", 0))
     if dropped:
@@ -351,11 +344,8 @@ def verify_trace(
             "counters, which remain exact"
         ]
     problems: List[str] = []
-    merged = recorder.first_instant_args("parallel.meta") is not None
 
     def check(field: str, derived: object, live: object) -> None:
-        if merged and field.startswith("peak_"):
-            return
         if derived != live:
             problems.append(
                 f"{field}: trace-derived {derived!r} != recorded-run {live!r}"

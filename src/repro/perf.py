@@ -29,11 +29,13 @@ so timings stay honest — and its :class:`~repro.obs.summary.TraceSummary`
 is attached to the record as ``profile`` after being cross-checked
 against the timed run's outcome.
 
-Every further section (``workers``, ``hybrid``)
-is one option set from :mod:`repro.core.options`, timed through the same
-``execute()`` against the same plan and proven exact the same way: each
-trial's payload ``array_equal`` to the serial compiled run's, with equal
-``ops_applied``.
+With ``hybrid=True`` (``repro bench --hybrid``) a further section times
+the hybrid executor (:mod:`repro.core.options`) through the same
+``execute()`` against the same plan and proves it exact: each trial's
+payload ``array_equal`` to the serial compiled run's, with equal
+``ops_applied``.  Sections of older payloads under other keys (the
+retired ``parallel`` and ``batch`` sections) are read by nothing, so
+``compare_bench`` accepts such a baseline and compares what is common.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from .bench.suite import all_benchmark_names, benchmark_names, resolve_benchmark
 from .circuits.layers import layerize
 from .core.hostinfo import machine_info, peak_rss_kb
 from .core.hybrid import HybridOutcome
-from .core.options import execute, expect
-from .core.parallel import ParallelOutcome
+from .core.options import execute
 from .core.schedule import build_plan
 from .noise.sampling import sample_trials
 from .sim.backend import StatevectorBackend
@@ -117,28 +118,6 @@ def _all_trials(reference, candidate, same) -> bool:
 # and profiler share them; re-exported here for compatibility.
 
 
-def _section(key: str, executor: str, **options) -> tuple:
-    """One timed bench section: the record key it fills and its options.
-
-    The options must pick ``executor`` (:func:`repro.core.options.expect`),
-    so a flag value the table rejects fails before anything is timed.
-    """
-    expect(executor, **options)
-    return key, options
-
-
-def _bench_sections(
-    workers: Sequence[int], partition_depth: int, hybrid: bool
-) -> List[tuple]:
-    sections = [
-        _section("parallel", "parallel", workers=w, partition_depth=partition_depth)
-        for w in workers
-    ]
-    if hybrid:
-        sections.append(_section("hybrid", "hybrid", hybrid=True))
-    return sections
-
-
 def _bench_section(
     layered,
     trials,
@@ -175,14 +154,6 @@ def _bench_section(
         },
         "peak_rss_kb": peak_rss_kb(),
     }
-    if isinstance(outcome, ParallelOutcome):
-        section.update(
-            workers=outcome.num_workers,
-            partition_depth=outcome.partition_depth,
-            num_tasks=outcome.num_tasks,
-            used_fork=outcome.used_fork,
-            shm_bytes=outcome.shm_bytes,
-        )
     if isinstance(outcome, HybridOutcome):
         section.update(active=outcome.active, stats=dict(outcome.hybrid))
     return section
@@ -376,19 +347,16 @@ def bench_one(
     seed: int = 2020,
     check: bool = True,
     trace: bool = False,
-    workers: Sequence[int] = (),
-    partition_depth: int = 1,
     hybrid: bool = False,
 ) -> Dict[str, object]:
     """Benchmark one suite circuit; returns one JSON-ready record.
 
     ``name`` may be a Table I benchmark (Yorktown-compiled, device model)
     or a large-suite benchmark (logical circuit, artificial model — see
-    :data:`repro.bench.suite.LARGE_BENCHMARKS`).  Each entry in
-    ``workers``, and ``hybrid``, adds timed sections (parallel, hybrid
-    executor) plus a bit-exactness proof against the serial compiled run.
+    :data:`repro.bench.suite.LARGE_BENCHMARKS`).  ``hybrid`` adds a timed
+    hybrid section plus a bit-exactness proof against the serial
+    compiled run.
     """
-    sections = _bench_sections(workers, partition_depth, hybrid)
     circuit, model = resolve_benchmark(name)
     layered = layerize(circuit)
     trials = sample_trials(
@@ -439,23 +407,23 @@ def bench_one(
         "kernel_stats": compiled.stats(),
     }
 
-    if sections:
+    if hybrid:
         serial_by_trial, serial_outcome = _payloads(
             layered, trials, plan, make_compiled, **serial
         )
-        for key, options in sections:
-            section = _bench_section(
+        record["hybrid"] = [
+            _bench_section(
                 layered,
                 trials,
                 plan,
                 make_compiled,
-                options,
+                {"hybrid": True},
                 comp_best,
                 serial_by_trial,
                 serial_outcome.ops_applied,
                 repeats,
             )
-            record.setdefault(key, []).append(section)
+        ]
 
     if trace:
         from .lint import check_recorded_run
@@ -500,17 +468,10 @@ def run_bench(
     seed: int = 2020,
     check: bool = True,
     trace: bool = False,
-    workers: Sequence[int] = (),
-    partition_depth: int = 1,
     hybrid: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
-    """Run the harness over ``benchmarks`` (default: the full Table I suite).
-
-    Section options the table rejects raise
-    :class:`~repro.core.options.OptionError` before anything is timed.
-    """
-    _bench_sections(workers, partition_depth, hybrid)
+    """Run the harness over ``benchmarks`` (default: the full Table I suite)."""
     names = list(benchmarks) if benchmarks else benchmark_names()
     unknown = sorted(set(names) - set(all_benchmark_names()))
     if unknown:
@@ -530,8 +491,6 @@ def run_bench(
                 seed=seed,
                 check=check,
                 trace=trace,
-                workers=workers,
-                partition_depth=partition_depth,
                 hybrid=hybrid,
             )
         )
@@ -547,16 +506,15 @@ def run_bench(
             else None
         ),
     }
-    for key, enabled in (("parallel", workers), ("hybrid", hybrid)):
-        summary[f"all_{key}_exact"] = (
-            all(
-                section["exact"]["ok"]
-                for record in results
-                for section in record.get(key, ())
-            )
-            if enabled
-            else None
+    summary["all_hybrid_exact"] = (
+        all(
+            section["exact"]["ok"]
+            for record in results
+            for section in record.get("hybrid", ())
         )
+        if hybrid
+        else None
+    )
     summary["geomean_hybrid_speedup"] = _geomean(
         [
             section["speedup_vs_serial"]
@@ -575,8 +533,6 @@ def run_bench(
             "seed": seed,
             "check": check,
             "trace": trace,
-            "workers": list(workers),
-            "partition_depth": partition_depth,
             "hybrid": hybrid,
         },
         "results": results,
@@ -608,20 +564,12 @@ def bench_rows(payload: Dict[str, object]) -> List[Dict[str, object]]:
             "Mops/s": record["compiled"]["ops_per_s"] / 1e6,
             "speedup": record["speedup"],
         }
-        for section in record.get("parallel", ()):
-            w = section["workers"]
-            row[f"par{w} (ms)"] = section["best_s"] * 1e3
-            row[f"par{w} vs 1"] = section["speedup_vs_serial"]
         rss = record.get("peak_rss_kb") or {}
         if rss.get("self") is not None:
             children = rss.get("children") or 0
             row["rss (MB)"] = (rss["self"] + children) / 1024.0
         if "equivalence" in record:
-            exact = record["equivalence"]["ok"] and all(
-                section["exact"]["ok"]
-                for section in record.get("parallel", ())
-            )
-            row["exact"] = "yes" if exact else "NO"
+            row["exact"] = "yes" if record["equivalence"]["ok"] else "NO"
         rows.append(row)
     return rows
 
@@ -630,20 +578,14 @@ def _geomean(values: Sequence[float]) -> Optional[float]:
     return float(np.exp(np.mean(np.log(values)))) if values else None
 
 
-#: Record keys of the timed sections beside the serial run.
-SECTION_KEYS = ("parallel", "hybrid")
-
-
-def section_label(key: str, section: Dict[str, object]) -> str:
-    """A timed section's name, ``parallel[w2]`` or ``hybrid``.
+def section_label(section: Dict[str, object]) -> str:
+    """A hybrid section's name, ``hybrid``.
 
     Hybrid sections of older payloads carry the trial-batch width they
     ran at; a nonzero one keeps its ``hybrid+batch[W]`` label, so a
     baseline such as ``BENCH_0009.json`` compares only its width-0
     section with today's ``hybrid``.
     """
-    if key == "parallel":
-        return f"parallel[w{section['workers']}]"
     width = section.get("batch", 0)
     return f"hybrid+batch[{width}]" if width else "hybrid"
 
@@ -665,12 +607,11 @@ def _comparable_sections(
             "best_s": float(record["compiled"]["best_s"]),  # type: ignore[index]
         }
     }
-    for key in SECTION_KEYS:
-        for section in record.get(key, ()):
-            sections[section_label(key, section)] = {
-                "speedup": float(section["speedup_vs_serial"]),  # type: ignore[arg-type]
-                "best_s": float(section["best_s"]),  # type: ignore[arg-type]
-            }
+    for section in record.get("hybrid", ()):
+        sections[section_label(section)] = {
+            "speedup": float(section["speedup_vs_serial"]),  # type: ignore[arg-type]
+            "best_s": float(section["best_s"]),  # type: ignore[arg-type]
+        }
     return sections
 
 
@@ -683,13 +624,13 @@ def compare_bench(
     """Compare two harness payloads; the CI regression gate.
 
     For every benchmark present in *both* payloads, each named speedup
-    section (``compiled``, ``parallel[wN]``, ``hybrid``)
-    is compared as ``current_speedup / baseline_speedup``.  A section
-    regresses when that ratio falls below ``1 - tolerance`` **and** both
-    measurements clear the ``min_seconds`` noise floor (best-of-N times
-    below it carry more timer jitter than signal).  Benchmarks or
-    sections present on only one side are reported informationally, never
-    failed — a baseline from a wider run must not fail a narrower smoke.
+    section (``compiled``, ``hybrid``) is compared as ``current_speedup
+    / baseline_speedup``.  A section regresses when that ratio falls
+    below ``1 - tolerance`` **and** both measurements clear the
+    ``min_seconds`` noise floor (best-of-N times below it carry more
+    timer jitter than signal).  Benchmarks or sections present on only
+    one side are reported informationally, never failed — a baseline
+    from a wider run must not fail a narrower smoke.
 
     Config divergence (trials, repeats, seed) is reported in
     ``config_mismatches`` so a reader can judge how comparable the runs
@@ -744,7 +685,7 @@ def compare_bench(
         if only:
             skipped.extend(f"{name}:{section} (not in current)" for section in only)
     config_mismatches = []
-    for key in ("num_trials", "repeats", "warmup", "seed", "workers"):
+    for key in ("num_trials", "repeats", "warmup", "seed"):
         cur_value = current.get("config", {}).get(key)  # type: ignore[union-attr]
         base_value = baseline.get("config", {}).get(key)  # type: ignore[union-attr]
         if cur_value != base_value:

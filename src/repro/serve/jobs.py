@@ -21,8 +21,7 @@ path the async server schedules, minus the sockets:
     the journal tee, the cross-job :class:`~repro.core.shared.
     SharedPrefixStore`, a cooperative ``stop`` event and the incremental
     ``on_trial`` stream wired in; applies the service retry discipline
-    (capped exponential backoff, graceful degradation to the inline
-    engine when the fork pool keeps failing).
+    (capped exponential backoff, up to the spec's ``retries``).
 
 Job identity is ``j<seq:06d>-<digest8>``: the monotone sequence number
 keeps concurrent submissions of *identical* specs in distinct journal
@@ -128,7 +127,6 @@ class JobSpec:
         seed: int,
         mode: str = "optimized",
         backend: str = "statevector",
-        workers: int = 0,
         hybrid: bool = False,
         max_cache_bytes: Optional[int] = None,
         priority: str = "interactive",
@@ -154,7 +152,6 @@ class JobSpec:
         self.seed = int(seed)
         self.mode = mode
         self.backend = backend
-        self.workers = int(workers)
         self.hybrid = bool(hybrid)
         self.max_cache_bytes = max_cache_bytes
         self.priority = priority
@@ -177,7 +174,7 @@ class JobSpec:
             )
         known = {
             "circuit", "noise", "trials", "seed", "mode", "backend",
-            "workers", "hybrid", "max_cache_bytes",
+            "hybrid", "max_cache_bytes",
             "priority", "timeout", "retries", "journal", "share", "label",
         }
         unknown = sorted(set(payload) - known)
@@ -201,7 +198,6 @@ class JobSpec:
             "seed": self.seed,
             "mode": self.mode,
             "backend": self.backend,
-            "workers": self.workers,
             "hybrid": self.hybrid,
             "max_cache_bytes": self.max_cache_bytes,
             "priority": self.priority,
@@ -226,7 +222,6 @@ class JobSpec:
         return {
             "mode": self.mode,
             "backend": self.backend,
-            "workers": self.workers,
             "hybrid": self.hybrid,
             "max_cache_bytes": self.max_cache_bytes,
         }
@@ -262,7 +257,7 @@ class JobSpec:
     def __repr__(self) -> str:
         return (
             f"JobSpec(label={self.label!r}, trials={self.trials}, "
-            f"priority={self.priority!r}, workers={self.workers})"
+            f"priority={self.priority!r})"
         )
 
 
@@ -276,7 +271,6 @@ class JobRecord:
         self.state = "queued"
         self.error: Optional[str] = None
         self.attempts = 0
-        self.degraded = False
         self.recovered = False
         self.trials_streamed = 0
         self.result: Optional[Dict[str, Any]] = None
@@ -291,7 +285,6 @@ class JobRecord:
             "trials": self.spec.trials,
             "trials_streamed": self.trials_streamed,
             "attempts": self.attempts,
-            "degraded": self.degraded,
             "recovered": self.recovered,
             "error": self.error,
         }
@@ -392,9 +385,11 @@ class JobStore:
         In-flight records (spec committed, no terminal file) come back in
         admission order with ``recovered=True`` so the server re-enqueues
         them; their journals make the re-run resume instead of recompute.
-        A spec stored with the retired ``batch_size`` field loads without
-        it: that executor's payloads equaled serial DFS's, and such a job
-        kept no journal, so running it on DFS returns the same result.
+        A spec stored with a retired field loads without it, and the job
+        runs on serial DFS.  ``batch_size`` (the trial-batched wavefront)
+        gave payloads equal to DFS's and kept no journal.  ``workers``
+        (the process pool) streamed the same finishes, in the same
+        order, as DFS, so its partial journal resumes on DFS exactly.
         """
         pending: List[JobRecord] = []
         finished: List[JobRecord] = []
@@ -408,6 +403,7 @@ class JobStore:
                 stored = payload["spec"]
                 if isinstance(stored, dict):
                     stored.pop("batch_size", None)
+                    stored.pop("workers", None)
                 spec = JobSpec.from_dict(stored)
                 seq = int(payload["seq"])
             except (ValueError, KeyError, json.JSONDecodeError):
@@ -460,7 +456,6 @@ def _result_payload(
         "peak_msv": metrics.peak_msv,
         "journal": journal,
         "attempts": record.attempts,
-        "degraded": record.degraded,
     }
 
 
@@ -477,12 +472,10 @@ def execute_job(
 ) -> Dict[str, Any]:
     """Run one admitted job; returns the terminal result payload.
 
-    Retry discipline: up to ``spec.retries`` re-attempts with capped
-    exponential backoff (``min(retry_cap, retry_base * 2**attempt)``);
-    if the *last* allowed attempt still fails and the spec asked for
-    fork-pool workers, one final attempt degrades gracefully to the
-    inline serial engine (``workers=0``) — the fork pool being broken
-    must not take correct-but-slower service down with it.
+    Retry discipline: up to ``spec.retries`` re-attempts of the run with
+    capped exponential backoff (``min(retry_cap, retry_base *
+    2**attempt)``), for failures that may pass, such as a journal write
+    that hits a full disk.
 
     ``RunInterrupted`` (stop event / deadline) and ``BaseException``
     chaos kills propagate immediately — both leave the committed journal
@@ -511,12 +504,11 @@ def execute_job(
         else None
     )
 
-    def run(workers: int) -> SimulationResult:
+    def run() -> SimulationResult:
         return spec.build_simulator().run(
             num_trials=spec.trials,
             mode=spec.mode,
             backend=spec.backend,
-            workers=workers,
             hybrid=spec.hybrid,
             max_cache_bytes=spec.max_cache_bytes,
             journal=journal,
@@ -527,17 +519,11 @@ def execute_job(
 
     attempts_allowed = spec.retries + 1
     last_error: Optional[BaseException] = None
-    for attempt in range(attempts_allowed + 1):
-        degrade = attempt >= attempts_allowed
-        workers = 0 if degrade else spec.workers
-        if degrade:
-            if not spec.workers:
-                break  # no pool to degrade from; the retries were it
-            record.degraded = True
+    for attempt in range(attempts_allowed):
         record.attempts += 1
         try:
             try:
-                result = run(workers)
+                result = run()
             except JournalError:
                 # A recovered job's journal that the run refuses (P019) was
                 # written for other trials: by a version that drew another
@@ -547,7 +533,7 @@ def execute_job(
                 if not (recovered and journal and os.path.exists(journal)):
                     raise
                 os.replace(journal, journal + ".stale")
-                result = run(workers)
+                result = run()
         except RunInterrupted:
             raise
         except Exception as exc:  # noqa: BLE001 - service retry boundary

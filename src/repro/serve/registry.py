@@ -11,8 +11,7 @@ Families:
 ``repro_serve_jobs`` (counter, label ``state``)
     Admission and terminal transitions: ``accepted``, ``rejected``
     (backpressure 429s), ``completed``, ``failed``, ``interrupted``,
-    ``recovered`` (re-admitted after a crash), ``degraded`` (fork pool
-    abandoned for the inline engine).
+    ``recovered`` (re-admitted after a crash).
 ``repro_serve_trials`` (counter, label ``kind``)
     ``streamed`` per-trial results delivered to clients and ``replayed``
     trials recovered from journals at zero recompute.

@@ -328,8 +328,6 @@ class JobServer:
             self._report_error(record)
             return
         self._count_job("completed")
-        if record.degraded:
-            self._count_job("degraded")
         trials = self.registry.counter(TRIALS_FAMILY, labels=("kind",))
         trials.inc(record.trials_streamed, kind="streamed")
         journal = payload.get("journal") or {}

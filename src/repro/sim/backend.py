@@ -60,9 +60,10 @@ class SimulationBackend(abc.ABC):
     def adopt_state(self, state: Any) -> Any:
         """Take ownership of an externally created state (live-state hook).
 
-        The parallel executor hands each worker its sub-plan's entry state
-        (deserialized from shared memory); backends that track live states
-        count it here exactly as they would a ``make_initial`` state.
+        The executor adopts a reloaded spilled snapshot and a prefix state
+        fetched from the cross-job store (and the hybrid executor its
+        materialized states); backends that track live states count it
+        here exactly as they would a ``make_initial`` state.
         """
         return state
 
@@ -129,9 +130,9 @@ class StatevectorBackend(SimulationBackend):
         return state.copy()
 
     def adopt_state(self, state: Statevector) -> Statevector:
-        # Externally built states (shared-memory entry snapshots, spill
-        # reloads) are the one place a badly laid-out buffer could reach
-        # the kernels; fail loudly instead of degrading to copy semantics.
+        # Externally built states (spill reloads, shared-store prefixes)
+        # are the one place a badly laid-out buffer could reach the
+        # kernels; fail loudly instead of degrading to copy semantics.
         require_state_layout(state._tensor, "adopt_state")
         self._track_new_state()
         return state

@@ -38,8 +38,8 @@ _ATOL = 1e-9
 class StateLayoutError(TypeError):
     """An amplitude buffer violates the kernel memory-layout contract.
 
-    Every compiled kernel (and the no-copy ``from_buffer`` /
-    shared-memory paths) requires **C-contiguous complex128** storage.  A
+    Every compiled kernel (and the no-copy ``from_buffer`` path) requires
+    **C-contiguous complex128** storage.  A
     Fortran-ordered, strided or narrower-dtype array would not fail — it
     would silently degrade: ``reshape`` falls back to a copy, severing
     write-through to the underlying buffer, and kernels would run against
@@ -175,11 +175,11 @@ class Statevector:
 
         ``buffer`` must hold exactly ``2**num_qubits`` amplitudes; it is
         reshaped (a view) into the ``(2,) * n`` tensor and becomes the
-        state's storage.  Used by the parallel executor to read entry
-        snapshots and finish payloads straight out of
-        ``multiprocessing.shared_memory`` blocks — mutations write through
-        to the underlying buffer, and the state is only valid while the
-        buffer is.
+        state's storage.  Used wherever amplitudes come back from outside
+        the executor: a journal replay's finish payloads, a reloaded
+        spilled snapshot and a state adopted from the cross-job prefix
+        store — mutations write through to the underlying buffer, and
+        the state is only valid while the buffer is.
 
         Raises :class:`StateLayoutError` for non-complex128 or
         non-C-contiguous buffers — the reshape below would silently copy

@@ -1,17 +1,16 @@
 """Test utilities: random circuits/trials, comparisons, fault injection.
 
 Shared by the repository's own test-suite and useful for downstream users
-writing property tests against the simulator.  The :class:`ChaosPlan`
-fault injector plugs into :func:`repro.core.parallel.run_parallel` via its
-``faults=`` hook to script worker crashes, hangs, payload/entry-state
-corruption and allocation failures deterministically — the chaos property
-tests assert that *every* fault schedule still yields results bit-identical
-to the fault-free serial run.
+writing property tests against the simulator.  The
+:class:`ServiceChaosPlan` fault injector plugs into
+:func:`repro.serve.jobs.execute_job` via its ``chaos=`` hook to script
+server kills and torn journal tails deterministically — the service chaos
+tests assert that a recovered job still returns the result of an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,13 +18,11 @@ import numpy as np
 from .circuits.circuit import QuantumCircuit
 from .circuits.layers import LayeredCircuit
 from .core.events import ErrorEvent, Trial, make_trial
-from .core.resilience import WorkerCrash
 
 __all__ = [
     "random_circuit",
     "random_trials",
     "assert_states_close",
-    "ChaosPlan",
     "ServerKilled",
     "ServiceChaosPlan",
     "GATE_POOL_1Q",
@@ -98,111 +95,6 @@ def random_trials(
             )
         trials.append(make_trial(tuple(events.values())))
     return trials
-
-
-class ChaosPlan:
-    """Deterministic fault schedule for the parallel executor.
-
-    All triggers are scripted up front — no randomness, no wall-clock
-    dependence — so a failing chaos test replays exactly.  The same plan
-    object drives both pool transports through one recovery state
-    machine: in fork mode a kill really calls ``os._exit`` inside the
-    child and a hang really sleeps past the deadline; in inline mode both
-    surface as :class:`WorkerCrash` (there is no process to kill or to
-    time out).  Either way the lost attempt costs the task one retry.
-
-    Parameters
-    ----------
-    kill:
-        ``{worker_id: after_tasks}`` — worker ``worker_id`` dies when it
-        picks up its ``after_tasks``-th task (0 = its very first).
-    hang:
-        ``{worker_id: (after_tasks, seconds)}`` — instead of dying, the
-        worker sleeps ``seconds`` before running the task (fork mode;
-        pair it with ``task_timeout`` so the parent reaps it).  Inline
-        pools treat a due hang as a crash.
-    corrupt:
-        ``{task_id: times}`` — the first ``times`` attempts of the task
-        have one payload byte flipped after the worker writes (and
-        checksums) its finish states, so the parent's re-verification
-        must catch it and requeue.
-    alloc_fail:
-        ``{task_id: times}`` — the first ``times`` attempts raise
-        :class:`MemoryError` before the task runs (simulated allocation
-        failure; exercises the generic retry path).
-    corrupt_entries:
-        Task ids whose *entry state* is corrupted in shared memory after
-        the parent computed its checksum — every worker attempt fails
-        entry verification, forcing the parent's regenerate-and-run-inline
-        last resort.
-
-    Note that a plan instance is forked into every worker, so mutable
-    trigger state is per-process; the ``after_tasks`` counters use the
-    worker-local completed-task count the pool passes in, which is
-    consistent in both flavours.  Kill and hang triggers are consumed
-    when they fire — a plan instance drives **one** run; build a fresh
-    plan per run rather than reusing one.
-    """
-
-    def __init__(
-        self,
-        kill: Optional[Dict[int, int]] = None,
-        hang: Optional[Dict[int, Tuple[int, float]]] = None,
-        corrupt: Optional[Dict[int, int]] = None,
-        alloc_fail: Optional[Dict[int, int]] = None,
-        corrupt_entries: Tuple[int, ...] = (),
-    ) -> None:
-        self.kill = dict(kill or {})
-        self.hang = dict(hang or {})
-        self.corrupt = dict(corrupt or {})
-        self.alloc_fail = dict(alloc_fail or {})
-        self.corrupt_entries = tuple(corrupt_entries)
-
-    def before_task(
-        self,
-        worker: int,
-        task: int,
-        attempt: int,
-        tasks_done: int,
-        inline: bool = False,
-    ) -> None:
-        """Pool hook: raise/sleep per the schedule before a task runs."""
-        if worker in self.kill and tasks_done >= self.kill[worker]:
-            del self.kill[worker]
-            raise WorkerCrash(
-                f"chaos: killing worker {worker} before task {task}"
-            )
-        if worker in self.hang and tasks_done >= self.hang[worker][0]:
-            _, seconds = self.hang.pop(worker)
-            if inline:
-                # No process to reap inline — a hang degenerates to a crash.
-                raise WorkerCrash(
-                    f"chaos: worker {worker} hung before task {task}"
-                )
-            time.sleep(seconds)
-        if self.alloc_fail.get(task, 0) > attempt:
-            raise MemoryError(
-                f"chaos: simulated allocation failure for task {task} "
-                f"(attempt {attempt})"
-            )
-
-    def corrupt_payload(self, task: int, attempt: int) -> bool:
-        """Pool hook: should this attempt's finish payload be corrupted?"""
-        return self.corrupt.get(task, 0) > attempt
-
-    def corrupt_entry(self, task: int) -> bool:
-        """Pool hook: should this task's shared entry state be corrupted?"""
-        return task in self.corrupt_entries
-
-    def __repr__(self) -> str:
-        parts = []
-        for name in ("kill", "hang", "corrupt", "alloc_fail"):
-            value = getattr(self, name)
-            if value:
-                parts.append(f"{name}={value}")
-        if self.corrupt_entries:
-            parts.append(f"corrupt_entries={self.corrupt_entries}")
-        return f"ChaosPlan({', '.join(parts)})"
 
 
 class ServerKilled(BaseException):

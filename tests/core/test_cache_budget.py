@@ -16,7 +16,6 @@ from repro.bench.suite import build_compiled_benchmark, resolve_benchmark
 from repro.circuits import layerize
 from repro.core import run_optimized
 from repro.core.cache import CacheBudget
-from repro.core.parallel import fork_available, run_parallel
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import ScheduleError, build_plan
 from repro.lint import analyze_plan, lint_certificate_trace, sanitize_plan
@@ -53,25 +52,6 @@ def _assert_streams_identical(reference, degraded):
     for (r_state, r_indices), (d_state, d_indices) in zip(reference, degraded):
         assert r_indices == d_indices
         assert np.array_equal(r_state, d_state)
-
-
-def _pool_stream(layered, trials, budget, depth=1, inline=True):
-    stream = []
-    outcome = run_parallel(
-        layered, trials, lambda: CompiledStatevectorBackend(layered),
-        lambda p, i: stream.append((np.array(p.vector, copy=True), i)),
-        workers=2, depth=depth, inline=inline, cache_budget=budget,
-    )
-    return stream, outcome
-
-
-_TRANSPORTS = pytest.mark.parametrize(
-    "inline",
-    [True, pytest.param(False, marks=pytest.mark.skipif(
-        not fork_available(), reason="needs fork"
-    ))],
-    ids=["inline", "fork"],
-)
 
 
 class TestSpill:
@@ -136,19 +116,6 @@ class TestDrop:
         assert outcome.cache_stats.recomputes > 0
         _assert_streams_identical(reference, degraded)
 
-    @pytest.mark.parametrize("name", ["qft5", "grover"])
-    @pytest.mark.parametrize("depth", [1, 2])
-    @_TRANSPORTS
-    def test_pool_recompute_replays_from_the_task_entry(
-        self, name, depth, inline
-    ):
-        layered, trials = _setup(name, num_trials=256, seed=7)
-        reference, _ = _stream(layered, trials)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="drop")
-        stream, outcome = _pool_stream(layered, trials, budget, depth, inline)
-        assert outcome.used_fork is not inline
-        _assert_streams_identical(reference, stream)
-
     def test_unknown_mode_rejected(self):
         layered, trials = _setup()
         budget = CacheBudget(max_bytes=1, mode="shred")
@@ -196,41 +163,15 @@ class TestBudgetEverywhere:
                 cache_budget=budget,
             )
 
-    @pytest.mark.parametrize("mode", ["spill", "drop"])
-    def test_parallel_with_budget_matches_serial(self, mode):
-        layered, trials = _setup()
-        reference, _ = _stream(layered, trials)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode=mode)
-        stream, _ = _pool_stream(layered, trials, budget)
-        _assert_streams_identical(reference, stream)
-
-    @pytest.mark.parametrize("mode", ["spill", "drop"])
-    @_TRANSPORTS
-    def test_parallel_reports_worker_degradation(self, mode, inline):
-        layered, trials = _setup("qft5", num_trials=256, seed=7)
-        _, reference = _stream(layered, trials)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode=mode)
-        _, outcome = _pool_stream(layered, trials, budget, inline=inline)
-        stats = outcome.cache_stats
-        assert stats.degraded
-        if mode == "spill":
-            assert stats.spills > 0 and stats.spill_loads == stats.spills
-            assert outcome.ops_applied == reference.ops_applied
-        else:
-            assert stats.drops > 0 and stats.recomputes == stats.drops
-            assert outcome.ops_applied > reference.ops_applied
-
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_certificate_p020_parity_under_drop_budget(self, workers):
+    def test_certificate_p020_parity_under_drop_budget(self):
         # A recompute is charged to ops.applied, so its cache.recompute
-        # instant must carry those ops for P020 to add up — serially and
-        # for the pool's workers, which replay from their task's entry.
+        # instant must carry those ops for P020 to add up.
         circuit, model = resolve_benchmark("qft5")
         simulator = NoisySimulator(circuit, model, seed=7)
         trials = simulator.sample(256)
         recorder = InMemoryRecorder()
         simulator.run(
-            trials=trials, recorder=recorder, workers=workers,
+            trials=trials, recorder=recorder,
             max_cache_bytes=1100, cache_degrade="drop",
         )
         assert recorder.counter_total("cache.recompute") > 0

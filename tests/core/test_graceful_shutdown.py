@@ -1,4 +1,4 @@
-"""Graceful SIGTERM/SIGINT shutdown: stop events, journal tails, no leaks."""
+"""Graceful SIGTERM/SIGINT shutdown: stop events and journal tails."""
 
 import os
 import signal
@@ -10,8 +10,7 @@ import pytest
 
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
-from repro.core.executor import RunInterrupted
-from repro.core.parallel import graceful_stop
+from repro.core.executor import RunInterrupted, graceful_stop
 
 
 def _sim(seed=7, name="qft4"):
@@ -73,6 +72,18 @@ class TestSerialStop:
         assert resumed.journal.replayed_trials >= 50
         assert resumed.metrics.optimized_ops < reference.metrics.optimized_ops
 
+    def test_preset_stop_leaves_a_resumable_journal(self, tmp_path):
+        journal = str(tmp_path / "run.journal")
+        reference = _sim(seed=3).run(num_trials=256)
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunInterrupted) as info:
+            _sim(seed=3).run(num_trials=256, journal=journal, stop=stop)
+        assert info.value.trials_completed == 0
+        resumed = _sim(seed=3).run(num_trials=256, journal=journal)
+        assert resumed.journal.resumed
+        assert resumed.counts == reference.counts
+
     def test_baseline_mode_honours_stop(self):
         stop = threading.Event()
         stop.set()
@@ -117,44 +128,11 @@ class TestHybridStop:
         assert 50 <= len(delivered) < 256
 
 
-class TestParallelStop:
-    def test_interrupted_parallel_run_is_resumable(self, tmp_path):
-        journal = str(tmp_path / "run.journal")
-        reference = _sim(seed=3).run(num_trials=256)
-        stop = threading.Event()
-        stop.set()  # workers may still drain pre-queued tasks; that is fine
-        try:
-            interrupted = _sim(seed=3).run(
-                num_trials=256, workers=2, journal=journal, stop=stop
-            )
-            # The pool drained everything before the parent's stop check:
-            # a fully delivered run is an acceptable outcome of "drain".
-            assert interrupted.counts == reference.counts
-        except RunInterrupted as exc:
-            assert 0 <= exc.trials_completed <= 256
-            resumed = _sim(seed=3).run(num_trials=256, journal=journal)
-            assert resumed.counts == reference.counts
-
-    def test_interrupt_releases_shared_memory(self):
-        import glob
-
-        before = set(glob.glob("/dev/shm/psm_*"))
-        stop = threading.Event()
-        stop.set()
-        try:
-            _sim(seed=5).run(num_trials=128, workers=2, stop=stop)
-        except RunInterrupted:
-            pass
-        after = set(glob.glob("/dev/shm/psm_*"))
-        assert after - before == set(), "interrupt leaked shm segments"
-
-
 _CHILD = r"""
 import sys, threading
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
-from repro.core.executor import RunInterrupted
-from repro.core.parallel import graceful_stop
+from repro.core.executor import RunInterrupted, graceful_stop
 
 journal = sys.argv[1]
 sim = NoisySimulator(build_compiled_benchmark("qft5"), ibm_yorktown(), seed=9)

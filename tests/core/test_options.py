@@ -16,7 +16,6 @@ from repro.core.options import (
     MODES,
     OPTIONS,
     OptionError,
-    expect,
     validate,
 )
 from repro.core.shared import SharedPrefixStore
@@ -28,23 +27,16 @@ DOCS = Path(__file__).resolve().parents[2] / "docs" / "architecture.md"
 TRIALS = 24
 SEED = 17
 STATEVECTOR_FAMILY = ("statevector", "statevector-interpreted")
-_POOL_HYBRID = "hybrid has no effect on the parallel executor; it is honoured by: hybrid"
 
 
 def _guard(o):
     """The pairwise guard block ``run()`` carried before the table, kept
-    as the oracle for message parity (less the retired ``batch_size``
-    checks); ``None`` when it passed."""
+    as the oracle for message parity (less the retired ``batch_size`` and
+    ``workers`` checks); ``None`` when it passed."""
     mode, backend = o["mode"], o["backend"]
     sv = backend in STATEVECTOR_FAMILY
     if mode not in MODES:
         return f"unknown mode {mode!r}; choose from {MODES}"
-    if o["workers"]:
-        if mode != "optimized":
-            return ("workers requires mode='optimized' (the baseline has "
-                    "no plan to partition)")
-        if not sv:
-            return f"workers requires a statevector-family backend, got {backend!r}"
     if o["journal"] is not None:
         if mode != "optimized":
             return ("journal requires mode='optimized' (the baseline "
@@ -75,11 +67,10 @@ def _guard(o):
         if not sv:
             return ("shared requires a statevector-family backend "
                     f"(amplitudes are published), got {backend!r}")
-        if o["workers"] or o["hybrid"]:
+        if o["hybrid"]:
             return ("shared requires the serial per-trial executor "
-                    "(workers=0, hybrid=False); the partitioned and hybrid "
-                    "executors do not walk the provenance keys the store is "
-                    "shared under")
+                    "(hybrid=False); the hybrid executor does not walk the "
+                    "provenance keys the store is shared under")
     return None
 
 
@@ -118,10 +109,8 @@ class TestTableCoversRun:
             assert params[name].default == option.default, name
 
     def test_pick_order(self):
-        assert [e.picked_by for e in EXECUTORS[:3]] == ["journal", "workers", "hybrid"]
-        assert validate(journal="j", workers=2).name == "journal"
-        with pytest.raises(OptionError, match=re.escape(_POOL_HYBRID)):
-            validate(workers=2, hybrid=True)
+        assert [e.picked_by for e in EXECUTORS[:2]] == ["journal", "hybrid"]
+        assert validate(journal="j", hybrid=False).name == "journal"
         assert validate(hybrid=True).name == "hybrid"
         assert validate().name == "dfs"
         assert validate(mode="baseline", backend="counting").name == "baseline"
@@ -143,7 +132,12 @@ class TestTableCoversRun:
 
 
 class TestNewRejections:
-    """Inputs the parent accepted, or failed only mid-run."""
+    """Rejected inputs fail before the simulator draws from its RNG.
+
+    The first cases were accepted before the options table existed, or
+    failed only mid-run.  A case's id carries its list position, so a
+    case that goes is replaced in place rather than shifting the rest.
+    """
 
     @pytest.fixture
     def sim(self, bell_circuit):
@@ -156,24 +150,25 @@ class TestNewRejections:
              "unknown cache degradation mode 'bogus'"),
             ({"cache_degrade": "bogus", "max_cache_bytes": 1 << 30},
              "unknown cache degradation mode 'bogus'"),
-            ({"task_timeout": 0, "workers": 2}, "task_timeout must be"),
-            ({"task_timeout": -1, "workers": 2}, "task_timeout must be"),
+            ({"mode": "bogus"}, "unknown mode 'bogus'"),
+            ({"backend": "bogus"}, "unknown backend 'bogus'"),
             ({"max_cache_bytes": -5}, "max_cache_bytes must be"),
-            ({"retries": -1, "workers": 2}, "retries must be >= 0, got -1"),
+            ({"max_cache_bytes": 1.5}, "max_cache_bytes must be an int >= 0, got 1.5"),
             ({"max_cache_bytes": 4096, "mode": "baseline"},
              "max_cache_bytes has no effect on the baseline executor"),
-            ({"workers": -2}, "workers must be >= 1"),
+            ({"on_trial": lambda index, bits: None, "backend": "counting"},
+             "on_trial requires a backend with readout"),
             ({"check": True, "mode": "baseline"},
              "check has no effect on the baseline executor"),
             ({"cache_degrade": "drop"}, "cache_degrade requires max_cache_bytes"),
-            ({"partition_depth": 2}, "partition_depth requires workers"),
-            ({"retries": 5}, "retries requires workers"),
-            ({"partition_depth": 0, "workers": 2}, "partition_depth must be >= 1, got 0"),
+            ({"max_cache_bytes": "4096"},
+             "max_cache_bytes must be an int >= 0, got '4096'"),
+            ({"cache_degrade": "drop", "max_cache_bytes": 4096, "hybrid": True},
+             "hybrid is incompatible with max_cache_bytes"),
+            # The first declared check names the error.
+            ({"mode": "bogus", "backend": "bogus"}, "unknown mode 'bogus'"),
             ({"collect_final_states": True, "backend": "counting"},
              "collect_final_states requires a backend with readout"),
-            ({"task_timeout": 5.0}, "task_timeout requires workers"),
-            ({"retries": 0}, "retries requires workers"),
-            ({"workers": 2, "hybrid": True}, _POOL_HYBRID),
         ],
     )
     def test_rejected_before_sampling(self, sim, options, message):
@@ -182,29 +177,23 @@ class TestNewRejections:
             sim.run(num_trials=8, **options)
         assert sim._rng.bit_generator.state == before
 
-    def test_expect_names_the_picking_option(self):
-        with pytest.raises(OptionError, match="workers must be >= 1"):
-            expect("parallel", workers=0)
-        with pytest.raises(OptionError, match=re.escape(_POOL_HYBRID)):
-            expect("hybrid", hybrid=True, workers=2)
-
 
 _BASELINE_BUDGET = (
     "max_cache_bytes has no effect on the baseline executor; "
-    "it is honoured by: journal, parallel, dfs"
+    "it is honoured by: journal, dfs"
 )
 
 
 class TestOptionGrid:
-    """mode x backend x workers x hybrid x budget x journal x shared.
+    """mode x backend x hybrid x budget x journal x shared.
 
     Every combination the table accepts matches the serial run of the same
     mode on the same backend (payloads ``array_equal``, equal counts and
     ``optimized_ops``); every rejected one raises the table's message
     before the simulator draws from its RNG, and keeps the message the
-    old guard block gave it (``_guard``).  Combinations the guard block
-    let through that the table rejects: a budget on the baseline, which
-    dropped it, and a pool with ``hybrid``, whose prefix runs dense only.
+    old guard block gave it (``_guard``).  The one combination the guard
+    block let through that the table rejects is a budget on the
+    baseline, which dropped it.
     ``hybrid=None`` (the default pick) gets the verdict ``hybrid=False``
     gets everywhere: the same executor or the same message.
     """
@@ -219,15 +208,15 @@ class TestOptionGrid:
         verdicts = {}
         accepted = rejected = 0
         grid = itertools.product(
-            MODES, BACKENDS, (0, 1), (None, False, True),
+            MODES, BACKENDS, (None, False, True),
             (None, budget), (False, True), (False, True),
         )
         for index, combo in enumerate(grid):
-            mode, backend, workers, hybrid, mcb, journal, shared = combo
+            mode, backend, hybrid, mcb, journal, shared = combo
             circuit = clifford if backend == "stabilizer" else dense
             readout = backend != "counting"
             options = dict(
-                mode=mode, backend=backend, workers=workers,
+                mode=mode, backend=backend,
                 hybrid=hybrid, max_cache_bytes=mcb,
                 journal=str(tmp_path / f"{index}.journal") if journal else None,
                 shared=SharedPrefixStore() if shared else None,
@@ -238,8 +227,7 @@ class TestOptionGrid:
             except OptionError as exc:
                 verdicts[combo] = str(exc)
                 rejected += 1
-                new = _POOL_HYBRID if hybrid and workers else _BASELINE_BUDGET
-                assert str(exc) == (guard or new), combo
+                assert str(exc) == (guard or _BASELINE_BUDGET), combo
                 sim = NoisySimulator(circuit, model, seed=SEED)
                 before = sim._rng.bit_generator.state
                 with pytest.raises(OptionError) as info:
@@ -264,10 +252,10 @@ class TestOptionGrid:
                 for got, want in zip(result.final_states, reference.final_states):
                     for a, b in zip(_payload_arrays(got), _payload_arrays(want)):
                         assert np.array_equal(a, b), combo
-        assert accepted >= 30 and rejected >= 300, (accepted, rejected)
+        assert (accepted, rejected) == (45, 147), (accepted, rejected)
         for combo, verdict in verdicts.items():
-            if combo[3] is None:
-                assert verdict == verdicts[combo[:3] + (False,) + combo[4:]], combo
+            if combo[2] is None:
+                assert verdict == verdicts[combo[:2] + (False,) + combo[3:]], combo
 
 
 class TestDocsTable:

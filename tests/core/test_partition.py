@@ -3,10 +3,9 @@
 The partition is correct iff (a) the tasks exactly cover the trial set,
 (b) prefix ops plus sub-plan ops equal the serial plan's operation count,
 and (c) concatenating the tasks' finishes in task-id order reproduces the
-serial plan's ``Finish`` order — the invariant the deterministic merge in
-:func:`repro.core.parallel.run_parallel` rests on.  All three follow from
-(d): inlining every task's sub-plan at its ``EmitTask`` reproduces the
-serial plan's instruction stream exactly.
+serial plan's ``Finish`` order.  All three follow from (d): inlining
+every task's sub-plan at its ``EmitTask`` reproduces the serial plan's
+instruction stream exactly.
 """
 
 import numpy as np
@@ -19,7 +18,7 @@ from repro.bench.suite import (
 )
 from repro.circuits import layerize
 from repro.core import build_plan, make_trial
-from repro.core.parallel import EmitTask, partition_plan
+from repro.core.partition import EmitTask, partition_plan
 from repro.core.schedule import Finish, Restore, ScheduleError, Snapshot
 from repro.noise import ibm_yorktown, sample_trials
 
@@ -88,20 +87,6 @@ class TestPartitionInvariants:
                 # instruction swaps in a cached state or the prefix ends.
                 assert follower is None or isinstance(follower, Restore)
         assert emitted == list(range(partition.num_tasks))
-
-    def test_audit_is_clean(self):
-        layered, trials = _setup()
-        for depth in (1, 2, 3):
-            partition = partition_plan(layered, trials, depth=depth)
-            audit = partition.audit(trials=trials, layered=layered)
-            assert audit.ok, [str(d) for d in audit.errors]
-            assert audit.info["num_tasks"] == partition.num_tasks
-            assert audit.info["covered_trials"] == len(trials)
-
-    def test_check_flag_runs_the_audit(self):
-        layered, trials = _setup(num_trials=64)
-        partition = partition_plan(layered, trials, depth=1, check=True)
-        assert partition.num_tasks >= 1
 
     def test_local_indices_round_trip(self):
         """Sub-plan Finishes use local indices; trial_indices maps back."""
@@ -195,7 +180,7 @@ class TestPartitionEdgeCases:
         assert deep.planned_operations(layered) == (
             shallow.planned_operations(layered)
         )
-        assert deep.audit(trials=trials, layered=layered).ok
+        assert _inline(deep) == build_plan(layered, trials).instructions
 
     def test_depth_below_one_raises(self):
         layered, trials = _setup(num_trials=16)

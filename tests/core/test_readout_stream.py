@@ -18,7 +18,6 @@ import pytest
 
 from repro import NoisySimulator
 from repro.bench.suite import benchmark_names, resolve_benchmark
-from repro.core import parallel as parallel_module
 from repro.core.executor import RunInterrupted, run_optimized
 from repro.noise import PauliChannel, sample_trials
 from repro.sim.measurement import apply_readout_flips
@@ -106,12 +105,6 @@ def test_dfs(name):
 def test_interpreted_backend(name):
     backend = "statevector-interpreted"
     _assert_matches(_reference(name, backend), *_run(name, backend=backend))
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_inline_pool(name, monkeypatch):
-    monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
-    _assert_matches(_reference(name), *_run(name, workers=2))
 
 
 @pytest.mark.parametrize("name", CLIFFORD)

@@ -234,22 +234,6 @@ class TestResume:
                 lambda p, i: None, path,
             )
 
-    def test_parallel_journaled_run_matches_serial(self, tmp_path):
-        layered, trials = _setup()
-        serial = _serial_stream(layered, trials)
-        path = str(tmp_path / "par.journal")
-        stream = []
-        run_journaled(
-            layered, trials, lambda: CompiledStatevectorBackend(layered),
-            lambda p, i: stream.append((np.array(p.vector, copy=True), i)),
-            path, workers=2,
-        )
-        assert len(stream) == len(serial)
-        for (s_state, s_indices), (p_state, p_indices) in zip(serial, stream):
-            assert tuple(s_indices) == tuple(p_indices)
-            assert np.array_equal(s_state, p_state)
-
-
 class TestRunnerIntegration:
     def _simulator(self, seed=7):
         circuit = build_compiled_benchmark("bv4")

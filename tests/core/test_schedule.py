@@ -23,7 +23,7 @@ from repro.core import (
 from repro.sim import CountingBackend
 from repro.core.executor import run_optimized
 from repro.core.events import Trial
-from repro.core.schedule import EmitTask, PlanWalk, SlotEntry
+from repro.core.schedule import PlanWalk, SlotEntry
 from tests.core.test_reorder import trials_strategy
 
 
@@ -142,12 +142,10 @@ class TestOutOfRangeEvents:
         [
             {},
             {"hybrid": True},
-            {"workers": 2, "partition_depth": 1},
-            {"workers": 2, "partition_depth": 2},
             {"journal": "run.journal"},
             {"mode": "baseline"},
         ],
-        ids=["dfs", "hybrid", "pool-d1", "pool-d2", "journal", "baseline"],
+        ids=["dfs", "hybrid", "journal", "baseline"],
     )
     def test_every_executor_names_the_event(self, tmp_path, options, where):
         circuit, model = resolve_benchmark("bv4")
@@ -251,16 +249,6 @@ class TestPlanWalk:
         assert walk.slots == {0: SlotEntry(3, (), 2)}
         with pytest.raises(ScheduleError, match="advance-gap"):
             raise steps[1].error()
-
-    def test_emit_task_holds_its_entry_and_consumes_the_working_state(self):
-        walk = PlanWalk(
-            [Snapshot(0), EmitTask(0), Restore(0), EmitTask(1)], num_layers=1
-        )
-        assert [(s.live, s.stored) for s in walk] == [
-            (2, 1), (3, 2), (2, 1), (2, 2),
-        ]
-        assert (walk.peak_live, walk.peak_stored) == (3, 2)
-
 
 class TestPlanProperties:
     @given(trials_strategy(max_trials=25))

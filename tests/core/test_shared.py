@@ -243,6 +243,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             sim.run(num_trials=8, backend="counting", shared=store)
         with pytest.raises(ValueError):
-            sim.run(num_trials=8, workers=2, shared=store)
-        with pytest.raises(ValueError):
             sim.run(num_trials=8, hybrid=True, shared=store)

@@ -4,9 +4,7 @@ The tentpole claim: a certificate predicts a run without executing it.
 So the central tests here compare certified numbers against real runs —
 op counts exactly equal on every committed benchmark, nominal memory
 peaks equal to the plan sanitizer's audit, budget degradation (spills,
-drops, recompute ops, resident peaks) equal to the runtime CacheStats,
-and the mirrored LPT scheduler identical bucket-for-bucket to
-``PlanPartition.assign``.
+drops, recompute ops, resident peaks) equal to the runtime CacheStats.
 """
 
 import numpy as np
@@ -21,17 +19,16 @@ from repro.circuits.layers import layerize
 from repro.core.cache import CacheBudget
 from repro.core.executor import run_optimized
 from repro.core.options import pick
-from repro.core.parallel import partition_plan
 from repro.core.schedule import build_plan
 from repro.lint import (
-    analyze_partition,
+    analyze_hybrid,
     analyze_plan,
     build_certificate,
     sanitize_plan,
     validate_certificate,
     write_certificate,
 )
-from repro.lint.costmodel import CERT_SCHEMA, lpt_assign, lpt_makespan
+from repro.lint.costmodel import CERT_SCHEMA
 from repro.noise.sampling import sample_trials
 from repro.sim.backend import StatevectorBackend
 from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
@@ -166,61 +163,6 @@ class TestPlanAnalysis:
         assert outcome.cache_stats.peak_resident_msv <= certified_peak
 
 
-class TestScheduleAnalysis:
-    @pytest.fixture
-    def partitioned(self, rng):
-        layered = layerize(random_circuit(4, 30, rng))
-        trials = random_trials(layered, 64, rng)
-        return layered, trials, partition_plan(layered, trials, depth=1)
-
-    def test_lpt_assign_mirrors_partition_assign(self, partitioned):
-        _, _, partition = partitioned
-        weights = [task.est_ops for task in partition.tasks]
-        for workers in (1, 2, 3, 4):
-            buckets, _loads = lpt_assign(weights, workers)
-            actual = [
-                list(bucket) for bucket in partition.assign(workers)
-            ]
-            assert buckets == actual
-
-    def test_lpt_makespan_monotone_in_workers(self, partitioned):
-        _, _, partition = partitioned
-        weights = [task.est_ops for task in partition.tasks]
-        spans = [lpt_makespan(weights, k) for k in (1, 2, 3, 4)]
-        certified = [min(spans[: i + 1]) for i in range(len(spans))]
-        assert certified == sorted(certified, reverse=True)
-
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_prefix_peaks_match_runtime_prefix(self, depth):
-        """The walk's static prefix peaks equal what the parallel phase 1
-        measures: cached + working + emitted entries, with the working
-        state released at an EmitTask no Restore follows."""
-        from repro.core.parallel import _prefix_phase
-
-        layered, trials = _setup("qft5", trials=256)
-        partition = partition_plan(layered, trials, depth=depth)
-        schedule = analyze_partition(partition, layered)
-        entries = np.zeros(
-            (partition.num_tasks, 1 << layered.num_qubits), dtype=np.complex128
-        )
-        runtime = _prefix_phase(
-            partition, layered, CompiledStatevectorBackend(layered), entries
-        )
-        assert schedule["prefix_peak_live"] == runtime["peak_live"]
-        assert schedule["prefix_peak_stored"] == runtime["peak_stored"]
-        assert schedule["prefix_ops"] == runtime["ops"]
-
-    def test_partition_ops_conservation(self, partitioned):
-        layered, trials, partition = partitioned
-        schedule = analyze_partition(partition, layered)
-        plan = build_plan(layered, trials)
-        analysis = analyze_plan(plan, layered)
-        assert (
-            schedule["prefix_ops"] + sum(schedule["task_ops"])
-            == analysis.ops
-        )
-
-
 class TestCertificateSerialization:
     @pytest.fixture
     def certificate(self):
@@ -239,8 +181,8 @@ class TestCertificateSerialization:
 
     def test_validate_rejects_missing_section(self, certificate):
         broken = dict(certificate)
-        del broken["schedules"]
-        assert validate_certificate(broken)
+        del broken["advice"]
+        assert validate_certificate(broken) == ["missing key 'advice'"]
 
     def test_validate_rejects_tampered_ops(self, certificate):
         broken = json.loads(json.dumps(certificate))
@@ -298,6 +240,14 @@ class TestAdvice:
         }
 
 
+def _advise_certificate(name):
+    """``name``'s certificate with the hybrid section ``repro advise`` adds."""
+    layered, trials = _setup(name)
+    certificate = build_certificate(layered, trials, benchmark=name, seed=2020)
+    certificate["hybrid"] = analyze_hybrid(layered, build_plan(layered, trials))
+    return certificate
+
+
 class TestHybridCostModel:
     """The certificate's hybrid section: flop split, cache shrink."""
 
@@ -306,8 +256,6 @@ class TestHybridCostModel:
         layered, trials = _setup("bv5")
         plan = build_plan(layered, trials)
         compiled = CompiledCircuit(layered)
-        from repro.lint import analyze_hybrid
-
         hybrid = analyze_hybrid(layered, plan, compiled=compiled)
         return layered, trials, plan, hybrid
 
@@ -347,28 +295,23 @@ class TestHybridCostModel:
         # Frame deltas are O(n), full snapshots are 16 * 2**n.
         assert memory["frame_bytes"] < 16 * 2 ** 5
 
-    def test_certificate_carries_valid_hybrid_section(self):
-        layered, trials = _setup("bv5")
-        certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=2020
-        )
+    def test_certificate_carries_valid_hybrid_section(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cert.json"
+        assert main(["advise", "bv5", "--trials", "96", "--json", str(path)]) == 0
+        capsys.readouterr()
+        certificate = json.loads(path.read_text())
         assert "hybrid" in certificate
         assert not validate_certificate(certificate)
 
     def test_validate_rejects_tampered_hybrid_flops(self):
-        layered, trials = _setup("bv5")
-        certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=2020
-        )
-        broken = json.loads(json.dumps(certificate))
+        broken = _advise_certificate("bv5")
+        assert not validate_certificate(broken)
         broken["hybrid"]["flops"]["total"] += 1
         assert validate_certificate(broken)
 
     def test_validate_rejects_tampered_cache_bytes(self):
-        layered, trials = _setup("bv5")
-        certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=2020
-        )
-        broken = json.loads(json.dumps(certificate))
+        broken = _advise_certificate("bv5")
         broken["hybrid"]["memory"]["cache_resident_bytes"] += 8
         assert validate_certificate(broken)

@@ -47,11 +47,19 @@ class TestDeterministicDiagnostics:
 
 class TestExplainCli:
     def test_explain_prints_rationale(self, capsys):
-        code = main(["lint", "--explain", "P022"])
+        code = main(["lint", "--explain", "P023"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "P022" in out
+        assert "P023" in out
         assert len(out.strip().splitlines()) >= 3
+
+    @pytest.mark.parametrize("retired", ["P018", "P022"])
+    def test_retired_codes_are_unknown(self, retired, capsys):
+        code = main(["lint", "--explain", retired])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unknown diagnostic code {retired!r}" in err
+        assert retired not in registered_codes()
 
     def test_explain_unknown_code_exits_two(self, capsys):
         code = main(["lint", "--explain", "X999"])
@@ -159,7 +167,7 @@ class TestAutoCli:
         self, monkeypatch, capsys
     ):
         """P020/P021 read the plan, budget and trial count, so ``--auto``
-        builds no partition schedules."""
+        builds neither the hybrid section nor partition schedules."""
         import repro.lint as lint
 
         built = []
@@ -176,19 +184,19 @@ class TestAutoCli:
         assert code == 0
         assert "certificate cross-check : ok" in out
         (certificate,) = built
-        assert certificate["schedules"] == []
+        assert "hybrid" not in certificate
+        assert "schedules" not in certificate
         assert lint.validate_certificate(certificate) == []
 
     @pytest.mark.parametrize(
-        "extra, executor, workers, budget",
+        "extra, executor, budget",
         [
-            (("--workers", "2"), "parallel", 2, None),
-            (("--max-cache-bytes", "2048"), "dfs", 0, 2048),
+            (("--max-cache-bytes", "2048"), "dfs", 2048),
         ],
-        ids=["workers-2", "budget-2048"],
+        ids=["budget-2048"],
     )
     def test_run_auto_runs_the_given_options(
-        self, extra, executor, workers, budget, tmp_path, capsys
+        self, extra, executor, budget, tmp_path, capsys
     ):
         path = tmp_path / "run.json"
         code = main(
@@ -200,7 +208,6 @@ class TestAutoCli:
         assert "certificate cross-check : ok" in out
         payload = json.loads(path.read_text())
         assert payload["executor"] == executor
-        assert payload["workers"] == workers
         assert payload["advice"]["max_cache_bytes"] == budget
         assert (f"cache budget      : {budget} bytes" in out) == bool(budget)
 

@@ -7,7 +7,6 @@ import pytest
 from repro import NoisySimulator
 from repro.bench.suite import resolve_benchmark
 from repro.core.options import EXECUTORS, validate
-from repro.core.parallel import run_parallel
 from repro.core.resilience import run_journaled
 from repro.lint import check_recorded_run
 from repro.obs import InMemoryRecorder
@@ -19,25 +18,15 @@ EVIDENCE = {executor.name: executor.evidence for executor in EXECUTORS}
 class Recorded:
     """One recorded run and the options it was given."""
 
-    def __init__(self, name, num_trials, options, inline=False):
+    def __init__(self, name, num_trials, options):
         circuit, model = resolve_benchmark(name)
         self.sim = NoisySimulator(circuit, model, seed=SEED)
         self.trials = self.sim.sample(num_trials)
         self.options = options
         self.recorder = InMemoryRecorder()
-        if inline:
-            self.metrics = run_parallel(
-                self.sim.layered, self.trials, self._backend,
-                workers=options["workers"], depth=options.get("partition_depth", 1),
-                inline=True, recorder=self.recorder,
-            )
-        else:
-            self.metrics = self.sim.run(
-                trials=self.trials, recorder=self.recorder, **options
-            ).metrics
-
-    def _backend(self):
-        return self.sim.make_backend("statevector")
+        self.metrics = self.sim.run(
+            trials=self.trials, recorder=self.recorder, **options
+        ).metrics
 
     def checks(self):
         return check_recorded_run(
@@ -67,23 +56,17 @@ def _journal_run(tmp_path, resumed):
     return Recorded("qft5", 128, {"journal": path})
 
 
-def _drop_first(recorder, ph, prefix, worker=False):
-    """Delete the first ``ph`` event whose name starts with ``prefix``
-    (on a worker track when ``worker``)."""
+def _drop_first(recorder, ph, prefix):
+    """Delete the first ``ph`` event whose name starts with ``prefix``."""
     events = recorder.events
     del events[next(
         i for i, event in enumerate(events)
         if event.ph == ph and event.name.startswith(prefix)
-        and ("worker" in (event.args or {})) == worker
     )]
 
 
 def _drop_store(recorder):
     _drop_first(recorder, "i", "cache.store")
-
-
-def _drop_worker_store(recorder):
-    _drop_first(recorder, "i", "cache.store", worker=True)
 
 
 def _drop_advance(recorder):
@@ -104,8 +87,6 @@ SERIAL = [
     ("bv14", 64, {}),
     ("qft5", 256, {"max_cache_bytes": 1100, "cache_degrade": "drop"}),
 ]
-
-INLINE = [{"workers": 2, "partition_depth": depth} for depth in (1, 2)]
 
 
 def _id(options):
@@ -132,14 +113,6 @@ class TestCleanRunsPass:
         run = Recorded("bv14", 64, {"hybrid": True})
         assert run.recorder.counter_total("hybrid.clifford_ops") > 0
 
-    @pytest.mark.parametrize(
-        "options", INLINE, ids=[_id(options) for options in INLINE]
-    )
-    def test_parallel_inline(self, options):
-        checks = Recorded("qft5", 128, options, inline=True).checks()
-        assert list(checks) == _expected(options)
-        assert not any(checks.values()), checks
-
     @pytest.mark.parametrize("resumed", (False, True), ids=("fresh", "resumed"))
     def test_journal(self, tmp_path, resumed):
         run = _journal_run(tmp_path, resumed)
@@ -156,13 +129,12 @@ class TestTamperedRunsFail:
             ("bv4", 128, {}, _drop_store, "P017"),
             ("bv4", 128, {"mode": "baseline"}, _bump_ops, "replay"),
             ("bv14", 64, {"hybrid": True}, _drop_advance, "P020"),
-            ("qft5", 128, {"workers": 2}, _drop_worker_store, "P017"),
             ("bv14", 64, {}, _drop_advance, "P020"),
         ],
-        ids=["dfs", "baseline", "hybrid", "parallel", "default-pick-hybrid"],
+        ids=["dfs", "baseline", "hybrid", "default-pick-hybrid"],
     )
     def test_tampered(self, name, num_trials, options, tamper, code):
-        run = Recorded(name, num_trials, options, inline="workers" in options)
+        run = Recorded(name, num_trials, options)
         tamper(run.recorder)
         assert run.checks()[code]
 

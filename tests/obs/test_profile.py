@@ -58,22 +58,6 @@ class TestFoldSpans:
             "run;a;b": 1.0,  # [2,3)
         }
 
-    def test_worker_tracks_fold_independently(self):
-        recorder = InMemoryRecorder(clock=make_clock(0, 4))
-        recorder.begin("run", cat="run")
-        recorder.end("run", cat="run")
-        child = InMemoryRecorder(clock=make_clock(1, 3))
-        child.begin("task", cat="exec")
-        child.end("task", cat="exec")
-        recorder.merge(child, worker=0)
-        profile = fold_spans(recorder)
-        assert profile.spans["run"]["total_s"] == 4
-        assert profile.spans["task"]["total_s"] == 2
-        # worker spans have no run-cat root, so run coverage counts the
-        # main track only
-        assert profile.run_total_s == 4
-        assert profile.attributed_s == 4
-
     def test_orphan_ends_and_unclosed_spans_counted(self):
         recorder = InMemoryRecorder(clock=make_clock(0, 1, 2))
         recorder.end("ghost")  # no begin

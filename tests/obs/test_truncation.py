@@ -74,44 +74,6 @@ class TestRingBuffer:
         assert recorder.dropped_events == 0
         assert not recorder.truncated
 
-    def test_child_inherits_bound(self):
-        parent = InMemoryRecorder(max_events=4)
-        child = parent.child()
-        assert child.max_events == 4
-        for index in range(9):
-            child.instant(f"c{index}")
-        assert len(child.events) == 4
-        assert child.dropped_events == 5
-
-    def test_merge_carries_dropped_events_over(self):
-        parent = InMemoryRecorder(max_events=4)
-        child = parent.child()
-        for index in range(6):
-            child.counter("work", 1)
-        parent.merge(child, worker=0)
-        # 2 dropped upstream in the child; the 4 retained child events fill
-        # the parent exactly, so none drop again during the merge itself
-        assert parent.dropped_events == 2
-        assert parent.counter_total("work") == 6
-        assert all(
-            (event.args or {}).get("worker") == 0 for event in parent.events
-        )
-
-    def test_merge_into_full_parent_keeps_counting(self):
-        parent = InMemoryRecorder(max_events=2)
-        parent.instant("p0")
-        parent.instant("p1")
-        child = parent.child()
-        child.instant("c0")
-        child.instant("c1")
-        child.instant("c2")
-        parent.merge(child, worker=1)
-        # 1 dropped in the child (3 events, bound 2) plus 2 evicted from
-        # the parent ring while absorbing the child's retained events
-        assert parent.dropped_events == 3
-        assert [event.name for event in parent.events] == ["c1", "c2"]
-
-
 class TestTruncatedExport:
     def _truncated_recorder(self):
         clock = make_clock()

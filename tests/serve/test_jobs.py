@@ -1,4 +1,4 @@
-"""Job specs, the store, and the execute_job retry/degrade discipline."""
+"""Job specs, the store, and the execute_job retry discipline."""
 
 import json
 import os
@@ -69,14 +69,10 @@ class TestJobSpec:
                 {"hybrid": True, "max_cache_bytes": 1000000},
                 "hybrid is incompatible with max_cache_bytes",
             ),
-            ({"workers": -2}, "workers must be >= 1"),
+            ({"workers": 2}, r"unknown job spec fields \['workers'\]"),
             (
                 {"hybrid": True, "max_cache_bytes": 4096},
                 "hybrid is incompatible with max_cache_bytes",
-            ),
-            (
-                {"workers": 2, "hybrid": True},
-                "hybrid has no effect on the parallel executor",
             ),
         ],
     )
@@ -89,8 +85,6 @@ class TestJobSpec:
     def test_eligibility_flags(self):
         serial = JobSpec.from_dict(_payload())
         assert serial.journal_eligible and serial.share_eligible
-        forked = JobSpec.from_dict(_payload(workers=2))
-        assert forked.journal_eligible and not forked.share_eligible
         hybrid = JobSpec.from_dict(_payload(hybrid=True))
         assert not hybrid.journal_eligible and not hybrid.share_eligible
         counting = JobSpec.from_dict(_payload(backend="counting"))
@@ -190,6 +184,52 @@ class TestJobStore:
         ).run(num_trials=32)
         assert payload["counts"] == reference.counts
         assert payload["ops_applied"] == reference.metrics.optimized_ops
+
+    def test_recover_resumes_a_job_stored_with_the_retired_workers(
+        self, tmp_path
+    ):
+        """A job admitted while specs carried ``workers`` still recovers:
+        an in-flight ``workers: 2`` job resumes its partial journal on
+        serial DFS to the isolated result, since the pool journaled the
+        same finish stream as DFS."""
+        store = JobStore(str(tmp_path))
+        spec = dict(JobSpec.from_dict(_payload(label="pool")).to_dict())
+        spec["workers"] = 2
+        job_id = "j000000-00000000"
+        os.makedirs(store.job_dir(job_id))
+        with open(store.spec_path(job_id), "w") as handle:
+            json.dump({"job_id": job_id, "seq": 0, "spec": spec}, handle)
+
+        class Killed(Exception):
+            pass
+
+        streamed = []
+
+        def kill_after_eight(index, bits):
+            streamed.append(index)
+            if len(streamed) == 8:
+                raise Killed
+
+        with pytest.raises(Killed):
+            NoisySimulator(
+                build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+            ).run(
+                num_trials=32, journal=store.journal_path(job_id),
+                on_trial=kill_after_eight,
+            )
+        partial = load_journal(store.journal_path(job_id))
+        assert 8 <= len(partial.completed_trials) < 32
+
+        (record,), finished = JobStore(str(tmp_path)).recover()
+        assert finished == [] and record.job_id == job_id
+        payload = execute_job(record, store)
+        reference = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        ).run(num_trials=32)
+        assert payload["counts"] == reference.counts
+        assert payload["journal"]["resumed"] is True
+        assert payload["journal"]["replayed_trials"] == len(partial.completed_trials)
+        assert payload["ops_applied"] < reference.metrics.optimized_ops
 
     def test_recovered_job_sets_a_foreign_journal_aside(self, tmp_path):
         """An in-flight job whose journal holds other trials than its spec
@@ -352,27 +392,3 @@ class TestExecuteJob:
         assert record.state == "failed"
         error = store.load_error(record.job_id)
         assert error is not None and "engine is gone" in error["message"]
-
-    def test_fork_pool_failure_degrades_to_inline(
-        self, tmp_path, monkeypatch
-    ):
-        reference = NoisySimulator(
-            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
-        ).run(num_trials=32)
-        store = JobStore(str(tmp_path))
-        record = store.admit(
-            JobSpec.from_dict(_payload(workers=2, retries=1))
-        )
-        real_run = NoisySimulator.run
-
-        def run_unless_forked(self, *args, **kwargs):
-            if kwargs.get("workers"):
-                raise OSError("chaos: fork pool is broken")
-            return real_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(NoisySimulator, "run", run_unless_forked)
-        payload = execute_job(record, store, sleep=lambda _s: None)
-        assert record.state == "done"
-        assert record.degraded and payload["degraded"]
-        assert record.attempts == 3  # two forked attempts + inline rescue
-        assert payload["counts"] == reference.counts

@@ -1,6 +1,6 @@
 """Service-tier chaos: every fault plan must leave bit-identical results.
 
-The contract under test, for each fault × worker count:
+The contract under test, for each fault:
 
 * per-job counts and the per-trial payload stream equal an isolated,
   fault-free serial run of the same spec (``np.array_equal``, not
@@ -31,13 +31,12 @@ from repro.testing import ServerKilled, ServiceChaosPlan
 TRIALS = 150
 
 
-def _spec(label, workers=0, **overrides):
+def _spec(label, **overrides):
     payload = {
         "circuit": {"benchmark": "qft4"},
         "noise": "ibm_yorktown",
         "trials": TRIALS,
         "seed": 11,
-        "workers": workers,
         "label": label,
     }
     payload.update(overrides)
@@ -66,13 +65,12 @@ def _assert_stream_identical(stream, reference):
     assert np.array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 class TestServerKill:
     def test_kill_then_recover_is_bit_identical_with_zero_recompute(
-        self, tmp_path, isolated, workers
+        self, tmp_path, isolated
     ):
         store = JobStore(str(tmp_path))
-        record = store.admit(_spec("victim", workers=workers))
+        record = store.admit(_spec("victim"))
         chaos = ServiceChaosPlan(kill_after={"victim": 60})
         stream = {}
         with pytest.raises(ServerKilled):
@@ -108,11 +106,9 @@ class TestServerKill:
             journal["replayed_trials"] + journal["recorded_finishes"] > 0
         )
 
-    def test_torn_journal_tail_still_resumes_exactly(
-        self, tmp_path, isolated, workers
-    ):
+    def test_torn_journal_tail_still_resumes_exactly(self, tmp_path, isolated):
         store = JobStore(str(tmp_path))
-        record = store.admit(_spec("torn", workers=workers))
+        record = store.admit(_spec("torn"))
         chaos = ServiceChaosPlan(
             kill_after={"torn": 40}, torn_labels=("torn",)
         )
@@ -136,9 +132,9 @@ class TestServerKill:
         assert payload["journal"]["truncated_tail"]
         assert payload["ops_applied"] < isolated["ops"]
 
-    def test_double_kill_still_converges(self, tmp_path, isolated, workers):
+    def test_double_kill_still_converges(self, tmp_path, isolated):
         store = JobStore(str(tmp_path))
-        record = store.admit(_spec("unlucky", workers=workers))
+        record = store.admit(_spec("unlucky"))
         with pytest.raises(ServerKilled):
             execute_job(
                 record, store,
@@ -187,10 +183,9 @@ def _record_ends(path):
     return ends, replay.finishes
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("cut", ["group-boundary", "inside-open-group"])
 def test_os_crash_loses_at_most_the_open_group(
-    tmp_path, monkeypatch, isolated_qft5, cut, workers
+    tmp_path, monkeypatch, isolated_qft5, cut
 ):
     """A power loss keeps what was fsynced, and maybe part of the rest.
 
@@ -216,8 +211,7 @@ def test_os_crash_loses_at_most_the_open_group(
     store = JobStore(str(tmp_path))
     record = store.admit(
         _spec(
-            "power-loss", workers=workers,
-            circuit={"benchmark": "qft5"}, trials=OS_CRASH_TRIALS,
+            "power-loss", circuit={"benchmark": "qft5"}, trials=OS_CRASH_TRIALS,
         )
     )
     with pytest.raises(ServerKilled):

@@ -273,8 +273,6 @@ class TestExecutorsMatchSerialDfs:
         assert reference.executor == "dfs"
         budget = 2 * 16 * (1 << circuit.num_qubits)
         runs = {
-            "pool-depth-1": dict(workers=2, partition_depth=1),
-            "pool-depth-2": dict(workers=2, partition_depth=2),
             "journal": dict(journal=str(tmp_path / "run.journal")),
             "spill": dict(max_cache_bytes=budget, cache_degrade="spill"),
             "drop": dict(max_cache_bytes=budget, cache_degrade="drop"),

@@ -15,7 +15,6 @@ def record(
     name,
     speedup,
     best_s=0.1,
-    parallel=(),
     hybrid=(),
 ):
     """A bench record; ``hybrid`` lists ``(width, speedup)`` pairs, where a
@@ -25,11 +24,6 @@ def record(
         "speedup": speedup,
         "compiled": {"best_s": best_s},
     }
-    if parallel:
-        rec["parallel"] = [
-            {"workers": w, "speedup_vs_serial": s, "best_s": best_s}
-            for w, s in parallel
-        ]
     if hybrid:
         rec["hybrid"] = [
             {"speedup_vs_serial": s, "best_s": best_s, **({"batch": w} if w else {})}
@@ -79,12 +73,11 @@ class TestCompareBench:
         assert compare_bench(current, baseline, min_seconds=0.005)["ok"]
 
     def test_all_section_kinds_compared(self):
-        kwargs = dict(parallel=((2, 1.8),), hybrid=((0, 3.0),))
-        baseline = payload(record("qft12", 1.5, **kwargs))
-        current = payload(record("qft12", 1.5, **kwargs))
+        baseline = payload(record("qft12", 1.5, hybrid=((0, 3.0),)))
+        current = payload(record("qft12", 1.5, hybrid=((0, 3.0),)))
         outcome = compare_bench(current, baseline)
         assert sorted(row["section"] for row in outcome["rows"]) == [
-            "compiled", "hybrid", "parallel[w2]",
+            "compiled", "hybrid",
         ]
 
     def test_hybrid_section_regression_detected(self):
@@ -135,7 +128,7 @@ class TestCompareBench:
 
 class TestCommittedBaselines:
     """CI gates fresh payloads against committed ones, some of which
-    still carry wavefront sections."""
+    still carry wavefront or process-pool sections."""
 
     @pytest.fixture(scope="class")
     def fresh(self):
@@ -157,6 +150,12 @@ class TestCommittedBaselines:
 
     def test_wavefront_only_baseline_compares(self, fresh):
         baseline = json.loads((ROOT / "BENCH_0007.json").read_text())
+        outcome = compare_bench(fresh, baseline)
+        assert {row["section"] for row in outcome["rows"]} == {"compiled"}
+
+    def test_pool_baseline_compares(self, fresh):
+        baseline = json.loads((ROOT / "BENCH_0004.json").read_text())
+        assert all(record["parallel"] for record in baseline["results"])
         outcome = compare_bench(fresh, baseline)
         assert {row["section"] for row in outcome["rows"]} == {"compiled"}
 

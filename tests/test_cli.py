@@ -79,19 +79,6 @@ class TestCLI:
         assert "cache store/hit" in out
         assert validate_chrome_trace(json.loads(target.read_text())) == []
 
-    def test_trace_workers(self, tmp_path, capsys):
-        target = tmp_path / "p.trace.json"
-        assert main(
-            [
-                "trace", "bv4", "--trials", "64", "--workers", "2",
-                "--out", str(target),
-            ]
-        ) == 0
-        assert (
-            "trace cross-check : ok (P018, replay, P020, P025, P017, P021)"
-            in capsys.readouterr().out
-        )
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -120,10 +107,10 @@ class TestCLI:
         "argv, message",
         [
             (
-                ["run", "qft5", "--trials", "16", "--workers", "2",
+                ["run", "qft5", "--trials", "16", "--hybrid",
                  "--mode", "baseline"],
-                "workers requires mode='optimized' (the baseline has no "
-                "plan to partition)",
+                "hybrid requires mode='optimized' (the fast path rewrites "
+                "the optimized plan's trie spans)",
             ),
             (
                 ["run", "bv4", "--trials", "16", "--hybrid",
@@ -133,16 +120,10 @@ class TestCLI:
                 "statevectors",
             ),
             (
-                ["trace", "bv4", "--trials", "16", "--workers", "2",
-                 "--mode", "baseline"],
-                "workers requires mode='optimized' (the baseline has no "
-                "plan to partition)",
-            ),
-            (
-                ["trace", "bv4", "--trials", "16", "--workers", "2",
-                 "--backend", "counting"],
-                "workers requires a statevector-family backend, got "
-                "'counting'",
+                ["run", "qft5", "--trials", "16", "--hybrid",
+                 "--journal", "reject.journal"],
+                "hybrid is incompatible with journal: symbolic spans "
+                "produce no trial-ordered finish stream to journal",
             ),
         ],
     )

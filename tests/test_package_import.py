@@ -1,4 +1,5 @@
-"""What ``import repro`` loads: the process pool only when a run asks for it."""
+"""What ``import repro`` loads: no process machinery (every run executes in
+one process)."""
 
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 _CHILD = (
     "import sys, repro\n"
-    "print(' '.join(m for m in ('multiprocessing', 'repro.core.parallel') "
+    "print(' '.join(m for m in ('multiprocessing', 'repro.lint.partition_rules') "
     "if m in sys.modules))\n"
 )
 
