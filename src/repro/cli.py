@@ -478,7 +478,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "journal": args.journal,
         "max_cache_bytes": args.max_cache_bytes,
-        "cache_degrade": args.cache_degrade,
         "hybrid": args.hybrid,
     }
     if _reject_options(**options):
@@ -557,7 +556,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if options["max_cache_bytes"] is not None:
         print(
             f"cache budget      : {options['max_cache_bytes']} bytes "
-            f"({options['cache_degrade']} on overflow; nominal peak MSV "
+            "(coldest snapshots spill on overflow; nominal peak MSV "
             "reported below is unchanged by design)"
         )
     print(format_run_metrics(metrics, wall_s=elapsed))
@@ -833,7 +832,7 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials):
     if args.max_cache_bytes is not None:
         from .core.cache import CacheBudget
 
-        budget = CacheBudget(max_bytes=args.max_cache_bytes, mode=args.cache_degrade)
+        budget = CacheBudget(max_bytes=args.max_cache_bytes)
     return build_certificate(
         simulator.layered,
         trials,
@@ -874,10 +873,8 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     if budget is not None:
         predicted = budget["predicted"]
         print(
-            f"cache budget      : {budget['max_bytes']} bytes ({budget['mode']}); "
-            f"predicted {predicted['spills']} spill(s), "
-            f"{predicted['drops']} drop(s), "
-            f"{predicted['recompute_ops']} recompute op(s)"
+            f"cache budget      : {budget['max_bytes']} bytes; "
+            f"predicted {predicted['spills']} spill(s)"
         )
     hybrid_section = certificate["hybrid"]
     memory = hybrid_section["memory"]
@@ -892,10 +889,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     advice = certificate["advice"]
     suggestion = [f"repro run {args.benchmark}", f"--trials {args.trials}"]
     if advice["max_cache_bytes"] is not None:
-        suggestion += [
-            f"--max-cache-bytes {advice['max_cache_bytes']}",
-            f"--cache-degrade {advice['cache_degrade']}",
-        ]
+        suggestion.append(f"--max-cache-bytes {advice['max_cache_bytes']}")
     print(f"\nexecutor          : {advice['executor']} (the pick of the run below)")
     print(f"advice            : {' '.join(suggestion)}")
     print(f"                    (or, cross-checked: {' '.join(suggestion)} --auto)")
@@ -924,7 +918,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             None if args.shared_budget_mb == 0
             else args.shared_budget_mb * 1024 * 1024
         ),
-        shared_mode=args.shared_mode,
         install_signal_handlers=True,
     )
     print(f"serving from {config.state_dir} on {config.host} "
@@ -1100,7 +1093,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "Build a machine-checkable resource certificate for one "
             "benchmark — per-segment flop/byte costs from the kernel "
             "taxonomy, the full resident-memory timeline (with predicted "
-            "spill/drop events under --max-cache-bytes) and the hybrid "
+            "spill events under --max-cache-bytes) and the hybrid "
             "schedule's static shape — and print "
             "the executor the default pick rule runs these trials on, "
             "with the 'repro run' line that runs them.  No statevector is "
@@ -1113,11 +1106,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     padvise.add_argument("--trials", type=int, default=1024)
     padvise.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
-        help="also certify degradation under this snapshot-cache budget "
+        help="also certify spilling under this snapshot-cache budget "
         "(the advised run is then serial DFS under it)",
-    )
-    padvise.add_argument(
-        "--cache-degrade", choices=("spill", "drop"), default="spill",
     )
     padvise.add_argument(
         "--json", default=None, metavar="PATH",
@@ -1205,14 +1195,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     prun.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
         help="snapshot-cache byte budget for serial DFS and --journal "
-        "runs; coldest snapshots degrade per "
-        "--cache-degrade when the budget is exceeded (results unchanged; "
-        "not with --hybrid)",
-    )
-    prun.add_argument(
-        "--cache-degrade", choices=("spill", "drop"), default="spill",
-        help="over-budget policy: spill to disk and reload, or drop and "
-        "recompute (default: spill)",
+        "runs; coldest snapshots spill to disk and reload when the budget "
+        "is exceeded (results unchanged; not with --hybrid)",
     )
     prun.add_argument(
         "--auto", action="store_true",
@@ -1328,11 +1312,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     pserve.add_argument(
         "--shared-budget-mb", type=int, default=256, metavar="MB",
-        help="byte budget for the cross-job prefix store (0 = unbounded)",
-    )
-    pserve.add_argument(
-        "--shared-mode", choices=("spill", "drop"), default="spill",
-        help="eviction policy when the shared store exceeds its budget",
+        help="byte budget for the cross-job prefix store, which evicts "
+        "least-recently-used entries past it (0 = unbounded)",
     )
 
     psubmit = sub.add_parser(

@@ -15,18 +15,17 @@ Two peaks are tracked:
   working state), i.e. the memory *overhead* relative to the baseline,
   which always keeps exactly one working state.
 
-Memory-budgeted degradation
----------------------------
+Memory-budgeted spilling
+------------------------
 With a :class:`CacheBudget` attached, the executor keeps the *resident*
-(in-RAM) footprint under ``max_bytes`` by degrading the coldest stored
-snapshot whenever a store pushes the cache over budget: either **spilling**
-its amplitudes to disk (reloaded, checksum-verified, on restore) or
-**dropping** it outright and recomputing it from its recorded provenance
-(the instructions applied since ``|0...0>``) when restored.
-Degradation trades operations (or disk I/O) for memory and never changes
-results.
+(in-RAM) footprint under ``max_bytes`` by **spilling** the coldest stored
+snapshot to disk whenever a store pushes the cache over budget; the
+amplitudes are reloaded, checksum-verified, on restore.  Spilling trades
+disk I/O for memory, never operations, and never changes results: the
+plan restores every snapshot it stores, so a snapshot dropped instead
+would be recomputed from ``|0...0>``, the very prefix the trie shares.
 
-The *nominal* peaks above are deliberately untouched by degradation: they
+The *nominal* peaks above are deliberately untouched by spilling: they
 mirror the plan's demand, so lint's static peak-MSV bound stays an exact
 cross-check.  The actually-resident peaks are reported separately
 (``peak_resident_msv`` / ``peak_resident_stored``).
@@ -48,7 +47,6 @@ __all__ = [
     "CacheStats",
     "CacheBudget",
     "SpilledSnapshot",
-    "DroppedSnapshot",
     "payload_checksum",
     "CorruptionError",
 ]
@@ -72,16 +70,13 @@ def payload_checksum(array: Any) -> int:
 class CacheBudget(NamedTuple):
     """Byte budget for resident (working + stored) statevectors.
 
-    ``mode`` selects what happens to the coldest snapshot when the budget
-    is exceeded: ``"spill"`` writes its amplitudes to ``spill_dir`` (a
-    temporary directory when ``None``) and reloads them on restore;
-    ``"drop"`` frees it and recomputes it from its provenance on
-    restore.  The working state is never degraded, so the effective floor
-    is one statevector.
+    When the budget is exceeded the coldest snapshot's amplitudes are
+    written to a CRC-checked file in ``spill_dir`` (a temporary directory
+    when ``None``) and reloaded on restore.  The working state is never
+    spilled, so the effective floor is one statevector.
     """
 
     max_bytes: int
-    mode: str = "spill"
     spill_dir: Optional[str] = None
 
 
@@ -90,14 +85,6 @@ class SpilledSnapshot(NamedTuple):
 
     path: str
     checksum: int
-
-
-class DroppedSnapshot(NamedTuple):
-    """Slot stub: the snapshot was freed; ``provenance`` (the ``Advance``
-    and ``Inject`` instructions applied since ``|0...0>``, in order)
-    replays it exactly."""
-
-    provenance: Tuple[Any, ...]
 
 
 class CacheStats:
@@ -111,8 +98,6 @@ class CacheStats:
         snapshots_released: int,
         spills: int = 0,
         spill_loads: int = 0,
-        drops: int = 0,
-        recomputes: int = 0,
         peak_resident_msv: Optional[int] = None,
         peak_resident_stored: Optional[int] = None,
     ) -> None:
@@ -120,13 +105,11 @@ class CacheStats:
         self.peak_stored = peak_stored
         self.snapshots_taken = snapshots_taken
         self.snapshots_released = snapshots_released
-        #: Degradation counters (all zero without a :class:`CacheBudget`).
+        #: Spill counters (both zero without a :class:`CacheBudget`).
         self.spills = spills
         self.spill_loads = spill_loads
-        self.drops = drops
-        self.recomputes = recomputes
         #: Actually-resident peaks; equal the nominal peaks when nothing
-        #: was degraded.
+        #: was spilled.
         self.peak_resident_msv = (
             peak_msv if peak_resident_msv is None else peak_resident_msv
         )
@@ -136,15 +119,15 @@ class CacheStats:
 
     @property
     def degraded(self) -> bool:
-        """Whether any snapshot was spilled or dropped during the run."""
-        return bool(self.spills or self.drops)
+        """Whether any snapshot was spilled during the run."""
+        return bool(self.spills)
 
     def __repr__(self) -> str:
         extra = ""
         if self.degraded:
             extra = (
                 f", resident={self.peak_resident_msv}, "
-                f"spills={self.spills}, drops={self.drops}"
+                f"spills={self.spills}"
             )
         return (
             f"CacheStats(peak_msv={self.peak_msv}, "
@@ -163,9 +146,9 @@ class StateCache:
     peaks at exactly ``CacheStats.peak_msv``.  With a budget attached the
     resident level is additionally sampled as ``msv.resident``.
 
-    The cache itself never does I/O or recomputation; it tracks which
-    slots are resident vs. degraded (stub entries) and accounts both
-    views.  The executor performs the actual spill/load/recompute.
+    The cache itself never does I/O; it tracks which slots are resident
+    vs. spilled (stub entries) and accounts both views.  The executor
+    performs the actual spill and load.
     """
 
     def __init__(
@@ -175,7 +158,6 @@ class StateCache:
         state_bytes: int = 0,
     ) -> None:
         self._slots: Dict[int, Tuple[Any, int]] = {}
-        self._provenance: Dict[int, Tuple[Any, ...]] = {}
         self._next_slot = 0
         self._working_live = 0
         self._resident_stored = 0
@@ -187,8 +169,6 @@ class StateCache:
         self._snapshots_released = 0
         self._spills = 0
         self._spill_loads = 0
-        self._drops = 0
-        self._recomputes = 0
         self._recorder = recorder
         self.budget = budget
         #: Bytes per resident state (0 for stateless backends, which makes
@@ -221,21 +201,13 @@ class StateCache:
 
     # -- snapshot slots -----------------------------------------------------------
 
-    def store(
-        self,
-        state: Any,
-        layer: int,
-        slot: Optional[int] = None,
-        provenance: Optional[Tuple[Any, ...]] = None,
-    ) -> int:
+    def store(self, state: Any, layer: int, slot: Optional[int] = None) -> int:
         """Store a snapshot (a state advanced to ``layer``); returns its slot.
 
         With ``slot`` given, the snapshot is stored under exactly that id —
         the executor passes the plan's ``Snapshot.slot`` so cache ids and
         plan ids can never drift apart.  Storing into an occupied slot
         raises; auto-assignment (``slot=None``) keeps handing out fresh ids.
-        ``provenance`` (what recomputes the snapshot) is retained for
-        drop-mode degradation and returned by :meth:`take_full`.
         """
         if slot is None:
             slot = self._next_slot
@@ -246,8 +218,6 @@ class StateCache:
                 raise RuntimeError(f"cache slot {slot} is already occupied")
             self._next_slot = max(self._next_slot, slot + 1)
         self._slots[slot] = (state, layer)
-        if provenance is not None:
-            self._provenance[slot] = provenance
         self._resident_stored += 1
         self._snapshots_taken += 1
         self._update_peaks()
@@ -255,27 +225,20 @@ class StateCache:
         return slot
 
     def take(self, slot: int) -> Tuple[Any, int]:
-        """Remove and return ``(state, layer)`` — the slot's last use."""
-        state, layer, _ = self.take_full(slot)
-        return state, layer
+        """Remove and return ``(state, layer)`` — the slot's last use.
 
-    def take_full(self, slot: int) -> Tuple[Any, int, Optional[Tuple[Any, ...]]]:
-        """Like :meth:`take` but also yields the snapshot's provenance.
-
-        The returned first element is the resident state, or a
-        :class:`SpilledSnapshot` / :class:`DroppedSnapshot` stub when the
-        slot was degraded — the executor rehydrates stubs.
+        The state is the resident one, or a :class:`SpilledSnapshot` stub
+        when the slot was spilled — the executor reloads stubs.
         """
         try:
             entry, layer = self._slots.pop(slot)
         except KeyError:
             raise KeyError(f"cache slot {slot} is empty or already taken") from None
-        if not isinstance(entry, (SpilledSnapshot, DroppedSnapshot)):
+        if not isinstance(entry, SpilledSnapshot):
             self._resident_stored -= 1
-        provenance = self._provenance.pop(slot, None)
         self._snapshots_released += 1
         self._sample()
-        return entry, layer, provenance
+        return entry, layer
 
     def peek(self, slot: int) -> Tuple[Any, int]:
         """Return ``(state, layer)`` without releasing the slot."""
@@ -284,11 +247,11 @@ class StateCache:
         except KeyError:
             raise KeyError(f"cache slot {slot} is empty") from None
 
-    # -- budgeted degradation -----------------------------------------------------
+    # -- budgeted spilling ----------------------------------------------------------
 
     @property
     def over_budget(self) -> bool:
-        """Whether a resident snapshot must be degraded to meet the budget."""
+        """Whether a resident snapshot must be spilled to meet the budget."""
         return (
             self.budget is not None
             and self.state_bytes > 0
@@ -305,7 +268,7 @@ class StateCache:
         resident = [
             slot
             for slot, (entry, _) in self._slots.items()
-            if not isinstance(entry, (SpilledSnapshot, DroppedSnapshot))
+            if not isinstance(entry, SpilledSnapshot)
         ]
         return min(resident) if resident else None
 
@@ -322,25 +285,8 @@ class StateCache:
         self._sample()
         return state, layer
 
-    def mark_dropped(self, slot: int) -> Tuple[Any, int]:
-        """Replace a resident slot with a :class:`DroppedSnapshot` stub."""
-        state, layer = self.peek(slot)
-        provenance = self._provenance.get(slot)
-        if provenance is None:
-            raise RuntimeError(
-                f"cannot drop slot {slot}: no provenance was recorded"
-            )
-        self._slots[slot] = (DroppedSnapshot(provenance), layer)
-        self._resident_stored -= 1
-        self._drops += 1
-        self._sample()
-        return state, layer
-
     def note_spill_load(self) -> None:
         self._spill_loads += 1
-
-    def note_recompute(self) -> None:
-        self._recomputes += 1
 
     # -- accounting ---------------------------------------------------------------
 
@@ -354,7 +300,7 @@ class StateCache:
 
     @property
     def num_resident(self) -> int:
-        """In-RAM states only: working states plus non-degraded snapshots."""
+        """In-RAM states only: working states plus unspilled snapshots."""
         return self._resident_stored + self._working_live
 
     def _update_peaks(self) -> None:
@@ -373,8 +319,6 @@ class StateCache:
             snapshots_released=self._snapshots_released,
             spills=self._spills,
             spill_loads=self._spill_loads,
-            drops=self._drops,
-            recomputes=self._recomputes,
             peak_resident_msv=self._peak_resident_msv,
             peak_resident_stored=self._peak_resident_stored,
         )

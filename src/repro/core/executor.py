@@ -29,16 +29,13 @@ alone (see :mod:`repro.obs.summary`).  Every recorder touch sits behind a
 single ``if recorder:`` check and the default is off, so the un-traced hot
 path is unchanged.
 
-Memory-budgeted degradation
----------------------------
+Memory-budgeted spilling
+------------------------
 ``run_optimized`` accepts a :class:`~repro.core.cache.CacheBudget`: after
-every snapshot store the executor degrades the coldest resident snapshot
-(spill to disk, or drop and recompute it) until the resident footprint
-fits.  Results are unchanged — spilled amplitudes are checksum-verified on
-reload, and a recomputed snapshot replays the very ``Advance``/``Inject``
-instructions that produced it, from ``|0...0>``, so even compiled kernel
-fusion reproduces the same float rounding.
-The nominal peak-MSV accounting deliberately ignores degradation (it
+every snapshot store the executor spills the coldest resident snapshot to
+disk until the resident footprint fits.  Results and operation counts are
+unchanged — spilled amplitudes are checksum-verified on reload.
+The nominal peak-MSV accounting deliberately ignores spilling (it
 mirrors the plan's demand and lint's static bound); the actually-resident
 peaks are reported separately on :class:`~repro.core.cache.CacheStats`.
 """
@@ -62,7 +59,6 @@ from .cache import (
     CacheBudget,
     CacheStats,
     CorruptionError,
-    DroppedSnapshot,
     SpilledSnapshot,
     StateCache,
     payload_checksum,
@@ -248,8 +244,9 @@ class _SpillArea:
 
 
 def _run_program(backend: SimulationBackend, state, program, recorder=None):
-    """Apply an ``Advance``/``Inject`` program (see :func:`rebuild_program`)
-    to ``state``; with a recorder, each injection is an ``inject`` instant."""
+    """Apply an ``Advance``/``Inject`` program (:func:`rebuild_program`, one
+    baseline trial) to ``state``; with a recorder, each injection is an
+    ``inject`` instant."""
     for instr in program:
         if isinstance(instr, Advance):
             backend.apply_layers(state, instr.start_layer, instr.end_layer)
@@ -273,10 +270,7 @@ class _DenseStates:
     It also owns what the serial executor keeps beside the walk:
     cross-job prefix adoption and publication through a
     :class:`~repro.core.shared.SharedPrefixStore`, and cache-budget
-    degradation (spill or drop after a store, rehydration on restore).
-    A dropped snapshot's provenance is the ``Advance``/``Inject``
-    instructions applied since ``|0...0>``; it is rebuilt by replaying
-    them on a fresh initial state.
+    spilling (after a store, with the reload on restore).
     The hybrid model (:mod:`repro.core.hybrid`) extends it with a
     symbolic side.
     """
@@ -299,10 +293,6 @@ class _DenseStates:
         self.budget = budget
         self.shared = shared
         self.ops_shared = 0
-        #: The working state's provenance, tracked only under a drop budget.
-        self.program: Optional[list] = (
-            [] if budget is not None and budget.mode == "drop" else None
-        )
         self.spill_area = _SpillArea(budget) if budget is not None else None
         if shared is not None:
             if getattr(working, "vector", None) is None:
@@ -335,8 +325,6 @@ class _DenseStates:
         self.working = self.backend.adopt_state(
             Statevector.from_buffer(fetched, self.layered.num_qubits)
         )
-        if self.program is not None:
-            self.program.append(instr)
         self.ops_shared += gates
         self.shared.note_saved(gates)
         if self.recorder:
@@ -350,44 +338,36 @@ class _DenseStates:
             self.recorder.counter("ops.shared", gates)
         return True
 
-    def _publish(self, state, layer: int) -> None:
+    def _publish(self, state) -> None:
         if self.shared.publish(
-            self.fingerprint, self.steps, state.vector, layer
+            self.fingerprint, self.steps, state.vector
         ) and self.recorder:
             self.recorder.counter("shared.publish", 1)
 
     def advance(self, index: int, instr: Advance) -> None:
         self.backend.apply_layers(self.working, instr.start_layer, instr.end_layer)
-        if self.program is not None:
-            self.program.append(instr)
 
     def inject(self, index: int, event) -> None:
         self.backend.apply_operator(self.working, event.gate, (event.qubit,))
-        if self.program is not None:
-            self.program.append(Inject(event))
         if self.shared is not None:
             self.steps = self.steps + (inject_step(event),)
 
-    def snapshot(self, index: int, moved: bool) -> Tuple[Any, Any]:
-        """The state to store — the working state itself when ``moved`` —
-        and its provenance."""
-        state = self.working if moved else self.backend.copy_state(self.working)
-        return state, (tuple(self.program) if self.program is not None else None)
+    def snapshot(self, index: int, moved: bool):
+        """The state to store: the working state itself when ``moved``."""
+        return self.working if moved else self.backend.copy_state(self.working)
 
     def stored(self, slot: int, state, layer: int) -> None:
         if self.shared is not None:
             # Publish before budget enforcement can spill this very
             # snapshot out from under us.
             self.slot_steps[slot] = self.steps
-            self._publish(state, layer)
+            self._publish(state)
         if self.budget is not None:
             self._enforce_budget()
 
-    def restore(self, slot: int, entry, layer: int, provenance) -> None:
+    def restore(self, slot: int, entry, layer: int) -> None:
         if self.budget is not None:
             entry = self._rehydrate(slot, entry, layer)
-        if self.program is not None:
-            self.program = list(provenance)
         if self.shared is not None:
             self.steps = self.slot_steps.pop(slot)
         self.working = entry
@@ -396,7 +376,7 @@ class _DenseStates:
         if self.shared is not None:
             # Publish the leaf state too: an identical concurrent job then
             # skips even its final segments.
-            self._publish(self.working, self.layered.num_layers)
+            self._publish(self.working)
         if not deliver:
             return None
         if borrowed:
@@ -411,7 +391,7 @@ class _DenseStates:
             self.spill_area.cleanup()
 
     def _enforce_budget(self) -> None:
-        """Degrade coldest resident snapshots until the budget is met."""
+        """Spill coldest resident snapshots until the budget is met."""
         cache, backend, recorder = self.cache, self.backend, self.recorder
         while cache.over_budget:
             slot = cache.coldest_resident_slot()
@@ -424,30 +404,18 @@ class _DenseStates:
                     "cache budgets require a statevector-family backend "
                     "(snapshot states must expose .vector)"
                 )
-            if self.budget.mode == "drop":
-                cache.mark_dropped(slot)
-                backend.release_state(state)
-                if recorder:
-                    recorder.instant("cache.drop", cat="cache", slot=slot, layer=layer)
-                    recorder.counter("cache.drop", 1)
-            elif self.budget.mode == "spill":
-                path = self.spill_area.allocate(slot, layer)
-                flat = np.ascontiguousarray(vector)
-                flat.tofile(path)
-                cache.mark_spilled(slot, path, payload_checksum(flat))
-                backend.release_state(state)
-                if recorder:
-                    recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
-                    recorder.counter("cache.spill", 1)
-            else:
-                raise ScheduleError(
-                    f"unknown cache degradation mode {self.budget.mode!r} "
-                    "(expected 'spill' or 'drop')"
-                )
+            path = self.spill_area.allocate(slot, layer)
+            flat = np.ascontiguousarray(vector)
+            flat.tofile(path)
+            cache.mark_spilled(slot, path, payload_checksum(flat))
+            backend.release_state(state)
+            if recorder:
+                recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
+                recorder.counter("cache.spill", 1)
 
     def _rehydrate(self, slot: int, entry, layer: int):
-        """A restored slot's state: reload a spilled stub, recompute a
-        dropped one from its provenance, or the resident state itself."""
+        """A restored slot's state: reload a spilled stub, or the resident
+        state itself."""
         backend, recorder = self.backend, self.recorder
         if isinstance(entry, SpilledSnapshot):
             vector = np.fromfile(entry.path, dtype=np.complex128)
@@ -463,19 +431,6 @@ class _DenseStates:
             return backend.adopt_state(
                 Statevector.from_buffer(vector, self.layered.num_qubits)
             )
-        if isinstance(entry, DroppedSnapshot):
-            ops_before = backend.ops_applied
-            state = _run_program(backend, backend.make_initial(), entry.provenance)
-            self.cache.note_recompute()
-            if recorder:
-                ops_delta = backend.ops_applied - ops_before
-                recorder.instant(
-                    "cache.recompute", cat="cache", slot=slot, layer=layer,
-                    ops=ops_delta,
-                )
-                recorder.counter("ops.applied", ops_delta)
-                recorder.counter("cache.recompute", 1)
-            return state
         return entry
 
 
@@ -550,12 +505,9 @@ def _interpret(
                 moved = index + 1 < total and isinstance(
                     instructions[index + 1], Restore
                 )
-                state, provenance = model.snapshot(index, moved)
+                state = model.snapshot(index, moved)
                 try:
-                    assigned = cache.store(
-                        state, working_layer, slot=instr.slot,
-                        provenance=provenance,
-                    )
+                    assigned = cache.store(state, working_layer, slot=instr.slot)
                 except RuntimeError as exc:
                     raise ScheduleError(str(exc)) from exc
                 if assigned != instr.slot:
@@ -597,8 +549,8 @@ def _interpret(
                     model.release()
                 moved = False
                 cache.working_destroyed()
-                entry, working_layer, provenance = cache.take_full(instr.slot)
-                model.restore(instr.slot, entry, working_layer, provenance)
+                entry, working_layer = cache.take(instr.slot)
+                model.restore(instr.slot, entry, working_layer)
                 cache.working_created()
                 if recorder:
                     recorder.instant(
@@ -702,12 +654,11 @@ def run_optimized(
         cost one truthiness check per plan instruction and nothing else.
     cache_budget:
         Optional :class:`~repro.core.cache.CacheBudget` capping the
-        resident statevector bytes; snapshots beyond the budget are
-        spilled to disk or dropped-and-recomputed (statevector-family
-        backends only).  A dropped snapshot is recomputed by replaying its
-        instructions from ``|0...0>``.  Results and nominal peak-MSV
-        accounting are unchanged; ``CacheStats`` reports the degradation
-        counters and the resident peaks.
+        resident statevector bytes; the coldest snapshots beyond the
+        budget are spilled to CRC-checked files and reloaded on restore
+        (statevector-family backends only).  Results, ``ops_applied`` and
+        nominal peak-MSV accounting are unchanged; ``CacheStats`` reports
+        the spill counters and the resident peaks.
     shared:
         Optional cross-job :class:`~repro.core.shared.SharedPrefixStore`.
         Before each ``Advance`` the executor probes the store with the

@@ -505,9 +505,9 @@ class _HybridStates(_DenseStates):
             super().inject(index, event)
             self.dense_ops += 1
 
-    def snapshot(self, index: int, moved: bool) -> Tuple[Any, Any]:
+    def snapshot(self, index: int, moved: bool):
         if self.actions[index][0] == "snapshot-sym":
-            return self.working, None  # a path is immutable: nothing to copy
+            return self.working  # a path is immutable: nothing to copy
         return super().snapshot(index, moved)
 
     def finish(self, index: int, borrowed: bool, deliver: bool):

@@ -6,7 +6,7 @@ return the serial-DFS payloads, so what varies between them is only
 which options each honours.  This module
 declares that once, as plain data: :data:`OPTIONS` gives every
 :meth:`~repro.core.runner.NoisySimulator.run` keyword its default, its
-domain and the modes, backends and other options it needs or excludes;
+domain, the modes and backends it needs and the other options it excludes;
 :data:`EXECUTORS` lists the executors in the order options pick them,
 with the options each honours and the checks a recorded run of each
 must pass.  :func:`validate` checks a set of options against both and
@@ -84,9 +84,8 @@ class Option(NamedTuple):
 
     Constraints apply only when the option is *set* (differs from
     ``default`` and from every value in ``unset``): ``valid`` bounds its
-    value, ``modes`` and ``backends`` say where it may be used,
-    ``excludes`` names options that must stay unset beside it and
-    ``requires`` options that must be set.
+    value, ``modes`` and ``backends`` say where it may be used and
+    ``excludes`` names options that must stay unset beside it.
     Each constraint carries the message its violation raises, with
     ``{value}`` and ``{backend}`` filled in.
     """
@@ -101,7 +100,6 @@ class Option(NamedTuple):
     backends: Tuple[str, ...] = BACKENDS
     wrong_backend: str = ""
     excludes: Tuple[Tuple[str, str], ...] = ()
-    requires: Tuple[Tuple[str, str], ...] = ()
     unset: Tuple[Any, ...] = ()
 
 
@@ -198,16 +196,6 @@ _DECLARED: Tuple[Option, ...] = (
     ),
     Option("check", False, "bool"),
     Option("recorder", None, "TraceRecorder or None"),
-    Option(
-        "cache_degrade", "spill", "'spill' or 'drop'",
-        valid=("spill", "drop").__contains__,
-        invalid="unknown cache degradation mode {value!r} (expected 'spill' or 'drop')",
-        requires=((
-            "max_cache_bytes",
-            "cache_degrade requires max_cache_bytes: it picks what happens to snapshots over "
-            "the budget",
-        ),),
-    ),
     Option("stop", None, "threading.Event or None"),
 )
 
@@ -239,7 +227,7 @@ class Executor(NamedTuple):
 _READOUT_SIDE = frozenset({"num_trials", "trials", "collect_final_states", "on_trial"})
 _EVERY = _READOUT_SIDE | {"mode", "backend", "recorder", "stop"}
 _PLANNED = _EVERY | {"check"}
-_BUDGET = frozenset({"max_cache_bytes", "cache_degrade"})
+_BUDGET = frozenset({"max_cache_bytes"})
 
 #: The evidence of a recorded walk of the serial plan.
 _SERIAL_WALK = ("replay", "P017", "P020", "P021", "P025")
@@ -285,9 +273,6 @@ def _check(options: Dict[str, Any]) -> Tuple[Executor, Dict[str, Any]]:
             raise OptionError(option.wrong_backend.format(backend=backend))
         for other, message in option.excludes:
             if _is_set(OPTIONS[other], values[other]):
-                raise OptionError(message)
-        for other, message in option.requires:
-            if not _is_set(OPTIONS[other], values[other]):
                 raise OptionError(message)
     executor = next(
         e
@@ -426,7 +411,7 @@ def execute(
     if v["max_cache_bytes"] is not None:
         from .cache import CacheBudget
 
-        budget = CacheBudget(max_bytes=v["max_cache_bytes"], mode=v["cache_degrade"])
+        budget = CacheBudget(max_bytes=v["max_cache_bytes"])
     common = {"check": v["check"], "recorder": v["recorder"], "stop": v["stop"]}
     if engine is None and executor.name != "journal":
         engine = backend_factory()

@@ -412,8 +412,8 @@ def run_journaled(
     how tests assert zero recompute.
 
     ``options`` are the execution options of that remaining-trials run
-    (``check``, ``recorder``, ``max_cache_bytes``, ``cache_degrade``,
-    ``shared``, ``stop``, ...), checked against the table in
+    (``check``, ``recorder``, ``max_cache_bytes``, ``shared``, ``stop``,
+    ...), checked against the table in
     :mod:`repro.core.options`; the remaining trials run on serial DFS.  A stop raises
     :class:`~repro.core.executor.RunInterrupted` *after* the journal's
     open group is fsynced and the file closed — the journal stays a valid

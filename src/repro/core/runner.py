@@ -182,7 +182,6 @@ class NoisySimulator:
         recorder=None,
         journal=None,
         max_cache_bytes: Optional[int] = None,
-        cache_degrade: str = "spill",
         hybrid: Optional[bool] = None,
         shared=None,
         stop=None,
@@ -230,15 +229,11 @@ class NoisySimulator:
             :class:`~repro.core.resilience.JournalSummary`.
         max_cache_bytes:
             Byte budget for the snapshot cache of the serial DFS
-            executor and a journaled run.  When the
-            resident snapshots would exceed it, the coldest are degraded
-            per ``cache_degrade`` — results stay bit-identical; only
-            time/memory trade off.  Rejected beside ``hybrid``.
-        cache_degrade:
-            ``"spill"`` (default) writes evicted snapshots to disk and
-            reloads them on restore; ``"drop"`` discards them and, when
-            needed, replays the instructions that built them from
-            ``|0...0>``.
+            executor and a journaled run.  When the resident snapshots
+            would exceed it, the coldest are spilled to CRC-checked files
+            and reloaded on restore — results and ``ops_applied`` stay
+            bit-identical; only time/memory trade off.  Rejected beside
+            ``hybrid``.
         hybrid:
             The Clifford/Pauli-frame fast path
             (:func:`~repro.core.hybrid.run_hybrid`): pure-Clifford trie
@@ -279,7 +274,7 @@ class NoisySimulator:
         options = dict(
             mode=mode, backend=backend, check=check, recorder=recorder,
             journal=journal, max_cache_bytes=max_cache_bytes,
-            cache_degrade=cache_degrade, hybrid=hybrid, shared=shared, stop=stop,
+            hybrid=hybrid, shared=shared, stop=stop,
         )
         validate(collect_final_states=collect_final_states, on_trial=on_trial, **options)
         trial_list = list(trials) if trials is not None else self.sample(num_trials)

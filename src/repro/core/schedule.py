@@ -35,11 +35,8 @@ state as S2; now S1 can be dropped") and it never recomputes a layer.  A
 snapshot is taken only when the node's state has further pending consumers;
 the last consumer steals the state instead of copying it.
 
-This walk has one home, ``_PlanBuilder``.  The trie partitioner
-(:func:`repro.core.partition.partition_plan`) is the same builder with a
-cut: it overrides only what follows a child's ``Inject`` and what a node
-does with its terminal trials, so any change to plan shape is made here
-once.  :func:`event_range_problems` is the one statement of
+This walk has one home, ``_PlanBuilder``, so any change to plan shape is
+made there once.  :func:`event_range_problems` is the one statement of
 the out-of-range event rule, and :func:`check_trial_events` the one check
 built on it: the builder, the baseline executor and a journaled run
 (before it writes its journal) call it.
@@ -352,13 +349,7 @@ def check_trial_events(
 
 
 class _PlanBuilder:
-    """The one depth-first walk that turns the trial trie into a plan.
-
-    Two steps are hooks, so a cut of the same walk
-    (:class:`repro.core.partition._Partitioner`) overrides only them:
-    :meth:`_descend`, what follows a child's ``Inject``, and
-    :meth:`_terminals`, what a node does with its terminal trials.
-    """
+    """The one depth-first walk that turns the trial trie into a plan."""
 
     def __init__(self, layered: LayeredCircuit, trie: TrialTrie) -> None:
         self.layered = layered
@@ -367,18 +358,15 @@ class _PlanBuilder:
         self.next_slot = 0
 
     def build(self) -> ExecutionPlan:
-        self._emit_root()
+        if self.trie.num_trials == 0:
+            raise ScheduleError("cannot schedule an empty trial set")
+        check_trial_events(self.layered, self.trie.trials)
+        self._emit_node(self.trie.root, entry_layer=0)
         return ExecutionPlan(
             self.instructions,
             num_trials=self.trie.num_trials,
             num_layers=self.layered.num_layers,
         )
-
-    def _emit_root(self) -> None:
-        if self.trie.num_trials == 0:
-            raise ScheduleError("cannot schedule an empty trial set")
-        check_trial_events(self.layered, self.trie.trials)
-        self._emit_node(self.trie.root, entry_layer=0)
 
     def _emit_node(self, node: TrieNode, entry_layer: int) -> None:
         cursor = entry_layer
@@ -393,26 +381,18 @@ class _PlanBuilder:
             if is_last_consumer:
                 # The child steals the node's state: inject directly.
                 self.instructions.append(Inject(child.event))
-                self._descend(child, cursor)
+                self._emit_node(child, cursor)
             else:
                 slot = self.next_slot
                 self.next_slot += 1
                 self.instructions.append(Snapshot(slot))
                 self.instructions.append(Inject(child.event))
-                self._descend(child, cursor)
+                self._emit_node(child, cursor)
                 self.instructions.append(Restore(slot))
         if has_terminals:
-            self._terminals(node, cursor)
-
-    def _descend(self, child: TrieNode, cursor: int) -> None:
-        """After ``Inject(child.event)``: emit the child's subtree."""
-        self._emit_node(child, cursor)
-
-    def _terminals(self, node: TrieNode, cursor: int) -> None:
-        """Advance to the last layer and finish the node's trials."""
-        if self.layered.num_layers > cursor:
-            self.instructions.append(Advance(cursor, self.layered.num_layers))
-        self.instructions.append(Finish(tuple(node.terminal_trials)))
+            if self.layered.num_layers > cursor:
+                self.instructions.append(Advance(cursor, self.layered.num_layers))
+            self.instructions.append(Finish(tuple(node.terminal_trials)))
 
 
 def build_plan(
@@ -440,9 +420,7 @@ def rebuild_program(
     """``Advance``/``Inject`` instructions rebuilding a state from |0...0>.
 
     Advance to each event's layer, inject it, then advance to ``layer``:
-    the baseline executor's per-trial run.  Its segment boundaries are
-    not a plan's, so a dropped snapshot is recomputed from the plan's own
-    instructions instead (compiled segments fuse per ``[start, end)``).
+    the baseline executor's per-trial run.
     """
     program: List[PlanInstruction] = []
     cursor = 0

@@ -33,20 +33,17 @@ via a hit into ``ExecutionOutcome.ops_shared`` (never into
 ``ops_applied``), preserving the conservation law
 ``ops_applied + ops_shared == plan.planned_operations(...)``.
 
-Eviction reuses the :class:`~repro.core.cache.CacheBudget` policy from the
-memory-budget work: when resident bytes exceed ``budget.max_bytes`` the
-least-recently-used entries are **spilled** to CRC-checked files (reloaded
-and verified on fetch) or **dropped** outright (future lookups miss and
-jobs simply recompute).  Corrupted spill files are discarded, never
-served.
+When the stored bytes exceed ``max_bytes`` the least-recently-used
+entries are **evicted** outright.  An entry is optional: a later lookup
+misses and the job recomputes the same bits, so eviction bounds both the
+store's memory and its index, and the store never touches the disk.
+(A run's snapshot cache spills instead, because its plan will restore
+every snapshot it stores; see :mod:`repro.core.cache`.)
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import struct
-import tempfile
 import threading
 import zlib
 from collections import OrderedDict
@@ -55,7 +52,6 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..circuits.layers import LayeredCircuit
-from .cache import CacheBudget
 
 __all__ = [
     "SharedPrefixStore",
@@ -110,13 +106,10 @@ class SharedStoreStats(NamedTuple):
     """Consistent counter snapshot of a :class:`SharedPrefixStore`."""
 
     entries: int
-    resident_entries: int
     resident_bytes: int
     hits: int
     misses: int
     publishes: int
-    spills: int
-    spill_loads: int
     drops: int
     ops_saved: int
 
@@ -124,137 +117,71 @@ class SharedStoreStats(NamedTuple):
         return dict(self._asdict())
 
 
-class _Entry:
-    """One cached prefix state: resident bytes or a spill-file stub."""
-
-    __slots__ = ("data", "path", "checksum", "nbytes", "layer")
-
-    def __init__(self, data: bytes, layer: int) -> None:
-        self.data: Optional[bytes] = data
-        self.path: Optional[str] = None
-        self.checksum = zlib.crc32(data) & 0xFFFFFFFF
-        self.nbytes = len(data)
-        self.layer = layer
-
-    @property
-    def resident(self) -> bool:
-        return self.data is not None
-
-
 class SharedPrefixStore:
     """Thread-safe cross-job cache of provenance-keyed prefix states.
 
     Parameters
     ----------
-    budget:
-        Optional :class:`~repro.core.cache.CacheBudget` bounding the
-        resident bytes.  ``mode="spill"`` moves LRU-cold entries to
-        CRC-checked files under ``spill_dir`` (a private temp directory
-        when unset); ``mode="drop"`` discards them.  Without a budget the
-        store grows unboundedly — only appropriate for tests.
+    max_bytes:
+        Optional cap on the stored bytes.  Publishing past it evicts the
+        least-recently-used entries (never the one just published)
+        until the store fits, so the entry count is bounded too.
+        Without a cap the store grows unboundedly — only appropriate for
+        tests.
 
     The store never hands out its own buffers: :meth:`publish` copies the
     amplitudes in, :meth:`fetch` copies them out, so concurrent jobs can
     never scribble on each other's states.
     """
 
-    def __init__(self, budget: Optional[CacheBudget] = None) -> None:
-        self.budget = budget
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
+        self.max_bytes = max_bytes
         self._lock = threading.Lock()
         #: LRU order: oldest first; keyed by (fingerprint, steps).
-        self._entries: "OrderedDict[Tuple[int, StepKey], _Entry]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple[int, StepKey], bytes]" = OrderedDict()
         self._resident_bytes = 0
-        self._spill_dir: Optional[str] = budget.spill_dir if budget else None
-        self._spill_created = False
-        self._spill_serial = 0
         self._hits = 0
         self._misses = 0
         self._publishes = 0
-        self._spills = 0
-        self._spill_loads = 0
         self._drops = 0
         self._ops_saved = 0
 
     # -- publication / lookup ------------------------------------------------
 
-    def publish(
-        self, fingerprint: int, steps: StepKey, vector: Any, layer: int
-    ) -> bool:
+    def publish(self, fingerprint: int, steps: StepKey, vector: Any) -> bool:
         """Copy a prefix state into the store under its provenance key.
 
         Returns ``False`` (and refreshes the entry's LRU position) when the
         key is already present — concurrent identical jobs publish the
-        same bytes, there is nothing to add.  Publication may trigger
-        budget eviction of *other* entries; the newly published entry is
-        resident on return.
+        same bytes, there is nothing to add.  Publication may evict
+        *other* entries to meet ``max_bytes``; the newly published entry
+        is stored on return.
         """
         key = (int(fingerprint), tuple(steps))
         data = np.ascontiguousarray(
             np.asarray(vector, dtype=np.complex128)
         ).tobytes()
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
                 return False
-            entry = _Entry(data, layer)
-            self._entries[key] = entry
-            self._resident_bytes += entry.nbytes
+            self._entries[key] = data
+            self._resident_bytes += len(data)
             self._publishes += 1
-            self._enforce_budget_locked(keep=key)
+            self._evict_locked()
             return True
 
     def fetch(self, fingerprint: int, steps: StepKey) -> Optional[np.ndarray]:
-        """Return a private copy of the state for ``steps``, or ``None``.
-
-        Spilled entries are reloaded and CRC-verified; a spill file that
-        is missing or fails its checksum is discarded (the caller just
-        recomputes) rather than trusted.
-        """
+        """Return a private copy of the state for ``steps``, or ``None``."""
         key = (int(fingerprint), tuple(steps))
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            data = self._entries.get(key)
+            if data is None:
                 self._misses += 1
                 return None
-            if entry.resident:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                assert entry.data is not None
-                return np.frombuffer(entry.data, dtype=np.complex128).copy()
-            # Spilled: reload outside nothing — file I/O under the lock is
-            # acceptable here (spill files are small relative to compute),
-            # and it keeps eviction/fetch races impossible.
-            path = entry.path
-            try:
-                assert path is not None
-                data = np.fromfile(path, dtype=np.complex128)
-            except (OSError, AssertionError):
-                data = None
-            if (
-                data is None
-                or data.nbytes != entry.nbytes
-                or (zlib.crc32(data.tobytes()) & 0xFFFFFFFF) != entry.checksum
-            ):
-                # Never serve bytes that fail verification.
-                self._discard_locked(key, entry)
-                self._misses += 1
-                return None
-            entry.data = data.tobytes()
-            entry.path = None
-            self._resident_bytes += entry.nbytes
-            self._spill_loads += 1
             self._entries.move_to_end(key)
             self._hits += 1
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            self._enforce_budget_locked(keep=key)
-            return data.copy()
+            return np.frombuffer(data, dtype=np.complex128).copy()
 
     def note_saved(self, ops: int) -> None:
         """Record operations a consumer skipped thanks to a hit."""
@@ -263,94 +190,35 @@ class SharedPrefixStore:
 
     # -- eviction -----------------------------------------------------------
 
-    def _spill_path_locked(self, layer: int) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-shared-")
-            self._spill_created = True
-        elif not os.path.isdir(self._spill_dir):
-            os.makedirs(self._spill_dir, exist_ok=True)
-        self._spill_serial += 1
-        return os.path.join(
-            self._spill_dir, f"shared-{self._spill_serial:06d}-l{layer}.c128"
-        )
-
-    def _discard_locked(
-        self, key: Tuple[int, StepKey], entry: _Entry
-    ) -> None:
-        if entry.resident:
-            self._resident_bytes -= entry.nbytes
-        elif entry.path is not None:
-            try:
-                os.unlink(entry.path)
-            except OSError:
-                pass
-        self._entries.pop(key, None)
-
-    def _enforce_budget_locked(self, keep: Tuple[int, StepKey]) -> None:
-        budget = self.budget
-        if budget is None:
+    def _evict_locked(self) -> None:
+        """Evict least-recently-used entries until the store fits; the
+        newest entry, the one just published, always stays."""
+        if self.max_bytes is None:
             return
-        while self._resident_bytes > budget.max_bytes:
-            victim_key = None
-            for candidate, entry in self._entries.items():
-                if candidate != keep and entry.resident:
-                    victim_key = candidate
-                    break
-            if victim_key is None:
-                break  # only the protected entry remains resident
-            entry = self._entries[victim_key]
-            if budget.mode == "spill":
-                path = self._spill_path_locked(entry.layer)
-                assert entry.data is not None
-                with open(path, "wb") as handle:
-                    handle.write(entry.data)
-                entry.path = path
-                entry.data = None
-                self._resident_bytes -= entry.nbytes
-                self._spills += 1
-            elif budget.mode == "drop":
-                self._discard_locked(victim_key, entry)
-                self._drops += 1
-            else:
-                raise ValueError(
-                    f"unknown shared-store eviction mode {budget.mode!r} "
-                    "(expected 'spill' or 'drop')"
-                )
+        while self._resident_bytes > self.max_bytes and len(self._entries) > 1:
+            _, data = self._entries.popitem(last=False)
+            self._resident_bytes -= len(data)
+            self._drops += 1
 
     # -- introspection / lifecycle -------------------------------------------
 
     def stats(self) -> SharedStoreStats:
         with self._lock:
-            resident = sum(
-                1 for entry in self._entries.values() if entry.resident
-            )
             return SharedStoreStats(
                 entries=len(self._entries),
-                resident_entries=resident,
                 resident_bytes=self._resident_bytes,
                 hits=self._hits,
                 misses=self._misses,
                 publishes=self._publishes,
-                spills=self._spills,
-                spill_loads=self._spill_loads,
                 drops=self._drops,
                 ops_saved=self._ops_saved,
             )
 
-    def clear(self) -> None:
-        """Drop every entry and remove spill files."""
-        with self._lock:
-            for key in list(self._entries):
-                self._discard_locked(key, self._entries[key])
-            self._resident_bytes = 0
-
     def close(self) -> None:
-        """Release everything, including a temp spill dir we created."""
-        self.clear()
+        """Release every entry."""
         with self._lock:
-            if self._spill_created and self._spill_dir is not None:
-                shutil.rmtree(self._spill_dir, ignore_errors=True)
-                self._spill_created = False
+            self._entries.clear()
+            self._resident_bytes = 0
 
     def __enter__(self) -> "SharedPrefixStore":
         return self

@@ -17,12 +17,12 @@ amplitude is touched.  This module computes them:
     (:func:`repro.sim.kernels.kernel_cost` folded over each compiled
     segment, fused single-qubit runs included); the memory timeline
     mirrors :class:`~repro.core.cache.StateCache` accounting exactly,
-    including predicted spill/drop/recompute events under any
+    including predicted spill and spill-load events under any
     :class:`~repro.core.cache.CacheBudget` (the mirror replays the
     executor's enforce-after-store / coldest-slot-first policy).
 
 :func:`build_certificate`
-    Bundles the plan analysis, the predicted degradation under a cache
+    Bundles the plan analysis, the predicted spilling under a cache
     budget and the executor the default pick rule
     (:func:`repro.core.options.pick`) runs the trials on as ``advice`` —
     the JSON document behind ``repro run --auto`` and ``repro advise``,
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 #: Certificate document schema tag.
-CERT_SCHEMA = "repro-cert/4"
+CERT_SCHEMA = "repro-cert/5"
 
 #: Modeled flop cost of conjugating one Pauli frame through one fused
 #: gate matrix (``PauliFrame.try_conjugate_matrix`` on a <= 4x4 unitary):
@@ -102,7 +102,7 @@ class PlanCostAnalysis:
     initial working state).  The nominal peaks mirror
     :func:`~repro.lint.plan_sanitizer.sanitize_plan` (and therefore the
     runtime ``CacheStats``); the ``predicted_*`` counters mirror the
-    executor's budget degradation and are all zero without a budget.
+    executor's budget spilling and are both zero without a budget.
     """
 
     def __init__(self) -> None:
@@ -124,10 +124,6 @@ class PlanCostAnalysis:
         self.timeline: List[Tuple[int, int, int, int]] = []
         self.predicted_spills = 0
         self.predicted_spill_loads = 0
-        self.predicted_drops = 0
-        self.predicted_recomputes = 0
-        self.predicted_recompute_ops = 0
-        self.predicted_recompute_flops = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -154,10 +150,6 @@ class PlanCostAnalysis:
             "predicted": {
                 "spills": self.predicted_spills,
                 "spill_loads": self.predicted_spill_loads,
-                "drops": self.predicted_drops,
-                "recomputes": self.predicted_recomputes,
-                "recompute_ops": self.predicted_recompute_ops,
-                "recompute_flops": self.predicted_recompute_flops,
             },
         }
 
@@ -180,9 +172,7 @@ def _inject_cost(compiled, event: ErrorEvent) -> Tuple[int, int]:
 def _charge(compiled, layered: LayeredCircuit, instr) -> Tuple[int, int, int]:
     """(ops, flops, bytes) one instruction costs; zero for non-kernel ones.
 
-    The single per-instruction price every fold in this module uses —
-    plan steps, prefix steps and the rebuild program of a dropped
-    snapshot alike.
+    The single per-instruction price every fold in this module uses.
     """
     if isinstance(instr, Advance):
         cost = compiled.segment_cost(instr.start_layer, instr.end_layer)
@@ -210,7 +200,7 @@ def analyze_plan(
     :class:`~repro.sim.compiled.CompiledCircuit` supplying per-segment
     kernel costs — built on demand when omitted; pass the one the run
     will use to share segment compilations.  ``budget`` predicts the
-    executor's spill/drop degradation under the same
+    executor's spilling under the same
     :class:`~repro.core.cache.CacheBudget`, mirroring its
     enforce-after-store, coldest-slot-first policy (statevector states
     assumed: ``state_bytes = 16 * 2**n``).  The fold keeps only each
@@ -225,16 +215,9 @@ def analyze_plan(
     analysis.num_instructions = len(plan.instructions)
     state_bytes = 16 * (1 << layered.num_qubits)
 
-    # slot -> "resident" | "spilled" | "dropped"
-    residency: Dict[int, str] = {}
-    resident_stored = 0  # non-degraded snapshots only
-    # Under a drop budget: the working state's instructions since
-    # |0...0> and each snapshot's — what the executor replays to rebuild
-    # a dropped snapshot.
-    program: Optional[List[Any]] = (
-        [] if budget is not None and budget.mode == "drop" else None
-    )
-    programs: Dict[int, Tuple[Any, ...]] = {}
+    # slot -> whether the snapshot is resident (False once spilled)
+    residency: Dict[int, bool] = {}
+    resident_stored = 0  # unspilled snapshots only
 
     def resident_peaks() -> None:
         analysis.peak_resident_msv = max(
@@ -258,8 +241,6 @@ def analyze_plan(
         analysis.ops += ops
         analysis.flops += flops
         analysis.bytes_moved += bytes_moved
-        if program is not None and isinstance(instr, (Advance, Inject)):
-            program.append(instr)
         if isinstance(instr, Advance):
             entry = analysis.segments.setdefault(
                 _segment_name(instr.start_layer, instr.end_layer),
@@ -281,15 +262,13 @@ def analyze_plan(
                     f"cost analysis of an invalid plan: slot {instr.slot} "
                     "snapshotted while occupied (run sanitize_plan first)"
                 )
-            residency[instr.slot] = "resident"
-            if program is not None:
-                programs[instr.slot] = tuple(program)
+            residency[instr.slot] = True
             resident_stored += 1
             analysis.snapshots_taken += 1
             resident_peaks()
             sample(index, step.live, step.stored)
             if budget is not None:
-                # Mirror _enforce_budget: degrade the coldest (lowest id)
+                # Mirror _enforce_budget: spill the coldest (lowest id)
                 # resident slot while the resident footprint exceeds the
                 # budget.  The working state is live throughout (+1).
                 while (
@@ -297,20 +276,10 @@ def analyze_plan(
                     and (resident_stored + 1) * state_bytes > budget.max_bytes
                 ):
                     coldest = min(
-                        slot
-                        for slot, state in residency.items()
-                        if state == "resident"
+                        slot for slot, resident in residency.items() if resident
                     )
-                    if budget.mode == "drop":
-                        residency[coldest] = "dropped"
-                        analysis.predicted_drops += 1
-                    elif budget.mode == "spill":
-                        residency[coldest] = "spilled"
-                        analysis.predicted_spills += 1
-                    else:
-                        raise ScheduleError(
-                            f"unknown cache degradation mode {budget.mode!r}"
-                        )
+                    residency[coldest] = False
+                    analysis.predicted_spills += 1
                     resident_stored -= 1
                     sample(index, step.live, step.stored)
         elif isinstance(instr, Inject):
@@ -324,21 +293,10 @@ def analyze_plan(
                     f"cost analysis of an invalid plan: restore of empty "
                     f"slot {instr.slot} (run sanitize_plan first)"
                 )
-            state = residency.pop(instr.slot)
-            if program is not None:
-                program = list(programs.pop(instr.slot))
-            if state == "resident":
+            if residency.pop(instr.slot):
                 resident_stored -= 1
-            elif state == "spilled":
+            else:
                 analysis.predicted_spill_loads += 1
-            else:  # dropped: priced as the executor rebuilds it
-                for rebuild in program:
-                    rebuild_ops, rebuild_flops, _ = _charge(
-                        compiled, layered, rebuild
-                    )
-                    analysis.predicted_recompute_ops += rebuild_ops
-                    analysis.predicted_recompute_flops += rebuild_flops
-                analysis.predicted_recomputes += 1
             resident_peaks()
             sample(index, step.live, step.stored)
         elif isinstance(instr, Finish):
@@ -356,7 +314,6 @@ def analyze_hybrid(
     layered: LayeredCircuit,
     plan: ExecutionPlan,
     compiled=None,
-    serial: Optional[PlanCostAnalysis] = None,
 ) -> Dict[str, Any]:
     """Statically price the Clifford/Pauli-frame fast path for ``plan``.
 
@@ -388,8 +345,6 @@ def analyze_hybrid(
         from ..sim.compiled import CompiledCircuit
 
         compiled = CompiledCircuit(layered)
-    if serial is None:
-        serial = analyze_plan(plan, layered, compiled=compiled)
 
     schedule = classify_plan(layered, plan, compiled)
     stats = dict(schedule.stats)
@@ -405,7 +360,8 @@ def analyze_hybrid(
 
     dense_flops = 0
     frame_flops = 0
-    for step in PlanWalk(plan.instructions, plan.num_layers):
+    walk = PlanWalk(plan.instructions, plan.num_layers)
+    for step in walk:
         kind = schedule.actions[step.index][0]
         ops, flops, _ = _charge(compiled, layered, step.instr)
         if kind in ("advance-dense", "advance-mat", "inject-dense"):
@@ -422,7 +378,7 @@ def analyze_hybrid(
         stats["peak_dense_stored"] * state_bytes
         + stats["peak_sym_stored"] * per_frame
     )
-    dense_cache_bytes = serial.peak_stored * state_bytes
+    dense_cache_bytes = walk.peak_stored * state_bytes
     return {
         "active": stats["savings"] > 0,
         "stats": stats,
@@ -437,7 +393,7 @@ def analyze_hybrid(
             "frame_bytes": per_frame,
             "peak_full_states": stats["peak_real_states"],
             "peak_full_bytes": stats["peak_real_states"] * state_bytes,
-            "dense_peak_msv": serial.peak_msv,
+            "dense_peak_msv": walk.peak_live,
             "cache_dense_snapshots": stats["peak_dense_stored"],
             "cache_frame_snapshots": stats["peak_sym_stored"],
             "cache_resident_bytes": cache_bytes,
@@ -464,13 +420,13 @@ def build_certificate(
 
     The certificate carries (a) the serial plan's exact per-segment op
     counts and kernel-model flop/byte costs, (b) the full resident-memory
-    timeline with predicted degradation under ``budget``, and (c)
+    timeline with predicted spilling under ``budget``, and (c)
     ``advice``: the executor
     :func:`repro.core.options.pick` runs these trials on under
     ``budget`` (serial DFS whenever a budget is given), with that budget.
     The sections rank nothing: the reordering is exact on every
     executor, so choosing one is a cost decision, and the measured pick
-    rule is the only one that makes it.  Budget degradation is certified
+    rule is the only one that makes it.  Budget spilling is certified
     for the serial schedule (P023 checks it against ``run_optimized``).
     The hybrid fast path's static price (:func:`analyze_hybrid`) is not
     built here: ``repro advise``, its only reader, adds it.
@@ -499,15 +455,10 @@ def build_certificate(
 
     state_bytes = 16 * (1 << layered.num_qubits)
 
-    budget_options = (
-        {}
-        if budget is None
-        else {"max_cache_bytes": budget.max_bytes, "cache_degrade": budget.mode}
-    )
+    max_cache_bytes = None if budget is None else budget.max_bytes
     advice = {
-        "executor": pick(layered, trials, **budget_options).name,
-        "max_cache_bytes": budget_options.get("max_cache_bytes"),
-        "cache_degrade": budget_options.get("cache_degrade"),
+        "executor": pick(layered, trials, max_cache_bytes=max_cache_bytes).name,
+        "max_cache_bytes": max_cache_bytes,
     }
 
     certificate: Dict[str, Any] = {
@@ -525,7 +476,6 @@ def build_certificate(
             if budget is None
             else {
                 "max_bytes": budget.max_bytes,
-                "mode": budget.mode,
                 "predicted": degraded.to_dict()["predicted"],
                 "peak_resident_msv": degraded.peak_resident_msv,
                 "peak_resident_stored": degraded.peak_resident_stored,

@@ -10,8 +10,9 @@ same static-proof-then-runtime-evidence idiom as P013 (peak MSV) and P017
   count, total ``ops.applied``, finished trials);
 * **P021** — recorded memory gauges never exceed the certificate's static
   memory timeline (and equal it exactly for an undegraded serial run);
-* **P023** — predicted spill/drop/recompute counts under a cache budget
-  equal the runtime ``CacheStats`` counters.
+* **P023** — predicted spill and spill-load counts under a cache budget
+  equal the runtime ``CacheStats`` counters, and the resident peak stays
+  within its certified bound.
 
 The certificate's own structure is checked by
 :func:`~repro.lint.costmodel.validate_certificate`.
@@ -70,15 +71,15 @@ register(
     "budget-prediction-mismatch",
     Severity.ERROR,
     "plan",
-    "Predicted cache-budget degradation diverges from the runtime "
+    "Predicted cache-budget spilling diverges from the runtime "
     "counters.",
-    explanation="Under a CacheBudget the executor spills or drops the "
-    "coldest resident snapshot after each store; the certificate predicts "
-    "every such event symbolically.  P023 compares predicted spill, "
-    "spill-load, drop and recompute counts against the runtime CacheStats "
-    "counters — equality proves the analyzer replays the executor's "
-    "degradation policy exactly, which is what makes certified "
-    "budget-degradation tradeoffs sound.",
+    explanation="Under a CacheBudget the executor spills the coldest "
+    "resident snapshot after each store; the certificate predicts every "
+    "such event symbolically.  P023 compares predicted spill and "
+    "spill-load counts against the runtime CacheStats counters, and the "
+    "runtime resident peak against its certified bound — equality proves "
+    "the analyzer replays the executor's spill policy exactly, which is "
+    "what makes certified memory budgets sound.",
 )
 
 
@@ -105,10 +106,9 @@ def lint_certificate_trace(
     """``P020``: prove certified op counts against a recorded trace.
 
     ``recorder`` is an :class:`~repro.obs.recorder.InMemoryRecorder` for
-    the same circuit/trial set the certificate was built from.
-    Under a drop-mode budget the recorded total legitimately includes the
-    recompute operations the trace itself reports (``cache.recompute``
-    instants); P020 accounts for them exactly.
+    the same circuit/trial set the certificate was built from.  A cache
+    budget spills snapshots but never adds operations, so the recorded
+    total must equal the certified plan ops exactly.
     """
     from ..obs.summary import segment_profile
 
@@ -162,19 +162,16 @@ def lint_certificate_trace(
             config=config,
         )
 
-    recompute_ops = profile["recompute_ops"]
     recorded_ops = profile["ops_applied"]
-    expected_ops = int(plan.get("ops", 0)) + recompute_ops
+    expected_ops = int(plan.get("ops", 0))
     if recorded_ops != expected_ops:
         _emit(
             diagnostics,
             "P020",
-            f"certificate predicts {expected_ops} applied operation(s) "
-            f"(plan {plan.get('ops', 0)} + recompute {recompute_ops}) but "
+            f"certificate predicts {expected_ops} applied operation(s) but "
             f"the run applied {recorded_ops}",
             location="ops",
-            hint="segment costs or the recompute closed form have "
-            "diverged from the executor",
+            hint="segment costs have diverged from the executor",
             config=config,
         )
 
@@ -195,7 +192,6 @@ def lint_certificate_trace(
         info={
             "recorded_ops": recorded_ops,
             "certified_ops": plan.get("ops"),
-            "recompute_ops": recompute_ops,
             "finished_trials": finished,
         },
     )
@@ -262,13 +258,13 @@ def lint_budget_prediction(
     cache_stats,
     config: Optional[LintConfig] = None,
 ) -> LintResult:
-    """``P023``: predicted budget degradation equals the runtime counters.
+    """``P023``: predicted budget spilling equals the runtime counters.
 
     ``cache_stats`` is the :class:`~repro.core.cache.CacheStats` of a
     serial ``run_optimized`` under the same budget the certificate was
     built with (statevector states — the cost model assumes
     ``16 * 2**n`` bytes per state).  Without a budget section the rule
-    still asserts the run saw no degradation.
+    still asserts the run spilled nothing.
     """
     diagnostics: List[Diagnostic] = []
     budget = certificate.get("budget") or {}
@@ -281,8 +277,6 @@ def lint_budget_prediction(
             predicted.get("spill_loads", 0),
             cache_stats.spill_loads,
         ),
-        ("drops", predicted.get("drops", 0), cache_stats.drops),
-        ("recomputes", predicted.get("recomputes", 0), cache_stats.recomputes),
     ]
     for name, want, got in pairs:
         if int(want) != int(got):
@@ -316,8 +310,6 @@ def lint_budget_prediction(
             "observed": {
                 "spills": cache_stats.spills,
                 "spill_loads": cache_stats.spill_loads,
-                "drops": cache_stats.drops,
-                "recomputes": cache_stats.recomputes,
             },
         },
     )

@@ -80,7 +80,7 @@ class PauliChannel:
         labels must share one width.
     """
 
-    __slots__ = ("_probs", "_labels", "_total", "_width", "_draw")
+    __slots__ = ("_probs", "_labels", "_total", "_width", "_draw", "_hash")
 
     def __init__(self, probabilities: Dict[str, float]) -> None:
         cleaned: Dict[str, float] = {}
@@ -106,6 +106,9 @@ class PauliChannel:
         self._labels = tuple(sorted(cleaned))
         self._total = min(total, 1.0)
         self._width = width
+        # The channel is immutable (``probabilities`` returns a copy), so
+        # its hash is computed once: the sampler groups positions by it.
+        self._hash = hash(tuple(sorted(cleaned.items())))
         # (labels, CDF), built on the first draw: a noise model makes one
         # channel per error position, but the sampler draws from one per
         # group of equal channels.
@@ -178,7 +181,7 @@ class PauliChannel:
         return self._probs == other._probs
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._probs.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         if len(self._probs) > 4:

@@ -260,14 +260,12 @@ def segment_profile(recorder: InMemoryRecorder) -> Dict[str, object]:
 
     The shape lint rule ``P020`` compares against a resource
     certificate's ``plan`` section: per advance-span name the replay
-    count and per-replay gate weight, the inject count, the finished
-    trial total, and any recompute operations a drop-mode cache budget
-    added (which the certificate accounts separately from plan ops).
-    Requires an untruncated recorder — ring eviction loses span events,
-    so P020 evidence must be recorded unbounded.
+    count and per-replay gate weight, the inject count, the recorded
+    ``ops.applied`` total and the finished trial total.  Requires an
+    untruncated recorder — ring eviction loses span events, so P020
+    evidence must be recorded unbounded.
     """
     segments: Dict[str, Dict[str, int]] = {}
-    recompute_ops = 0
     injects = 0
     for event in recorder.events:
         if event.ph == "B" and event.cat == "segment":
@@ -276,12 +274,9 @@ def segment_profile(recorder: InMemoryRecorder) -> Dict[str, object]:
             entry["gates"] = int((event.args or {}).get("gates", 0))
         elif event.ph == "i" and event.name == "inject":
             injects += 1
-        elif event.ph == "i" and event.name == "cache.recompute":
-            recompute_ops += int((event.args or {}).get("ops", 0))
     return {
         "segments": segments,
         "injects": injects,
-        "recompute_ops": recompute_ops,
         "ops_applied": int(recorder.counter_total("ops.applied")),
         "trials_finished": int(recorder.counter_total("trials.finished")),
     }

@@ -94,13 +94,10 @@ def render_serve_metrics(registry: MetricRegistry, shared=None) -> str:
         )
         for stat in (
             "entries",
-            "resident_entries",
             "resident_bytes",
             "hits",
             "misses",
             "publishes",
-            "spills",
-            "spill_loads",
             "drops",
             "ops_saved",
         ):

@@ -44,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
 from ..core.atomicio import atomic_write_json
-from ..core.cache import CacheBudget
 from ..core.executor import RunInterrupted
 from ..core.shared import SharedPrefixStore
 from .admission import AdmissionController, QueueFull
@@ -78,6 +77,8 @@ class ServeConfig:
     cross-job prefix-store hits (jobs on the same family run back to
     back against a warm store) and keeps trial streams strictly
     ordered.  Raise it for throughput when jobs rarely share circuits.
+    ``shared_budget_bytes`` caps the cross-job prefix store, which evicts
+    its least-recently-used entries past the cap (``None``: unbounded).
     """
 
     def __init__(
@@ -88,7 +89,6 @@ class ServeConfig:
         max_pending: int = 16,
         exec_threads: int = 1,
         shared_budget_bytes: Optional[int] = 256 * 1024 * 1024,
-        shared_mode: str = "spill",
         retry_base: float = 0.05,
         retry_cap: float = 1.0,
         install_signal_handlers: bool = False,
@@ -99,7 +99,6 @@ class ServeConfig:
         self.max_pending = max_pending
         self.exec_threads = exec_threads
         self.shared_budget_bytes = shared_budget_bytes
-        self.shared_mode = shared_mode
         self.retry_base = retry_base
         self.retry_cap = retry_cap
         self.install_signal_handlers = install_signal_handlers
@@ -117,16 +116,7 @@ class JobServer:
             max_pending=config.max_pending,
             exec_threads=config.exec_threads,
         )
-        budget = None
-        if config.shared_budget_bytes is not None:
-            budget = CacheBudget(
-                max_bytes=config.shared_budget_bytes,
-                mode=config.shared_mode,
-                spill_dir=os.path.join(config.state_dir, "shared-spill"),
-            )
-            if budget.spill_dir:
-                os.makedirs(budget.spill_dir, exist_ok=True)
-        self.shared = SharedPrefixStore(budget)
+        self.shared = SharedPrefixStore(config.shared_budget_bytes)
         self.jobs: Dict[str, JobRecord] = {}
         self._stops: Dict[str, threading.Event] = {}
         self._streams: Dict[str, List[asyncio.Queue]] = {}

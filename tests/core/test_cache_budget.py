@@ -1,12 +1,13 @@
-"""Memory-budgeted cache degradation: spill or recompute, never diverge.
+"""Memory-budgeted snapshot spilling: never diverge, never recompute.
 
 A :class:`CacheBudget` caps the bytes the snapshot cache may keep resident.
-Over budget, the coldest snapshots are spilled to disk (and reloaded) or
-dropped (and recomputed by replaying the instructions that built them).
-Either way the executor's results stay bit-identical to the unbudgeted
-run; the *nominal* MSV peaks — the paper's metric and the lint
-sanitizer's static bound — are reported unchanged, with the degraded
-reality in separate resident counters.
+Over budget, the coldest snapshots are spilled to CRC-checked files and
+reloaded on restore.  Every budgeted run's payloads stay ``array_equal``
+to the unbudgeted run's, and its operations stay the plan's:
+``ops_applied + ops_shared == plan.planned_operations(layered)``.  The
+*nominal* MSV peaks — the paper's metric and the lint sanitizer's static
+bound — are reported unchanged, with the spilled reality in separate
+resident counters.
 """
 
 import numpy as np
@@ -16,9 +17,15 @@ from repro.bench.suite import build_compiled_benchmark, resolve_benchmark
 from repro.circuits import layerize
 from repro.core import run_optimized
 from repro.core.cache import CacheBudget
+from repro.core.resilience import load_journal, run_journaled
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import ScheduleError, build_plan
-from repro.lint import analyze_plan, lint_certificate_trace, sanitize_plan
+from repro.lint import (
+    analyze_plan,
+    check_recorded_run,
+    lint_certificate_trace,
+    sanitize_plan,
+)
 from repro.obs import InMemoryRecorder
 from repro.noise import ibm_yorktown, sample_trials
 from repro.sim.compiled import CompiledStatevectorBackend
@@ -33,12 +40,12 @@ def _setup(name="bv4", num_trials=160, seed=9):
     return layered, trials
 
 
-def _stream(layered, trials, budget=None):
+def _stream(layered, trials, budget=None, backend=None, plan=None):
     stream = []
     outcome = run_optimized(
-        layered, trials, CompiledStatevectorBackend(layered),
+        layered, trials, backend or CompiledStatevectorBackend(layered),
         lambda p, i: stream.append((np.array(p.vector, copy=True), i)),
-        cache_budget=budget,
+        plan=plan, cache_budget=budget,
     )
     return stream, outcome
 
@@ -54,73 +61,55 @@ def _assert_streams_identical(reference, degraded):
         assert np.array_equal(r_state, d_state)
 
 
+def budgeted_run(layered, trials, budget, make_backend=None, plan=None):
+    """Run ``trials`` under ``budget`` and without; assert the budgeted
+    run's payloads equal the other's and that it applies exactly the
+    plan's operations.  Returns the budgeted run's outcome."""
+    make_backend = make_backend or (lambda: CompiledStatevectorBackend(layered))
+    plan = plan or build_plan(layered, trials)
+    reference, _ = _stream(layered, trials, backend=make_backend(), plan=plan)
+    degraded, outcome = _stream(
+        layered, trials, budget, backend=make_backend(), plan=plan
+    )
+    _assert_streams_identical(reference, degraded)
+    assert outcome.ops_applied + outcome.ops_shared == plan.planned_operations(
+        layered
+    )
+    return outcome
+
+
 class TestSpill:
     def test_bit_identical_and_degradation_counted(self, tmp_path):
         layered, trials = _setup()
-        reference, ref_outcome = _stream(layered, trials)
         budget = CacheBudget(
-            max_bytes=_state_bytes(layered), mode="spill",
-            spill_dir=str(tmp_path),
+            max_bytes=_state_bytes(layered), spill_dir=str(tmp_path),
         )
-        degraded, outcome = _stream(layered, trials, budget)
-        _assert_streams_identical(reference, degraded)
-        # Spilling costs I/O, never operations.
-        assert outcome.ops_applied == ref_outcome.ops_applied
-        stats = outcome.cache_stats
+        stats = budgeted_run(layered, trials, budget).cache_stats
         assert stats.spills > 0
         assert stats.spill_loads == stats.spills
         assert stats.degraded
 
+    @pytest.mark.parametrize("name", ["qft5", "grover"])
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_spill_reloads_exactly(self, name, states):
+        # One resident state spills every snapshot; two keep the newest
+        # snapshot resident beside the working state.
+        layered, trials = _setup(name, num_trials=256, seed=7)
+        budget = CacheBudget(max_bytes=states * _state_bytes(layered))
+        assert budgeted_run(layered, trials, budget).cache_stats.spills > 0
+
     def test_spill_files_cleaned_up(self, tmp_path):
         layered, trials = _setup()
         budget = CacheBudget(
-            max_bytes=_state_bytes(layered), mode="spill",
-            spill_dir=str(tmp_path),
+            max_bytes=_state_bytes(layered), spill_dir=str(tmp_path),
         )
-        _stream(layered, trials, budget)
+        budgeted_run(layered, trials, budget)
         assert list(tmp_path.iterdir()) == []
 
     def test_default_spill_dir_is_temporary(self):
         layered, trials = _setup()
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="spill")
-        reference, _ = _stream(layered, trials)
-        degraded, _ = _stream(layered, trials, budget)
-        _assert_streams_identical(reference, degraded)
-
-
-class TestDrop:
-    def test_bit_identical_with_recompute_ops(self):
-        layered, trials = _setup()
-        reference, ref_outcome = _stream(layered, trials)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="drop")
-        degraded, outcome = _stream(layered, trials, budget)
-        _assert_streams_identical(reference, degraded)
-        stats = outcome.cache_stats
-        assert stats.drops > 0
-        assert stats.recomputes == stats.drops
-        # Recomputing dropped snapshots costs real operations.
-        assert outcome.ops_applied > ref_outcome.ops_applied
-
-    @pytest.mark.parametrize("name", ["qft5", "grover"])
-    @pytest.mark.parametrize("states", [1, 2])
-    def test_recompute_replays_the_plan_segments(self, name, states):
-        # Compiled segments fuse per [start, end): a snapshot rebuilt
-        # through other advance boundaries than the plan's rounds
-        # differently, so only an exact replay is bit-identical.
-        layered, trials = _setup(name, num_trials=256, seed=7)
-        reference, _ = _stream(layered, trials)
-        budget = CacheBudget(
-            max_bytes=states * _state_bytes(layered), mode="drop"
-        )
-        degraded, outcome = _stream(layered, trials, budget)
-        assert outcome.cache_stats.recomputes > 0
-        _assert_streams_identical(reference, degraded)
-
-    def test_unknown_mode_rejected(self):
-        layered, trials = _setup()
-        budget = CacheBudget(max_bytes=1, mode="shred")
-        with pytest.raises(ScheduleError):
-            _stream(layered, trials, budget)
+        budget = CacheBudget(max_bytes=_state_bytes(layered))
+        budgeted_run(layered, trials, budget)
 
 
 class TestNominalAccounting:
@@ -128,8 +117,8 @@ class TestNominalAccounting:
         """The paper's MSV metric must not silently improve under budget."""
         layered, trials = _setup()
         _, ref_outcome = _stream(layered, trials)
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="spill")
-        _, outcome = _stream(layered, trials, budget)
+        budget = CacheBudget(max_bytes=_state_bytes(layered))
+        outcome = budgeted_run(layered, trials, budget)
         stats = outcome.cache_stats
         assert outcome.peak_msv == ref_outcome.peak_msv
         assert outcome.peak_stored == ref_outcome.peak_stored
@@ -140,14 +129,14 @@ class TestNominalAccounting:
         plan = build_plan(layered, trials)
         audit = sanitize_plan(plan, trials=trials, layered=layered)
         assert audit.ok
-        budget = CacheBudget(max_bytes=_state_bytes(layered), mode="drop")
-        _, outcome = _stream(layered, trials, budget)
+        budget = CacheBudget(max_bytes=_state_bytes(layered))
+        outcome = budgeted_run(layered, trials, budget)
         assert audit.peak_msv == outcome.peak_msv
 
     def test_generous_budget_never_degrades(self):
         layered, trials = _setup()
-        budget = CacheBudget(max_bytes=1 << 40, mode="spill")
-        _, outcome = _stream(layered, trials, budget)
+        budget = CacheBudget(max_bytes=1 << 40)
+        outcome = budgeted_run(layered, trials, budget)
         stats = outcome.cache_stats
         assert not stats.degraded
         assert stats.peak_resident_stored == outcome.peak_stored
@@ -156,41 +145,95 @@ class TestNominalAccounting:
 class TestBudgetEverywhere:
     def test_counting_backend_rejected(self):
         layered, trials = _setup(num_trials=32)
-        budget = CacheBudget(max_bytes=1, mode="spill")
+        budget = CacheBudget(max_bytes=1)
         with pytest.raises(ScheduleError):
             run_optimized(
                 layered, trials, CountingBackend(layered),
                 cache_budget=budget,
             )
 
-    def test_certificate_p020_parity_under_drop_budget(self):
-        # A recompute is charged to ops.applied, so its cache.recompute
-        # instant must carry those ops for P020 to add up.
+    def test_certificate_p020_parity_under_spill_budget(self):
+        # Spilling moves bytes, never operations: the recorded ops.applied
+        # must equal the certified plan ops with no allowance.
         circuit, model = resolve_benchmark("qft5")
         simulator = NoisySimulator(circuit, model, seed=7)
         trials = simulator.sample(256)
         recorder = InMemoryRecorder()
-        simulator.run(
-            trials=trials, recorder=recorder,
-            max_cache_bytes=1100, cache_degrade="drop",
+        budgeted = simulator.run(
+            trials=trials, recorder=recorder, max_cache_bytes=1100,
+            collect_final_states=True,
         )
-        assert recorder.counter_total("cache.recompute") > 0
-        analysis = analyze_plan(
-            build_plan(simulator.layered, trials), simulator.layered
+        assert recorder.counter_total("cache.spill") > 0
+        reference = simulator.run(trials=trials, collect_final_states=True)
+        for got, want in zip(budgeted.final_states, reference.final_states):
+            assert np.array_equal(got.vector, want.vector)
+        plan = build_plan(simulator.layered, trials)
+        assert (
+            budgeted.metrics.optimized_ops + budgeted.ops_shared
+            == plan.planned_operations(simulator.layered)
         )
+        analysis = analyze_plan(plan, simulator.layered)
         certificate = {"plan": analysis.to_dict(), "num_trials": len(trials)}
         result = lint_certificate_trace(certificate, recorder)
         assert result.ok, [str(d) for d in result.errors]
 
+    def test_resumed_journal_spills_exactly(self, tmp_path):
+        """The remaining trials of a resumed journal run under the budget:
+        the run returns the unbudgeted payloads, applies exactly the
+        remaining trials' planned operations and passes its evidence."""
+        circuit, model = resolve_benchmark("qft5")
+        simulator = NoisySimulator(circuit, model, seed=7)
+        trials = simulator.sample(256)
+        path = str(tmp_path / "run.journal")
+        finished = []
+
+        def crash_after_five(payload, indices):
+            finished.append(indices)
+            if len(finished) == 5:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_journaled(
+                simulator.layered, trials,
+                lambda: simulator.make_backend("statevector"),
+                crash_after_five, path,
+            )
+        committed = load_journal(path).completed_trials
+        recorder = InMemoryRecorder()
+        resumed = simulator.run(
+            trials=trials, journal=path, max_cache_bytes=1100,
+            recorder=recorder, collect_final_states=True,
+        )
+        assert resumed.journal.resumed
+        assert recorder.counter_total("cache.spill") > 0
+        reference = simulator.run(trials=trials, collect_final_states=True)
+        for got, want in zip(resumed.final_states, reference.final_states):
+            assert np.array_equal(got.vector, want.vector)
+        remaining = [t for i, t in enumerate(trials) if i not in committed]
+        assert resumed.metrics.optimized_ops + resumed.ops_shared == (
+            build_plan(simulator.layered, remaining).planned_operations(
+                simulator.layered
+            )
+        )
+        checks = check_recorded_run(
+            simulator.layered, trials, recorder, resumed.metrics,
+            compiled=simulator.compiled_circuit(),
+            journal=path, max_cache_bytes=1100,
+        )
+        assert not any(checks.values()), checks
+
     def test_runner_budget_counts_identical(self):
         circuit = build_compiled_benchmark("bv4")
         reference = NoisySimulator(circuit, ibm_yorktown(), seed=3).run(
-            num_trials=96
+            num_trials=96, collect_final_states=True
         )
         layered = layerize(circuit)
         budgeted = NoisySimulator(circuit, ibm_yorktown(), seed=3).run(
             num_trials=96,
             max_cache_bytes=_state_bytes(layered),
-            cache_degrade="drop",
+            collect_final_states=True,
         )
         assert budgeted.counts == reference.counts
+        for got, want in zip(budgeted.final_states, reference.final_states):
+            assert np.array_equal(got.vector, want.vector)
+        assert budgeted.metrics.optimized_ops == reference.metrics.optimized_ops

@@ -122,6 +122,11 @@ class TestTableCoversRun:
         with pytest.raises(TypeError, match="unknown execution option"):
             validate(turbo=True)
 
+    def test_cache_degrade_is_gone(self):
+        # A snapshot budget always spills; nothing selects another policy.
+        with pytest.raises(TypeError, match=r"\['cache_degrade'\]"):
+            validate(cache_degrade="spill")
+
     def test_every_executor_names_its_evidence(self):
         from repro.lint.api import RUN_CHECKS
 
@@ -146,10 +151,10 @@ class TestNewRejections:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"cache_degrade": "bogus", "max_cache_bytes": 1},
-             "unknown cache degradation mode 'bogus'"),
-            ({"cache_degrade": "bogus", "max_cache_bytes": 1 << 30},
-             "unknown cache degradation mode 'bogus'"),
+            ({"max_cache_bytes": 4096, "backend": "counting"},
+             "max_cache_bytes requires a statevector-family backend, got 'counting'"),
+            ({"journal": "run.journal", "mode": "baseline"},
+             "journal requires mode='optimized'"),
             ({"mode": "bogus"}, "unknown mode 'bogus'"),
             ({"backend": "bogus"}, "unknown backend 'bogus'"),
             ({"max_cache_bytes": -5}, "max_cache_bytes must be"),
@@ -160,10 +165,11 @@ class TestNewRejections:
              "on_trial requires a backend with readout"),
             ({"check": True, "mode": "baseline"},
              "check has no effect on the baseline executor"),
-            ({"cache_degrade": "drop"}, "cache_degrade requires max_cache_bytes"),
+            ({"hybrid": True, "backend": "counting"},
+             "hybrid requires the compiled 'statevector' backend"),
             ({"max_cache_bytes": "4096"},
              "max_cache_bytes must be an int >= 0, got '4096'"),
-            ({"cache_degrade": "drop", "max_cache_bytes": 4096, "hybrid": True},
+            ({"max_cache_bytes": 4096, "hybrid": True},
              "hybrid is incompatible with max_cache_bytes"),
             # The first declared check names the error.
             ({"mode": "bogus", "backend": "bogus"}, "unknown mode 'bogus'"),

@@ -1,7 +1,6 @@
 """SharedPrefixStore: cross-job prefix dedup, eviction, bit-identity."""
 
 import gc
-import os
 import weakref
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
-from repro.core.cache import CacheBudget
 from repro.core.shared import (
     SharedPrefixStore,
     advance_step,
@@ -31,7 +29,7 @@ class TestStoreBasics:
         store = SharedPrefixStore()
         vector = (np.arange(8) + 1j * np.arange(8)).astype(np.complex128)
         steps = (advance_step(0, 3),)
-        assert store.publish(123, steps, vector, layer=3)
+        assert store.publish(123, steps, vector)
         fetched = store.fetch(123, steps)
         assert fetched is not None
         assert np.array_equal(fetched, vector)
@@ -50,8 +48,8 @@ class TestStoreBasics:
         store = SharedPrefixStore()
         vector = np.ones(4, dtype=np.complex128)
         steps = (advance_step(0, 2), inject_step_like())
-        assert store.publish(5, steps, vector, layer=2)
-        assert not store.publish(5, steps, vector, layer=2)
+        assert store.publish(5, steps, vector)
+        assert not store.publish(5, steps, vector)
         assert store.stats().entries == 1
 
     def test_distinct_fingerprints_do_not_alias(self):
@@ -59,8 +57,8 @@ class TestStoreBasics:
         steps = (advance_step(0, 2),)
         a = np.full(4, 1.0, dtype=np.complex128)
         b = np.full(4, 2.0, dtype=np.complex128)
-        store.publish(1, steps, a, layer=2)
-        store.publish(2, steps, b, layer=2)
+        store.publish(1, steps, a)
+        store.publish(2, steps, b)
         assert np.array_equal(store.fetch(1, steps), a)
         assert np.array_equal(store.fetch(2, steps), b)
 
@@ -77,63 +75,47 @@ class TestEviction:
         for index in range(count):
             vector = np.full(size, float(index + 1), dtype=np.complex128)
             steps = (advance_step(0, index + 1),)
-            store.publish(9, steps, vector, layer=index + 1)
+            store.publish(9, steps, vector)
             vectors[steps] = vector
         return vectors
 
-    def test_spill_mode_reloads_bit_identically(self, tmp_path):
-        budget = CacheBudget(
-            max_bytes=2 * 32 * 16, mode="spill", spill_dir=str(tmp_path)
-        )
-        store = SharedPrefixStore(budget)
+    def test_evictions_are_misses_of_the_least_recently_used(self):
+        store = SharedPrefixStore(max_bytes=2 * 32 * 16)
         vectors = self._fill(store)
         stats = store.stats()
-        assert stats.spills > 0
-        assert stats.resident_bytes <= budget.max_bytes
-        for steps, vector in vectors.items():
-            fetched = store.fetch(9, steps)
-            assert fetched is not None and np.array_equal(fetched, vector)
-        assert store.stats().spill_loads > 0
+        assert stats.drops == len(vectors) - 2
+        assert stats.entries == 2
+        assert stats.resident_bytes <= store.max_bytes
+        fetched = [store.fetch(9, steps) for steps in vectors]
+        # The two newest survive bit-identically; the rest miss.
+        assert [state is not None for state in fetched] == [False] * 4 + [True] * 2
+        for steps, state in zip(vectors, fetched):
+            if state is not None:
+                assert np.array_equal(state, vectors[steps])
 
-    def test_drop_mode_turns_evictions_into_misses(self):
-        budget = CacheBudget(max_bytes=2 * 32 * 16, mode="drop")
-        store = SharedPrefixStore(budget)
-        vectors = self._fill(store)
+    def test_a_hit_refreshes_its_entry(self):
+        store = SharedPrefixStore(max_bytes=2 * 32 * 16)
+        first, second, third = list(self._fill(store, count=3))
+        assert store.fetch(9, first) is None
+        assert store.fetch(9, second) is not None  # now the most recent
+        store.publish(9, (advance_step(0, 7),), np.ones(32, dtype=np.complex128))
+        assert store.fetch(9, second) is not None
+        assert store.fetch(9, third) is None
+
+    def test_an_entry_larger_than_the_cap_is_kept_alone(self):
+        store = SharedPrefixStore(max_bytes=16)
+        vectors = self._fill(store, count=3)
+        assert store.stats().entries == 1
+        last = list(vectors)[-1]
+        assert np.array_equal(store.fetch(9, last), vectors[last])
+
+    def test_index_stays_bounded_under_many_publishes(self):
+        store = SharedPrefixStore(max_bytes=2048)
+        self._fill(store, count=1000)
         stats = store.stats()
-        assert stats.drops > 0
-        hits = sum(
-            1 for steps in vectors if store.fetch(9, steps) is not None
-        )
-        assert 0 < hits < len(vectors)
-
-    def test_corrupt_spill_file_is_a_miss_not_wrong_data(self, tmp_path):
-        budget = CacheBudget(
-            max_bytes=2 * 32 * 16, mode="spill", spill_dir=str(tmp_path)
-        )
-        store = SharedPrefixStore(budget)
-        vectors = self._fill(store)
-        spilled = sorted(os.listdir(tmp_path))
-        assert spilled
-        victim = os.path.join(tmp_path, spilled[0])
-        with open(victim, "r+b") as handle:
-            handle.seek(8)
-            byte = handle.read(1)
-            handle.seek(8)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        results = [store.fetch(9, steps) for steps in vectors]
-        for steps, fetched in zip(vectors, results):
-            if fetched is not None:
-                assert np.array_equal(fetched, vectors[steps])
-        assert any(fetched is None for fetched in results)
-
-    def test_close_removes_owned_spill_dir(self):
-        budget = CacheBudget(max_bytes=64, mode="spill")
-        store = SharedPrefixStore(budget)
-        self._fill(store, count=3)
-        spill_dir = store._spill_dir
-        assert spill_dir is not None and os.path.isdir(spill_dir)
-        store.close()
-        assert not os.path.exists(spill_dir)
+        assert stats.entries == 2048 // (32 * 16)
+        assert stats.publishes == 1000
+        assert stats.drops == 1000 - stats.entries
 
 
 class TestCrossJobSharing:
@@ -173,14 +155,13 @@ class TestCrossJobSharing:
             == isolated.metrics.optimized_ops
         )
 
-    def test_sharing_survives_budget_pressure(self, tmp_path):
-        budget = CacheBudget(
-            max_bytes=8 * (2 ** 4) * 16, mode="spill", spill_dir=str(tmp_path)
-        )
-        store = SharedPrefixStore(budget)
+    def test_sharing_survives_budget_pressure(self):
+        state_bytes = 16 * 2 ** build_compiled_benchmark("qft4").num_qubits
+        store = SharedPrefixStore(max_bytes=8 * state_bytes)
         isolated = _run(name="qft4", trials=64)
         _run(name="qft4", trials=64, shared=store)
         second = _run(name="qft4", trials=64, shared=store)
+        assert store.stats().drops > 0
         assert second.counts == isolated.counts
         assert (
             second.metrics.optimized_ops + second.ops_shared

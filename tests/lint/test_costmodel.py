@@ -3,8 +3,8 @@
 The tentpole claim: a certificate predicts a run without executing it.
 So the central tests here compare certified numbers against real runs —
 op counts exactly equal on every committed benchmark, nominal memory
-peaks equal to the plan sanitizer's audit, budget degradation (spills,
-drops, recompute ops, resident peaks) equal to the runtime CacheStats.
+peaks equal to the plan sanitizer's audit, budget spilling (spills,
+spill loads, resident peaks) equal to the runtime CacheStats.
 """
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.sim.kernels import (
     kernel_cost,
 )
 from repro.testing import random_circuit, random_trials
+from tests.core.test_cache_budget import budgeted_run
 
 import json
 
@@ -114,50 +115,37 @@ class TestPlanAnalysis:
             analysis.peak_msv
         )
 
-    @pytest.mark.parametrize("mode", ["spill", "drop"])
-    def test_budget_predictions_match_runtime(
-        self, layered, trials, mode, tmp_path
-    ):
+    def test_budget_predictions_match_runtime(self, layered, trials, tmp_path):
         state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(
-            max_bytes=3 * state_bytes, mode=mode,
-            spill_dir=str(tmp_path) if mode == "spill" else None,
-        )
+        # Two resident states: below this plan's peak, so snapshots spill.
+        budget = CacheBudget(max_bytes=2 * state_bytes, spill_dir=str(tmp_path))
         plan = build_plan(layered, trials)
         compiled = CompiledCircuit(layered)
         analysis = analyze_plan(plan, layered, compiled=compiled, budget=budget)
-        outcome = run_optimized(
-            layered,
-            trials,
-            CompiledStatevectorBackend(layered, compiled=compiled),
-            plan=plan,
-            cache_budget=budget,
+        outcome = budgeted_run(
+            layered, trials, budget, plan=plan,
+            make_backend=lambda: CompiledStatevectorBackend(
+                layered, compiled=compiled
+            ),
         )
         stats = outcome.cache_stats
+        assert stats.spills > 0
         assert analysis.predicted_spills == stats.spills
         assert analysis.predicted_spill_loads == stats.spill_loads
-        assert analysis.predicted_drops == stats.drops
-        assert analysis.predicted_recomputes == stats.recomputes
         assert analysis.peak_resident_msv == stats.peak_resident_msv
         assert analysis.peak_resident_stored == stats.peak_resident_stored
-        if mode == "drop" and stats.recomputes:
-            assert analysis.predicted_recompute_ops > 0
-            degraded_total = analysis.ops + analysis.predicted_recompute_ops
-            assert degraded_total == outcome.ops_applied
+        assert analysis.ops == outcome.ops_applied
 
     def test_budgeted_run_stays_within_certified_timeline(
         self, layered, trials
     ):
         state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(max_bytes=3 * state_bytes, mode="drop")
+        budget = CacheBudget(max_bytes=3 * state_bytes)
         plan = build_plan(layered, trials)
         analysis = analyze_plan(plan, layered, budget=budget)
-        outcome = run_optimized(
-            layered,
-            trials,
-            StatevectorBackend(layered),
-            plan=plan,
-            cache_budget=budget,
+        outcome = budgeted_run(
+            layered, trials, budget, plan=plan,
+            make_backend=lambda: StatevectorBackend(layered),
         )
         certified_peak = max(point[3] for point in analysis.timeline)
         assert outcome.cache_stats.peak_resident_msv <= certified_peak
@@ -195,6 +183,12 @@ class TestCertificateSerialization:
             f"schema is 'repro-cert/1', expected {CERT_SCHEMA!r}"
         ]
 
+    def test_validate_refuses_the_previous_schema(self, certificate):
+        previous = dict(certificate, schema="repro-cert/4")
+        assert validate_certificate(previous) == [
+            f"schema is 'repro-cert/4', expected {CERT_SCHEMA!r}"
+        ]
+
     def test_validate_rejects_unknown_executor(self, certificate):
         broken = json.loads(json.dumps(certificate))
         broken["advice"]["executor"] = "turbo"
@@ -226,18 +220,15 @@ class TestAdvice:
             assert advice == {
                 "executor": pick(layered, trials).name,
                 "max_cache_bytes": None,
-                "cache_degrade": None,
             }, seed
 
     def test_budget_advises_dfs_with_that_budget(self):
         # bv14's default pick is the hybrid, which takes no budget.
         layered, trials = _setup("bv14", trials=256, seed=7)
         assert pick(layered, trials).name == "hybrid"
-        budget = CacheBudget(max_bytes=4096, mode="drop")
+        budget = CacheBudget(max_bytes=4096)
         advice = build_certificate(layered, trials, budget=budget)["advice"]
-        assert advice == {
-            "executor": "dfs", "max_cache_bytes": 4096, "cache_degrade": "drop",
-        }
+        assert advice == {"executor": "dfs", "max_cache_bytes": 4096}
 
 
 def _advise_certificate(name):

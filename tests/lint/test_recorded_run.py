@@ -85,7 +85,7 @@ SERIAL = [
     ("qft5", 128, {"mode": "baseline", "backend": "statevector-interpreted"}),
     ("bv14", 64, {"hybrid": True}),
     ("bv14", 64, {}),
-    ("qft5", 256, {"max_cache_bytes": 1100, "cache_degrade": "drop"}),
+    ("qft5", 256, {"max_cache_bytes": 1100}),
 ]
 
 

@@ -1,9 +1,9 @@
 """Tests for P020, P021 and P023: certificates checked against real
 execution traces.
 
-Faithful runs — serial, and budget-degraded in both spill and drop mode
-— must pass every rule; tampered certificates and mismatched runtime
-counters must fire the matching diagnostic.
+Faithful runs — serial, and spilling under a cache budget — must pass
+every rule; tampered certificates and mismatched runtime counters must
+fire the matching diagnostic.
 """
 
 import json
@@ -26,6 +26,7 @@ from repro.noise.sampling import sample_trials
 from repro.obs import InMemoryRecorder
 from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
 from repro.sim.counting import CountingBackend
+from tests.core.test_cache_budget import budgeted_run
 
 
 @pytest.fixture(scope="module")
@@ -56,26 +57,6 @@ class TestP020TraceConsistency:
             CompiledStatevectorBackend(layered, compiled=compiled),
             recorder=recorder,
         )
-        result = lint_certificate_trace(certificate, recorder)
-        assert result.ok, result.summary()
-
-    def test_drop_budget_trace_accounts_recomputes(self, setup):
-        layered, trials, compiled, _ = setup
-        state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(max_bytes=2 * state_bytes, mode="drop")
-        certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=7,
-            budget=budget, compiled=compiled,
-        )
-        recorder = InMemoryRecorder()
-        outcome = run_optimized(
-            layered,
-            trials,
-            CompiledStatevectorBackend(layered, compiled=compiled),
-            recorder=recorder,
-            cache_budget=budget,
-        )
-        assert outcome.cache_stats.recomputes > 0
         result = lint_certificate_trace(certificate, recorder)
         assert result.ok, result.summary()
 
@@ -128,33 +109,29 @@ class TestP021MemoryTimeline:
 
 
 class TestP023BudgetPrediction:
-    @pytest.mark.parametrize("mode", ["spill", "drop"])
-    def test_degradation_predicted_exactly(self, setup, mode, tmp_path):
+    def test_degradation_predicted_exactly(self, setup, tmp_path):
         layered, trials, compiled, _ = setup
         state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(
-            max_bytes=2 * state_bytes, mode=mode,
-            spill_dir=str(tmp_path) if mode == "spill" else None,
-        )
+        budget = CacheBudget(max_bytes=2 * state_bytes, spill_dir=str(tmp_path))
         certificate = build_certificate(
             layered, trials, benchmark="bv5", seed=7,
             budget=budget, compiled=compiled,
         )
-        outcome = run_optimized(
-            layered,
-            trials,
-            CompiledStatevectorBackend(layered, compiled=compiled),
-            cache_budget=budget,
+        outcome = budgeted_run(
+            layered, trials, budget,
+            make_backend=lambda: CompiledStatevectorBackend(
+                layered, compiled=compiled
+            ),
         )
         stats = outcome.cache_stats
-        assert stats.spills + stats.drops > 0
+        assert stats.spills > 0
         result = lint_budget_prediction(certificate, stats)
         assert result.ok, result.summary()
 
     def test_counter_mismatch_fires_p023(self, setup):
         layered, trials, compiled, _ = setup
         state_bytes = 16 * (1 << layered.num_qubits)
-        budget = CacheBudget(max_bytes=2 * state_bytes, mode="drop")
+        budget = CacheBudget(max_bytes=2 * state_bytes)
         certificate = build_certificate(
             layered, trials, benchmark="bv5", seed=7,
             budget=budget, compiled=compiled,

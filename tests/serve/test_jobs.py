@@ -368,6 +368,48 @@ class TestExecuteJob:
         assert delays == [0.05, 0.1]  # capped exponential backoff
         assert payload["counts"]
 
+    def test_budgeted_job_journals_the_unbudgeted_finishes(self, tmp_path):
+        """A served job with ``max_cache_bytes`` spills snapshots: its
+        journal holds the unbudgeted serial finishes bit for bit and passes
+        P019, and it applies exactly the plan's operations."""
+        from repro.core.cache import CacheBudget
+        from repro.core.executor import run_optimized
+        from repro.core.schedule import build_plan
+        from repro.lint import analyze_plan, lint_journal
+
+        sim = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=7
+        )
+        trials = sim.sample(256)
+        budget = 2 * 16 * 2 ** sim.layered.num_qubits
+        plan = build_plan(sim.layered, trials)
+        assert analyze_plan(
+            plan, sim.layered, budget=CacheBudget(max_bytes=budget)
+        ).predicted_spills > 0
+        reference = []
+        run_optimized(
+            sim.layered, trials, CompiledStatevectorBackend(sim.layered),
+            lambda state, indices: reference.append(
+                (np.array(state.vector, copy=True), indices)
+            ),
+        )
+        store = JobStore(str(tmp_path))
+        record = store.admit(
+            JobSpec.from_dict(_payload(trials=256, max_cache_bytes=budget))
+        )
+        payload = execute_job(record, store)
+        assert payload["ops_applied"] + payload["ops_shared"] == (
+            plan.planned_operations(sim.layered)
+        )
+        replay = load_journal(store.journal_path(record.job_id))
+        assert len(replay.finishes) == len(reference)
+        for (got, got_indices), (want, want_indices) in zip(
+            replay.finishes, reference
+        ):
+            assert got_indices == want_indices
+            assert np.array_equal(got, want)
+        assert lint_journal(replay, layered=sim.layered, trials=trials).ok
+
     def test_counting_job_runs_without_a_stream(self, tmp_path):
         store = JobStore(str(tmp_path))
         record = store.admit(JobSpec.from_dict(_payload(backend="counting")))

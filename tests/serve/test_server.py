@@ -36,6 +36,17 @@ class ServerHarness:
             self.loop.run_until_complete(self.server.serve_forever())
         except Exception as exc:  # pragma: no cover - surfaced in teardown
             self.error = exc
+        finally:
+            # Connection handlers still waiting on a client are cancelled
+            # here, on their own loop; collected later, their cleanup
+            # would run against a closed loop.
+            pending = asyncio.all_tasks(self.loop)
+            for task in pending:
+                task.cancel()
+            self.loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+            self.loop.close()
 
     def start(self):
         self.thread.start()
@@ -262,6 +273,39 @@ class TestCrossJobSharing:
             first["result"]["ops_applied"] + second["result"]["ops_applied"]
         )
         assert total < 2 * isolated.metrics.optimized_ops
+
+    def test_store_evicts_within_its_budget_and_writes_no_files(
+        self, tmp_path
+    ):
+        """Past its byte cap the shared store evicts least-recently-used
+        prefixes: its bytes and its index stay within the cap, every job
+        still returns its isolated result, and the daemon writes nothing
+        beside the jobs' own files."""
+        circuit = build_compiled_benchmark("bv4")
+        state_bytes = 16 * 2 ** circuit.num_qubits
+        cap = 4 * state_bytes
+        instance = ServerHarness(tmp_path / "state", shared_budget_bytes=cap)
+        client = instance.start()
+        try:
+            for seed in (1, 2, 3):
+                outcome = client.wait(
+                    client.submit(_spec(label=f"s{seed}", seed=seed))["job_id"]
+                )
+                isolated = NoisySimulator(
+                    circuit, ibm_yorktown(), seed=seed
+                ).run(num_trials=48)
+                assert outcome["result"]["counts"] == isolated.counts
+            shared = {}
+            for line in client.metrics_http().splitlines():
+                if line.startswith("repro_serve_shared{"):
+                    stat = line.split('stat="')[1].split('"')[0]
+                    shared[stat] = float(line.split()[-1])
+        finally:
+            instance.stop()
+        assert shared["resident_bytes"] <= cap
+        assert shared["entries"] * state_bytes <= cap
+        assert os.listdir(tmp_path / "state") == ["jobs"]
+        assert shared["drops"] > 0, "the jobs must overflow the budget"
 
 
 class TestShutdownAndRecovery:

@@ -18,13 +18,11 @@ from repro import NoisySimulator
 from repro.circuits import QuantumCircuit, gates, layerize
 from repro.circuits.circuit import GateOp
 from repro.circuits.layers import LayeredCircuit
-from repro.core.cache import CacheBudget
 from repro.core.events import ErrorEvent, make_trial
 from repro.core.executor import run_optimized
 from repro.core.hybrid import classify_plan, run_hybrid
 from repro.core.schedule import build_plan
 from repro.core.shared import SharedPrefixStore
-from repro.lint import analyze_plan
 from repro.noise import NoiseModel
 from repro.sim.backend import StatevectorBackend
 from repro.sim.compiled import (
@@ -271,28 +269,21 @@ class TestExecutorsMatchSerialDfs:
         circuit, model, narrow = case
         reference = self._run(circuit, model, hybrid=False)
         assert reference.executor == "dfs"
-        budget = 2 * 16 * (1 << circuit.num_qubits)
+        simulator = NoisySimulator(circuit, model, seed=self.SEED)
+        planned = build_plan(
+            simulator.layered, simulator.sample(self.TRIALS)
+        ).planned_operations(simulator.layered)
+        assert reference.metrics.optimized_ops == planned
         runs = {
             "journal": dict(journal=str(tmp_path / "run.journal")),
-            "spill": dict(max_cache_bytes=budget, cache_degrade="spill"),
-            "drop": dict(max_cache_bytes=budget, cache_degrade="drop"),
+            "spill": dict(max_cache_bytes=2 * 16 * (1 << circuit.num_qubits)),
             "hybrid": dict(hybrid=True),
         }
-        # A drop budget recomputes dropped snapshots: the certified count.
-        simulator = NoisySimulator(circuit, model, seed=self.SEED)
-        trials = simulator.sample(self.TRIALS)
-        recompute = analyze_plan(
-            build_plan(simulator.layered, trials),
-            simulator.layered,
-            budget=CacheBudget(max_bytes=budget, mode="drop"),
-        ).to_dict()["predicted"]["recompute_ops"]
-        assert recompute > 0
         for context, options in runs.items():
-            ops = reference.metrics.optimized_ops
-            self._assert_equal(
-                self._run(circuit, model, **options), reference, context,
-                ops=ops + recompute if context == "drop" else ops,
-            )
+            result = self._run(circuit, model, **options)
+            self._assert_equal(result, reference, context, ops=planned)
+            if context == "spill":
+                assert result.metrics.peak_msv > 2, "the budget must spill"
         store = SharedPrefixStore()
         for context in ("shared-publish", "shared-adopt"):
             self._assert_equal(
