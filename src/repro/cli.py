@@ -137,9 +137,7 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    records = run_scalability_experiment(
-        num_trials=args.trials, seed=args.seed, engine=args.engine
-    )
+    records = run_scalability_experiment(num_trials=args.trials, seed=args.seed)
     rows = fig7_rows(records)
     print(
         rows_to_table(
@@ -157,9 +155,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    records = run_scalability_experiment(
-        num_trials=args.trials, seed=args.seed, engine=args.engine
-    )
+    records = run_scalability_experiment(num_trials=args.trials, seed=args.seed)
     rows = fig8_rows(records)
     print(
         rows_to_table(
@@ -1018,11 +1014,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p7 = sub.add_parser("fig7", help="normalized computation, scalability")
     p7.add_argument("--trials", type=int, default=100_000)
-    p7.add_argument("--engine", choices=("packed", "object"), default="packed")
     p7.add_argument("--json", default=None)
     p8 = sub.add_parser("fig8", help="MSVs, scalability")
     p8.add_argument("--trials", type=int, default=100_000)
-    p8.add_argument("--engine", choices=("packed", "object"), default="packed")
     p8.add_argument("--json", default=None)
 
     pab = sub.add_parser("ablations", help="design-choice ablation table")
@@ -1195,8 +1189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     prun.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
         help="snapshot-cache byte budget for serial DFS and --journal "
-        "runs; coldest snapshots spill to disk and reload when the budget "
-        "is exceeded (results unchanged; not with --hybrid)",
+        "runs; coldest snapshots spill to disk before a snapshot would "
+        "exceed it, and reload on restore (results unchanged; not with "
+        "--hybrid)",
     )
     prun.add_argument(
         "--auto", action="store_true",

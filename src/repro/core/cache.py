@@ -18,8 +18,11 @@ Two peaks are tracked:
 Memory-budgeted spilling
 ------------------------
 With a :class:`CacheBudget` attached, the executor keeps the *resident*
-(in-RAM) footprint under ``max_bytes`` by **spilling** the coldest stored
-snapshot to disk whenever a store pushes the cache over budget; the
+(in-RAM) footprint within ``max(1, max_bytes // state_bytes)`` states.
+Before a snapshot is copied it **spills** the coldest stored snapshots
+to disk until the copy fits beside the working state; when the working
+state alone fills the budget, the snapshot is written straight from the
+working state to its spill file and the cache stores the stub.  The
 amplitudes are reloaded, checksum-verified, on restore.  Spilling trades
 disk I/O for memory, never operations, and never changes results: the
 plan restores every snapshot it stores, so a snapshot dropped instead
@@ -70,10 +73,13 @@ def payload_checksum(array: Any) -> int:
 class CacheBudget(NamedTuple):
     """Byte budget for resident (working + stored) statevectors.
 
-    When the budget is exceeded the coldest snapshot's amplitudes are
-    written to a CRC-checked file in ``spill_dir`` (a temporary directory
-    when ``None``) and reloaded on restore.  The working state is never
-    spilled, so the effective floor is one statevector.
+    At most ``max(1, max_bytes // state_bytes)`` states stay resident.
+    A snapshot that would not fit first sends the coldest resident
+    snapshots to CRC-checked files in ``spill_dir`` (a temporary
+    directory when ``None``); with none left to spill it goes to its own
+    file straight from the working state.  Spilled snapshots are
+    reloaded on restore.  The working state itself is never spilled, so
+    the floor is one statevector.
     """
 
     max_bytes: int
@@ -148,7 +154,8 @@ class StateCache:
 
     The cache itself never does I/O; it tracks which slots are resident
     vs. spilled (stub entries) and accounts both views.  The executor
-    performs the actual spill and load.
+    performs the actual spill and load, and names every slot: slot ids
+    are the plan's ``Snapshot.slot``.
     """
 
     def __init__(
@@ -158,7 +165,6 @@ class StateCache:
         state_bytes: int = 0,
     ) -> None:
         self._slots: Dict[int, Tuple[Any, int]] = {}
-        self._next_slot = 0
         self._working_live = 0
         self._resident_stored = 0
         self._peak_msv = 0
@@ -201,28 +207,23 @@ class StateCache:
 
     # -- snapshot slots -----------------------------------------------------------
 
-    def store(self, state: Any, layer: int, slot: Optional[int] = None) -> int:
-        """Store a snapshot (a state advanced to ``layer``); returns its slot.
+    def store(self, state: Any, layer: int, slot: int) -> None:
+        """Store a snapshot (a state advanced to ``layer``) in ``slot``.
 
-        With ``slot`` given, the snapshot is stored under exactly that id —
-        the executor passes the plan's ``Snapshot.slot`` so cache ids and
-        plan ids can never drift apart.  Storing into an occupied slot
-        raises; auto-assignment (``slot=None``) keeps handing out fresh ids.
+        ``slot`` is the plan's ``Snapshot.slot``; storing into an occupied
+        slot raises.  A :class:`SpilledSnapshot` stub (a snapshot written
+        straight to disk) counts as a spill, not as a resident state.
         """
-        if slot is None:
-            slot = self._next_slot
-            self._next_slot += 1
-        else:
-            slot = int(slot)
-            if slot in self._slots:
-                raise RuntimeError(f"cache slot {slot} is already occupied")
-            self._next_slot = max(self._next_slot, slot + 1)
+        if slot in self._slots:
+            raise RuntimeError(f"cache slot {slot} is already occupied")
         self._slots[slot] = (state, layer)
-        self._resident_stored += 1
+        if isinstance(state, SpilledSnapshot):
+            self._spills += 1
+        else:
+            self._resident_stored += 1
         self._snapshots_taken += 1
         self._update_peaks()
         self._sample()
-        return slot
 
     def take(self, slot: int) -> Tuple[Any, int]:
         """Remove and return ``(state, layer)`` — the slot's last use.
@@ -250,13 +251,12 @@ class StateCache:
     # -- budgeted spilling ----------------------------------------------------------
 
     @property
-    def over_budget(self) -> bool:
-        """Whether a resident snapshot must be spilled to meet the budget."""
+    def full(self) -> bool:
+        """Whether one more resident state would exceed the budget."""
         return (
             self.budget is not None
             and self.state_bytes > 0
-            and self._resident_stored > 0
-            and self.num_resident * self.state_bytes > self.budget.max_bytes
+            and (self.num_resident + 1) * self.state_bytes > self.budget.max_bytes
         )
 
     def coldest_resident_slot(self) -> Optional[int]:
@@ -272,18 +272,14 @@ class StateCache:
         ]
         return min(resident) if resident else None
 
-    def mark_spilled(self, slot: int, path: str, checksum: int) -> Tuple[Any, int]:
-        """Replace a resident slot with a :class:`SpilledSnapshot` stub.
-
-        Returns the evicted ``(state, layer)`` so the executor can release
-        it (the amplitudes must already be safely on disk).
-        """
-        state, layer = self.peek(slot)
-        self._slots[slot] = (SpilledSnapshot(path, checksum), layer)
+    def mark_spilled(self, slot: int, stub: SpilledSnapshot) -> None:
+        """Replace a resident slot with its :class:`SpilledSnapshot` stub
+        (the amplitudes must already be safely on disk)."""
+        _, layer = self.peek(slot)
+        self._slots[slot] = (stub, layer)
         self._resident_stored -= 1
         self._spills += 1
         self._sample()
-        return state, layer
 
     def note_spill_load(self) -> None:
         self._spill_loads += 1

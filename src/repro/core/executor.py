@@ -31,9 +31,11 @@ path is unchanged.
 
 Memory-budgeted spilling
 ------------------------
-``run_optimized`` accepts a :class:`~repro.core.cache.CacheBudget`: after
-every snapshot store the executor spills the coldest resident snapshot to
-disk until the resident footprint fits.  Results and operation counts are
+``run_optimized`` accepts a :class:`~repro.core.cache.CacheBudget`: before
+a snapshot is copied the executor spills the coldest resident snapshots
+to disk until the copy fits beside the working state, and when the
+working state alone fills the budget it writes the snapshot straight to
+disk instead of copying it.  Results and operation counts are
 unchanged — spilled amplitudes are checksum-verified on reload.
 The nominal peak-MSV accounting deliberately ignores spilling (it
 mirrors the plan's demand and lint's static bound); the actually-resident
@@ -270,7 +272,7 @@ class _DenseStates:
     It also owns what the serial executor keeps beside the walk:
     cross-job prefix adoption and publication through a
     :class:`~repro.core.shared.SharedPrefixStore`, and cache-budget
-    spilling (after a store, with the reload on restore).
+    spilling (before a snapshot copies, with the reload on restore).
     The hybrid model (:mod:`repro.core.hybrid`) extends it with a
     symbolic side.
     """
@@ -352,18 +354,18 @@ class _DenseStates:
         if self.shared is not None:
             self.steps = self.steps + (inject_step(event),)
 
-    def snapshot(self, index: int, moved: bool):
-        """The state to store: the working state itself when ``moved``."""
-        return self.working if moved else self.backend.copy_state(self.working)
-
-    def stored(self, slot: int, state, layer: int) -> None:
+    def snapshot(self, index: int, slot: int, layer: int):
+        """The state to store in ``slot``: a copy of the working state,
+        made once the budget has room for it, or the stub of a spill file
+        written from the working state when it alone fills the budget."""
         if self.shared is not None:
-            # Publish before budget enforcement can spill this very
-            # snapshot out from under us.
+            # The working state holds the snapshot's bits: publish it
+            # before the budget can send the snapshot to disk.
             self.slot_steps[slot] = self.steps
-            self._publish(state)
-        if self.budget is not None:
-            self._enforce_budget()
+            self._publish(self.working)
+        if self.budget is not None and self._make_room():
+            return self._spill(self.working, slot, layer)
+        return self.backend.copy_state(self.working)
 
     def restore(self, slot: int, entry, layer: int) -> None:
         if self.budget is not None:
@@ -372,46 +374,52 @@ class _DenseStates:
             self.steps = self.slot_steps.pop(slot)
         self.working = entry
 
-    def finish(self, index: int, borrowed: bool, deliver: bool):
+    def finish(self, index: int, deliver: bool):
+        """The working state itself, lent to ``on_finish``."""
         if self.shared is not None:
             # Publish the leaf state too: an identical concurrent job then
             # skips even its final segments.
             self._publish(self.working)
-        if not deliver:
-            return None
-        if borrowed:
-            return self.backend.finish_view(self.working)
-        return self.backend.finish(self.working)
+        return self.backend.finish(self.working) if deliver else None
 
     def release(self) -> None:
         self.backend.release_state(self.working)
+        # Drop the buffer too: a Restore may reload a spilled snapshot next.
+        self.working = None
 
     def close(self) -> None:
         if self.spill_area is not None:
             self.spill_area.cleanup()
 
-    def _enforce_budget(self) -> None:
-        """Spill coldest resident snapshots until the budget is met."""
-        cache, backend, recorder = self.cache, self.backend, self.recorder
-        while cache.over_budget:
+    def _make_room(self) -> bool:
+        """Spill the coldest resident snapshots until one more state fits
+        beside the working state; true when it does not fit even with
+        every snapshot spilled."""
+        cache = self.cache
+        while cache.full:
             slot = cache.coldest_resident_slot()
-            if slot is None:  # pragma: no cover - over_budget implies resident
-                break
+            if slot is None:
+                return True
             state, layer = cache.peek(slot)
-            vector = getattr(state, "vector", None)
-            if vector is None:
-                raise ScheduleError(
-                    "cache budgets require a statevector-family backend "
-                    "(snapshot states must expose .vector)"
-                )
-            path = self.spill_area.allocate(slot, layer)
-            flat = np.ascontiguousarray(vector)
-            flat.tofile(path)
-            cache.mark_spilled(slot, path, payload_checksum(flat))
-            backend.release_state(state)
-            if recorder:
-                recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
-                recorder.counter("cache.spill", 1)
+            cache.mark_spilled(slot, self._spill(state, slot, layer))
+            self.backend.release_state(state)
+        return False
+
+    def _spill(self, state, slot: int, layer: int) -> SpilledSnapshot:
+        """Write ``state``'s amplitudes to a CRC-checked spill file."""
+        vector = getattr(state, "vector", None)
+        if vector is None:
+            raise ScheduleError(
+                "cache budgets require a statevector-family backend "
+                "(snapshot states must expose .vector)"
+            )
+        path = self.spill_area.allocate(slot, layer)
+        flat = np.ascontiguousarray(vector)
+        flat.tofile(path)
+        if self.recorder:
+            self.recorder.instant("cache.spill", cat="cache", slot=slot, layer=layer)
+            self.recorder.counter("cache.spill", 1)
+        return SpilledSnapshot(path, payload_checksum(flat))
 
     def _rehydrate(self, slot: int, entry, layer: int):
         """A restored slot's state: reload a spilled stub, or the resident
@@ -448,29 +456,30 @@ def _interpret(
 
     The one runtime walk behind :func:`run_optimized` and
     :func:`~repro.core.hybrid.run_hybrid`.  The loop owns what the
-    instructions mean: layer checks, ``cache`` accounting, the
-    moved-snapshot and borrowed-finish peepholes, trace events, ``stop``
-    polling, and delivery of each ``Finish`` payload to ``on_finish``.
-    The model owns what a state is (:class:`_DenseStates`, or the hybrid
-    model of :mod:`repro.core.hybrid`).  Returns the number of finishes;
-    the cache is drained on return.
+    instructions mean: layer checks, ``cache`` accounting, trace events,
+    ``stop`` polling, and delivery of each ``Finish`` payload to
+    ``on_finish``.  It also holds the one ownership rule for state
+    buffers: a ``Snapshot`` stores a copy of the working state in the
+    slot the plan names, made once the budget has room for it, and a
+    ``Finish`` lends the working state itself to ``on_finish``, which
+    copies what it keeps past the call.  The model owns what a state is
+    (:class:`_DenseStates`, or the hybrid model of
+    :mod:`repro.core.hybrid`).  Returns the number of finishes; the
+    cache is drained on return.
     """
     num_layers = layered.num_layers
-    total = len(instructions)
     # Bound methods live in locals: kept on the model, they would form a
     # reference cycle holding its backend until the collector runs.
     probe = model._fetch_shared if model.shared is not None else None
     advance, inject = model.advance, model.inject
     cache.working_created()
     working_layer = 0
-    moved = False  # the last Snapshot moved the working state into the cache
     finish_calls = 0
     trials_done = 0
     try:
         for index, instr in enumerate(instructions):
             if stop is not None and stop.is_set():
-                if not moved:
-                    model.release()
+                model.release()
                 raise RunInterrupted(
                     f"{name} run interrupted by stop request",
                     trials_completed=trials_done,
@@ -496,36 +505,23 @@ def _interpret(
                 else:
                     advance(index, instr)
             elif isinstance(instr, Snapshot):
-                # Move peephole: when the very next instruction is a Restore,
-                # the working state is dropped in the same plan step — the
-                # stored snapshot can steal it instead of copying.  Cache
-                # accounting is unchanged (it mirrors the plan's nominal
-                # demand, keeping the static peak-MSV cross-check exact); only
-                # the allocation and memcpy are skipped.
-                moved = index + 1 < total and isinstance(
-                    instructions[index + 1], Restore
-                )
-                state = model.snapshot(index, moved)
+                # No local keeps the snapshot: once it is spilled, its
+                # buffer must be gone before the next copy is made.
                 try:
-                    assigned = cache.store(state, working_layer, slot=instr.slot)
+                    cache.store(
+                        model.snapshot(index, instr.slot, working_layer),
+                        working_layer,
+                        instr.slot,
+                    )
                 except RuntimeError as exc:
                     raise ScheduleError(str(exc)) from exc
-                if assigned != instr.slot:
-                    raise ScheduleError(
-                        f"cache stored snapshot in slot {assigned}, plan "
-                        f"expected slot {instr.slot}"
-                    )
                 if recorder:
                     recorder.instant(
                         "cache.store",
                         cat="cache",
-                        slot=assigned,
+                        slot=instr.slot,
                         layer=working_layer,
-                        moved=moved,
                     )
-                    if moved:
-                        recorder.counter("cache.store.moved", 1)
-                model.stored(assigned, state, working_layer)
             elif isinstance(instr, Inject):
                 event = instr.event
                 if event.layer + 1 != working_layer:
@@ -543,11 +539,7 @@ def _interpret(
                     )
                     recorder.counter("ops.applied", 1)
             elif isinstance(instr, Restore):
-                # A moved working state lives on inside the cache: there is
-                # nothing to release.
-                if not moved:
-                    model.release()
-                moved = False
+                model.release()
                 cache.working_destroyed()
                 entry, working_layer = cache.take(instr.slot)
                 model.restore(instr.slot, entry, working_layer)
@@ -567,29 +559,19 @@ def _interpret(
                         f"{num_layers} layers"
                     )
                 finish_calls += 1
-                # Borrow peephole: the planner always drops the working state
-                # right after a Finish (next instruction is a Restore, or the
-                # plan ends), so the payload can borrow it instead of copying.
-                # Guarded on the actual plan shape so hand-built plans that
-                # keep using the state still get an independent copy.
-                borrowed = index + 1 >= total or isinstance(
-                    instructions[index + 1], Restore
-                )
-                payload = model.finish(index, borrowed, on_finish is not None)
+                # No local keeps the lent state either: the Restore that
+                # follows may reload a spilled snapshot.
                 if on_finish is not None:
-                    on_finish(payload, instr.trial_indices)
+                    on_finish(model.finish(index, True), instr.trial_indices)
+                else:
+                    model.finish(index, False)
                 if recorder:
                     recorder.instant(
-                        "finish",
-                        cat="exec",
-                        trials=len(instr.trial_indices),
-                        moved=borrowed,
+                        "finish", cat="exec", trials=len(instr.trial_indices)
                     )
                     recorder.counter(
                         "trials.finished", len(instr.trial_indices)
                     )
-                    if borrowed:
-                        recorder.counter("finish.moved", 1)
                 trials_done += len(instr.trial_indices)
             else:  # pragma: no cover - exhaustive over instruction kinds
                 raise ScheduleError(f"unknown plan instruction {instr!r}")
@@ -635,14 +617,10 @@ def run_optimized(
         otherwise.
     on_finish:
         Streaming consumer of final states.  Receives the backend's
-        ``finish`` payload (a statevector for the statevector backend,
+        ``finish`` payload (the working statevector or tableau itself,
         ``None`` for the counting backend) and the tuple of original trial
-        indices sharing that state.  When the working state is dropped
-        right after a ``Finish`` (next instruction is a ``Restore``, or the
-        plan ends — true for every ``Finish`` the planner emits) the
-        payload *borrows* the working state via ``backend.finish_view``
-        instead of copying it; callbacks that retain payloads past the
-        call must copy them.
+        indices sharing that state.  The payload is lent for the call: a
+        callback that keeps it past the call must copy it.
     check:
         Run the static plan sanitizer (:func:`repro.lint.sanitize_plan`)
         before touching the backend: slot discipline, layer alignment and
@@ -654,11 +632,14 @@ def run_optimized(
         cost one truthiness check per plan instruction and nothing else.
     cache_budget:
         Optional :class:`~repro.core.cache.CacheBudget` capping the
-        resident statevector bytes; the coldest snapshots beyond the
-        budget are spilled to CRC-checked files and reloaded on restore
-        (statevector-family backends only).  Results, ``ops_applied`` and
-        nominal peak-MSV accounting are unchanged; ``CacheStats`` reports
-        the spill counters and the resident peaks.
+        resident statevector bytes at ``max(1, max_bytes // state_bytes)``
+        states: before a snapshot is copied the coldest snapshots are
+        spilled to CRC-checked files until the copy fits, and a snapshot
+        that cannot fit beside the working state goes to its file
+        straight from the working state.  Spilled snapshots are reloaded
+        on restore (statevector-family backends only).  Results,
+        ``ops_applied`` and nominal peak-MSV accounting are unchanged;
+        ``CacheStats`` reports the spill counters and the resident peaks.
     shared:
         Optional cross-job :class:`~repro.core.shared.SharedPrefixStore`.
         Before each ``Advance`` the executor probes the store with the
@@ -728,7 +709,8 @@ def run_baseline(
 
     This is the widely adopted straightforward Monte-Carlo strategy: one
     full circuit pass per trial, errors injected inline, only the final
-    result kept.  ``on_finish`` is called once per trial.  With a
+    result kept.  ``on_finish`` is called once per trial, lent the
+    trial's final state as :func:`run_optimized` lends it.  With a
     ``recorder`` attached each trial becomes one contiguous span (the
     baseline is the one strategy where trials are not interleaved).
     """

@@ -505,15 +505,15 @@ class _HybridStates(_DenseStates):
             super().inject(index, event)
             self.dense_ops += 1
 
-    def snapshot(self, index: int, moved: bool):
+    def snapshot(self, index: int, slot: int, layer: int):
         if self.actions[index][0] == "snapshot-sym":
             return self.working  # a path is immutable: nothing to copy
-        return super().snapshot(index, moved)
+        return super().snapshot(index, slot, layer)
 
-    def finish(self, index: int, borrowed: bool, deliver: bool):
+    def finish(self, index: int, deliver: bool):
         action = self.actions[index]
         if action[0] != "finish-sym":
-            return super().finish(index, borrowed, deliver)
+            return super().finish(index, deliver)
         if deliver:
             return self._payload(action, "finish")
         self.anchors.release(action[1])

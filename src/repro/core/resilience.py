@@ -132,7 +132,7 @@ class RunJournal:
     one is :data:`GROUP_SECONDS` old, and on :meth:`close`, so an OS
     crash loses at most the open group.  Either way a crash leaves
     committed records plus a detectably truncated tail, never a silently
-    wrong one.  ``fsync=False`` never syncs (tests, throwaway runs).
+    wrong one.
     """
 
     #: The clock that ages the open group (a test may hold it still).
@@ -144,14 +144,12 @@ class RunJournal:
         num_qubits: int,
         num_trials: int,
         fingerprint: int,
-        fsync: bool = True,
         _resume_seq: Optional[int] = None,
     ) -> None:
         self.path = os.fspath(path)
         self.num_qubits = num_qubits
         self.num_trials = num_trials
         self.fingerprint = fingerprint
-        self.fsync = fsync
         self.next_seq = 0
         # Records written since the last fsync, and when the first was.
         self._pending = 0
@@ -178,20 +176,16 @@ class RunJournal:
         path: str,
         layered: LayeredCircuit,
         trials: Sequence[Trial],
-        fsync: bool = True,
     ) -> "RunJournal":
         return cls(
             path,
             layered.num_qubits,
             len(trials),
             journal_fingerprint(layered, trials),
-            fsync=fsync,
         )
 
     @classmethod
-    def resume(
-        cls, path: str, replay: "JournalReplay", fsync: bool = True
-    ) -> "RunJournal":
+    def resume(cls, path: str, replay: "JournalReplay") -> "RunJournal":
         """Reopen an existing journal for appending after ``replay``.
 
         The file is truncated to the end of the last committed record
@@ -202,7 +196,6 @@ class RunJournal:
             replay.num_qubits,
             replay.num_trials,
             replay.fingerprint,
-            fsync=fsync,
             _resume_seq=len(replay.finishes),
         )
         journal._file.seek(replay.committed_bytes)
@@ -210,8 +203,7 @@ class RunJournal:
         return journal
 
     def _sync(self) -> None:
-        if self.fsync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
         self._pending = 0
 
     def record(self, payload: Any, trial_indices: Sequence[int]) -> None:
@@ -395,7 +387,6 @@ def run_journaled(
     backend_factory: Callable[[], Any],
     on_finish: Optional[FinishCallback],
     journal_path: str,
-    fsync: bool = True,
     **options: Any,
 ) -> Tuple[ExecutionOutcome, JournalSummary]:
     """Execute ``trials`` with a crash-safe journal, resuming if one exists.
@@ -446,7 +437,7 @@ def run_journaled(
                 trials=len(replay.completed_trials),
                 truncated=replay.truncated,
             )
-        journal = RunJournal.resume(journal_path, replay, fsync=fsync)
+        journal = RunJournal.resume(journal_path, replay)
         if on_finish is not None:
             for vector, indices in replay.finishes:
                 on_finish(Statevector.from_buffer(vector, num_qubits), indices)
@@ -455,7 +446,7 @@ def run_journaled(
         completed = replay.completed_trials
         remaining = [i for i in range(len(trials)) if i not in completed]
     else:
-        journal = RunJournal.create(journal_path, layered, trials, fsync=fsync)
+        journal = RunJournal.create(journal_path, layered, trials)
         remaining = list(range(len(trials)))
 
     try:

@@ -153,18 +153,18 @@ class SharedPrefixStore:
 
         Returns ``False`` (and refreshes the entry's LRU position) when the
         key is already present — concurrent identical jobs publish the
-        same bytes, there is nothing to add.  Publication may evict
-        *other* entries to meet ``max_bytes``; the newly published entry
-        is stored on return.
+        same bytes, there is nothing to add, and ``vector`` is not read.
+        Publication may evict *other* entries to meet ``max_bytes``; the
+        newly published entry is stored on return.
         """
         key = (int(fingerprint), tuple(steps))
-        data = np.ascontiguousarray(
-            np.asarray(vector, dtype=np.complex128)
-        ).tobytes()
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return False
+            data = np.ascontiguousarray(
+                np.asarray(vector, dtype=np.complex128)
+            ).tobytes()
             self._entries[key] = data
             self._resident_bytes += len(data)
             self._publishes += 1

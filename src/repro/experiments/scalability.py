@@ -3,19 +3,16 @@
 Quantum Volume circuits from 10 to 40 qubits (depth 5-20) under the four
 artificial error models (single-qubit rate 1e-3 .. 1e-4, two-qubit and
 measurement 10x).  The default trial count is laptop-sized (10^5); pass
-``num_trials=1_000_000`` to match the paper exactly — feasible thanks to
-the packed engine (below), though the largest configurations then take
-minutes each.
+``num_trials=1_000_000`` to match the paper exactly, though the largest
+configurations then take minutes each.
 
-Two engines compute the identical metrics (property-tested equal):
-
-* ``engine="packed"`` (default) — byte-packed trials and a streaming cost
-  pass (:mod:`repro.core.packed`).  This is what makes 10^6 trials on
-  n40,d20 fit in laptop memory.
-* ``engine="object"`` — the regular Trial/trie/plan pipeline on the
-  counting backend; clearer, heavier.
-
-Neither allocates a 2**40-amplitude statevector: the paper's metric
+The sweep runs on the packed engine (:mod:`repro.core.packed`):
+byte-packed trials and a streaming cost pass, which is what makes 10^6
+trials on n40,d20 fit in laptop memory.  It computes the same metrics as
+the Trial/trie/plan pipeline on the counting backend, which
+:meth:`~repro.core.runner.NoisySimulator.analyze` runs
+(``tests/core/test_packed.py::TestAnalysisParity`` holds the two equal),
+and never allocates a 2**40-amplitude statevector: the paper's metric
 depends only on the schedule (see :mod:`repro.sim.counting`).
 """
 
@@ -28,7 +25,6 @@ import numpy as np
 from ..bench.qv import QV_SCALABILITY_SIZES, quantum_volume
 from ..circuits.layers import layerize
 from ..core.packed import analyze_packed_trials, sample_packed_trials
-from ..core.runner import NoisySimulator
 from ..noise.devices import ARTIFICIAL_ERROR_LEVELS, artificial_model
 
 __all__ = [
@@ -89,24 +85,16 @@ def run_scalability_experiment(
     error_levels: Sequence[float] = ARTIFICIAL_ERROR_LEVELS,
     num_trials: int = 100_000,
     seed: int = 2020,
-    engine: str = "packed",
 ) -> List[ScalabilityRecord]:
     """Run the Fig. 7 / Fig. 8 sweep (metrics only, no amplitudes)."""
-    if engine not in ("packed", "object"):
-        raise ValueError(f"unknown engine {engine!r}")
     records: List[ScalabilityRecord] = []
     for num_qubits, depth in sizes:
-        circuit = quantum_volume(num_qubits, depth, seed=seed)
+        layered = layerize(quantum_volume(num_qubits, depth, seed=seed))
         for single_rate in error_levels:
             model = artificial_model(single_rate)
-            if engine == "packed":
-                layered = layerize(circuit)
-                rng = np.random.default_rng(seed)
-                packed = sample_packed_trials(layered, model, num_trials, rng)
-                metrics = analyze_packed_trials(layered, packed)
-            else:
-                simulator = NoisySimulator(circuit, model, seed=seed)
-                metrics = simulator.analyze(num_trials)
+            rng = np.random.default_rng(seed)
+            packed = sample_packed_trials(layered, model, num_trials, rng)
+            metrics = analyze_packed_trials(layered, packed)
             records.append(
                 ScalabilityRecord(
                     num_qubits=num_qubits,

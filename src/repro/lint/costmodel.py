@@ -19,7 +19,7 @@ amplitude is touched.  This module computes them:
     mirrors :class:`~repro.core.cache.StateCache` accounting exactly,
     including predicted spill and spill-load events under any
     :class:`~repro.core.cache.CacheBudget` (the mirror replays the
-    executor's enforce-after-store / coldest-slot-first policy).
+    executor's make-room-before-copy / coldest-slot-first policy).
 
 :func:`build_certificate`
     Bundles the plan analysis, the predicted spilling under a cache
@@ -202,7 +202,7 @@ def analyze_plan(
     will use to share segment compilations.  ``budget`` predicts the
     executor's spilling under the same
     :class:`~repro.core.cache.CacheBudget`, mirroring its
-    enforce-after-store, coldest-slot-first policy (statevector states
+    make-room-before-copy, coldest-slot-first policy (statevector states
     assumed: ``state_bytes = 16 * 2**n``).  The fold keeps only each
     stored snapshot's residency, keyed by the slot the walk reports.
     """
@@ -262,26 +262,31 @@ def analyze_plan(
                     f"cost analysis of an invalid plan: slot {instr.slot} "
                     "snapshotted while occupied (run sanitize_plan first)"
                 )
-            residency[instr.slot] = True
-            resident_stored += 1
-            analysis.snapshots_taken += 1
-            resident_peaks()
-            sample(index, step.live, step.stored)
+            # Mirror _DenseStates.snapshot: while one more state would not
+            # fit beside the working state (+1), spill the coldest (lowest
+            # id) resident snapshot; with none left, the new snapshot goes
+            # straight to disk.
+            direct = False
             if budget is not None:
-                # Mirror _enforce_budget: spill the coldest (lowest id)
-                # resident slot while the resident footprint exceeds the
-                # budget.  The working state is live throughout (+1).
-                while (
-                    resident_stored > 0
-                    and (resident_stored + 1) * state_bytes > budget.max_bytes
-                ):
+                while (resident_stored + 2) * state_bytes > budget.max_bytes:
+                    if not resident_stored:
+                        direct = True
+                        break
                     coldest = min(
                         slot for slot, resident in residency.items() if resident
                     )
                     residency[coldest] = False
                     analysis.predicted_spills += 1
                     resident_stored -= 1
-                    sample(index, step.live, step.stored)
+                    sample(index, step.live - 1, step.stored - 1)
+            residency[instr.slot] = not direct
+            if direct:
+                analysis.predicted_spills += 1
+            else:
+                resident_stored += 1
+            analysis.snapshots_taken += 1
+            resident_peaks()
+            sample(index, step.live, step.stored)
         elif isinstance(instr, Inject):
             analysis.injects += 1
             analysis.inject_flops += flops

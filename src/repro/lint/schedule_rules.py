@@ -74,8 +74,10 @@ register(
     "Predicted cache-budget spilling diverges from the runtime "
     "counters.",
     explanation="Under a CacheBudget the executor spills the coldest "
-    "resident snapshot after each store; the certificate predicts every "
-    "such event symbolically.  P023 compares predicted spill and "
+    "resident snapshots before a snapshot is copied, until the copy fits "
+    "beside the working state, and writes the snapshot itself to disk "
+    "when the working state alone fills the budget; the certificate "
+    "predicts every such event symbolically.  P023 compares predicted spill and "
     "spill-load counts against the runtime CacheStats counters, and the "
     "runtime resident peak against its certified bound — equality proves "
     "the analyzer replays the executor's spill policy exactly, which is "
@@ -287,7 +289,7 @@ def lint_budget_prediction(
                 f"{got}",
                 location=name,
                 hint="the analyzer's budget mirror no longer replays the "
-                "executor's enforce-after-store policy",
+                "executor's make-room-before-copy policy",
                 config=config,
             )
 

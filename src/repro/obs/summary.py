@@ -26,6 +26,8 @@ name                   ph    cat       emitted by
 ``finish``             i     exec      executor, per ``Finish``
 ``cache.store``        i     cache     executor, per ``Snapshot``
 ``cache.hit``          i     cache     executor, per ``Restore`` (drop-on-use)
+``cache.spill``        i+C   cache     executor, per snapshot spilled under a budget
+``cache.spill.load``   i+C   cache     executor, per spilled snapshot reloaded
 ``shared.hit``         i     shared    executor, per cross-job store hit
 ``shared.publish``     C     counter   executor, per state published to the store
 ``ops.shared``         C     counter   executor, gates skipped via shared hits
@@ -39,6 +41,7 @@ name                   ph    cat       emitted by
 ``scratch.swaps``      C     counter   compiled backend, ping-pong buffer swaps
 ``msv.live``           C     gauge     state cache, sampled at every cache event
 ``msv.stored``         C     gauge     state cache, stored snapshots only
+``msv.resident``       C     gauge     state cache under a budget, in-RAM states
 ``run.host``           i     run       runner, once after the run (cpu, rss)
 =====================  ====  ========  ==========================================
 """

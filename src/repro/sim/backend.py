@@ -82,21 +82,13 @@ class SimulationBackend(abc.ABC):
 
     @abc.abstractmethod
     def finish(self, state: Any) -> Any:
-        """Produce the per-trial payload from a state at the final layer."""
+        """The per-trial payload of a state at the final layer.
 
-    def finish_view(self, state: Any) -> Any:
-        """Like :meth:`finish`, but the payload may *borrow* ``state``.
-
-        The executor calls this instead of :meth:`finish` when the working
-        state is dropped immediately after the ``Finish`` instruction (the
-        next instruction is a ``Restore``, or the plan ends) — the state
-        will never be mutated again, so a defensive copy buys nothing.
-        The payload is only guaranteed stable for backends that never
-        recycle a released state's buffer; both statevector backends
-        satisfy that (release is accounting-only).  Default: fall back to
-        the copying :meth:`finish`.
+        The executors lend the payload to ``on_finish`` for the length of
+        the call: it may be ``state`` itself, which the executor goes on
+        to release or advance, so a callback that keeps it past the call
+        copies it.
         """
-        return self.finish(state)
 
     def sample_clbits(
         self, payload: Any, measurements: Sequence[Any], rng: np.random.Generator
@@ -151,19 +143,7 @@ class StatevectorBackend(SimulationBackend):
         self.ops_applied += 1
 
     def finish(self, state: Statevector) -> Statevector:
-        """Return the trial's final statevector (caller owns the copy)."""
-        return state.copy()
-
-    def finish_view(self, state: Statevector) -> Statevector:
-        """The final state itself, uncopied.
-
-        Sound because ``release_state`` is accounting-only and the
-        compiled backend's scratch buffer is never a live state's tensor:
-        once the executor stops touching this state object, its amplitudes
-        are immutable.  Callbacks that retain the payload past the
-        ``on_finish`` call must copy it (the runner and the perf harness
-        both do).
-        """
+        """The final state itself, lent (see :meth:`SimulationBackend.finish`)."""
         return state
 
     def sample_clbits(

@@ -829,10 +829,7 @@ class StabilizerBackend(SimulationBackend):
         self.ops_applied += 1
 
     def finish(self, state: StabilizerState) -> StabilizerState:
-        return state.copy()
-
-    def finish_view(self, state: StabilizerState) -> StabilizerState:
-        """Payload without copying; caller must release ``state`` after."""
+        """The final tableau itself, lent to ``on_finish``."""
         return state
 
     def sample_clbits(

@@ -3,80 +3,63 @@
 import pytest
 
 from repro.core import StateCache
+from repro.core.cache import CacheBudget, SpilledSnapshot
 
 
 class TestSlots:
     def test_store_take_roundtrip(self):
         cache = StateCache()
-        slot = cache.store("state-a", 3)
-        assert cache.peek(slot) == ("state-a", 3)
-        assert cache.take(slot) == ("state-a", 3)
+        cache.store("state-a", 3, 0)
+        assert cache.peek(0) == ("state-a", 3)
+        assert cache.take(0) == ("state-a", 3)
 
     def test_take_twice_fails(self):
         cache = StateCache()
-        slot = cache.store("x", 0)
-        cache.take(slot)
+        cache.store("x", 0, 0)
+        cache.take(0)
         with pytest.raises(KeyError):
-            cache.take(slot)
+            cache.take(0)
 
     def test_peek_unknown_fails(self):
         with pytest.raises(KeyError):
             StateCache().peek(0)
 
-    def test_slots_are_unique(self):
-        cache = StateCache()
-        assert cache.store("a", 0) != cache.store("b", 0)
-
 
 class TestExplicitSlots:
     def test_store_honors_requested_slot(self):
         cache = StateCache()
-        assert cache.store("a", 0, slot=5) == 5
+        cache.store("a", 0, 5)
         assert cache.peek(5) == ("a", 0)
 
     def test_store_occupied_slot_raises(self):
         cache = StateCache()
-        cache.store("a", 0, slot=2)
+        cache.store("a", 0, 2)
         with pytest.raises(RuntimeError, match="slot 2 is already occupied"):
-            cache.store("b", 1, slot=2)
+            cache.store("b", 1, 2)
 
-    def test_auto_assignment_skips_past_explicit_slot(self):
-        cache = StateCache()
-        cache.store("a", 0, slot=3)
-        # The next auto slot must not collide with the explicit one.
-        assert cache.store("b", 1) == 4
 
-    def test_explicit_then_auto_then_reuse_released(self):
-        cache = StateCache()
-        cache.store("a", 0, slot=0)
-        cache.take(0)
-        # Released ids are not recycled; plan ids stay globally unique.
-        assert cache.store("b", 1) == 1
-
-    def test_mixed_explicit_and_auto_accounting(self):
-        cache = StateCache()
+class TestBudget:
+    def test_stub_counts_as_a_spill_not_a_resident_state(self):
+        cache = StateCache(budget=CacheBudget(16), state_bytes=16)
         cache.working_created()
-        cache.store("a", 0, slot=7)
-        cache.store("b", 1)
-        stats_peak = cache.num_live
-        assert stats_peak == 3
-        cache.take(7)
-        cache.take(8)
-        cache.working_destroyed()
-        cache.assert_drained()
-        assert cache.stats().peak_msv == 3
+        assert cache.full
+        cache.store(SpilledSnapshot("snapshot.c128", 0), 1, 0)
+        stats = cache.stats()
+        assert (stats.spills, stats.snapshots_taken) == (1, 1)
+        assert (stats.peak_resident_msv, stats.peak_msv) == (1, 2)
+        assert cache.coldest_resident_slot() is None
 
 
 class TestAccounting:
     def test_peaks(self):
         cache = StateCache()
         cache.working_created()
-        s0 = cache.store("a", 0)
-        s1 = cache.store("b", 1)
+        cache.store("a", 0, 0)
+        cache.store("b", 1, 1)
         assert cache.num_stored == 2
         assert cache.num_live == 3
-        cache.take(s1)
-        cache.take(s0)
+        cache.take(1)
+        cache.take(0)
         cache.working_destroyed()
         stats = cache.stats()
         assert stats.peak_msv == 3
@@ -103,7 +86,7 @@ class TestAccounting:
 
     def test_assert_drained_catches_leaked_slot(self):
         cache = StateCache()
-        cache.store("leak", 0)
+        cache.store("leak", 0, 0)
         with pytest.raises(RuntimeError):
             cache.assert_drained()
 

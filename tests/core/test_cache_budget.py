@@ -10,6 +10,8 @@ bound — are reported unchanged, with the spilled reality in separate
 resident counters.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from repro.core.runner import NoisySimulator
 from repro.core.schedule import ScheduleError, build_plan
 from repro.lint import (
     analyze_plan,
+    build_certificate,
     check_recorded_run,
+    lint_budget_prediction,
     lint_certificate_trace,
     sanitize_plan,
 )
@@ -30,6 +34,7 @@ from repro.obs import InMemoryRecorder
 from repro.noise import ibm_yorktown, sample_trials
 from repro.sim.compiled import CompiledStatevectorBackend
 from repro.sim.counting import CountingBackend
+from repro.sim.statevector import Statevector
 
 
 def _setup(name="bv4", num_trials=160, seed=9):
@@ -110,6 +115,61 @@ class TestSpill:
         layered, trials = _setup()
         budget = CacheBudget(max_bytes=_state_bytes(layered))
         budgeted_run(layered, trials, budget)
+
+
+class TestBudgetBound:
+    """A budget of ``k`` states keeps at most ``max(1, k)`` resident: the
+    coldest snapshots spill before a snapshot copies, and with no room
+    beside the working state the snapshot goes to disk uncopied."""
+
+    #: Spills (each reloaded once) at budgets of 1, 2 and 3 states;
+    #: making room first spills the same snapshots as spilling after.
+    SPILLS = {"qft5": (212, 59, 12), "grover": (142, 40, 2), "bv4": (47, 12, 0)}
+
+    @pytest.mark.parametrize("name", sorted(SPILLS))
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_resident_states_stay_within_the_budget(self, name, states):
+        layered, trials = _setup(name, num_trials=256, seed=7)
+        budget = CacheBudget(max_bytes=states * _state_bytes(layered))
+        stats = budgeted_run(layered, trials, budget).cache_stats
+        spills = self.SPILLS[name][states - 1]
+        assert stats.peak_resident_msv <= states
+        assert (stats.spills, stats.spill_loads) == (spills, spills)
+        certificate = build_certificate(layered, trials, budget=budget)
+        assert certificate["budget"]["peak_resident_msv"] == (
+            stats.peak_resident_msv
+        )
+        result = lint_budget_prediction(certificate, stats)
+        assert result.ok, [str(d) for d in result.errors]
+
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_states_in_memory_stay_within_the_budget(self, states):
+        """Nothing outside the cache keeps a buffer alive: at every copy
+        and every reload the statevectors in memory fit the budget."""
+        layered, trials = _setup("qft5", num_trials=64, seed=7)
+        seen = []
+
+        def in_memory():
+            return sum(isinstance(o, Statevector) for o in gc.get_objects())
+
+        class Watched(CompiledStatevectorBackend):
+            def copy_state(self, state):
+                copy = super().copy_state(state)
+                seen.append(in_memory())
+                return copy
+
+            def adopt_state(self, state):
+                seen.append(in_memory())
+                return super().adopt_state(state)
+
+        budget = CacheBudget(max_bytes=states * _state_bytes(layered))
+        gc.collect()  # no garbage from earlier tests in the count
+        outcome = run_optimized(
+            layered, trials, Watched(layered), lambda p, i: None,
+            cache_budget=budget,
+        )
+        assert outcome.cache_stats.spill_loads > 0
+        assert max(seen) <= states
 
 
 class TestNominalAccounting:

@@ -281,12 +281,12 @@ class TestOutcomeObject:
 
 
 class TestCopyEliminationPeepholes:
-    """Snapshot-move and finish-borrow: fewer copies, identical accounting.
+    """One ownership rule: a Snapshot copies, a Finish lends.
 
-    When the plan drops the working state in the same step that stores or
-    finishes it, the executor moves/borrows the buffer instead of copying.
-    The cache accounting must still mirror the plan's *nominal* demand so
-    the static peak-MSV cross-check stays exact.
+    Whatever instruction follows, a ``Snapshot`` stores an independent
+    copy of the working state and a ``Finish`` lends the working state
+    itself to ``on_finish``.  The cache accounting mirrors the plan's
+    demand, so the static peak-MSV cross-check stays exact.
     """
 
     def _moved_plan(self, layered):
@@ -301,7 +301,7 @@ class TestCopyEliminationPeepholes:
         final = layered.num_layers
         instructions = [
             Advance(0, final),
-            Snapshot(0),  # next is Restore -> move, no copy
+            Snapshot(0),  # next is Restore: copies all the same
             Restore(0),
             Finish((0, 1)),
         ]
@@ -319,7 +319,7 @@ class TestCopyEliminationPeepholes:
         final = layered.num_layers
         instructions = [
             Advance(0, final),
-            Snapshot(0),  # next is Finish -> genuine copy
+            Snapshot(0),  # next is Finish, which lends the working state
             Finish((0,)),
             Restore(0),
             Finish((1,)),
@@ -344,13 +344,14 @@ class TestCopyEliminationPeepholes:
         )
         baseline, _ = collect_states(layered, trials, run_baseline)
         assert_states_close(states[0], baseline[0])
-        # nominal accounting: the stored state still counts while "both"
-        # exist in the plan's view, even though only one buffer was live
+        # the snapshot is a real copy, so the nominal MSV count equals the
+        # live buffers
         assert outcome.cache_stats.snapshots_taken == 1
-        assert outcome.peak_msv == 2
+        assert outcome.peak_msv == backend.peak_live_states == 2
         stores = recorder.events_named("cache.store")
-        assert [event.args["moved"] for event in stores] == [True]
-        assert recorder.counter_total("cache.store.moved") == 1
+        assert [event.args for event in stores] == [
+            {"slot": 0, "layer": layered.num_layers}
+        ]
 
     def test_snapshot_copies_when_working_state_lives_on(self, ghz3_circuit):
         from repro.obs import InMemoryRecorder
@@ -368,9 +369,7 @@ class TestCopyEliminationPeepholes:
             plan=self._copied_plan(layered),
             recorder=recorder,
         )
-        stores = recorder.events_named("cache.store")
-        assert [event.args["moved"] for event in stores] == [False]
-        assert recorder.counter_total("cache.store.moved") == 0
+        assert len(recorder.events_named("cache.store")) == 1
         # the copy is real: finishing trial 0 must not corrupt trial 1
         assert_states_close(states[0], states[1])
 
@@ -389,11 +388,12 @@ class TestCopyEliminationPeepholes:
             on_finish=lambda p, idx: None,
             recorder=recorder,
         )
-        # the planner always drops the working state right after Finish,
-        # so the borrow peephole fires on every single one
-        assert recorder.counter_total("finish.moved") == outcome.finish_calls
+        # every Finish lends the working state, so no event marks one
+        assert "finish.moved" not in recorder.counters
         finishes = recorder.events_named("finish")
-        assert all(event.args["moved"] for event in finishes)
+        assert [set(event.args) for event in finishes] == [
+            {"trials"}
+        ] * outcome.finish_calls
 
     def test_moved_and_copied_plans_agree(self, ghz3_circuit):
         layered = layerize(ghz3_circuit)
@@ -415,3 +415,58 @@ class TestCopyEliminationPeepholes:
         )
         for moved, copied in zip(moved_states, copied_states):
             assert_states_close(moved, copied)
+
+
+class TestBufferOwnership:
+    """Where state copies happen: only a Snapshot copies, and only when
+    the budget has room for the copy; every Finish lends."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        from repro.sim.statevector import Statevector
+
+        count = [0]
+        copy = Statevector.copy
+
+        def counted(self):
+            count[0] += 1
+            return copy(self)
+
+        monkeypatch.setattr(Statevector, "copy", counted)
+        return count
+
+    @pytest.fixture
+    def qft5(self):
+        from repro.bench import build_compiled_benchmark
+        from repro.noise import ibm_yorktown
+
+        layered = layerize(build_compiled_benchmark("qft5"))
+        trials = sample_trials(
+            layered, ibm_yorktown(), 256, np.random.default_rng(7)
+        )
+        return layered, trials
+
+    def test_dfs_copies_once_per_snapshot(self, copies, qft5):
+        layered, trials = qft5
+        outcome = run_optimized(
+            layered, trials, StatevectorBackend(layered), lambda p, i: None
+        )
+        assert copies[0] == outcome.cache_stats.snapshots_taken > 0
+
+    def test_one_state_budget_never_copies(self, copies, qft5):
+        from repro.core.cache import CacheBudget
+
+        layered, trials = qft5
+        outcome = run_optimized(
+            layered, trials, StatevectorBackend(layered), lambda p, i: None,
+            cache_budget=CacheBudget(16 << layered.num_qubits),
+        )
+        assert outcome.cache_stats.spills == outcome.cache_stats.snapshots_taken
+        assert copies[0] == 0
+
+    def test_baseline_never_copies(self, copies, qft5):
+        layered, trials = qft5
+        run_baseline(
+            layered, trials, StatevectorBackend(layered), lambda p, i: None
+        )
+        assert copies[0] == 0

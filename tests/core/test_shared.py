@@ -52,6 +52,17 @@ class TestStoreBasics:
         assert not store.publish(5, steps, vector)
         assert store.stats().entries == 1
 
+    def test_publish_under_a_present_key_never_reads_the_vector(self):
+        class Unreadable:
+            def __array__(self, dtype=None, copy=None):
+                raise AssertionError("a present key must not read the state")
+
+        store = SharedPrefixStore()
+        steps = (advance_step(0, 2),)
+        store.publish(5, steps, np.ones(4, dtype=np.complex128))
+        assert not store.publish(5, steps, Unreadable())
+        assert store.stats().publishes == 1
+
     def test_distinct_fingerprints_do_not_alias(self):
         store = SharedPrefixStore()
         steps = (advance_step(0, 2),)

@@ -189,6 +189,12 @@ class TestStabilizerBackend:
         assert is_clifford_circuit(good)
         assert not is_clifford_circuit(bad)
 
+    def test_finish_lends_the_state(self, ghz3_circuit):
+        backend = StabilizerBackend(layerize(ghz3_circuit))
+        state = backend.make_initial()
+        assert backend.finish(state) is state
+        assert backend.live_states == backend.peak_live_states == 1
+
     def test_ops_counting_matches_statevector(self, ghz3_circuit, rng):
         layered = layerize(ghz3_circuit)
         trials = random_trials(layered, 40, rng)

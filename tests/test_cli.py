@@ -155,10 +155,6 @@ class TestCLI:
         assert main(["draw", "rb", "--compiled"]) == 0
         assert "q4:" in capsys.readouterr().out
 
-    def test_fig7_object_engine(self, capsys):
-        assert main(["fig7", "--trials", "300", "--engine", "object"]) == 0
-        assert "n40,d20" in capsys.readouterr().out
-
     def test_json_export(self, tmp_path, capsys):
         target = tmp_path / "fig6.json"
         assert main(["fig6", "--benchmarks", "rb", "--json", str(target)]) == 0
