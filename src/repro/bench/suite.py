@@ -129,7 +129,7 @@ def export_qasm_suite(directory, compiled: bool = True) -> List[str]:
 
 
 class LargeBenchmarkSpec(NamedTuple):
-    """A beyond-Table-I benchmark for the perf harness and the CLI.
+    """A beyond-Table-I benchmark for the CLI and perfbench.
 
     Too many qubits for the 5-qubit Yorktown device, so these run as
     *logical* circuits under a uniform artificial noise model (the
@@ -143,7 +143,7 @@ class LargeBenchmarkSpec(NamedTuple):
     error_rate: float
 
 
-#: 12+-qubit workloads for ``repro bench``, ``run``, ``trace`` and
+#: 12+-qubit workloads for ``repro run``, ``trace``, ``profile`` and
 #: ``advise``.  Error rates are tuned so a 1024-trial set branches into
 #: many distinct subtrees while keeping the distinct-final-state count
 #: (hence memory and runtime) bounded.
@@ -174,7 +174,7 @@ def resolve_benchmark(name: str):
     Table I names yield the Yorktown-compiled circuit with the real
     device model; large-suite names yield the logical circuit with the
     spec's uniform artificial model.  This is the single lookup the CLI
-    and the perf harness share.
+    and perfbench share.
     """
     from ..noise.devices import artificial_model, ibm_yorktown
 

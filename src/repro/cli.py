@@ -11,7 +11,6 @@ Examples::
     python -m repro run bv4 --trials 2048  # one benchmark end to end
     python -m repro lint                   # static audit of every benchmark
     python -m repro lint circuit.qasm      # lint an OpenQASM file
-    python -m repro bench --json BENCH.json  # compiled-vs-interpreted perf
     python -m repro trace grover           # recorded run -> .trace.json + profile
     python -m repro serve /tmp/state       # crash-safe job server
     python -m repro submit /tmp/state bv4 --trials 2048 --stream
@@ -51,6 +50,18 @@ from .noise.devices import (
 )
 
 __all__ = ["main"]
+
+
+def _trial_count(text: str) -> int:
+    """The argparse type of every ``--trials``: an int >= 1, so a bad
+    count is a usage error (exit 2) before anything runs."""
+    try:
+        value: Optional[int] = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _maybe_write_json(args: argparse.Namespace, rows) -> None:
@@ -256,150 +267,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(f"measured duplicate mass    : {report.duplicate_fraction:.1%}")
     print(f"mean adjacent shared prefix: {report.mean_lcp:.2f} events")
     print(f"peak MSV                   : {report.peak_msv}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Wall-clock perf harness: compiled kernels vs interpreted statevector."""
-    from .perf import bench_rows, run_bench, section_label, write_bench_json
-
-    try:
-        payload = run_bench(
-            benchmarks=args.benchmarks,
-            num_trials=args.trials,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            seed=args.seed,
-            check=not args.no_check,
-            trace=args.trace,
-            hybrid=args.hybrid,
-            progress=lambda name: print(f"benching {name} ...", file=sys.stderr),
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(
-        rows_to_table(
-            bench_rows(payload),
-            title=(
-                f"repro bench: statevector execution, {args.trials} trials "
-                f"(best of {args.repeats} after {args.warmup} warmup)"
-            ),
-        )
-    )
-    summary = payload["summary"]
-    print(
-        f"\ngeomean speedup: {summary['geomean_speedup']:.2f}x "
-        f"(min {summary['min_speedup']:.2f}x, "
-        f"max {summary['max_speedup']:.2f}x)"
-    )
-    if not args.no_check:
-        status = "ok" if summary["all_equivalent"] else "FAILED"
-        print(f"equivalence (ops, peak MSV, final states): {status}")
-    if args.hybrid:
-        status = "ok" if summary["all_hybrid_exact"] else "FAILED"
-        print(f"hybrid exactness (every trial's payload bit-identical, equal ops): {status}")
-        for record in payload["results"]:
-            sections = ", ".join(
-                f"{section_label(s)} {s['speedup_vs_serial']:.2f}x"
-                + (" (inactive)" if s.get("active") is False else "")
-                for s in record["hybrid"]
-            )
-            print(f"hybrid {record['benchmark']}: {sections}")
-        print(
-            "geomean hybrid speedup vs serial compiled: "
-            f"{summary['geomean_hybrid_speedup']:.2f}x"
-        )
-        micro = payload["hybrid_microbench"]
-        print(
-            f"hybrid microbench ({micro['num_qubits']}q "
-            f"x{micro['gates']} Clifford gates): dense/symbolic time "
-            f"ratio {micro['ratio']:.1f}"
-        )
-    trace_failures = []
-    if args.trace:
-        trace_failures = [
-            record["benchmark"]
-            for record in payload["results"]
-            if not record["profile"]["crosscheck_ok"]
-        ]
-        status = "ok" if not trace_failures else (
-            f"FAILED ({', '.join(trace_failures)})"
-        )
-        print(f"trace profiles attached, replay cross-check: {status}")
-    if args.json:
-        write_bench_json(payload, args.json)
-        print(f"wrote {args.json}")
-    comparison_ok = True
-    if args.compare:
-        from .perf import compare_bench
-
-        try:
-            with open(args.compare) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        comparison = compare_bench(
-            payload,
-            baseline,
-            tolerance=args.compare_tolerance,
-            min_seconds=args.compare_noise_floor,
-        )
-        rows = [
-            {
-                "benchmark": row["benchmark"],
-                "section": row["section"],
-                "baseline": f"{row['baseline_speedup']:.2f}x",
-                "current": f"{row['current_speedup']:.2f}x",
-                "ratio": f"{row['ratio']:.2f}",
-                "status": (
-                    "REGRESSED"
-                    if row["regressed"]
-                    else "noise-floor"
-                    if row["below_noise_floor"]
-                    else "ok"
-                ),
-            }
-            for row in comparison["rows"]
-        ]
-        if rows:
-            print(
-                rows_to_table(
-                    rows,
-                    title=(
-                        f"regression gate vs {args.compare} "
-                        f"(tolerance {args.compare_tolerance:.0%}, noise "
-                        f"floor {args.compare_noise_floor * 1e3:.0f}ms)"
-                    ),
-                )
-            )
-        else:
-            print(
-                f"regression gate vs {args.compare}: no common "
-                "benchmark sections to compare"
-            )
-        for note in comparison["config_mismatches"]:
-            print(f"config mismatch: {note}")
-        for note in comparison["sections_skipped"]:
-            print(f"skipped: {note}")
-        comparison_ok = comparison["ok"]
-        if comparison_ok:
-            print("regression gate: ok")
-        else:
-            print(
-                "regression gate: FAILED "
-                f"({', '.join(comparison['regressions'])})",
-                file=sys.stderr,
-            )
-    if not args.no_check and not summary["all_equivalent"]:
-        return 1
-    if summary["all_hybrid_exact"] is False:
-        return 1
-    if trace_failures:
-        return 1
-    if not comparison_ok:
-        return 1
     return 0
 
 
@@ -1013,21 +880,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p6.add_argument("--json", default=None)
 
     p7 = sub.add_parser("fig7", help="normalized computation, scalability")
-    p7.add_argument("--trials", type=int, default=100_000)
+    p7.add_argument("--trials", type=_trial_count, default=100_000)
     p7.add_argument("--json", default=None)
     p8 = sub.add_parser("fig8", help="MSVs, scalability")
-    p8.add_argument("--trials", type=int, default=100_000)
+    p8.add_argument("--trials", type=_trial_count, default=100_000)
     p8.add_argument("--json", default=None)
 
     pab = sub.add_parser("ablations", help="design-choice ablation table")
     pab.add_argument("--benchmarks", nargs="*", default=None)
-    pab.add_argument("--trials", type=int, default=2048)
+    pab.add_argument("--trials", type=_trial_count, default=2048)
 
     ppred = sub.add_parser(
         "predict", help="analytic saving prediction vs measurement"
     )
     ppred.add_argument("benchmark", choices=benchmark_names())
-    ppred.add_argument("--trials", type=int, default=1024)
+    ppred.add_argument("--trials", type=_trial_count, default=1024)
 
     pdraw = sub.add_parser("draw", help="ASCII-render a benchmark circuit")
     pdraw.add_argument("benchmark", choices=benchmark_names())
@@ -1051,7 +918,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "paths", nargs="*", help="OpenQASM files (default: benchmark audit)"
     )
     plint.add_argument("--benchmarks", nargs="*", default=None)
-    plint.add_argument("--trials", type=int, default=256)
+    plint.add_argument("--trials", type=_trial_count, default=256)
     plint.add_argument("--format", choices=("text", "json"), default="text")
     plint.add_argument(
         "--disable", nargs="*", default=None, metavar="CODE",
@@ -1097,7 +964,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     padvise.add_argument("benchmark", choices=all_benchmark_names())
-    padvise.add_argument("--trials", type=int, default=1024)
+    padvise.add_argument("--trials", type=_trial_count, default=1024)
     padvise.add_argument(
         "--max-cache-bytes", type=int, default=None, metavar="BYTES",
         help="also certify spilling under this snapshot-cache budget "
@@ -1108,61 +975,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the full ResourceCertificate JSON (atomic)",
     )
 
-    pbench = sub.add_parser(
-        "bench",
-        help="perf harness: compiled vs interpreted statevector execution",
-        description=(
-            "Time the optimized executor over the Table I suite with the "
-            "compiled-kernel backend and the interpreted tensordot backend "
-            "against the same prebuilt plan, then report wall time, ops/sec "
-            "and speedup.  Unless --no-check is passed, also prove exactness "
-            "(equal ops_applied, equal peak MSV, allclose final states); "
-            "exit status 1 if any benchmark diverges.  --json emits the "
-            "BENCH_<nnnn>.json payload committed with each PR."
-        ),
-    )
-    pbench.add_argument("--benchmarks", nargs="*", default=None)
-    pbench.add_argument("--trials", type=int, default=1024)
-    pbench.add_argument("--repeats", type=int, default=3)
-    pbench.add_argument("--warmup", type=int, default=1)
-    pbench.add_argument("--json", default=None)
-    pbench.add_argument(
-        "--no-check", action="store_true",
-        help="skip the compiled-vs-interpreted equivalence proof",
-    )
-    pbench.add_argument(
-        "--trace", action="store_true",
-        help="attach a recorded-run profile per benchmark (outside the "
-        "timed loop) and cross-check it with the serial executor's "
-        "evidence (counter replay, P017, P020, P021, P025)",
-    )
-    pbench.add_argument(
-        "--hybrid", action="store_true",
-        help="also time the Clifford/Pauli-frame fast path and prove "
-        "every payload bit-identical to the serial compiled run (plus a "
-        "frame-vs-dense microbench in the payload)",
-    )
-    pbench.add_argument(
-        "--compare", default=None, metavar="BASELINE.json",
-        help="regression gate: compare per-section speedups against a "
-        "baseline BENCH_<nnnn>.json payload; exit 1 when any section "
-        "common to both runs regresses beyond --compare-tolerance",
-    )
-    pbench.add_argument(
-        "--compare-tolerance", type=float, default=0.35, metavar="FRAC",
-        help="allowed fractional speedup loss vs the baseline before a "
-        "section counts as regressed (default 0.35)",
-    )
-    pbench.add_argument(
-        "--compare-noise-floor", type=float, default=0.005, metavar="SECONDS",
-        help="sections whose best time is below this on either side are "
-        "reported but never failed — timer jitter, not signal "
-        "(default 0.005)",
-    )
-
     prun = sub.add_parser("run", help="run one benchmark end to end")
     prun.add_argument("benchmark", choices=all_benchmark_names())
-    prun.add_argument("--trials", type=int, default=1024)
+    prun.add_argument("--trials", type=_trial_count, default=1024)
     prun.add_argument(
         "--mode", choices=("optimized", "baseline"), default="optimized"
     )
@@ -1197,7 +1012,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--auto", action="store_true",
         help="build a resource certificate first, run the given options "
         "unchanged, then cross-check the recorded run with its "
-        "executor's evidence, P020/P021 against the certificate (exit 1 "
+        "executor's evidence, P020/P021/P023 against the certificate (exit 1 "
         "on divergence; not with --mode baseline or --journal)",
     )
 
@@ -1216,7 +1031,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     ptrace.add_argument("benchmark", choices=all_benchmark_names())
-    ptrace.add_argument("--trials", type=int, default=1024)
+    ptrace.add_argument("--trials", type=_trial_count, default=1024)
     ptrace.add_argument(
         "--mode", choices=("optimized", "baseline"), default="optimized"
     )
@@ -1252,7 +1067,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     pprofile.add_argument("benchmark", choices=all_benchmark_names())
-    pprofile.add_argument("--trials", type=int, default=256)
+    pprofile.add_argument("--trials", type=_trial_count, default=256)
     # The global --seed spelled after the subcommand; SUPPRESS keeps an
     # omitted one from overwriting `repro --seed N profile ...`.
     pprofile.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -1316,7 +1131,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     psubmit.add_argument("state_dir", help="server state directory")
     psubmit.add_argument("benchmark", choices=all_benchmark_names())
-    psubmit.add_argument("--trials", type=int, default=1024)
+    psubmit.add_argument("--trials", type=_trial_count, default=1024)
     psubmit.add_argument(
         "--priority", choices=("interactive", "batch"), default="interactive"
     )
@@ -1345,7 +1160,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fig7": _cmd_fig7,
         "fig8": _cmd_fig8,
         "ablations": _cmd_ablations,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "predict": _cmd_predict,
         "draw": _cmd_draw,

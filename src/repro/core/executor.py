@@ -182,18 +182,6 @@ class ExecutionOutcome:
             f"trials={self.num_trials}, peak_msv={self.peak_msv})"
         )
 
-    @classmethod
-    def from_trace(cls, recorder) -> "ExecutionOutcome":
-        """Re-derive an outcome purely from a recorded run's events.
-
-        The result must equal the outcome the executor computed live —
-        that equality is the observability layer's correctness pin (see
-        :func:`repro.obs.summary.verify_trace`).
-        """
-        from ..obs.summary import outcome_from_trace
-
-        return outcome_from_trace(recorder)
-
 
 def _record_run_meta(
     recorder,

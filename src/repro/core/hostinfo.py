@@ -1,12 +1,9 @@
 """Host facts shared by every machine-readable payload.
 
-One tiny module so the bench harness, the runner's trace wiring, the
-profiler and the CLI all report the *same* numbers: every payload that
-describes a measurement carries ``machine.cpu_count`` (speedups are
-meaningless without it) and, on POSIX, the peak resident-set size at the
-time the payload was built.  Keeping these helpers out of
-:mod:`repro.perf` lets the core runner use them without importing the
-whole harness.
+One tiny module so the runner's trace wiring and the profiler report
+the *same* numbers: every payload that describes a measurement carries
+``machine.cpu_count`` (timings are meaningless without it) and, on
+POSIX, the peak resident-set size at the time the payload was built.
 """
 
 from __future__ import annotations

@@ -98,19 +98,6 @@ class RunMetrics:
             f"msv={self.peak_msv})"
         )
 
-    @classmethod
-    def from_trace(cls, recorder) -> "RunMetrics":
-        """Re-derive metrics purely from a recorded run's events.
-
-        The executor's ``run.meta`` instant carries the circuit/trial
-        context, the counters and gauges carry the rest; the result must
-        equal :func:`compute_metrics` over the same run (asserted by
-        :func:`repro.obs.summary.verify_trace` and the integration tests).
-        """
-        from ..obs.summary import metrics_from_trace
-
-        return metrics_from_trace(recorder)
-
 
 def compute_metrics(
     layered: LayeredCircuit,

@@ -15,9 +15,8 @@ open, :func:`pick` decides it from the circuit and its trials (the
 default pick rule: hybrid for a wide, frame-safe, lightly errored run,
 serial DFS otherwise), and :func:`execute` validates, then runs trials
 on the executor it picks.
-``NoisySimulator.run``, the remaining-trials run of a journaled resume
-and ``repro bench`` all call it (see ``docs/architecture.md``, section
-18).
+``NoisySimulator.run`` and the remaining-trials run of a journaled
+resume both call it (see ``docs/architecture.md``, section 18).
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ _PLANNED = _EVERY | {"check"}
 _BUDGET = frozenset({"max_cache_bytes"})
 
 #: The evidence of a recorded walk of the serial plan.
-_SERIAL_WALK = ("replay", "P017", "P020", "P021", "P025")
+_SERIAL_WALK = ("replay", "P017", "P020", "P021", "P023", "P025")
 
 #: The executors in the order options pick them.  docs/architecture.md
 #: (section 18) says why each lacks the checks its evidence leaves out.

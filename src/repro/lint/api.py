@@ -17,20 +17,25 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..circuits.layers import LayeredCircuit
 from ..circuits.qasm import QasmError, parse_qasm
+from ..core.cache import CacheBudget
 from ..core.events import Trial
 from ..core.executor import ExecutionOutcome
 from ..core.options import OPTIONS, pick
 from ..core.schedule import ExecutionPlan, build_plan
 from ..obs.metrics import registry_from_recorder
-from ..obs.summary import verify_trace
+from ..obs.summary import outcome_from_trace, verify_trace
 from .circuit_rules import lint_circuit
-from .costmodel import analyze_plan
+from .costmodel import analyze_plan, budget_section
 from .diagnostics import LintConfig, LintResult, Severity
 from .journal_rules import lint_journal
 from .metrics_rules import lint_metrics_trace
 from .plan_sanitizer import sanitize_plan
 from .registry import make_diagnostic, register
-from .schedule_rules import lint_certificate_trace, lint_memory_timeline
+from .schedule_rules import (
+    lint_budget_prediction,
+    lint_certificate_trace,
+    lint_memory_timeline,
+)
 from .trace_rules import lint_trace
 from .trial_rules import lint_noise_model, lint_trials
 
@@ -251,7 +256,15 @@ class _RunEvidence:
     @cached_property
     def certificate(self) -> Dict[str, Any]:
         analysis = analyze_plan(self.plan, self.layered, compiled=self.compiled)
-        return {"plan": analysis.to_dict(), "num_trials": len(self.trials)}
+        certificate: Dict[str, Any] = {
+            "plan": analysis.to_dict(), "num_trials": len(self.trials)
+        }
+        max_bytes = self.values["max_cache_bytes"]
+        if max_bytes is not None:
+            certificate["budget"] = budget_section(
+                self.plan, self.layered, CacheBudget(max_bytes), self.compiled
+            )
+        return certificate
 
 
 def _errors(result: LintResult) -> List[str]:
@@ -260,7 +273,9 @@ def _errors(result: LintResult) -> List[str]:
 
 #: The checks a recorded run can be held to, by the names the ``evidence``
 #: of :data:`repro.core.options.EXECUTORS` uses; each returns the run's
-#: problems.  P021 is exact only for a run with no budget to degrade it.
+#: problems.  P021 is exact only for a run with no budget to degrade it;
+#: P023 holds the trace's spill counters to the certificate's budget
+#: section, and a run with no budget to zero spills.
 RUN_CHECKS: Dict[str, Callable[[_RunEvidence], List[str]]] = {
     "replay": lambda run: (
         verify_trace(run.recorder, outcome=run.metrics)
@@ -275,6 +290,9 @@ RUN_CHECKS: Dict[str, Callable[[_RunEvidence], List[str]]] = {
     "P021": lambda run: _errors(lint_memory_timeline(
         run.certificate, run.recorder,
         exact=run.values["max_cache_bytes"] is None,
+    )),
+    "P023": lambda run: _errors(lint_budget_prediction(
+        run.certificate, outcome_from_trace(run.recorder).cache_stats
     )),
     "P025": lambda run: _errors(
         lint_metrics_trace(registry_from_recorder(run.recorder), run.recorder)

@@ -60,6 +60,7 @@ __all__ = [
     "PlanCostAnalysis",
     "analyze_hybrid",
     "analyze_plan",
+    "budget_section",
     "frame_bytes",
     "build_certificate",
     "write_certificate",
@@ -413,6 +414,24 @@ def analyze_hybrid(
 # ---------------------------------------------------------------------------
 
 
+def budget_section(
+    plan: ExecutionPlan,
+    layered: LayeredCircuit,
+    budget: CacheBudget,
+    compiled=None,
+) -> Dict[str, Any]:
+    """A certificate's ``budget`` section: ``plan``'s predicted spilling
+    and resident peaks under ``budget``, which P021 and P023 check."""
+    degraded = analyze_plan(plan, layered, compiled=compiled, budget=budget)
+    return {
+        "max_bytes": budget.max_bytes,
+        "predicted": degraded.to_dict()["predicted"],
+        "peak_resident_msv": degraded.peak_resident_msv,
+        "peak_resident_stored": degraded.peak_resident_stored,
+        "timeline": [list(point) for point in degraded.timeline],
+    }
+
+
 def build_certificate(
     layered: LayeredCircuit,
     trials: Sequence[Trial],
@@ -452,11 +471,6 @@ def build_certificate(
             + "; ".join(str(d) for d in audit.errors)
         )
     serial = analyze_plan(plan, layered, compiled=compiled)
-    degraded = (
-        analyze_plan(plan, layered, compiled=compiled, budget=budget)
-        if budget is not None
-        else None
-    )
 
     state_bytes = 16 * (1 << layered.num_qubits)
 
@@ -477,17 +491,7 @@ def build_certificate(
         "state_bytes": state_bytes,
         "plan": serial.to_dict(),
         "budget": (
-            None
-            if budget is None
-            else {
-                "max_bytes": budget.max_bytes,
-                "predicted": degraded.to_dict()["predicted"],
-                "peak_resident_msv": degraded.peak_resident_msv,
-                "peak_resident_stored": degraded.peak_resident_stored,
-                "timeline": [
-                    list(point) for point in degraded.timeline
-                ],
-            }
+            None if budget is None else budget_section(plan, layered, budget, compiled)
         ),
         "advice": advice,
     }

@@ -301,6 +301,9 @@ def outcome_from_trace(recorder: InMemoryRecorder) -> ExecutionOutcome:
             peak_stored=summary.peak_stored,
             snapshots_taken=summary.cache_stores,
             snapshots_released=summary.cache_hits,
+            spills=int(recorder.counter_total("cache.spill")),
+            spill_loads=int(recorder.counter_total("cache.spill.load")),
+            peak_resident_msv=int(recorder.gauge_peak("msv.resident", summary.peak_msv)),
         ),
         finish_calls=summary.finish_calls,
         ops_shared=int(recorder.counter_total("ops.shared")),

@@ -201,7 +201,7 @@ class TestRecordedPick:
         checks = check_recorded_run(
             sim.layered, trials, recorder, result.metrics, compiled=sim.compiled_circuit()
         )
-        assert list(checks) == ["replay", "P017", "P020", "P021", "P025"]
+        assert list(checks) == ["replay", "P017", "P020", "P021", "P023", "P025"]
         assert not any(checks.values()), checks
         if executor == "hybrid":
             assert recorder.counter_total("hybrid.clifford_ops") > 0

@@ -34,7 +34,7 @@ from repro.sim.stabilizer import PauliFrame, frame_safe_matrix
 from repro.sim.backend import StatevectorBackend
 from repro.testing import random_circuit, random_trials
 
-SUITE = ("bv4", "bv5", "qft5", "grover", "bv14")
+SUITE = ("bv4", "bv5", "qft5", "grover", "qft12", "bv14")
 
 
 def collect(runner, layered, trials, backend, **kwargs):

@@ -166,7 +166,7 @@ class TestAutoCli:
     def test_run_auto_builds_only_what_its_check_reads(
         self, monkeypatch, capsys
     ):
-        """P020/P021 read the plan, budget and trial count, so ``--auto``
+        """P020, P021 and P023 read the plan, budget and trial count, so ``--auto``
         builds neither the hybrid section nor partition schedules."""
         import repro.lint as lint
 

@@ -77,6 +77,10 @@ def _bump_ops(recorder):
     recorder.counters["ops.applied"] += 1
 
 
+def _bump_spills(recorder):
+    recorder.counter("cache.spill", 1)
+
+
 SERIAL = [
     ("bv4", 128, {}),
     ("qft5", 128, {}),
@@ -130,8 +134,13 @@ class TestTamperedRunsFail:
             ("bv4", 128, {"mode": "baseline"}, _bump_ops, "replay"),
             ("bv14", 64, {"hybrid": True}, _drop_advance, "P020"),
             ("bv14", 64, {}, _drop_advance, "P020"),
+            ("qft5", 256, {"max_cache_bytes": 1100}, _bump_spills, "P023"),
+            ("bv14", 64, {"hybrid": True}, _bump_spills, "P023"),
         ],
-        ids=["dfs", "baseline", "hybrid", "default-pick-hybrid"],
+        ids=[
+            "dfs", "baseline", "hybrid", "default-pick-hybrid",
+            "budget-extra-spill", "hybrid-spill",
+        ],
     )
     def test_tampered(self, name, num_trials, options, tamper, code):
         run = Recorded(name, num_trials, options)

@@ -4,7 +4,7 @@ Every instrumentation site is guarded by ``if recorder:`` and
 :class:`NullRecorder` is falsy, so a run with ``recorder=NullRecorder()``
 must make *zero* recorder method calls — asserted deterministically with a
 call-counting spy, which is the robust form of "no measurable slowdown"
-(the wall-clock form lives in the bench harness, ``repro bench --trace``).
+(perfbench's ``trace.overhead_frac`` is the wall-clock form).
 """
 
 import numpy as np

@@ -15,7 +15,6 @@ import pytest
 from repro.bench.suite import build_compiled_benchmark
 from repro.circuits.layers import layerize
 from repro.core.executor import ExecutionOutcome, run_optimized
-from repro.core.metrics import RunMetrics
 from repro.core.runner import NoisySimulator
 from repro.core.schedule import build_plan
 from repro.lint import lint_trace
@@ -75,12 +74,6 @@ class TestTraceReplaysOutcome:
         _, _, _, recorder, outcome, _ = grover_recorded
         assert verify_trace(recorder, outcome=outcome) == []
 
-    def test_from_trace_classmethod(self, grover_recorded):
-        _, _, _, recorder, outcome, _ = grover_recorded
-        derived = ExecutionOutcome.from_trace(recorder)
-        assert derived.ops_applied == outcome.ops_applied
-        assert derived.peak_msv == outcome.peak_msv
-
     def test_p017_clean_against_plan(self, grover_recorded):
         _, _, plan, recorder, _, _ = grover_recorded
         assert lint_trace(plan, recorder).ok
@@ -136,7 +129,6 @@ class TestSimulatorRunTrace:
         assert verify_trace(recorder, metrics=result.metrics) == []
         derived = metrics_from_trace(recorder)
         assert derived.as_dict() == result.metrics.as_dict()
-        assert RunMetrics.from_trace(recorder).as_dict() == result.metrics.as_dict()
 
     def test_baseline_mode_replays_too(self):
         simulator = NoisySimulator(

@@ -10,7 +10,7 @@ and ``run_baseline``.
 import numpy as np
 import pytest
 
-from repro.bench.suite import build_compiled_benchmark
+from repro.bench.suite import benchmark_names, build_compiled_benchmark
 from repro.circuits import QuantumCircuit, gates, layerize
 from repro.core.executor import run_baseline, run_optimized
 from repro.core.runner import NoisySimulator
@@ -164,7 +164,7 @@ class TestStandardGateEquivalence:
 
 
 class TestFullNoisyRunEquivalence:
-    @pytest.mark.parametrize("name", ["bv4", "qft4", "grover"])
+    @pytest.mark.parametrize("name", benchmark_names())
     def test_optimized_and_baseline_paths(self, name):
         layered = layerize(build_compiled_benchmark(name))
         trials = sample_trials(

@@ -133,6 +133,24 @@ class TestCLI:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "qft5"], ["trace", "qft5"], ["profile", "qft5"],
+            ["advise", "qft5"], ["predict", "qft5"], ["lint"], ["fig7"],
+            ["fig8"], ["ablations"], ["submit", "state", "qft5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_trial_count_below_one_is_a_usage_error(self, argv, count, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--trials", count])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --trials: expected an integer >= 1, got '{count}'" in err
+        assert "Traceback" not in err
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "not-a-benchmark"])
