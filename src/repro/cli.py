@@ -711,6 +711,8 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     from .core.schedule import build_plan
     from .lint import analyze_hybrid, validate_certificate, write_certificate
 
+    if _reject_options(max_cache_bytes=args.max_cache_bytes):
+        return 2
     try:
         simulator, trials = _sampled(args)
     except KeyError as exc:
@@ -790,8 +792,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _client(state_dir: str):
+    """The client of the server running at ``state_dir``, or ``None``
+    after saying that none is."""
+    from .serve import ServeClient
+
+    try:
+        return ServeClient.from_state_dir(state_dir)
+    except FileNotFoundError:
+        print(f"error: no server is running at {state_dir} "
+              "(no endpoint.json)", file=sys.stderr)
+        return None
+
+
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .serve import ServeClient, ServeError
+    from .serve import ServeError
 
     spec = {
         "circuit": {"benchmark": args.benchmark},
@@ -803,7 +818,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     }
     if args.timeout is not None:
         spec["timeout"] = args.timeout
-    client = ServeClient.from_state_dir(args.state_dir)
+    client = _client(args.state_dir)
+    if client is None:
+        return 1
     try:
         if args.stream:
             streamed = [0]
@@ -838,9 +855,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    from .serve import ServeClient, ServeError
+    from .serve import ServeError
 
-    client = ServeClient.from_state_dir(args.state_dir)
+    client = _client(args.state_dir)
+    if client is None:
+        return 1
     try:
         jobs = client.list_jobs()
     except (ServeError, OSError) as exc:

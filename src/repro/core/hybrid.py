@@ -13,7 +13,7 @@ redundancy with a fourth execution representation:
   (the cumulative tuple of ``Advance`` boundaries walked from the root).
   ``anchor(p + (b,))`` is produced by applying the serial path's *own*
   memoized compiled segment to a copy of ``anchor(p)`` — identical kernel
-  objects, identical fusion boundaries, identical float rounding — so an
+  objects, identical float rounding — so an
   anchor is bitwise the state the serial executor would hold at that trie
   position with no events injected;
 * **materialization** applies the frame to the anchor with exact
@@ -32,10 +32,11 @@ Bit-exactness rests on the commutation lemma enforced by
 crosses a kernel matrix when ``M @ P == i**k * (P' @ M)`` holds bitwise
 for the very float matrix the compiled kernel applies *and* the identity
 transfers to kernel arithmetic (single-qubit kernels, exact-unit entries,
-or phase permutations).  The matrices are
-:meth:`~repro.sim.compiled.CompiledCircuit.matrices`, the fused list the
-segment's kernels are compiled from, so the check and the arithmetic read
-one statement of what a segment applies.  Segments that fail the check
+or phase permutations); a layer's fused diagonal, a 1-D entry, is
+crossed only by frames with no X bit on its qubits.  The matrices are
+:meth:`~repro.sim.compiled.CompiledCircuit.matrices`, one entry per kernel
+of the segment, so the check and the arithmetic read one statement of
+what a segment applies.  Segments that fail the check
 force a materialization point; the subtree below it runs dense.
 
 Execution is :func:`repro.core.executor.run_optimized`'s own instruction
@@ -154,10 +155,10 @@ def classify_plan(
     pairs every ``Restore`` with its ``Snapshot`` and carries the event
     history; the fold keeps only each state's own fact — ``(anchor path,
     frame)`` for a symbolic state, ``_DENSE`` for a dense one — keyed by
-    the slot the walk reports.  Frames are conjugated through the fused
-    matrices each segment applies
+    the slot the walk reports.  Frames are conjugated through the
+    entries each segment applies
     (:meth:`~repro.sim.compiled.CompiledCircuit.matrices` of
-    ``compiled``, built here when omitted), which compiles no kernel, and
+    ``compiled``, built here when omitted), which compiles no segment, and
     every residency statistic is derived from the same use-counting the
     runtime applies.
     """

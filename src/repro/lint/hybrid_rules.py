@@ -55,7 +55,7 @@ register(
     "run) is only as good as the static schedule driving it.  P026 "
     "re-walks the serial instruction stream with an independent "
     "interpreter: it re-derives every Pauli frame by conjugating through "
-    "the exact fused matrices the compiled kernels were built from, "
+    "the exact matrices the compiled kernels were built from, "
     "re-decides every symbolic/dense split (a span is symbolic only if "
     "the frame provably commutes through each matrix under exact "
     "arithmetic), and re-counts anchor uses.  The schedule must agree "
@@ -105,8 +105,8 @@ def _replay(
     problems: List[Tuple[str, str, str]],
 ) -> None:
     """Independent fold over the plan walk; appends ``(message, location,
-    hint)``.  Re-derives every frame itself, through the fused matrices
-    of its own :class:`~repro.sim.compiled.CompiledCircuit`; the walk
+    hint)``.  Re-derives every frame itself, through the ``matrices()``
+    entries of its own :class:`~repro.sim.compiled.CompiledCircuit`; the walk
     supplies only slot pairing and the event history.  The first
     disagreeing action ends the replay (later actions are misaligned);
     the conservation checks run once every action agreed."""
@@ -347,8 +347,8 @@ def lint_hybrid(
     from it (re-derived via ``classify_plan`` when omitted, in which case
     the rule certifies the classifier against itself plus all
     conservation invariants).  Runs statically — no backend, no
-    amplitudes — by conjugating frames through the exact fused matrices
-    the compiled kernels apply.
+    amplitudes — by conjugating frames through the very entries the
+    compiled kernels apply.
     """
     from ..core.hybrid import classify_plan
 

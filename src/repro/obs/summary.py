@@ -36,8 +36,6 @@ name                   ph    cat       emitted by
 ``segment.hit``        C     counter   compiled circuit, memoized program reuse
 ``segment.compile``    C     counter   compiled circuit, first-use compilation
 ``kernel.<kind>``      C     counter   compiled circuit, per compiled kernel
-``fusion.runs``        C     counter   compiled circuit, fused 1q-run count
-``fusion.gates``       C     counter   compiled circuit, gates absorbed by fusion
 ``scratch.swaps``      C     counter   compiled backend, ping-pong buffer swaps
 ``msv.live``           C     gauge     state cache, sampled at every cache event
 ``msv.stored``         C     gauge     state cache, stored snapshots only
@@ -87,8 +85,6 @@ class TraceSummary:
         cache_hits: int,
         segment_compiles: int,
         segment_hits: int,
-        fusion_runs: int,
-        fusion_gates: int,
         scratch_swaps: int,
         kernel_histogram: Dict[str, int],
         hot_segments: List[Tuple[str, int, float]],
@@ -112,8 +108,6 @@ class TraceSummary:
         self.cache_hits = cache_hits
         self.segment_compiles = segment_compiles
         self.segment_hits = segment_hits
-        self.fusion_runs = fusion_runs
-        self.fusion_gates = fusion_gates
         self.scratch_swaps = scratch_swaps
         self.kernel_histogram = kernel_histogram
         #: ``(span name, replay count, total seconds)``, hottest first.
@@ -176,8 +170,6 @@ class TraceSummary:
             "segment_compiles": self.segment_compiles,
             "segment_hits": self.segment_hits,
             "segment_reuse_ratio": self.segment_reuse_ratio,
-            "fusion_runs": self.fusion_runs,
-            "fusion_gates": self.fusion_gates,
             "scratch_swaps": self.scratch_swaps,
             "kernel_histogram": dict(self.kernel_histogram),
             "dropped_events": self.dropped_events,
@@ -246,8 +238,6 @@ def summarize(recorder: InMemoryRecorder) -> TraceSummary:
         cache_hits=len(recorder.events_named("cache.hit", ph="i")),
         segment_compiles=int(recorder.counter_total("segment.compile")),
         segment_hits=int(recorder.counter_total("segment.hit")),
-        fusion_runs=int(recorder.counter_total("fusion.runs")),
-        fusion_gates=int(recorder.counter_total("fusion.gates")),
         scratch_swaps=int(recorder.counter_total("scratch.swaps")),
         kernel_histogram=kernel_histogram,
         hot_segments=hot,
@@ -427,11 +417,6 @@ def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
         lines.append(
             f"ring truncation   : {summary.dropped_events} event(s) "
             "evicted (aggregate counters remain exact)"
-        )
-    if summary.fusion_runs:
-        lines.append(
-            f"fusion            : {summary.fusion_runs} run(s) fused, "
-            f"{summary.fusion_gates} gate(s) absorbed"
         )
     if summary.scratch_swaps:
         lines.append(f"scratch swaps     : {summary.scratch_swaps}")

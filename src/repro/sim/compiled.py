@@ -1,46 +1,46 @@
-"""Compiled-circuit execution: segment kernels, fusion, in-place backend.
+"""Compiled-circuit execution: one kernel program per layer, in-place backend.
 
 :class:`CompiledCircuit` turns a :class:`~repro.circuits.layers.LayeredCircuit`
-into kernel programs exactly once.  The trial-reordering executor replays
-the same layer ranges thousands of times per experiment (every ``Advance``
-of every trial segment), so each requested range is compiled on first use
-and memoized:
+into kernel programs exactly once.  Errors enter only at layer boundaries,
+so every range the trial-reordering executor replays is a range of whole
+layers: each layer's program is built once, on first use, and the program
+of layers ``[s, e)`` is the concatenation of its layers' programs,
+memoized per range.  The arithmetic does not depend on where segments
+split.
 
-* the gates of the range are flattened in layer order;
-* maximal runs of single-qubit gates on the same qubit (with no
-  intervening multi-qubit gate on that qubit) are **fused** into one 2x2
-  product, which is then classified like any other matrix — a run of
-  phase gates fuses into a single diagonal multiply;
-* every remaining gate is classified through the shared
-  :func:`~repro.sim.kernels.kernel_for_gate` cache (keyed by
-  ``Gate._key``), which error-injection operators also go through.
+A layer's program follows one rule at every width:
 
-The first two steps are one fusion pass, whose fused ``(matrix, qubits)``
-list :meth:`CompiledCircuit.matrices` returns — the one statement of what
-a segment applies.  The kernels are compiled from exactly those matrices,
-and the hybrid Clifford fast path (:mod:`repro.core.hybrid`) conjugates
-its Pauli frames through the same list without compiling anything.
+* its diagonal gates that no X or Y frame crosses (:func:`_fuses`: t,
+  generic rz, cu1, rzz) become one
+  :class:`~repro.sim.kernels.DiagonalKernel` over the union of their
+  qubits, built from the product of their diagonals and never from a
+  ``2**k x 2**k`` matrix, so a layer of QFT phases is one pass over the
+  state.  A circuit whose fused factors together would hold more than
+  :data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_BYTES` fuses none;
+* every other gate gets its :func:`~repro.sim.kernels.kernel_for_gate`
+  kernel, from the cache error-injection operators also go through.  A
+  diagonal that some X or Y frame crosses (z, s, sdg, cz) keeps its own
+  kernel, so fusing takes no crossing away from an X or Y frame of the
+  hybrid Clifford fast path.
 
-Narrow circuits apply one product per layer instead.  At widths up to
+Narrow circuits apply one product per layer.  At widths up to
 :data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_QUBITS`, when the layers'
-``2**n x 2**n`` unitaries fit under
-:data:`~repro.sim.kernels.LAYER_PRODUCT_MAX_BYTES`, each layer's unitary
-is built once from that layer's fused matrices, and a segment over
-layers ``[s, e)`` is ``e - s`` full-width dense kernels, one
-matrix-vector product each — at 32 amplitudes a gate kernel is nearly
-all dispatch.  The unitary is built by the serial kernels themselves:
-the ``2**n x 2**n`` identity is a ``2n``-qubit state whose first ``n``
-qubits carry the row index and last ``n`` the column index, so the
-layer's kernels, compiled at width ``2n``, advance it to the unitary.
-:meth:`CompiledCircuit.matrices` then returns those unitaries, so the
-statement above still holds.  The rule reads only the
-circuit, and since every segment applies the same per-layer products,
-the arithmetic no longer depends on where segments split.
+``2**n x 2**n`` unitaries fit under ``LAYER_PRODUCT_MAX_BYTES``, a layer's
+program is one full-width dense kernel, one matrix-vector product — at 32
+amplitudes a gate kernel is nearly all dispatch.  The unitary is built by
+the layer's own program at width ``2n`` (:meth:`CompiledCircuit._layer`).
 
-Fusion never changes the paper's accounting: ``ops_applied`` is charged
-from :meth:`LayeredCircuit.gates_between` (the gate count of the range),
-not from the number of kernel applications, and snapshots are untouched,
-so ``peak_msv`` is identical to the interpreted path.
+:meth:`CompiledCircuit.matrices` lists what a segment applies, one
+``(matrix, qubits)`` entry per kernel: a gate's matrix, a fused diagonal
+as its 1-D factor, a narrow layer as its unitary.  The hybrid Clifford
+fast path (:mod:`repro.core.hybrid`) conjugates its Pauli frames through
+that list, so a frame-safety verdict holds for the very floats the
+kernels multiply with.
+
+Per-layer programs never change the paper's accounting: ``ops_applied``
+is charged from :meth:`LayeredCircuit.gates_between` (the gate count of
+the range), not from the number of kernel applications, and snapshots are
+untouched, so ``peak_msv`` is identical to the interpreted path.
 
 :class:`CompiledStatevectorBackend` drives the kernels against the working
 state's tensor and one preallocated scratch buffer, threading the
@@ -52,7 +52,7 @@ steady state allocates nothing per gate.  It subclasses
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,82 +63,47 @@ from .kernels import (
     LAYER_PRODUCT_MAX_BYTES,
     LAYER_PRODUCT_MAX_QUBITS,
     DenseKernel,
+    DiagonalKernel,
     Kernel,
-    compile_matrix,
+    _is_diagonal_matrix,
+    diagonal_bytes,
     kernel_cost,
     kernel_for_gate,
 )
+from .stabilizer import _matrix_safety
 from .statevector import Statevector
 
 __all__ = ["CompiledCircuit", "CompiledStatevectorBackend"]
 
+#: One pass of a layer's program: its matrix, qubits and kernel.
+_Entry = Tuple[np.ndarray, Tuple[int, ...], Kernel]
 
-def _fuse(ops: Sequence) -> Tuple[List[Tuple], int, int]:
-    """Single-qubit-run fusion of a flattened gate-op sequence.
 
-    ``pending[q]`` accumulates a run of single-qubit gates on qubit ``q``.
-    A multi-qubit gate flushes the runs of exactly the qubits it touches
-    *before* it is emitted (preserving order on those qubits); runs on
-    untouched qubits stay pending, which is sound because gates on
-    disjoint qubits commute.  A run of several gates becomes their
-    left-to-right ``@`` product.
+def _fuses(gate: Gate) -> bool:
+    """Whether ``gate`` joins its layer's fused diagonal: its matrix is
+    diagonal and no X or Y frame crosses it (``_matrix_safety`` finds no
+    exact image for an X generator)."""
+    matrix = gate.matrix
+    if not _is_diagonal_matrix(matrix):
+        return False
+    _, images = _matrix_safety(matrix)
+    return all(kind != "x" for _, kind in images)
 
-    Returns ``(entries, fused_runs, fused_gates)``: one ``(matrix, qubits,
-    gate)`` entry per matrix the sequence applies, in order — ``gate`` is
-    the lone gate the matrix came from, or ``None`` for a fused product —
-    and how many multi-gate runs were fused and how many gates they
-    absorbed in total.
-    """
-    entries: List[Tuple[np.ndarray, Tuple[int, ...], Optional[Gate]]] = []
-    pending: Dict[int, List] = {}  # qubit -> [GateOp, ...] of the run
-    fused_runs = 0
-    fused_gates = 0
 
-    def flush(qubit: int) -> None:
-        nonlocal fused_runs, fused_gates
-        run = pending.pop(qubit, None)
-        if run is None:
-            return
-        if len(run) == 1:
-            entries.append((run[0].gate.matrix, run[0].qubits, run[0].gate))
-            return
-        fused = run[0].gate.matrix
-        for op in run[1:]:
-            fused = op.gate.matrix @ fused
-        fused_runs += 1
-        fused_gates += len(run)
-        entries.append((fused, (qubit,), None))
-
+def _diagonal_product(ops: Sequence) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """The product of the ops' diagonals, in op order, as one 1-D factor
+    over the union of their qubits in ascending order (the first qubit
+    most significant)."""
+    qubits = tuple(sorted({qubit for op in ops for qubit in op.qubits}))
+    factor = np.ones((2,) * len(qubits), dtype=np.complex128)
     for op in ops:
-        if op.gate.num_qubits == 1:
-            pending.setdefault(op.qubits[0], []).append(op)
-        else:
-            for qubit in op.qubits:
-                flush(qubit)
-            entries.append((op.gate.matrix, op.qubits, op.gate))
-    for qubit in sorted(pending):
-        flush(qubit)
-    return entries, fused_runs, fused_gates
-
-
-def _compile_ops(
-    ops: Sequence, num_qubits: int
-) -> Tuple[Tuple[Kernel, ...], int, int]:
-    """Compile a flattened gate-op sequence: fuse (:func:`_fuse`), then
-    classify each matrix — a lone gate through the shared
-    :func:`~repro.sim.kernels.kernel_for_gate` cache, a fused product
-    through :func:`~repro.sim.kernels.compile_matrix`.
-
-    Returns ``(kernels, fused_runs, fused_gates)``.
-    """
-    entries, fused_runs, fused_gates = _fuse(ops)
-    kernels = [
-        compile_matrix(matrix, qubits, num_qubits)
-        if gate is None
-        else kernel_for_gate(gate, qubits, num_qubits)
-        for matrix, qubits, gate in entries
-    ]
-    return tuple(kernels), fused_runs, fused_gates
+        axes = [qubits.index(qubit) for qubit in op.qubits]
+        diagonal = np.diagonal(op.gate.matrix).reshape((2,) * len(axes))
+        shape = [1] * len(qubits)
+        for axis in axes:
+            shape[axis] = 2
+        factor *= np.transpose(diagonal, np.argsort(axes)).reshape(shape)
+    return factor.reshape(-1), qubits
 
 
 class CompiledCircuit:
@@ -146,155 +111,157 @@ class CompiledCircuit:
 
     With a :class:`~repro.obs.recorder.TraceRecorder` attached (the
     compiled backend forwards the executor's recorder here), every
-    first-use compilation becomes a ``compile[s,e)`` span carrying the
-    kernel-kind histogram and fusion counts of that segment, and every
-    memoized reuse bumps the ``segment.hit`` counter.
+    first-use compilation of a range becomes a ``compile[s,e)`` span
+    carrying its kernel and gate counts, and every memoized reuse bumps
+    the ``segment.hit`` counter.
     """
 
     def __init__(self, layered: LayeredCircuit) -> None:
         self.layered = layered
         self.num_qubits = layered.num_qubits
-        #: Whether segments apply one product per layer (module docstring).
+        #: Whether a layer's program is its unitary (module docstring).
         self.layer_products = (
             self.num_qubits <= LAYER_PRODUCT_MAX_QUBITS
             and layered.num_layers * 16 * 4**self.num_qubits
             <= LAYER_PRODUCT_MAX_BYTES
         )
-        # layer -> its unitary / its full-width kernel, built on first use.
-        self._unitaries: Dict[int, np.ndarray] = {}
-        self._layer_kernels: Dict[int, Kernel] = {}
-        self._segments: Dict[Tuple[int, int], Tuple[Kernel, ...]] = {}
-        # key -> (fused_runs, fused_gates), parallel to _segments.
-        self._segment_fusion: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        # key -> matrices() list, only for ranges a caller asked for.
-        self._matrices: Dict[
-            Tuple[int, int], List[Tuple[np.ndarray, Tuple[int, ...]]]
+        self._fused: Optional[FrozenSet[int]] = None
+        # layer -> (its kernel program, its matrices() entries).
+        self._layers: Dict[
+            int,
+            Tuple[Tuple[Kernel, ...], List[Tuple[np.ndarray, Tuple[int, ...]]]],
         ] = {}
+        self._segments: Dict[Tuple[int, int], Tuple[Kernel, ...]] = {}
         self._segment_costs: Dict[Tuple[int, int], Dict[str, object]] = {}
         self._segment_kind_costs: Dict[
             Tuple[int, int], Dict[str, Dict[str, int]]
         ] = {}
         self.recorder = None
 
-    def _ops(self, start_layer: int, end_layer: int) -> List:
-        """The gate ops of layers ``start .. end - 1``, flattened in order."""
+    def _check_range(self, start_layer: int, end_layer: int) -> None:
         if not 0 <= start_layer <= end_layer <= self.layered.num_layers:
             raise ValueError(
                 f"bad layer range [{start_layer}, {end_layer}) for "
                 f"{self.layered.num_layers} layer(s)"
             )
-        return [
-            op
-            for layer in self.layered.layers[start_layer:end_layer]
-            for op in layer
-        ]
 
-    def _unitary(self, layer: int) -> np.ndarray:
-        """The ``2**n x 2**n`` unitary of one layer (layer products only).
-
-        Built once from the layer's fused matrices.  The identity, as a
-        ``2n``-qubit state, holds the row index on qubits ``0 .. n-1``
-        and the column index on ``n .. 2n-1``; the layer's kernels,
-        compiled at width ``2n``, act on the row qubits only, so the
-        serial ``apply`` advances every column ``j`` from the basis state
-        ``j`` to the unitary's column ``j``.  No kernel spans all ``2n``
-        qubits.
-        """
-        unitary = self._unitaries.get(layer)
-        if unitary is None:
-            width = 2 * self.num_qubits
-            program, _, _ = _compile_ops(self._ops(layer, layer + 1), width)
-            dim = 1 << self.num_qubits
-            tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * width)
-            scratch = np.empty_like(tensor)
-            for kernel in program:
-                tensor, scratch = kernel.apply(tensor, scratch)
-            unitary = tensor.reshape(dim, dim)
-            self._unitaries[layer] = unitary
-        return unitary
-
-    def _layer_kernel(self, layer: int) -> Kernel:
-        """The full-width dense kernel of :meth:`_unitary` (memoized)."""
-        kernel = self._layer_kernels.get(layer)
-        if kernel is None:
-            kernel = DenseKernel(
-                self._unitary(layer), range(self.num_qubits), self.num_qubits
+    def _fused_layers(self) -> FrozenSet[int]:
+        """The layers whose diagonals fuse, decided once for the circuit:
+        those where two or more gates fuse, or none when their factors
+        together would hold more than ``LAYER_PRODUCT_MAX_BYTES``."""
+        if self._fused is None:
+            fused, total = set(), 0
+            for index, layer in enumerate(self.layered.layers):
+                ops = [op for op in layer if _fuses(op.gate)]
+                if len(ops) > 1:
+                    fused.add(index)
+                    union = {qubit for op in ops for qubit in op.qubits}
+                    total += diagonal_bytes(union, self.num_qubits)
+            self._fused = frozenset(
+                fused if total <= LAYER_PRODUCT_MAX_BYTES else ()
             )
-            self._layer_kernels[layer] = kernel
-        return kernel
+        return self._fused
+
+    def _program(self, layer: int, width: int) -> List[_Entry]:
+        """Layer ``layer``'s program at ``width`` qubits, in order: each
+        gate that does not fuse, then the fused diagonal."""
+        fuse = layer in self._fused_layers()
+        together: List = []
+        program: List[_Entry] = []
+        for op in self.layered.layers[layer]:
+            if fuse and _fuses(op.gate):
+                together.append(op)
+            else:
+                program.append((
+                    op.gate.matrix, op.qubits,
+                    kernel_for_gate(op.gate, op.qubits, width),
+                ))
+        if together:
+            factor, qubits = _diagonal_product(together)
+            program.append(
+                (factor, qubits, DiagonalKernel(factor, qubits, width))
+            )
+        return program
+
+    def _layer(
+        self, layer: int
+    ) -> Tuple[Tuple[Kernel, ...], List[Tuple[np.ndarray, Tuple[int, ...]]]]:
+        """One layer's kernel program and its ``matrices()`` entries, built
+        once.  With layer products, the identity, as a ``2n``-qubit state,
+        holds the row index on qubits ``0 .. n-1`` and the column index on
+        ``n .. 2n-1``; the layer's program at width ``2n`` acts on the row
+        qubits only, so it advances every column ``j`` from the basis state
+        ``j`` to the unitary's column ``j``."""
+        built = self._layers.get(layer)
+        if built is None:
+            n = self.num_qubits
+            if self.layer_products:
+                dim = 1 << n
+                tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * 2 * n)
+                scratch = np.empty_like(tensor)
+                for _, _, kernel in self._program(layer, 2 * n):
+                    tensor, scratch = kernel.apply(tensor, scratch)
+                unitary = tensor.reshape(dim, dim)
+                every = tuple(range(n))
+                built = ((DenseKernel(unitary, every, n),), [(unitary, every)])
+            else:
+                program = self._program(layer, n)
+                built = (
+                    tuple(kernel for _, _, kernel in program),
+                    [(matrix, qubits) for matrix, qubits, _ in program],
+                )
+            self._layers[layer] = built
+        return built
 
     def matrices(
         self, start_layer: int, end_layer: int
     ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
-        """The fused ``(matrix, qubits)`` list layers ``start .. end - 1``
-        apply, in order: with layer products, one unitary per layer on
-        every qubit.
+        """The ``(matrix, qubits)`` entries layers ``start .. end - 1``
+        apply, one per kernel of :meth:`segment`, in order: a gate's
+        matrix, a fused diagonal as its 1-D factor, or with layer products
+        one unitary per layer on every qubit.
 
-        The one statement of what a segment applies: :meth:`segment`
-        compiles exactly these matrices (both come from :func:`_fuse`),
-        and the hybrid classifier and lint rule P026 conjugate Pauli
-        frames through them, so a frame-safety verdict holds for the
-        very floats the kernels multiply with.  Compiles no segment and
-        records nothing; memoized for the ranges a caller asks for.
+        The hybrid classifier and lint rule P026 conjugate Pauli frames
+        through this list, so a frame-safety verdict holds for the very
+        floats the kernels multiply with.  Compiles no segment and
+        records nothing.
         """
-        key = (start_layer, end_layer)
-        matrices = self._matrices.get(key)
-        if matrices is None:
-            ops = self._ops(start_layer, end_layer)
-            if self.layer_products:
-                qubits = tuple(range(self.num_qubits))
-                matrices = [
-                    (self._unitary(layer), qubits)
-                    for layer in range(start_layer, end_layer)
-                ]
-            else:
-                entries, _, _ = _fuse(ops)
-                matrices = [(matrix, qubits) for matrix, qubits, _ in entries]
-            self._matrices[key] = matrices
-        return matrices
+        self._check_range(start_layer, end_layer)
+        return [
+            entry
+            for layer in range(start_layer, end_layer)
+            for entry in self._layer(layer)[1]
+        ]
 
     def segment(self, start_layer: int, end_layer: int) -> Tuple[Kernel, ...]:
         """The compiled kernel program for layers ``start .. end - 1``."""
         key = (start_layer, end_layer)
         program = self._segments.get(key)
+        recorder = self.recorder
         if program is None:
-            ops = self._ops(start_layer, end_layer)
-            recorder = self.recorder
+            self._check_range(start_layer, end_layer)
             if recorder:
                 recorder.begin(
                     f"compile[{start_layer},{end_layer})", cat="compile"
                 )
-            if self.layer_products:
-                program = tuple(
-                    self._layer_kernel(layer)
-                    for layer in range(start_layer, end_layer)
-                )
-                fused_runs = fused_gates = 0
-            else:
-                program, fused_runs, fused_gates = _compile_ops(
-                    ops, self.num_qubits
-                )
+            program = tuple(
+                kernel
+                for layer in range(start_layer, end_layer)
+                for kernel in self._layer(layer)[0]
+            )
             self._segments[key] = program
-            self._segment_fusion[key] = (fused_runs, fused_gates)
             if recorder:
                 recorder.end(
                     f"compile[{start_layer},{end_layer})",
                     cat="compile",
                     kernels=len(program),
-                    gates=len(ops),
-                    fused_runs=fused_runs,
-                    fused_gates=fused_gates,
+                    gates=self.layered.gates_between(start_layer, end_layer),
                 )
                 recorder.counter("segment.compile", 1)
-                if fused_runs:
-                    recorder.counter("fusion.runs", fused_runs)
-                    recorder.counter("fusion.gates", fused_gates)
                 for kernel in program:
                     recorder.counter(f"kernel.{kernel.kind}", 1)
-        else:
-            recorder = self.recorder
-            if recorder:
-                recorder.counter("segment.hit", 1)
+        elif recorder:
+            recorder.counter("segment.hit", 1)
         return program
 
     def segment_kind_costs(
@@ -338,18 +305,15 @@ class CompiledCircuit:
 
         The totals of :meth:`segment_kind_costs` (so the kind split sums
         exactly to the segment's ``flops`` / ``bytes_moved``) plus the
-        range's gate count and fusion counts.  Memoized.
+        range's gate count.  Memoized.
         """
         key = (start_layer, end_layer)
         cost = self._segment_costs.get(key)
         if cost is None:
             split = self.segment_kind_costs(start_layer, end_layer)
-            fused_runs, fused_gates = self._segment_fusion[key]
             cost = {
                 "gates": self.layered.gates_between(start_layer, end_layer),
                 "kernels": sum(entry["count"] for entry in split.values()),
-                "fused_runs": fused_runs,
-                "fused_gates": fused_gates,
                 "flops": sum(entry["flops"] for entry in split.values()),
                 "bytes_moved": sum(
                     entry["bytes_moved"] for entry in split.values()
@@ -369,15 +333,10 @@ class CompiledCircuit:
             "segments": len(self._segments),
             "kernels": 0,
             "gates": 0,
-            "fused_runs": 0,
-            "fused_gates": 0,
         }
         for (start, end), program in self._segments.items():
             histogram["kernels"] += len(program)
             histogram["gates"] += self.layered.gates_between(start, end)
-            fused_runs, fused_gates = self._segment_fusion.get((start, end), (0, 0))
-            histogram["fused_runs"] += fused_runs
-            histogram["fused_gates"] += fused_gates
             for kernel in program:
                 histogram[kernel.kind] = histogram.get(kernel.kind, 0) + 1
         return histogram

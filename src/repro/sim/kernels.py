@@ -13,8 +13,9 @@ preallocated buffers — nothing is allocated per gate.
 Kernel taxonomy (classification priority top to bottom):
 
 ``diagonal``
-    The matrix is diagonal (rz, z, s, t, cz, cu1, rzz, ...).  Applied as a
-    single in-place broadcast multiply: ``tensor *= diag``, with the
+    The matrix is diagonal (rz, z, s, t, cz, cu1, rzz, ...), or the 1-D
+    product of a layer's diagonals (:mod:`repro.sim.compiled`).  Applied
+    as a single in-place broadcast multiply: ``tensor *= diag``, with the
     factor pre-broadcast over the trailing ``2**DIAGONAL_BLOCK_QUBITS``
     amplitudes so the inner loop is long wherever the targets sit.
 ``controlled``
@@ -73,6 +74,7 @@ __all__ = [
     "ControlledKernel",
     "DenseKernel",
     "compile_matrix",
+    "diagonal_bytes",
     "kernel_for_gate",
     "kernel_cost",
     "kernel_cache_info",
@@ -100,8 +102,10 @@ DIAGONAL_BLOCK_QUBITS = 8
 #: it one product costs about as much as a layer's kernels.
 LAYER_PRODUCT_MAX_QUBITS = 6
 
-#: Byte cap on a circuit's layer unitaries (``16 * 4**n`` bytes a layer):
-#: a narrow circuit whose layers would hold more keeps its gate kernels.
+#: Byte cap on a circuit's layer unitaries (``16 * 4**n`` bytes a layer),
+#: and on its layers' fused diagonals (:func:`diagonal_bytes` each): a
+#: narrow circuit whose unitaries would hold more keeps its layers' gate
+#: kernels, and a circuit whose fused diagonals would, each gate's own.
 LAYER_PRODUCT_MAX_BYTES = 4 << 20
 
 #: index tuple addressing a sub-array: ints on some axes, full slices elsewhere
@@ -175,7 +179,11 @@ def _collapse_axes(
 
 
 class DiagonalKernel(Kernel):
-    """Diagonal gate as one in-place broadcast multiply."""
+    """Diagonal gate as one in-place broadcast multiply.
+
+    ``matrix`` is the gate's matrix or its diagonal as a 1-D factor, in
+    the matrix convention (``qubits[0]`` most significant).
+    """
 
     __slots__ = ("_diag", "_bshape", "_block")
 
@@ -186,8 +194,10 @@ class DiagonalKernel(Kernel):
     ) -> None:
         super().__init__(qubits)
         k = len(qubits)
+        if np.ndim(matrix) == 2:
+            matrix = np.diagonal(matrix)
         diagonal = np.ascontiguousarray(
-            np.diagonal(matrix), dtype=np.complex128
+            matrix, dtype=np.complex128
         ).reshape((2,) * k)
         # The diagonal's axes follow the qubits argument order; transpose
         # them into ascending-qubit order so a plain reshape broadcasts.
@@ -223,6 +233,14 @@ class DiagonalKernel(Kernel):
             return tensor, scratch
         np.multiply(tensor, self._diag, out=tensor)
         return tensor, scratch
+
+
+def diagonal_bytes(qubits: Sequence[int], num_qubits: int) -> int:
+    """Bytes a :class:`DiagonalKernel` on ``qubits`` holds: its factor,
+    and the factor pre-broadcast over the trailing block."""
+    block = min(num_qubits, DIAGONAL_BLOCK_QUBITS)
+    lead = sum(1 for qubit in qubits if qubit < num_qubits - block)
+    return _AMP_BYTES * ((1 << len(qubits)) + (1 << (lead + block)))
 
 
 class PermutationKernel(Kernel):

@@ -17,7 +17,7 @@ updates are numpy-vectorized.
 
 The module also holds the Pauli-frame algebra of the hybrid fast path
 (:mod:`repro.core.hybrid`): :class:`PauliFrame` is a deferred Pauli error
-that crosses a segment one fused kernel matrix at a time, through
+that crosses a segment one kernel's matrix at a time, through
 :meth:`PauliFrame.try_conjugate_matrix` — the only crossing rule, which
 checks bitwise commutation and the odd-phase rule on the very floats the
 compiled kernel applies.  :func:`frame_safe_matrix` (and
@@ -27,6 +27,7 @@ crosses a matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as _iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,11 +90,13 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _IDENTITY2 = np.eye(2, dtype=np.complex128)
 
 
+@lru_cache(maxsize=None)
 def _local_pauli_matrix(x_bits: Tuple[int, ...], z_bits: Tuple[int, ...]) -> np.ndarray:
     """The exact matrix of ``prod_j X_j^{x_j} Z_j^{z_j}`` on ``len(x_bits)`` qubits.
 
     Entries are drawn from ``{0, +-1, +-i}`` with no rounding: products of
-    the exact generator matrices stay exact.
+    the exact generator matrices stay exact.  Memoized; callers only read
+    it.
     """
     result = None
     for x_bit, z_bit in zip(x_bits, z_bits):
@@ -140,8 +143,15 @@ def _search_images(matrix: np.ndarray, num_qubits: int) -> Dict:
             x_bits, z_bits = (bits, zeros) if kind == "x" else (zeros, bits)
             pauli = _local_pauli_matrix(x_bits, z_bits)
             lhs = matrix @ pauli
+            nonzero = lhs != 0
             found = None
             for cand_x in bit_space:
+                # ``P' @ M`` is M with its rows permuted by the X bits; a
+                # candidate whose nonzero pattern differs cannot match.
+                flip = int("".join(map(str, cand_x)), 2)
+                rows = np.arange(len(matrix)) ^ flip
+                if not np.array_equal(nonzero, matrix[rows] != 0):
+                    continue
                 for cand_z in bit_space:
                     rhs = _local_pauli_matrix(cand_x, cand_z) @ matrix
                     for k in range(4):
@@ -309,7 +319,7 @@ class PauliFrame:
 
     The hybrid executor carries one frame per trie node instead of a full
     materialized statevector: injected Pauli errors left-multiply the
-    frame, segment advances conjugate it through each fused kernel matrix
+    frame, segment advances conjugate it through each kernel's matrix
     (:meth:`try_conjugate_matrix`), and materialization applies it to the
     shared anchor state with exact arithmetic only (axis flips, sign
     flips, quarter-turn units) — so the materialized amplitudes are
@@ -364,15 +374,19 @@ class PauliFrame:
         if bit-exactly safe.
 
         The one way a frame crosses a gate: the hybrid executor crosses
-        frames through the *same* matrices the compiled segment programs
-        apply (:meth:`repro.sim.compiled.CompiledCircuit.matrices`,
-        single-qubit fusion included), so the commutation identity it
-        relies on is checked against exactly the floats the serial path
-        multiplies with.  Only the bits on the matrix's qubits change.
-        Returns ``True`` and mutates the frame on success; returns
-        ``False`` with the frame unchanged when the matrix is
-        arithmetically unsafe or a generator in the frame's support has
-        no exact image.
+        frames through the *same* entries the compiled segment programs
+        apply (:meth:`repro.sim.compiled.CompiledCircuit.matrices`), so
+        the commutation identity it relies on is checked against exactly
+        the floats the serial path multiplies with.  Only the bits on the
+        matrix's qubits change.  Returns ``True`` and mutates the frame on
+        success; returns ``False`` with the frame unchanged when the
+        matrix is arithmetically unsafe or a generator in the frame's
+        support has no exact image.
+
+        A 1-D entry is a layer's fused diagonal, whose gates no X frame
+        crosses: it is crossed only by a frame with no X bit on its
+        qubits, which it leaves unchanged (a sign flip commutes with a
+        single complex multiply bitwise).
 
         A frame with an odd global phase (``i^{+-1}``) additionally
         requires the matrix to be :func:`_phase_transparent` — even on
@@ -387,6 +401,8 @@ class PauliFrame:
         z_bits = tuple(int(self.z[q]) for q in qubits)
         if not any(x_bits) and not any(z_bits):
             return True
+        if np.ndim(matrix) == 1:
+            return not any(x_bits)
         arith_safe, images = _matrix_safety(np.asarray(matrix))
         if not arith_safe:
             return False

@@ -1,4 +1,4 @@
-"""Compiled-vs-interpreted equivalence for circuits, fusion and full runs.
+"""Compiled-vs-interpreted equivalence for circuits, layer programs and full runs.
 
 The compiled execution layer's contract: identical ``ops_applied``
 counters, identical ``peak_msv``, and final states ``allclose`` to the
@@ -7,10 +7,16 @@ random circuits, and for full noisy runs through both ``run_optimized``
 and ``run_baseline``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.bench.suite import benchmark_names, build_compiled_benchmark
+from repro.bench.suite import (
+    benchmark_names,
+    build_compiled_benchmark,
+    resolve_benchmark,
+)
 from repro.circuits import QuantumCircuit, gates, layerize
 from repro.core.executor import run_baseline, run_optimized
 from repro.core.runner import NoisySimulator
@@ -18,12 +24,12 @@ from repro.core.schedule import build_plan
 from repro.noise import NoiseModel, ibm_yorktown
 from repro.noise.sampling import sample_trials
 from repro.sim.backend import StatevectorBackend
-from repro.sim.kernels import LAYER_PRODUCT_MAX_QUBITS
-from repro.sim.compiled import (
-    CompiledCircuit,
-    CompiledStatevectorBackend,
-    _compile_ops,
+from repro.sim.kernels import (
+    LAYER_PRODUCT_MAX_BYTES,
+    LAYER_PRODUCT_MAX_QUBITS,
+    diagonal_bytes,
 )
+from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
 
 GATE_POOL = (
     lambda rng: ("h", ()),
@@ -88,33 +94,88 @@ class TestCompiledCircuit:
         with pytest.raises(ValueError):
             CompiledStatevectorBackend(layerize(bell_circuit), compiled=compiled)
 
-    def test_stats_account_fusion(self):
-        # Wider than the layer-product cutoff, where segments fuse runs.
+    def test_stats_count_one_program_per_layer(self):
+        # Wider than the layer-product cutoff.  Runs of one-qubit gates in
+        # consecutive layers do not fuse: each layer has its own program.
         circuit = QuantumCircuit(LAYER_PRODUCT_MAX_QUBITS + 1, name="runs")
         circuit.h(0).t(0).h(0).cx(0, 1).s(1).t(1)
         compiled = CompiledCircuit(layerize(circuit))
         compiled.segment(0, layerize(circuit).num_layers)
         stats = compiled.stats()
         assert stats["gates"] == 6
-        # h-t-h fuses to one kernel, s-t fuses to one kernel, plus cx.
-        assert stats["kernels"] == 3
+        assert stats["kernels"] == 6
 
 
 class TestFusion:
-    def test_single_qubit_run_fuses_to_one_kernel(self, rng):
-        circuit = QuantumCircuit(1, name="run")
-        circuit.h(0).t(0).s(0).h(0).rz(0.4, 0)
-        layered = layerize(circuit)
-        program, fused_runs, fused_gates = _compile_ops(
-            [op for layer in layered.layers for op in layer], 1
-        )
-        assert len(program) == 1
-        assert fused_runs == 1
-        assert fused_gates == 5
+    """Fusion is per layer: above the cutoff, a layer's diagonals that no
+    X frame crosses run as one diagonal kernel; every other gate keeps
+    its own kernel, and nothing fuses across layers."""
 
-    def test_fusion_preserves_state(self, rng):
-        for seed in range(5):
-            circuit = random_circuit(4, 30, seed=seed)
+    @staticmethod
+    def _mixed_layer():
+        circuit = QuantumCircuit(LAYER_PRODUCT_MAX_QUBITS + 3, name="mixed")
+        circuit.t(0).rz(0.4, 1).cu1(0.3, 2, 3).rzz(0.5, 4, 5)
+        circuit.s(6).cz(7, 8)
+        return layerize(circuit)
+
+    def test_diagonals_fuse_into_one_kernel(self):
+        layered = self._mixed_layer()
+        assert layered.num_layers == 1
+        compiled = CompiledCircuit(layered)
+        program = compiled.segment(0, 1)
+        # s and cz are crossed by X frames, so they keep their kernels.
+        assert [(k.kind, k.qubits) for k in program] == [
+            ("diagonal", (6,)),
+            ("diagonal", (7, 8)),
+            ("diagonal", (0, 1, 2, 3, 4, 5)),
+        ]
+        # The fused entry is a 1-D factor: the diagonals' product, with
+        # qubit 0 most significant (the gates sit on qubits 0..5 in order).
+        factor, qubits = compiled.matrices(0, 1)[-1]
+        assert qubits == (0, 1, 2, 3, 4, 5)
+        expected = np.ones(1)
+        for op in layered.layers[0][:4]:
+            expected = np.kron(expected, np.diagonal(op.gate.matrix))
+        np.testing.assert_allclose(factor, expected, atol=1e-15)
+
+    def test_segment_is_its_layers_programs(self):
+        circuit = random_circuit(LAYER_PRODUCT_MAX_QUBITS + 2, 60, seed=3)
+        compiled = CompiledCircuit(layerize(circuit))
+        layers = compiled.layered.num_layers
+        whole = compiled.segment(0, layers)
+        split = compiled.segment(0, layers // 2) + compiled.segment(
+            layers // 2, layers
+        )
+        assert all(a is b for a, b in zip(whole, split))
+        assert len(compiled.matrices(0, layers)) == len(whole)
+
+    def test_qft14_program_pin(self):
+        """QFT(14)'s 112 gates, 91 of them cu1, run as 46 kernels, 25 of
+        them diagonal."""
+        layered = layerize(resolve_benchmark("qft14")[0])
+        program = CompiledCircuit(layered).segment(0, layered.num_layers)
+        assert layered.num_gates == 112
+        assert len(program) == 46
+        assert sum(kernel.kind == "diagonal" for kernel in program) == 25
+
+    @pytest.mark.parametrize("depth", (8, 9))
+    def test_factors_past_the_byte_cap_do_not_fuse(self, depth):
+        """A layer of t on all 14 qubits fuses into a factor of
+        ``diagonal_bytes`` 512 KiB: eight such layers fit under the cap,
+        nine do not, and then no layer fuses."""
+        circuit = QuantumCircuit(14, name="t-layers")
+        for _ in range(depth):
+            for qubit in range(14):
+                circuit.t(qubit)
+        assert 8 * diagonal_bytes(range(14), 14) == LAYER_PRODUCT_MAX_BYTES
+        program = CompiledCircuit(layerize(circuit)).segment(0, depth)
+        assert len(program) == (depth if depth == 8 else 14 * depth)
+
+    def test_fusion_preserves_state(self):
+        for num_qubits, seed in itertools.product(
+            (4, LAYER_PRODUCT_MAX_QUBITS + 2), range(5)
+        ):
+            circuit = random_circuit(num_qubits, 40, seed=seed)
             layered = layerize(circuit)
             interp_state, interp_ops = run_full_circuit(
                 StatevectorBackend(layered), layered
@@ -126,7 +187,7 @@ class TestFusion:
             assert comp_state.allclose(interp_state)
 
     def test_multi_qubit_gate_flushes_pending_run(self):
-        # x then cx on the same qubit: the pending x must land before cx.
+        # x then cx on the same qubit: the x's layer runs before the cx's.
         circuit = QuantumCircuit(2, name="order")
         circuit.x(0).cx(0, 1)
         layered = layerize(circuit)

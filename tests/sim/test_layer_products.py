@@ -1,14 +1,14 @@
-"""Narrow circuits advance one matrix-vector product per layer.
+"""One kernel program per layer, at every width.
 
 Up to ``LAYER_PRODUCT_MAX_QUBITS`` qubits, while the layers' unitaries fit
 under ``LAYER_PRODUCT_MAX_BYTES``, a compiled segment over layers
 ``[s, e)`` is ``e - s`` full-width dense kernels, one per layer, built
-once from the layer's fused matrices; ``matrices(s, e)`` returns those
-unitaries.  Wider circuits, and narrow ones past the byte cap, keep the
-gate kernels and their fusion.  Every executor stays ``np.array_equal``
-to serial DFS on both sides of the cutoff; at or below it the baseline
-does too, because per-layer products do not depend on where a segment
-starts or ends.
+once from the layer's program; ``matrices(s, e)`` returns those
+unitaries.  Wider circuits, and narrow ones past the byte cap, run each
+layer's gate kernels, with the layer's diagonals that no X frame crosses
+fused into one.  Every executor, the baseline included, stays
+``np.array_equal`` to serial DFS on both sides of the cutoff, because
+per-layer programs do not depend on where a segment starts or ends.
 """
 
 import numpy as np
@@ -23,14 +23,15 @@ from repro.core.executor import run_optimized
 from repro.core.hybrid import classify_plan, run_hybrid
 from repro.core.schedule import build_plan
 from repro.core.shared import SharedPrefixStore
+from repro.lint import lint_hybrid
 from repro.noise import NoiseModel
 from repro.sim.backend import StatevectorBackend
-from repro.sim.compiled import (
-    CompiledCircuit,
-    CompiledStatevectorBackend,
-    _compile_ops,
+from repro.sim.compiled import CompiledCircuit, CompiledStatevectorBackend
+from repro.sim.kernels import (
+    LAYER_PRODUCT_MAX_BYTES,
+    LAYER_PRODUCT_MAX_QUBITS,
+    kernel_for_gate,
 )
-from repro.sim.kernels import LAYER_PRODUCT_MAX_BYTES, LAYER_PRODUCT_MAX_QUBITS
 from repro.testing import random_circuit
 
 CUTOFF = LAYER_PRODUCT_MAX_QUBITS
@@ -44,7 +45,7 @@ def _random_layered(num_qubits, num_gates=30, seed=5):
 def _spanning_layered(num_qubits, seed=7):
     """A layer of Hadamards, then one hand-built layer: a gate on every
     qubit in ascending order, one on every qubit in descending order, and
-    a run of one-qubit gates on qubit 0 that fuses into one matrix."""
+    a run of one-qubit gates on qubit 0."""
     rng = np.random.default_rng(seed + num_qubits)
     dim = 1 << num_qubits
 
@@ -137,7 +138,7 @@ class TestNarrowSegments:
 
 class TestGateKernelsKept:
     @staticmethod
-    def _fusable(num_qubits, depth):
+    def _one_qubit_run(num_qubits, depth):
         """``depth`` one-qubit gates on qubit 0 (one layer each), then a cx."""
         circuit = QuantumCircuit(num_qubits, name="runs")
         for index in range(depth):
@@ -150,32 +151,28 @@ class TestGateKernelsKept:
         assert not compiled.layer_products
         layers = layered.num_layers
         program = compiled.segment(0, layers)
+        # A run across layers does not fuse: every layer keeps its gate's
+        # own kernel, from the shared per-gate cache.
         ops = [op for layer in layered.layers for op in layer]
-        expected, fused_runs, fused_gates = _compile_ops(
-            ops, layered.num_qubits
-        )
-        assert [(k.kind, k.qubits) for k in program] == [
-            (k.kind, k.qubits) for k in expected
+        assert len(ops) == layers
+        assert list(program) == [
+            kernel_for_gate(op.gate, op.qubits, layered.num_qubits)
+            for op in ops
         ]
-        # The one-qubit run fuses into one kernel beside the cx.
-        assert len(program) == 2
-        stats = compiled.stats()
-        assert (stats["fused_runs"], stats["fused_gates"]) == (
-            fused_runs, fused_gates,
-        ) == (1, layers - 1)
-        assert len(compiled.matrices(0, layers)) == 2
+        assert compiled.stats()["kernels"] == layers
+        assert len(compiled.matrices(0, layers)) == layers
 
     def test_above_the_cutoff(self):
-        self._assert_gate_kernels(self._fusable(CUTOFF + 1, 6))
+        self._assert_gate_kernels(self._one_qubit_run(CUTOFF + 1, 6))
 
     def test_narrow_circuit_past_the_byte_cap(self):
         per_layer = 16 * 4**CUTOFF
         depth = LAYER_PRODUCT_MAX_BYTES // per_layer
-        layered = self._fusable(CUTOFF, depth)
+        layered = self._one_qubit_run(CUTOFF, depth)
         assert layered.num_layers * per_layer > LAYER_PRODUCT_MAX_BYTES
         self._assert_gate_kernels(layered)
         # One layer fewer fits under the cap.
-        assert CompiledCircuit(self._fusable(CUTOFF, depth - 1)).layer_products
+        assert CompiledCircuit(self._one_qubit_run(CUTOFF, depth - 1)).layer_products
 
 
 class TestFramesCrossTwoQubitLayers:
@@ -230,22 +227,70 @@ def _final_states(result):
     return [state.vector for state in result.final_states]
 
 
+#: Gates of the generated mixed layers, by kind: diagonals that fuse,
+#: diagonals that X frames cross, and dense and permutation gates, as
+#: ``(name, arity, takes an angle)``.
+MIXED_KINDS = (
+    (("t", 1, False), ("rz", 1, True), ("cu1", 2, True), ("rzz", 2, True)),
+    (("z", 1, False), ("s", 1, False), ("cz", 2, False)),
+    (("h", 1, False), ("sx", 1, False), ("ry", 1, True), ("x", 1, False),
+     ("cx", 2, False), ("swap", 2, False)),
+)
+
+
+def mixed_circuit(num_qubits, depth, seed):
+    """``depth`` generated layers, each covering every qubit with gates of
+    all three kinds of :data:`MIXED_KINDS`, so every layer has diagonals
+    to fuse beside gates that keep their own kernels."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits, name=f"mixed{num_qubits}")
+    for _ in range(depth):
+        free = [int(q) for q in rng.permutation(num_qubits)]
+        position = 0
+        while free:
+            kinds = MIXED_KINDS[position % 3]
+            name, arity, angled = kinds[int(rng.integers(len(kinds)))]
+            if arity > len(free):
+                name, arity, angled = kinds[0]
+            qubits = [free.pop() for _ in range(arity)]
+            params = (float(rng.uniform(0.1, 3.0)),) if angled else ()
+            circuit.gate(name, *qubits, params=params)
+            position += 1
+    circuit.measure_all()
+    return circuit
+
+
 class TestExecutorsMatchSerialDfs:
-    """On random circuits at the cutoff and one qubit above it, every
-    executor's payloads are ``np.array_equal`` to serial DFS with equal
-    operation counts; at the cutoff the baseline's are too."""
+    """On random circuits at the cutoff and one qubit above it, and on
+    generated mixed layers at 7 and 10 qubits, every executor's payloads
+    are ``np.array_equal`` to serial DFS with equal operation counts, the
+    baseline's included."""
 
     TRIALS = 64
     SEED = 31
 
-    @pytest.fixture(params=(CUTOFF, CUTOFF + 1), ids=("cutoff", "above"))
+    @pytest.fixture(
+        params=(CUTOFF, CUTOFF + 1, "mixed-7", "mixed-10"),
+        ids=("cutoff", "above", "mixed-7", "mixed-10"),
+    )
     def case(self, request):
-        num_qubits = request.param
-        rng = np.random.default_rng(40 + num_qubits)
-        circuit = random_circuit(num_qubits, 36, rng)
-        narrow = num_qubits <= CUTOFF
-        assert CompiledCircuit(layerize(circuit)).layer_products == narrow
-        return circuit, NoiseModel.uniform(0.04), narrow
+        if isinstance(request.param, int):
+            num_qubits = request.param
+            rng = np.random.default_rng(40 + num_qubits)
+            circuit = random_circuit(num_qubits, 36, rng)
+            narrow = num_qubits <= CUTOFF
+            assert CompiledCircuit(layerize(circuit)).layer_products == narrow
+            return circuit, NoiseModel.uniform(0.04)
+        num_qubits = int(request.param.split("-")[1])
+        circuit = mixed_circuit(num_qubits, 8, seed=num_qubits)
+        layered = layerize(circuit)
+        compiled = CompiledCircuit(layered)
+        assert layered.num_layers == 8
+        # Every layer fuses diagonals: it has fewer kernels than gates.
+        for index, layer in enumerate(layered.layers):
+            assert len(compiled.segment(index, index + 1)) < len(layer)
+        # Pauli errors and readout flips.
+        return circuit, NoiseModel.uniform(0.01, two=0.03, measurement=0.05)
 
     def _run(self, circuit, model, **options):
         simulator = NoisySimulator(circuit, model, seed=self.SEED)
@@ -266,14 +311,18 @@ class TestExecutorsMatchSerialDfs:
             assert np.array_equal(got, expected), context
 
     def test_every_executor(self, case, tmp_path):
-        circuit, model, narrow = case
+        circuit, model = case
         reference = self._run(circuit, model, hybrid=False)
         assert reference.executor == "dfs"
         simulator = NoisySimulator(circuit, model, seed=self.SEED)
-        planned = build_plan(
-            simulator.layered, simulator.sample(self.TRIALS)
-        ).planned_operations(simulator.layered)
+        plan = build_plan(simulator.layered, simulator.sample(self.TRIALS))
+        planned = plan.planned_operations(simulator.layered)
         assert reference.metrics.optimized_ops == planned
+        # Above the cutoff the forced hybrid crosses frames, through fused
+        # diagonals too; P026 proves its schedule.
+        wide = circuit.num_qubits > CUTOFF
+        assert classify_plan(simulator.layered, plan).active == wide
+        assert not lint_hybrid(simulator.layered, plan).diagnostics
         runs = {
             "journal": dict(journal=str(tmp_path / "run.journal")),
             "spill": dict(max_cache_bytes=2 * 16 * (1 << circuit.num_qubits)),
@@ -290,9 +339,8 @@ class TestExecutorsMatchSerialDfs:
                 self._run(circuit, model, shared=store), reference, context
             )
         assert store.stats().hits > 0
-        if narrow:
-            baseline = self._run(circuit, model, mode="baseline")
-            self._assert_equal(
-                baseline, reference, "baseline",
-                ops=reference.metrics.baseline_ops,
-            )
+        baseline = self._run(circuit, model, mode="baseline")
+        self._assert_equal(
+            baseline, reference, "baseline",
+            ops=reference.metrics.baseline_ops,
+        )

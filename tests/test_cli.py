@@ -151,6 +151,23 @@ class TestCLI:
         assert f"argument --trials: expected an integer >= 1, got '{count}'" in err
         assert "Traceback" not in err
 
+    def test_advise_checks_options_through_the_table(self, capsys):
+        argv = ["advise", "qft5", "--trials", "16", "--max-cache-bytes", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: max_cache_bytes must be an int >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["submit", "qft5", "--trials", "16"], ["jobs"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_server_running_is_one_line(self, argv, tmp_path, capsys):
+        assert main(argv[:1] + [str(tmp_path)] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: no server is running at {tmp_path} (no endpoint.json)\n"
+        )
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "not-a-benchmark"])
