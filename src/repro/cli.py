@@ -52,16 +52,26 @@ from .noise.devices import (
 __all__ = ["main"]
 
 
-def _trial_count(text: str) -> int:
-    """The argparse type of every ``--trials``: an int >= 1, so a bad
-    count is a usage error (exit 2) before anything runs."""
-    try:
-        value: Optional[int] = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an int >= ``minimum``, so a bad value is a usage
+    error (exit 2) before anything runs."""
+
+    def parse(text: str) -> int:
+        try:
+            value: Optional[int] = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+#: The argparse type of every ``--trials``.
+_trial_count = _int_at_least(1)
 
 
 def _maybe_write_json(args: argparse.Namespace, rows) -> None:
@@ -317,8 +327,7 @@ class _RecordedRun:
 
         return check_recorded_run(
             self.simulator.layered, self.trials, self.recorder, self.result.metrics,
-            certificate=self.certificate, compiled=self.simulator.compiled_circuit(),
-            **self.options,
+            certificate=self.certificate, **self.options,
         )
 
 
@@ -469,34 +478,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Roofline profiler: attribute wall time to certified flops/bytes."""
-    from .core.schedule import build_plan
-    from .lint import analyze_plan
+    """Wall-time profiler: measured exclusive time per span."""
     from .obs import (
         build_profile_report,
         fold_spans,
         format_profile_report,
-        measure_peaks,
         registry_from_recorder,
         write_flamegraph,
         write_openmetrics,
     )
 
-    def certify(simulator, trials):
-        # The roofline numerators are the certificate's per-segment flop
-        # counts.  Certified before the run, which then replays the
-        # segments the analysis compiled.
-        analysis = analyze_plan(
-            build_plan(simulator.layered, trials), simulator.layered,
-            compiled=simulator.compiled_circuit(),
-        )
-        return {"plan": analysis.to_dict(), "num_trials": len(trials)}
+    run = _RecordedRun(args, {})
+    recorder = run.recorder
 
-    run = _RecordedRun(args, {}, certify=certify)
-    simulator, recorder, certificate = run.simulator, run.recorder, run.certificate
-
-    # P020 proves those numerators against the recorded spans (an
-    # unproven numerator is noise) and P025 proves the OpenMetrics
+    # The executor's evidence: P020 proves the recorded segments against
+    # the certified operation counts and P025 proves the OpenMetrics
     # snapshot is the same data as the trace it is bridged from.
     checks = run.checks()
     profile = fold_spans(recorder)
@@ -505,13 +501,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "the run span (must be within 5%)"
     ] if abs(profile.coverage - 1.0) > 0.05 else []
 
-    peaks = measure_peaks(repeats=args.calibration_repeats)
     report = build_profile_report(
-        recorder,
-        certificate["plan"]["segments"],
-        simulator.compiled_circuit(),
-        simulator.layered.num_qubits,
-        peaks=peaks,
+        profile,
         top=args.top,
         meta={
             "benchmark": args.benchmark,
@@ -702,7 +693,6 @@ def _advise_certificate(args: argparse.Namespace, simulator, trials):
         benchmark=args.benchmark,
         seed=args.seed,
         budget=budget,
-        compiled=simulator.compiled_circuit(),
     )
 
 
@@ -730,7 +720,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     print(f"benchmark         : {args.benchmark}")
     print(
         f"plan              : {certificate['plan']['ops']} ops, "
-        f"{certificate['plan']['flops']} flops, "
         f"peak MSV {certificate['plan']['memory']['peak_msv']} "
         f"({certificate['num_trials']} trials)"
     )
@@ -971,8 +960,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="resource certificate of one run and the executor it picks",
         description=(
             "Build a machine-checkable resource certificate for one "
-            "benchmark — per-segment flop/byte costs from the kernel "
-            "taxonomy, the full resident-memory timeline (with predicted "
+            "benchmark — per-segment operation counts, the full "
+            "resident-memory timeline (with predicted "
             "spill events under --max-cache-bytes) and the hybrid "
             "schedule's static shape — and print "
             "the executor the default pick rule runs these trials on, "
@@ -1070,19 +1059,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     pprofile = sub.add_parser(
         "profile",
-        help="roofline profiler: attributed wall time vs certified costs",
+        help="wall-time profiler: measured exclusive time per span",
         description=(
-            "Run one benchmark with the trace recorder attached, fold the "
-            "span stream into exclusive per-span wall time, and divide "
-            "each advance segment's measured seconds into the flops and "
-            "bytes its resource certificate certifies — achieved vs peak "
-            "GFLOP/s and GB/s, arithmetic intensity, memory- or "
-            "compute-bound verdict, and the cache-residency band the "
-            "paper's working-set argument predicts.  Also emits a "
-            "collapsed-stack flamegraph and an OpenMetrics snapshot, and "
-            "proves both views against the trace: the executor's evidence "
-            "(certificate parity P020 and metrics consistency P025 among "
-            "it) and 95% attribution coverage are hard failures (exit 1)."
+            "Run one benchmark with the trace recorder attached and fold "
+            "the span stream into measured exclusive wall time per span: "
+            "a hotspot table, a collapsed-stack flamegraph and an "
+            "OpenMetrics snapshot.  Per-class kernel cost is measured by "
+            "repro.perf.kernel_microbench, not apportioned here.  The "
+            "executor's evidence (certificate parity P020 and metrics "
+            "consistency P025 among it) and 95% attribution coverage are "
+            "hard failures (exit 1)."
         ),
     )
     pprofile.add_argument("benchmark", choices=all_benchmark_names())
@@ -1096,7 +1082,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     pprofile.add_argument(
         "--json", default=None, metavar="PATH",
-        help="write the full repro-profile/1 report as JSON",
+        help="write the full repro-profile/2 report as JSON",
     )
     pprofile.add_argument(
         "--flamegraph", default=None, metavar="PATH",
@@ -1105,11 +1091,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pprofile.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="OpenMetrics snapshot path (default: <benchmark>.metrics.txt)",
-    )
-    pprofile.add_argument(
-        "--calibration-repeats", type=int, default=3, metavar="N",
-        help="best-of-N repeats for the peak GFLOP/s and GB/s "
-        "microbenchmarks (default 3)",
     )
 
     pserve = sub.add_parser(
@@ -1132,15 +1113,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="listen port (0 = ephemeral, published in endpoint.json)",
     )
     pserve.add_argument(
-        "--max-pending", type=int, default=16,
+        "--max-pending", type=_int_at_least(1), default=16,
         help="admission bound on queued+running jobs (excess gets 429s)",
     )
     pserve.add_argument(
-        "--exec-threads", type=int, default=1,
+        "--exec-threads", type=_int_at_least(1), default=1,
         help="concurrent job executors (1 maximizes cross-job sharing)",
     )
     pserve.add_argument(
-        "--shared-budget-mb", type=int, default=256, metavar="MB",
+        "--shared-budget-mb", type=_int_at_least(0), default=256, metavar="MB",
         help="byte budget for the cross-job prefix store, which evicts "
         "least-recently-used entries past it (0 = unbounded)",
     )

@@ -46,7 +46,8 @@ backend states exactly as the serial executor does.
 
 The static classifier (:func:`classify_plan`) decides every action ahead
 of execution, so the schedule is lint-provable (rule ``P026``) and the
-cost model can price the hybrid run without touching a backend.
+certificate can count the hybrid run's operations without touching a
+backend.
 """
 
 from __future__ import annotations

@@ -243,9 +243,9 @@ class _RunEvidence:
     """A recorded run and the check inputs derived from it, each built on
     first use."""
 
-    def __init__(self, layered, trials, recorder, metrics, certificate, compiled, values):
+    def __init__(self, layered, trials, recorder, metrics, certificate, values):
         self.layered, self.trials, self.recorder = layered, trials, recorder
-        self.metrics, self.compiled, self.values = metrics, compiled, values
+        self.metrics, self.values = metrics, values
         if certificate is not None:
             self.certificate = certificate  # shadows the derived analysis
 
@@ -255,14 +255,14 @@ class _RunEvidence:
 
     @cached_property
     def certificate(self) -> Dict[str, Any]:
-        analysis = analyze_plan(self.plan, self.layered, compiled=self.compiled)
+        analysis = analyze_plan(self.plan, self.layered)
         certificate: Dict[str, Any] = {
             "plan": analysis.to_dict(), "num_trials": len(self.trials)
         }
         max_bytes = self.values["max_cache_bytes"]
         if max_bytes is not None:
             certificate["budget"] = budget_section(
-                self.plan, self.layered, CacheBudget(max_bytes), self.compiled
+                self.plan, self.layered, CacheBudget(max_bytes)
             )
         return certificate
 
@@ -306,7 +306,6 @@ def check_recorded_run(
     recorder,
     metrics,
     certificate: Optional[Dict[str, Any]] = None,
-    compiled=None,
     **options: Any,
 ) -> Dict[str, List[str]]:
     """Run the checks a recorded run of ``trials`` must pass; each
@@ -318,12 +317,12 @@ def check_recorded_run(
     leave it open), whose ``evidence`` names the checks.
     ``recorder`` is the run's unbounded ``InMemoryRecorder`` and
     ``metrics`` the ``RunMetrics`` or ``ExecutionOutcome`` it returned.
-    Only the inputs a named check needs are derived; a ``certificate``
-    replaces the plan cost analysis, and ``compiled`` is shared with it.
+    Only the inputs a named check needs are derived, and none compiles a
+    kernel; a ``certificate`` replaces the plan cost analysis.
     """
     executor = pick(layered, trials, **options)
     values = {name: options.get(name, option.default) for name, option in OPTIONS.items()}
-    run = _RunEvidence(layered, trials, recorder, metrics, certificate, compiled, values)
+    run = _RunEvidence(layered, trials, recorder, metrics, certificate, values)
     problems: Dict[str, List[str]] = {}
     for name in executor.evidence:
         problems[name] = RUN_CHECKS[name](run)

@@ -4,29 +4,31 @@ machine-checkable **ResourceCertificate**.
 The paper's redundancy elimination makes run cost a function of trie
 *structure*: every ``Advance`` applies a statically known layer range,
 every ``Inject`` one operator, every ``Snapshot``/``Restore`` moves one
-statevector — so operations, flops and the resident-memory timeline are
-all decidable from the :class:`ExecutionPlan` alone, before a single
-amplitude is touched.  This module computes them:
+statevector — so operations and the resident-memory timeline are both
+decidable from the :class:`ExecutionPlan` alone, before a single
+amplitude is touched.  Cost is counted as the paper counts it, in basic
+operations: an ``Advance`` costs the gates of its range
+(:meth:`~repro.circuits.layers.LayeredCircuit.gates_between`), an
+``Inject`` one operation.  What one kernel costs in time is measured,
+not modeled: :func:`repro.perf.kernel_microbench` reports it per class
+and width.  This module computes:
 
 :func:`analyze_plan`
     A fold over the symbolic plan walk
     (:class:`~repro.core.schedule.PlanWalk`, the walk
     :func:`repro.lint.plan_sanitizer.sanitize_plan` folds to prove
-    *validity*; this fold computes *cost*).  Per-instruction
-    flop/byte costs come from the kernel taxonomy
-    (:func:`repro.sim.kernels.kernel_cost` folded over each compiled
-    segment, fused single-qubit runs included); the memory timeline
-    mirrors :class:`~repro.core.cache.StateCache` accounting exactly,
-    including predicted spill and spill-load events under any
-    :class:`~repro.core.cache.CacheBudget` (the mirror replays the
-    executor's make-room-before-copy / coldest-slot-first policy).
+    *validity*; this fold computes *cost*) that compiles no kernel.
+    The memory timeline mirrors :class:`~repro.core.cache.StateCache`
+    accounting exactly, including predicted spill and spill-load events
+    under any :class:`~repro.core.cache.CacheBudget` (the mirror replays
+    the executor's make-room-before-copy / coldest-slot-first policy).
 
 :func:`build_certificate`
     Bundles the plan analysis, the predicted spilling under a cache
     budget and the executor the default pick rule
     (:func:`repro.core.options.pick`) runs the trials on as ``advice`` —
     the JSON document behind ``repro run --auto`` and ``repro advise``,
-    which adds the hybrid fast path's static price
+    which adds the hybrid fast path's static shape
     (:func:`analyze_hybrid`) as its ``hybrid`` section.  Written
     atomically via :func:`repro.core.atomicio.atomic_write_json`.
 
@@ -42,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.layers import LayeredCircuit
 from ..core.cache import CacheBudget
-from ..core.events import ErrorEvent, Trial
+from ..core.events import Trial
 from ..core.schedule import (
     Advance,
     ExecutionPlan,
@@ -56,7 +58,6 @@ from ..core.schedule import (
 
 __all__ = [
     "CERT_SCHEMA",
-    "FRAME_OP_FLOPS",
     "PlanCostAnalysis",
     "analyze_hybrid",
     "analyze_plan",
@@ -68,19 +69,7 @@ __all__ = [
 ]
 
 #: Certificate document schema tag.
-CERT_SCHEMA = "repro-cert/5"
-
-#: Modeled flop cost of conjugating one Pauli frame through one fused
-#: gate matrix (``PauliFrame.try_conjugate_matrix`` on a <= 4x4 unitary):
-#: a handful of small matrix products and phase comparisons, independent
-#: of qubit count.  This is the price the hybrid pays per gate on a
-#: symbolic span instead of the dense kernel's ``O(2**n)``.
-FRAME_OP_FLOPS = 64
-
-#: Modeled per-amplitude flop cost of materializing a Pauli frame onto an
-#: anchor statevector (X part: index permutation copy; Z/phase part: one
-#: complex multiply per amplitude).
-MATERIALIZE_FLOPS_PER_AMP = 8
+CERT_SCHEMA = "repro-cert/6"
 
 
 def frame_bytes(num_qubits: int) -> int:
@@ -96,8 +85,9 @@ def _segment_name(start_layer: int, end_layer: int) -> str:
 class PlanCostAnalysis:
     """Everything statically decidable about one plan execution.
 
-    ``segments`` maps the executor's span name (``advance[s,e)``) to the
-    per-range aggregate ``{count, gates, ops, flops, bytes_moved}``;
+    Cost is counted in basic operations: ``ops`` is the plan's
+    ``ops_applied``.  ``segments`` maps the executor's span name
+    (``advance[s,e)``) to the per-range aggregate ``{count, gates, ops}``;
     ``timeline`` is the resident-memory change-point list
     ``[instruction_index, live, stored, resident]`` (index ``-1`` is the
     initial working state).  The nominal peaks mirror
@@ -108,13 +98,9 @@ class PlanCostAnalysis:
 
     def __init__(self) -> None:
         self.ops = 0
-        self.flops = 0
-        self.bytes_moved = 0
         self.num_instructions = 0
         self.segments: Dict[str, Dict[str, int]] = {}
         self.injects = 0
-        self.inject_flops = 0
-        self.inject_bytes = 0
         self.finishes = 0
         self.finished_trials = 0
         self.snapshots_taken = 0
@@ -129,15 +115,9 @@ class PlanCostAnalysis:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "ops": self.ops,
-            "flops": self.flops,
-            "bytes_moved": self.bytes_moved,
             "num_instructions": self.num_instructions,
             "segments": self.segments,
-            "injects": {
-                "count": self.injects,
-                "flops": self.inject_flops,
-                "bytes_moved": self.inject_bytes,
-            },
+            "injects": {"count": self.injects},
             "finishes": self.finishes,
             "finished_trials": self.finished_trials,
             "snapshots_taken": self.snapshots_taken,
@@ -155,63 +135,26 @@ class PlanCostAnalysis:
         }
 
     def __repr__(self) -> str:
-        return (
-            f"PlanCostAnalysis(ops={self.ops}, flops={self.flops}, "
-            f"peak_msv={self.peak_msv})"
-        )
-
-
-def _inject_cost(compiled, event: ErrorEvent) -> Tuple[int, int]:
-    """(flops, bytes) of one injected error operator."""
-    from ..sim.kernels import kernel_cost
-
-    kernel = compiled.operator_kernel(event.gate, (event.qubit,))
-    cost = kernel_cost(kernel, compiled.num_qubits)
-    return cost.flops, cost.bytes_moved
-
-
-def _charge(compiled, layered: LayeredCircuit, instr) -> Tuple[int, int, int]:
-    """(ops, flops, bytes) one instruction costs; zero for non-kernel ones.
-
-    The single per-instruction price every fold in this module uses.
-    """
-    if isinstance(instr, Advance):
-        cost = compiled.segment_cost(instr.start_layer, instr.end_layer)
-        return (
-            layered.gates_between(instr.start_layer, instr.end_layer),
-            int(cost["flops"]),
-            int(cost["bytes_moved"]),
-        )
-    if isinstance(instr, Inject):
-        flops, bytes_moved = _inject_cost(compiled, instr.event)
-        return 1, flops, bytes_moved
-    return 0, 0, 0
+        return f"PlanCostAnalysis(ops={self.ops}, peak_msv={self.peak_msv})"
 
 
 def analyze_plan(
     plan: ExecutionPlan,
     layered: LayeredCircuit,
-    compiled=None,
     budget: Optional[CacheBudget] = None,
 ) -> PlanCostAnalysis:
     """Fold over the symbolic walk of ``plan`` and compute its static costs.
 
     The plan must be structurally valid (run the sanitizer first;
-    :func:`build_certificate` does).  ``compiled`` is a
-    :class:`~repro.sim.compiled.CompiledCircuit` supplying per-segment
-    kernel costs — built on demand when omitted; pass the one the run
-    will use to share segment compilations.  ``budget`` predicts the
+    :func:`build_certificate` does).  Each ``Advance`` is charged
+    ``layered.gates_between`` of its range and each ``Inject`` one
+    operation, so the fold compiles no kernel.  ``budget`` predicts the
     executor's spilling under the same
     :class:`~repro.core.cache.CacheBudget`, mirroring its
     make-room-before-copy, coldest-slot-first policy (statevector states
     assumed: ``state_bytes = 16 * 2**n``).  The fold keeps only each
     stored snapshot's residency, keyed by the slot the walk reports.
     """
-    if compiled is None:
-        from ..sim.compiled import CompiledCircuit
-
-        compiled = CompiledCircuit(layered)
-
     analysis = PlanCostAnalysis()
     analysis.num_instructions = len(plan.instructions)
     state_bytes = 16 * (1 << layered.num_qubits)
@@ -238,25 +181,15 @@ def analyze_plan(
     walk = PlanWalk(plan.instructions, plan.num_layers)
     for step in walk:
         index, instr = step.index, step.instr
-        ops, flops, bytes_moved = _charge(compiled, layered, instr)
-        analysis.ops += ops
-        analysis.flops += flops
-        analysis.bytes_moved += bytes_moved
         if isinstance(instr, Advance):
+            ops = layered.gates_between(instr.start_layer, instr.end_layer)
+            analysis.ops += ops
             entry = analysis.segments.setdefault(
                 _segment_name(instr.start_layer, instr.end_layer),
-                {
-                    "count": 0,
-                    "gates": ops,
-                    "ops": 0,
-                    "flops": 0,
-                    "bytes_moved": 0,
-                },
+                {"count": 0, "gates": ops, "ops": 0},
             )
             entry["count"] += 1
             entry["ops"] += ops
-            entry["flops"] += flops
-            entry["bytes_moved"] += bytes_moved
         elif isinstance(instr, Snapshot):
             if step.fault:
                 raise ScheduleError(
@@ -289,9 +222,8 @@ def analyze_plan(
             resident_peaks()
             sample(index, step.live, step.stored)
         elif isinstance(instr, Inject):
+            analysis.ops += 1
             analysis.injects += 1
-            analysis.inject_flops += flops
-            analysis.inject_bytes += bytes_moved
         elif isinstance(instr, Restore):
             restored = step.entry
             if restored is None:
@@ -321,14 +253,12 @@ def analyze_hybrid(
     plan: ExecutionPlan,
     compiled=None,
 ) -> Dict[str, Any]:
-    """Statically price the Clifford/Pauli-frame fast path for ``plan``.
+    """The Clifford/Pauli-frame fast path's static shape for ``plan``.
 
-    Runs the hybrid classifier (:func:`repro.core.hybrid.classify_plan`)
-    and converts its gate-count schedule into the certificate's flop
-    currency: symbolic spans at :data:`FRAME_OP_FLOPS` per gate (tableau
-    cost, *not* ``2**n``), anchor derivations and dense spans at the
-    compiled segment kernel cost, materializations at
-    :data:`MATERIALIZE_FLOPS_PER_AMP` per amplitude.
+    Runs the hybrid classifier (:func:`repro.core.hybrid.classify_plan`,
+    over the ``matrices()`` of ``compiled``, built here when omitted) and
+    reports its gate-count ``stats`` — the symbolic/dense split of the
+    plan's operations, anchors and materializations — and its memory.
 
     The memory section certifies two quantities with different roles:
 
@@ -347,37 +277,14 @@ def analyze_hybrid(
     """
     from ..core.hybrid import classify_plan
 
-    if compiled is None:
-        from ..sim.compiled import CompiledCircuit
-
-        compiled = CompiledCircuit(layered)
-
     schedule = classify_plan(layered, plan, compiled)
     stats = dict(schedule.stats)
     num_qubits = layered.num_qubits
     state_bytes = 16 * (1 << num_qubits)
 
-    anchor_flops = 0
-    for path in schedule.derive_gates:
-        if len(path) >= 2:
-            anchor_flops += int(
-                compiled.segment_cost(path[-2], path[-1])["flops"]
-            )
-
-    dense_flops = 0
-    frame_flops = 0
     walk = PlanWalk(plan.instructions, plan.num_layers)
-    for step in walk:
-        kind = schedule.actions[step.index][0]
-        ops, flops, _ = _charge(compiled, layered, step.instr)
-        if kind in ("advance-dense", "advance-mat", "inject-dense"):
-            dense_flops += flops
-        elif kind in ("advance-sym", "inject-sym"):
-            frame_flops += FRAME_OP_FLOPS * ops
-    materialize_flops = (
-        stats["materializations"] * MATERIALIZE_FLOPS_PER_AMP * (1 << num_qubits)
-    )
-    total_flops = anchor_flops + dense_flops + materialize_flops + frame_flops
+    for _ in walk:  # the dense plan's peaks
+        pass
 
     per_frame = frame_bytes(num_qubits)
     cache_bytes = (
@@ -388,13 +295,6 @@ def analyze_hybrid(
     return {
         "active": stats["savings"] > 0,
         "stats": stats,
-        "flops": {
-            "anchor": anchor_flops,
-            "dense": dense_flops,
-            "materialize": materialize_flops,
-            "frame": frame_flops,
-            "total": total_flops,
-        },
         "memory": {
             "frame_bytes": per_frame,
             "peak_full_states": stats["peak_real_states"],
@@ -418,11 +318,10 @@ def budget_section(
     plan: ExecutionPlan,
     layered: LayeredCircuit,
     budget: CacheBudget,
-    compiled=None,
 ) -> Dict[str, Any]:
     """A certificate's ``budget`` section: ``plan``'s predicted spilling
     and resident peaks under ``budget``, which P021 and P023 check."""
-    degraded = analyze_plan(plan, layered, compiled=compiled, budget=budget)
+    degraded = analyze_plan(plan, layered, budget=budget)
     return {
         "max_bytes": budget.max_bytes,
         "predicted": degraded.to_dict()["predicted"],
@@ -438,12 +337,13 @@ def build_certificate(
     benchmark: Optional[str] = None,
     seed: Optional[int] = None,
     budget: Optional[CacheBudget] = None,
-    compiled=None,
 ) -> Dict[str, Any]:
     """Build the ResourceCertificate for one circuit + trial set.
 
-    The certificate carries (a) the serial plan's exact per-segment op
-    counts and kernel-model flop/byte costs, (b) the full resident-memory
+    The certificate carries (a) the serial plan's exact per-segment
+    operation counts, in the paper's currency of basic operations (no
+    flop or byte model: what a kernel costs in time is measured by
+    :func:`repro.perf.kernel_microbench`), (b) the full resident-memory
     timeline with predicted spilling under ``budget``, and (c)
     ``advice``: the executor
     :func:`repro.core.options.pick` runs these trials on under
@@ -452,16 +352,12 @@ def build_certificate(
     executor, so choosing one is a cost decision, and the measured pick
     rule is the only one that makes it.  Budget spilling is certified
     for the serial schedule (P023 checks it against ``run_optimized``).
-    The hybrid fast path's static price (:func:`analyze_hybrid`) is not
-    built here: ``repro advise``, its only reader, adds it.
+    The hybrid fast path's static shape (:func:`analyze_hybrid`) is not
+    built here: ``repro advise``, its only reader, adds it.  Building a
+    certificate compiles no kernel.
     """
     from ..core.options import pick
     from ..core.schedule import build_plan as _build_plan
-
-    if compiled is None:
-        from ..sim.compiled import CompiledCircuit
-
-        compiled = CompiledCircuit(layered)
 
     plan = _build_plan(layered, trials)
     audit = plan.audit(trials=trials, layered=layered)
@@ -470,7 +366,7 @@ def build_certificate(
             "cannot certify an invalid plan: "
             + "; ".join(str(d) for d in audit.errors)
         )
-    serial = analyze_plan(plan, layered, compiled=compiled)
+    serial = analyze_plan(plan, layered)
 
     state_bytes = 16 * (1 << layered.num_qubits)
 
@@ -491,7 +387,7 @@ def build_certificate(
         "state_bytes": state_bytes,
         "plan": serial.to_dict(),
         "budget": (
-            None if budget is None else budget_section(plan, layered, budget, compiled)
+            None if budget is None else budget_section(plan, layered, budget)
         ),
         "advice": advice,
     }
@@ -536,7 +432,7 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
             problems.append(f"missing key {key!r}")
     plan = certificate.get("plan")
     if isinstance(plan, dict):
-        for key in ("ops", "flops", "segments", "injects", "memory"):
+        for key in ("ops", "segments", "injects", "memory"):
             if key not in plan:
                 problems.append(f"plan missing key {key!r}")
         segments = plan.get("segments")
@@ -552,7 +448,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
     hybrid = certificate.get("hybrid")
     if isinstance(hybrid, dict):
         stats = hybrid.get("stats", {})
-        flops = hybrid.get("flops", {})
         memory = hybrid.get("memory", {})
         plan_ops = plan.get("ops") if isinstance(plan, dict) else None
         if plan_ops is not None and stats.get("planned_ops") != plan_ops:
@@ -570,17 +465,6 @@ def validate_certificate(certificate: Dict[str, Any]) -> List[str]:
             problems.append(
                 f"hybrid symbolic/dense split sums to {split}, not "
                 f"planned_ops {stats.get('planned_ops')}"
-            )
-        parts = (
-            flops.get("anchor", 0)
-            + flops.get("dense", 0)
-            + flops.get("materialize", 0)
-            + flops.get("frame", 0)
-        )
-        if flops and parts != flops.get("total"):
-            problems.append(
-                f"hybrid flop components sum to {parts}, not total "
-                f"{flops.get('total')}"
             )
         state_bytes = certificate.get("state_bytes")
         if isinstance(state_bytes, int) and memory:

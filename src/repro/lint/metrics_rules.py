@@ -47,10 +47,11 @@ register(
     "plan",
     "A scraped metric total diverges from an independent replay of the "
     "recorded trace.",
-    explanation="The OpenMetrics snapshot is the observatory's served "
-    "interface — dashboards and the CI bench gate read it instead of the "
-    "raw trace, so it must be provably the same data.  P025 re-derives "
-    "every bridged family from first principles (counter totals from "
+    explanation="registry_from_recorder bridges a recorded trace into an "
+    "OpenMetrics snapshot, which 'repro profile --metrics' writes; it must "
+    "be provably the same data as the trace.  (The daemon's /metrics comes "
+    "from repro.serve.registry, which does not use this bridge.)  P025 "
+    "re-derives every bridged family from first principles (counter totals from "
     "per-event deltas, gauge values from the replayed maximum, span "
     "histograms from matched begin/end pairs) and compares exactly.  A "
     "mismatch means the registry bridge and the trace recorder have "

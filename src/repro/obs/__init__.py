@@ -57,9 +57,6 @@ from .profile import (
     flamegraph_lines,
     fold_spans,
     format_profile_report,
-    kernel_class_attribution,
-    measure_peaks,
-    roofline_segments,
     write_flamegraph,
 )
 from .summary import (
@@ -94,13 +91,10 @@ __all__ = [
     "format_profile_report",
     "format_run_metrics",
     "format_trace_summary",
-    "kernel_class_attribution",
-    "measure_peaks",
     "metrics_from_trace",
     "outcome_from_trace",
     "registry_from_recorder",
     "render_openmetrics",
-    "roofline_segments",
     "segment_profile",
     "summarize",
     "trace_json",

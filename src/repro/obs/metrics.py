@@ -18,11 +18,13 @@ A :class:`MetricRegistry` owns the instruments.  All mutation and the
 is a *consistent cut*: no half-applied increment is ever visible, and the
 returned structure is a deep copy the caller may mutate freely.
 
-:func:`registry_from_recorder` is the bridge the profiler and the CLI
-use: it folds an :class:`~repro.obs.recorder.InMemoryRecorder` into three
-standard families — ``repro_counter`` (label ``name``), ``repro_gauge``
-(label ``name``; value = running peak) and ``repro_span_seconds``
-(label ``span``; one histogram per span name) — plus
+:func:`registry_from_recorder` is the bridge behind ``repro profile
+--metrics`` and rule P025 (the daemon's ``/metrics`` is built by
+:mod:`repro.serve.registry` instead): it folds an
+:class:`~repro.obs.recorder.InMemoryRecorder` into three standard
+families — ``repro_counter`` (label ``name``), ``repro_gauge`` (label
+``name``; value = running peak) and ``repro_span_seconds`` (label
+``span``; one histogram per span name) — plus
 ``repro_trace_events`` / ``repro_trace_dropped_events``.  Because the
 recorder's aggregates stay exact under ring-buffer truncation, so do the
 bridged counter and gauge families; only the span histograms describe

@@ -67,7 +67,6 @@ from .kernels import (
     Kernel,
     _is_diagonal_matrix,
     diagonal_bytes,
-    kernel_cost,
     kernel_for_gate,
 )
 from .stabilizer import _matrix_safety
@@ -132,10 +131,6 @@ class CompiledCircuit:
             Tuple[Tuple[Kernel, ...], List[Tuple[np.ndarray, Tuple[int, ...]]]],
         ] = {}
         self._segments: Dict[Tuple[int, int], Tuple[Kernel, ...]] = {}
-        self._segment_costs: Dict[Tuple[int, int], Dict[str, object]] = {}
-        self._segment_kind_costs: Dict[
-            Tuple[int, int], Dict[str, Dict[str, int]]
-        ] = {}
         self.recorder = None
 
     def _check_range(self, start_layer: int, end_layer: int) -> None:
@@ -263,65 +258,6 @@ class CompiledCircuit:
         elif recorder:
             recorder.counter("segment.hit", 1)
         return program
-
-    def segment_kind_costs(
-        self, start_layer: int, end_layer: int
-    ) -> Dict[str, Dict[str, int]]:
-        """Per-kernel-kind cost split of one layer range — analysis only.
-
-        Maps each kernel kind in the segment's compiled program to its
-        ``{"count", "flops", "bytes_moved"}`` share, priced by
-        :func:`~repro.sim.kernels.kernel_cost`.  The program comes from
-        the same memoized :meth:`segment` path with the recorder
-        detached, so static analysis never leaves ``compile`` /
-        ``segment.hit`` events in a trace, and runtime replays of the
-        range reuse the compiled program.  The profiler uses this split
-        to attribute a segment's measured wall time across kernel
-        classes by flop share.  Memoized.
-        """
-        key = (start_layer, end_layer)
-        split = self._segment_kind_costs.get(key)
-        if split is None:
-            recorder = self.recorder
-            self.recorder = None
-            try:
-                program = self.segment(start_layer, end_layer)
-            finally:
-                self.recorder = recorder
-            split = {}
-            for kernel in program:
-                each = kernel_cost(kernel, self.num_qubits)
-                entry = split.setdefault(
-                    kernel.kind, {"count": 0, "flops": 0, "bytes_moved": 0}
-                )
-                entry["count"] += 1
-                entry["flops"] += int(each.flops)
-                entry["bytes_moved"] += int(each.bytes_moved)
-            self._segment_kind_costs[key] = split
-        return split
-
-    def segment_cost(self, start_layer: int, end_layer: int) -> Dict[str, object]:
-        """Static cost summary of one layer range — analysis only.
-
-        The totals of :meth:`segment_kind_costs` (so the kind split sums
-        exactly to the segment's ``flops`` / ``bytes_moved``) plus the
-        range's gate count.  Memoized.
-        """
-        key = (start_layer, end_layer)
-        cost = self._segment_costs.get(key)
-        if cost is None:
-            split = self.segment_kind_costs(start_layer, end_layer)
-            cost = {
-                "gates": self.layered.gates_between(start_layer, end_layer),
-                "kernels": sum(entry["count"] for entry in split.values()),
-                "flops": sum(entry["flops"] for entry in split.values()),
-                "bytes_moved": sum(
-                    entry["bytes_moved"] for entry in split.values()
-                ),
-                "kinds": {kind: entry["count"] for kind, entry in split.items()},
-            }
-            self._segment_costs[key] = cost
-        return cost
 
     def operator_kernel(self, gate: Gate, qubits: Sequence[int]) -> Kernel:
         """Kernel for an injected error operator (same ``Gate._key`` cache)."""

@@ -60,7 +60,7 @@ compilation cache across all circuits of the same width.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ from ..circuits.gates import Gate
 
 __all__ = [
     "Kernel",
-    "KernelCost",
     "DiagonalKernel",
     "PermutationKernel",
     "ControlledKernel",
@@ -76,7 +75,6 @@ __all__ = [
     "compile_matrix",
     "diagonal_bytes",
     "kernel_for_gate",
-    "kernel_cost",
     "kernel_cache_info",
     "controlled_split",
     "is_permutation_matrix",
@@ -84,6 +82,9 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+
+#: bytes of one complex128 amplitude
+_AMP_BYTES = 16
 
 #: Widths from which a one-target :class:`DenseKernel` computes each output
 #: as two products and an add instead of an ``einsum``; measured per
@@ -568,69 +569,6 @@ def kernel_for_gate(
     else:
         _CACHE_HITS += 1
     return kernel
-
-
-class KernelCost(NamedTuple):
-    """Static per-application cost of one compiled kernel.
-
-    ``flops`` counts real floating-point operations (a complex multiply is
-    6 real ops, a complex multiply-add 8) and ``bytes_moved`` the memory
-    traffic of one application against a ``2**num_qubits`` complex128
-    state.  Both are *model* quantities — deterministic functions of the
-    kernel's compiled structure, not measurements — which is exactly what
-    makes them usable inside a :class:`~repro.lint.costmodel`
-    ResourceCertificate: the same kernel always costs the same.
-    """
-
-    flops: int
-    bytes_moved: int
-
-    def __add__(self, other: "KernelCost") -> "KernelCost":  # type: ignore[override]
-        return KernelCost(
-            self.flops + other.flops, self.bytes_moved + other.bytes_moved
-        )
-
-
-#: bytes of one complex128 amplitude
-_AMP_BYTES = 16
-
-
-def kernel_cost(kernel: Kernel, num_qubits: int) -> KernelCost:
-    """Static flop/byte cost of applying ``kernel`` to a ``2**n`` state.
-
-    The model mirrors each kernel's ``apply`` body:
-
-    * ``diagonal`` — one in-place broadcast multiply: 6 flops per
-      amplitude; every amplitude is read and written once.
-    * ``permutation`` — ``2**k`` strided moves of ``2**(n-k)`` amplitudes
-      each; a unit-phase move is a pure copy (0 flops), a scaled move is a
-      complex scalar multiply (6 flops per amplitude); every amplitude is
-      read and written once in total.
-    * ``controlled`` — the inner kernel applied to the all-controls-1
-      slice, i.e. recursion at ``n - num_controls`` qubits; the untouched
-      rest of the state costs nothing.
-    * ``dense`` — ``2**k`` complex multiply-adds (8 flops) per output
-      amplitude; the state is streamed in and out.  The two-product form
-      is priced the same as the einsum, so a certificate does not depend
-      on ``DENSE_PRODUCT_MIN_QUBITS``.
-    """
-    dim = 2**num_qubits
-    if isinstance(kernel, DiagonalKernel):
-        return KernelCost(6 * dim, 2 * _AMP_BYTES * dim)
-    if isinstance(kernel, PermutationKernel):
-        per_move = 2 ** (num_qubits - len(kernel.qubits))
-        flops = sum(
-            0 if phase == 1.0 else 6 * per_move
-            for _, _, phase in kernel._moves
-        )
-        return KernelCost(flops, 2 * _AMP_BYTES * dim)
-    if isinstance(kernel, ControlledKernel):
-        num_controls = len(kernel.qubits) - len(kernel._inner.qubits)
-        return kernel_cost(kernel._inner, num_qubits - num_controls)
-    if isinstance(kernel, DenseKernel):
-        k = len(kernel.qubits)
-        return KernelCost(8 * dim * 2**k, 2 * _AMP_BYTES * dim)
-    raise TypeError(f"no cost model for kernel kind {kernel.kind!r}")
 
 
 def kernel_cache_info() -> Dict[str, int]:

@@ -277,7 +277,6 @@ class TestBudgetEverywhere:
         )
         checks = check_recorded_run(
             simulator.layered, trials, recorder, resumed.metrics,
-            compiled=simulator.compiled_circuit(),
             journal=path, max_cache_bytes=1100,
         )
         assert not any(checks.values()), checks

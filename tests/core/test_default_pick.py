@@ -198,9 +198,7 @@ class TestRecordedPick:
         assert (args["min_qubits"], args["min_frame_safe"], args["max_errors_per_trial"]) == (
             HYBRID_MIN_QUBITS, HYBRID_MIN_FRAME_SAFE, HYBRID_MAX_ERRORS_PER_TRIAL,
         )
-        checks = check_recorded_run(
-            sim.layered, trials, recorder, result.metrics, compiled=sim.compiled_circuit()
-        )
+        checks = check_recorded_run(sim.layered, trials, recorder, result.metrics)
         assert list(checks) == ["replay", "P017", "P020", "P021", "P023", "P025"]
         assert not any(checks.values()), checks
         if executor == "hybrid":

@@ -31,7 +31,7 @@ class Recorded:
     def checks(self):
         return check_recorded_run(
             self.sim.layered, self.trials, self.recorder, self.metrics,
-            compiled=self.sim.compiled_circuit(), **self.options,
+            **self.options,
         )
 
 

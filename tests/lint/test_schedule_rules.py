@@ -35,9 +35,7 @@ def setup():
     layered = layerize(circuit)
     trials = sample_trials(layered, model, 96, np.random.default_rng(7))
     compiled = CompiledCircuit(layered)
-    certificate = build_certificate(
-        layered, trials, benchmark="bv5", seed=7, compiled=compiled
-    )
+    certificate = build_certificate(layered, trials, benchmark="bv5", seed=7)
     return layered, trials, compiled, certificate
 
 
@@ -114,8 +112,7 @@ class TestP023BudgetPrediction:
         state_bytes = 16 * (1 << layered.num_qubits)
         budget = CacheBudget(max_bytes=2 * state_bytes, spill_dir=str(tmp_path))
         certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=7,
-            budget=budget, compiled=compiled,
+            layered, trials, benchmark="bv5", seed=7, budget=budget
         )
         outcome = budgeted_run(
             layered, trials, budget,
@@ -133,8 +130,7 @@ class TestP023BudgetPrediction:
         state_bytes = 16 * (1 << layered.num_qubits)
         budget = CacheBudget(max_bytes=2 * state_bytes)
         certificate = build_certificate(
-            layered, trials, benchmark="bv5", seed=7,
-            budget=budget, compiled=compiled,
+            layered, trials, benchmark="bv5", seed=7, budget=budget
         )
         outcome = run_optimized(
             layered, trials,

@@ -92,7 +92,7 @@ class TestCountingBackend:
         assert backend.live_states == 1
         assert backend.peak_live_states == 2
 
-    def test_segment_cost_closed_form(self, layered):
+    def test_layer_range_ops_closed_form(self, layered):
         backend = CountingBackend(layered)
         state = backend.make_initial()
         backend.apply_layers(state, 1, 3)

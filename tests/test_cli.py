@@ -151,6 +151,30 @@ class TestCLI:
         assert f"argument --trials: expected an integer >= 1, got '{count}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, minimum",
+        [
+            ("--exec-threads", "0", 1),
+            ("--exec-threads", "-2", 1),
+            ("--max-pending", "0", 1),
+            ("--shared-budget-mb", "-5", 0),
+        ],
+    )
+    def test_serve_rejects_a_bad_flag_before_starting(
+        self, flag, value, minimum, tmp_path, capsys
+    ):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(state), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"argument {flag}: expected an integer >= {minimum}, got '{value}'"
+            in err
+        )
+        assert "Traceback" not in err
+        assert not state.exists()
+
     def test_advise_checks_options_through_the_table(self, capsys):
         argv = ["advise", "qft5", "--trials", "16", "--max-cache-bytes", "-1"]
         assert main(argv) == 2
